@@ -2,12 +2,15 @@
 
 Opens ``ReproSession.from_world`` with the default config, then streams a
 JSONL corpus through ``annotate_wire_stream`` twice: the crawl pass, then
-the recrawl pass on the same warm session.  Last, the lone pass annotates
-fresh tables one ``annotate`` call at a time (per-table latency).  Writes
-each pass's wire responses as JSONL and prints one JSON report on stdout.
+the recrawl pass on the same warm session.  The lone pass annotates fresh
+tables one ``annotate`` call at a time (per-table latency).  The corpus
+and the lone tables come in rounds (one file each per round); every round
+runs its crawl, recrawl and lone slices in turn.  Writes each pass's wire
+responses as JSONL and prints one JSON report on stdout.
 
-Usage: python3 perfbench/corpus_child.py --catalog C --corpus J --warm W
-       --lone L --out DIR [--setup-only] [--trace 0|1]
+Usage: python3 perfbench/corpus_child.py --catalog C --corpus J [J ...]
+       --warm W --lone L [L ...] --out DIR [--setup-only | --crawl-only]
+       [--trace 0|1]
 """
 
 from __future__ import annotations
@@ -34,26 +37,26 @@ def open_session(catalog: Path, warm_table):
     return session
 
 
-def run_pass(session, corpus: Path, output: Path, tracer: Tracer | None) -> float:
-    """Corpus JSONL in, wire-response JSONL out; returns wall seconds."""
+def run_pass(session, corpus: Path, sink, tracer: Tracer | None) -> float:
+    """Corpus JSONL in, wire-response JSONL out to ``sink``; wall seconds."""
     from repro.api import types
     from repro.pipeline.io import iter_corpus_jsonl
 
     start = time.perf_counter()
     block = tracer.span("bench.pass") if tracer is not None else contextlib.nullcontext()
-    with block, output.open("w", encoding="utf-8") as handle:
+    with block:
         for response in session.annotate_wire_stream(iter_corpus_jsonl(corpus)):
-            handle.write(types.encode_json(response.to_json()))
-            handle.write("\n")
+            sink.write(types.encode_json(response.to_json()))
+            sink.write("\n")
     return time.perf_counter() - start
 
 
-def run_lone(session, requests: Path, output: Path) -> list[float]:
+def run_lone(session, requests: Path, sink) -> list[float]:
     """One ``annotate`` call per table on the warm session; per-call seconds."""
     from repro.api import types
 
     seconds = []
-    with requests.open(encoding="utf-8") as source, output.open("w", encoding="utf-8") as sink:
+    with requests.open(encoding="utf-8") as source:
         for line in source:
             payload = json.loads(line)
             start = time.perf_counter()
@@ -68,9 +71,9 @@ def run_lone(session, requests: Path, output: Path) -> list[float]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--catalog", type=Path, required=True)
-    parser.add_argument("--corpus", type=Path, required=True)
+    parser.add_argument("--corpus", type=Path, nargs="+", required=True)
     parser.add_argument("--warm", type=Path, required=True)
-    parser.add_argument("--lone", type=Path, required=True)
+    parser.add_argument("--lone", type=Path, nargs="+", required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--setup-only", action="store_true")
     parser.add_argument("--crawl-only", action="store_true")
@@ -88,13 +91,22 @@ def main(argv: list[str]) -> int:
     start = time.perf_counter()
     session = open_session(args.catalog, warm_table)
     report: dict = {"setup_seconds": time.perf_counter() - start}
-    if not args.setup_only:
-        report["crawl_seconds"] = run_pass(session, args.corpus, args.out / "crawl.jsonl", None)
-    if not (args.setup_only or args.crawl_only):
-        report["recrawl_seconds"] = run_pass(
-            session, args.corpus, args.out / "recrawl.jsonl", None
-        )
-        report["lone_seconds"] = run_lone(session, args.lone, args.out / "lone.jsonl")
+    if args.crawl_only:
+        with (args.out / "crawl.jsonl").open("w", encoding="utf-8") as crawl:
+            report["crawl_seconds"] = [
+                run_pass(session, corpus, crawl, None) for corpus in args.corpus
+            ]
+    elif not args.setup_only:
+        report.update(crawl_seconds=[], recrawl_seconds=[], lone_seconds=[])
+        with contextlib.ExitStack() as stack:
+            crawl, recrawl, lone = (
+                stack.enter_context((args.out / name).open("w", encoding="utf-8"))
+                for name in ("crawl.jsonl", "recrawl.jsonl", "lone.jsonl")
+            )
+            for corpus, requests in zip(args.corpus, args.lone, strict=True):
+                report["crawl_seconds"].append(run_pass(session, corpus, crawl, None))
+                report["recrawl_seconds"].append(run_pass(session, corpus, recrawl, None))
+                report["lone_seconds"] += run_lone(session, requests, lone)
         report["max_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps(report))
     return 0
@@ -107,7 +119,8 @@ def traced_passes(args, warm_table) -> dict:
 
     truth = {
         labeled.table.table_id: dict(labeled.truth.cell_entities)
-        for labeled in iter_corpus_jsonl(args.corpus)
+        for corpus in args.corpus
+        for labeled in iter_corpus_jsonl(corpus)
     }
     n_tables = len(truth)
     report: dict = {}
@@ -119,15 +132,18 @@ def traced_passes(args, warm_table) -> dict:
         tracer.reset()
         pipeline = session.pipeline()
         before = layers.cache_counters(pipeline)
-        report["traced_crawl_seconds"] = run_pass(
-            session, args.corpus, args.out / "traced.jsonl", tracer
-        )
+        with (args.out / "traced.jsonl").open("w", encoding="utf-8") as sink:
+            report["traced_crawl_seconds"] = sum(
+                run_pass(session, corpus, sink, tracer) for corpus in args.corpus
+            )
         crawl = layers.layer_metrics(tracer, n_tables)
         crawl.update(layers.cache_ratios(pipeline, before))
         report["crawl_shares"] = layers.share_table(tracer)
         tracer.reset()
         before = layers.cache_counters(pipeline)
-        run_pass(session, args.corpus, args.out / "recrawl.jsonl", tracer)
+        with (args.out / "recrawl.jsonl").open("w", encoding="utf-8") as sink:
+            for corpus in args.corpus:
+                run_pass(session, corpus, sink, tracer)
         recrawl = layers.layer_metrics(tracer, n_tables)
         recrawl.update(layers.cache_ratios(pipeline, before))
         report["recrawl_shares"] = layers.share_table(tracer)

@@ -1,8 +1,9 @@
 """Seeded benchmark inputs: world, tables, queries and the serving bundle.
 
-Everything here runs before any timed region.  The world is fixed; the same
-seed gives the same tables, queries and bundle corpus.  The program under
-test only ever sees the files and request payloads produced here.
+Everything here runs before any timed region.  The world and the bundle
+corpus are fixed; the same seed gives the same tables and queries.  The
+program under test only ever sees the files and request payloads produced
+here, and builds the bundle itself.
 """
 
 from __future__ import annotations
@@ -88,12 +89,13 @@ def make_tables(
     return tables[:count]
 
 
-def pop_warm_table(tables: list[LabeledTable]) -> LabeledTable:
-    """Remove and return the set-up's warm table: the first of the middle
-    row count, so set-up does the same work whatever the seed."""
-    middle = sum(settings.ROWS_RANGE) // 2
-    index = min(range(len(tables)), key=lambda i: abs(tables[i].table.n_rows - middle))
-    return tables.pop(index)
+def warm_table(world: SyntheticWorld) -> LabeledTable:
+    """The set-up's warm table, one of the middle row count.  It is the
+    same for every seed, so set-up does the same work whatever the seed."""
+    low, high = settings.ROWS_RANGE
+    tables = make_tables(world, settings.WORLD_SEED, 2 * (high - low + 1), "warm")
+    middle = (low + high) // 2
+    return next(labeled for labeled in tables if labeled.table.n_rows == middle)
 
 
 def write_world(world: SyntheticWorld, directory: Path) -> Path:
@@ -246,3 +248,10 @@ def make_queries(world: SyntheticWorld, seed: int, count: int) -> list[SearchQue
         relation_id = slots.pop()
         queries.append(_relation_query(world, relation_id, samplers[relation_id]()))
     return queries
+
+
+def warm_queries(world: SyntheticWorld) -> list[SearchQuery]:
+    """The set-up's warm requests, one relation search and one join (the
+    first of each builds its lazy searcher).  The same for every seed."""
+    queries = make_queries(world, settings.WORLD_SEED, settings.JOIN_STRIDE)
+    return [queries[0], queries[-1]]

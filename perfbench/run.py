@@ -9,14 +9,18 @@ Workloads:
 * ``serve-annotate`` — ``repro serve`` (default single pre-fork worker)
   answers distinct ``/annotate`` tables: an open-loop phase at a fixed
   rate (``p50_ms``, ``p95_ms``), a closed-loop phase over two connections
-  (``capacity_per_s``), then a closed-loop replay of answered requests
+  (``capacity_per_s``), and a closed-loop replay of answered requests
   (``recrawl_capacity_per_s``).
 * ``serve-search`` — the same server answers a Zipf-like ``/search`` +
   ``/search/join`` mix, same three phases.
 * ``corpus`` — a fresh process streams a JSONL corpus through
   ``ReproSession.annotate_wire_stream`` (crawl pass, ``capacity_per_s``),
   again on the same session (recrawl pass, ``recrawl_capacity_per_s``),
-  then annotates fresh tables one call at a time (``p50_ms``, ``p95_ms``).
+  and annotates fresh tables one call at a time (``p50_ms``, ``p95_ms``).
+
+Each run is split into rounds that run a slice of each throughput phase
+in turn (serve: closed loop, recrawl; corpus: crawl, recrawl, lone calls),
+so each metric samples a long stretch of the run rather than one window.
 
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` is a separate
 run that wraps the layers' public calls and reports per-layer self times.
@@ -36,6 +40,7 @@ import os
 import platform
 import random
 import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -102,7 +107,12 @@ ENDPOINTS = {"/annotate": "annotate", "/search": "search", "/search/join": "sear
 
 
 def in_process(session, endpoint: str, payload: dict) -> dict:
-    """The worker's own work for one request, without the serving tier."""
+    """The worker's own work for one request, without the serving tier.
+
+    ``repro.serve`` routes requests the same way inside its worker; the
+    benchmark keeps its own copy so the reference answer comes from
+    ``ReproSession``, the stable entry point, and not from serving code.
+    """
     from repro.api import types
 
     if endpoint == "annotate":
@@ -138,7 +148,7 @@ def serve_inputs(run: Run):
     run.work.mkdir(parents=True, exist_ok=True)
     catalog = inputs.write_world(world, run.work)
     bundle_tables = inputs.make_tables(
-        world, run.seed, settings.BUNDLE_TABLES[run.workload], "bundle"
+        world, settings.WORLD_SEED, settings.BUNDLE_TABLES[run.workload], "bundle"
     )
     corpus = inputs.write_corpus(bundle_tables, run.work / "bundle_corpus.jsonl")
     bundle = run.work / "bundle"
@@ -151,20 +161,18 @@ def serve_inputs(run: Run):
     n_closed = round(settings.CLOSED_POOL_RATE[run.workload] * closed_seconds)
     n_split = settings.SPLIT_REQUESTS[run.workload]
     n_warmup = settings.WARMUP_REQUESTS[run.workload]
-    total = n_warmup + n_open + n_closed + n_split + 1
+    total = n_warmup + n_open + n_closed + n_split
     scored = []
     if run.workload == "serve-annotate":
         tables = inputs.make_tables(world, run.seed, total, "request")
-        warm = _annotate_requests([inputs.pop_warm_table(tables)])
+        warm = _annotate_requests([inputs.warm_table(world)])
         requests = _annotate_requests(tables)
         truth = tables
     else:
         queries = inputs.make_queries(world, run.seed, total)
         requests = _search_requests(queries)
         truth = queries
-        # the first relation and join queries build the lazy searchers
-        first = {query.endpoint: index for index, query in reversed(list(enumerate(queries)))}
-        warm = [requests[first["search"]], requests[first["search_join"]]]
+        warm = _search_requests(inputs.warm_queries(world))
         scored = inputs.quality_queries(world, bundle_tables)
     cuts = itertools.accumulate([n_warmup, n_open, n_closed, n_split])
     warmup, opened, closed, split = (slice(a, b) for a, b in itertools.pairwise([0, *cuts]))
@@ -178,6 +186,7 @@ def serve_inputs(run: Run):
         open_truth=truth[opened],
         closed=requests[closed],
         split=requests[split],
+        split_truth=truth[split],
         closed_seconds=closed_seconds,
         quality=_search_requests(scored),
         quality_truth=scored,
@@ -218,6 +227,12 @@ def warm_up(run: Run, server, requests) -> None:
     run.count(len(outcomes), sum(o.done is None for o in outcomes), "warm-up requests")
 
 
+def rounds(items: list, count: int) -> list[list]:
+    """``items`` cut into ``count`` consecutive, near-equal slices."""
+    cuts = [round(len(items) * index / count) for index in range(count + 1)]
+    return [items[a:b] for a, b in itertools.pairwise(cuts)]
+
+
 def run_serve(run: Run) -> None:
     import quality
     import serve
@@ -227,34 +242,56 @@ def run_serve(run: Run) -> None:
     data = serve_inputs(run)
     run.record["offered_rate_per_s"] = data["rate"]
     run.record["connections"] = settings.CONNECTIONS
+    run.record["rounds"] = settings.ROUNDS
     if run.trace:
         run_serve_traced(run, data)
         return
 
+    # set-up is timed on launches before and after the measured server's
+    # life, so the median samples the machine across the whole run
     setups = []
-    server = None
-    for attempt in range(settings.SERVE_SETUPS):
-        if server is not None:
-            server.stop()
+    launches = settings.SERVE_SETUPS // 2
+    for attempt in range(launches + 1):
         server, seconds = launch(run, data["bundle"], data["warm"], str(attempt))
         setups.append(seconds)
+        if attempt < launches:
+            server.stop()
+    closed, recrawl = [], []
+    slice_seconds = data["closed_seconds"] / settings.ROUNDS
     try:
         warm_up(run, server, data["warmup"])
+        # the open phase runs first and whole: its request set is fixed by
+        # the seed, so its peak memory does not depend on how many requests
+        # a faster or slower program answers in the closed phases
         opened = serve.open_loop(server, data["open"], data["rate"], settings.CONNECTIONS)
-        closed = serve.closed_loop(
-            server, data["closed"], data["closed_seconds"], settings.CONNECTIONS
-        )
-        # the recrawl phase replays requests already answered, so the
-        # server's caches are warm for every one of them
-        answered = data["open"] + data["closed"][: len(closed.outcomes)]
-        recrawl = serve.closed_loop(
-            server, answered, data["closed_seconds"], settings.CONNECTIONS, repeat=True
-        )
+        sent = 0
+        for _ in range(settings.ROUNDS):
+            closed.append(serve.closed_loop(
+                server, data["closed"][sent:], slice_seconds, settings.CONNECTIONS
+            ))
+            sent += len(closed[-1].outcomes)
+            # the recrawl slice replays requests already answered, so the
+            # server's caches are warm for every one of them; it picks up
+            # the replay where the previous slice left it
+            answered = data["open"] + data["closed"][:sent]
+            offset = sum(len(phase.outcomes) for phase in recrawl) % len(answered)
+            recrawl.append(serve.closed_loop(
+                server, answered[offset:] + answered[:offset], slice_seconds,
+                settings.CONNECTIONS, repeat=True,
+            ))
         # search quality is scored on the fixed Figure-9 query set, sent
         # after the timed phases
         scored = serve.sequential(server.port, data["quality"]) if data["quality"] else []
     finally:
         server.stop()
+    for attempt in range(launches + 1, settings.SERVE_SETUPS):
+        server, seconds = launch(run, data["bundle"], data["warm"], str(attempt))
+        setups.append(seconds)
+        server.stop()
+    # throughput is the median over the round slices, so a slice that ran
+    # while the machine was slow does not set the run's figure
+    slice_rates = {"closed": [p.rate for p in closed], "recrawl": [p.rate for p in recrawl]}
+    closed, recrawl = serve.Phase.join(closed), serve.Phase.join(recrawl)
     run.count(len(scored), sum(o.done is None for o in scored), "quality queries")
     run.count(len(opened.outcomes), opened.failed, "open-loop requests")
     run.count(len(closed.outcomes), closed.failed, "closed-loop requests")
@@ -273,14 +310,13 @@ def run_serve(run: Run) -> None:
     run.metrics.update(
         p50_ms=1000.0 * p50,
         p95_ms=1000.0 * p95,
-        capacity_per_s=completed / closed.elapsed,
-        recrawl_capacity_per_s=repeated / recrawl.elapsed,
-        # the open phase's request set is fixed by the seed; the closed
-        # phases answer as many requests as the speed allows
+        capacity_per_s=statistics.median(slice_rates["closed"]),
+        recrawl_capacity_per_s=statistics.median(slice_rates["recrawl"]),
         mem_mb=opened.peak_mb,
-        setup_s=stats.median(setups),
+        setup_s=statistics.median(setups),
     )
     run.record.update(
+        slice_rates_per_s={k: [round(r, 3) for r in v] for k, v in slice_rates.items()},
         samples={"p50_ms": len(latencies), "p95_ms": len(latencies),
                  "capacity_per_s": completed, "recrawl_capacity_per_s": repeated,
                  "setup_s": len(setups)},
@@ -356,21 +392,9 @@ def run_serve_traced(run: Run, data: dict) -> None:
     try:
         warm_up(run, server, data["warmup"])
         http = serve.sequential(server.port, split)
-        # repeats of already-answered requests, over fresh connections and
-        # then over one reused connection: the difference is what reusing
-        # a connection adds
-        repeats = split[: settings.KEEPALIVE_REQUESTS]
-        fresh = serve.sequential(server.port, repeats)
-        reused = serve.sequential(server.port, repeats, keep_alive=True)
     finally:
         server.stop()
-    checked = http + fresh + reused
-    failed = sum(outcome.done is None for outcome in checked)
-    run.count(len(checked), failed, "HTTP split requests")
-    if not failed:
-        run.metrics["serve.keepalive_extra_ms"] = 1000.0 * (
-            sum(o.done - o.sent for o in reused) - sum(o.done - o.sent for o in fresh)
-        ) / len(repeats)
+    run.count(len(http), sum(outcome.done is None for outcome in http), "HTTP split requests")
     http_seconds = [outcome.done - outcome.sent for outcome in http if outcome.done]
 
     from repro.api.config import SessionConfig
@@ -401,8 +425,12 @@ def run_serve_traced(run: Run, data: dict) -> None:
     run.count(2 * len(split), mismatches, "split byte-identity comparisons")
 
     tracer = Tracer()
-    targets = layers.targets()
-    tracer.install(targets)
+    truth = {
+        labeled.table.table_id: dict(labeled.truth.cell_entities)
+        for labeled in data["split_truth"]
+        if run.workload == "serve-annotate"
+    }
+    tracer.install(layers.targets(truth))
     try:
         from repro.serve import bundle as bundle_module
 
@@ -451,37 +479,42 @@ def run_corpus(run: Run) -> None:
     import layers
     import quality
     import settings
-    import stats
 
     world = inputs.make_world()
     run.work.mkdir(parents=True, exist_ok=True)
     catalog = inputs.write_world(world, run.work)
+    # every table the session sees (warm, corpus, lone) fits in the
+    # compiled-graph cache, so the recrawl pass measures hits, not thrash
     n_tables = min(
         max(round(run.seconds * settings.CORPUS_TABLES_PER_SECOND), 20),
-        settings.COMPILED_CACHE_ENTRIES - 48,
+        settings.COMPILED_CACHE_ENTRIES - settings.LONE_TABLES - 48,
     )
-    tables = inputs.make_tables(
-        world, run.seed, n_tables + 1 + settings.LONE_TABLES, "corpus"
-    )
-    warm = inputs.pop_warm_table(tables)
+    tables = inputs.make_tables(world, run.seed, n_tables + settings.LONE_TABLES, "corpus")
     lone, tables = tables[: settings.LONE_TABLES], tables[settings.LONE_TABLES :]
-    corpus = inputs.write_corpus(tables, run.work / "corpus.jsonl")
+    corpora, lones, round_tables = [], [], []
+    for index, (part, lone_part) in enumerate(
+        zip(rounds(tables, settings.ROUNDS), rounds(lone, settings.ROUNDS))
+    ):
+        corpora.append(inputs.write_corpus(part, run.work / f"corpus-{index}.jsonl"))
+        round_tables.append(len(part))
+        lones.append(run.work / f"lone-{index}.requests.jsonl")
+        lones[-1].write_text(
+            "".join(json.dumps(inputs.annotate_payload(t)) + "\n" for t in lone_part),
+            encoding="utf-8",
+        )
     warm_path = run.work / "warm.json"
-    warm_path.write_text(json.dumps(warm.table.to_dict()), encoding="utf-8")
-    lone_path = run.work / "lone.requests.jsonl"
-    lone_path.write_text(
-        "".join(json.dumps(inputs.annotate_payload(labeled)) + "\n" for labeled in lone),
-        encoding="utf-8",
-    )
+    warm_path.write_text(json.dumps(inputs.warm_table(world).table.to_dict()), encoding="utf-8")
     run.record["corpus_tables"] = len(tables)
+    run.record["lone_tables"] = len(lone)
     run.record["compiled_cache_entries"] = settings.COMPILED_CACHE_ENTRIES
+    run.record["rounds"] = settings.ROUNDS
 
     command = [
         sys.executable, str(HERE / "corpus_child.py"),
         "--catalog", str(catalog),
-        "--corpus", str(corpus),
+        "--corpus", *map(str, corpora),
         "--warm", str(warm_path),
-        "--lone", str(lone_path),
+        "--lone", *map(str, lones),
         "--out", str(run.work),
     ]
 
@@ -498,11 +531,16 @@ def run_corpus(run: Run) -> None:
         baseline = child("--crawl-only")["crawl_seconds"]
         report = child("--trace", "1")
     else:
-        setups = [
-            child("--setup-only")["setup_seconds"] for _ in range(settings.CORPUS_SETUPS - 1)
-        ]
+        # set-up is timed in processes before and after the measured one,
+        # so the median samples the machine across the whole run
+        before = settings.CORPUS_SETUPS // 2
+        setups = [child("--setup-only")["setup_seconds"] for _ in range(before)]
         report = child()
         setups.append(report["setup_seconds"])
+        setups += [
+            child("--setup-only")["setup_seconds"]
+            for _ in range(settings.CORPUS_SETUPS - before - 1)
+        ]
     run.attempted += 1
 
     crawl_bytes = (run.work / "crawl.jsonl").read_bytes()
@@ -533,7 +571,7 @@ def run_corpus(run: Run) -> None:
             {f"recrawl.{name}": report["recrawl_layers"][name] for name in layers.RECRAWL}
         )
         run.metrics.update(report["setup"])
-        run.metrics["bench.trace_overhead_ratio"] = report["traced_crawl_seconds"] / baseline
+        run.metrics["bench.trace_overhead_ratio"] = report["traced_crawl_seconds"] / sum(baseline)
         run.record["self_time_shares"] = {
             "crawl": report["crawl_shares"],
             "recrawl": report["recrawl_shares"],
@@ -545,22 +583,30 @@ def run_corpus(run: Run) -> None:
     run.count(len(lone), max(len(lone) - len(lone_lines), 0), "lone annotate calls")
     p50, p95 = latency_percentiles(run, report["lone_seconds"])
     responses = [json.loads(line) for line in crawl_lines]
+    # throughput is total tables over total time, not a median over rounds
+    # as in the serve workloads: the crawl's rounds are not alike, since it
+    # speeds up as the session's cell cache fills
+    rates = {
+        name: [n / seconds for n, seconds in zip(round_tables, report[f"{name}_seconds"])]
+        for name in ("crawl", "recrawl")
+    }
     run.metrics.update(
         p50_ms=1000.0 * p50,
         p95_ms=1000.0 * p95,
-        capacity_per_s=len(tables) / report["crawl_seconds"],
-        recrawl_capacity_per_s=len(tables) / report["recrawl_seconds"],
+        capacity_per_s=len(tables) / sum(report["crawl_seconds"]),
+        recrawl_capacity_per_s=len(tables) / sum(report["recrawl_seconds"]),
         quality=quality.cell_accuracy(list(zip(tables, responses))),
         mem_mb=report["max_rss_mb"],
-        setup_s=stats.median(setups),
+        setup_s=statistics.median(setups),
     )
     run.record.update(
         samples={"p50_ms": len(lone), "p95_ms": len(lone), "capacity_per_s": len(tables),
                  "recrawl_capacity_per_s": len(tables),
                  "setup_s": len(setups)},
-        phase_seconds={"crawl": round(report["crawl_seconds"], 3),
-                       "recrawl": round(report["recrawl_seconds"], 3),
+        phase_seconds={"crawl": round(sum(report["crawl_seconds"]), 3),
+                       "recrawl": round(sum(report["recrawl_seconds"]), 3),
                        "lone": round(sum(report["lone_seconds"]), 3)},
+        round_rates_per_s={k: [round(r, 3) for r in v] for k, v in rates.items()},
         setup_seconds=[round(value, 4) for value in setups],
     )
 

@@ -110,18 +110,16 @@ def pss_mb(pids: list[int]) -> float:
 class Client:
     """An HTTP client holding at most one connection.
 
-    By default every request opens a fresh connection and asks the server
-    to close it.  The server writes a response's headers and body in two
-    segments, so on a reused connection the body waits for the client's
-    delayed ACK (about 40 ms on Linux) whenever the kernel's quick-ACK
-    heuristics do not fire; fresh connections start in quick-ACK mode and
-    keep that stall out of the numbers.  ``keep_alive=True`` reuses the
-    connection, to measure the stall itself.
+    Every request opens a fresh connection and asks the server to close
+    it.  The server writes a response's headers and body in two segments,
+    so on a reused connection the body waits for the client's delayed ACK
+    (about 40 ms on Linux) whenever the kernel's quick-ACK heuristics do
+    not fire; fresh connections start in quick-ACK mode and keep that
+    stall out of the numbers.
     """
 
-    def __init__(self, port: int, keep_alive: bool = False) -> None:
+    def __init__(self, port: int) -> None:
         self.port = port
-        self.keep_alive = keep_alive
         self.connection: http.client.HTTPConnection | None = None
 
     def post(self, path: str, body: bytes) -> tuple[int, bytes]:
@@ -129,17 +127,12 @@ class Client:
             self.connection = http.client.HTTPConnection(
                 "127.0.0.1", self.port, timeout=REQUEST_TIMEOUT
             )
-        headers = {"Content-Type": "application/json"}
-        if not self.keep_alive:
-            headers["Connection"] = "close"
+        headers = {"Content-Type": "application/json", "Connection": "close"}
         try:
             self.connection.request("POST", path, body=body, headers=headers)
             response = self.connection.getresponse()
             data = response.read()
-        except (OSError, http.client.HTTPException):
-            self.close()
-            raise
-        if response.will_close or not self.keep_alive:
+        finally:
             self.close()
         return response.status, data
 
@@ -167,6 +160,20 @@ class Phase:
     @property
     def failed(self) -> int:
         return sum(outcome.done is None for outcome in self.outcomes)
+
+    @property
+    def rate(self) -> float:
+        """Completed requests per second."""
+        return (len(self.outcomes) - self.failed) / self.elapsed
+
+    @classmethod
+    def join(cls, phases: list["Phase"]) -> "Phase":
+        """One phase run as several slices: outcomes in order, summed time."""
+        return cls(
+            [outcome for phase in phases for outcome in phase.outcomes],
+            sum(phase.elapsed for phase in phases),
+            max(phase.peak_mb for phase in phases),
+        )
 
 
 def _send(client: Client, request: tuple[str, bytes], outcome: Outcome) -> None:
@@ -267,16 +274,20 @@ def closed_loop(
         finally:
             client.close()
 
-    phase.peak_mb = _run_threads([sender] * connections, server, connections)
+    # memory is not sampled here: reading a process's smaps holds its
+    # memory-map lock, and mem_mb is taken from the open phase alone
+    threads = [threading.Thread(target=sender, daemon=True) for _ in range(connections)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
     phase.elapsed = time.perf_counter() - start
     return phase
 
 
-def sequential(
-    port: int, requests: list[tuple[str, bytes]], keep_alive: bool = False
-) -> list[Outcome]:
+def sequential(port: int, requests: list[tuple[str, bytes]]) -> list[Outcome]:
     """One request at a time (service times only, no queueing)."""
-    client = Client(port, keep_alive)
+    client = Client(port)
     outcomes = []
     try:
         for request in requests:

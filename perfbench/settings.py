@@ -1,13 +1,21 @@
 """Fixed benchmark settings: sizes, offered rates and the predictions.
 
 Offered rates are constants, not measured per run, so every commit is
-driven at the same load.  They sit at about half of the closed-loop
-capacity measured on a 2-core x86-64 container (Python 3.11, numpy 2.4).
+driven at the same load.  They sit at about a third of the closed-loop
+capacity measured on a 2-core x86-64 container (Python 3.11, numpy 2.4):
+at half of capacity the open-loop p95 swung 2-5x between runs.
+
+Every run is split into ``ROUNDS`` rounds that each hold a slice of the
+timed phases, so each metric samples a long stretch of the run rather
+than one window of it: on a shared 2-core machine the speed of identical
+work drifts by up to 50% from one second to the next.
 """
 
-#: the catalog world is the same for every seed: across generated worlds,
-#: search MAP and per-query cost move by 10-25%, which would swamp the
-#: run-to-run spread; --seed varies the tables, queries and bundle corpus
+#: the catalog world and the serving bundle's corpus are the same for every
+#: seed: across generated worlds, search MAP and per-query cost move by
+#: 10-25%, and across bundle corpora serve-search p95 and capacity moved by
+#: 20%, which would swamp the run-to-run spread; --seed varies the request
+#: tables, the corpus workload's tables and the search queries
 WORLD_SEED = 7
 WORLD = dict(
     n_persons=420,
@@ -23,22 +31,29 @@ ROWS_RANGE = (3, 38)
 
 #: the pipeline's default compiled-graph cache; the corpus must fit in it
 COMPILED_CACHE_ENTRIES = 2048
-#: corpus tables per second of --seconds (crawl pass runs most of the run)
-CORPUS_TABLES_PER_SECOND = 30
-#: fresh tables annotated one call at a time after the two passes
-LONE_TABLES = 240
-#: corpus processes whose set-up is timed (setup_s is their median)
+#: rounds per run: serve runs its closed-loop and recrawl phases, corpus its
+#: crawl, recrawl and lone passes, a slice of each per round
+ROUNDS = 10
+#: corpus tables per second of --seconds (crawl pass runs about half the run)
+CORPUS_TABLES_PER_SECOND = 28
+#: fresh tables annotated one call at a time, a share in every round; the
+#: p95 of 360 calls rests on 18, about five tables of each row count
+LONE_TABLES = 360
+#: corpus processes whose set-up is timed (setup_s is their median); half
+#: run before the measured process and half after it
 CORPUS_SETUPS = 5
 
 #: serve: share of --seconds spent in the open-loop phase (the rest is
 #: split between the closed-loop and recrawl phases)
-OPEN_SHARE = {"serve-annotate": 0.65, "serve-search": 0.45}
+OPEN_SHARE = {"serve-annotate": 0.65, "serve-search": 0.4}
 #: serve: fixed open-loop offered rates, requests per second
 OFFERED_RATE = {"serve-annotate": 13.0, "serve-search": 30.0}
 #: serve: distinct requests generated per second of a closed-loop phase,
-#: far above today's capacity so a faster program never runs out of them
-CLOSED_POOL_RATE = {"serve-annotate": 400, "serve-search": 2000}
-#: serve: server launches per run (setup_s is their median)
+#: over three times today's capacity so a faster program does not run out
+#: of them (a run that does fails its check)
+CLOSED_POOL_RATE = {"serve-annotate": 150, "serve-search": 800}
+#: serve: server launches per run (setup_s is their median); half are
+#: made before the measured server starts and half after it stops
 SERVE_SETUPS = 3
 #: generator connections (and threads) for both phases
 CONNECTIONS = 2
@@ -52,14 +67,17 @@ IDENTITY_SAMPLE = {"serve-annotate": 12, "serve-search": 40, "corpus": 12}
 WARMUP_REQUESTS = {"serve-annotate": 72, "serve-search": 40}
 #: requests per timing in the traced run's HTTP / pool / session split
 SPLIT_REQUESTS = {"serve-annotate": 120, "serve-search": 240}
-#: repeated requests timed over fresh vs reused connections (traced run)
-KEEPALIVE_REQUESTS = 40
 
-#: search mix
+#: search mix.  UNVERIFIED ASSUMPTIONS: no query log or traffic source
+#: exists for this system, and the paper gives no query mix.  Both values
+#: were chosen to keep the run-to-run spread low, not fitted to traffic.
+#: ZIPF_S sets the repeat share a result cache would see (0.5: a mild skew)
 ZIPF_S = 0.5
-#: every JOIN_STRIDE-th query is a two-hop join.  Joins cost 3-15 relation
-#: searches; kept under 5% of requests, the p95 falls inside the tight
-#: relation-search tail instead of on whichever join entities a seed drew
+#: every JOIN_STRIDE-th query is a two-hop join (2.5% of requests).  Joins
+#: cost 3-15 relation searches; at 20% the p95 followed whichever join
+#: entities a seed drew.  At 2.5% the p50_ms and p95_ms of serve-search are
+#: relation-search latencies: joins move only capacity_per_s,
+#: recrawl_capacity_per_s and the traced search.join_ms
 JOIN_STRIDE = 40
 #: relation slots per shuffled block of relation queries
 RELATION_BLOCK = 40
@@ -67,8 +85,9 @@ TOP_K = 10
 
 #: ROADMAP predictions this benchmark must be able to check
 PREDICTIONS = [
-    "item 2 (sparse candidate scoring) moves tables_per_s and serve-annotate "
-    "p50_ms and capacity_per_s; recrawl_tables_per_s and serve-search stay flat",
+    "item 2 (sparse candidate scoring) moves corpus capacity_per_s and "
+    "serve-annotate p50_ms and capacity_per_s; corpus recrawl_capacity_per_s "
+    "and serve-search stay flat",
     "item 3 (one engine) must not raise serve-annotate p50_ms",
     "item 4 (batching with no timer) targets serve-annotate capacity_per_s and "
     "must not raise serve-search p50_ms",

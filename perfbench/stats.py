@@ -50,13 +50,3 @@ def due_latencies(
         for scheduled, finished in zip(due, done)
     ]
 
-
-def median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        raise ValueError("median of no values")
-    middle = n // 2
-    if n % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0

@@ -200,3 +200,20 @@ def test_due_time_latency_charges_a_stall_to_later_requests():
     assert due[3] > 0.2 > sent[3]
     assert due[0] < 0.1 and due[-1] < 0.1  # the backlog drained
     assert stats.due_latencies([0.0, 1.0], [0.5, None]) == [0.5, math.inf]
+
+
+# ----------------------------------------------------------------------
+# rounds
+# ----------------------------------------------------------------------
+def test_rounds_keep_order_and_slices_join_into_one_phase():
+    import run
+
+    parts = run.rounds(list(range(11)), 5)
+    assert [len(part) for part in parts] == [2, 2, 3, 2, 2]
+    assert sum(parts, []) == list(range(11))
+    joined = serve.Phase.join([
+        serve.Phase([serve.Outcome(0.0)], 1.0, 5.0),
+        serve.Phase([serve.Outcome(1.0), serve.Outcome(2.0)], 2.0, 3.0),
+    ])
+    assert [outcome.due for outcome in joined.outcomes] == [0.0, 1.0, 2.0]
+    assert (joined.elapsed, joined.peak_mb, joined.failed) == (3.0, 5.0, 3)
