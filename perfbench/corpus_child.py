@@ -5,8 +5,10 @@ JSONL corpus through ``annotate_wire_stream`` twice: the crawl pass, then
 the recrawl pass on the same warm session.  The lone pass annotates fresh
 tables one ``annotate`` call at a time (per-table latency).  The corpus
 and the lone tables come in rounds (one file each per round); every round
-runs its crawl, recrawl and lone slices in turn.  Writes each pass's wire
-responses as JSONL and prints one JSON report on stdout.
+runs its crawl, recrawl and lone slices in turn, with machine-speed probes
+(see ``reference``) between the slices and before every lone call.  Writes
+each pass's wire responses as JSONL and prints one JSON report on stdout,
+with raw wall seconds and the probes next to them.
 
 Usage: python3 perfbench/corpus_child.py --catalog C --corpus J [J ...]
        --warm W --lone L [L ...] --out DIR [--setup-only | --crawl-only]
@@ -24,6 +26,8 @@ import time
 from pathlib import Path
 
 import layers
+import reference
+import settings
 from spans import Tracer
 
 
@@ -51,21 +55,30 @@ def run_pass(session, corpus: Path, sink, tracer: Tracer | None) -> float:
     return time.perf_counter() - start
 
 
-def run_lone(session, requests: Path, sink) -> list[float]:
-    """One ``annotate`` call per table on the warm session; per-call seconds."""
+def probed_pass(session, corpus: Path, sink, tracer: Tracer | None = None) -> dict:
+    """One pass slice between two probes."""
+    before = reference.probe(settings.SLICE_PROBES)
+    seconds = run_pass(session, corpus, sink, tracer)
+    return {"seconds": seconds, "probes": [before, reference.probe(settings.SLICE_PROBES)]}
+
+
+def run_lone(session, requests: Path, sink) -> dict:
+    """One ``annotate`` call per table on the warm session, each after a
+    probe; per-call seconds and the probes."""
     from repro.api import types
 
-    seconds = []
+    seconds, probes = [], []
     with requests.open(encoding="utf-8") as source:
         for line in source:
             payload = json.loads(line)
+            probes.append(reference.probe())
             start = time.perf_counter()
             response = session.annotate(types.AnnotateRequest.from_json(payload))
             body = types.encode_json(response.to_json())
             seconds.append(time.perf_counter() - start)
             sink.write(body)
             sink.write("\n")
-    return seconds
+    return {"seconds": seconds, "probes": probes}
 
 
 def main(argv: list[str]) -> int:
@@ -88,25 +101,26 @@ def main(argv: list[str]) -> int:
         return 0
     # one set-up per process: a later open in the same process reuses the
     # memory the first one faulted in and runs markedly faster
+    before = reference.probe(settings.SETUP_PROBES)
     start = time.perf_counter()
     session = open_session(args.catalog, warm_table)
-    report: dict = {"setup_seconds": time.perf_counter() - start}
+    seconds = time.perf_counter() - start
+    after = reference.probe(settings.SETUP_PROBES)
+    report: dict = {"setup": {"seconds": seconds, "probes": [before, after]}}
     if args.crawl_only:
         with (args.out / "crawl.jsonl").open("w", encoding="utf-8") as crawl:
-            report["crawl_seconds"] = [
-                run_pass(session, corpus, crawl, None) for corpus in args.corpus
-            ]
+            report["crawl"] = [probed_pass(session, corpus, crawl) for corpus in args.corpus]
     elif not args.setup_only:
-        report.update(crawl_seconds=[], recrawl_seconds=[], lone_seconds=[])
+        report.update(crawl=[], recrawl=[], lone=[])
         with contextlib.ExitStack() as stack:
             crawl, recrawl, lone = (
                 stack.enter_context((args.out / name).open("w", encoding="utf-8"))
                 for name in ("crawl.jsonl", "recrawl.jsonl", "lone.jsonl")
             )
             for corpus, requests in zip(args.corpus, args.lone, strict=True):
-                report["crawl_seconds"].append(run_pass(session, corpus, crawl, None))
-                report["recrawl_seconds"].append(run_pass(session, corpus, recrawl, None))
-                report["lone_seconds"] += run_lone(session, requests, lone)
+                report["crawl"].append(probed_pass(session, corpus, crawl))
+                report["recrawl"].append(probed_pass(session, corpus, recrawl))
+                report["lone"].append(run_lone(session, requests, lone))
         report["max_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps(report))
     return 0
@@ -133,9 +147,9 @@ def traced_passes(args, warm_table) -> dict:
         pipeline = session.pipeline()
         before = layers.cache_counters(pipeline)
         with (args.out / "traced.jsonl").open("w", encoding="utf-8") as sink:
-            report["traced_crawl_seconds"] = sum(
-                run_pass(session, corpus, sink, tracer) for corpus in args.corpus
-            )
+            report["traced_crawl"] = [
+                probed_pass(session, corpus, sink, tracer) for corpus in args.corpus
+            ]
         crawl = layers.layer_metrics(tracer, n_tables)
         crawl.update(layers.cache_ratios(pipeline, before))
         report["crawl_shares"] = layers.share_table(tracer)

@@ -7,26 +7,27 @@ Usage (from the root of a checkout):
 Workloads:
 
 * ``serve-annotate`` — ``repro serve`` (default single pre-fork worker)
-  answers distinct ``/annotate`` tables: an open-loop phase at a fixed
-  rate (``p50_ms``, ``p95_ms``), a closed-loop phase over two connections
-  (``capacity_per_s``), and a closed-loop replay of answered requests
-  (``recrawl_capacity_per_s``).
+  answers distinct ``/annotate`` tables sent one at a time (``p50_ms``,
+  ``p95_ms``, ``ms_per_op``), with a replay of answered requests after
+  every block of fresh ones (``recrawl_ms_per_op``).
 * ``serve-search`` — the same server answers a Zipf-like ``/search`` +
-  ``/search/join`` mix, same three phases.
+  ``/search/join`` mix, the same way.
 * ``corpus`` — a fresh process streams a JSONL corpus through
-  ``ReproSession.annotate_wire_stream`` (crawl pass, ``capacity_per_s``),
-  again on the same session (recrawl pass, ``recrawl_capacity_per_s``),
-  and annotates fresh tables one call at a time (``p50_ms``, ``p95_ms``).
+  ``ReproSession.annotate_wire_stream`` (crawl pass, ``ms_per_op``),
+  again on the same session (recrawl pass, ``recrawl_ms_per_op``), and
+  annotates fresh tables one call at a time (``p50_ms``, ``p95_ms``), a
+  slice of each pass per round.
 
-Each run is split into rounds that run a slice of each throughput phase
-in turn (serve: closed loop, recrawl; corpus: crawl, recrawl, lone calls),
-so each metric samples a long stretch of the run rather than one window.
+The benchmark and every process it starts run on one CPU, and every time
+is scaled to a machine-speed probe run next to it on that CPU (see
+``reference.py``), so the metrics read in milliseconds or seconds at a
+fixed reference speed rather than at the shared host's momentary speed.
 
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` is a separate
-run that wraps the layers' public calls and reports per-layer self times.
-Inputs are generated from ``--seed`` before any timing.  The last line of
-stdout is one JSON object ``{"correct", "attempted", "failed",
-"metrics"}``; the exit code is 1 when an output check failed.
+run that wraps the layers' public calls and reports per-layer self times
+(unscaled).  Inputs are generated from ``--seed`` before any timing.  The
+last line of stdout is one JSON object ``{"correct", "attempted",
+"failed", "metrics"}``; the exit code is 1 when an output check failed.
 """
 
 from __future__ import annotations
@@ -154,14 +155,19 @@ def serve_inputs(run: Run):
     bundle = run.work / "bundle"
     inputs.build_bundle(ROOT, run.env, catalog, corpus, bundle)
 
-    open_seconds = run.seconds * settings.OPEN_SHARE[run.workload]
-    closed_seconds = (run.seconds - open_seconds) / 2
-    rate = settings.OFFERED_RATE[run.workload]
-    n_open = round(rate * open_seconds)
-    n_closed = round(settings.CLOSED_POOL_RATE[run.workload] * closed_seconds)
-    n_split = settings.SPLIT_REQUESTS[run.workload]
+    # the traced run sends the open-loop and split requests, the untraced
+    # run the fresh pool
     n_warmup = settings.WARMUP_REQUESTS[run.workload]
-    total = n_warmup + n_open + n_closed + n_split
+    if run.trace:
+        n_open = settings.OPEN_REQUESTS[run.workload]
+        n_split = settings.SPLIT_REQUESTS[run.workload]
+        n_fresh = 0
+    else:
+        n_open = n_split = 0
+        n_fresh = max(
+            settings.FRESH_POOL_RATE[run.workload] * run.seconds, 2 * settings.MIN_FRESH
+        )
+    total = n_warmup + n_open + n_split + n_fresh
     scored = []
     if run.workload == "serve-annotate":
         tables = inputs.make_tables(world, run.seed, total, "request")
@@ -174,39 +180,43 @@ def serve_inputs(run: Run):
         truth = queries
         warm = _search_requests(inputs.warm_queries(world))
         scored = inputs.quality_queries(world, bundle_tables)
-    cuts = itertools.accumulate([n_warmup, n_open, n_closed, n_split])
-    warmup, opened, closed, split = (slice(a, b) for a, b in itertools.pairwise([0, *cuts]))
+    cuts = itertools.accumulate([n_warmup, n_open, n_split, n_fresh])
+    warmup, opened, split, fresh = (slice(a, b) for a, b in itertools.pairwise([0, *cuts]))
     return dict(
         world=world,
         bundle=bundle,
-        rate=rate,
         warm=warm,
         warmup=requests[warmup],
+        warmup_truth=truth[warmup],
         open=requests[opened],
-        open_truth=truth[opened],
-        closed=requests[closed],
         split=requests[split],
         split_truth=truth[split],
-        closed_seconds=closed_seconds,
+        fresh=requests[fresh],
         quality=_search_requests(scored),
         quality_truth=scored,
     )
 
 
 def launch(run: Run, bundle: Path, warm, label: str):
+    """Start a server and answer the warm requests; returns the server and
+    its set-up time (launch to the last warm answer) at reference speed."""
+    import reference
     import serve
+    import settings
 
+    before = reference.probe(settings.SETUP_PROBES)
     server = serve.Server(ROOT, run.env, bundle, run.work / f"serve-{label}.log")
     try:
         server.wait_ready()
-        outcomes = serve.sequential(server.port, warm)
+        outcomes, _ = serve.sequential(server.port, warm)
     except BaseException:
         server.stop()
         raise
     failed = sum(outcome.done is None for outcome in outcomes)
     run.count(len(outcomes), failed, "warm requests")
     ready = outcomes[-1].done if outcomes[-1].done is not None else time.perf_counter()
-    return server, ready - server.started
+    after = reference.probe(settings.SETUP_PROBES)
+    return server, reference.scale(ready - server.started, [before, after])
 
 
 def latency_percentiles(run: Run, latencies: list[float]) -> tuple[float, float]:
@@ -219,30 +229,74 @@ def latency_percentiles(run: Run, latencies: list[float]) -> tuple[float, float]
         return math.inf, math.inf
 
 
-def warm_up(run: Run, server, requests) -> None:
+def warm_up(run: Run, server, requests) -> list:
     """Untimed requests after set-up, so timing starts on a warm worker."""
     import serve
 
-    outcomes = serve.sequential(server.port, requests)
+    outcomes, _ = serve.sequential(server.port, requests)
     run.count(len(outcomes), sum(o.done is None for o in outcomes), "warm-up requests")
+    return outcomes
 
 
-def rounds(items: list, count: int) -> list[list]:
-    """``items`` cut into ``count`` consecutive, near-equal slices."""
-    cuts = [round(len(items) * index / count) for index in range(count + 1)]
-    return [items[a:b] for a, b in itertools.pairwise(cuts)]
+def timed_phase(run: Run, server, data: dict) -> dict:
+    """Blocks of fresh requests, each followed by a block of replays.
+
+    Requests go one at a time, each right after a machine-speed probe on
+    the same CPU as the server, and each latency is scaled by its block's
+    mean probe.  Replays cycle through the requests answered so far, so the
+    worker's caches are warm for every one of them.  The phase lasts
+    ``--seconds`` and at least until ``MIN_FRESH`` fresh answers; peak
+    memory is taken over those first ``MIN_FRESH``.
+    """
+    import reference
+    import serve
+    import settings
+
+    size = settings.BLOCK_REQUESTS[run.workload]
+    replay_size = settings.REPLAY_REQUESTS[run.workload]
+    pids = server.pids()
+    pool = data["fresh"]
+    answered = list(data["warmup"])
+    fresh, replay, probes = [], [], []
+    cursor = 0
+    peak_mb = 0.0
+    start = time.perf_counter()
+    deadline = start + run.seconds
+
+    def block(requests, into: list) -> None:
+        outcomes, block_probes = serve.sequential(server.port, requests, reference.probe)
+        probes.extend(block_probes)
+        into.extend(
+            (outcome, reference.scale(outcome.latency, block_probes)) for outcome in outcomes
+        )
+
+    while len(fresh) < len(pool) and (
+        time.perf_counter() < deadline or len(fresh) < settings.MIN_FRESH
+    ):
+        requests = pool[len(fresh) : len(fresh) + size]
+        block(requests, fresh)
+        answered += requests
+        # memory is sampled between blocks (reading a process's smaps holds
+        # its memory-map lock) and only while the fresh requests answered
+        # are a fixed set for the seed: the caches grow with every request
+        if len(fresh) <= settings.MIN_FRESH:
+            peak_mb = max(peak_mb, serve.pss_mb(pids))
+        block([answered[(cursor + i) % len(answered)] for i in range(replay_size)], replay)
+        cursor += replay_size
+    return dict(
+        fresh=fresh, replay=replay, probes=probes, peak_mb=peak_mb,
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def run_serve(run: Run) -> None:
     import quality
+    import reference
     import serve
     import settings
     import stats
 
     data = serve_inputs(run)
-    run.record["offered_rate_per_s"] = data["rate"]
-    run.record["connections"] = settings.CONNECTIONS
-    run.record["rounds"] = settings.ROUNDS
     if run.trace:
         run_serve_traced(run, data)
         return
@@ -256,82 +310,50 @@ def run_serve(run: Run) -> None:
         setups.append(seconds)
         if attempt < launches:
             server.stop()
-    closed, recrawl = [], []
-    slice_seconds = data["closed_seconds"] / settings.ROUNDS
     try:
-        warm_up(run, server, data["warmup"])
-        # the open phase runs first and whole: its request set is fixed by
-        # the seed, so its peak memory does not depend on how many requests
-        # a faster or slower program answers in the closed phases
-        opened = serve.open_loop(server, data["open"], data["rate"], settings.CONNECTIONS)
-        sent = 0
-        for _ in range(settings.ROUNDS):
-            closed.append(serve.closed_loop(
-                server, data["closed"][sent:], slice_seconds, settings.CONNECTIONS
-            ))
-            sent += len(closed[-1].outcomes)
-            # the recrawl slice replays requests already answered, so the
-            # server's caches are warm for every one of them; it picks up
-            # the replay where the previous slice left it
-            answered = data["open"] + data["closed"][:sent]
-            offset = sum(len(phase.outcomes) for phase in recrawl) % len(answered)
-            recrawl.append(serve.closed_loop(
-                server, answered[offset:] + answered[:offset], slice_seconds,
-                settings.CONNECTIONS, repeat=True,
-            ))
+        warmed = warm_up(run, server, data["warmup"])
+        timed = timed_phase(run, server, data)
         # search quality is scored on the fixed Figure-9 query set, sent
-        # after the timed phases
-        scored = serve.sequential(server.port, data["quality"]) if data["quality"] else []
+        # after the timed phase
+        scored, _ = serve.sequential(server.port, data["quality"])
     finally:
         server.stop()
     for attempt in range(launches + 1, settings.SERVE_SETUPS):
         server, seconds = launch(run, data["bundle"], data["warm"], str(attempt))
         setups.append(seconds)
         server.stop()
-    # throughput is the median over the round slices, so a slice that ran
-    # while the machine was slow does not set the run's figure
-    slice_rates = {"closed": [p.rate for p in closed], "recrawl": [p.rate for p in recrawl]}
-    closed, recrawl = serve.Phase.join(closed), serve.Phase.join(recrawl)
-    run.count(len(scored), sum(o.done is None for o in scored), "quality queries")
-    run.count(len(opened.outcomes), opened.failed, "open-loop requests")
-    run.count(len(closed.outcomes), closed.failed, "closed-loop requests")
-    run.count(len(recrawl.outcomes), recrawl.failed, "recrawl requests")
-    if len(closed.outcomes) >= len(data["closed"]):
-        run.fail("closed-loop request pool ran out before the phase ended")
 
-    latencies = stats.due_latencies(
-        [outcome.due for outcome in opened.outcomes],
-        [outcome.done for outcome in opened.outcomes],
-    )
-    p50, p95 = latency_percentiles(run, latencies)
-    late = [outcome.sent - outcome.due for outcome in opened.outcomes]
-    completed = len(closed.outcomes) - closed.failed
-    repeated = len(recrawl.outcomes) - recrawl.failed
+    fresh = [latency for _, latency in timed["fresh"]]
+    replay = [latency for _, latency in timed["replay"]]
+    run.count(len(scored), sum(o.done is None for o in scored), "quality queries")
+    run.count(len(fresh), fresh.count(math.inf), "fresh requests")
+    run.count(len(replay), replay.count(math.inf), "replayed requests")
+
+    p50, p95 = latency_percentiles(run, fresh)
     run.metrics.update(
         p50_ms=1000.0 * p50,
         p95_ms=1000.0 * p95,
-        capacity_per_s=statistics.median(slice_rates["closed"]),
-        recrawl_capacity_per_s=statistics.median(slice_rates["recrawl"]),
-        mem_mb=opened.peak_mb,
+        ms_per_op=1000.0 * statistics.fmean(fresh),
+        recrawl_ms_per_op=1000.0 * statistics.fmean(replay),
+        mem_mb=timed["peak_mb"],
         setup_s=statistics.median(setups),
     )
+    raw = [outcome.latency for outcome, _ in timed["fresh"]]
     run.record.update(
-        slice_rates_per_s={k: [round(r, 3) for r in v] for k, v in slice_rates.items()},
-        samples={"p50_ms": len(latencies), "p95_ms": len(latencies),
-                 "capacity_per_s": completed, "recrawl_capacity_per_s": repeated,
-                 "setup_s": len(setups)},
-        phase_seconds={"open": round(opened.elapsed, 3), "closed": round(closed.elapsed, 3),
-                       "recrawl": round(recrawl.elapsed, 3)},
-        generator_late_p95_ms=round(1000.0 * stats.percentile(late, 0.95, 0), 4),
+        samples={"p50_ms": len(fresh), "p95_ms": len(fresh), "ms_per_op": len(fresh),
+                 "recrawl_ms_per_op": len(replay), "setup_s": len(setups)},
+        timed_seconds=round(timed["elapsed"], 3),
+        probe_ms={"median": round(1000.0 * statistics.median(timed["probes"]), 4),
+                  "reference": 1000.0 * reference.REFERENCE_SECONDS},
+        unscaled_p50_ms=round(1000.0 * stats.percentile(raw, 0.50, 0), 4),
         setup_seconds=[round(value, 4) for value in setups],
     )
 
-    bodies = [outcome.body for outcome in opened.outcomes]
     if run.problems:
         run.metrics["quality"] = 0.0
     elif run.workload == "serve-annotate":
-        responses = [json.loads(body) for body in bodies]
-        run.metrics["quality"] = quality.cell_accuracy(list(zip(data["open_truth"], responses)))
+        responses = [json.loads(outcome.body) for outcome in warmed]
+        run.metrics["quality"] = quality.cell_accuracy(list(zip(data["warmup_truth"], responses)))
     else:
         pairs = [
             (query.relevant, json.loads(outcome.body))
@@ -342,13 +364,14 @@ def run_serve(run: Run) -> None:
     # seeded sample of served answers against the in-process session
     from repro.api.session import ReproSession
 
+    answered = data["warmup"] + data["fresh"][: len(fresh)]
+    bodies = [o.body for o in warmed] + [o.body for o, _ in timed["fresh"]]
     sample = random.Random(run.seed).sample(
-        range(len(data["open"])),
-        min(settings.IDENTITY_SAMPLE[run.workload], len(data["open"])),
+        range(len(answered)), min(settings.IDENTITY_SAMPLE[run.workload], len(answered))
     )
     session = ReproSession.from_bundle(data["bundle"])
     check_identity(
-        run, session, [data["open"][i] for i in sample], [bodies[i] for i in sample]
+        run, session, [answered[i] for i in sample], [bodies[i] for i in sample]
     )
 
 
@@ -366,10 +389,10 @@ def run_serve_traced(run: Run, data: dict) -> None:
     """Per-layer run: open-loop lateness, then the HTTP / pool / session split.
 
     The pre-fork worker is a separate process, so the serving tier's share
-    comes from timing the same requests three ways, each on fresh state:
+    comes from timing the same requests three ways, each on its own state:
     over HTTP, through an in-process ``Dispatcher.call`` and straight into
-    a ``ReproSession``.  A fourth pass repeats the session calls with the
-    layer wrappers installed.
+    a ``ReproSession``.  A fourth way repeats the session calls on another
+    session with the layer wrappers on.
     """
     import layers
     import serve
@@ -380,123 +403,143 @@ def run_serve_traced(run: Run, data: dict) -> None:
     server, _ = launch(run, data["bundle"], data["warm"], "open")
     try:
         warm_up(run, server, data["warmup"])
-        opened = serve.open_loop(server, data["open"], data["rate"], settings.CONNECTIONS)
+        rate = settings.OFFERED_RATE[run.workload]
+        opened = serve.open_loop(server, data["open"], rate, settings.CONNECTIONS)
     finally:
         server.stop()
+    run.record.update(offered_rate_per_s=rate, connections=settings.CONNECTIONS)
     run.count(len(opened.outcomes), opened.failed, "open-loop requests")
     late = [outcome.sent - outcome.due for outcome in opened.outcomes]
     run.metrics["bench.late_ms"] = 1000.0 * stats.percentile(late, 0.95)
-
-    split = data["split"]
-    server, _ = launch(run, data["bundle"], data["warm"], "split")
-    try:
-        warm_up(run, server, data["warmup"])
-        http = serve.sequential(server.port, split)
-    finally:
-        server.stop()
-    run.count(len(http), sum(outcome.done is None for outcome in http), "HTTP split requests")
-    http_seconds = [outcome.done - outcome.sent for outcome in http if outcome.done]
+    # open-loop latency from due time, unscaled: for reading against
+    # bench.late_ms, too noisy on a shared host to bound as a metric
+    due = stats.due_latencies(
+        [outcome.due for outcome in opened.outcomes],
+        [outcome.done for outcome in opened.outcomes],
+    )
+    run.record["open_loop_due_ms"] = {
+        "p50": round(1000.0 * stats.percentile(due, 0.50), 4),
+        "p95": round(1000.0 * stats.percentile(due, 0.95), 4),
+        "samples": len(due),
+    }
 
     from repro.api.config import SessionConfig
     from repro.api.session import ReproSession
+    from repro.serve import bundle as bundle_module
     from repro.serve.dispatcher import Dispatcher
 
-    dispatcher = Dispatcher(data["bundle"], config=SessionConfig())
-    try:
-        _time_requests(dispatcher.call, data["warm"] + data["warmup"])
-        pool_seconds, pool_results = _time_requests(dispatcher.call, split)
-    finally:
-        dispatcher.shutdown(drain_timeout=10.0)
-
-    def untraced_session() -> tuple[list[float], list]:
-        session = ReproSession.from_bundle(data["bundle"])
-        call = lambda endpoint, payload: in_process(session, endpoint, payload)  # noqa: E731
-        _time_requests(call, data["warm"] + data["warmup"])
-        return _time_requests(call, split)
-
-    session_seconds, session_results = untraced_session()
-    expected = [encode(result) for result in session_results]
-    mismatches = sum(
-        encode(result) != body
-        for result, body in zip(pool_results, expected)
-    ) + sum(
-        outcome.body != body for outcome, body in zip(http, expected)
-    )
-    run.count(2 * len(split), mismatches, "split byte-identity comparisons")
-
-    tracer = Tracer()
+    split = data["split"]
+    warm = data["warm"] + data["warmup"]
     truth = {
         labeled.table.table_id: dict(labeled.truth.cell_entities)
         for labeled in data["split_truth"]
         if run.workload == "serve-annotate"
     }
-    tracer.install(layers.targets(truth))
+    tracer = Tracer()
+    server, _ = launch(run, data["bundle"], data["warm"], "split")
+    dispatcher = Dispatcher(data["bundle"], config=SessionConfig())
     try:
-        from repro.serve import bundle as bundle_module
-
-        loaded = bundle_module.load_bundle(data["bundle"])
-        traced_session = ReproSession.from_bundle(loaded)
+        warm_up(run, server, data["warmup"])
+        _time_requests(dispatcher.call, warm)
+        session = ReproSession.from_bundle(data["bundle"])
+        untraced_call = lambda endpoint, payload: in_process(  # noqa: E731
+            session, endpoint, payload
+        )
+        _time_requests(untraced_call, warm)
+        # the dispatcher's worker is forked above, before any wrapper exists
+        tracer.install(layers.targets(truth))
+        traced_session = ReproSession.from_bundle(bundle_module.load_bundle(data["bundle"]))
         run.metrics.update(layers.setup_metrics(tracer, 1))
         traced_call = lambda endpoint, payload: in_process(  # noqa: E731
             traced_session, endpoint, payload
         )
-        _time_requests(traced_call, data["warm"] + data["warmup"])
+        _time_requests(traced_call, warm)
         pipeline = traced_session.pipeline()
         before = layers.cache_counters(pipeline)
         tracer.reset()
-        traced_seconds = []
-        for index, (path, raw) in enumerate(split):
-            payload = json.loads(raw)
+        # each request is timed four ways back to back (over HTTP, through
+        # an in-process Dispatcher.call, into an untraced and into a traced
+        # ReproSession, each with its own state), so the machine's drift
+        # cancels out of the differences and the overhead ratio
+        http, pool, untraced, traced, bodies = [], [], [], [], []
+        for index, request in enumerate(split):
+            outcomes, _ = serve.sequential(server.port, [request])
+            http += outcomes
+            seconds, results = _time_requests(dispatcher.call, [request])
+            pool += seconds
+            bodies += results
+            tracer.enabled = False
+            seconds, results = _time_requests(untraced_call, [request])
+            untraced += seconds
+            bodies += results
+            tracer.enabled = True
             tracer.request = str(index)
-            start = time.perf_counter()
             with tracer.span("bench.request"):
-                traced_call(ENDPOINTS[path], payload)
-            traced_seconds.append(time.perf_counter() - start)
+                seconds, _ = _time_requests(traced_call, [request])
+            traced += seconds
         run.metrics.update(layers.layer_metrics(tracer, len(split)))
         run.metrics.update(layers.cache_ratios(pipeline, before))
         run.record["self_time_shares"] = layers.share_table(tracer)
     finally:
         tracer.uninstall()
+        dispatcher.shutdown(drain_timeout=10.0)
+        server.stop()
     run.record["absent_wrap_targets"] = tracer.absent
+    run.count(len(http), sum(outcome.done is None for outcome in http), "HTTP split requests")
+
+    # the pool's and the untraced session's answers alternate in bodies
+    expected = [encode(result) for result in bodies[1::2]]
+    mismatches = sum(
+        encode(result) != body for result, body in zip(bodies[0::2], expected)
+    ) + sum(outcome.body != body for outcome, body in zip(http, expected))
+    run.count(2 * len(split), mismatches, "split byte-identity comparisons")
 
     n = len(split)
-    run.metrics["serve.http_ms"] = 1000.0 * (sum(http_seconds) - sum(pool_seconds)) / n
-    run.metrics["serve.pool_ms"] = 1000.0 * (sum(pool_seconds) - sum(session_seconds)) / n
-    # untraced sessions before and after the traced one, so drift in the
-    # process or the machine cancels out of the overhead ratio
-    after_seconds, _ = untraced_session()
-    run.metrics["bench.trace_overhead_ratio"] = (
-        2 * sum(traced_seconds) / (sum(session_seconds) + sum(after_seconds))
-    )
+    run.metrics["serve.http_ms"] = 1000.0 * (
+        sum(outcome.latency for outcome in http) - sum(pool)
+    ) / n
+    run.metrics["serve.pool_ms"] = 1000.0 * (sum(pool) - sum(untraced)) / n
+    run.metrics["bench.trace_overhead_ratio"] = sum(traced) / sum(untraced)
     run.record["split_requests"] = n
 
 
 # ----------------------------------------------------------------------
 # corpus workload
 # ----------------------------------------------------------------------
+def rounds(items: list, count: int) -> list[list]:
+    """``items`` cut into ``count`` consecutive, near-equal slices."""
+    cuts = [round(len(items) * index / count) for index in range(count + 1)]
+    return [items[a:b] for a, b in itertools.pairwise(cuts)]
+
+
 def run_corpus(run: Run) -> None:
     import inputs
     import layers
     import quality
+    import reference
     import settings
 
     world = inputs.make_world()
     run.work.mkdir(parents=True, exist_ok=True)
     catalog = inputs.write_world(world, run.work)
-    # every table the session sees (warm, corpus, lone) fits in the
-    # compiled-graph cache, so the recrawl pass measures hits, not thrash
+    # whole pipeline batches per round; every table the session sees (warm,
+    # corpus, lone) fits in the compiled-graph cache, so the recrawl pass
+    # measures hits, not thrash
+    batches = max(1, round(
+        run.seconds * settings.CORPUS_TABLES_PER_SECOND
+        / (settings.ROUNDS * settings.PIPELINE_BATCH)
+    ))
     n_tables = min(
-        max(round(run.seconds * settings.CORPUS_TABLES_PER_SECOND), 20),
+        settings.ROUNDS * settings.PIPELINE_BATCH * batches,
         settings.COMPILED_CACHE_ENTRIES - settings.LONE_TABLES - 48,
     )
     tables = inputs.make_tables(world, run.seed, n_tables + settings.LONE_TABLES, "corpus")
     lone, tables = tables[: settings.LONE_TABLES], tables[settings.LONE_TABLES :]
-    corpora, lones, round_tables = [], [], []
+    corpora, lones = [], []
     for index, (part, lone_part) in enumerate(
         zip(rounds(tables, settings.ROUNDS), rounds(lone, settings.ROUNDS))
     ):
         corpora.append(inputs.write_corpus(part, run.work / f"corpus-{index}.jsonl"))
-        round_tables.append(len(part))
         lones.append(run.work / f"lone-{index}.requests.jsonl")
         lones[-1].write_text(
             "".join(json.dumps(inputs.annotate_payload(t)) + "\n" for t in lone_part),
@@ -527,18 +570,21 @@ def run_corpus(run: Run) -> None:
             raise RuntimeError(f"corpus process failed:\n{completed.stderr[-3000:]}")
         return json.loads(completed.stdout.strip().splitlines()[-1])
 
+    def setup(report: dict) -> float:
+        return reference.scale(report["setup"]["seconds"], report["setup"]["probes"])
+
     if run.trace:
-        baseline = child("--crawl-only")["crawl_seconds"]
+        baseline = child("--crawl-only")["crawl"]
         report = child("--trace", "1")
     else:
         # set-up is timed in processes before and after the measured one,
         # so the median samples the machine across the whole run
         before = settings.CORPUS_SETUPS // 2
-        setups = [child("--setup-only")["setup_seconds"] for _ in range(before)]
+        setups = [setup(child("--setup-only")) for _ in range(before)]
         report = child()
-        setups.append(report["setup_seconds"])
+        setups.append(setup(report))
         setups += [
-            child("--setup-only")["setup_seconds"]
+            setup(child("--setup-only"))
             for _ in range(settings.CORPUS_SETUPS - before - 1)
         ]
     run.attempted += 1
@@ -571,7 +617,11 @@ def run_corpus(run: Run) -> None:
             {f"recrawl.{name}": report["recrawl_layers"][name] for name in layers.RECRAWL}
         )
         run.metrics.update(report["setup"])
-        run.metrics["bench.trace_overhead_ratio"] = report["traced_crawl_seconds"] / sum(baseline)
+        # the traced and the untraced crawl run in two processes, one after
+        # the other, so both are scaled to the reference speed
+        run.metrics["bench.trace_overhead_ratio"] = sum(
+            reference.scale(part["seconds"], part["probes"]) for part in report["traced_crawl"]
+        ) / sum(reference.scale(part["seconds"], part["probes"]) for part in baseline)
         run.record["self_time_shares"] = {
             "crawl": report["crawl_shares"],
             "recrawl": report["recrawl_shares"],
@@ -581,32 +631,43 @@ def run_corpus(run: Run) -> None:
 
     lone_lines = (run.work / "lone.jsonl").read_bytes().splitlines()
     run.count(len(lone), max(len(lone) - len(lone_lines), 0), "lone annotate calls")
-    p50, p95 = latency_percentiles(run, report["lone_seconds"])
-    responses = [json.loads(line) for line in crawl_lines]
-    # throughput is total tables over total time, not a median over rounds
-    # as in the serve workloads: the crawl's rounds are not alike, since it
-    # speeds up as the session's cell cache fills
-    rates = {
-        name: [n / seconds for n, seconds in zip(round_tables, report[f"{name}_seconds"])]
+    # each slice is scaled by the probes around it, each lone call by the
+    # mean of its round's probes
+    passes = {
+        name: [reference.scale(part["seconds"], part["probes"]) for part in report[name]]
         for name in ("crawl", "recrawl")
     }
+    lone_seconds = [
+        reference.scale(seconds, part["probes"])
+        for part in report["lone"]
+        for seconds in part["seconds"]
+    ]
+    p50, p95 = latency_percentiles(run, lone_seconds)
+    responses = [json.loads(line) for line in crawl_lines]
     run.metrics.update(
         p50_ms=1000.0 * p50,
         p95_ms=1000.0 * p95,
-        capacity_per_s=len(tables) / sum(report["crawl_seconds"]),
-        recrawl_capacity_per_s=len(tables) / sum(report["recrawl_seconds"]),
+        ms_per_op=1000.0 * sum(passes["crawl"]) / len(tables),
+        recrawl_ms_per_op=1000.0 * sum(passes["recrawl"]) / len(tables),
         quality=quality.cell_accuracy(list(zip(tables, responses))),
         mem_mb=report["max_rss_mb"],
         setup_s=statistics.median(setups),
     )
+    probes = [
+        probe
+        for name in ("crawl", "recrawl", "lone")
+        for part in report[name]
+        for probe in part["probes"]
+    ]
     run.record.update(
-        samples={"p50_ms": len(lone), "p95_ms": len(lone), "capacity_per_s": len(tables),
-                 "recrawl_capacity_per_s": len(tables),
-                 "setup_s": len(setups)},
-        phase_seconds={"crawl": round(sum(report["crawl_seconds"]), 3),
-                       "recrawl": round(sum(report["recrawl_seconds"]), 3),
-                       "lone": round(sum(report["lone_seconds"]), 3)},
-        round_rates_per_s={k: [round(r, 3) for r in v] for k, v in rates.items()},
+        samples={"p50_ms": len(lone), "p95_ms": len(lone), "ms_per_op": len(tables),
+                 "recrawl_ms_per_op": len(tables), "setup_s": len(setups)},
+        phase_seconds={
+            name: round(sum(part["seconds"] for part in report[name]), 3)
+            for name in ("crawl", "recrawl")
+        },
+        probe_ms={"median": round(1000.0 * statistics.median(probes), 4),
+                  "reference": 1000.0 * reference.REFERENCE_SECONDS},
         setup_seconds=[round(value, 4) for value in setups],
     )
 
@@ -680,6 +741,9 @@ def main(argv: list[str]) -> int:
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
         print(f"error: no program source under {ROOT / 'src'}", file=sys.stderr)
         return 2
+    # one CPU for the benchmark and every process it starts (see
+    # reference.py), set before numpy starts any thread
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path.insert(0, str(ROOT / "src"))
     os.environ.setdefault("PYTHONHASHSEED", "0")
 

@@ -1,14 +1,15 @@
-"""Drive ``repro serve`` over HTTP: launch, open and closed loops, memory.
+"""Drive ``repro serve`` over HTTP: launch, sequential and open-loop
+sending, memory.
 
-The generator runs in the benchmark process with at most two sender
-threads, each with at most one open connection, so the server's single
-worker and its HTTP front end keep the box's other core.
+The generator runs in the benchmark process: the timed phases send one
+request at a time over one connection, and the traced run's open loop uses
+at most two sender threads, each with at most one open connection.
 """
 
 from __future__ import annotations
 
 import http.client
-import itertools
+import math
 import os
 import re
 import signal
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,6 +153,12 @@ class Outcome:
     body: bytes = b""
 
 
+    @property
+    def latency(self) -> float:
+        """Seconds from send to answer; +inf for a failed request."""
+        return math.inf if self.done is None else self.done - self.sent
+
+
 @dataclass
 class Phase:
     outcomes: list[Outcome] = field(default_factory=list)
@@ -160,20 +168,6 @@ class Phase:
     @property
     def failed(self) -> int:
         return sum(outcome.done is None for outcome in self.outcomes)
-
-    @property
-    def rate(self) -> float:
-        """Completed requests per second."""
-        return (len(self.outcomes) - self.failed) / self.elapsed
-
-    @classmethod
-    def join(cls, phases: list["Phase"]) -> "Phase":
-        """One phase run as several slices: outcomes in order, summed time."""
-        return cls(
-            [outcome for phase in phases for outcome in phase.outcomes],
-            sum(phase.elapsed for phase in phases),
-            max(phase.peak_mb for phase in phases),
-        )
 
 
 def _send(client: Client, request: tuple[str, bytes], outcome: Outcome) -> None:
@@ -240,60 +234,25 @@ def open_loop(
     return phase
 
 
-def closed_loop(
-    server: Server,
+def sequential(
+    port: int,
     requests: list[tuple[str, bytes]],
-    seconds: float,
-    connections: int = 2,
-    repeat: bool = False,
-) -> Phase:
-    """Keep ``connections`` requests in flight for ``seconds``.
+    probe: Callable[[], float] | None = None,
+) -> tuple[list[Outcome], list[float]]:
+    """One request at a time (service times only, no queueing).
 
-    Each sender sends its next request as soon as the previous answer
-    arrives; requests are taken in order, and sent at most once unless
-    ``repeat`` cycles through them.
+    With ``probe``, each request is sent right after one machine-speed
+    probe; returns the outcomes and the probe times.
     """
-    phase = Phase()
-    order = range(len(requests))
-    cursor = itertools.cycle(order) if repeat else iter(order)
-    lock = threading.Lock()
-    start = time.perf_counter()
-    deadline = start + seconds
-
-    def sender() -> None:
-        client = Client(server.port)
-        try:
-            while time.perf_counter() < deadline:
-                with lock:
-                    index = next(cursor, None)
-                    if index is None:
-                        return
-                    outcome = Outcome(due=time.perf_counter())
-                    phase.outcomes.append(outcome)
-                _send(client, requests[index], outcome)
-        finally:
-            client.close()
-
-    # memory is not sampled here: reading a process's smaps holds its
-    # memory-map lock, and mem_mb is taken from the open phase alone
-    threads = [threading.Thread(target=sender, daemon=True) for _ in range(connections)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    phase.elapsed = time.perf_counter() - start
-    return phase
-
-
-def sequential(port: int, requests: list[tuple[str, bytes]]) -> list[Outcome]:
-    """One request at a time (service times only, no queueing)."""
     client = Client(port)
-    outcomes = []
+    outcomes, probes = [], []
     try:
         for request in requests:
+            if probe is not None:
+                probes.append(probe())
             outcome = Outcome(due=time.perf_counter())
             _send(client, request, outcome)
             outcomes.append(outcome)
     finally:
         client.close()
-    return outcomes
+    return outcomes, probes

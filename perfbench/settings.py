@@ -1,21 +1,16 @@
-"""Fixed benchmark settings: sizes, offered rates and the predictions.
+"""Fixed benchmark settings: sizes, block lengths and the predictions.
 
-Offered rates are constants, not measured per run, so every commit is
-driven at the same load.  They sit at about a third of the closed-loop
-capacity measured on a 2-core x86-64 container (Python 3.11, numpy 2.4):
-at half of capacity the open-loop p95 swung 2-5x between runs.
-
-Every run is split into ``ROUNDS`` rounds that each hold a slice of the
-timed phases, so each metric samples a long stretch of the run rather
-than one window of it: on a shared 2-core machine the speed of identical
-work drifts by up to 50% from one second to the next.
+Times are scaled to the machine-speed probe of :mod:`reference`: on a
+shared 2-core machine the speed of identical work drifts by up to 2x from
+one second to the next and between runs, so every timed stretch is short
+and sits next to a probe on the same CPU.
 """
 
 #: the catalog world and the serving bundle's corpus are the same for every
 #: seed: across generated worlds, search MAP and per-query cost move by
-#: 10-25%, and across bundle corpora serve-search p95 and capacity moved by
-#: 20%, which would swamp the run-to-run spread; --seed varies the request
-#: tables, the corpus workload's tables and the search queries
+#: 10-25%, and across bundle corpora serve-search cost moved by 20%, which
+#: would swamp the run-to-run spread; --seed varies the request tables, the
+#: corpus workload's tables and the search queries
 WORLD_SEED = 7
 WORLD = dict(
     n_persons=420,
@@ -31,41 +26,57 @@ ROWS_RANGE = (3, 38)
 
 #: the pipeline's default compiled-graph cache; the corpus must fit in it
 COMPILED_CACHE_ENTRIES = 2048
-#: rounds per run: serve runs its closed-loop and recrawl phases, corpus its
-#: crawl, recrawl and lone passes, a slice of each per round
-ROUNDS = 10
-#: corpus tables per second of --seconds (crawl pass runs about half the run)
+#: corpus: rounds per run; each runs a slice of the crawl, recrawl and lone
+#: passes, with probes between the slices
+ROUNDS = 20
+#: corpus tables per second of --seconds, rounded per round to whole
+#: pipeline batches (16 tables)
 CORPUS_TABLES_PER_SECOND = 28
+PIPELINE_BATCH = 16
 #: fresh tables annotated one call at a time, a share in every round; the
 #: p95 of 360 calls rests on 18, about five tables of each row count
 LONE_TABLES = 360
+#: back-to-back probes at each slice boundary of a corpus round
+SLICE_PROBES = 3
 #: corpus processes whose set-up is timed (setup_s is their median); half
 #: run before the measured process and half after it
 CORPUS_SETUPS = 5
+#: back-to-back probes before and after each timed set-up
+SETUP_PROBES = 8
 
-#: serve: share of --seconds spent in the open-loop phase (the rest is
-#: split between the closed-loop and recrawl phases)
-OPEN_SHARE = {"serve-annotate": 0.65, "serve-search": 0.4}
-#: serve: fixed open-loop offered rates, requests per second
-OFFERED_RATE = {"serve-annotate": 13.0, "serve-search": 30.0}
-#: serve: distinct requests generated per second of a closed-loop phase,
-#: over three times today's capacity so a faster program does not run out
-#: of them (a run that does fails its check)
-CLOSED_POOL_RATE = {"serve-annotate": 150, "serve-search": 800}
+#: serve: fresh requests per block, each after its own probe; a replay
+#: block of REPLAY_REQUESTS answered requests follows every fresh block
+BLOCK_REQUESTS = {"serve-annotate": 12, "serve-search": 40}
+REPLAY_REQUESTS = {"serve-annotate": 6, "serve-search": 20}
+#: serve: fresh requests generated per second of --seconds, several times
+#: what the sequential phase answers today (a faster program that runs out
+#: of them ends the phase early, with every answer still counted)
+FRESH_POOL_RATE = {"serve-annotate": 80, "serve-search": 400}
+#: serve: fresh requests the timed phase answers at least, even past
+#: --seconds, so p95_ms rests on at least ten samples beyond it; mem_mb is
+#: the peak over the blocks that answer the first MIN_FRESH
+MIN_FRESH = 240
 #: serve: server launches per run (setup_s is their median); half are
 #: made before the measured server starts and half after it stops
-SERVE_SETUPS = 3
-#: generator connections (and threads) for both phases
-CONNECTIONS = 2
+SERVE_SETUPS = 5
 #: tables in the bundle's search index
 BUNDLE_TABLES = {"serve-annotate": 40, "serve-search": 144}
 #: requests compared byte for byte against the in-process session
 IDENTITY_SAMPLE = {"serve-annotate": 12, "serve-search": 40, "corpus": 12}
 #: requests sent after set-up and before any timing, so the worker's
 #: caches and lazily built state are warm (the first requests after a
-#: launch run several times slower than later ones)
+#: launch run several times slower than later ones); serve-annotate's
+#: quality is scored on these answers, a fixed set for the seed
 WARMUP_REQUESTS = {"serve-annotate": 72, "serve-search": 40}
-#: requests per timing in the traced run's HTTP / pool / session split
+
+#: traced serve run only: the open-loop phase that gives bench.late_ms,
+#: at a fixed rate (at most a quarter of the sequential capacity) over
+#: CONNECTIONS generator threads
+OFFERED_RATE = {"serve-annotate": 13.0, "serve-search": 30.0}
+OPEN_REQUESTS = {"serve-annotate": 240, "serve-search": 400}
+CONNECTIONS = 2
+#: traced serve run only: requests per timing in the HTTP / pool / session
+#: split
 SPLIT_REQUESTS = {"serve-annotate": 120, "serve-search": 240}
 
 #: search mix.  UNVERIFIED ASSUMPTIONS: no query log or traffic source
@@ -76,8 +87,8 @@ ZIPF_S = 0.5
 #: every JOIN_STRIDE-th query is a two-hop join (2.5% of requests).  Joins
 #: cost 3-15 relation searches; at 20% the p95 followed whichever join
 #: entities a seed drew.  At 2.5% the p50_ms and p95_ms of serve-search are
-#: relation-search latencies: joins move only capacity_per_s,
-#: recrawl_capacity_per_s and the traced search.join_ms
+#: relation-search latencies: joins move only ms_per_op,
+#: recrawl_ms_per_op and the traced search.join_ms
 JOIN_STRIDE = 40
 #: relation slots per shuffled block of relation queries
 RELATION_BLOCK = 40
@@ -85,11 +96,13 @@ TOP_K = 10
 
 #: ROADMAP predictions this benchmark must be able to check
 PREDICTIONS = [
-    "item 2 (sparse candidate scoring) moves corpus capacity_per_s and "
-    "serve-annotate p50_ms and capacity_per_s; corpus recrawl_capacity_per_s "
+    "item 2 (sparse candidate scoring) lowers corpus ms_per_op and "
+    "serve-annotate p50_ms and ms_per_op; corpus recrawl_ms_per_op "
     "and serve-search stay flat",
     "item 3 (one engine) must not raise serve-annotate p50_ms",
-    "item 4 (batching with no timer) targets serve-annotate capacity_per_s and "
-    "must not raise serve-search p50_ms",
+    "item 4 (batching with no timer) must not raise serve-search or "
+    "serve-annotate p50_ms (requests are sent one at a time, so a batch "
+    "timer shows as latency; its capacity gain under concurrent load is "
+    "not measured)",
     "item 1 (spans) moves nothing by more than about 2%",
 ]

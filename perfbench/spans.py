@@ -93,6 +93,8 @@ class Tracer:
         self._lock = threading.Lock()
         self._next_id = 0
         self._installed: list[tuple[Any, str, Any, bool]] = []
+        #: while False, installed wrappers call straight through
+        self.enabled = True
 
     # -- recording -------------------------------------------------------
     def _stack(self) -> list[int]:
@@ -152,6 +154,8 @@ class Tracer:
             # segment of the span, so consumer work between items is excluded
             @functools.wraps(function)
             def generator_wrapper(*args, **kwargs):
+                if not tracer.enabled:
+                    return (yield from function(*args, **kwargs))
                 iterator = function(*args, **kwargs)
                 try:
                     while True:
@@ -170,6 +174,8 @@ class Tracer:
 
         @functools.wraps(function)
         def wrapper(*args, **kwargs):
+            if not tracer.enabled:
+                return function(*args, **kwargs)
             handle = tracer.open(name)
             try:
                 result = function(*args, **kwargs)

@@ -15,6 +15,7 @@ import time
 import pytest
 
 import layers
+import reference
 import serve
 import spans
 import stats
@@ -139,6 +140,25 @@ def test_wrap_and_restore_methods_classmethods_and_generators():
     assert stream_time < 0.01
 
 
+def test_disabled_tracer_calls_straight_through():
+    tracer = spans.Tracer()
+    tracer.install(
+        [
+            spans.WrapTarget("method", f"{__name__}.Sample.method"),
+            spans.WrapTarget("stream", f"{__name__}.Sample.stream"),
+        ]
+    )
+    try:
+        tracer.enabled = False
+        assert Sample().method(1) == 2
+        assert list(Sample().stream(2)) == [0, 1]
+        tracer.enabled = True
+        assert Sample().method(1) == 2
+    finally:
+        tracer.uninstall()
+    assert [span.name for span in tracer.spans] == ["method"]
+
+
 def test_every_layer_target_resolves_on_this_tree():
     tracer = spans.Tracer()
     tracer.install(layers.targets())
@@ -203,17 +223,23 @@ def test_due_time_latency_charges_a_stall_to_later_requests():
 
 
 # ----------------------------------------------------------------------
-# rounds
+# rounds and reference scaling
 # ----------------------------------------------------------------------
-def test_rounds_keep_order_and_slices_join_into_one_phase():
+def test_rounds_keep_order():
     import run
 
     parts = run.rounds(list(range(11)), 5)
     assert [len(part) for part in parts] == [2, 2, 3, 2, 2]
     assert sum(parts, []) == list(range(11))
-    joined = serve.Phase.join([
-        serve.Phase([serve.Outcome(0.0)], 1.0, 5.0),
-        serve.Phase([serve.Outcome(1.0), serve.Outcome(2.0)], 2.0, 3.0),
-    ])
-    assert [outcome.due for outcome in joined.outcomes] == [0.0, 1.0, 2.0]
-    assert (joined.elapsed, joined.peak_mb, joined.failed) == (3.0, 5.0, 3)
+
+
+def test_scaling_cancels_machine_speed_and_keeps_failures():
+    ref = reference.REFERENCE_SECONDS
+    # the same work on a machine twice as slow: twice the time, twice the probe
+    assert reference.scale(0.010, [ref, ref]) == pytest.approx(0.010)
+    assert reference.scale(0.020, [2 * ref, 2 * ref]) == pytest.approx(0.010)
+    assert reference.scale(0.015, [ref, 2 * ref]) == pytest.approx(0.010)
+    assert reference.scale(math.inf, [ref]) == math.inf
+    assert serve.Outcome(due=0.0, sent=1.0).latency == math.inf
+    assert serve.Outcome(due=0.0, sent=1.0, done=1.5).latency == 0.5
+    assert reference.probe(2) > 0.0
