@@ -11,6 +11,7 @@ from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.problem import FeatureComputer
 from repro.eval.metrics import entity_accuracy, relation_f1, type_f1, annotation_type_sets
 from repro.eval.reporting import format_table, percent
+from tests.oracles import OracleAnnotator
 
 
 class _NoRepairFeatureComputer(FeatureComputer):
@@ -68,17 +69,18 @@ def test_missing_link_repair_ablation(
 
 def test_schedule_ablation(bench_world, bench_datasets, trained_model, emit, benchmark):
     """Paper Figure-11 schedule vs generic flooding BP: same quality here,
-    the paper schedule converging at least as fast."""
+    the paper schedule converging at least as fast.  Flooding is not a
+    production schedule; it runs through the scalar oracle on the same
+    candidate spaces."""
     tables = bench_datasets["wiki_manual"].tables[:12]
-    paper = TableAnnotator(
+    paper = TableAnnotator(bench_world.annotator_view, model=trained_model)
+    flooding = OracleAnnotator(
         bench_world.annotator_view,
         model=trained_model,
-        config=AnnotatorConfig(schedule="paper"),
-    )
-    flooding = TableAnnotator(
-        bench_world.annotator_view,
-        model=trained_model,
-        config=AnnotatorConfig(schedule="flooding", max_iterations=30),
+        config=AnnotatorConfig(max_iterations=30),
+        candidates="batched",
+        schedule="flooding",
+        candidate_generator=paper.candidate_generator,
     )
     rows = []
     paper_scores = _score(paper, tables)

@@ -47,7 +47,7 @@ def main() -> None:
     # 2. One session = one warm handle on the whole system.  The config
     #    composes what used to be scattered per-command wiring.
     session = ReproSession.from_world(
-        world.annotator_view, config=SessionConfig(engine="batched")
+        world.annotator_view, config=SessionConfig(batch_size=16)
     )
 
     # 3. Annotate through the typed path.  The response is a versioned wire

@@ -2,7 +2,7 @@
 
 Boots a server over a freshly built bundle (so the example is
 self-contained), then exercises every endpoint the way an application
-would: health check, single-table annotation (both engines), relational
+would: health check, single-table annotation (repeated), relational
 search, a two-hop join, and the metrics snapshot.  Point ``--url`` at an
 already-running server to skip the in-process boot.
 
@@ -59,11 +59,8 @@ class ServeClient:
     def metrics(self) -> dict:
         return self._request("GET", "/metrics")
 
-    def annotate(self, table: dict, engine: str | None = None) -> dict:
-        body: dict = {"table": table}
-        if engine is not None:
-            body["engine"] = engine
-        return self._request("POST", "/annotate", body)
+    def annotate(self, table: dict) -> dict:
+        return self._request("POST", "/annotate", {"table": table})
 
     def search(
         self,
@@ -170,11 +167,9 @@ def main() -> int:
 
     annotated = client.annotate(demo_table)
     columns = annotated["annotation"]["columns"]
-    print(f"/annotate ({annotated['engine']}) -> column types {columns}")
-    scalar = client.annotate(demo_table, engine="scalar")
-    print(
-        "/annotate (scalar)  -> identical:", scalar["annotation"] == annotated["annotation"]
-    )
+    print(f"/annotate -> column types {columns}")
+    again = client.annotate(demo_table)
+    print("/annotate (repeat) -> identical:", again["annotation"] == annotated["annotation"])
 
     if relation is not None:
         result = client.search(relation, entity, top_k=5)

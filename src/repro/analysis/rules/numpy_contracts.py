@@ -28,7 +28,6 @@ ENGINE_MODULES = (
     "src/repro/core/candidates_batched.py",
     "src/repro/core/fused.py",
     "src/repro/graph/bp.py",
-    "src/repro/graph/compiled.py",
     "src/repro/graph/fused.py",
     "src/repro/text/index.py",
 )

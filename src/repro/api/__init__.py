@@ -24,15 +24,7 @@ Quickstart::
 """
 
 from repro.api.errors import ApiError, BadRequestError, to_api_error
-from repro.api.config import (
-    SearchConfig,
-    ServeConfig,
-    SessionConfig,
-    VALID_CANDIDATE_ENGINES,
-    VALID_ENGINES,
-    validate_candidate_engine,
-    validate_engine,
-)
+from repro.api.config import SearchConfig, ServeConfig, SessionConfig
 from repro.api.session import ReproSession
 from repro.api.types import (
     SCHEMA_VERSION,
@@ -52,8 +44,6 @@ from repro.api.types import (
 
 __all__ = [
     "SCHEMA_VERSION",
-    "VALID_CANDIDATE_ENGINES",
-    "VALID_ENGINES",
     "WIRE_TYPES",
     "AnnotateRequest",
     "AnnotateResponse",
@@ -73,6 +63,4 @@ __all__ = [
     "TrainResponse",
     "encode_json",
     "to_api_error",
-    "validate_candidate_engine",
-    "validate_engine",
 ]

@@ -1,15 +1,13 @@
 """One composed configuration for the whole API surface.
 
 Before this module existed every frontend wired its own stack of
-``AnnotatorConfig`` / ``InferenceConfig`` / ``PipelineConfig`` objects; the
-CLI and the HTTP server each validated engine names their own way.
+``AnnotatorConfig`` / ``InferenceConfig`` / ``PipelineConfig`` objects.
 :class:`SessionConfig` replaces that: one object, loadable from JSON or CLI
 flags, that every :class:`~repro.api.session.ReproSession` (and therefore
-every frontend) is built from.
-
-:func:`validate_engine` is the **single** engine-name check — the CLI's
-argparse choices, the session's pipeline factory and the server's per-request
-engine override all resolve through it (or through :data:`VALID_ENGINES`).
+every frontend) is built from.  Every validator here raises
+:class:`~repro.api.errors.ApiError` with the ``validation_error`` code (or
+``unknown_engine`` for an unknown executor name), so a bad value surfaces
+the same way from JSON, the CLI and library callers.
 """
 
 from __future__ import annotations
@@ -21,61 +19,21 @@ from typing import Any, Mapping
 
 from repro.api import errors
 from repro.api.errors import ApiError
-from repro.core.annotator import FUSION_MODES, AnnotatorConfig
-from repro.core.candidates import CANDIDATE_ENGINES
-from repro.core.inference import ENGINES
+from repro.core.annotator import AnnotatorConfig
 from repro.pipeline.executor import EXECUTORS
 from repro.pipeline.pipeline import PipelineConfig
-
-#: the engine registry, re-exported so frontends need no core import
-VALID_ENGINES: tuple[str, ...] = tuple(ENGINES)
-
-#: the candidate-engine registry (same shape: "batched" default, "scalar"
-#: reference), re-exported for the CLI's argparse choices
-VALID_CANDIDATE_ENGINES: tuple[str, ...] = tuple(CANDIDATE_ENGINES)
-
-#: corpus fusion modes ("off" per-table, "bucket" cross-table fused)
-VALID_FUSION_MODES: tuple[str, ...] = tuple(FUSION_MODES)
 
 #: pipeline batch executors ("serial", "thread", "process")
 VALID_EXECUTORS: tuple[str, ...] = tuple(EXECUTORS)
 
 
-def validate_engine(engine: str) -> str:
-    """The one engine-name check shared by CLI, server and library paths."""
-    if engine not in VALID_ENGINES:
-        raise ApiError(
-            errors.UNKNOWN_ENGINE,
-            f"unknown engine: {engine!r} (valid engines: "
-            f"{', '.join(VALID_ENGINES)})",
-        )
-    return engine
-
-
-def validate_candidate_engine(candidate_engine: str) -> str:
-    """The one candidate-engine-name check (mirrors :func:`validate_engine`)."""
-    if candidate_engine not in VALID_CANDIDATE_ENGINES:
-        raise ApiError(
-            errors.UNKNOWN_ENGINE,
-            f"unknown candidate engine: {candidate_engine!r} (valid candidate "
-            f"engines: {', '.join(VALID_CANDIDATE_ENGINES)})",
-        )
-    return candidate_engine
-
-
-def validate_fusion(fusion: str) -> str:
-    """The one fusion-mode check (mirrors :func:`validate_engine`)."""
-    if fusion not in VALID_FUSION_MODES:
-        raise ApiError(
-            errors.UNKNOWN_ENGINE,
-            f"unknown fusion mode: {fusion!r} (valid fusion modes: "
-            f"{', '.join(VALID_FUSION_MODES)})",
-        )
-    return fusion
+def _invalid(message: str) -> ApiError:
+    """A ``validation_error`` for one out-of-range config value."""
+    return ApiError(errors.VALIDATION_ERROR, message)
 
 
 def validate_executor(executor: str) -> str:
-    """The one executor-name check (mirrors :func:`validate_engine`)."""
+    """The one executor-name check (CLI choices, JSON and library paths)."""
     if executor not in VALID_EXECUTORS:
         raise ApiError(
             errors.UNKNOWN_ENGINE,
@@ -96,9 +54,9 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         if self.max_middle < 1:
-            raise ValueError("max_middle must be >= 1")
+            raise _invalid("max_middle must be >= 1")
         if self.top_k_answers < 1:
-            raise ValueError("top_k_answers must be >= 1")
+            raise _invalid("top_k_answers must be >= 1")
 
 
 @dataclass
@@ -137,17 +95,13 @@ class ServeConfig:
 
     def __post_init__(self) -> None:
         if self.workers < 1:
-            raise ValueError("serve workers must be >= 1")
+            raise _invalid("serve workers must be >= 1")
         if self.queue_depth < 0:
-            raise ValueError("serve queue_depth must be >= 0")
+            raise _invalid("serve queue_depth must be >= 0")
         if self.max_batch_size < 1:
-            # reprolint: ignore[exc-unclassified]: construction-time guard;
-            # SessionConfig.from_json wraps it into validation_error
-            raise ValueError("serve max_batch_size must be >= 1")
+            raise _invalid("serve max_batch_size must be >= 1")
         if self.batch_wait_ms < 0:
-            # reprolint: ignore[exc-unclassified]: construction-time guard;
-            # SessionConfig.from_json wraps it into validation_error
-            raise ValueError("serve batch_wait_ms must be >= 0")
+            raise _invalid("serve batch_wait_ms must be >= 0")
         for name in (
             "shed_timeout_seconds",
             "request_timeout_seconds",
@@ -155,25 +109,18 @@ class ServeConfig:
             "drain_timeout_seconds",
         ):
             if getattr(self, name) < 0:
-                raise ValueError(f"serve {name} must be >= 0")
+                raise _invalid(f"serve {name} must be >= 0")
 
 
 @dataclass
 class SessionConfig:
     """Everything a :class:`~repro.api.session.ReproSession` is built from.
 
-    Composes the per-subsystem configs (annotator + pipeline + search) that
-    the CLI used to thread by hand, plus the session-level defaults (which
-    inference engine, which candidate engine, how much caching).  ``engine``
-    is the *default* engine; requests may still override it per call.
-    ``candidate_engine`` selects the candidate-generation path the same way
-    ("batched" array programs by default, "scalar" per-cell reference).
+    Composes the per-subsystem configs (annotator + pipeline + search +
+    serve) that the CLI used to thread by hand, plus the session-level
+    pipeline settings (executor, batching, how much caching).
     """
 
-    engine: str = "batched"
-    candidate_engine: str = "batched"
-    #: corpus fusion default ("off" per-table, "bucket" cross-table fused)
-    fusion: str = "off"
     #: pipeline batch executor ("serial", "thread", "process")
     executor: str = "thread"
     workers: int = 1
@@ -185,48 +132,28 @@ class SessionConfig:
     serve: ServeConfig = field(default_factory=ServeConfig)
 
     def __post_init__(self) -> None:
-        validate_engine(self.engine)
-        validate_candidate_engine(self.candidate_engine)
-        validate_fusion(self.fusion)
         validate_executor(self.executor)
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise _invalid("workers must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise _invalid("batch_size must be >= 1")
         if self.cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
+            raise _invalid("cache_size must be >= 0")
         if self.compiled_cache_size < 0:
-            raise ValueError("compiled_cache_size must be >= 0")
+            raise _invalid("compiled_cache_size must be >= 0")
 
     # ------------------------------------------------------------------
     # derived configs
     # ------------------------------------------------------------------
-    def pipeline_config(
-        self,
-        engine: str | None = None,
-        candidate_engine: str | None = None,
-        fusion: str | None = None,
-    ) -> PipelineConfig:
-        """The :class:`PipelineConfig` for one engine pair (default: session's)."""
-        engine = validate_engine(engine if engine is not None else self.engine)
-        candidate_engine = validate_candidate_engine(
-            candidate_engine
-            if candidate_engine is not None
-            else self.candidate_engine
-        )
-        fusion = validate_fusion(fusion if fusion is not None else self.fusion)
+    def pipeline_config(self) -> PipelineConfig:
+        """The :class:`PipelineConfig` of the session's pipeline."""
         return PipelineConfig(
             batch_size=self.batch_size,
             workers=self.workers,
             cache_size=self.cache_size,
             compiled_cache_size=self.compiled_cache_size,
             executor=self.executor,
-            annotator=dataclasses.replace(
-                self.annotator,
-                engine=engine,
-                candidate_engine=candidate_engine,
-                fusion=fusion,
-            ),
+            annotator=self.annotator,
         )
 
     # ------------------------------------------------------------------
@@ -234,9 +161,6 @@ class SessionConfig:
     # ------------------------------------------------------------------
     def to_json(self) -> dict[str, Any]:
         return {
-            "engine": self.engine,
-            "candidate_engine": self.candidate_engine,
-            "fusion": self.fusion,
             "executor": self.executor,
             "workers": self.workers,
             "batch_size": self.batch_size,
@@ -257,6 +181,11 @@ class SessionConfig:
                 f"unknown SessionConfig field(s): {', '.join(unknown)}",
             )
         kwargs: dict[str, Any] = dict(payload)
+        # the validators raise ApiError themselves; what is left to classify
+        # is a payload of the wrong shape: unknown nested fields (TypeError
+        # from the dataclass constructors, ValueError from
+        # AnnotatorConfig.from_dict) or wrongly typed values (TypeError from
+        # the range comparisons)
         try:
             if "annotator" in kwargs:
                 kwargs["annotator"] = AnnotatorConfig.from_dict(
@@ -267,12 +196,8 @@ class SessionConfig:
             if "serve" in kwargs:
                 kwargs["serve"] = ServeConfig(**dict(kwargs["serve"]))
             return cls(**kwargs)
-        except ApiError:
-            raise
         except (TypeError, ValueError) as error:
-            raise ApiError(
-                errors.VALIDATION_ERROR, f"invalid SessionConfig: {error}"
-            ) from error
+            raise _invalid(f"invalid SessionConfig: {error}") from error
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "SessionConfig":
@@ -280,9 +205,6 @@ class SessionConfig:
         their defaults, so every command reuses this)."""
         kwargs: dict[str, Any] = {}
         for flag in (
-            "engine",
-            "candidate_engine",
-            "fusion",
             "executor",
             "workers",
             "batch_size",

@@ -5,11 +5,10 @@ system the same way: open a session, hand it typed requests, get typed
 responses back.  A session owns
 
 * the catalog and model,
-* one warm :class:`~repro.pipeline.AnnotationPipeline` **per engine pair**
-  (BP engine × candidate engine, built lazily behind a lock, then shared —
-  the candidate / feature-block / compiled-graph caches are pipeline-local
-  but the candidate generator, its frozen lemma index and the batched
-  engine's interned candidate tables are shared by all pipelines),
+* one warm :class:`~repro.pipeline.AnnotationPipeline` (built at open, then
+  shared by every request — its candidate / feature-block / compiled-graph
+  caches are internally locked; the candidate engine with its frozen lemma
+  index and interned candidate tables is shared with training pipelines),
 * the annotated table index plus both search processors and the join
   processor (built lazily once an index exists).
 
@@ -25,8 +24,8 @@ straight off disk, which is what ``repro serve`` runs on.
 Concurrency: a session is safe to share across threads exactly like the
 serving layer it powers — bundle state is immutable, pipelines memoise pure
 functions behind internally-locked LRUs, and the only mutation (lazy
-pipeline/searcher construction, timing-ledger trims) happens under small
-mutexes here.  See :mod:`repro.serve.state` for the full story.
+searcher construction, timing-ledger trims) happens under small mutexes
+here.  See :mod:`repro.serve.state` for the full story.
 """
 
 from __future__ import annotations
@@ -36,11 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.api import errors
-from repro.api.config import (
-    SessionConfig,
-    validate_candidate_engine,
-    validate_engine,
-)
+from repro.api.config import SessionConfig
 from repro.api.errors import ApiError, to_api_error
 from repro.api.types import (
     AnnotateRequest,
@@ -58,7 +53,7 @@ from repro.catalog.errors import CatalogError
 from repro.catalog.io import load_catalog_json
 from repro.core.annotation import TableAnnotation
 from repro.core.candidates import CandidateGenerator
-from repro.core.fused import annotate_fused_chunk, fused_eligible
+from repro.core.fused import annotate_fused_chunk
 from repro.core.candidates_batched import (
     BatchedCandidateEngine,
     InternedCandidateTables,
@@ -95,20 +90,22 @@ class ReproSession:
         self.bundle = bundle
         self.catalog = catalog
         self.model = model if model is not None else default_model()
-        self._pipelines: dict[tuple[str, str], AnnotationPipeline] = {}
-        self._pipeline_lock = threading.Lock()
-        self._batched_engine: BatchedCandidateEngine | None = None
         self._timings_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._generator: CandidateGenerator | None = None
         self._index: AnnotatedTableIndex | None = (
             bundle.table_index if bundle is not None else None
         )
         self._lemma_resolver: dict[str, str] | None = None
         self._searchers: dict[bool, AnnotatedSearcher] | None = None
         self._join_searcher: JoinSearcher | None = None
-        # warm the default engine so the first request pays nothing extra
-        self.pipeline(self.config.engine)
+        # built once at open so the first request pays nothing extra
+        self._candidate_engine = self._make_candidate_engine()
+        self._pipeline = AnnotationPipeline(
+            self.catalog,
+            model=self.model,
+            config=self.config.pipeline_config(),
+            candidate_generator=self._candidate_engine,
+        )
 
     # ------------------------------------------------------------------
     # constructors
@@ -171,119 +168,30 @@ class ReproSession:
     # ------------------------------------------------------------------
     # pipelines
     # ------------------------------------------------------------------
-    def _make_generator(self) -> CandidateGenerator:
-        """One candidate generator (hence one frozen lemma index) shared by
-        every engine's pipeline; bundle sessions load it straight from disk,
-        world sessions build and freeze it once."""
-        annotator_config = self.config.annotator
-        if self.bundle is not None:
-            return CandidateGenerator(
-                self.catalog,
-                top_k_entities=annotator_config.top_k_entities,
-                max_type_candidates=annotator_config.max_type_candidates,
-                lemma_index=self.bundle.lemma_index,
-                lemma_tfidf=self.bundle.lemma_tfidf,
-            )
-        return CandidateGenerator(
+    def _make_candidate_engine(self) -> BatchedCandidateEngine:
+        """The one candidate engine (frozen lemma index + interned tables)
+        every pipeline of the session shares; bundle sessions load both
+        straight from disk, world sessions build them once."""
+        bundle = self.bundle
+        generator = CandidateGenerator(
             self.catalog,
-            top_k_entities=annotator_config.top_k_entities,
-            max_type_candidates=annotator_config.max_type_candidates,
+            top_k_entities=self.config.annotator.top_k_entities,
+            max_type_candidates=self.config.annotator.max_type_candidates,
+            lemma_index=bundle.lemma_index if bundle is not None else None,
+            lemma_tfidf=bundle.lemma_tfidf if bundle is not None else None,
         )
-
-    def pipeline(
-        self,
-        engine: str | None = None,
-        candidate_engine: str | None = None,
-    ) -> AnnotationPipeline:
-        """The shared pipeline for one engine pair (built lazily, then reused)."""
-        engine = validate_engine(engine if engine is not None else self.config.engine)
-        candidate_engine = validate_candidate_engine(
-            candidate_engine
-            if candidate_engine is not None
-            else self.config.candidate_engine
+        state = bundle.candidate_state if bundle is not None else None
+        tables = (
+            InternedCandidateTables.from_state(state) if state is not None else None
         )
-        key = (engine, candidate_engine)
-        # reprolint: ignore[lock-unguarded-attr]: double-checked fast path —
-        # _pipelines only ever gains entries (under _pipeline_lock), and a
-        # stale miss just falls through to the locked slow path below
-        pipeline = self._pipelines.get(key)
-        if pipeline is not None:
-            return pipeline
-        with self._pipeline_lock:
-            pipeline = self._pipelines.get(key)
-            if pipeline is None:
-                pipeline = AnnotationPipeline(
-                    self.catalog,
-                    model=self.model,
-                    config=self.config.pipeline_config(engine, candidate_engine),
-                    candidate_generator=self._candidate_generator_for(
-                        candidate_engine
-                    ),
-                )
-                self._pipelines[key] = pipeline
-            return pipeline
+        return BatchedCandidateEngine(generator, tables=tables)
 
-    def _shared_generator_locked(self) -> CandidateGenerator:
-        """The one scalar generator every pipeline shares.
+    def pipeline(self) -> AnnotationPipeline:
+        """The session's one warm pipeline."""
+        return self._pipeline
 
-        Caller holds ``_state_lock``: construction (a catalog scan plus a
-        frozen lemma index) must happen exactly once however many pipelines
-        race to be first.
-        """
-        if self._generator is None:
-            self._generator = self._make_generator()
-        return self._generator
-
-    def _candidate_generator_for(self, candidate_engine: str):
-        """The shared generator in the shape ``candidate_engine`` expects.
-
-        The batched engine's interned tables are built (or restored from the
-        bundle's ``candidates/`` arrays) once and shared by every batched
-        pipeline, exactly as the frozen lemma index is shared by all.
-        Construction runs under ``_state_lock``: ``pipeline()`` reaches here
-        holding ``_pipeline_lock``, but :meth:`train` calls in bare, and two
-        racing builders would each pay the expensive interning scan.
-        """
-        with self._state_lock:
-            if candidate_engine != "batched":
-                return self._shared_generator_locked()
-            if self._batched_engine is None:
-                tables = None
-                if (
-                    self.bundle is not None
-                    and self.bundle.candidate_state is not None
-                ):
-                    tables = InternedCandidateTables.from_state(
-                        self.bundle.candidate_state
-                    )
-                self._batched_engine = BatchedCandidateEngine(
-                    self._shared_generator_locked(), tables=tables
-                )
-            return self._batched_engine
-
-    def _pipeline_name(self, key: tuple[str, str]) -> str:
-        """Public name of one warm pipeline.
-
-        The common case (the session's own candidate engine) keeps the plain
-        BP-engine name the serving metrics and health endpoints always used;
-        explicitly requested off-default candidate engines get a
-        ``engine/candidate_engine`` pair name.
-        """
-        engine, candidate_engine = key
-        if candidate_engine == self.config.candidate_engine:
-            return engine
-        return f"{engine}/{candidate_engine}"
-
-    def pipelines(self) -> dict[str, AnnotationPipeline]:
-        """Snapshot of the warm pipelines, keyed by public pipeline name."""
-        with self._pipeline_lock:
-            return {
-                self._pipeline_name(key): pipeline
-                for key, pipeline in self._pipelines.items()
-            }
-
-    def _trim_timing_ledger(self, pipeline: AnnotationPipeline) -> None:
-        timings = pipeline.annotator.timings
+    def _trim_timing_ledger(self) -> None:
+        timings = self._pipeline.annotator.timings
         if len(timings) > MAX_TIMING_LEDGER:
             with self._timings_lock:
                 if len(timings) > MAX_TIMING_LEDGER:
@@ -294,27 +202,19 @@ class ReproSession:
     # ------------------------------------------------------------------
     def annotate(self, request: AnnotateRequest) -> AnnotateResponse:
         """Annotate one table (the typed request/response path)."""
-        engine = validate_engine(
-            request.engine if request.engine is not None else self.config.engine
-        )
-        pipeline = self.pipeline(engine)
-        annotation = pipeline.annotate(request.table)
-        self._trim_timing_ledger(pipeline)
+        annotation = self._pipeline.annotate(request.table)
+        self._trim_timing_ledger()
         return self._annotate_response(
-            annotation, engine, include_timing=request.include_timing
+            annotation, include_timing=request.include_timing
         )
 
     def _annotate_response(
-        self,
-        annotation: TableAnnotation,
-        engine: str,
-        include_timing: bool,
+        self, annotation: TableAnnotation, include_timing: bool
     ) -> AnnotateResponse:
         """One annotation as its wire response (single source of the shape)."""
         timing = annotation.diagnostics.get("timing")
         return AnnotateResponse(
             table_id=annotation.table_id,
-            engine=engine,
             annotation=annotation_to_dict(annotation),
             diagnostics={
                 "iterations": annotation.diagnostics.get("iterations"),
@@ -340,92 +240,57 @@ class ReproSession:
 
         The serve-time coalescer's entry point: the tables are planned into
         shape buckets (the same :func:`~repro.pipeline.planner.plan_buckets`
-        fused corpus runs use) and each multi-table bucket runs as one fused
-        BP super-graph on the warm pipeline, amortising candidate retrieval
-        and graph compilation across batchmates.  Each response is
-        byte-identical to what a lone :meth:`annotate` call would produce
-        (fused execution preserves per-table results bit for bit; pinned by
-        the batching property tests).
+        corpus batches use) and each bucket runs as one fused BP super-graph
+        on the warm pipeline, amortising candidate retrieval and graph
+        compilation across batchmates.  Each response is byte-identical to
+        what a lone :meth:`annotate` call would produce (pinned by the
+        batching property tests).
 
         Failures are isolated per request: a slot whose table fails holds an
-        :class:`ApiError` instead of a response, and a bucket poisoned by
-        one bad table falls back to per-table execution so its batchmates
-        still succeed.  Requests selecting different engines are grouped and
-        fused per engine.
+        :class:`ApiError` instead of a response.  A bucket that fails is
+        rerun one table at a time so its batchmates still succeed; each such
+        rerun counts as one fallback
+        (:meth:`~repro.pipeline.AnnotationPipeline.record_fallback`).
         """
-        results: list[AnnotateResponse | ApiError | None] = [None] * len(requests)
-        by_engine: dict[str, list[int]] = {}
-        for position, request in enumerate(requests):
-            try:
-                engine = validate_engine(
-                    request.engine
-                    if request.engine is not None
-                    else self.config.engine
-                )
-            except ApiError as error:
-                results[position] = error
-                continue
-            by_engine.setdefault(engine, []).append(position)
-        for engine in sorted(by_engine):
-            self._annotate_batch_engine(
-                requests, by_engine[engine], engine, results
-            )
-        return [
-            result
-            if result is not None
-            else ApiError(errors.INTERNAL_ERROR, "batch slot never resolved")
-            for result in results
-        ]
-
-    def _annotate_batch_engine(
-        self,
-        requests: Sequence[AnnotateRequest],
-        positions: list[int],
-        engine: str,
-        results: list[AnnotateResponse | ApiError | None],
-    ) -> None:
-        """Run one engine's share of a batch through the fused planner."""
-        pipeline = self.pipeline(engine)
-        annotator = pipeline.annotator
-        tables = [requests[position].table for position in positions]
-        plan = plan_buckets(tables)
-        fused = fused_eligible(annotator)
-        for signature, entries in iter_bucket_chunks(
+        pipeline = self._pipeline
+        plan = plan_buckets([request.table for request in requests])
+        outcomes: dict[int, TableAnnotation | ApiError] = {}
+        for _signature, entries in iter_bucket_chunks(
             plan, pipeline.config.batch_size
         ):
-            chunk_tables = [table for _local, table in entries]
-            annotations: list[TableAnnotation | ApiError] | None = None
-            if fused and len(chunk_tables) > 1:
-                try:
-                    annotations = list(
-                        annotate_fused_chunk(annotator, chunk_tables, signature)
-                    )
-                except Exception:  # noqa: BLE001 - a poisoned batchmate
-                    # must not fail the bucket: isolate per table below
-                    annotations = None
-            if annotations is None:
-                annotations = []
-                for table in chunk_tables:
-                    try:
-                        annotations.append(annotator.annotate(table))
-                    except Exception as error:  # noqa: BLE001 - isolate
-                        annotations.append(to_api_error(error))
-            for (local, _table), annotation in zip(entries, annotations):
-                position = positions[local]
-                if isinstance(annotation, ApiError):
-                    results[position] = annotation
-                else:
-                    results[position] = self._annotate_response(
-                        annotation,
-                        engine,
-                        include_timing=requests[position].include_timing,
-                    )
-        self._trim_timing_ledger(pipeline)
+            tables = [table for _position, table in entries]
+            annotations: list[TableAnnotation | ApiError]
+            try:
+                annotations = list(annotate_fused_chunk(pipeline.annotator, tables))
+            except Exception:  # noqa: BLE001 - a poisoned batchmate must
+                # not fail the bucket: rerun its tables one at a time
+                pipeline.record_fallback()
+                annotations = [self._annotate_alone(table) for table in tables]
+            for (position, _table), annotation in zip(entries, annotations):
+                outcomes[position] = annotation
+        self._trim_timing_ledger()
+        responses: list[AnnotateResponse | ApiError] = []
+        for position, request in enumerate(requests):
+            outcome = outcomes[position]
+            responses.append(
+                outcome
+                if isinstance(outcome, ApiError)
+                else self._annotate_response(
+                    outcome, include_timing=request.include_timing
+                )
+            )
+        return responses
+
+    def _annotate_alone(self, table: Table) -> TableAnnotation | ApiError:
+        """One table as a bucket of one, its failure captured as an error."""
+        try:
+            return self._pipeline.annotate(table)
+        except Exception as error:  # noqa: BLE001 - isolate batchmates
+            return to_api_error(error)
 
     def annotate_wire_stream(
         self,
         tables: Iterable[Table | LabeledTable],
-        engine: str | None = None,
         include_timing: bool = False,
     ) -> Iterator[AnnotateResponse]:
         """Stream typed responses for a whole corpus.
@@ -437,28 +302,23 @@ class ReproSession:
         excluded by default: the corpus wire format is the deterministic
         one.
         """
-        engine = validate_engine(engine if engine is not None else self.config.engine)
-        for annotation in self.annotate_stream(tables, engine):
+        for annotation in self.annotate_stream(tables):
             yield self._annotate_response(
-                annotation, engine, include_timing=include_timing
+                annotation, include_timing=include_timing
             )
 
     def annotate_stream(
-        self,
-        tables: Iterable[Table | LabeledTable],
-        engine: str | None = None,
+        self, tables: Iterable[Table | LabeledTable]
     ) -> Iterator[TableAnnotation]:
         """Stream corpus annotations in order (batched, cached, optionally
         threaded — see :class:`AnnotationPipeline`)."""
-        return self.pipeline(engine).annotate_stream(tables)
+        return self._pipeline.annotate_stream(tables)
 
     def annotate_with_tables(
-        self,
-        tables: Iterable[Table | LabeledTable],
-        engine: str | None = None,
+        self, tables: Iterable[Table | LabeledTable]
     ) -> Iterator[tuple[Table, TableAnnotation]]:
         """Stream ``(table, annotation)`` pairs in corpus order."""
-        return self.pipeline(engine).annotate_with_tables(tables)
+        return self._pipeline.annotate_with_tables(tables)
 
     # ------------------------------------------------------------------
     # index + search
@@ -472,9 +332,7 @@ class ReproSession:
         return self._index
 
     def index_corpus(
-        self,
-        tables: Iterable[Table | LabeledTable] | str | Path,
-        engine: str | None = None,
+        self, tables: Iterable[Table | LabeledTable] | str | Path
     ) -> AnnotatedTableIndex:
         """Annotate a corpus (iterable or JSONL path) into the session index.
 
@@ -487,7 +345,7 @@ class ReproSession:
                 raise ApiError(errors.IO_ERROR, f"corpus not found: {path}")
             tables = iter_corpus_jsonl(path)
         index = AnnotatedTableIndex(catalog=self.catalog)
-        for table, annotation in self.annotate_with_tables(tables, engine):
+        for table, annotation in self.annotate_with_tables(tables):
             index.add_table(table, annotation)
         index.freeze()
         with self._state_lock:
@@ -595,7 +453,7 @@ class ReproSession:
         """Train fresh model weights on a labeled corpus.
 
         Training runs on a dedicated pipeline so the session's warm serving
-        pipelines (and their caches) are never perturbed.  The session keeps
+        pipeline (and its caches) is never perturbed.  The session keeps
         its original model; load the trained one into a new session.
         """
         from repro.core.learning import StructuredTrainer, TrainingConfig
@@ -605,16 +463,14 @@ class ReproSession:
         if not corpus_path.is_file():
             raise ApiError(errors.IO_ERROR, f"corpus not found: {corpus_path}")
         corpus = load_corpus_jsonl(corpus_path)
-        # a dedicated pipeline keeps the warm serving pipelines untouched,
-        # but the expensive candidate generator (catalog scan + frozen
-        # lemma index) is shared — it depends only on the catalog
+        # a dedicated pipeline keeps the warm serving pipeline untouched,
+        # but the expensive candidate engine (catalog scan + frozen lemma
+        # index + interned tables) is shared — it depends only on the catalog
         pipeline = AnnotationPipeline(
             self.catalog,
             model=default_model(),
             config=self.config.pipeline_config(),
-            candidate_generator=self._candidate_generator_for(
-                self.config.candidate_engine
-            ),
+            candidate_generator=self._candidate_engine,
         )
         try:
             trainer = StructuredTrainer(
@@ -657,7 +513,7 @@ class ReproSession:
             request.output_path,
             self.catalog,
             iter_corpus_jsonl(corpus_path),
-            pipeline=self.pipeline(),
+            pipeline=self._pipeline,
         )
         return BundleBuildResponse(
             output_path=str(request.output_path),
@@ -675,11 +531,7 @@ class ReproSession:
 
         info: dict = {
             "schema_version": SCHEMA_VERSION,
-            "default_engine": self.config.engine,
-            "default_candidate_engine": self.config.candidate_engine,
-            "default_fusion": self.config.fusion,
             "default_executor": self.config.executor,
-            "engines": sorted(self.pipelines()),
             # reprolint: ignore[lock-unguarded-attr]: health-check snapshot;
             # _index is monotone None -> frozen index (never reset to None),
             # so the check-then-len pair cannot observe a vanishing index

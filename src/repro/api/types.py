@@ -33,7 +33,7 @@ from repro.search.ranking import SearchResponse as RankedResponse
 from repro.tables.model import Table
 
 #: version of the wire schema spoken by this build
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def encode_json(payload: Mapping[str, Any]) -> str:
@@ -135,21 +135,18 @@ def _decode_table(payload: object) -> Table:
 class AnnotateRequest:
     """Annotate one table.
 
-    ``engine=None`` means "the session's default engine".  Timing numbers
-    are wall-clock and therefore non-deterministic; ``include_timing=False``
-    yields a fully deterministic response — the CLI↔HTTP parity guarantee is
-    stated over requests with timing excluded.
+    Timing numbers are wall-clock and therefore non-deterministic;
+    ``include_timing=False`` yields a fully deterministic response — the
+    CLI↔HTTP parity guarantee is stated over requests with timing excluded.
     """
 
     table: Table
-    engine: str | None = None
     include_timing: bool = True
 
     def to_json(self) -> dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
             "table": self.table.to_dict(),
-            "engine": self.engine,
             "include_timing": self.include_timing,
         }
 
@@ -158,12 +155,7 @@ class AnnotateRequest:
         name = cls.__name__
         payload = _ensure_mapping(payload, name)
         check_schema_version(payload, name)
-        _reject_unknown_keys(payload, ("table", "engine", "include_timing"), name)
-        engine = payload.get("engine")
-        if engine is not None and not isinstance(engine, str):
-            raise ApiError(
-                errors.VALIDATION_ERROR, f"{name}.engine must be a string or null"
-            )
+        _reject_unknown_keys(payload, ("table", "include_timing"), name)
         include_timing = payload.get("include_timing", True)
         if not isinstance(include_timing, bool):
             raise ApiError(
@@ -171,7 +163,6 @@ class AnnotateRequest:
             )
         return cls(
             table=_decode_table(_require(payload, "table", name)),
-            engine=engine,
             include_timing=include_timing,
         )
 
@@ -188,7 +179,6 @@ class AnnotateResponse:
     """
 
     table_id: str
-    engine: str
     annotation: dict[str, Any]
     diagnostics: dict[str, Any] = field(default_factory=dict)
     timing_seconds: dict[str, float] | None = None
@@ -197,7 +187,6 @@ class AnnotateResponse:
         return {
             "schema_version": SCHEMA_VERSION,
             "table_id": self.table_id,
-            "engine": self.engine,
             "annotation": self.annotation,
             "diagnostics": self.diagnostics,
             "timing_seconds": self.timing_seconds,
@@ -210,14 +199,13 @@ class AnnotateResponse:
         check_schema_version(payload, name)
         _reject_unknown_keys(
             payload,
-            ("table_id", "engine", "annotation", "diagnostics", "timing_seconds"),
+            ("table_id", "annotation", "diagnostics", "timing_seconds"),
             name,
         )
         annotation = _require(payload, "annotation", name)
         timing = payload.get("timing_seconds")
         return cls(
             table_id=_require_str(payload, "table_id", name),
-            engine=_require_str(payload, "engine", name),
             annotation=dict(_ensure_mapping(annotation, f"{name}.annotation")),
             diagnostics=dict(
                 _ensure_mapping(

@@ -38,13 +38,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.api.config import (
-    VALID_CANDIDATE_ENGINES,
-    VALID_ENGINES,
-    VALID_EXECUTORS,
-    VALID_FUSION_MODES,
-    SessionConfig,
-)
+from repro.api.config import VALID_EXECUTORS, SessionConfig
 from repro.api.errors import ApiError
 from repro.api.session import ReproSession
 from repro.api.types import (
@@ -101,7 +95,11 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         help="annotation worker threads (1 = serial)",
     )
     parser.add_argument(
-        "--batch-size", type=_positive_int, default=16, help="tables per batch"
+        "--batch-size",
+        type=_positive_int,
+        default=16,
+        help="tables per batch (each batch is planned into shape buckets "
+        "and every bucket runs as one fused BP graph)",
     )
     parser.add_argument(
         "--cache-size",
@@ -113,28 +111,7 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         "--compiled-cache-size",
         type=_non_negative_int,
         default=2048,
-        help="compiled-factor-graph LRU entries (0 disables it)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=VALID_ENGINES,
-        default="batched",
-        help="inference engine: batched (vectorised, default) or scalar "
-        "(per-edge reference)",
-    )
-    parser.add_argument(
-        "--candidate-engine",
-        choices=VALID_CANDIDATE_ENGINES,
-        default="batched",
-        help="candidate-generation engine: batched (array-backed, default) "
-        "or scalar (per-cell reference)",
-    )
-    parser.add_argument(
-        "--fusion",
-        choices=VALID_FUSION_MODES,
-        default="off",
-        help="corpus fusion: off (per-table, default) or bucket "
-        "(shape-bucketed cross-table fused execution)",
+        help="fused-bundle LRU entries (0 disables it)",
     )
     parser.add_argument(
         "--executor",
@@ -155,11 +132,10 @@ def _print_pipeline_summary(pipeline: AnnotationPipeline) -> None:
     )
     if report.cache is not None:
         line += f", cache hit rate {report.cache.hit_rate:.0%}"
-    if report.fusion != "off":
-        line += (
-            f", {report.fused_batches} fused batches, "
-            f"bucket sizes {report.bucket_size_histogram}"
-        )
+    line += (
+        f", {report.fused_batches} fused batches, "
+        f"bucket sizes {report.bucket_size_histogram}"
+    )
     print(line + ")", file=sys.stderr)
 
 
@@ -201,7 +177,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         wire_lines = (
             encode_json(response.to_json())
             for response in session.annotate_wire_stream(
-                iter_corpus_jsonl(args.corpus), engine=args.engine
+                iter_corpus_jsonl(args.corpus)
             )
         )
         if args.output:
@@ -376,9 +352,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.state import ServeState
 
     config = SessionConfig(
-        engine=args.engine,
-        candidate_engine=args.candidate_engine,
-        fusion=args.fusion,
         executor=args.executor,
         cache_size=args.cache_size,
         compiled_cache_size=args.compiled_cache_size,
@@ -617,24 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument(
-        "--engine",
-        choices=VALID_ENGINES,
-        default="batched",
-        help="default inference engine (requests may override per call)",
-    )
-    serve.add_argument(
-        "--candidate-engine",
-        choices=VALID_CANDIDATE_ENGINES,
-        default="batched",
-        help="candidate-generation engine for every request",
-    )
-    serve.add_argument(
-        "--fusion",
-        choices=VALID_FUSION_MODES,
-        default="off",
-        help="corpus fusion mode for batch annotation endpoints",
-    )
-    serve.add_argument(
         "--executor",
         choices=VALID_EXECUTORS,
         default="thread",
@@ -650,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compiled-cache-size",
         type=_non_negative_int,
         default=2048,
-        help="compiled-factor-graph LRU entries per worker (0 disables it)",
+        help="fused-bundle LRU entries per worker (0 disables it)",
     )
     serve.add_argument(
         "--workers",

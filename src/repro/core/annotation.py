@@ -74,3 +74,23 @@ class TableAnnotation:
             for column, annotation in self.columns.items()
             if annotation.type_id == type_id
         ]
+
+
+@dataclass
+class AnnotationTiming:
+    """Wall-clock breakdown of one table's annotation (Figure 7)."""
+
+    table_id: str
+    total_seconds: float
+    candidate_seconds: float
+    inference_seconds: float
+    n_rows: int = 0
+    n_columns: int = 0
+
+    @property
+    def candidate_fraction(self) -> float:
+        return self.candidate_seconds / self.total_seconds if self.total_seconds else 0.0
+
+    @property
+    def inference_fraction(self) -> float:
+        return self.inference_seconds / self.total_seconds if self.total_seconds else 0.0

@@ -1,7 +1,7 @@
 """High-level annotation facade.
 
 :class:`TableAnnotator` wires together the candidate generator, feature
-computer and the inference engines behind one call::
+computer and the fused inference engine behind one call::
 
     annotator = TableAnnotator(catalog)
     annotation = annotator.annotate(table)
@@ -20,27 +20,20 @@ import time
 from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog
-from repro.core.annotation import TableAnnotation
+from repro.core.annotation import AnnotationTiming, TableAnnotation
 from repro.core.baselines import BaselineResult, LCAAnnotator, MajorityAnnotator
-from repro.core.candidates import CANDIDATE_ENGINES, CandidateGenerator
+from repro.core.candidates import CandidateGenerator
 from repro.core.candidates_batched import (
     BatchedCandidateEngine,
     BatchedFeatureComputer,
 )
-from repro.core.inference import InferenceConfig, annotate_collective
+from repro.core.fused import annotate_fused_chunk
+from repro.core.fused import annotate_problem as annotate_collective_problem
+from repro.core.inference import InferenceConfig
 from repro.core.model import AnnotationModel, default_model
-from repro.core.problem import (
-    AnnotationProblem,
-    FeatureComputer,
-    build_problem,
-)
+from repro.core.problem import AnnotationProblem, build_problem
 from repro.core.simple_inference import annotate_simple
 from repro.tables.model import Table
-
-#: corpus fusion modes: "off" annotates table by table; "bucket" groups
-#: shape-compatible tables into cross-table fused BP runs (see
-#: :mod:`repro.core.fused` and :mod:`repro.pipeline.planner`)
-FUSION_MODES = ("off", "bucket")
 
 
 @dataclass
@@ -55,19 +48,6 @@ class AnnotatorConfig:
     damping: float = 0.0
     #: False disables bcc'/φ4/φ5 — the polynomial special case (Section 4.4.1)
     with_relations: bool = True
-    #: "paper" (Figure-11 blocks) or "flooding" (generic synchronous BP)
-    schedule: str = "paper"
-    #: "batched" (vectorised block updates, default) or "scalar" (per-edge
-    #: reference engine) — see :mod:`repro.graph.compiled`
-    engine: str = "batched"
-    #: "batched" (array-backed candidate generation + feature assembly,
-    #: default) or "scalar" (per-cell reference) — see
-    #: :mod:`repro.core.candidates_batched`
-    candidate_engine: str = "batched"
-    #: "off" (per-table annotation, default) or "bucket" (corpus-level fused
-    #: execution over shape buckets) — see :mod:`repro.core.fused`; only the
-    #: pipeline's corpus entry points act on this knob
-    fusion: str = "off"
 
     def inference_config(self) -> InferenceConfig:
         return InferenceConfig(
@@ -75,8 +55,6 @@ class AnnotatorConfig:
             tolerance=self.tolerance,
             damping=self.damping,
             with_relations=self.with_relations,
-            schedule=self.schedule,
-            engine=self.engine,
         )
 
     def to_dict(self) -> dict:
@@ -94,26 +72,6 @@ class AnnotatorConfig:
         return cls(**payload)
 
 
-@dataclass
-class AnnotationTiming:
-    """Wall-clock breakdown of one table's annotation (Figure 7)."""
-
-    table_id: str
-    total_seconds: float
-    candidate_seconds: float
-    inference_seconds: float
-    n_rows: int = 0
-    n_columns: int = 0
-
-    @property
-    def candidate_fraction(self) -> float:
-        return self.candidate_seconds / self.total_seconds if self.total_seconds else 0.0
-
-    @property
-    def inference_fraction(self) -> float:
-        return self.inference_seconds / self.total_seconds if self.total_seconds else 0.0
-
-
 class TableAnnotator:
     """Annotates tables against a catalog with the collective model."""
 
@@ -127,15 +85,10 @@ class TableAnnotator:
         self.catalog = catalog
         self.model = model if model is not None else default_model()
         self.config = config if config is not None else AnnotatorConfig()
-        if self.config.candidate_engine not in CANDIDATE_ENGINES:
-            raise ValueError(
-                f"unknown candidate engine: {self.config.candidate_engine!r}"
-            )
-        if self.config.fusion not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode: {self.config.fusion!r}")
         # a prebuilt generator skips the lemma-index build — the serving
-        # layer passes one loaded straight from an artifact bundle, and
-        # per-engine pipelines share one generator (hence one lemma index)
+        # layer passes one loaded straight from an artifact bundle; a scalar
+        # one is wrapped in the array-backed engine, a batched one (with its
+        # interned tables) is reused as is
         generator = (
             candidate_generator
             if candidate_generator is not None
@@ -145,24 +98,14 @@ class TableAnnotator:
                 max_type_candidates=self.config.max_type_candidates,
             )
         )
-        # the candidate_engine knob mirrors the BP engine split: "batched"
-        # wraps the scalar generator in the array-backed engine (reusing
-        # prebuilt interned tables when one was passed in), "scalar" keeps —
-        # or unwraps back to — the per-cell reference path
-        if self.config.candidate_engine == "batched":
-            if not isinstance(generator, BatchedCandidateEngine):
-                generator = BatchedCandidateEngine(generator)
-            self.candidate_generator = generator
-            self.features: FeatureComputer = BatchedFeatureComputer(
-                catalog, self.model.mode, generator, engine=generator
-            )
-        else:
-            if isinstance(generator, BatchedCandidateEngine):
-                generator = generator.scalar_generator
-            self.candidate_generator = generator
-            self.features = FeatureComputer(catalog, self.model.mode, generator)
-        #: optional LRU for compiled factor graphs (set by the pipeline);
-        #: lets recurring (table, model) pairs skip potential construction
+        if not isinstance(generator, BatchedCandidateEngine):
+            generator = BatchedCandidateEngine(generator)
+        self.candidate_generator = generator
+        self.features = BatchedFeatureComputer(
+            catalog, self.model.mode, generator, engine=generator
+        )
+        #: optional LRU for fused bundles (set by the pipeline); lets
+        #: recurring tables skip candidate generation and compilation
         self.compiled_cache = None
         self.timings: list[AnnotationTiming] = []
 
@@ -182,19 +125,18 @@ class TableAnnotator:
     # annotation
     # ------------------------------------------------------------------
     def annotate(self, table: Table) -> TableAnnotation:
-        """Collective annotation of one table (records timing)."""
+        """Collective annotation of one table (records timing).
+
+        The table runs as a fused bucket of one
+        (:func:`~repro.core.fused.annotate_fused_chunk`); without relation
+        variables it is the exact Figure-2 special case.
+        """
+        if self.config.with_relations:
+            return annotate_fused_chunk(self, [table])[0]
         start = time.perf_counter()
         problem = self.build_problem(table)
         after_candidates = time.perf_counter()
-        if self.config.with_relations:
-            annotation = annotate_collective(
-                problem,
-                self.model,
-                self.config.inference_config(),
-                compiled_cache=self.compiled_cache,
-            )
-        else:
-            annotation = annotate_simple(problem, self.model)
+        annotation = annotate_simple(problem, self.model)
         end = time.perf_counter()
         timing = AnnotationTiming(
             table_id=table.table_id,
@@ -224,11 +166,8 @@ class TableAnnotator:
     def annotate_problem(self, problem: AnnotationProblem) -> TableAnnotation:
         """Collective inference on a pre-built problem (learner fast path)."""
         if self.config.with_relations:
-            return annotate_collective(
-                problem,
-                self.model,
-                self.config.inference_config(),
-                compiled_cache=self.compiled_cache,
+            return annotate_collective_problem(
+                problem, self.model, self.config.inference_config()
             )
         return annotate_simple(problem, self.model)
 

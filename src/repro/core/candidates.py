@@ -13,12 +13,12 @@ plus ``na`` everywhere.  The lemma index is the expensive part of annotation
 (the paper's Figure 7 attributes ~80% of time to lemma probing); the
 :class:`CandidateGenerator` is therefore built once per catalog and reused.
 
-Two candidate engines run these definitions (mirroring the BP engine split in
-:mod:`repro.core.inference`): this module's per-cell **scalar** reference,
-and the **batched** engine of :mod:`repro.core.candidates_batched` (the
-default), which precomputes interned integer id tables at build and replaces
-the per-cell Python loops with array programs.  ``CANDIDATE_ENGINES`` is the
-registry both the annotator config and the API layer validate against.
+This module is the per-cell **scalar** definition.  Annotation runs the
+array-backed engine of :mod:`repro.core.candidates_batched`, which wraps a
+:class:`CandidateGenerator` (its lemma index, and its per-cell answers for
+ids outside the interned tables) and replaces the per-cell Python loops with
+array programs; the scalar path stays the reference the equivalence tests
+compare against.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ from repro.tables.generator import reversed_label
 from repro.text.index import InvertedIndex
 from repro.text.normalize import is_numeric_text
 from repro.text.tfidf import TfidfWeights
-
-#: Candidate-engine registry: "batched" (vectorised, default) or "scalar"
-#: (this module's per-cell reference).
-CANDIDATE_ENGINES = ("batched", "scalar")
-
 
 @dataclass(frozen=True)
 class CandidateEntity:

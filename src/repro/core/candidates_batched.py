@@ -5,7 +5,7 @@ definition of Section 4.3 with per-cell Python loops: a dense lemma-index
 probe per cell, a ``type_ancestors`` set walk per candidate and an
 O(rows·k²) ``relations_between`` dict probe per column pair.  Our Figure-7
 measurements show that stage at ~90% of per-table wall time once inference
-is batched — so, like the BP engines of :mod:`repro.graph.compiled`, the
+is batched — so, like the fused BP engine of :mod:`repro.graph.fused`, the
 work moves into **build-time array layouts** plus vectorised queries:
 
 * :class:`InternedCandidateTables` interns entity / type / relation ids to

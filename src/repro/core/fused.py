@@ -1,8 +1,8 @@
-"""Bucket-level fused annotation: whole groups of tables as one BP run.
+"""Fused annotation: a bucket of tables as one BP run.
 
-This is the corpus-level fast path behind ``AnnotatorConfig.fusion ==
-"bucket"``.  Given a bucket of tables (grouped by shape signature in
-:mod:`repro.pipeline.planner`), it
+Every collective annotation goes through here — a lone table is a bucket of
+one, a corpus batch or a coalesced serving batch is planned into shape
+buckets (:mod:`repro.pipeline.planner`) first.  For one bucket this module
 
 1. **prefetches candidates** for every distinct cell of the bucket in one
    ``cell_candidates_batch`` call and memoises the ``Tc`` / ``Bcc'`` passes
@@ -13,58 +13,51 @@ This is the corpus-level fast path behind ``AnnotatorConfig.fusion ==
    potentials are the same per-space matrix products
    :func:`~repro.core.problem.build_factor_graph` computes, written straight
    into the cross-table block tensors of :class:`~repro.graph.fused.FusedGraph`
-   (no per-table ``FactorGraph`` / ``CompiledFactorGraph`` construction), and
+   (no per-table ``FactorGraph`` construction), and
 3. **runs one** :class:`~repro.graph.fused.FusedMaxProductBP` schedule with
    per-table freezing, then decodes every table's annotation with vectorised
    argmax / margin computation.
 
 The fused bundle (graph + decode metadata) is memoised in the annotator's
-compiled-graph LRU under :func:`fused_cache_key` — the bucket signature plus
-the tables' raw content.  Within one pipeline the catalog, candidate
-generator and model are frozen, so table content determines the bundle;
-recurring buckets skip candidate generation *and* compilation entirely.
+compiled-graph LRU under :func:`fused_cache_key` — the tables' raw content.
+Within one pipeline the catalog, candidate generator and model are frozen,
+so table content determines the bundle; recurring tables or buckets skip
+candidate generation *and* compilation entirely.
 
-Label/score equivalence with the per-table path is bit-exact (see the
-ordering and padding analysis in :mod:`repro.graph.fused`); the per-table
-``log_score`` diagnostic alone may differ in the last float digits because
-the fused path sums factor scores in vectorised order.
+A table's labels, scores, iteration count and convergence flag do not depend
+on its batchmates (see the ordering and padding analysis in
+:mod:`repro.graph.fused`).  The scalar reference in ``tests/oracles`` pins
+the wire output byte for byte.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.annotation import (
+    AnnotationTiming,
     CellAnnotation,
     ColumnAnnotation,
     RelationAnnotation,
     TableAnnotation,
 )
-from repro.core.annotator import AnnotationTiming, TableAnnotator
+from repro.core.inference import InferenceConfig
 from repro.core.model import AnnotationModel
 from repro.core.problem import NA, AnnotationProblem, build_problem
-from repro.graph.compiled import ScatterPlan
-from repro.graph.fused import FusedBlock, FusedGraph, FusedMaxProductBP
+from repro.graph.fused import (
+    FusedBlock,
+    FusedGraph,
+    FusedMaxProductBP,
+    ScatterPlan,
+)
 from repro.tables.model import Table
 
-
-def fused_eligible(annotator: TableAnnotator) -> bool:
-    """Whether the fused inference path reproduces this annotator's output.
-
-    The fused engine implements exactly the batched engine's Figure-11 paper
-    schedule over relation-bearing graphs; any other combination falls back
-    to the per-table path (which the bucket planner still drives, so result
-    ordering and caching behave identically).
-    """
-    config = annotator.config
-    return (
-        config.with_relations
-        and config.engine == "batched"
-        and config.schedule == "paper"
-    )
+if TYPE_CHECKING:  # the annotator module imports this one
+    from repro.core.annotator import TableAnnotator
 
 
 # ----------------------------------------------------------------------
@@ -177,15 +170,13 @@ def fused_cache_key(
     tables: list[Table],
     model: AnnotationModel,
     config,
-    signature=None,
 ) -> tuple:
     """Content key under which a fused bundle may be reused.
 
     Valid within one pipeline (frozen catalog + candidate generator): the
     bundle is then a pure function of the tables' raw content, the candidate
-    knobs and the model weights.  The bucket ``signature`` keys the entry to
-    its shape class, and table ids are deliberately excluded so duplicated
-    table content hits regardless of id.
+    knobs and the model weights.  Table ids are deliberately excluded so
+    duplicated table content hits regardless of id.
     """
     content = tuple(
         (
@@ -198,12 +189,9 @@ def fused_cache_key(
         "fused",
         model.as_flat().tobytes(),
         model.mode.value,
-        signature,
-        config.with_relations,
         config.top_k_entities,
         config.max_type_candidates,
         config.max_column_pairs,
-        config.candidate_engine,
         content,
     )
 
@@ -218,11 +206,11 @@ def _stage_factor(
 ) -> None:
     """File one factor under its per-table bucket rank.
 
-    ``rank_map`` is per table: a table's first (ndim, head-size) bucket of a
-    kind gets rank 0, its second rank 1, … — exactly the first-seen order
-    :class:`~repro.graph.compiled.CompiledFactorGraph` creates per-table
-    blocks in.  Fusing by rank (not by head size) preserves each table's
-    scatter-add sequence, which is what makes the fused totals bit-identical.
+    ``rank_map`` is per table: a table's first (ndim, head-size) group of a
+    kind gets rank 0, its second rank 1, … in first-seen order.  Fusing by
+    rank (not by head size) preserves each table's scatter-add sequence
+    whatever its batchmates, which is what makes the fused totals
+    independent of the bucket.
     """
     key = (potential.ndim, potential.shape[0])
     ranks = rank_map[kind]
@@ -239,14 +227,18 @@ def _stage_factor(
 def build_fused_bundle(
     problems: list[AnnotationProblem],
     model: AnnotationModel,
-    with_relations: bool = True,
+    unary_bonuses: list[dict[str, np.ndarray] | None] | None = None,
 ) -> FusedBundle:
     """Compile one fused graph for a bucket of annotation problems.
 
     Potentials are the exact per-space matrix products of
     :func:`~repro.core.problem.build_factor_graph` (bit-identical entries);
     they are written straight into cross-table block tensors, skipping the
-    per-table graph and compilation passes entirely.
+    per-table graph construction entirely.
+
+    ``unary_bonuses`` (one dict per problem, aligned with ``problems``) adds
+    per-label terms to named variables before message passing — the
+    structured learner's loss-augmented (Hamming cost) decoding.
     """
     sizes: list[int] = []
     unary_rows: list[np.ndarray] = []
@@ -296,52 +288,59 @@ def build_fused_bundle(
                 )
                 n_factors += 1
 
-        if with_relations:
-            for space in problem.pairs.values():
-                var_id = len(sizes)
-                local_ids[space.variable_name] = var_id
-                sizes.append(len(space.labels))
-                unary_rows.append(np.zeros(len(space.labels), dtype=np.float64))
-                var_table_ids.append(table_index)
-                pairs_meta.append((space.left, space.right, var_id, space.labels))
-                n_left = len(problem.columns[space.left].labels)
-                n_right = len(problem.columns[space.right].labels)
-                phi4 = np.zeros(
-                    (len(space.labels), n_left, n_right), dtype=np.float64
+        for space in problem.pairs.values():
+            var_id = len(sizes)
+            local_ids[space.variable_name] = var_id
+            sizes.append(len(space.labels))
+            unary_rows.append(np.zeros(len(space.labels), dtype=np.float64))
+            var_table_ids.append(table_index)
+            pairs_meta.append((space.left, space.right, var_id, space.labels))
+            n_left = len(problem.columns[space.left].labels)
+            n_right = len(problem.columns[space.right].labels)
+            phi4 = np.zeros(
+                (len(space.labels), n_left, n_right), dtype=np.float64
+            )
+            phi4[1:, 1:, 1:] = space.f4 @ model.w4
+            _stage_factor(
+                staged,
+                rank_map,
+                "phi4",
+                table_index,
+                phi4,
+                (
+                    var_id,
+                    local_ids[f"t:{space.left}"],
+                    local_ids[f"t:{space.right}"],
+                ),
+            )
+            n_factors += 1
+            for row, f5 in space.f5.items():
+                phi5 = np.zeros(
+                    (len(space.labels), f5.shape[1] + 1, f5.shape[2] + 1),
+                    dtype=np.float64,
                 )
-                phi4[1:, 1:, 1:] = space.f4 @ model.w4
+                phi5[1:, 1:, 1:] = f5 @ model.w5
                 _stage_factor(
                     staged,
                     rank_map,
-                    "phi4",
+                    "phi5",
                     table_index,
-                    phi4,
+                    phi5,
                     (
                         var_id,
-                        local_ids[f"t:{space.left}"],
-                        local_ids[f"t:{space.right}"],
+                        local_ids[f"e:{row},{space.left}"],
+                        local_ids[f"e:{row},{space.right}"],
                     ),
                 )
                 n_factors += 1
-                for row, f5 in space.f5.items():
-                    phi5 = np.zeros(
-                        (len(space.labels), f5.shape[1] + 1, f5.shape[2] + 1),
-                        dtype=np.float64,
-                    )
-                    phi5[1:, 1:, 1:] = f5 @ model.w5
-                    _stage_factor(
-                        staged,
-                        rank_map,
-                        "phi5",
-                        table_index,
-                        phi5,
-                        (
-                            var_id,
-                            local_ids[f"e:{row},{space.left}"],
-                            local_ids[f"e:{row},{space.right}"],
-                        ),
-                    )
-                    n_factors += 1
+
+        bonus = (unary_bonuses[table_index] if unary_bonuses else None) or {}
+        for name in sorted(bonus):
+            var_id = local_ids.get(name)
+            if var_id is not None:
+                unary_rows[var_id] = unary_rows[var_id] + np.asarray(
+                    bonus[name], dtype=float
+                )
 
         specs.append(
             TableDecodeSpec(
@@ -406,8 +405,8 @@ def _partition_rank_rows(
     Regrouping *between* tables is bit-exact: messages are row-local, and a
     variable's scatter group consists of one table's rows only, so keeping
     each table's rows together (in order) preserves every per-variable
-    float-summation sequence of the per-table engine.  Only splitting a
-    single table's rows across blocks could change bits — never done here.
+    float-summation sequence of a lone run.  Only splitting a single table's
+    rows across blocks could change bits — never done here.
     """
     per_table: list[tuple[tuple[int, ...], int, list]] = []
     start = 0
@@ -512,11 +511,11 @@ def _decode_bundle(
 ) -> list[TableAnnotation]:
     """Vectorised decoding of every table's annotation at once.
 
-    Reproduces the per-table ``_decode`` exactly: chosen labels are the
-    per-row argmax (ties to the earlier position), scores are the belief
-    margin ``b[chosen] − max(b[others])`` (``b[chosen]`` after normalisation
-    is exactly ``0.0``, so the margin is ``0.0 − second_max``; single-label
-    variables score ``0.0``).
+    Chosen labels are the per-row argmax (ties to the earlier position,
+    where na sits); scores are the belief margin ``b[chosen] −
+    max(b[others])`` (``b[chosen]`` after normalisation is exactly ``0.0``,
+    so the margin is ``0.0 − second_max``; single-label variables score
+    ``0.0``).
     """
     graph = bundle.graph
     n_vars = graph.n_variables
@@ -576,7 +575,6 @@ def _decode_bundle(
         annotation.diagnostics.update(
             {
                 "method": "collective",
-                "engine": "batched",
                 "iterations": int(iterations[spec.table_index]),
                 "converged": bool(converged[spec.table_index]),
                 "log_score": float(scores[spec.table_index]),
@@ -589,29 +587,59 @@ def _decode_bundle(
 
 
 # ----------------------------------------------------------------------
-# the bucket entry point
+# entry points
 # ----------------------------------------------------------------------
-def annotate_fused_chunk(
-    annotator: TableAnnotator,
-    tables: list[Table],
-    signature=None,
+def run_fused_bundle(
+    bundle: FusedBundle, config: InferenceConfig, tables: list[Table]
 ) -> list[TableAnnotation]:
-    """Annotate one bucket chunk through the fused engine.
+    """One Figure-11 BP run over a compiled bundle, decoded per table."""
+    engine = FusedMaxProductBP(bundle.graph, damping=config.damping)
+    iterations, converged = engine.run_paper_schedule(
+        max_iterations=config.max_iterations, tolerance=config.tolerance
+    )
+    return _decode_bundle(bundle, engine, iterations, converged, tables)
 
-    Caller guarantees :func:`fused_eligible`.  The fused bundle is memoised
-    in ``annotator.compiled_cache`` (when attached) under
-    :func:`fused_cache_key`; a hit skips candidate generation and
-    compilation, leaving one BP run plus the vectorised decode.  Per-table
-    timings apportion the chunk's wall time equally (individual tables are
-    not separable inside a fused run).
+
+def annotate_problem(
+    problem: AnnotationProblem,
+    model: AnnotationModel,
+    config: InferenceConfig,
+    unary_bonus: dict[str, np.ndarray] | None = None,
+) -> TableAnnotation:
+    """Collective inference on one pre-built problem (a bucket of one).
+
+    The learner's path: it re-scores the same problems under changing
+    weights, optionally with a loss-augmentation ``unary_bonus``, so
+    nothing here is cached.
+    """
+    bundle = build_fused_bundle(
+        [problem], model, [unary_bonus] if unary_bonus else None
+    )
+    return run_fused_bundle(bundle, config, [problem.table])[0]
+
+
+def annotate_fused_chunk(
+    annotator: TableAnnotator, tables: list[Table]
+) -> list[TableAnnotation]:
+    """Annotate one bucket of tables through the fused engine.
+
+    The fused bundle is memoised in ``annotator.compiled_cache`` (when
+    attached) under :func:`fused_cache_key`; a hit skips candidate
+    generation and compilation, leaving one BP run plus the vectorised
+    decode.  Per-table timings apportion the chunk's wall time equally
+    (individual tables are not separable inside a fused run).  Without
+    relation variables the model is the exact Figure-2 special case, which
+    the annotator solves table by table.
     """
     config = annotator.config
+    if not config.with_relations:
+        return [annotator.annotate(table) for table in tables]
     start = time.perf_counter()
     cache = annotator.compiled_cache
     bundle = None
     key = None
     if cache is not None:
-        key = fused_cache_key(tables, annotator.model, config, signature)
+        key = fused_cache_key(tables, annotator.model, config)
         bundle = cache.get(key)
     if bundle is None:
         proxy = _BucketPrefetchGenerator(annotator.candidate_generator, tables)
@@ -625,19 +653,13 @@ def annotate_fused_chunk(
             for table in tables
         ]
         after_candidates = time.perf_counter()
-        bundle = build_fused_bundle(
-            problems, annotator.model, with_relations=config.with_relations
-        )
+        bundle = build_fused_bundle(problems, annotator.model)
         if cache is not None:
             cache.put(key, bundle)
     else:
         after_candidates = time.perf_counter()
 
-    engine = FusedMaxProductBP(bundle.graph, damping=config.damping)
-    iterations, converged = engine.run_paper_schedule(
-        max_iterations=config.max_iterations, tolerance=config.tolerance
-    )
-    annotations = _decode_bundle(bundle, engine, iterations, converged, tables)
+    annotations = run_fused_bundle(bundle, config.inference_config(), tables)
     end = time.perf_counter()
 
     share = len(tables) or 1

@@ -12,37 +12,20 @@ When the graph has no relation variables the schedule degenerates to the
 exact Figure-2 computation, which the tests verify against
 :mod:`repro.core.simple_inference`.
 
-Two engines run the schedule: the per-edge **scalar** reference
-(:class:`~repro.graph.bp.MaxProductBP`, driven by the explicit loop below)
-and the **batched** engine (:class:`~repro.graph.compiled.BatchedMaxProductBP`,
-the default), which executes each schedule half-step as vectorised block
-updates over a :class:`~repro.graph.compiled.CompiledFactorGraph`.  The two
-produce identical MAP assignments (tests assert beliefs agree to 1e-9).
+The schedule runs on one engine, :class:`~repro.graph.fused.FusedMaxProductBP`,
+driven by :mod:`repro.core.fused` for a bucket of tables (a lone table is a
+bucket of one).  This module holds the knobs of that run plus the
+sum-product marginals extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.annotation import (
-    CellAnnotation,
-    ColumnAnnotation,
-    RelationAnnotation,
-    TableAnnotation,
-)
+from repro.core.annotation import TableAnnotation
 from repro.core.model import AnnotationModel
-from repro.core.problem import (
-    NA,
-    AnnotationProblem,
-    build_compiled_graph,
-    build_factor_graph,
-)
-from repro.graph.bp import MaxProductBP, SumProductBP
-from repro.graph.compiled import BatchedMaxProductBP, CompiledFactorGraph
-
-ENGINES = ("batched", "scalar")
+from repro.core.problem import AnnotationProblem, build_factor_graph
+from repro.graph.bp import SumProductBP
 
 
 @dataclass
@@ -53,217 +36,6 @@ class InferenceConfig:
     tolerance: float = 1e-5
     damping: float = 0.0
     with_relations: bool = True
-    #: "paper" follows the Figure-11 block schedule; "flooding" runs the
-    #: generic synchronous schedule (ablation of DESIGN.md decision 4)
-    schedule: str = "paper"
-    #: "batched" runs block-vectorised message passing over a
-    #: :class:`~repro.graph.compiled.CompiledFactorGraph`; "scalar" runs the
-    #: per-edge reference engine.  Both decode the same MAP assignment.
-    engine: str = "batched"
-
-
-def annotate_collective(
-    problem: AnnotationProblem,
-    model: AnnotationModel,
-    config: InferenceConfig | None = None,
-    unary_bonus: dict[str, np.ndarray] | None = None,
-    compiled_cache=None,
-) -> TableAnnotation:
-    """Run collective inference and decode a full table annotation.
-
-    ``unary_bonus`` adds per-label terms to named variables before message
-    passing — the structured learner uses it for loss-augmented (Hamming
-    cost) inference; ordinary annotation leaves it ``None``.
-
-    ``compiled_cache`` (anything with ``get``/``put``) memoises the compiled
-    factor graph across repeated (table, model) pairs for the batched engine;
-    the annotation pipeline attaches one so corpora with recurring tables
-    skip potential construction entirely.  Ignored when ``unary_bonus`` is
-    set (the bonus perturbs the potentials) or the engine is "scalar".
-    """
-    config = config if config is not None else InferenceConfig()
-    if config.engine not in ENGINES:
-        raise ValueError(f"unknown engine: {config.engine!r}")
-    if config.schedule not in ("paper", "flooding"):
-        raise ValueError(f"unknown schedule: {config.schedule!r}")
-
-    if config.engine == "batched":
-        if unary_bonus:
-            graph = build_factor_graph(
-                problem, model, with_relations=config.with_relations
-            )
-            _apply_unary_bonus(graph, unary_bonus)
-            compiled = CompiledFactorGraph(graph)
-        else:
-            compiled = build_compiled_graph(
-                problem,
-                model,
-                with_relations=config.with_relations,
-                cache=compiled_cache,
-            )
-        engine = BatchedMaxProductBP(compiled, damping=config.damping)
-        if config.schedule == "flooding":
-            result = engine.run_flooding(
-                max_iterations=config.max_iterations, tolerance=config.tolerance
-            )
-            return _decode(problem, engine, result.iterations, result.converged)
-        iterations, converged = engine.run_paper_schedule(
-            max_iterations=config.max_iterations, tolerance=config.tolerance
-        )
-        return _decode(problem, engine, iterations, converged)
-
-    graph = build_factor_graph(
-        problem, model, with_relations=config.with_relations
-    )
-    _apply_unary_bonus(graph, unary_bonus)
-    engine = MaxProductBP(graph, damping=config.damping)
-    if config.schedule == "flooding":
-        result = engine.run_flooding(
-            max_iterations=config.max_iterations, tolerance=config.tolerance
-        )
-        return _decode(problem, engine, result.iterations, result.converged)
-
-    iterations, converged = run_scalar_paper_schedule(
-        engine, max_iterations=config.max_iterations, tolerance=config.tolerance
-    )
-    return _decode(problem, engine, iterations, converged)
-
-
-def run_scalar_paper_schedule(
-    engine: MaxProductBP, max_iterations: int = 10, tolerance: float = 1e-5
-) -> tuple[int, bool]:
-    """Drive a scalar engine through the Figure-11 block schedule.
-
-    This per-edge loop is the reference the batched engine's
-    ``run_paper_schedule`` must reproduce (the equivalence tests step both
-    and compare message trajectories).  Returns ``(iterations, converged)``.
-    """
-    graph = engine.graph
-    phi3_edges: list[tuple[str, str, str]] = []  # (factor, type_var, entity_var)
-    phi5_edges: list[tuple[str, str, str, str]] = []  # (factor, b, e_left, e_right)
-    phi4_edges: list[tuple[str, str, str, str]] = []  # (factor, b, t_left, t_right)
-    for factor in graph.factors.values():
-        if factor.kind == "phi3":
-            phi3_edges.append((factor.name, factor.variables[0], factor.variables[1]))
-        elif factor.kind == "phi5":
-            phi5_edges.append(
-                (factor.name, factor.variables[0], factor.variables[1], factor.variables[2])
-            )
-        elif factor.kind == "phi4":
-            phi4_edges.append(
-                (factor.name, factor.variables[0], factor.variables[1], factor.variables[2])
-            )
-
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):  # noqa: B007 - read after loop
-        delta = 0.0
-        # Block 1: entities <-> types through phi3.
-        for factor_name, type_var, entity_var in phi3_edges:
-            delta = max(delta, engine.update_var_to_factor(entity_var, factor_name))
-            delta = max(delta, engine.update_factor_to_var(factor_name, type_var))
-        for factor_name, type_var, entity_var in phi3_edges:
-            delta = max(delta, engine.update_var_to_factor(type_var, factor_name))
-            delta = max(delta, engine.update_factor_to_var(factor_name, entity_var))
-        # Block 2: entities <-> relations through phi5.
-        for factor_name, b_var, left_var, right_var in phi5_edges:
-            delta = max(delta, engine.update_var_to_factor(left_var, factor_name))
-            delta = max(delta, engine.update_var_to_factor(right_var, factor_name))
-            delta = max(delta, engine.update_factor_to_var(factor_name, b_var))
-        for factor_name, b_var, left_var, right_var in phi5_edges:
-            delta = max(delta, engine.update_var_to_factor(b_var, factor_name))
-            delta = max(delta, engine.update_factor_to_var(factor_name, left_var))
-            delta = max(delta, engine.update_factor_to_var(factor_name, right_var))
-        # Block 3: types <-> relations through phi4.
-        for factor_name, b_var, left_var, right_var in phi4_edges:
-            delta = max(delta, engine.update_var_to_factor(left_var, factor_name))
-            delta = max(delta, engine.update_var_to_factor(right_var, factor_name))
-            delta = max(delta, engine.update_factor_to_var(factor_name, b_var))
-        for factor_name, b_var, left_var, right_var in phi4_edges:
-            delta = max(delta, engine.update_var_to_factor(b_var, factor_name))
-            delta = max(delta, engine.update_factor_to_var(factor_name, left_var))
-            delta = max(delta, engine.update_factor_to_var(factor_name, right_var))
-        if delta < tolerance:
-            converged = True
-            break
-    return iterations, converged
-
-
-def _apply_unary_bonus(
-    graph, unary_bonus: dict[str, np.ndarray] | None
-) -> None:
-    if not unary_bonus:
-        return
-    for variable_name, bonus in unary_bonus.items():
-        variable = graph.variables.get(variable_name)
-        if variable is not None:
-            variable.unary = variable.unary + np.asarray(bonus, dtype=float)
-
-
-def _decode(
-    problem: AnnotationProblem,
-    engine: MaxProductBP | BatchedMaxProductBP,
-    iterations: int,
-    converged: bool,
-) -> TableAnnotation:
-    annotation = TableAnnotation(table_id=problem.table.table_id)
-    graph = engine.graph
-    for space in problem.cells.values():
-        if space.variable_name in graph.variables:
-            belief = engine.belief(space.variable_name)
-            index = int(np.argmax(belief))
-            annotation.cells[(space.row, space.column)] = CellAnnotation(
-                row=space.row,
-                column=space.column,
-                entity_id=space.labels[index],
-                score=_belief_margin(belief, index),
-            )
-    for space in problem.columns.values():
-        belief = engine.belief(space.variable_name)
-        index = int(np.argmax(belief))
-        annotation.columns[space.column] = ColumnAnnotation(
-            column=space.column,
-            type_id=space.labels[index],
-            score=_belief_margin(belief, index),
-        )
-    for column_index in range(problem.table.n_columns):
-        if column_index not in annotation.columns:
-            annotation.columns[column_index] = ColumnAnnotation(
-                column=column_index, type_id=NA, score=0.0
-            )
-    for space in problem.pairs.values():
-        if space.variable_name not in graph.variables:
-            continue  # relation variables disabled (special case)
-        belief = engine.belief(space.variable_name)
-        index = int(np.argmax(belief))
-        annotation.relations[(space.left, space.right)] = RelationAnnotation(
-            left_column=space.left,
-            right_column=space.right,
-            label=space.labels[index],
-            score=_belief_margin(belief, index),
-        )
-    assignment = engine.map_assignment()
-    annotation.diagnostics.update(
-        {
-            "method": "collective",
-            "engine": (
-                "batched" if isinstance(engine, BatchedMaxProductBP) else "scalar"
-            ),
-            "iterations": iterations,
-            "converged": converged,
-            "log_score": graph.score(assignment),
-            "n_variables": len(graph.variables),
-            "n_factors": len(graph.factors),
-        }
-    )
-    return annotation
-
-
-def _belief_margin(belief: np.ndarray, chosen: int) -> float:
-    if belief.shape[0] < 2:
-        return float(belief[chosen])
-    others = np.delete(belief, chosen)
-    return float(belief[chosen] - others.max())
 
 
 def annotation_marginals(

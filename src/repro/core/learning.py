@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.annotator import TableAnnotator
-from repro.core.inference import annotate_collective, map_assignment_of
+from repro.core.fused import annotate_problem
+from repro.core.inference import map_assignment_of
 from repro.core.model import AnnotationModel
 from repro.core.problem import (
     NA,
@@ -186,7 +187,7 @@ class StructuredTrainer:
             penalties[gold_index] = 0.0
             bonus[space.variable_name] = penalties
         if self.annotator.config.with_relations:
-            annotation = annotate_collective(
+            annotation = annotate_problem(
                 problem,
                 model,
                 self.annotator.config.inference_config(),

@@ -30,7 +30,6 @@ from repro.core.features import (
     type_entity_features,
 )
 from repro.core.model import AnnotationModel
-from repro.graph.compiled import CompiledFactorGraph
 from repro.graph.factor_graph import FactorGraph
 from repro.tables.generator import base_relation
 from repro.tables.model import Table
@@ -509,80 +508,6 @@ def build_factor_graph(
                 kind="phi5",
             )
     return graph
-
-
-# ----------------------------------------------------------------------
-# compiled graphs (batched inference)
-# ----------------------------------------------------------------------
-def compiled_graph_cache_key(
-    problem: AnnotationProblem,
-    model: AnnotationModel,
-    with_relations: bool = True,
-) -> tuple:
-    """Content key under which a compiled factor graph may be reused.
-
-    For a frozen catalog and candidate generator, every potential in the
-    graph is a pure function of the candidate label spaces, the cell/header
-    texts and the model weights — so two tables that agree on those (typical
-    in corpora with recurring tables) compile to identical graphs.  Variable
-    names encode (row, column) positions, so the spaces are keyed by
-    position, not just content.
-    """
-    cells = tuple(
-        (row, column, space.text, space.labels)
-        for (row, column), space in sorted(problem.cells.items())
-    )
-    columns = tuple(
-        (column, space.header, space.labels)
-        for column, space in sorted(problem.columns.items())
-    )
-    pairs = (
-        tuple(
-            (left, right, space.labels)
-            for (left, right), space in sorted(problem.pairs.items())
-        )
-        if with_relations
-        else ()
-    )
-    return (
-        "compiled",
-        model.as_flat().tobytes(),
-        model.mode.value,
-        with_relations,
-        cells,
-        columns,
-        pairs,
-    )
-
-
-def build_compiled_graph(
-    problem: AnnotationProblem,
-    model: AnnotationModel,
-    with_relations: bool = True,
-    cache=None,
-) -> CompiledFactorGraph:
-    """:func:`build_factor_graph` plus compilation into stacked blocks.
-
-    The factor tables are built exactly as in :func:`build_factor_graph`
-    (matrix products against the problem's cached feature blocks — the
-    blocks themselves are shared, never copied) and then bucketed by
-    (kind, shape) into contiguous tensors for the batched engine.
-
-    ``cache`` (``get``/``put`` semantics, e.g. the pipeline's LRU) memoises
-    the whole compiled graph under :func:`compiled_graph_cache_key`, so
-    recurring tables in a corpus skip both potential construction and
-    compilation.  Cached graphs are shared objects and must not be mutated.
-    """
-    if cache is not None:
-        key = compiled_graph_cache_key(problem, model, with_relations)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    graph = build_factor_graph(problem, model, with_relations=with_relations)
-    compiled = CompiledFactorGraph(graph)
-    if cache is not None:
-        cache.put(key, compiled)
-    return compiled
 
 
 # ----------------------------------------------------------------------

@@ -1,38 +1,42 @@
-"""Cross-table fused belief propagation: one super-graph per shape bucket.
+"""Fused belief propagation: one super-graph per bucket of tables.
 
-:mod:`repro.graph.compiled` batches message passing *within* one table; on
-corpora of many small tables the per-table engine still pays a fixed Python
-cost per table (a few hundred tiny NumPy calls each).  This module merges the
-factor graphs of a whole bucket of tables into one :class:`FusedGraph` whose
-blocks span tables, so every Figure-11 half-step becomes a handful of large
-tensor operations for the *entire bucket*.
+Every table is annotated through this engine; a lone table is a bucket of
+one.  The factor graphs of a bucket are merged into one :class:`FusedGraph`
+whose blocks span tables: factors are grouped by kind and per-table bucket
+rank into stacked ``(n_factors, *shape)`` tensors, ragged domains padded
+with ``-inf``.  Every Figure-11 half-step then becomes a gather, a broadcast
+add and a max-reduction over a few large tensors for the *entire bucket*,
+instead of a Python loop over edges or tables.
 
 Fusing is sound because per-table factor graphs are disconnected components:
 no factor ever connects variables of two tables, so messages never flow
-between tables and the fused trajectory is the per-table trajectory, merely
-evaluated side by side.  Three details make it *bit*-exact, not just
-approximately equal:
+between tables and each table's trajectory is the one it would follow
+alone.  Three details make it *bit*-exact, so a table's annotation does not
+depend on its batchmates:
 
-* **Row ordering.**  Within a fused block, each table's factors appear in the
-  same relative order the per-table :class:`~repro.graph.compiled.FactorBlock`
-  would hold them, and fused blocks of one kind are indexed by the per-table
-  bucket *rank* (a table's first bucket of that kind feeds fused block 0, its
-  second feeds block 1, …).  Scatter-adds into the running belief totals
-  therefore replay each table's float-summation order exactly.
-* **Head padding.**  Unlike per-table blocks, the head axis is padded too
-  (tables with different head-domain sizes share a fused block).  Padded
-  slots hold ``-inf`` log-potentials and ``-inf`` unaries; max-reductions
-  ignore them, factor→variable messages are zeroed there before scattering,
-  and the validity masks exclude them from convergence deltas — so padded
-  slots never perturb a real slot's value.
+* **Row ordering.**  Within a fused block, each table's factors keep their
+  graph insertion order, and fused blocks of one kind are indexed by the
+  per-table bucket *rank* (a table's first ``(arity, head size)`` group of
+  that kind feeds fused block 0, its second feeds block 1, …).  Scatter-adds
+  into the running belief totals therefore replay each table's
+  float-summation order exactly, whatever else shares the bucket.
+* **Padding.**  Every axis may be padded (tables with different domain
+  sizes share a block).  Padded slots hold ``-inf`` log-potentials and
+  ``-inf`` unaries; max-reductions ignore them, factor→variable messages are
+  zeroed there before scattering, and the validity masks exclude them from
+  convergence deltas — so padded slots never perturb a real slot's value.
 * **Per-table freezing.**  Convergence is tracked per table: once a table's
   iteration delta drops below tolerance its rows stop updating (stored
   messages are kept, scatter contributions become exact ``+0.0``), which
-  reproduces the per-table engine's early stopping — including the reported
-  iteration counts — inside one fused run.
+  reproduces a lone run's early stopping — including the reported iteration
+  counts — inside one fused run.
 
-The per-table engines remain the reference; equivalence is enforced by
-``tests/pipeline/test_fused.py``.
+Variable→factor messages use the exclusive-sum trick (``running total −
+incoming``), with the running totals maintained incrementally through
+precompiled :class:`ScatterPlan` scatters; the trick assumes **finite**
+log-potentials.  The scalar per-edge engine of :mod:`repro.graph.bp` is the
+reference; ``tests/oracles`` holds the loop that runs it through the same
+schedule, and the byte-identity tests compare the two.
 """
 
 from __future__ import annotations
@@ -44,7 +48,63 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.graph.compiled import PAPER_SCHEDULE, ScatterPlan
+
+@dataclass
+class ScatterPlan:
+    """Precompiled row-scatter: add per-factor message rows into variables.
+
+    Buckets the ``(n_factors,)`` variable ids of one block position at
+    compile time so every runtime scatter is a pure NumPy call even when the
+    same variable receives several rows (e.g. one relation variable fed by
+    every φ5 row factor of its column pair).
+    """
+
+    #: distinct destination variable ids, ascending
+    unique_ids: np.ndarray
+    #: factor slots reordered so equal destinations are contiguous
+    order: np.ndarray
+    #: segment starts into ``order``, one per unique id
+    starts: np.ndarray
+    #: True when every destination is distinct (plain fancy-index add works)
+    all_unique: bool
+
+    @classmethod
+    def for_ids(cls, ids: np.ndarray) -> "ScatterPlan":
+        order = np.argsort(ids, kind="stable")
+        ordered = ids[order]
+        boundaries = np.ones(len(ordered), dtype=bool)
+        boundaries[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(boundaries)
+        unique_ids = ordered[starts]
+        return cls(
+            unique_ids=unique_ids,
+            order=order,
+            starts=starts,
+            all_unique=len(unique_ids) == len(ids),
+        )
+
+    def add(self, destination: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> None:
+        """``destination[ids] += rows`` with correct duplicate handling."""
+        if self.all_unique:
+            destination[ids] += rows
+        else:
+            destination[self.unique_ids] += np.add.reduceat(
+                rows[self.order], self.starts, axis=0
+            )
+
+
+#: the Figure-11 block schedule as (factor kind, var→factor positions,
+#: factor→var positions) half-steps — position 0 is the type/relation head,
+#: positions 1+ are the tail variables (see build_factor_graph)
+PAPER_SCHEDULE: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = (
+    ("phi3", (1,), (0,)),
+    ("phi3", (0,), (1,)),
+    ("phi5", (1, 2), (0,)),
+    ("phi5", (0,), (1, 2)),
+    ("phi4", (1, 2), (0,)),
+    ("phi4", (0,), (1, 2)),
+)
+
 
 #: reusable per-thread work tensors: the factor→variable update's summed
 #: potentials are the largest arrays the engine touches, and allocating
@@ -72,8 +132,7 @@ class FusedBlock:
     """All factors of one (kind, per-table bucket rank), across tables."""
 
     kind: str
-    #: padded domain sizes per argument position (head included — see module
-    #: docstring; per-table blocks never pad the head, fused blocks do)
+    #: padded domain sizes per argument position (every axis may be padded)
     shape: tuple[int, ...]
     #: stacked log-potentials, shape ``(n_factors, *shape)``; padded slots
     #: hold ``-inf`` so they can never win a max-marginalisation
@@ -140,13 +199,19 @@ class FusedGraph:
 class FusedMaxProductBP:
     """Max-product BP over a :class:`FusedGraph` with per-table freezing.
 
-    The update rules are those of
-    :class:`~repro.graph.compiled.BatchedMaxProductBP` verbatim — gather /
-    exclusive-sum / max-reduce / normalise — applied to blocks that span
-    tables.  The only additions are the per-table ``active`` mask (frozen
-    tables keep their stored messages and contribute exact ``+0.0`` to the
-    totals) and per-table delta accounting, which together reproduce the
-    per-table engine's early stopping bit for bit.
+    The update rules are the scalar engine's
+    (:class:`~repro.graph.bp.MaxProductBP`) applied a block at a time —
+    gather / exclusive-sum / max-reduce / normalise, messages normalised to
+    max 0 after every update, damping interpolating against the stored
+    message, convergence measured on the **undamped** change.  The
+    per-table ``active`` mask (frozen tables keep their stored messages and
+    contribute exact ``+0.0`` to the totals) and per-table delta accounting
+    give every table the early stopping of a lone run.
+
+    Message state per (block, position) is an ``(n_factors, size)`` array;
+    variable→factor messages hold ``-inf`` at padded slots, factor→variable
+    messages hold ``0`` there so the running belief totals stay finite
+    arithmetic away from the padding.
     """
 
     def __init__(self, fused: FusedGraph, damping: float = 0.0) -> None:
@@ -241,14 +306,13 @@ class FusedMaxProductBP:
         """Row selector and delta groups for a block's still-active tables.
 
         Returns ``None`` when every owning table froze (the whole update is
-        a no-op: the per-table engine performs no updates after its run
-        ends).  Otherwise returns ``(rows, n_rows, groups)`` where ``rows``
+        a no-op: a lone run performs no updates after it converges).  Otherwise returns ``(rows, n_rows, groups)`` where ``rows``
         is ``slice(None)`` when all rows are active and an index array when
         frozen rows must be compacted out, and ``groups`` are the per-table
         row runs for delta accounting.  Skipping frozen rows entirely is
         exact: a frozen table's variables receive messages only from its own
         factors, so every value the skipped work would touch stays bitwise
-        untouched — precisely the per-table engine's early stopping.
+        untouched — precisely a lone run's early stopping.
 
         The selection only depends on the frozen set, so it is computed once
         per block per freeze epoch (six half-steps reuse it each iteration).
@@ -405,8 +469,8 @@ class FusedMaxProductBP:
         """The Figure-11 block schedule with per-table early stopping.
 
         Returns ``(iterations, converged)`` arrays indexed by table: each
-        table reports the iteration count and convergence flag the per-table
-        ``run_paper_schedule`` would have reported for it alone.
+        table reports the iteration count and convergence flag it would
+        have reported in a bucket of its own.
         """
         n_tables = self.fused.n_tables
         iterations = np.zeros(n_tables, dtype=np.intp)

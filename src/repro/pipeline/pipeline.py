@@ -7,12 +7,14 @@ runners, search-index construction) with:
 
 * a **shared candidate cache** (:mod:`repro.pipeline.cache`): repeated cell
   strings across the corpus probe the lemma index once,
-* a **compiled-graph cache**: recurring tables reuse whole
-  :class:`~repro.graph.compiled.CompiledFactorGraph` instances, so the
-  batched inference engine skips potential construction and compilation,
-* **batched execution** (:mod:`repro.pipeline.executor`): tables are chunked
-  and optionally annotated on a thread pool, with results streamed back in
-  deterministic corpus order,
+* a **compiled-graph cache**: recurring tables and buckets reuse whole
+  fused bundles (:mod:`repro.core.fused`), skipping candidate generation,
+  potential construction and compilation,
+* **fused batched execution** (:mod:`repro.pipeline.executor`): tables are
+  chunked into batches, each batch is planned into shape buckets
+  (:mod:`repro.pipeline.planner`) and every bucket runs as one fused BP
+  super-graph; batches optionally run on a thread pool, with results
+  streamed back in deterministic corpus order,
 * **streaming I/O** (:mod:`repro.pipeline.io`): JSONL in, JSONL out, bounded
   memory, and
 * **aggregate timing** extending the per-table
@@ -20,22 +22,25 @@ runners, search-index construction) with:
   corpus-level rollups plus cache hit-rates — the Figure-7 instrumentation
   at corpus scale.
 
-Parallel and serial execution produce identical annotations: each table's
-annotation is a pure function of (table, catalog, model), and the cache only
-memoises a pure function of the cell text.
+Parallel, serial, batched and lone-table execution produce identical
+annotations: each table's annotation is a pure function of (table, catalog,
+model) whatever bucket it runs in, and the caches only memoise pure
+functions of the content.
 """
 
 from __future__ import annotations
 
 import statistics
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from repro.catalog.catalog import Catalog
-from repro.core.annotation import TableAnnotation
-from repro.core.annotator import AnnotationTiming, AnnotatorConfig, TableAnnotator
+from repro.core.annotation import AnnotationTiming, TableAnnotation
+from repro.core.annotator import AnnotatorConfig, TableAnnotator
+from repro.core.fused import annotate_fused_chunk
 from repro.core.model import AnnotationModel
 from repro.pipeline.cache import (
     CacheStats,
@@ -43,14 +48,13 @@ from repro.pipeline.cache import (
     CachingCandidateGenerator,
     LRUCache,
 )
-from repro.core.fused import annotate_fused_chunk, fused_eligible
 from repro.pipeline.executor import EXECUTORS, BatchExecutor, iter_batches
 from repro.pipeline.io import (
     annotation_to_dict,
     iter_corpus_jsonl,
     write_annotations_jsonl,
 )
-from repro.pipeline.planner import iter_bucket_chunks, plan_buckets
+from repro.pipeline.planner import plan_buckets
 from repro.tables.model import LabeledTable, Table
 
 
@@ -58,19 +62,21 @@ from repro.tables.model import LabeledTable, Table
 class PipelineConfig:
     """Configuration of corpus-scale annotation.
 
-    ``workers=1`` runs batches inline; ``workers>1`` uses the configured
-    ``executor`` ("thread" on a shared-memory thread pool, "process" on a
-    fork-based process pool whose workers inherit the warm state
-    copy-on-write).  ``cache_size=0`` disables the shared candidate cache
-    (every cell probes the lemma index, as the seed code did).
+    ``batch_size`` tables are planned and fused together (and bound the
+    tables in flight per worker); ``workers=1`` runs batches inline;
+    ``workers>1`` uses the configured ``executor`` ("thread" on a
+    shared-memory thread pool, "process" on a fork-based process pool whose
+    workers inherit the warm state copy-on-write).  ``cache_size=0``
+    disables the shared candidate cache (every cell probes the lemma index,
+    as the seed code did).
     """
 
     batch_size: int = 16
     workers: int = 1
     cache_size: int = 100_000
-    #: entries in the compiled-factor-graph LRU (0 disables it); compiled
-    #: graphs are far heavier than feature blocks, so the bound is separate
-    #: and much smaller than ``cache_size``
+    #: entries in the fused-bundle LRU (0 disables it); compiled bundles
+    #: are far heavier than feature blocks, so the bound is separate and
+    #: much smaller than ``cache_size``
     compiled_cache_size: int = 2048
     #: "serial", "thread" or "process" — how batches are executed when
     #: ``workers > 1`` (see :mod:`repro.pipeline.executor`)
@@ -125,11 +131,10 @@ class CorpusTimingReport:
     cache: CacheStats | None = None
     #: feature-block-cache activity during this run (None when disabled)
     block_cache: CacheStats | None = None
-    #: compiled-factor-graph-cache activity during this run (None when disabled)
+    #: compiled-graph (fused bundle) cache activity during this run (None
+    #: when disabled)
     compiled_cache: CacheStats | None = None
-    #: fusion mode this run executed under ("off" or "bucket")
-    fusion: str = "off"
-    #: number of fused work units executed (0 when fusion is off)
+    #: number of fused work units (shape buckets) executed
     fused_batches: int = 0
     #: tables per fused work unit, in execution order
     bucket_sizes: list[int] = field(default_factory=list)
@@ -226,6 +231,10 @@ class AnnotationPipeline:
                 max_entries=self.config.compiled_cache_size
             )
             self.annotator.compiled_cache = self.compiled_cache
+        #: fused buckets that failed and were rerun one table at a time
+        #: (see :meth:`record_fallback`); a lifetime counter
+        self.fallbacks = 0
+        self._fallback_lock = threading.Lock()
         #: one persistent executor for the pipeline's lifetime — repeated
         #: corpus runs reuse the same pool instead of paying construction
         #: and teardown per call (see :class:`BatchExecutor`)
@@ -254,6 +263,11 @@ class AnnotationPipeline:
         """Lifetime cache counters (None when caching is disabled)."""
         return self.cache.stats() if self.cache is not None else None
 
+    def record_fallback(self) -> None:
+        """Count one fused bucket rerun table by table after a failure."""
+        with self._fallback_lock:
+            self.fallbacks += 1
+
     # ------------------------------------------------------------------
     # annotation
     # ------------------------------------------------------------------
@@ -268,20 +282,16 @@ class AnnotationPipeline:
     ) -> Iterator[tuple[Table, TableAnnotation]]:
         """Stream ``(table, annotation)`` pairs in corpus order.
 
-        With ``fusion="off"`` tables are chunked into ``config.batch_size``
-        batches and executed on the pipeline's executor; pairs come back in
-        exactly the order the input iterable produced them, and only
-        ``O(workers × batch_size)`` tables are in flight at once.
-
-        With ``fusion="bucket"`` the corpus is materialised, planned into
-        shape buckets (:mod:`repro.pipeline.planner`) and annotated as fused
-        cross-table work units — trading streaming memory for throughput.
-        Output order is still corpus order, and annotations are identical to
-        the per-table path's.
+        Tables are chunked into ``config.batch_size`` batches and executed on
+        the pipeline's executor; each batch is planned into shape buckets and
+        every bucket runs as one fused BP super-graph.  Pairs come back in
+        exactly the order the input iterable produced them, only
+        ``O(workers × batch_size)`` tables are in flight at once, and each
+        annotation is identical to a lone :meth:`annotate` call's.
 
         Consuming the stream to the end finalises :attr:`last_report`.
         """
-        report = CorpusTimingReport(fusion=self.config.annotator.fusion)
+        report = CorpusTimingReport()
         self.last_report = report
         stats_before = self.cache_stats()
         blocks_before = (
@@ -292,15 +302,14 @@ class AnnotationPipeline:
         )
         start = time.perf_counter()
 
-        if self.config.annotator.fusion == "bucket":
-            yield from self._fused_stream(tables, report)
-        else:
-            batches = iter_batches(tables, self.config.batch_size)
-            for batch_index, (pairs, batch_wall) in enumerate(
-                self.executor.map_ordered(batches, self._annotate_batch)
-            ):
-                self._record_batch(report, batch_index, pairs, batch_wall)
-                yield from pairs
+        batches = iter_batches(tables, self.config.batch_size)
+        for batch_index, (pairs, bucket_sizes, batch_wall) in enumerate(
+            self.executor.map_ordered(batches, self._annotate_batch)
+        ):
+            report.fused_batches += len(bucket_sizes)
+            report.bucket_sizes.extend(bucket_sizes)
+            self._record_batch(report, batch_index, pairs, batch_wall)
+            yield from pairs
 
         report.wall_seconds = time.perf_counter() - start
         stats_after = self.cache_stats()
@@ -320,34 +329,27 @@ class AnnotationPipeline:
     # ------------------------------------------------------------------
     def _annotate_batch(
         self, batch: list[Table | LabeledTable]
-    ) -> tuple[list[tuple[Table, TableAnnotation]], float]:
-        batch_start = time.perf_counter()
-        pairs: list[tuple[Table, TableAnnotation]] = []
-        for item in batch:
-            table = item.table if isinstance(item, LabeledTable) else item
-            pairs.append((table, self.annotator.annotate(table)))
-        return pairs, time.perf_counter() - batch_start
+    ) -> tuple[list[tuple[Table, TableAnnotation]], list[int], float]:
+        """Plan one batch into shape buckets and run each bucket fused.
 
-    def _annotate_unit(
-        self, unit: tuple[tuple, list[tuple[int, Table]]]
-    ) -> tuple[list[tuple[int, Table, TableAnnotation]], float]:
-        """Annotate one fused work unit (a chunk of one shape bucket)."""
-        unit_start = time.perf_counter()
-        signature, entries = unit
-        chunk_tables = [table for _position, table in entries]
-        if fused_eligible(self.annotator):
-            annotations = annotate_fused_chunk(
-                self.annotator, chunk_tables, signature
-            )
-        else:
-            # engine combinations the fused BP does not cover run per table;
-            # planning, ordering and reporting stay identical either way
-            annotations = [self.annotator.annotate(table) for table in chunk_tables]
-        results = [
-            (position, table, annotation)
-            for (position, table), annotation in zip(entries, annotations)
+        Returns the batch's ``(table, annotation)`` pairs in batch order,
+        the bucket sizes in execution order, and the batch wall time.
+        """
+        batch_start = time.perf_counter()
+        tables = [
+            item.table if isinstance(item, LabeledTable) else item
+            for item in batch
         ]
-        return results, time.perf_counter() - unit_start
+        annotations: dict[int, TableAnnotation] = {}
+        bucket_sizes: list[int] = []
+        for bucket in plan_buckets(tables):
+            chunk = [table for _position, table in bucket.entries]
+            results = annotate_fused_chunk(self.annotator, chunk)
+            for (position, _table), annotation in zip(bucket.entries, results):
+                annotations[position] = annotation
+            bucket_sizes.append(bucket.size)
+        pairs = [(table, annotations[position]) for position, table in enumerate(tables)]
+        return pairs, bucket_sizes, time.perf_counter() - batch_start
 
     def _record_batch(
         self,
@@ -369,30 +371,6 @@ class AnnotationPipeline:
                 inference_seconds=sum(t.inference_seconds for t in timings),
             )
         )
-
-    def _fused_stream(
-        self,
-        tables: Iterable[Table | LabeledTable],
-        report: CorpusTimingReport,
-    ) -> Iterator[tuple[Table, TableAnnotation]]:
-        items = [
-            item.table if isinstance(item, LabeledTable) else item
-            for item in tables
-        ]
-        plan = plan_buckets(items)
-        units = list(iter_bucket_chunks(plan, self.config.batch_size))
-        ordered: list[tuple[Table, TableAnnotation] | None] = [None] * len(items)
-        for unit_index, (results, unit_wall) in enumerate(
-            self.executor.map_ordered(units, self._annotate_unit)
-        ):
-            report.fused_batches += 1
-            report.bucket_sizes.append(len(results))
-            self._record_batch(report, unit_index, results, unit_wall)
-            for position, table, annotation in results:
-                ordered[position] = (table, annotation)
-        for pair in ordered:
-            assert pair is not None
-            yield pair
 
     def annotate_stream(
         self, tables: Iterable[Table | LabeledTable]

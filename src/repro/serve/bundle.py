@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.io import catalog_from_dict, catalog_to_dict
-from repro.core.candidates_batched import InternedCandidateTables
 from repro.core.model import AnnotationModel
 from repro.pipeline.io import annotation_from_payload, annotation_to_payload
 from repro.pipeline.pipeline import AnnotationPipeline, PipelineConfig
@@ -275,14 +274,10 @@ def build_bundle(
     )
     index_files += _write_index_state(output / "indexes", "header", header_state)
     index_files += _write_index_state(output / "indexes", "context", context_state)
-    # the batched candidate engine's interned tables: reuse the pipeline's
-    # (it annotated the whole corpus with them) or build once from the
-    # catalog when the pipeline ran the scalar reference engine
-    interned = getattr(generator, "tables", None)
-    if interned is None:
-        interned = InternedCandidateTables.from_catalog(catalog)
+    # the candidate engine's interned tables: reuse the pipeline's (it
+    # annotated the whole corpus with them)
     index_files += _write_candidate_state(
-        output / "candidates", interned.to_state()
+        output / "candidates", generator.tables.to_state()
     )
 
     report = pipeline.last_report

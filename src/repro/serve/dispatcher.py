@@ -483,7 +483,6 @@ class Dispatcher:
             "schema_version": SCHEMA_VERSION,
             "bundle": str(bundle.path),
             "tables": len(bundle.table_index),
-            "default_engine": self.config.engine,
             "catalog": bundle.manifest.identity.get("catalog_name"),
             "model_sha256": bundle.manifest.identity.get("model_sha256"),
             "generation": generation.id,
@@ -526,39 +525,36 @@ class Dispatcher:
 
     @staticmethod
     def _merge_cache_stats(per_worker: list[dict]) -> dict:
-        """Sum cache counters across workers (hit rates recomputed)."""
+        """Sum cache and fusion counters across workers (hit rates
+        recomputed)."""
         merged: dict[str, dict] = {}
-        for caches in per_worker:
-            for engine, entry in caches.items():
-                target = merged.setdefault(engine, {})
-                for cache_name, counters in entry.items():
-                    if cache_name == "fusion":
-                        fusion = target.setdefault(
-                            "fusion",
-                            {
-                                "mode": counters.get("mode"),
-                                "fused_batches": 0,
-                                "bucket_size_histogram": {},
-                            },
-                        )
-                        fusion["fused_batches"] += counters.get(
-                            "fused_batches", 0
-                        )
-                        continue
-                    cache = target.setdefault(
-                        cache_name,
-                        {"hits": 0, "misses": 0, "entries": 0, "evictions": 0},
-                    )
-                    for key in ("hits", "misses", "entries", "evictions"):
-                        cache[key] += counters.get(key, 0)
-        for entry in merged.values():
+        for entry in per_worker:
             for cache_name, counters in entry.items():
                 if cache_name == "fusion":
+                    fusion = merged.setdefault(
+                        "fusion",
+                        {
+                            "fused_batches": 0,
+                            "bucket_size_histogram": {},
+                            "fallbacks": 0,
+                        },
+                    )
+                    for key in ("fused_batches", "fallbacks"):
+                        fusion[key] += counters.get(key, 0)
                     continue
-                total = counters["hits"] + counters["misses"]
-                counters["hit_rate"] = (
-                    round(counters["hits"] / total, 4) if total else 0.0
+                cache = merged.setdefault(
+                    cache_name,
+                    {"hits": 0, "misses": 0, "entries": 0, "evictions": 0},
                 )
+                for key in ("hits", "misses", "entries", "evictions"):
+                    cache[key] += counters.get(key, 0)
+        for cache_name, counters in merged.items():
+            if cache_name == "fusion":
+                continue
+            total = counters["hits"] + counters["misses"]
+            counters["hit_rate"] = (
+                round(counters["hits"] / total, 4) if total else 0.0
+            )
         return merged
 
     def metrics_snapshot(self) -> dict:
@@ -662,9 +658,8 @@ class BatchingBackend:
       currently serves, and shutdown drains the queue before the inner
       backend drains its workers.
 
-    Non-annotate endpoints, and annotate requests whose explicit ``engine``
-    differs from the serving default, bypass the queue and run solo —
-    counted in the ``batching`` metrics section as ``solo_requests``.
+    Non-annotate endpoints bypass the queue and run solo — counted in the
+    ``batching`` metrics section as ``solo_requests``.
     """
 
     def __init__(
@@ -680,7 +675,6 @@ class BatchingBackend:
         self.batch_wait_seconds = serve.batch_wait_ms / 1000.0
         self.shed_timeout = serve.shed_timeout_seconds
         self.request_timeout = serve.request_timeout_seconds
-        self.default_engine = self.config.engine
         self.batch_metrics = BatchingMetrics(window_size=metrics_window)
         capacity = (serve.workers + serve.queue_depth) * serve.max_batch_size
         self._pending: queue.Queue[_PendingRequest] = queue.Queue(
@@ -703,7 +697,7 @@ class BatchingBackend:
     # ------------------------------------------------------------------
     def call(self, endpoint: str, payload: dict) -> dict:
         """Coalesce an ``/annotate`` request; run anything else solo."""
-        if endpoint != "annotate" or not self._batchable(payload):
+        if endpoint != "annotate":
             self.batch_metrics.observe_solo()
             return self.inner.call(endpoint, payload)
         now = time.perf_counter()
@@ -732,14 +726,6 @@ class BatchingBackend:
             raise ApiError(pending.error.code, str(pending.error))
         result: dict = pending.result if pending.result is not None else {}
         return result
-
-    def _batchable(self, payload: dict) -> bool:
-        """Only requests the default-engine fused path can serve batch up;
-        an explicit off-default engine override runs solo."""
-        if not isinstance(payload, dict):
-            return False
-        engine = payload.get("engine")
-        return engine is None or engine == self.default_engine
 
     # ------------------------------------------------------------------
     # batcher threads

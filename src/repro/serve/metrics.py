@@ -243,8 +243,7 @@ class BatchingMetrics:
             self._wait_window.extend(waits)
 
     def observe_solo(self) -> None:
-        """One request bypassed the coalescer (non-annotate endpoint or an
-        engine override the batch default cannot serve)."""
+        """One request bypassed the coalescer (a non-annotate endpoint)."""
         with self._lock:
             self._solo_requests += 1
 

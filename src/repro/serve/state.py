@@ -14,24 +14,22 @@ Concurrency model (the whole locking story):
   :func:`~repro.serve.bundle.load_bundle`, so every search request reads
   them lock-free.
 * **Annotation is a pure function with thread-safe memoisation.**  One
-  :class:`~repro.pipeline.AnnotationPipeline` per engine is shared by all
-  requests (owned by the session); its candidate / feature-block /
-  compiled-graph LRUs carry their own internal locks, so concurrent
-  ``/annotate`` requests produce exactly the answers serial requests would
-  (covered by the concurrency determinism tests).
+  :class:`~repro.pipeline.AnnotationPipeline` is shared by all requests
+  (owned by the session); its candidate / feature-block / compiled-graph
+  LRUs carry their own internal locks, so concurrent ``/annotate`` requests
+  produce exactly the answers serial requests would (covered by the
+  concurrency determinism tests).
 * **The per-table timing ledger is bounded** — the session trims it under a
   lock once it passes a threshold; each response reads its own timing from
   the annotation's diagnostics, never from the ledger.
-* **Everything else** (metrics registry, lazy creation of the non-default
-  engine's pipeline) sits behind one small mutex each, inside the session
-  or the metrics registry.
+* **Everything else** (metrics registry, lazy searcher construction) sits
+  behind one small mutex each, inside the session or the metrics registry.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
 
 from repro.api import errors as api_errors
 from repro.api.config import SessionConfig
@@ -45,7 +43,7 @@ from repro.api.types import (
     SearchRequest,
     SearchResponse,
 )
-from repro.pipeline.pipeline import AnnotationPipeline, PipelineConfig
+from repro.pipeline.pipeline import AnnotationPipeline
 from repro.search.ranking import SearchResponse as RankedResponse
 from repro.serve.bundle import LoadedBundle
 from repro.serve.metrics import MetricsRegistry
@@ -63,64 +61,25 @@ def response_to_dict(response: RankedResponse, top_k: int | None = None) -> dict
     return SearchResponse.from_ranked(response, top_k=top_k).to_json()
 
 
-def _session_config(
-    default_engine: str | None,
-    pipeline_config: PipelineConfig | None,
-    session_config: SessionConfig | None,
-) -> SessionConfig:
-    """Fold the legacy ``(engine, PipelineConfig)`` wiring into one
-    :class:`SessionConfig` (the pre-API constructor signature still works).
-
-    An explicit ``default_engine`` wins; otherwise the session config's own
-    engine stands (``default_engine=None`` means "not specified").
-    """
-    if session_config is not None:
-        engine = default_engine if default_engine is not None else session_config.engine
-        if session_config.engine != engine:
-            session_config = replace(session_config, engine=engine)
-        return session_config
-    engine = default_engine if default_engine is not None else "batched"
-    if pipeline_config is None:
-        return SessionConfig(engine=engine)
-    return SessionConfig(
-        engine=engine,
-        candidate_engine=pipeline_config.annotator.candidate_engine,
-        fusion=pipeline_config.annotator.fusion,
-        executor=pipeline_config.executor,
-        workers=pipeline_config.workers,
-        batch_size=pipeline_config.batch_size,
-        cache_size=pipeline_config.cache_size,
-        compiled_cache_size=pipeline_config.compiled_cache_size,
-        annotator=replace(pipeline_config.annotator, engine=engine),
-    )
-
-
 class ServeState:
     """Everything one server process shares across requests."""
 
     def __init__(
         self,
         bundle: LoadedBundle,
-        default_engine: str | None = None,
-        pipeline_config: PipelineConfig | None = None,
         metrics_window: int = 2048,
         session_config: SessionConfig | None = None,
     ) -> None:
-        config = _session_config(default_engine, pipeline_config, session_config)
-        self.session = ReproSession.from_bundle(bundle, config=config)
+        self.session = ReproSession.from_bundle(bundle, config=session_config)
         self.bundle = bundle
         self.catalog = bundle.catalog
         self.model = bundle.model
         self.index = bundle.table_index
-        self.default_engine = config.engine
         self.metrics = MetricsRegistry(window_size=metrics_window)
 
-    # ------------------------------------------------------------------
-    # pipelines (kept for introspection / tests)
-    # ------------------------------------------------------------------
-    def pipeline(self, engine: str) -> AnnotationPipeline:
-        """The session's shared pipeline for ``engine``."""
-        return self.session.pipeline(engine)
+    def pipeline(self) -> AnnotationPipeline:
+        """The session's shared pipeline (kept for introspection / tests)."""
+        return self.session.pipeline()
 
     # ------------------------------------------------------------------
     # request handlers: decode -> session -> encode
@@ -226,7 +185,6 @@ class ServeState:
             "schema_version": SCHEMA_VERSION,
             "bundle": str(self.bundle.path),
             "tables": len(self.index),
-            "default_engine": self.default_engine,
             "catalog": self.bundle.manifest.identity.get("catalog_name"),
             "model_sha256": self.bundle.manifest.identity.get("model_sha256"),
         }
@@ -248,32 +206,30 @@ class ServeState:
         return {"pid": os.getpid(), "caches": self.cache_stats()}
 
     def cache_stats(self) -> dict:
-        """Cache/fusion counters of every warm pipeline, keyed by engine."""
-        caches: dict[str, dict] = {}
-        for engine, pipeline in sorted(self.session.pipelines().items()):
-            entry: dict[str, dict] = {}
-            for cache_name, cache in (
-                ("candidate_cache", pipeline.cache),
-                ("block_cache", pipeline.block_cache),
-                ("compiled_graph_cache", pipeline.compiled_cache),
-            ):
-                if cache is None:
-                    continue
-                stats = cache.stats()
-                entry[cache_name] = {
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "hit_rate": round(stats.hit_rate, 4),
-                    "entries": stats.entries,
-                    "evictions": stats.evictions,
-                }
-            report = pipeline.last_report
-            entry["fusion"] = {
-                "mode": pipeline.config.annotator.fusion,
-                "fused_batches": report.fused_batches if report else 0,
-                "bucket_size_histogram": (
-                    report.bucket_size_histogram if report else {}
-                ),
+        """Cache and fusion counters of the session's pipeline."""
+        pipeline = self.session.pipeline()
+        entry: dict[str, dict] = {}
+        for cache_name, cache in (
+            ("candidate_cache", pipeline.cache),
+            ("block_cache", pipeline.block_cache),
+            ("compiled_graph_cache", pipeline.compiled_cache),
+        ):
+            if cache is None:
+                continue
+            stats = cache.stats()
+            entry[cache_name] = {
+                "hits": stats.hits,
+                "misses": stats.misses,
+                "hit_rate": round(stats.hit_rate, 4),
+                "entries": stats.entries,
+                "evictions": stats.evictions,
             }
-            caches[engine] = entry
-        return caches
+        report = pipeline.last_report
+        entry["fusion"] = {
+            "fused_batches": report.fused_batches if report else 0,
+            "bucket_size_histogram": (
+                report.bucket_size_histogram if report else {}
+            ),
+            "fallbacks": pipeline.fallbacks,
+        }
+        return entry

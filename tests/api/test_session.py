@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.api.config import SessionConfig, validate_engine
+from repro.api.config import SessionConfig
 from repro.api.errors import ApiError
 from repro.api.session import ReproSession
 from repro.api.types import (
@@ -18,16 +18,21 @@ from repro.api.types import (
     encode_json,
 )
 from repro.catalog.io import save_catalog_json
+from repro.core.annotator import AnnotatorConfig
 from repro.core.model import AnnotationModel
 from repro.pipeline.io import annotation_to_dict
 from repro.pipeline.pipeline import AnnotationPipeline
 from repro.tables.corpus import TableCorpus, save_corpus_jsonl
 from tests.api.conftest import find_productive_query
+from tests.oracles import OracleAnnotator
+
+#: the per-call engine knobs this API no longer has
+REMOVED_KNOBS = ("engine", "candidate_engine", "fusion")
 
 
 class TestSessionConfig:
     def test_roundtrip_json(self):
-        config = SessionConfig(engine="scalar", workers=2, cache_size=10)
+        config = SessionConfig(executor="serial", workers=2, cache_size=10)
         assert SessionConfig.from_json(config.to_json()) == config
 
     def test_unknown_field_rejected(self):
@@ -36,99 +41,100 @@ class TestSessionConfig:
         assert excinfo.value.code == "validation_error"
 
     def test_bad_engine_rejected_everywhere(self):
-        for build in (
-            lambda: SessionConfig(engine="quantum"),
-            lambda: validate_engine("quantum"),
-            lambda: SessionConfig().pipeline_config("quantum"),
-        ):
-            with pytest.raises(ApiError) as excinfo:
-                build()
-            assert excinfo.value.code == "unknown_engine"
-            # the message must name the valid engines
-            assert "batched" in excinfo.value.message
-            assert "scalar" in excinfo.value.message
+        """Configs still naming the removed engine knobs fail loudly —
+        top level and inside the annotator section — instead of being
+        silently ignored."""
+        for knob in REMOVED_KNOBS:
+            for payload in ({knob: "batched"}, {"annotator": {knob: "batched"}}):
+                with pytest.raises(ApiError) as excinfo:
+                    SessionConfig.from_json(payload)
+                assert excinfo.value.code == "validation_error"
+                assert knob in excinfo.value.message
+            with pytest.raises(TypeError):
+                SessionConfig(**{knob: "batched"})
 
     def test_pipeline_config_carries_engine(self):
-        config = SessionConfig(engine="batched").pipeline_config("scalar")
-        assert config.annotator.engine == "scalar"
+        """The one pipeline config carries every session-level setting."""
+        config = SessionConfig(
+            executor="serial", workers=2, batch_size=4, compiled_cache_size=7
+        ).pipeline_config()
+        assert (config.executor, config.workers, config.batch_size) == (
+            "serial",
+            2,
+            4,
+        )
+        assert config.compiled_cache_size == 7
 
     def test_roundtrip_json_with_candidate_engine(self):
-        config = SessionConfig(candidate_engine="scalar")
+        config = SessionConfig(annotator=AnnotatorConfig(damping=0.25))
         assert SessionConfig.from_json(config.to_json()) == config
-        assert config.to_json()["candidate_engine"] == "scalar"
+        assert not set(REMOVED_KNOBS) & set(config.to_json())
+        assert not set(REMOVED_KNOBS) & set(config.to_json()["annotator"])
 
     def test_bad_candidate_engine_rejected_everywhere(self):
-        from repro.api.config import validate_candidate_engine
-
+        """Out-of-range values raise ``validation_error`` straight from the
+        validators, whichever way the config is built."""
         for build in (
-            lambda: SessionConfig(candidate_engine="quantum"),
-            lambda: validate_candidate_engine("quantum"),
-            lambda: SessionConfig().pipeline_config(candidate_engine="quantum"),
+            lambda: SessionConfig(batch_size=0),
+            lambda: SessionConfig.from_json({"workers": 0}),
+            lambda: SessionConfig.from_json({"serve": {"max_batch_size": 0}}),
+            lambda: SessionConfig.from_json({"search": {"max_middle": 0}}),
+            lambda: SessionConfig.from_json({"workers": "two"}),
         ):
             with pytest.raises(ApiError) as excinfo:
                 build()
-            assert excinfo.value.code == "unknown_engine"
-            assert "batched" in excinfo.value.message
-            assert "scalar" in excinfo.value.message
+            assert excinfo.value.code == "validation_error"
 
     def test_pipeline_config_carries_candidate_engine(self):
-        config = SessionConfig().pipeline_config(candidate_engine="scalar")
-        assert config.annotator.candidate_engine == "scalar"
-        assert config.annotator.engine == "batched"
+        annotator = AnnotatorConfig(top_k_entities=3, damping=0.5)
+        config = SessionConfig(annotator=annotator).pipeline_config()
+        assert config.annotator == annotator
 
 
 class TestCandidateEngines:
     def test_scalar_candidate_engine_session(self, tiny_world):
+        """The session's pipeline runs the array-backed candidate engine
+        over a scalar generator (behind the shared candidate cache)."""
         from repro.core.candidates import CandidateGenerator
+        from repro.core.candidates_batched import BatchedCandidateEngine
 
-        session = ReproSession.from_world(
-            tiny_world.annotator_view,
-            config=SessionConfig(candidate_engine="scalar"),
-        )
+        session = ReproSession.from_world(tiny_world.annotator_view)
         generator = session.pipeline().annotator.candidate_generator
-        unwrapped = getattr(generator, "_generator", generator)
-        assert type(unwrapped) is CandidateGenerator
+        engine = getattr(generator, "_generator", generator)
+        assert type(engine) is BatchedCandidateEngine
+        assert type(engine.scalar_generator) is CandidateGenerator
 
     def test_candidate_engines_share_generator_and_agree(
         self, tiny_world, api_corpus
     ):
+        """The scalar candidate oracle, sharing the session's lemma index,
+        agrees with the session byte for byte."""
         session = ReproSession.from_world(tiny_world.annotator_view)
-        batched = session.pipeline()
-        scalar = session.pipeline(candidate_engine="scalar")
-        assert batched is not scalar
-        # both candidate paths share one frozen lemma index
+        pipeline = session.pipeline()
+        assert session.pipeline() is pipeline
+        oracle = OracleAnnotator(
+            tiny_world.annotator_view,
+            candidates="scalar",
+            bp="batched",
+            candidate_generator=pipeline.annotator.candidate_generator,
+        )
         assert (
-            batched.annotator.candidate_generator.lemma_index
-            is scalar.annotator.candidate_generator.lemma_index
+            oracle.generator.lemma_index
+            is pipeline.annotator.candidate_generator.lemma_index
         )
-        table = api_corpus[0].table
-        assert annotation_to_dict(batched.annotate(table)) == annotation_to_dict(
-            scalar.annotate(table)
-        )
-        names = set(session.pipelines())
-        assert "batched" in names
-        assert "batched/scalar" in names
+        for labeled in api_corpus[:3]:
+            assert annotation_to_dict(
+                pipeline.annotate(labeled.table)
+            ) == annotation_to_dict(oracle.annotate(labeled.table))
 
     def test_batched_engine_built_once_under_race(
-        self, tiny_world, monkeypatch
+        self, tiny_world, api_corpus, monkeypatch
     ):
-        """Concurrent callers get one shared BatchedCandidateEngine.
-
-        Regression for the lazy-init race flagged by reprolint's
-        lock-unguarded-attr rule: ``train()`` reaches
-        ``_candidate_generator_for`` without ``_pipeline_lock``, so the
-        construction itself must serialize on ``_state_lock``.
-        """
+        """One candidate engine per session, built at open and shared by
+        the serving pipeline, concurrent callers and training."""
         import threading
-        import time
 
         import repro.api.session as session_module
-
-        session = ReproSession.from_world(
-            tiny_world.annotator_view,
-            config=SessionConfig(candidate_engine="scalar"),
-        )
-        assert session._batched_engine is None  # scalar warmup skips it
 
         real_engine = session_module.BatchedCandidateEngine
         built = []
@@ -136,21 +142,22 @@ class TestCandidateEngines:
         class CountingEngine(real_engine):
             def __init__(self, *args, **kwargs):
                 built.append(self)
-                time.sleep(0.05)  # widen the race window
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(
             session_module, "BatchedCandidateEngine", CountingEngine
         )
-
+        session = ReproSession.from_world(tiny_world.annotator_view)
         results = []
         barrier = threading.Barrier(8)
 
-        def build():
+        def use():
             barrier.wait()
-            results.append(session._candidate_generator_for("batched"))
+            pipeline = session.pipeline()
+            pipeline.annotate(api_corpus[0].table)
+            results.append(pipeline)
 
-        threads = [threading.Thread(target=build) for _ in range(8)]
+        threads = [threading.Thread(target=use) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -168,28 +175,33 @@ class TestAnnotate:
             expected = annotation_to_dict(reference.annotate(labeled.table))
             assert response.annotation == expected
             assert response.table_id == labeled.table_id
-            assert response.engine == "batched"
             assert response.timing_seconds["total"] > 0
 
     def test_engine_override_and_timing_opt_out(self, api_session, api_corpus):
+        """Timing is opt-out; the removed per-request engine override is
+        not a field of the wire request any more."""
         table = api_corpus[0].table
-        batched = api_session.annotate(
+        timed = api_session.annotate(AnnotateRequest(table=table))
+        untimed = api_session.annotate(
             AnnotateRequest(table=table, include_timing=False)
         )
-        scalar = api_session.annotate(
-            AnnotateRequest(table=table, engine="scalar", include_timing=False)
-        )
-        assert batched.timing_seconds is None
-        assert scalar.engine == "scalar"
-        assert scalar.annotation == batched.annotation
+        assert untimed.timing_seconds is None
+        assert timed.timing_seconds is not None
+        assert untimed.annotation == timed.annotation
+        assert "engine" not in untimed.to_json()
+        with pytest.raises(TypeError):
+            AnnotateRequest(table=table, engine="scalar")  # type: ignore[call-arg]
 
     def test_unknown_engine_code(self, api_session, api_corpus):
+        """A request still carrying ``engine`` is a 400 validation error
+        (unknown key), not a silently ignored field."""
+        payload = AnnotateRequest(table=api_corpus[0].table).to_json()
+        payload["engine"] = "scalar"
         with pytest.raises(ApiError) as excinfo:
-            api_session.annotate(
-                AnnotateRequest(table=api_corpus[0].table, engine="quantum")
-            )
-        assert excinfo.value.code == "unknown_engine"
+            AnnotateRequest.from_json(payload)
+        assert excinfo.value.code == "validation_error"
         assert excinfo.value.http_status == 400
+        assert "engine" in excinfo.value.message
 
 
 class TestSearch:
@@ -352,7 +364,6 @@ class TestTrainAndBundle:
 
     def test_describe_reports_identity(self, api_session):
         info = api_session.describe()
-        assert info["schema_version"] == 1
-        assert info["default_engine"] == "batched"
+        assert info["schema_version"] == 2
         assert info["tables"] == 6
-        assert "batched" in info["engines"]
+        assert not {"default_engine", "engines"} & set(info)

@@ -43,7 +43,6 @@ ids = st.text(min_size=1, max_size=12)
 scores = st.floats(allow_nan=False, allow_infinity=False)
 counts = st.integers(min_value=0, max_value=10**9)
 top_ks = st.one_of(st.none(), st.integers(min_value=1, max_value=100))
-engines = st.one_of(st.none(), st.sampled_from(["batched", "scalar"]))
 
 
 @st.composite
@@ -104,12 +103,11 @@ answers = st.builds(
 )
 
 annotate_requests = st.builds(
-    AnnotateRequest, table=tables(), engine=engines, include_timing=st.booleans()
+    AnnotateRequest, table=tables(), include_timing=st.booleans()
 )
 annotate_responses = st.builds(
     AnnotateResponse,
     table_id=ids,
-    engine=st.sampled_from(["batched", "scalar"]),
     annotation=annotations,
     diagnostics=diagnostics,
     timing_seconds=timings,
@@ -240,7 +238,7 @@ def test_error_envelope_roundtrip(value):
 EXAMPLES = {
     AnnotateRequest: AnnotateRequest(table=Table("t1", [["x"]])),
     AnnotateResponse: AnnotateResponse(
-        table_id="t1", engine="batched", annotation={"table_id": "t1"}
+        table_id="t1", annotation={"table_id": "t1"}
     ),
     SearchRequest: SearchRequest(relation="rel:r", entity="ent:e"),
     JoinSearchRequest: JoinSearchRequest(
@@ -328,7 +326,6 @@ def test_malformed_response_fields_map_to_validation_error():
         AnnotateResponse.from_json(
             {
                 "table_id": "t",
-                "engine": "batched",
                 "annotation": {},
                 "timing_seconds": 3.5,
             }
@@ -336,8 +333,7 @@ def test_malformed_response_fields_map_to_validation_error():
     assert excinfo.value.code == "validation_error"
     with pytest.raises(ApiError) as excinfo:
         AnnotateResponse.from_json(
-            {"table_id": "t", "engine": "batched", "annotation": {},
-             "diagnostics": "oops"}
+            {"table_id": "t", "annotation": {}, "diagnostics": "oops"}
         )
     assert excinfo.value.code == "validation_error"
     with pytest.raises(ApiError) as excinfo:

@@ -23,21 +23,21 @@ from repro.core.candidates_batched import (
 from repro.core.model import default_model
 from repro.pipeline.io import annotation_to_dict
 from repro.tables.model import Table
+from tests.oracles import OracleAnnotator
 
 TOP_K = 8
 
 
 @pytest.fixture(scope="module")
 def engines(world):
-    scalar = TableAnnotator(
+    """(scalar candidate oracle, production annotator) on the same BP."""
+    batched = TableAnnotator(world.annotator_view, model=default_model())
+    scalar = OracleAnnotator(
         world.annotator_view,
         model=default_model(),
-        config=AnnotatorConfig(candidate_engine="scalar"),
-    )
-    batched = TableAnnotator(
-        world.annotator_view,
-        model=default_model(),
-        config=AnnotatorConfig(candidate_engine="batched"),
+        candidates="scalar",
+        bp="batched",
+        candidate_generator=batched.candidate_generator,
     )
     return scalar, batched
 
@@ -237,12 +237,10 @@ class TestInternedTables:
 
 
 class TestEngineKnob:
-    def test_unknown_candidate_engine_rejected(self, world):
-        with pytest.raises(ValueError, match="candidate engine"):
-            TableAnnotator(
-                world.annotator_view,
-                config=AnnotatorConfig(candidate_engine="turbo"),
-            )
+    def test_unknown_candidate_engine_rejected(self):
+        """The removed ``candidate_engine`` knob is rejected, not ignored."""
+        with pytest.raises(ValueError, match="candidate_engine"):
+            AnnotatorConfig.from_dict({"candidate_engine": "scalar"})
 
     def test_batched_knob_wraps_prebuilt_scalar_generator(self, world):
         generator = CandidateGenerator(world.annotator_view)
@@ -253,14 +251,11 @@ class TestEngineKnob:
         assert annotator.candidate_generator.scalar_generator is generator
 
     def test_scalar_knob_unwraps_batched_generator(self, world):
+        """The scalar oracle unwraps a batched engine to its generator."""
         generator = CandidateGenerator(world.annotator_view)
         engine = BatchedCandidateEngine(generator)
-        annotator = TableAnnotator(
-            world.annotator_view,
-            config=AnnotatorConfig(candidate_engine="scalar"),
-            candidate_generator=engine,
-        )
-        assert annotator.candidate_generator is generator
+        oracle = OracleAnnotator(world.annotator_view, candidate_generator=engine)
+        assert oracle.generator is generator
 
     def test_prebuilt_batched_engine_reused(self, world):
         engine = BatchedCandidateEngine(CandidateGenerator(world.annotator_view))

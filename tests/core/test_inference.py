@@ -1,12 +1,14 @@
 """Tests for simple (Figure 2) and collective (Figure 11) inference."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.candidates import CandidateGenerator
-from repro.core.inference import InferenceConfig, annotate_collective, map_assignment_of
+from repro.core.fused import annotate_problem
+from repro.core.inference import InferenceConfig, map_assignment_of
 from repro.core.model import default_model
 from repro.core.problem import (
     FeatureComputer,
@@ -83,27 +85,27 @@ class TestCollectiveInference:
     def test_matches_brute_force_on_small_problem(self, book_problem):
         """Message passing finds the exact MAP on this (loopy) problem."""
         model = default_model()
-        annotation = annotate_collective(book_problem, model)
+        annotation = annotate_problem(book_problem, model, InferenceConfig())
         assignment = map_assignment_of(annotation)
         graph = build_factor_graph(book_problem, model)
         _best, best_score = brute_force_best(book_problem, model)
         assert graph.score(assignment) == pytest.approx(best_score, abs=1e-6)
 
     def test_relation_recovered(self, book_problem):
-        annotation = annotate_collective(book_problem, default_model())
+        annotation = annotate_problem(book_problem, default_model(), InferenceConfig())
         assert annotation.relation_of(0, 1) == "rel:wrote"
 
     def test_converges_within_few_iterations(self, book_problem):
-        annotation = annotate_collective(book_problem, default_model())
+        annotation = annotate_problem(book_problem, default_model(), InferenceConfig())
         assert annotation.diagnostics["converged"]
         # the paper: "convergence was achieved within three iterations"
         assert annotation.diagnostics["iterations"] <= 5
 
     def test_without_relations_equals_simple(self, book_problem):
-        """With bcc' variables disabled the schedule reduces to Figure 2."""
+        """With no bcc' variables the schedule reduces to Figure 2."""
         model = default_model()
-        config = InferenceConfig(with_relations=False)
-        collective = annotate_collective(book_problem, model, config)
+        no_relations = dataclasses.replace(book_problem, pairs={})
+        collective = annotate_problem(no_relations, model, InferenceConfig())
         simple = annotate_simple(book_problem, model)
         graph = build_factor_graph(book_problem, model, with_relations=False)
         assert graph.score(map_assignment_of(collective)) == pytest.approx(
@@ -113,14 +115,16 @@ class TestCollectiveInference:
     def test_unary_bonus_changes_decision(self, book_problem):
         """Loss augmentation must be able to flip labels."""
         model = default_model()
-        plain = annotate_collective(book_problem, model)
+        plain = annotate_problem(book_problem, model, InferenceConfig())
         space = book_problem.cells[(0, 0)]
         bonus = {
             space.variable_name: [
                 0.0 if label is None else -100.0 for label in space.labels
             ]
         }
-        augmented = annotate_collective(book_problem, model, unary_bonus=bonus)
+        augmented = annotate_problem(
+            book_problem, model, InferenceConfig(), unary_bonus=bonus
+        )
         assert plain.entity_of(0, 0) == "ent:relativity"
         assert augmented.entity_of(0, 0) is None
 

@@ -1,27 +1,29 @@
-"""Tests comparing the paper's Figure-11 schedule with generic flooding."""
+"""The paper's Figure-11 schedule against generic flooding and damping.
+
+Flooding is not a production schedule: it runs only in the scalar oracle
+(:mod:`tests.oracles`), where it stands in for the design ablation's
+alternative.
+"""
 
 import pytest
 
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
-from repro.core.inference import InferenceConfig, annotate_collective
-from repro.core.model import default_model
+from tests.oracles import OracleAnnotator
 
 
 class TestScheduleOptions:
-    def test_unknown_schedule_rejected(self, annotator, wiki_tables):
-        problem = annotator.build_problem(wiki_tables[0].table)
-        with pytest.raises(ValueError):
-            annotate_collective(
-                problem, default_model(), InferenceConfig(schedule="sideways")
-            )
+    def test_unknown_schedule_rejected(self, world):
+        with pytest.raises(ValueError, match="schedule"):
+            OracleAnnotator(world.annotator_view, schedule="sideways")
 
     def test_flooding_matches_paper_schedule_labels(self, world, wiki_tables):
-        paper = TableAnnotator(
-            world.annotator_view, config=AnnotatorConfig(schedule="paper")
-        )
-        flooding = TableAnnotator(
+        paper = TableAnnotator(world.annotator_view)
+        flooding = OracleAnnotator(
             world.annotator_view,
-            config=AnnotatorConfig(schedule="flooding", max_iterations=30),
+            config=AnnotatorConfig(max_iterations=30),
+            candidates="batched",
+            schedule="flooding",
+            candidate_generator=paper.candidate_generator,
         )
         agree = total = 0
         for labeled in wiki_tables[:4]:
@@ -34,9 +36,7 @@ class TestScheduleOptions:
         assert agree / total > 0.95
 
     def test_flooding_diagnostics(self, world, wiki_tables):
-        annotator = TableAnnotator(
-            world.annotator_view, config=AnnotatorConfig(schedule="flooding")
-        )
+        annotator = OracleAnnotator(world.annotator_view, schedule="flooding")
         annotation = annotator.annotate(wiki_tables[0].table)
         assert annotation.diagnostics["method"] == "collective"
         assert annotation.diagnostics["iterations"] >= 1

@@ -1,323 +1,212 @@
-"""Equivalence tests: the batched engine against the scalar reference.
+"""The fused engine against the scalar reference on single tables.
 
-The batched engine must be a drop-in replacement for the scalar one: exact
-on trees, identical message trajectories on loopy graphs (up to float
-summation order, hence the 1e-9 tolerances), identical MAP assignments
-wherever beliefs are not float-level ties, and the same damping/delta
-semantics.
+A lone table runs as a fused bucket of one.  Its compiled blocks must stack
+exactly the factor graph's potentials (same-shaped factors merged, ragged
+tails padded with ``-inf``), its beliefs must follow the scalar engine's
+Figure-11 trajectory (up to float summation order, hence the 1e-9
+tolerances), and its annotations must match the scalar oracle's.  The
+scalar flooding schedule and sum-product are tested in ``test_bp.py`` and
+``test_sum_product.py``.
 """
-
-import itertools
-import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.graph.bp import MaxProductBP, SumProductBP
-from repro.graph.compiled import (
-    BatchedMaxProductBP,
-    BatchedSumProductBP,
-    CompiledFactorGraph,
+from repro.core.fused import (
+    annotate_fused_chunk,
+    build_fused_bundle,
+    fused_cache_key,
 )
-from repro.graph.factor_graph import FactorGraph
+from repro.core.model import default_model
+from repro.core.problem import (
+    AnnotationProblem,
+    CellSpace,
+    ColumnSpace,
+    build_factor_graph,
+)
+from repro.graph.bp import MaxProductBP
+from repro.graph.fused import FusedMaxProductBP
+from repro.pipeline.cache import LRUCache
+from repro.pipeline.io import annotation_to_dict
+from repro.tables.model import Table
+from tests.oracles import OracleAnnotator, run_scalar_paper_schedule
 
-#: belief gaps below this are float-level ties: argmax may legitimately
-#: differ between engines whose summation orders differ
-TIE_MARGIN = 1e-6
 
-
-def brute_force_score(graph: FactorGraph) -> float:
-    names = list(graph.variables)
-    domains = [graph.variables[name].domain for name in names]
-    return max(
-        graph.score(dict(zip(names, combo)))
-        for combo in itertools.product(*domains)
+def variable_ids(bundle) -> dict[str, int]:
+    """Factor-graph variable name -> fused variable id, for table 0."""
+    spec = bundle.specs[0]
+    ids = {f"e:{row},{column}": var_id for row, column, var_id, _ in spec.cells}
+    ids.update({f"t:{column}": var_id for column, var_id, _ in spec.columns})
+    ids.update(
+        {f"b:{left},{right}": var_id for left, right, var_id, _ in spec.pairs}
     )
+    return ids
 
 
-def random_tree_graph(rng: random.Random, n_variables: int) -> FactorGraph:
-    graph = FactorGraph()
-    sizes = [rng.randint(2, 5) for _ in range(n_variables)]
-    for index, size in enumerate(sizes):
-        unary = np.array([rng.uniform(-2, 2) for _ in range(size)])
-        graph.add_variable(f"v{index}", tuple(range(size)), unary)
-    for index in range(1, n_variables):
-        parent = rng.randrange(index)
-        table = np.array(
-            [
-                [rng.uniform(-2, 2) for _ in range(sizes[index])]
-                for _ in range(sizes[parent])
-            ]
-        )
-        graph.add_factor(f"f{index}", (f"v{parent}", f"v{index}"), table)
-    return graph
-
-
-def random_loopy_graph(rng: random.Random) -> FactorGraph:
-    """A ragged-domain tree plus extra pairwise loops and a triple factor."""
-    n_variables = rng.randint(4, 8)
-    graph = random_tree_graph(rng, n_variables)
-    sizes = [graph.variables[f"v{i}"].size for i in range(n_variables)]
-    for loop in range(rng.randint(1, 3)):
-        a, b = rng.sample(range(n_variables), 2)
-        table = np.array(
-            [
-                [rng.uniform(-2, 2) for _ in range(sizes[b])]
-                for _ in range(sizes[a])
-            ]
-        )
-        graph.add_factor(f"loop{loop}", (f"v{a}", f"v{b}"), table)
-    a, b, c = rng.sample(range(n_variables), 3)
-    table = np.array(
-        [
-            [
-                [rng.uniform(-1, 1) for _ in range(sizes[c])]
-                for _ in range(sizes[b])
-            ]
-            for _ in range(sizes[a])
-        ]
-    )
-    graph.add_factor("triple", (f"v{a}", f"v{b}", f"v{c}"), table)
-    return graph
-
-
-def assert_messages_match(scalar: MaxProductBP, batched: BatchedMaxProductBP):
-    for factor in scalar.graph.factors.values():
-        for variable_name in factor.variables:
-            np.testing.assert_allclose(
-                scalar._var_to_factor[(variable_name, factor.name)],
-                batched.message_var_to_factor(variable_name, factor.name),
-                atol=1e-9,
-                err_msg=f"v2f {variable_name} -> {factor.name}",
-            )
-            np.testing.assert_allclose(
-                scalar._factor_to_var[(factor.name, variable_name)],
-                batched.message_factor_to_var(factor.name, variable_name),
-                atol=1e-9,
-                err_msg=f"f2v {factor.name} -> {variable_name}",
-            )
-
-
-def assert_decodings_match(scalar: MaxProductBP, batched: BatchedMaxProductBP):
-    """Beliefs within 1e-9; identical argmax outside float-level ties."""
-    scalar_map = scalar.map_assignment()
-    batched_map = batched.map_assignment()
-    for name in scalar.graph.variables:
-        belief_a = scalar.belief(name)
-        belief_b = batched.belief(name)
-        np.testing.assert_allclose(belief_a, belief_b, atol=1e-9)
-        if belief_a.shape[0] < 2:
-            continue
-        top_two = np.sort(belief_a)[-2:]
-        if top_two[1] - top_two[0] > TIE_MARGIN:
-            assert scalar_map[name] == batched_map[name], name
+@pytest.fixture(scope="module")
+def problems(annotator, wiki_tables):
+    return [annotator.build_problem(labeled.table) for labeled in wiki_tables[:4]]
 
 
 class TestCompilation:
-    def test_buckets_merge_same_shaped_factors(self):
-        graph = FactorGraph()
-        # one "column": head variable + 5 rows of ragged entity domains
-        graph.add_variable("t", tuple(range(4)), np.zeros(4))
-        for row, size in enumerate((2, 3, 2, 4, 3)):
-            graph.add_variable(f"e{row}", tuple(range(size)), np.zeros(size))
-            graph.add_factor(
-                f"phi3:{row}",
-                ("t", f"e{row}"),
-                np.arange(4 * size, dtype=float).reshape(4, size),
-                kind="phi3",
-            )
-        compiled = CompiledFactorGraph(graph)
-        # all 5 factors share (kind, arity, head size): one padded block
-        assert len(compiled.blocks) == 1
-        block = compiled.blocks[0]
-        assert block.shape == (4, 4)  # tails padded to the widest row
-        assert block.n_factors == 5
-        # padded slots hold -inf, real slots the original tables
-        table0 = block.tables[0]
-        np.testing.assert_array_equal(
-            table0[:, :2], np.arange(8, dtype=float).reshape(4, 2)
+    def test_buckets_merge_same_shaped_factors(self, problems, annotator):
+        """Per kind, factors sharing (arity, head size) stack into one
+        block in graph order, tails padded to the widest with -inf."""
+        for problem in problems:
+            graph = build_factor_graph(problem, annotator.model)
+            bundle = build_fused_bundle([problem], annotator.model)
+            ids = variable_ids(bundle)
+            groups: dict[str, dict[tuple[int, int], list]] = {}
+            for factor in graph.factors.values():
+                key = (factor.table.ndim, factor.table.shape[0])
+                groups.setdefault(factor.kind, {}).setdefault(key, []).append(
+                    factor
+                )
+            for kind, by_shape in groups.items():
+                blocks = [
+                    bundle.graph.blocks[block_id]
+                    for block_id in bundle.graph.kind_blocks[kind]
+                ]
+                assert len(blocks) == len(by_shape)
+                for block, factors in zip(blocks, by_shape.values()):
+                    assert block.n_factors == len(factors)
+                    for slot, factor in enumerate(factors):
+                        real = (slot,) + tuple(
+                            slice(0, n) for n in factor.table.shape
+                        )
+                        assert np.array_equal(block.tables[real], factor.table)
+                        padded = block.tables[slot].copy()
+                        padded[tuple(slice(0, n) for n in factor.table.shape)] = 0
+                        assert np.all((padded == 0) | np.isneginf(padded))
+                        assert [
+                            int(block.var_ids[position, slot])
+                            for position in range(block.n_positions)
+                        ] == [ids[name] for name in factor.variables]
+
+    def test_head_axis_separates_buckets(self, problems, annotator):
+        """Within one table, factors with different head sizes never share
+        a block; across tables, the same rank does."""
+        split = [
+            problem
+            for problem in problems
+            if len({len(space.labels) for space in problem.columns.values()}) > 1
+        ]
+        assert split, "fixture tables should mix type-domain sizes"
+        bundle = build_fused_bundle(split[:1], annotator.model)
+        phi3 = bundle.graph.kind_blocks["phi3"]
+        assert len(phi3) > 1
+        for block_id in phi3:
+            heads = bundle.graph.blocks[block_id].valid[0].sum(axis=1)
+            assert len(set(heads.tolist())) == 1
+        pair = build_fused_bundle(problems[:2], annotator.model)
+        assert any(
+            set(block.table_ids.tolist()) == {0, 1} for block in pair.graph.blocks
         )
-        assert np.all(np.isneginf(table0[:, 2:]))
-        # the edge index recovers every original edge
-        for row in range(5):
-            block_id, position, slot = compiled.edge_slot(f"e{row}", f"phi3:{row}")
-            assert (block_id, position) == (0, 1)
-            assert block.names[slot] == f"phi3:{row}"
-
-    def test_head_axis_separates_buckets(self):
-        graph = FactorGraph()
-        graph.add_variable("a", (0, 1), np.zeros(2))
-        graph.add_variable("b", (0, 1, 2), np.zeros(3))
-        graph.add_variable("c", (0, 1), np.zeros(2))
-        graph.add_factor("f1", ("a", "c"), np.zeros((2, 2)))
-        graph.add_factor("f2", ("b", "c"), np.zeros((3, 2)))
-        compiled = CompiledFactorGraph(graph)
-        assert len(compiled.blocks) == 2
-
-
-class TestTreeExactness:
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_brute_force_on_random_trees(self, seed):
-        rng = random.Random(seed)
-        graph = random_tree_graph(rng, n_variables=rng.randint(2, 5))
-        engine = BatchedMaxProductBP(CompiledFactorGraph(graph))
-        result = engine.run_flooding(max_iterations=30)
-        assert result.log_score == pytest.approx(
-            brute_force_score(graph), abs=1e-9
-        )
-
-
-class TestFloodingEquivalence:
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_loopy_trajectories_match(self, seed):
-        """Same messages after every flooding iteration count, loops included."""
-        graph = random_loopy_graph(random.Random(seed))
-        for iterations in (1, 2, 5, 12):
-            scalar = MaxProductBP(graph)
-            scalar.run_flooding(max_iterations=iterations, tolerance=0.0)
-            batched = BatchedMaxProductBP(CompiledFactorGraph(graph))
-            batched.run_flooding(max_iterations=iterations, tolerance=0.0)
-            assert_messages_match(scalar, batched)
-        assert_decodings_match(scalar, batched)
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=15, deadline=None)
-    def test_damped_runs_match(self, seed):
-        graph = random_loopy_graph(random.Random(seed))
-        scalar = MaxProductBP(graph, damping=0.4)
-        result_a = scalar.run_flooding(max_iterations=25)
-        batched = BatchedMaxProductBP(CompiledFactorGraph(graph), damping=0.4)
-        result_b = batched.run_flooding(max_iterations=25)
-        assert (result_a.iterations, result_a.converged) == (
-            result_b.iterations,
-            result_b.converged,
-        )
-        assert_messages_match(scalar, batched)
-        assert_decodings_match(scalar, batched)
-
-    def test_convergence_iterations_agree(self):
-        graph = random_loopy_graph(random.Random(99))
-        result_a = MaxProductBP(graph).run_flooding(max_iterations=40)
-        result_b = BatchedMaxProductBP(CompiledFactorGraph(graph)).run_flooding(
-            max_iterations=40
-        )
-        assert result_a.converged == result_b.converged
-        assert result_a.iterations == result_b.iterations
 
 
 class TestPaperScheduleEquivalence:
-    """Scalar and batched Figure-11 schedules on real annotation graphs."""
-
-    @pytest.fixture(scope="class")
-    def problems(self, annotator, wiki_tables):
-        return [
-            annotator.build_problem(labeled.table) for labeled in wiki_tables[:4]
-        ]
+    """Scalar and fused Figure-11 schedules on real annotation graphs."""
 
     def test_message_trajectories_match(self, problems, annotator):
-        from repro.core.inference import run_scalar_paper_schedule
-        from repro.core.problem import build_factor_graph
-
         for problem in problems:
             graph = build_factor_graph(problem, annotator.model)
+            bundle = build_fused_bundle([problem], annotator.model)
+            ids = variable_ids(bundle)
             for iterations in (1, 2, 4):
                 scalar = MaxProductBP(graph)
                 run_scalar_paper_schedule(
                     scalar, max_iterations=iterations, tolerance=0.0
                 )
-                batched = BatchedMaxProductBP(CompiledFactorGraph(graph))
-                batched.run_paper_schedule(
-                    max_iterations=iterations, tolerance=0.0
-                )
-                assert_messages_match(scalar, batched)
-                assert_decodings_match(scalar, batched)
+                fused = FusedMaxProductBP(bundle.graph)
+                fused.run_paper_schedule(max_iterations=iterations, tolerance=0.0)
+                for name in graph.variables:
+                    np.testing.assert_allclose(
+                        scalar.belief(name), fused.belief(ids[name]), atol=1e-9
+                    )
 
-    def test_annotations_identical(self, problems, annotator):
-        from repro.core.inference import InferenceConfig, annotate_collective
-
+    def test_annotations_identical(self, problems, annotator, world):
+        oracle = OracleAnnotator(
+            world.annotator_view,
+            model=annotator.model,
+            candidates="batched",
+            candidate_generator=annotator.candidate_generator,
+        )
         for problem in problems:
-            scalar = annotate_collective(
-                problem, annotator.model, InferenceConfig(engine="scalar")
-            )
-            batched = annotate_collective(
-                problem, annotator.model, InferenceConfig(engine="batched")
-            )
-            assert scalar.diagnostics["engine"] == "scalar"
-            assert batched.diagnostics["engine"] == "batched"
-            assert (
-                scalar.diagnostics["iterations"] == batched.diagnostics["iterations"]
-            )
-            assert set(scalar.cells) == set(batched.cells)
+            scalar = oracle.annotate_problem(problem)
+            fused = annotator.annotate_problem(problem)
+            assert annotation_to_dict(fused) == annotation_to_dict(scalar)
+            for key in ("iterations", "converged", "n_variables", "n_factors"):
+                assert fused.diagnostics[key] == scalar.diagnostics[key]
             for key, cell in scalar.cells.items():
-                assert batched.cells[key].entity_id == cell.entity_id
-                assert batched.cells[key].score == pytest.approx(
-                    cell.score, abs=1e-9
-                )
-            for key, column in scalar.columns.items():
-                assert batched.columns[key].type_id == column.type_id
-            for key, relation in scalar.relations.items():
-                assert batched.relations[key].label == relation.label
+                assert fused.cells[key].score == pytest.approx(cell.score, abs=1e-9)
             assert scalar.diagnostics["log_score"] == pytest.approx(
-                batched.diagnostics["log_score"], abs=1e-9
+                fused.diagnostics["log_score"], abs=1e-9
             )
 
 
 class TestDampingSemantics:
     def test_delta_is_undamped(self):
-        """Mirror of the scalar test: damping shrinks the stored step, not
-        the reported convergence delta."""
-        graph = FactorGraph()
-        graph.add_variable("a", (0, 1), [3.0, 0.0])
-        graph.add_variable("b", (0, 1), [0.0, 0.0])
-        graph.add_factor("f", ("a", "b"), np.zeros((2, 2)))
-        engine = BatchedMaxProductBP(CompiledFactorGraph(graph), damping=0.9)
-        block_id, position, _slot = engine.compiled.edge_slot("a", "f")
-        delta = engine.update_block_vars_to_factor(block_id, (position,))
-        assert delta == pytest.approx(3.0)
-        assert engine.message_var_to_factor("a", "f") == pytest.approx([0.0, -0.3])
-
-
-class TestSumProduct:
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_marginals_match_scalar(self, seed):
-        graph = random_loopy_graph(random.Random(seed))
-        scalar = SumProductBP(graph)
-        scalar.run_flooding(max_iterations=10, tolerance=0.0)
-        batched = BatchedSumProductBP(CompiledFactorGraph(graph))
-        batched.run_flooding(max_iterations=10, tolerance=0.0)
-        for name in graph.variables:
-            np.testing.assert_allclose(
-                scalar.marginals(name), batched.marginals(name), atol=1e-9
-            )
+        """Damping shrinks the stored step, not the reported convergence
+        delta (mirror of the scalar test)."""
+        model = default_model()
+        table = Table("t", [["x"]])
+        problem = AnnotationProblem(
+            table=table,
+            cells={
+                (0, 0): CellSpace(
+                    row=0,
+                    column=0,
+                    text="x",
+                    candidates=[],
+                    labels=(None, "ent:x"),
+                    f1=np.zeros((1, len(model.w1))),
+                )
+            },
+            columns={
+                0: ColumnSpace(
+                    column=0,
+                    header=None,
+                    labels=(None, "type:x"),
+                    f2=np.zeros((1, len(model.w2))),
+                    f3={0: np.zeros((1, 1, len(model.w3)))},
+                )
+            },
+            pairs={},
+        )
+        bundle = build_fused_bundle(
+            [problem], model, [{"e:0,0": np.array([3.0, 0.0])}]
+        )
+        engine = FusedMaxProductBP(bundle.graph, damping=0.9)
+        engine.update_block_vars_to_factor(0, (1,))  # entity -> phi3
+        assert engine._deltas[0] == pytest.approx(3.0)
+        assert engine._var_to_factor[0][1][0] == pytest.approx([0.0, -0.3])
 
 
 class TestCompiledGraphCache:
-    def test_reuse_returns_same_object(self, annotator, wiki_tables):
-        from repro.core.problem import build_compiled_graph
-        from repro.pipeline.cache import LRUCache
+    def test_reuse_returns_same_object(self, world, wiki_tables):
+        from repro.core.annotator import TableAnnotator
 
-        problem = annotator.build_problem(wiki_tables[0].table)
-        cache = LRUCache(max_entries=8)
-        first = build_compiled_graph(problem, annotator.model, cache=cache)
-        second = build_compiled_graph(problem, annotator.model, cache=cache)
-        assert second is first
-        assert cache.stats().hits == 1
+        annotator = TableAnnotator(world.annotator_view)
+        annotator.compiled_cache = cache = LRUCache(max_entries=8)
+        table = wiki_tables[0].table
+        first = annotate_fused_chunk(annotator, [table])[0]
+        key = fused_cache_key([table], annotator.model, annotator.config)
+        bundle = cache.get(key)
+        second = annotate_fused_chunk(annotator, [table])[0]
+        assert cache.get(key) is bundle
+        assert cache.stats().hits >= 2
+        assert annotation_to_dict(second) == annotation_to_dict(first)
 
     def test_model_change_invalidates(self, annotator, wiki_tables):
-        from repro.core.model import default_model
-        from repro.core.problem import build_compiled_graph
-        from repro.pipeline.cache import LRUCache
-
-        problem = annotator.build_problem(wiki_tables[0].table)
-        cache = LRUCache(max_entries=8)
-        first = build_compiled_graph(problem, annotator.model, cache=cache)
+        table = wiki_tables[0].table
+        first = fused_cache_key([table], annotator.model, annotator.config)
         other_model = default_model()
         other_model.w1 = other_model.w1 + 0.5
-        second = build_compiled_graph(problem, other_model, cache=cache)
-        assert second is not first
-        assert cache.stats().hits == 0
+        assert fused_cache_key([table], other_model, annotator.config) != first
+        assert fused_cache_key([table], default_model(), annotator.config) == (
+            fused_cache_key([table], default_model(), annotator.config)
+        )
+        renamed = Table("other-id", table.cells, table.headers)
+        assert fused_cache_key([renamed], annotator.model, annotator.config) == (
+            first
+        )

@@ -1,28 +1,25 @@
 """Fused corpus execution must be invisible in the output.
 
-``fusion="bucket"`` reorders work (shape buckets, cross-table BP, optional
-pools) but the annotation stream must be byte-identical to the per-table
-path for every engine combination and executor — these tests compare the
-full ``annotation_to_dict`` payloads, the same serialisation the JSONL
-corpus path writes.
+The pipeline plans every batch into shape buckets and runs each bucket as
+one cross-table BP graph (optionally on pools), but every table's
+annotation must be byte-identical to the one it gets alone — and to the
+scalar oracle's, one layer swapped at a time.  These tests compare the full
+``annotation_to_dict`` payloads, the same serialisation the JSONL corpus
+path writes.
 """
 
 import pytest
 
-from repro.core.annotator import AnnotatorConfig
+from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.pipeline.io import annotation_to_dict
 from repro.pipeline.pipeline import AnnotationPipeline, PipelineConfig
+from tests.oracles import OracleAnnotator
 
 
-def annotate_corpus(world, tables, **kwargs):
+def annotate_corpus(world, tables, with_relations=True, **kwargs):
     """All annotations for ``tables`` under one pipeline configuration."""
-    annotator_fields = {
-        key: kwargs.pop(key)
-        for key in ("engine", "candidate_engine", "fusion", "with_relations")
-        if key in kwargs
-    }
     config = PipelineConfig(
-        annotator=AnnotatorConfig(**annotator_fields), **kwargs
+        annotator=AnnotatorConfig(with_relations=with_relations), **kwargs
     )
     with AnnotationPipeline(world.annotator_view, config=config) as pipeline:
         payloads = [
@@ -40,8 +37,9 @@ def corpus(wiki_tables):
 
 @pytest.fixture(scope="module")
 def serial_payloads(world, corpus):
-    payloads, _report = annotate_corpus(world, corpus)
-    return payloads
+    """Every table annotated alone (a fused bucket of one each)."""
+    annotator = TableAnnotator(world.annotator_view)
+    return [annotation_to_dict(annotator.annotate(table)) for table in corpus]
 
 
 class TestFusedEquality:
@@ -50,52 +48,46 @@ class TestFusedEquality:
     def test_identical_for_every_engine_combination(
         self, world, corpus, engine, candidate_engine
     ):
-        expected, _ = annotate_corpus(
-            world, corpus, engine=engine, candidate_engine=candidate_engine
+        """Fused buckets against the oracle with each layer either the
+        production one ("batched") or the scalar reference."""
+        oracle = OracleAnnotator(
+            world.annotator_view, candidates=candidate_engine, bp=engine
         )
-        fused, report = annotate_corpus(
-            world,
-            corpus,
-            engine=engine,
-            candidate_engine=candidate_engine,
-            fusion="bucket",
-        )
+        expected = [annotation_to_dict(oracle.annotate(table)) for table in corpus]
+        fused, report = annotate_corpus(world, corpus)
         assert fused == expected
-        assert report.fusion == "bucket"
         assert report.fused_batches == len(report.bucket_sizes) > 0
         assert sum(report.bucket_sizes) == len(corpus)
+        assert max(report.bucket_sizes) > 1
 
     def test_identical_without_relations(self, world, corpus):
-        expected, _ = annotate_corpus(world, corpus, with_relations=False)
-        fused, _ = annotate_corpus(
-            world, corpus, with_relations=False, fusion="bucket"
+        oracle = OracleAnnotator(
+            world.annotator_view, config=AnnotatorConfig(with_relations=False)
         )
+        expected = [annotation_to_dict(oracle.annotate(table)) for table in corpus]
+        fused, _ = annotate_corpus(world, corpus, with_relations=False)
         assert fused == expected
 
     def test_identical_on_thread_executor(self, world, corpus, serial_payloads):
-        fused, _ = annotate_corpus(
-            world, corpus, fusion="bucket", executor="thread", workers=2
-        )
+        fused, _ = annotate_corpus(world, corpus, executor="thread", workers=2)
         assert fused == serial_payloads
 
     def test_identical_on_process_executor(self, world, corpus, serial_payloads):
         fused, report = annotate_corpus(
-            world, corpus, fusion="bucket", executor="process", workers=2
+            world, corpus, executor="process", workers=2, batch_size=4
         )
         assert fused == serial_payloads
         assert report.finished
 
-    def test_duplicate_tables_share_buckets(self, world, corpus):
+    def test_duplicate_tables_share_buckets(self, world, corpus, serial_payloads):
         doubled = list(corpus) + list(corpus)
-        expected, _ = annotate_corpus(world, doubled)
-        fused, report = annotate_corpus(world, doubled, fusion="bucket")
-        assert fused == expected
+        fused, report = annotate_corpus(world, doubled, batch_size=len(doubled))
+        assert fused == serial_payloads + serial_payloads
         assert max(report.bucket_size_histogram) >= 2
 
     def test_output_order_is_corpus_order(self, world, corpus):
         reversed_corpus = list(reversed(corpus))
-        config = PipelineConfig(annotator=AnnotatorConfig(fusion="bucket"))
-        with AnnotationPipeline(world.annotator_view, config=config) as pipeline:
+        with AnnotationPipeline(world.annotator_view) as pipeline:
             pairs = list(pipeline.annotate_with_tables(reversed_corpus))
         assert [table.table_id for table, _ in pairs] == [
             table.table_id for table in reversed_corpus
@@ -113,14 +105,10 @@ class TestPipelineLifecycle:
         pipeline.close()
         pipeline.close()
 
-    def test_fusion_knob_validated(self, world):
+    def test_fusion_knob_validated(self):
+        """The removed ``fusion`` knob is rejected, not silently ignored."""
         with pytest.raises(ValueError, match="fusion"):
-            AnnotationPipeline(
-                world.annotator_view,
-                config=PipelineConfig(
-                    annotator=AnnotatorConfig(fusion="bogus")
-                ),
-            )
+            AnnotatorConfig.from_dict({"fusion": "bucket"})
 
     def test_executor_knob_validated(self):
         with pytest.raises(ValueError, match="executor"):

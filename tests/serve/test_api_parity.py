@@ -77,7 +77,7 @@ class TestAnnotateParity:
         host, port = running_server
         for labeled, cli_line in zip(serve_corpus, cli_lines):
             request = AnnotateRequest(
-                table=labeled.table, engine="batched", include_timing=False
+                table=labeled.table, include_timing=False
             )
             status, http_body = raw_post(
                 host, port, "/annotate", encode_json(request.to_json())

@@ -10,13 +10,14 @@ references.
 
 Also covered here: per-request deadline enforcement (``request_timeout``
 is per request, not per batch), the fused→per-table fallback when a fused
-chunk dies, solo bypass for off-default engine overrides, FIFO admission
-ordering (:class:`FifoSlots`), and the whole ``batch`` pipe message end to
-end on a real pre-fork dispatcher.
+chunk dies (and its ``fallbacks`` counter), solo bypass for non-annotate
+endpoints, FIFO admission ordering (:class:`FifoSlots`), and the whole
+``batch`` pipe message end to end on a real pre-fork dispatcher.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 
@@ -29,12 +30,15 @@ from repro.api.errors import ApiError
 from repro.api.types import encode_json
 from repro.serve.dispatcher import BatchingBackend, Dispatcher, FifoSlots
 from repro.serve.server import InlineBackend
+from repro.pipeline.planner import table_signature
 from repro.serve.state import ServeState
 from repro.tables.generator import (
     NoiseProfile,
     TableGeneratorConfig,
     WebTableGenerator,
 )
+from repro.tables.model import Table
+from tests.serve.conftest import find_productive_query
 
 #: a payload the wire layer rejects deterministically (missing table_id)
 POISON_PAYLOAD = {"table": {"cells": "not-a-grid"}, "include_timing": False}
@@ -255,19 +259,22 @@ def test_batching_property_byte_identity_with_poison(
 
 
 def test_engine_override_bypasses_batching(
-    loaded_bundle, table_payloads, solo_state
+    loaded_bundle, tiny_world, solo_state
 ):
-    """An off-default engine override runs solo — and still matches the
-    unbatched backend byte for byte."""
+    """Non-annotate requests run solo — and still match the unbatched
+    backend byte for byte."""
     backend = BatchingBackend(
         InlineBackend(ServeState(loaded_bundle)),
         config=_batching_config(),
     )
     try:
-        payload = {**table_payloads[0], "engine": "scalar"}
-        result = backend.call("annotate", payload)
+        relation_id, entity_id = find_productive_query(
+            tiny_world, loaded_bundle.table_index
+        )
+        payload = {"relation": relation_id, "entity": entity_id}
+        result = backend.call("search", payload)
         assert encode_json(result) == encode_json(
-            solo_state.handle("annotate", payload)
+            solo_state.handle("search", payload)
         )
         snapshot = backend.batch_metrics.snapshot()
         assert snapshot["solo_requests"] == 1
@@ -341,3 +348,41 @@ def test_batching_over_dispatcher_pool(
         assert snapshot["batching"]["batched_requests"] == len(payloads)
     finally:
         backend.shutdown(drain_timeout=10.0)
+
+
+#: a cell text the poisoned candidate generator below refuses to resolve
+POISON_CELL = "poison cell"
+
+
+def test_poisoned_batchmate_counts_one_fallback(
+    loaded_bundle, table_payloads, solo_responses, monkeypatch
+):
+    """A table that fails inside annotation takes its fused bucket down;
+    the bucket reruns table by table, the rerun is counted exactly once in
+    the pipeline's ``fusion`` counters, and every batchmate's response stays
+    byte-identical to a solo ``annotate``."""
+    state = ServeState(loaded_bundle)
+    generator = state.pipeline().annotator.candidate_generator
+    resolve = generator.cell_candidates_batch
+
+    def poisoned(texts):
+        if POISON_CELL in texts:
+            raise RuntimeError("candidate index corrupted")
+        return resolve(texts)
+
+    monkeypatch.setattr(generator, "cell_candidates_batch", poisoned)
+    twin = copy.deepcopy(table_payloads[0])
+    twin["table"]["table_id"] = "poisoned"
+    twin["table"]["cells"][0][0] = POISON_CELL
+    # the poisoned table shares a shape bucket with its twin
+    assert table_signature(Table.from_dict(twin["table"])) == table_signature(
+        Table.from_dict(table_payloads[0]["table"])
+    )
+
+    before = state.cache_stats()["fusion"]["fallbacks"]
+    results = state.handle_batch("annotate", table_payloads + [twin])["results"]
+    assert state.cache_stats()["fusion"]["fallbacks"] == before + 1
+    assert [encode_json(outcome["ok"]) for outcome in results[:-1]] == (
+        solo_responses
+    )
+    assert results[-1]["error"]["error"]["code"] == "internal_error"

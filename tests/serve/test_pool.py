@@ -308,7 +308,8 @@ class TestDispatcherOverHttp:
         assert metrics["endpoints"]["annotate"]["requests"] >= 1
         assert len(metrics["workers"]) == 2
         assert metrics["dispatcher"]["generation"] >= 1
-        assert "batched" in metrics["caches"]
+        assert "candidate_cache" in metrics["caches"]
+        assert metrics["caches"]["fusion"]["fallbacks"] == 0
 
     def test_admin_reload_over_http(self, pool_server, bundle_dir, serve_corpus):
         host, port = pool_server

@@ -35,22 +35,26 @@ class TestHealthAndMetrics:
         status, payload = request(*running_server, "GET", "/healthz")
         assert status == 200
         assert payload["status"] == "ok"
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["tables"] == len(serve_corpus)
-        assert payload["default_engine"] == "batched"
+        assert "default_engine" not in payload
 
     def test_metrics_shape(self, running_server):
         host, port = running_server
         request(host, port, "GET", "/healthz")
         status, payload = request(host, port, "GET", "/metrics")
         assert status == 200
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["uptime_seconds"] >= 0
         healthz = payload["endpoints"]["healthz"]
         assert healthz["requests"] >= 1
         assert set(healthz["latency_seconds"]) == {"p50", "p90", "p99", "max", "window"}
-        assert "batched" in payload["caches"]
-        assert "candidate_cache" in payload["caches"]["batched"]
+        assert "candidate_cache" in payload["caches"]
+        assert set(payload["caches"]["fusion"]) == {
+            "fused_batches",
+            "bucket_size_histogram",
+            "fallbacks",
+        }
         assert payload["bundle"]["identity"]["model_sha256"]
 
     def test_metrics_count_errors(self, running_server):
@@ -78,30 +82,35 @@ class TestAnnotateEndpoint:
             )
             assert status == 200
             assert payload["annotation"] == expected
-            assert payload["engine"] == "batched"
+            assert "engine" not in payload
             assert payload["timing_seconds"]["total"] > 0
 
     def test_engine_selectable_per_request(self, running_server, serve_corpus):
+        """Engines are no longer selectable per request: schema 1 bodies
+        (which could carry an override) are refused with a stable code."""
         table = serve_corpus[0].table.to_dict()
-        batched = request(
-            *running_server, "POST", "/annotate", {"table": table}
-        )[1]
-        scalar = request(
+        status, payload = request(
             *running_server,
             "POST",
             "/annotate",
-            {"table": table, "engine": "scalar"},
-        )[1]
-        assert scalar["engine"] == "scalar"
-        # interchangeable engines: identical labels either way
-        assert scalar["annotation"] == batched["annotation"]
+            {"schema_version": 1, "table": table},
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "schema_version_unsupported"
+        status, _payload = request(
+            *running_server,
+            "POST",
+            "/annotate",
+            {"schema_version": 2, "table": table},
+        )
+        assert status == 200
 
     def test_invalid_table_payload(self, running_server):
         status, payload = request(
             *running_server, "POST", "/annotate", {"table": {"cells": [["x"]]}}
         )
         assert status == 400
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["error"]["code"] == "invalid_table"
         assert "invalid table payload" in payload["error"]["message"]
 
@@ -113,8 +122,8 @@ class TestAnnotateEndpoint:
             {"table": serve_corpus[0].table.to_dict(), "engine": "quantum"},
         )
         assert status == 400
-        assert payload["error"]["code"] == "unknown_engine"
-        assert "unknown engine" in payload["error"]["message"]
+        assert payload["error"]["code"] == "validation_error"
+        assert "engine" in payload["error"]["message"]
 
 
 class TestSearchEndpoints:
@@ -284,40 +293,36 @@ class TestRouting:
 
 class TestServeStateConfig:
     def test_session_config_engine_respected(self, loaded_bundle):
-        """An explicit SessionConfig engine stands when default_engine is
-        unset; an explicit default_engine wins when both are given."""
+        """An explicit SessionConfig reaches the serving pipeline."""
         from repro.api import SessionConfig
-        from repro.serve.state import ServeState
-
-        state = ServeState(
-            loaded_bundle, session_config=SessionConfig(engine="scalar")
-        )
-        assert state.default_engine == "scalar"
-        assert state.healthz()["default_engine"] == "scalar"
-
-        explicit = ServeState(
-            loaded_bundle,
-            default_engine="batched",
-            session_config=SessionConfig(engine="scalar"),
-        )
-        assert explicit.default_engine == "batched"
-
-    def test_legacy_pipeline_config_keeps_candidate_engine(self, loaded_bundle):
-        """The legacy (engine, PipelineConfig) fold must not silently force
-        the batched candidate engine over an explicit scalar request."""
         from repro.core.annotator import AnnotatorConfig
-        from repro.pipeline.pipeline import PipelineConfig
         from repro.serve.state import ServeState
 
-        state = ServeState(
-            loaded_bundle,
-            pipeline_config=PipelineConfig(
-                annotator=AnnotatorConfig(candidate_engine="scalar")
-            ),
+        config = SessionConfig(
+            batch_size=4, annotator=AnnotatorConfig(damping=0.2)
         )
-        assert state.session.config.candidate_engine == "scalar"
-        pipeline = state.session.pipeline()
-        assert pipeline.config.annotator.candidate_engine == "scalar"
+        state = ServeState(loaded_bundle, session_config=config)
+        assert state.session.config is config
+        pipeline = state.pipeline()
+        assert pipeline.config.batch_size == 4
+        assert pipeline.annotator.config.damping == 0.2
+
+    def test_legacy_pipeline_config_keeps_candidate_engine(
+        self, loaded_bundle, monkeypatch
+    ):
+        """The serving candidate engine runs on the bundle's interned tables
+        (restored from disk, never rebuilt from the catalog)."""
+        from repro.core.candidates_batched import InternedCandidateTables
+        from repro.serve.state import ServeState
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("interned tables rebuilt from the catalog")
+
+        monkeypatch.setattr(InternedCandidateTables, "from_catalog", rebuild)
+        state = ServeState(loaded_bundle)
+        generator = state.pipeline().annotator.candidate_generator
+        restored = generator.tables.to_state()
+        assert restored["entity_ids"] == loaded_bundle.candidate_state["entity_ids"]
 
 
 class TestConcurrentDeterminism:
@@ -403,3 +408,58 @@ class TestConcurrentDeterminism:
         for thread in workers:
             thread.join(timeout=300)
         assert not errors, errors
+
+
+class TestKeepAlive:
+    def test_one_write_per_response(self, serve_state, serve_corpus):
+        """Headers and body leave in one write, so a keep-alive client is
+        never left waiting on delayed ACK between the two."""
+        from repro.serve.server import create_server
+
+        server = create_server(serve_state, port=0)
+        writes: list[int] = []
+
+        class CountingWriter:
+            def __init__(self, raw):
+                self.raw = raw
+
+            def write(self, data):
+                writes.append(len(data))
+                return self.raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.raw, name)
+
+        class CountingHandler(server.RequestHandlerClass):
+            def setup(self):
+                super().setup()
+                self.wfile = CountingWriter(self.wfile)
+
+        server.RequestHandlerClass = CountingHandler
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        conn = HTTPConnection(host, port, timeout=60)
+        try:
+            exchanges = [
+                ("GET", "/healthz", None),
+                ("POST", "/annotate", {"table": serve_corpus[0].table.to_dict()}),
+                ("GET", "/metrics", None),
+            ]
+            for method, path, body in exchanges:
+                conn.request(
+                    method,
+                    path,
+                    body=json.dumps(body) if body is not None else None,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                payload = response.read()
+                assert response.status == 200
+                assert writes[-1] >= len(payload)
+            # one connection, three responses, three writes
+            assert len(writes) == len(exchanges)
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()

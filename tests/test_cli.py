@@ -279,7 +279,6 @@ class TestWireMode:
         assert len(lines) == 4
         for line in lines:
             response = AnnotateResponse.from_json(json.loads(line))
-            assert response.engine == "batched"
             assert response.timing_seconds is None
 
     def test_wire_annotations_match_plain_mode(self, world_dir, tmp_path, capsys):
