@@ -5,9 +5,8 @@ Before this module existed every frontend wired its own stack of
 :class:`SessionConfig` replaces that: one object, loadable from JSON or CLI
 flags, that every :class:`~repro.api.session.ReproSession` (and therefore
 every frontend) is built from.  Every validator here raises
-:class:`~repro.api.errors.ApiError` with the ``validation_error`` code (or
-``unknown_engine`` for an unknown executor name), so a bad value surfaces
-the same way from JSON, the CLI and library callers.
+:class:`~repro.api.errors.ApiError` with the ``validation_error`` code, so
+a bad value surfaces the same way from JSON, the CLI and library callers.
 """
 
 from __future__ import annotations
@@ -20,27 +19,12 @@ from typing import Any, Mapping
 from repro.api import errors
 from repro.api.errors import ApiError
 from repro.core.annotator import AnnotatorConfig
-from repro.pipeline.executor import EXECUTORS
 from repro.pipeline.pipeline import PipelineConfig
-
-#: pipeline batch executors ("serial", "thread", "process")
-VALID_EXECUTORS: tuple[str, ...] = tuple(EXECUTORS)
 
 
 def _invalid(message: str) -> ApiError:
     """A ``validation_error`` for one out-of-range config value."""
     return ApiError(errors.VALIDATION_ERROR, message)
-
-
-def validate_executor(executor: str) -> str:
-    """The one executor-name check (CLI choices, JSON and library paths)."""
-    if executor not in VALID_EXECUTORS:
-        raise ApiError(
-            errors.UNKNOWN_ENGINE,
-            f"unknown executor: {executor!r} (valid executors: "
-            f"{', '.join(VALID_EXECUTORS)})",
-        )
-    return executor
 
 
 @dataclass
@@ -68,7 +52,9 @@ class ServeConfig:
     read-only bundle).  ``queue_depth`` bounds how many requests may wait
     for a worker beyond the ``workers`` already in flight; a request that
     cannot be admitted within ``shed_timeout_seconds`` is shed with a 503
-    ``overloaded``.  See ``docs/OPERATIONS.md`` for tuning guidance.
+    ``overloaded``.  Queued requests ride an idle worker's next round trip
+    together, up to the session's ``batch_size``.  See
+    ``docs/OPERATIONS.md`` for tuning guidance.
     """
 
     #: pre-fork worker processes (1 still forks one worker; the in-process
@@ -78,30 +64,20 @@ class ServeConfig:
     queue_depth: int = 16
     #: how long a request may wait for admission before a 503 shed
     shed_timeout_seconds: float = 2.0
-    #: hard per-request ceiling; a worker silent past this is presumed
-    #: wedged, killed and replaced
+    #: hard per-request ceiling: a request still queued past it fails
+    #: ``overloaded``; a worker silent past it is presumed wedged, killed
+    #: and replaced
     request_timeout_seconds: float = 120.0
-    #: cadence of the dead-worker sweep (liveness + replacement)
+    #: how long an idle worker waits for work before a liveness check
     health_interval_seconds: float = 1.0
     #: how long shutdown / hot-swap waits for in-flight requests to finish
     drain_timeout_seconds: float = 30.0
-    #: coalesce concurrent /annotate requests into fused super-batches
-    #: (serve-time dynamic micro-batching; docs/OPERATIONS.md "Batching")
-    batching: bool = False
-    #: tables one coalesced super-batch may carry at most
-    max_batch_size: int = 16
-    #: how long the coalescer holds an open batch for more arrivals
-    batch_wait_ms: float = 5.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise _invalid("serve workers must be >= 1")
         if self.queue_depth < 0:
             raise _invalid("serve queue_depth must be >= 0")
-        if self.max_batch_size < 1:
-            raise _invalid("serve max_batch_size must be >= 1")
-        if self.batch_wait_ms < 0:
-            raise _invalid("serve batch_wait_ms must be >= 0")
         for name in (
             "shed_timeout_seconds",
             "request_timeout_seconds",
@@ -118,12 +94,12 @@ class SessionConfig:
 
     Composes the per-subsystem configs (annotator + pipeline + search +
     serve) that the CLI used to thread by hand, plus the session-level
-    pipeline settings (executor, batching, how much caching).
+    pipeline settings (worker threads, batching, how much caching).
     """
 
-    #: pipeline batch executor ("serial", "thread", "process")
-    executor: str = "thread"
+    #: pipeline worker threads (1 runs batches inline)
     workers: int = 1
+    #: tables per pipeline batch, and requests per served worker round trip
     batch_size: int = 16
     cache_size: int = 100_000
     compiled_cache_size: int = 2048
@@ -132,7 +108,6 @@ class SessionConfig:
     serve: ServeConfig = field(default_factory=ServeConfig)
 
     def __post_init__(self) -> None:
-        validate_executor(self.executor)
         if self.workers < 1:
             raise _invalid("workers must be >= 1")
         if self.batch_size < 1:
@@ -152,7 +127,6 @@ class SessionConfig:
             workers=self.workers,
             cache_size=self.cache_size,
             compiled_cache_size=self.compiled_cache_size,
-            executor=self.executor,
             annotator=self.annotator,
         )
 
@@ -161,7 +135,6 @@ class SessionConfig:
     # ------------------------------------------------------------------
     def to_json(self) -> dict[str, Any]:
         return {
-            "executor": self.executor,
             "workers": self.workers,
             "batch_size": self.batch_size,
             "cache_size": self.cache_size,
@@ -205,7 +178,6 @@ class SessionConfig:
         their defaults, so every command reuses this)."""
         kwargs: dict[str, Any] = {}
         for flag in (
-            "executor",
             "workers",
             "batch_size",
             "cache_size",

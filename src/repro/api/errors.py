@@ -18,8 +18,6 @@ code                                    status  raised when
                                                 does not speak
 ``invalid_table``                       400     a table payload cannot be
                                                 decoded into a ``Table``
-``unknown_engine``                      400     an inference engine name is
-                                                not in the registry
 ``unknown_id``                          400     a catalog type/entity/relation
                                                 id does not exist
 ``invalid_query``                       400     a query is structurally
@@ -58,7 +56,6 @@ BAD_REQUEST = "bad_request"
 VALIDATION_ERROR = "validation_error"
 SCHEMA_VERSION_UNSUPPORTED = "schema_version_unsupported"
 INVALID_TABLE = "invalid_table"
-UNKNOWN_ENGINE = "unknown_engine"
 UNKNOWN_ID = "unknown_id"
 INVALID_QUERY = "invalid_query"
 IO_ERROR = "io_error"
@@ -78,7 +75,6 @@ HTTP_STATUS: dict[str, int] = {
     VALIDATION_ERROR: 400,
     SCHEMA_VERSION_UNSUPPORTED: 400,
     INVALID_TABLE: 400,
-    UNKNOWN_ENGINE: 400,
     UNKNOWN_ID: 400,
     INVALID_QUERY: 400,
     IO_ERROR: 400,

@@ -30,6 +30,7 @@ here.  See :mod:`repro.serve.state` for the full story.
 
 from __future__ import annotations
 
+import logging
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -53,7 +54,7 @@ from repro.catalog.errors import CatalogError
 from repro.catalog.io import load_catalog_json
 from repro.core.annotation import TableAnnotation
 from repro.core.candidates import CandidateGenerator
-from repro.core.fused import annotate_fused_chunk
+from repro.core.fused import annotate_fused_chunk, cached_alone
 from repro.core.candidates_batched import (
     BatchedCandidateEngine,
     InternedCandidateTables,
@@ -74,6 +75,8 @@ if TYPE_CHECKING:  # the serve package imports this module; break the cycle
 
 #: trim the annotator's per-table timing ledger once it exceeds this
 MAX_TIMING_LEDGER = 4096
+
+logger = logging.getLogger(__name__)
 
 
 class ReproSession:
@@ -238,7 +241,7 @@ class ReproSession:
     ) -> list[AnnotateResponse | ApiError]:
         """Annotate many requests as shape-bucketed fused super-batches.
 
-        The serve-time coalescer's entry point: the tables are planned into
+        The serving workers' entry point: the tables are planned into
         shape buckets (the same :func:`~repro.pipeline.planner.plan_buckets`
         corpus batches use) and each bucket runs as one fused BP super-graph
         on the warm pipeline, amortising candidate retrieval and graph
@@ -246,15 +249,27 @@ class ReproSession:
         what a lone :meth:`annotate` call would produce (pinned by the
         batching property tests).
 
+        A table whose lone bundle is already in the compiled-graph cache (a
+        repeat of one annotated alone) runs alone on that hit instead: in a
+        new bucket it would be rebuilt and recompiled with its batchmates.
+
         Failures are isolated per request: a slot whose table fails holds an
-        :class:`ApiError` instead of a response.  A bucket that fails is
-        rerun one table at a time so its batchmates still succeed; each such
-        rerun counts as one fallback
+        :class:`ApiError` instead of a response — for a lone table, the
+        error :meth:`annotate` would raise.  A bucket of two or more that
+        fails is rerun one table at a time so its batchmates still succeed;
+        each such rerun is logged at WARNING with the exception and counts
+        as one fallback
         (:meth:`~repro.pipeline.AnnotationPipeline.record_fallback`).
         """
         pipeline = self._pipeline
-        plan = plan_buckets([request.table for request in requests])
         outcomes: dict[int, TableAnnotation | ApiError] = {}
+        fresh: list[int] = []
+        for position, request in enumerate(requests):
+            if cached_alone(pipeline.annotator, request.table):
+                outcomes[position] = self._annotate_alone(request.table)
+            else:
+                fresh.append(position)
+        plan = plan_buckets([requests[position].table for position in fresh])
         for _signature, entries in iter_bucket_chunks(
             plan, pipeline.config.batch_size
         ):
@@ -262,12 +277,21 @@ class ReproSession:
             annotations: list[TableAnnotation | ApiError]
             try:
                 annotations = list(annotate_fused_chunk(pipeline.annotator, tables))
-            except Exception:  # noqa: BLE001 - a poisoned batchmate must
-                # not fail the bucket: rerun its tables one at a time
-                pipeline.record_fallback()
-                annotations = [self._annotate_alone(table) for table in tables]
-            for (position, _table), annotation in zip(entries, annotations):
-                outcomes[position] = annotation
+            except Exception as error:  # noqa: BLE001 - a poisoned table
+                # must fail only itself: rerun a shared bucket table by table
+                if len(tables) == 1:
+                    annotations = [to_api_error(error)]
+                else:
+                    logger.warning(
+                        "fused bucket of %d tables failed; rerunning them "
+                        "one at a time",
+                        len(tables),
+                        exc_info=error,
+                    )
+                    pipeline.record_fallback()
+                    annotations = [self._annotate_alone(table) for table in tables]
+            for (index, _table), annotation in zip(entries, annotations):
+                outcomes[fresh[index]] = annotation
         self._trim_timing_ledger()
         responses: list[AnnotateResponse | ApiError] = []
         for position, request in enumerate(requests):
@@ -531,7 +555,6 @@ class ReproSession:
 
         info: dict = {
             "schema_version": SCHEMA_VERSION,
-            "default_executor": self.config.executor,
             # reprolint: ignore[lock-unguarded-attr]: health-check snapshot;
             # _index is monotone None -> frozen index (never reset to None),
             # so the check-then-len pair cannot observe a vanishing index

@@ -38,7 +38,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.api.config import VALID_EXECUTORS, SessionConfig
+from repro.api.config import SessionConfig
 from repro.api.errors import ApiError
 from repro.api.session import ReproSession
 from repro.api.types import (
@@ -112,13 +112,6 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         type=_non_negative_int,
         default=2048,
         help="fused-bundle LRU entries (0 disables it)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=VALID_EXECUTORS,
-        default="thread",
-        help="batch executor: serial, thread (default) or process "
-        "(fork-based pool; requires fork support)",
     )
 
 
@@ -352,7 +345,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.state import ServeState
 
     config = SessionConfig(
-        executor=args.executor,
         cache_size=args.cache_size,
         compiled_cache_size=args.compiled_cache_size,
         serve=ServeConfig(
@@ -362,9 +354,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             request_timeout_seconds=args.request_timeout,
             health_interval_seconds=args.health_interval,
             drain_timeout_seconds=args.drain_timeout,
-            batching=args.batching == "on",
-            max_batch_size=args.max_batch_size,
-            batch_wait_ms=args.batch_wait_ms,
         ),
     )
     verify = not args.no_verify
@@ -395,14 +384,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
             topology = f"{args.workers} pre-fork worker(s)"
             n_tables = backend.healthz()["tables"]
-    if config.serve.batching:
-        from repro.serve.dispatcher import BatchingBackend
-
-        backend = BatchingBackend(backend, config=config)
-        topology += (
-            f" + request coalescer (max_batch_size={args.max_batch_size}, "
-            f"batch_wait_ms={args.batch_wait_ms:g})"
-        )
     server = create_server(
         backend, host=args.host, port=args.port, quiet=not args.verbose
     )
@@ -590,12 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument(
-        "--executor",
-        choices=VALID_EXECUTORS,
-        default="thread",
-        help="pipeline batch executor",
-    )
-    serve.add_argument(
         "--cache-size",
         type=_non_negative_int,
         default=100_000,
@@ -631,41 +606,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--request-timeout",
         type=float,
         default=120.0,
-        help="per-request ceiling; a worker silent past this is replaced",
+        help="per-request ceiling: a request still queued past it fails "
+        "overloaded, a worker silent past it is replaced",
     )
     serve.add_argument(
         "--health-interval",
         type=float,
         default=1.0,
-        help="seconds between dead-worker sweeps",
+        help="seconds an idle worker waits for work between liveness checks",
     )
     serve.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
         help="seconds shutdown / hot-swap waits for in-flight requests",
-    )
-    serve.add_argument(
-        "--batching",
-        choices=("on", "off"),
-        default="off",
-        help="coalesce concurrent /annotate requests into fused "
-        "super-batches (dynamic micro-batching; see docs/OPERATIONS.md "
-        "'Batching')",
-    )
-    serve.add_argument(
-        "--max-batch-size",
-        type=_positive_int,
-        default=16,
-        help="tables one coalesced super-batch may carry at most "
-        "(--batching on)",
-    )
-    serve.add_argument(
-        "--batch-wait-ms",
-        type=float,
-        default=5.0,
-        help="milliseconds the coalescer holds an open batch for more "
-        "arrivals (--batching on)",
     )
     serve.add_argument(
         "--inline",

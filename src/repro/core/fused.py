@@ -618,6 +618,22 @@ def annotate_problem(
     return run_fused_bundle(bundle, config, [problem.table])[0]
 
 
+def cached_alone(annotator: TableAnnotator, table: Table) -> bool:
+    """Whether ``table`` as a bucket of one has its fused bundle in the
+    annotator's compiled-graph LRU (a peek: no hit or miss is recorded).
+
+    Such a table — a repeat of one already annotated alone — costs one BP
+    run alone; in a new bucket it would be rebuilt and recompiled with its
+    batchmates.
+    """
+    cache = annotator.compiled_cache
+    return (
+        cache is not None
+        and annotator.config.with_relations
+        and fused_cache_key([table], annotator.model, annotator.config) in cache
+    )
+
+
 def annotate_fused_chunk(
     annotator: TableAnnotator, tables: list[Table]
 ) -> list[TableAnnotation]:

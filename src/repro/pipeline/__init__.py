@@ -11,7 +11,7 @@ from repro.pipeline.cache import (
     LRUCache,
     normalized_cell_key,
 )
-from repro.pipeline.executor import execute_batches, iter_batches
+from repro.pipeline.executor import iter_batches
 from repro.pipeline.io import (
     annotation_to_dict,
     iter_corpus_jsonl,
@@ -35,7 +35,6 @@ __all__ = [
     "LRUCache",
     "PipelineConfig",
     "annotation_to_dict",
-    "execute_batches",
     "iter_batches",
     "iter_corpus_jsonl",
     "normalized_cell_key",

@@ -141,6 +141,11 @@ class LRUCache:
         with self._lock:
             return len(self._entries)
 
+    def __contains__(self, key: Hashable) -> bool:
+        """Whether ``key`` is cached — a peek: no hit, miss or recency."""
+        with self._lock:
+            return key in self._entries
+
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(

@@ -1,65 +1,30 @@
-"""Batched execution strategies for the annotation pipeline.
+"""Batched execution for the annotation pipeline.
 
-Tables are chunked into batches and each batch runs as one unit of work.
-Three executors exist:
+Tables are chunked into batches and each batch runs as one unit of work:
+inline, one after another, when ``max_workers == 1`` (zero overhead,
+easiest to reason about), or on a persistent :class:`ThreadPoolExecutor`
+otherwise.  NumPy releases the GIL inside the dense factor-potential and
+message-passing kernels, so threads overlap real work while sharing every
+cache in-process.
 
-* **serial** — batches run inline, one after another (zero overhead, easiest
-  to reason about; always used when ``max_workers <= 1``),
-* **thread** — batches run on a persistent :class:`ThreadPoolExecutor`.
-  NumPy releases the GIL inside the dense factor-potential and
-  message-passing kernels, so threads overlap real work while sharing every
-  cache in-process, and
-* **process** — batches run on a persistent fork-based
-  :class:`ProcessPoolExecutor`.  Forked workers inherit the parent's warm
-  state (catalog, lemma index, interned tables, caches) as copy-on-write
-  read-only memory instead of re-pickling it, which is what makes a process
-  pool viable here at all; only the batches out and results back cross the
-  pipe.  Each worker keeps its own cache deltas — fine for the pure
-  annotation functions they memoise.  Requires a platform with ``fork``
-  (Linux/macOS CPython).
-
-Whatever the executor, results stream back **in submission order** — callers
-observe exactly the sequence a serial loop would have produced — and at most
+Results stream back **in submission order** — callers observe exactly the
+sequence a serial loop would have produced — and at most
 ``2 × max_workers`` batches are in flight, so corpora never materialise in
 memory.
 
 :class:`BatchExecutor` owns one pool for its whole lifetime: repeated
 ``map_ordered`` calls reuse it, so many-small-corpus callers (the serving
 layer, benchmark loops) stop paying pool construction and teardown per call.
-The legacy :func:`execute_batches` helper remains as a one-shot wrapper.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
-
-EXECUTORS = ("serial", "thread", "process")
-
-#: worker registry for the fork-based process pool: entries are registered
-#: *before* the pool (and therefore before any worker) is created, so every
-#: forked child inherits the token it will be asked to run.  Tokens are
-#: process-unique and never reassigned.
-_FORK_WORKERS: dict[int, Callable] = {}
-_FORK_TOKENS = itertools.count()
-
-
-def _run_fork_worker(token: int, batch):
-    """Module-level trampoline executed inside forked pool workers."""
-    worker = _FORK_WORKERS.get(token)
-    if worker is None:
-        raise RuntimeError(
-            "process-pool worker invoked before its fork registration; "
-            "this indicates a worker process that did not fork from the "
-            "registering parent"
-        )
-    return worker(batch)
 
 
 def iter_batches(items: Iterable[ItemT], batch_size: int) -> Iterator[list[ItemT]]:
@@ -77,67 +42,25 @@ def iter_batches(items: Iterable[ItemT], batch_size: int) -> Iterator[list[ItemT
 
 
 class BatchExecutor:
-    """A reusable executor: one pool, many ``map_ordered`` calls.
+    """A reusable executor: one thread pool, many ``map_ordered`` calls.
 
-    ``kind`` is one of :data:`EXECUTORS`.  Pools are created lazily on first
-    use and live until :meth:`close`; a consumer abandoning a
-    ``map_ordered`` stream early cancels the not-yet-started batches but
-    leaves the pool intact for the next call.
+    The pool is created lazily on first parallel use and lives until
+    :meth:`close`; a consumer abandoning a ``map_ordered`` stream early
+    cancels the not-yet-started batches but leaves the pool intact for the
+    next call.
     """
 
-    def __init__(self, kind: str = "thread", max_workers: int = 1) -> None:
-        if kind not in EXECUTORS:
-            raise ValueError(f"unknown executor: {kind!r}")
+    def __init__(self, max_workers: int = 1) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        self.kind = kind
         self.max_workers = max_workers
-        self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
-        self._process_worker: Callable | None = None
-        self._process_token: int | None = None
-
-    # ------------------------------------------------------------------
-    # pool lifecycle
-    # ------------------------------------------------------------------
-    def _submitter(self, worker: Callable) -> Callable:
-        """The pool-appropriate ``submit(batch) -> Future`` callable."""
-        if self.kind == "thread":
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            pool = self._pool
-            return lambda batch: pool.submit(worker, batch)
-        # process: the worker closure/bound state never crosses the pipe —
-        # it is registered under a token which forked children inherit, and
-        # only (token, batch) is pickled per task.  A different worker than
-        # the pool was forked for requires a fresh pool.
-        if self._pool is not None and worker != self._process_worker:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        if self._pool is None:
-            if "fork" not in multiprocessing.get_all_start_methods():
-                raise RuntimeError(
-                    "the process executor requires the fork start method "
-                    "(unavailable on this platform); use the thread executor"
-                )
-            token = next(_FORK_TOKENS)
-            _FORK_WORKERS[token] = worker
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            self._process_worker = worker
-            self._process_token = token
-        pool = self._pool
-        token = self._process_token
-        return lambda batch: pool.submit(_run_fork_worker, token, batch)
+        self._pool: ThreadPoolExecutor | None = None
 
     def close(self) -> None:
         """Shut the pool down without waiting; queued batches are dropped."""
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-            self._process_worker = None
-            self._process_token = None
 
     def __enter__(self) -> "BatchExecutor":
         return self
@@ -145,9 +68,6 @@ class BatchExecutor:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
     def map_ordered(
         self,
         batches: Iterable[ItemT],
@@ -155,22 +75,24 @@ class BatchExecutor:
     ) -> Iterator[ResultT]:
         """Run ``worker`` over every batch, yielding results in batch order.
 
-        Serial kind (or ``max_workers <= 1``) runs inline; otherwise up to
-        ``2 × max_workers`` batches are in flight and results come back
-        strictly in submission order.  Abandoning the stream early cancels
-        the batches that have not started; batches already executing finish
-        in the background and the pool survives for the next call.
+        One worker runs inline; otherwise up to ``2 × max_workers`` batches
+        are in flight and results come back strictly in submission order.
+        Abandoning the stream early cancels the batches that have not
+        started; batches already executing finish in the background and the
+        pool survives for the next call.
         """
-        if self.kind == "serial" or self.max_workers <= 1:
+        if self.max_workers == 1:
             for batch in batches:
                 yield worker(batch)
             return
-        submit = self._submitter(worker)
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
+        pool = self._pool
         in_flight: deque = deque()
         max_in_flight = 2 * self.max_workers
         try:
             for batch in batches:
-                in_flight.append(submit(batch))
+                in_flight.append(pool.submit(worker, batch))
                 if len(in_flight) >= max_in_flight:
                     yield in_flight.popleft().result()
             while in_flight:
@@ -178,26 +100,3 @@ class BatchExecutor:
         finally:
             for future in in_flight:
                 future.cancel()
-
-
-def execute_batches(
-    batches: Iterable[list[ItemT]],
-    worker: Callable[[list[ItemT]], ResultT],
-    max_workers: int = 1,
-) -> Iterator[ResultT]:
-    """One-shot :meth:`BatchExecutor.map_ordered` on a transient thread pool.
-
-    Kept for callers that run a single stream: the pool lives exactly as
-    long as the stream.  A consumer that abandons the generator early
-    (``break``, ``close()``, garbage collection) must not block on work it
-    will never read: the pool is shut down with ``cancel_futures=True`` and
-    without waiting, so queued batches are dropped and only the batches
-    already executing run to completion in the background.
-    """
-    executor = BatchExecutor(
-        "thread" if max_workers > 1 else "serial", max_workers
-    )
-    try:
-        yield from executor.map_ordered(batches, worker)
-    finally:
-        executor.close()

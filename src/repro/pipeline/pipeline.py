@@ -48,7 +48,7 @@ from repro.pipeline.cache import (
     CachingCandidateGenerator,
     LRUCache,
 )
-from repro.pipeline.executor import EXECUTORS, BatchExecutor, iter_batches
+from repro.pipeline.executor import BatchExecutor, iter_batches
 from repro.pipeline.io import (
     annotation_to_dict,
     iter_corpus_jsonl,
@@ -63,12 +63,10 @@ class PipelineConfig:
     """Configuration of corpus-scale annotation.
 
     ``batch_size`` tables are planned and fused together (and bound the
-    tables in flight per worker); ``workers=1`` runs batches inline;
-    ``workers>1`` uses the configured ``executor`` ("thread" on a
-    shared-memory thread pool, "process" on a fork-based process pool whose
-    workers inherit the warm state copy-on-write).  ``cache_size=0``
-    disables the shared candidate cache (every cell probes the lemma index,
-    as the seed code did).
+    tables in flight per worker); ``workers=1`` runs batches inline,
+    ``workers>1`` on a shared-memory thread pool.  ``cache_size=0`` disables
+    the shared candidate cache (every cell probes the lemma index, as the
+    seed code did).
     """
 
     batch_size: int = 16
@@ -78,9 +76,6 @@ class PipelineConfig:
     #: are far heavier than feature blocks, so the bound is separate and
     #: much smaller than ``cache_size``
     compiled_cache_size: int = 2048
-    #: "serial", "thread" or "process" — how batches are executed when
-    #: ``workers > 1`` (see :mod:`repro.pipeline.executor`)
-    executor: str = "thread"
     annotator: AnnotatorConfig = field(default_factory=AnnotatorConfig)
 
     def __post_init__(self) -> None:
@@ -92,8 +87,6 @@ class PipelineConfig:
             raise ValueError("cache_size must be >= 0")
         if self.compiled_cache_size < 0:
             raise ValueError("compiled_cache_size must be >= 0")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor: {self.executor!r}")
 
 
 @dataclass
@@ -238,7 +231,7 @@ class AnnotationPipeline:
         #: one persistent executor for the pipeline's lifetime — repeated
         #: corpus runs reuse the same pool instead of paying construction
         #: and teardown per call (see :class:`BatchExecutor`)
-        self.executor = BatchExecutor(self.config.executor, self.config.workers)
+        self.executor = BatchExecutor(self.config.workers)
         self.last_report: CorpusTimingReport | None = None
 
     def close(self) -> None:
@@ -324,8 +317,7 @@ class AnnotationPipeline:
         report.finished = True
 
     # ------------------------------------------------------------------
-    # batch workers (stable bound methods so the process executor can ship
-    # them to forked workers without re-forking per call)
+    # batch worker
     # ------------------------------------------------------------------
     def _annotate_batch(
         self, batch: list[Table | LabeledTable]

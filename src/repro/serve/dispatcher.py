@@ -1,4 +1,4 @@
-"""The serving parent: admission control, load balancing, worker lifecycle.
+"""The serving parent: admission control, one request queue, worker lifecycle.
 
 One :class:`Dispatcher` sits between the threaded HTTP front end and the
 pre-fork worker pool (:mod:`repro.serve.pool`).  Its job is four loops of
@@ -13,13 +13,23 @@ bookkeeping around a very small hot path:
   (:class:`FifoSlots`): freed slots go to the longest-waiting request, so
   no request starves behind later arrivals however long the overload
   lasts.
-* **Load balancing.**  Admitted requests take the first idle worker (a
-  plain queue: workers that finish fastest serve the most requests, which
-  is the right policy for homogeneous workers over one shared bundle).
-* **Health.**  A sweep thread replaces dead workers every
-  ``health_interval_seconds``; a worker that dies or wedges mid-request is
-  replaced immediately and the request fails with a 503 ``worker_failed``
-  (the client retries; every other in-flight request is untouched).
+* **One request path.**  Every admitted request, whatever its endpoint,
+  joins its generation's pending queue.  Each worker has one feeder
+  thread: when the worker is idle, the feeder takes the oldest request
+  plus — only while no other worker of the generation is idle —
+  everything else queued, up to ``batch_size``, and ships them as one
+  ``requests`` pipe message.  Under light load that is a batch of one with
+  no hold; under load batches grow by themselves.  The worker runs the
+  annotates as one fused batch, and each request resolves from its own
+  outcome, so a failing request never fails its batchmates.  A request
+  still queued ``request_timeout_seconds`` after admission fails
+  ``overloaded`` without being shipped.
+* **Health.**  A feeder's idle wait (``health_interval_seconds``) doubles
+  as its worker's liveness check: a worker found dead is replaced.  A
+  worker that dies or goes silent (past ``request_timeout_seconds``)
+  mid-message is replaced too, and the requests it carried fail with a
+  503 ``worker_failed`` (the client retries; every other request is
+  untouched).
 * **Hot swap.**  ``reload()`` builds a whole new *generation* — load the
   new bundle, fork fresh workers, ping them ready — then atomically swaps
   it in.  Requests admitted before the swap drain on the old generation;
@@ -28,37 +38,29 @@ bookkeeping around a very small hot path:
 
 Lock discipline (checked by ``repro lint``'s ``lock-unguarded-attr`` rule):
 every access to the generation table (``_active``, ``_generation_seq``,
-per-generation worker lists) happens under ``_lock``; metrics live behind
-their own locks in :mod:`repro.serve.metrics`; the pipe of each worker is
-serialized by its handle's lock.  The only lock-free state is each
-handle's ``defunct`` flag, written exactly once under ``_lock`` and read
-opportunistically (a stale ``False`` just costs one extra liveness check).
+per-generation worker lists) happens under ``_lock``; each generation's
+pending queue and idle count sit behind its own ``ready`` condition, never
+taken together with ``_lock``; metrics live behind their own locks in
+:mod:`repro.serve.metrics`; the pipe of each worker is serialized by its
+handle's lock.
 """
 
 from __future__ import annotations
 
-import queue
 import sys
 import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.api import errors as api_errors
 from repro.api.config import SessionConfig
-from repro.api.errors import ApiError, to_api_error
+from repro.api.errors import ApiError
 from repro.api.types import SCHEMA_VERSION
 from repro.serve.bundle import LoadedBundle, load_bundle
-from repro.serve.metrics import (
-    BatchingMetrics,
-    DispatcherMetrics,
-    MetricsRegistry,
-)
+from repro.serve.metrics import DispatcherMetrics, MetricsRegistry
 from repro.serve.pool import WorkerHandle, WorkerTimeout, spawn_worker
-
-if TYPE_CHECKING:
-    from repro.serve.server import Backend
 
 _PIPE_ERRORS = (WorkerTimeout, OSError, EOFError, BrokenPipeError)
 
@@ -111,6 +113,39 @@ class FifoSlots:
                 self._available += 1
 
 
+class _Request:
+    """One admitted request: queued, then shipped, then resolved once."""
+
+    __slots__ = (
+        "endpoint",
+        "payload",
+        "admitted_at",
+        "deadline",
+        "done",
+        "result",
+        "error",
+    )
+
+    def __init__(
+        self, endpoint: str, payload: dict, admitted_at: float, deadline: float
+    ) -> None:
+        self.endpoint = endpoint
+        self.payload = payload
+        self.admitted_at = admitted_at
+        self.deadline = deadline
+        self.done = threading.Event()
+        self.result: dict = {}
+        self.error: ApiError | None = None
+
+    def resolve(self, result: dict) -> None:
+        self.result = result
+        self.done.set()
+
+    def fail(self, error: ApiError) -> None:
+        self.error = error
+        self.done.set()
+
+
 class _Generation:
     """One bundle's worth of workers plus its admission bookkeeping."""
 
@@ -126,9 +161,13 @@ class _Generation:
         self.workers = workers
         self.capacity = len(workers) + queue_depth
         self.slots = FifoSlots(self.capacity)
-        self.idle: queue.Queue[WorkerHandle] = queue.Queue()
-        for worker in workers:
-            self.idle.put(worker)
+        #: guards ``pending``, ``idle`` and ``stopping``
+        self.ready = threading.Condition()
+        self.pending: deque[_Request] = deque()
+        #: feeders waiting for work right now
+        self.idle = 0
+        self.stopping = False
+        self.feeders: list[threading.Thread] = []
         self.next_worker_index = len(workers)
         self.retired = False
 
@@ -147,31 +186,24 @@ class Dispatcher:
         config: SessionConfig | None = None,
         verify: bool = True,
         quiet: bool = True,
-        metrics_window: int = 2048,
     ) -> None:
         self.config = config if config is not None else SessionConfig()
         serve = self.config.serve
         self.workers = serve.workers
         self.queue_depth = serve.queue_depth
+        self.batch_size = self.config.batch_size
         self.shed_timeout = serve.shed_timeout_seconds
         self.request_timeout = serve.request_timeout_seconds
         self.drain_timeout = serve.drain_timeout_seconds
         self._verify = verify
         self._quiet = quiet
-        self.registry = MetricsRegistry(window_size=metrics_window)
-        self.dispatch_metrics = DispatcherMetrics(window_size=metrics_window)
+        self.registry = MetricsRegistry()
+        self.dispatch_metrics = DispatcherMetrics()
         self._lock = threading.Lock()
         self._reload_lock = threading.Lock()
-        self._stop_event = threading.Event()
         self._generation_seq = 1
         bundle = load_bundle(bundle_path, verify=verify)
         self._active = self._spawn_generation(1, bundle)
-        self._health_thread = threading.Thread(
-            target=self._health_loop,
-            name="repro-serve-health",
-            daemon=True,
-        )
-        self._health_thread.start()
 
     # ------------------------------------------------------------------
     # generation construction
@@ -198,7 +230,19 @@ class Dispatcher:
             f"generation {generation_id}: {len(workers)} worker(s) ready "
             f"on {bundle.path}"
         )
-        return _Generation(generation_id, bundle, workers, self.queue_depth)
+        generation = _Generation(
+            generation_id, bundle, list(workers), self.queue_depth
+        )
+        for worker in workers:
+            feeder = threading.Thread(
+                target=self._feed,
+                args=(generation, worker),
+                name=f"repro-serve-feeder-{worker.name}",
+                daemon=True,
+            )
+            generation.feeders.append(feeder)
+            feeder.start()
+        return generation
 
     def _log(self, message: str) -> None:
         if not self._quiet:
@@ -213,42 +257,8 @@ class Dispatcher:
     # the hot path
     # ------------------------------------------------------------------
     def call(self, endpoint: str, payload: dict) -> dict:
-        """Dispatch one request to a worker; raises :class:`ApiError`."""
-        result: dict = self._admit_and_call(("request", endpoint, payload))
-        return result
-
-    def call_batch(
-        self,
-        endpoint: str,
-        payloads: list[dict],
-        timeout: float | None = None,
-    ) -> list[dict]:
-        """Run one coalesced super-batch on a single worker.
-
-        The whole bucket ships as one ``batch`` pipe message; the worker
-        answers with one outcome per payload (failures isolated per item by
-        :meth:`~repro.serve.state.ServeState.handle_batch`).  ``timeout``
-        bounds the worker round trip — the coalescer passes the tightest
-        member deadline so ``request_timeout`` stays per request, not per
-        batch.  Raises :class:`ApiError` only on whole-batch failure
-        (shed admission, dead worker).
-        """
-        reply = self._admit_and_call(
-            ("batch", endpoint, payloads), timeout=timeout
-        )
-        results = reply.get("results") if isinstance(reply, dict) else None
-        if not isinstance(results, list) or len(results) != len(payloads):
-            raise ApiError(
-                api_errors.INTERNAL_ERROR,
-                "worker returned a malformed batch reply",
-            )
-        return results
-
-    def _admit_and_call(
-        self, message: tuple, timeout: float | None = None
-    ) -> dict:
-        """Admission + one worker round trip (shared by call / call_batch)."""
-        endpoint = message[1]
+        """Admit one request, queue it for the next idle worker and wait
+        for its own outcome; raises :class:`ApiError`."""
         generation = self._current()
         admitted_at = time.perf_counter()
         self.dispatch_metrics.observe_admitted()
@@ -261,95 +271,183 @@ class Dispatcher:
                 f"queue_depth={self.queue_depth}); retry with backoff",
             )
         try:
-            worker = self._take_worker(generation)
-            queue_seconds = time.perf_counter() - admitted_at
-            try:
-                reply = worker.call(
-                    message,
-                    timeout=(
-                        timeout if timeout is not None else self.request_timeout
-                    ),
-                )
-            except _PIPE_ERRORS as error:
-                self.dispatch_metrics.observe_worker_failed()
-                self._replace_worker(generation, worker, reason=str(error))
-                raise ApiError(
-                    api_errors.WORKER_FAILED,
-                    f"worker {worker.name} died handling the request "
-                    f"({type(error).__name__}); it is being replaced — retry",
-                ) from error
-            self._return_worker(generation, worker)
-            kind = reply[0]
-            if kind == "ok":
-                self.dispatch_metrics.observe_done(
-                    worker.name, queue_seconds, reply[2], error=False
-                )
-                result: dict = reply[1]
-                return result
-            envelope, handler_seconds = reply[1], reply[3]
-            self.dispatch_metrics.observe_done(
-                worker.name, queue_seconds, handler_seconds, error=True
+            request = _Request(
+                endpoint,
+                payload,
+                admitted_at,
+                time.perf_counter() + self.request_timeout,
             )
-            error_body: Mapping[str, str] = envelope.get("error", {})
-            raise ApiError(
-                error_body.get("code", api_errors.INTERNAL_ERROR),
-                error_body.get("message", "worker error"),
-            )
+            with generation.ready:
+                generation.pending.append(request)
+                generation.ready.notify()
+            if not request.done.wait(self.request_timeout):
+                with generation.ready:
+                    queued = request in generation.pending
+                    if queued:
+                        generation.pending.remove(request)
+                if queued:
+                    self._expire(request)
+                # a shipped request resolves within its worker round trip
+                request.done.wait()
+            if request.error is not None:
+                raise request.error
+            return request.result
         finally:
             generation.slots.release()
 
-    def _take_worker(self, generation: _Generation) -> WorkerHandle:
-        """Pop the first live idle worker (defunct handles are discarded)."""
-        deadline = time.monotonic() + self.request_timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self.dispatch_metrics.observe_shed("queue_wait")
-                raise ApiError(
-                    api_errors.OVERLOADED,
-                    "no worker became available within "
-                    f"{self.request_timeout:.0f}s",
-                )
-            try:
-                worker = generation.idle.get(timeout=min(remaining, 1.0))
-            except queue.Empty:
-                continue
-            if worker.defunct:
-                continue  # replaced worker already re-queued by its spawner
-            if not worker.process.is_alive():
-                self._replace_worker(
-                    generation, worker, reason="found dead in idle pool"
-                )
-                continue
-            return worker
+    def _expire(self, request: _Request) -> None:
+        """Fail one request that waited out its deadline unshipped."""
+        self.dispatch_metrics.observe_shed("queue_wait")
+        request.fail(
+            ApiError(
+                api_errors.OVERLOADED,
+                "no worker became available within "
+                f"{self.request_timeout:g}s; retry with backoff",
+            )
+        )
 
-    def _return_worker(
-        self, generation: _Generation, worker: WorkerHandle
-    ) -> None:
-        if not worker.defunct:
-            generation.idle.put(worker)
+    # ------------------------------------------------------------------
+    # feeders: one thread per worker
+    # ------------------------------------------------------------------
+    def _feed(self, generation: _Generation, worker: WorkerHandle) -> None:
+        """Ship queued requests to one worker until its generation stops.
+
+        A dead worker — found by the idle liveness check or just before a
+        round trip — is replaced before anything more is shipped to it.
+        """
+        interval = max(self.config.serve.health_interval_seconds, 0.05)
+        while True:
+            requests = self._take(generation, worker, interval)
+            if requests is None:
+                return
+            live: WorkerHandle | None = worker
+            if not worker.process.is_alive():
+                live = self._replace_worker(generation, worker, reason="found dead")
+                if live is None:
+                    self._fail_all(
+                        requests,
+                        f"worker {worker.name} died and no replacement "
+                        "started — retry",
+                    )
+            if requests and live is not None:
+                live = self._ship(generation, live, requests)
+            if live is None:
+                return
+            worker = live
+
+    def _take(
+        self, generation: _Generation, worker: WorkerHandle, interval: float
+    ) -> list[_Request] | None:
+        """The next requests for ``worker``; None once the generation stops.
+
+        While nothing is queued the feeder counts as idle and checks its
+        worker's liveness every ``interval``, returning [] if it died.  It
+        takes the oldest request, plus — only while no other worker of the
+        generation is idle — everything else queued, up to ``batch_size``.
+        Requests past their deadline are failed, not taken.
+        """
+        expired: list[_Request] = []
+        taken: list[_Request] = []
+        with generation.ready:
+            generation.idle += 1
+            while not (generation.pending or generation.stopping):
+                timed_out = not generation.ready.wait(interval)
+                if timed_out and not worker.process.is_alive():
+                    break
+            generation.idle -= 1
+            if generation.stopping:
+                return None
+            now = time.perf_counter()
+            pending = generation.pending
+            while pending and len(taken) < self.batch_size and (
+                not taken or generation.idle == 0
+            ):
+                request = pending.popleft()
+                if request.deadline <= now:
+                    expired.append(request)
+                else:
+                    taken.append(request)
+        for request in expired:
+            self._expire(request)
+        return taken
+
+    def _ship(
+        self,
+        generation: _Generation,
+        worker: WorkerHandle,
+        requests: list[_Request],
+    ) -> WorkerHandle | None:
+        """One worker round trip; returns the worker to feed next (its
+        replacement after a failure, None when none could start)."""
+        self.dispatch_metrics.observe_batch(len(requests))
+        shipped_at = time.perf_counter()
+        message = ("requests", [(r.endpoint, r.payload) for r in requests])
+        try:
+            reply = worker.call(message, timeout=self.request_timeout)
+            outcomes = reply[1] if reply[0] == "ok" else None
+            fault = (
+                None
+                if isinstance(outcomes, list) and len(outcomes) == len(requests)
+                else "malformed reply"
+            )
+        except _PIPE_ERRORS as error:
+            fault = type(error).__name__
+        if fault is not None:
+            self._fail_all(
+                requests,
+                f"worker {worker.name} died handling the request ({fault}); "
+                "it is being replaced — retry",
+            )
+            return self._replace_worker(generation, worker, reason=fault)
+        # the round trip's worker time, split equally across its requests
+        handler_seconds = reply[2] / len(requests)
+        for request, outcome in zip(requests, reply[1]):
+            failure = outcome.get("error")
+            self.dispatch_metrics.observe_done(
+                worker.name,
+                shipped_at - request.admitted_at,
+                handler_seconds,
+                error=failure is not None,
+            )
+            if failure is None:
+                request.resolve(outcome["ok"])
+            else:
+                body: Mapping[str, str] = failure.get("error", {})
+                request.fail(
+                    ApiError(
+                        body.get("code", api_errors.INTERNAL_ERROR),
+                        body.get("message", "worker error"),
+                    )
+                )
+        return worker
+
+    def _fail_all(self, requests: list[_Request], message: str) -> None:
+        """Fail requests that went down with their worker."""
+        self.dispatch_metrics.observe_worker_failed(len(requests))
+        for request in requests:
+            request.fail(ApiError(api_errors.WORKER_FAILED, message))
 
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
     def _replace_worker(
         self, generation: _Generation, worker: WorkerHandle, reason: str
-    ) -> None:
+    ) -> WorkerHandle | None:
         """Retire one dead/wedged worker and fork its replacement.
 
-        Idempotent per handle: the ``defunct`` flag flips exactly once
-        under ``_lock``, so a request thread and the health sweep racing on
-        the same corpse spawn exactly one replacement.
+        Only the worker's own feeder calls this, so each corpse is
+        replaced exactly once.  None when the generation is retired or the
+        replacement fails to start (the generation runs one worker short).
         """
         with self._lock:
-            if worker.defunct or generation.retired:
-                return
-            worker.defunct = True
+            if generation.retired:
+                return None
             generation.workers = [
                 w for w in generation.workers if w is not worker
             ]
             name = f"g{generation.id}.w{generation.next_worker_index}"
             generation.next_worker_index += 1
+        self.dispatch_metrics.observe_worker_restart()
         self._log(f"replacing worker {worker.name}: {reason}")
         worker.stop(timeout=1.0)
         self.dispatch_metrics.forget_worker(worker.name)
@@ -359,7 +457,7 @@ class Dispatcher:
             )
         except Exception as error:  # noqa: BLE001 - degraded, not fatal
             self._log(f"failed to spawn replacement {name}: {error}")
-            return
+            return None
         with self._lock:
             retired = generation.retired
             if not retired:
@@ -367,22 +465,9 @@ class Dispatcher:
         if retired:
             # stop() joins the child process — never block inside _lock
             replacement.stop(timeout=1.0)
-            return
-        generation.idle.put(replacement)
+            return None
         self._log(f"worker {replacement.name} (pid {replacement.pid}) ready")
-
-    def _health_loop(self) -> None:
-        interval = max(self.config.serve.health_interval_seconds, 0.05)
-        while not self._stop_event.wait(interval):
-            generation = self._current()
-            with self._lock:
-                workers = list(generation.workers)
-            for worker in workers:
-                if not worker.defunct and not worker.process.is_alive():
-                    self.dispatch_metrics.observe_worker_restart()
-                    self._replace_worker(
-                        generation, worker, reason="health sweep found it dead"
-                    )
+        return replacement
 
     # ------------------------------------------------------------------
     # hot swap + shutdown
@@ -436,8 +521,10 @@ class Dispatcher:
         """Drain and stop one generation; True if it drained cleanly.
 
         Draining means re-acquiring the full admission capacity: every
-        slot held by an in-flight request comes back through its
-        ``finally``, so holding all of them proves the generation idle.
+        slot held by an admitted request comes back once it resolves, so
+        holding all of them proves the generation idle.  Past the drain
+        timeout, still-queued requests fail ``overloaded`` and the workers
+        are stopped under the ones in flight.
         """
         with self._lock:
             generation.retired = True
@@ -448,21 +535,34 @@ class Dispatcher:
             if not generation.slots.acquire(timeout=remaining):
                 drained = False
                 break
+        with generation.ready:
+            generation.stopping = True
+            stranded = list(generation.pending)
+            generation.pending.clear()
+            generation.ready.notify_all()
+        for request in stranded:
+            self.dispatch_metrics.observe_shed("drain")
+            request.fail(
+                ApiError(
+                    api_errors.OVERLOADED,
+                    "the server stopped this bundle generation before a "
+                    "worker took the request; retry",
+                )
+            )
         with self._lock:
             workers = list(generation.workers)
             generation.workers = []
         for worker in workers:
-            worker.defunct = True
             worker.stop(timeout=5.0)
             self.dispatch_metrics.forget_worker(worker.name)
+        for feeder in generation.feeders:
+            feeder.join(timeout=5.0)
         return drained
 
     def shutdown(self, drain_timeout: float | None = None) -> bool:
-        """Stop the health loop, drain in-flight work, stop every worker."""
+        """Drain in-flight work, stop every worker and feeder."""
         if drain_timeout is not None:
             self.drain_timeout = drain_timeout
-        self._stop_event.set()
-        self._health_thread.join(timeout=5.0)
         return self._retire(self._current())
 
     # ------------------------------------------------------------------
@@ -495,32 +595,22 @@ class Dispatcher:
     ) -> dict[str, dict]:
         """Cache stats from every *idle* worker (busy ones are skipped).
 
-        Pops whatever the idle pool holds right now, round-trips a cheap
-        ``stats`` message on each, and puts them back.  Workers mid-request
-        simply do not appear — ``/metrics`` marks them busy rather than
-        stalling behind a long annotation.
+        Round-trips a cheap ``stats`` message on each worker whose pipe is
+        free right now.  Workers mid-request simply do not appear —
+        ``/metrics`` marks them busy rather than stalling behind a long
+        annotation.
         """
         generation = self._current()
-        borrowed: list[WorkerHandle] = []
+        with self._lock:
+            workers = list(generation.workers)
         stats: dict[str, dict] = {}
-        try:
-            while True:
-                try:
-                    worker = generation.idle.get_nowait()
-                except queue.Empty:
-                    break
-                if worker.defunct:
-                    continue
-                borrowed.append(worker)
-        finally:
-            for worker in borrowed:
-                try:
-                    reply = worker.call(("stats",), timeout=timeout_per_worker)
-                    if reply[0] == "ok":
-                        stats[worker.name] = reply[1]
-                except _PIPE_ERRORS:
-                    pass  # the health sweep will deal with it
-                generation.idle.put(worker)
+        for worker in workers:
+            try:
+                reply = worker.call_if_idle(("stats",), timeout=timeout_per_worker)
+            except _PIPE_ERRORS:
+                continue  # its feeder's liveness check will deal with it
+            if reply is not None and reply[0] == "ok":
+                stats[worker.name] = reply[1]
         return stats
 
     @staticmethod
@@ -603,258 +693,3 @@ class Dispatcher:
             "identity": bundle.manifest.identity,
         }
         return snapshot
-
-
-class _PendingRequest:
-    """One coalesced request parked between its HTTP thread and a batcher."""
-
-    __slots__ = ("payload", "enqueued_at", "deadline", "done", "result", "error")
-
-    def __init__(
-        self, payload: dict, enqueued_at: float, deadline: float
-    ) -> None:
-        self.payload = payload
-        self.enqueued_at = enqueued_at
-        self.deadline = deadline
-        self.done = threading.Event()
-        self.result: dict | None = None
-        self.error: ApiError | None = None
-
-    def resolve(self, result: dict) -> None:
-        self.result = result
-        self.done.set()
-
-    def fail(self, error: ApiError) -> None:
-        self.error = error
-        self.done.set()
-
-
-class BatchingBackend:
-    """Serve-time dynamic micro-batching over any serving backend.
-
-    Sits between the HTTP layer and an inner backend (the
-    :class:`Dispatcher` or an :class:`~repro.serve.server.InlineBackend`)
-    and coalesces concurrent ``/annotate`` requests into fused
-    super-batches: a request parks in a bounded queue until either
-    ``batch_wait_ms`` passes or ``max_batch_size`` tables have gathered,
-    then the whole batch ships as **one** ``call_batch`` — one worker round
-    trip, planned into shape buckets and executed as fused BP super-graphs
-    by the session underneath.  Responses are demultiplexed back to their
-    HTTP threads byte-identical to unbatched serving (property-tested in
-    ``tests/serve/test_batching.py``).
-
-    Contracts the coalescer keeps:
-
-    * **Per-request error isolation** — a poisoned table fails only its own
-      request; batchmates resolve normally (the per-item ``ok``/``error``
-      outcomes of :meth:`ServeState.handle_batch` carry this across the
-      pipe).
-    * **``request_timeout`` is per request, not per batch** — each member's
-      deadline starts at its own enqueue; a batch's worker round trip is
-      bounded by the tightest member deadline, and a member already past
-      its deadline is failed without riding along.
-    * **Deterministic under restart/hot-swap** — the coalescer holds no
-      bundle state; batches land on whatever generation the inner backend
-      currently serves, and shutdown drains the queue before the inner
-      backend drains its workers.
-
-    Non-annotate endpoints bypass the queue and run solo — counted in the
-    ``batching`` metrics section as ``solo_requests``.
-    """
-
-    def __init__(
-        self,
-        inner: "Backend",
-        config: SessionConfig | None = None,
-        metrics_window: int = 2048,
-    ) -> None:
-        self.inner = inner
-        self.config = config if config is not None else SessionConfig()
-        serve = self.config.serve
-        self.max_batch_size = serve.max_batch_size
-        self.batch_wait_seconds = serve.batch_wait_ms / 1000.0
-        self.shed_timeout = serve.shed_timeout_seconds
-        self.request_timeout = serve.request_timeout_seconds
-        self.batch_metrics = BatchingMetrics(window_size=metrics_window)
-        capacity = (serve.workers + serve.queue_depth) * serve.max_batch_size
-        self._pending: queue.Queue[_PendingRequest] = queue.Queue(
-            maxsize=capacity
-        )
-        self._stop_event = threading.Event()
-        self._batchers = [
-            threading.Thread(
-                target=self._batch_loop,
-                name=f"repro-serve-batcher-{index}",
-                daemon=True,
-            )
-            for index in range(serve.workers)
-        ]
-        for thread in self._batchers:
-            thread.start()
-
-    # ------------------------------------------------------------------
-    # the hot path
-    # ------------------------------------------------------------------
-    def call(self, endpoint: str, payload: dict) -> dict:
-        """Coalesce an ``/annotate`` request; run anything else solo."""
-        if endpoint != "annotate":
-            self.batch_metrics.observe_solo()
-            return self.inner.call(endpoint, payload)
-        now = time.perf_counter()
-        pending = _PendingRequest(payload, now, now + self.request_timeout)
-        try:
-            self._pending.put(pending, timeout=self.shed_timeout)
-        except queue.Full:
-            self.batch_metrics.observe_shed()
-            raise ApiError(
-                api_errors.OVERLOADED,
-                "server overloaded: the batching queue is full; retry "
-                "with backoff",
-            ) from None
-        # generous ceiling: the batcher enforces the real per-request
-        # deadline; this wait only guards against a lost wakeup
-        if not pending.done.wait(
-            self.request_timeout + self.batch_wait_seconds + 60.0
-        ):  # pragma: no cover - requires a wedged batcher thread
-            raise ApiError(
-                api_errors.INTERNAL_ERROR,
-                "batched request was never resolved; the coalescer is wedged",
-            )
-        if pending.error is not None:
-            # re-raise per caller: one shared whole-batch failure must not
-            # mutate a single exception object across N threads
-            raise ApiError(pending.error.code, str(pending.error))
-        result: dict = pending.result if pending.result is not None else {}
-        return result
-
-    # ------------------------------------------------------------------
-    # batcher threads
-    # ------------------------------------------------------------------
-    def _batch_loop(self) -> None:
-        """Collect one batch, execute it, repeat until drained + stopped."""
-        while True:
-            try:
-                first = self._pending.get(timeout=0.1)
-            except queue.Empty:
-                if self._stop_event.is_set():
-                    return
-                continue
-            batch = [first]
-            hold_until = time.perf_counter() + self.batch_wait_seconds
-            while len(batch) < self.max_batch_size:
-                remaining = hold_until - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(self._pending.get(timeout=remaining))
-                except queue.Empty:
-                    break
-            try:
-                self._execute(batch)
-            except Exception as error:  # noqa: BLE001 - a batcher thread
-                # must survive anything; fail the riders, keep looping
-                converted = to_api_error(error)
-                for pending in batch:
-                    pending.fail(ApiError(converted.code, str(converted)))
-
-    def _execute(self, batch: list[_PendingRequest]) -> None:
-        """One coalesced batch: enforce deadlines, ship, demultiplex."""
-        now = time.perf_counter()
-        live: list[_PendingRequest] = []
-        for pending in batch:
-            if pending.deadline <= now:
-                pending.fail(
-                    ApiError(
-                        api_errors.OVERLOADED,
-                        "request timed out in the batching queue; retry "
-                        "with backoff",
-                    )
-                )
-            else:
-                live.append(pending)
-        if not live:
-            return
-        waits = [now - pending.enqueued_at for pending in live]
-        timeout = max(0.05, min(p.deadline for p in live) - now)
-        try:
-            outcomes = self.inner.call_batch(
-                "annotate", [p.payload for p in live], timeout=timeout
-            )
-        except ApiError as error:
-            self.batch_metrics.observe_batch(len(live), waits, error=True)
-            for pending in live:
-                pending.fail(ApiError(error.code, str(error)))
-            return
-        self.batch_metrics.observe_batch(len(live), waits)
-        for pending, outcome in zip(live, outcomes):
-            error_payload = (
-                outcome.get("error") if isinstance(outcome, dict) else None
-            )
-            if error_payload is not None:
-                body: Mapping[str, str] = error_payload.get("error", {})
-                pending.fail(
-                    ApiError(
-                        body.get("code", api_errors.INTERNAL_ERROR),
-                        body.get("message", "worker error"),
-                    )
-                )
-            elif isinstance(outcome, dict) and "ok" in outcome:
-                pending.resolve(outcome["ok"])
-            else:
-                pending.fail(
-                    ApiError(
-                        api_errors.INTERNAL_ERROR,
-                        "batch backend returned a malformed outcome",
-                    )
-                )
-
-    # ------------------------------------------------------------------
-    # delegation
-    # ------------------------------------------------------------------
-    def call_batch(
-        self,
-        endpoint: str,
-        payloads: list[dict],
-        timeout: float | None = None,
-    ) -> list[dict]:
-        return self.inner.call_batch(endpoint, payloads, timeout=timeout)
-
-    def observe(self, endpoint: str, seconds: float, error: bool) -> None:
-        self.inner.observe(endpoint, seconds, error)
-
-    def healthz(self) -> dict:
-        return self.inner.healthz()
-
-    def metrics_snapshot(self) -> dict:
-        snapshot = self.inner.metrics_snapshot()
-        snapshot["batching"] = {
-            "enabled": True,
-            "max_batch_size": self.max_batch_size,
-            "batch_wait_ms": round(self.batch_wait_seconds * 1000.0, 3),
-            **self.batch_metrics.snapshot(),
-        }
-        return snapshot
-
-    def reload(self, payload: dict) -> dict:
-        return self.inner.reload(payload)
-
-    def drain_batchers(self, timeout: float = 30.0) -> bool:
-        """Drain the batching queue and stop the coalescer threads without
-        touching the inner backend — for callers that own the inner
-        backend's lifecycle separately (benchmarks, layered serving)."""
-        self._stop_event.set()
-        deadline = time.monotonic() + max(timeout, 0.2)
-        drained = True
-        for thread in self._batchers:
-            thread.join(timeout=max(0.1, deadline - time.monotonic()))
-            if thread.is_alive():
-                drained = False
-        return drained
-
-    def shutdown(self, drain_timeout: float | None = None) -> bool:
-        """Drain the batching queue, stop the batchers, then the inner
-        backend (which drains its own in-flight work)."""
-        drained = self.drain_batchers(
-            drain_timeout if drain_timeout is not None else 30.0
-        )
-        return self.inner.shutdown(drain_timeout) and drained

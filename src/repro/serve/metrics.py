@@ -8,17 +8,13 @@ the arithmetic is nanoseconds next to request work):
   view: whatever the worker topology, every request lands here once.
 * :class:`DispatcherMetrics` — the multi-process tier's split of the same
   traffic: per-worker handler-latency histograms (the time inside the
-  worker process, excluding queue wait), a queue-wait window, and the
-  dispatcher counters (sheds, worker restarts, reloads, in-flight gauge).
-* :class:`BatchingMetrics` — the request coalescer's accounting: how many
-  requests rode a fused super-batch vs. ran solo, the batch-size
-  histogram, and a window of coalesce waits (time a request sat in the
-  batching queue before its batch executed).
+  worker process, excluding queue wait), a queue-wait window, the
+  batch-size histogram of the worker round trips, and the dispatcher
+  counters (sheds, worker restarts, reloads, in-flight gauge).
 
-``/metrics`` reports all of them: the aggregate ``endpoints`` section
-keeps its shape from the single-process days, the ``workers`` /
-``dispatcher`` sections carry the per-worker split, and ``batching``
-appears when the coalescer is enabled (see ``docs/OPERATIONS.md`` for the
+``/metrics`` reports both: the aggregate ``endpoints`` section keeps its
+shape from the single-process days, and the ``workers`` / ``dispatcher``
+sections carry the per-worker split (see ``docs/OPERATIONS.md`` for the
 full field reference).
 """
 
@@ -27,6 +23,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+
+#: recent latencies each window keeps for its percentiles
+WINDOW_SIZE = 2048
 
 
 def percentile(ordered: list[float], fraction: float) -> float:
@@ -37,14 +36,26 @@ def percentile(ordered: list[float], fraction: float) -> float:
     return ordered[index]
 
 
+def _window_snapshot(window: deque[float]) -> dict:
+    """p50/p90/p99/max of one latency window, plus its fill."""
+    ordered = sorted(window)
+    return {
+        "p50": round(percentile(ordered, 0.50), 6),
+        "p90": round(percentile(ordered, 0.90), 6),
+        "p99": round(percentile(ordered, 0.99), 6),
+        "max": round(ordered[-1], 6) if ordered else 0.0,
+        "window": len(ordered),
+    }
+
+
 class EndpointMetrics:
     """Counters plus a recent-latency window for one endpoint."""
 
-    def __init__(self, window_size: int) -> None:
+    def __init__(self) -> None:
         self.requests = 0
         self.errors = 0
         self.total_seconds = 0.0
-        self.window: deque[float] = deque(maxlen=window_size)
+        self.window: deque[float] = deque(maxlen=WINDOW_SIZE)
 
     def observe(self, seconds: float, error: bool) -> None:
         self.requests += 1
@@ -57,28 +68,18 @@ class EndpointMetrics:
             self.window.append(seconds)
 
     def snapshot(self) -> dict:
-        ordered = sorted(self.window)
         return {
             "requests": self.requests,
             "errors": self.errors,
             "total_seconds": round(self.total_seconds, 6),
-            "latency_seconds": {
-                "p50": round(percentile(ordered, 0.50), 6),
-                "p90": round(percentile(ordered, 0.90), 6),
-                "p99": round(percentile(ordered, 0.99), 6),
-                "max": round(ordered[-1], 6) if ordered else 0.0,
-                "window": len(ordered),
-            },
+            "latency_seconds": _window_snapshot(self.window),
         }
 
 
 class MetricsRegistry:
     """Thread-safe per-endpoint request accounting."""
 
-    def __init__(self, window_size: int = 2048) -> None:
-        if window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        self._window_size = window_size
+    def __init__(self) -> None:
         self._endpoints: dict[str, EndpointMetrics] = {}
         self._lock = threading.Lock()
         self._started = time.time()
@@ -87,9 +88,7 @@ class MetricsRegistry:
         with self._lock:
             metrics = self._endpoints.get(endpoint)
             if metrics is None:
-                metrics = self._endpoints[endpoint] = EndpointMetrics(
-                    self._window_size
-                )
+                metrics = self._endpoints[endpoint] = EndpointMetrics()
             metrics.observe(seconds, error)
 
     def snapshot(self) -> dict:
@@ -112,13 +111,11 @@ class DispatcherMetrics:
     so callers never alias live state.
     """
 
-    def __init__(self, window_size: int = 2048) -> None:
-        if window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        self._window_size = window_size
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._workers: dict[str, EndpointMetrics] = {}
-        self._queue_window: deque[float] = deque(maxlen=window_size)
+        self._queue_window: deque[float] = deque(maxlen=WINDOW_SIZE)
+        self._batch_sizes: dict[int, int] = {}
         self._shed: dict[str, int] = {}
         self._in_flight = 0
         self._worker_restarts = 0
@@ -131,6 +128,11 @@ class DispatcherMetrics:
         with self._lock:
             self._in_flight += 1
 
+    def observe_batch(self, size: int) -> None:
+        """One worker round trip carried ``size`` queued requests."""
+        with self._lock:
+            self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
+
     def observe_done(
         self,
         worker: str,
@@ -140,14 +142,12 @@ class DispatcherMetrics:
     ) -> None:
         """One request finished on ``worker`` (successfully or with an
         API error — transport-level worker deaths go through
-        :meth:`observe_worker_restart` instead)."""
+        :meth:`observe_worker_failed` instead)."""
         with self._lock:
             self._in_flight = max(0, self._in_flight - 1)
             metrics = self._workers.get(worker)
             if metrics is None:
-                metrics = self._workers[worker] = EndpointMetrics(
-                    self._window_size
-                )
+                metrics = self._workers[worker] = EndpointMetrics()
             metrics.observe(handler_seconds, error)
             self._queue_window.append(queue_seconds)
 
@@ -156,14 +156,13 @@ class DispatcherMetrics:
             self._in_flight = max(0, self._in_flight - 1)
             self._shed[endpoint] = self._shed.get(endpoint, 0) + 1
 
-    def observe_worker_failed(self) -> None:
-        """A request died with its worker: drop the in-flight slot."""
+    def observe_worker_failed(self, requests: int) -> None:
+        """``requests`` died with their worker: drop their in-flight slots."""
         with self._lock:
-            self._in_flight = max(0, self._in_flight - 1)
-            self._worker_restarts += 1
+            self._in_flight = max(0, self._in_flight - requests)
 
     def observe_worker_restart(self) -> None:
-        """An idle worker found dead by the health sweep and replaced."""
+        """A dead or silent worker replaced (mid-request or found idle)."""
         with self._lock:
             self._worker_restarts += 1
 
@@ -184,96 +183,20 @@ class DispatcherMetrics:
         with self._lock:
             metrics = self._workers.get(worker)
             if metrics is None:
-                return EndpointMetrics(self._window_size).snapshot()
+                return EndpointMetrics().snapshot()
             return metrics.snapshot()
 
     def snapshot(self) -> dict:
         with self._lock:
-            ordered = sorted(self._queue_window)
             return {
                 "in_flight": self._in_flight,
                 "shed_total": sum(self._shed.values()),
                 "shed": dict(sorted(self._shed.items())),
                 "worker_restarts": self._worker_restarts,
                 "reloads": self._reloads,
-                "queue_wait_seconds": {
-                    "p50": round(percentile(ordered, 0.50), 6),
-                    "p90": round(percentile(ordered, 0.90), 6),
-                    "p99": round(percentile(ordered, 0.99), 6),
-                    "max": round(ordered[-1], 6) if ordered else 0.0,
-                    "window": len(ordered),
-                },
-            }
-
-
-class BatchingMetrics:
-    """The request coalescer's accounting (fused-vs-solo split).
-
-    One instance per :class:`~repro.serve.dispatcher.BatchingBackend`.  All
-    mutation under one mutex, same as the other registries; the snapshot is
-    a fresh dict so callers never alias live state.
-    """
-
-    def __init__(self, window_size: int = 2048) -> None:
-        if window_size < 1:
-            # reprolint: ignore[exc-unclassified]: a programmer-error guard
-            # at construction time, never reachable from a request
-            raise ValueError("window_size must be >= 1")
-        self._lock = threading.Lock()
-        self._batches = 0
-        self._batch_errors = 0
-        self._batched_requests = 0
-        self._solo_requests = 0
-        self._shed = 0
-        self._size_histogram: dict[int, int] = {}
-        self._wait_window: deque[float] = deque(maxlen=window_size)
-
-    def observe_batch(
-        self, size: int, waits: list[float], error: bool = False
-    ) -> None:
-        """One coalesced super-batch executed (``waits`` holds each rider's
-        time in the batching queue; ``error`` means the whole batch failed
-        at the transport level, not that one table errored)."""
-        with self._lock:
-            self._batches += 1
-            self._batched_requests += size
-            if error:
-                self._batch_errors += 1
-            self._size_histogram[size] = self._size_histogram.get(size, 0) + 1
-            self._wait_window.extend(waits)
-
-    def observe_solo(self) -> None:
-        """One request bypassed the coalescer (a non-annotate endpoint)."""
-        with self._lock:
-            self._solo_requests += 1
-
-    def observe_shed(self) -> None:
-        """One request shed because the batching queue was full."""
-        with self._lock:
-            self._shed += 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            ordered = sorted(self._wait_window)
-            batches = self._batches
-            return {
-                "batches": batches,
-                "batch_errors": self._batch_errors,
-                "batched_requests": self._batched_requests,
-                "solo_requests": self._solo_requests,
-                "shed": self._shed,
-                "mean_batch_size": (
-                    round(self._batched_requests / batches, 3) if batches else 0.0
-                ),
+                "queue_wait_seconds": _window_snapshot(self._queue_window),
                 "batch_size_histogram": {
                     str(size): count
-                    for size, count in sorted(self._size_histogram.items())
-                },
-                "coalesce_wait_seconds": {
-                    "p50": round(percentile(ordered, 0.50), 6),
-                    "p90": round(percentile(ordered, 0.90), 6),
-                    "p99": round(percentile(ordered, 0.99), 6),
-                    "max": round(ordered[-1], 6) if ordered else 0.0,
-                    "window": len(ordered),
+                    for size, count in sorted(self._batch_sizes.items())
                 },
             }

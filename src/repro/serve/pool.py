@@ -11,13 +11,14 @@ pipe:
   tables) as copy-on-write memory.  Worker startup therefore costs one
   :class:`~repro.serve.state.ServeState` construction — milliseconds — not
   a bundle load.
-* **One request at a time per worker.**  Concurrency comes from the number
+* **One message at a time per worker.**  Concurrency comes from the number
   of workers, not from threads inside one; annotation is CPU-bound Python/
   NumPy, so a worker past its GIL does not help.  The pipe is strictly
-  request/response, serialized by the handle's lock on the parent side.
-* **Crash isolation.**  A worker segfaulting or being OOM-killed takes one
-  in-flight request with it, not the server; the dispatcher replaces it
+  request/response, serialized by the handle's lock on the parent side;
+  one ``requests`` message carries whatever the dispatcher had queued
   (see :mod:`repro.serve.dispatcher`).
+* **Crash isolation.**  A worker segfaulting or being OOM-killed takes its
+  in-flight message with it, not the server; the dispatcher replaces it.
 
 Wire protocol (parent -> worker, worker -> parent), all plain tuples over a
 ``multiprocessing`` pipe:
@@ -25,12 +26,10 @@ Wire protocol (parent -> worker, worker -> parent), all plain tuples over a
 ====================================  ====================================
 parent sends                          worker replies
 ====================================  ====================================
-``("request", endpoint, payload)``    ``("ok", result, handler_seconds)``
-                                      or ``("error", envelope, status,
-                                      handler_seconds)``
-``("batch", endpoint, payloads)``     ``("ok", {"results": [...]},
-                                      handler_seconds)`` — one outcome
-                                      dict per payload, in order
+``("requests", items)`` — a list     ``("ok", outcomes,
+of ``(endpoint, payload)`` pairs      handler_seconds)`` — one
+                                      ``{"ok": body}`` / ``{"error":
+                                      envelope}`` per item, in order
 ``("ping",)``                         ``("pong", pid)``
 ``("stats",)``                        ``("ok", stats, 0.0)``
 ``("shutdown",)``                     ``("bye",)`` then exit 0
@@ -44,10 +43,11 @@ stream, and the in-band pickle stays small however large the arrays get
 (regression-tested in ``tests/serve/test_pool.py``).
 
 Errors cross the pipe as the same :class:`~repro.api.types.ErrorEnvelope`
-payload the single-process server would emit, so multi-worker error
-responses are byte-identical to inline ones.  A ``batch`` reply carries
-one ``{"ok": result}`` / ``{"error": envelope}`` outcome per payload —
-per-request error isolation across the same boundary.
+payload the single-process server would emit, one per failed request, so
+multi-worker error responses are byte-identical to inline ones and a
+failing request never fails the others in its message.  An exception that
+still escapes request handling becomes an error outcome for every request
+in the message; it never takes the worker down.
 """
 
 from __future__ import annotations
@@ -168,27 +168,16 @@ def _worker_main(
         except (EOFError, OSError):  # parent is gone: nothing to serve
             break
         kind = message[0]
-        if kind in ("request", "batch"):
-            endpoint, payload = message[1], message[2]
+        if kind == "requests":
             start = time.perf_counter()
             try:
-                if kind == "batch":
-                    result = state.handle_batch(endpoint, payload)
-                else:
-                    result = state.handle(endpoint, payload)
+                outcomes = state.handle_requests(message[1])
             except Exception as error:  # noqa: BLE001 - the process boundary
-                envelope = ErrorEnvelope.from_error(error)
-                send_message(
-                    conn,
-                    (
-                        "error",
-                        envelope.to_json(),
-                        envelope.http_status,
-                        time.perf_counter() - start,
-                    ),
-                )
-            else:
-                send_message(conn, ("ok", result, time.perf_counter() - start))
+                # handle_requests isolates each request itself; anything
+                # escaping it fails this message's requests, not the worker
+                failure = {"error": ErrorEnvelope.from_error(error).to_json()}
+                outcomes = [failure] * len(message[1])
+            send_message(conn, ("ok", outcomes, time.perf_counter() - start))
         elif kind == "ping":
             send_message(conn, ("pong", os.getpid()))
         elif kind == "stats":
@@ -207,9 +196,7 @@ class WorkerHandle:
     """The parent's view of one worker process.
 
     The handle serializes pipe access with one lock (`call` is a strict
-    request/response round trip), tracks liveness, and owns teardown.  A
-    handle marked ``defunct`` is dead to the dispatcher: it never re-enters
-    the idle pool and its process is already being replaced.
+    request/response round trip), tracks liveness, and owns teardown.
     """
 
     def __init__(
@@ -225,7 +212,6 @@ class WorkerHandle:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self._conn = parent_conn
         self._conn_lock = threading.Lock()
-        self.defunct = False
         self.process = ctx.Process(
             target=_worker_main,
             args=(child_conn, bundle, config, name),
@@ -243,16 +229,28 @@ class WorkerHandle:
     ) -> tuple[Any, ...]:
         """One request/response round trip; raises on death or timeout."""
         with self._conn_lock:
-            send_message(self._conn, message)
             # reprolint: ignore[lock-order-hold-wait]: _conn_lock exists
             # precisely to serialize this round trip; the child replies
             # regardless of parent lock state, and poll() is the bounded
             # wait that turns a wedged worker into WorkerTimeout
-            if not self._conn.poll(timeout):
-                raise WorkerTimeout(
-                    f"worker {self.name} silent for {timeout:.0f}s"
-                )
-            reply = recv_message(self._conn)
+            return self._round_trip(message, timeout)
+
+    def call_if_idle(
+        self, message: tuple, timeout: float = DEFAULT_CALL_TIMEOUT
+    ) -> tuple[Any, ...] | None:
+        """:meth:`call`, or None at once when another call holds the pipe."""
+        if not self._conn_lock.acquire(blocking=False):
+            return None
+        try:
+            return self._round_trip(message, timeout)
+        finally:
+            self._conn_lock.release()
+
+    def _round_trip(self, message: tuple, timeout: float) -> tuple[Any, ...]:
+        send_message(self._conn, message)
+        if not self._conn.poll(timeout):
+            raise WorkerTimeout(f"worker {self.name} silent for {timeout:.0f}s")
+        reply = recv_message(self._conn)
         if not isinstance(reply, tuple) or not reply:
             # reprolint: ignore[exc-unclassified]: deliberately a pipe-level
             # error — the dispatcher's _PIPE_ERRORS handling turns it into
@@ -268,7 +266,7 @@ class WorkerHandle:
             return False
 
     def alive(self) -> bool:
-        return not self.defunct and self.process.is_alive()
+        return self.process.is_alive()
 
     @property
     def pid(self) -> int | None:
@@ -322,8 +320,8 @@ def spawn_worker(
 ) -> WorkerHandle:
     """Fork one worker and wait until it answers a ping.
 
-    The ping bounds how broken a worker can be when it enters the idle
-    pool: a child that failed during :class:`ServeState` construction dies
+    The ping bounds how broken a worker can be when it starts taking
+    requests: a child that failed during :class:`ServeState` construction dies
     before ponging, and the dispatcher surfaces that at spawn time instead
     of on the first unlucky request.
     """

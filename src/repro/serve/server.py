@@ -11,8 +11,9 @@ depends on the **backend** behind the server:
   :mod:`repro.serve.state`).
 * :class:`~repro.serve.dispatcher.Dispatcher` — the pre-fork shape
   (``repro serve --workers N``): HTTP threads hand the decoded body to the
-  dispatcher, which queues it onto one of N forked worker processes
-  sharing the bundle's pages.  Backpressure, load shedding, worker
+  dispatcher, which queues it for the next idle one of N forked worker
+  processes sharing the bundle's pages; concurrent requests ride one
+  worker round trip together.  Backpressure, load shedding, worker
   restarts and bundle hot-swap all live there.
 
 Endpoints::
@@ -72,16 +73,6 @@ class Backend(Protocol):
     def call(self, endpoint: str, payload: dict) -> dict:
         """Handle one decoded request body; raises on failure."""
 
-    def call_batch(
-        self,
-        endpoint: str,
-        payloads: list[dict],
-        timeout: float | None = None,
-    ) -> list[dict]:
-        """Handle one coalesced batch: one ``{"ok": ...}`` / ``{"error":
-        ...}`` outcome per payload, in order (failures isolated per item;
-        raises only on whole-batch transport failure)."""
-
     def observe(self, endpoint: str, seconds: float, error: bool) -> None:
         """Record one finished request in the aggregate registry."""
 
@@ -117,19 +108,6 @@ class InlineBackend:
 
     def call(self, endpoint: str, payload: dict) -> dict:
         return self.state.handle(endpoint, payload)
-
-    def call_batch(
-        self,
-        endpoint: str,
-        payloads: list[dict],
-        timeout: float | None = None,
-    ) -> list[dict]:
-        """One coalesced batch on the in-process state (``timeout`` is a
-        dispatcher concern; the inline shape runs to completion)."""
-        results: list[dict] = self.state.handle_batch(endpoint, payloads)[
-            "results"
-        ]
-        return results
 
     def observe(self, endpoint: str, seconds: float, error: bool) -> None:
         self.state.metrics.observe(endpoint, seconds, error=error)

@@ -28,6 +28,7 @@ Concurrency model (the whole locking story):
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 
@@ -48,6 +49,8 @@ from repro.search.ranking import SearchResponse as RankedResponse
 from repro.serve.bundle import LoadedBundle
 from repro.serve.metrics import MetricsRegistry
 
+logger = logging.getLogger(__name__)
+
 
 def response_to_dict(response: RankedResponse, top_k: int | None = None) -> dict:
     """Deprecated shim over :meth:`repro.api.types.SearchResponse.to_json`.
@@ -61,13 +64,17 @@ def response_to_dict(response: RankedResponse, top_k: int | None = None) -> dict
     return SearchResponse.from_ranked(response, top_k=top_k).to_json()
 
 
+def _error_outcome(error: BaseException) -> dict:
+    """One failed request as its :meth:`ServeState.handle_requests` outcome."""
+    return {"error": ErrorEnvelope.from_error(error).to_json()}
+
+
 class ServeState:
     """Everything one server process shares across requests."""
 
     def __init__(
         self,
         bundle: LoadedBundle,
-        metrics_window: int = 2048,
         session_config: SessionConfig | None = None,
     ) -> None:
         self.session = ReproSession.from_bundle(bundle, config=session_config)
@@ -75,7 +82,7 @@ class ServeState:
         self.catalog = bundle.catalog
         self.model = bundle.model
         self.index = bundle.table_index
-        self.metrics = MetricsRegistry(window_size=metrics_window)
+        self.metrics = MetricsRegistry()
 
     def pipeline(self) -> AnnotationPipeline:
         """The session's shared pipeline (kept for introspection / tests)."""
@@ -103,64 +110,60 @@ class ServeState:
             return {"slept": payload.get("seconds", 0.0), "pid": os.getpid()}
         raise ApiError(api_errors.NOT_FOUND, f"unknown endpoint: {endpoint}")
 
-    def handle_batch(self, endpoint: str, payloads: list[dict]) -> dict:
-        """Handle one coalesced super-batch with per-item error isolation.
+    def handle_requests(self, items: list[tuple[str, dict]]) -> list[dict]:
+        """Handle one worker message's requests, each failure isolated.
 
-        Returns ``{"results": [...]}`` with one outcome per payload, in
-        order: ``{"ok": <response body>}`` or ``{"error": <ErrorEnvelope>}``
-        — exactly the bodies and envelopes the per-request path would emit,
-        which is what makes serve-time batching invisible in responses.
-        ``annotate`` batches run fused through the session
-        (:meth:`~repro.api.session.ReproSession.annotate_batch`); any other
-        endpoint degrades to a per-item loop over :meth:`handle`.
+        Returns one outcome per ``(endpoint, payload)`` item, in order:
+        ``{"ok": <response body>}`` or ``{"error": <ErrorEnvelope>}`` —
+        exactly the body or envelope :meth:`handle` gives that item alone,
+        which is what keeps batching invisible in responses.  The
+        annotates run as one fused
+        :meth:`~repro.api.session.ReproSession.annotate_batch`; every other
+        endpoint runs item by item through :meth:`handle`.  Should the
+        fused call itself raise — a table the wire decoder accepts but
+        bucket planning cannot read, say — the annotates are answered one
+        at a time through :meth:`handle` instead, and the rerun is logged
+        at WARNING.
         """
-        if endpoint == "annotate":
-            return {"results": self._annotate_batch_results(payloads)}
-        results: list[dict] = []
-        for payload in payloads:
+        outcomes: dict[int, dict] = {}
+        annotates: list[tuple[int, AnnotateRequest]] = []
+        for index, (endpoint, payload) in enumerate(items):
+            if endpoint != "annotate":
+                outcomes[index] = self._outcome(endpoint, payload)
+                continue
             try:
-                results.append({"ok": self.handle(endpoint, payload)})
+                annotates.append((index, AnnotateRequest.from_json(payload)))
             except Exception as error:  # noqa: BLE001 - isolate batchmates
-                results.append(
-                    {"error": ErrorEnvelope.from_error(error).to_json()}
+                outcomes[index] = _error_outcome(error)
+        if annotates:
+            try:
+                responses = self.session.annotate_batch(
+                    [request for _index, request in annotates]
                 )
-        return {"results": results}
-
-    def _annotate_batch_results(self, payloads: list[dict]) -> list[dict]:
-        """Decode, fuse-annotate and encode one ``annotate`` batch."""
-        outcomes: list[dict | None] = [None] * len(payloads)
-        requests: list[AnnotateRequest] = []
-        decoded_indices: list[int] = []
-        for index, payload in enumerate(payloads):
-            try:
-                requests.append(AnnotateRequest.from_json(payload))
-            except Exception as error:  # noqa: BLE001 - isolate batchmates
-                outcomes[index] = {
-                    "error": ErrorEnvelope.from_error(error).to_json()
-                }
-            else:
-                decoded_indices.append(index)
-        if requests:
-            responses = self.session.annotate_batch(requests)
-            for index, response in zip(decoded_indices, responses):
-                if isinstance(response, ApiError):
-                    outcomes[index] = {
-                        "error": ErrorEnvelope.from_error(response).to_json()
-                    }
-                else:
-                    outcomes[index] = {"ok": response.to_json()}
-        return [
-            outcome
-            if outcome is not None
-            else {
-                "error": ErrorEnvelope.from_error(
-                    ApiError(
-                        api_errors.INTERNAL_ERROR, "batch slot never resolved"
+                for (index, _request), response in zip(annotates, responses):
+                    outcomes[index] = (
+                        _error_outcome(response)
+                        if isinstance(response, ApiError)
+                        else {"ok": response.to_json()}
                     )
-                ).to_json()
-            }
-            for outcome in outcomes
-        ]
+            except Exception as error:  # noqa: BLE001 - isolate batchmates
+                logger.warning(
+                    "fused annotate of %d request(s) failed; answering "
+                    "them one at a time",
+                    len(annotates),
+                    exc_info=error,
+                )
+                for index, _request in annotates:
+                    outcomes[index] = self._outcome("annotate", items[index][1])
+        return [outcomes[index] for index in range(len(items))]
+
+    def _outcome(self, endpoint: str, payload: dict) -> dict:
+        """:meth:`handle` for one item as its :meth:`handle_requests`
+        outcome."""
+        try:
+            return {"ok": self.handle(endpoint, payload)}
+        except Exception as error:  # noqa: BLE001 - isolate batchmates
+            return _error_outcome(error)
 
     def annotate_payload(self, payload: dict) -> dict:
         """Handle one ``/annotate`` body."""

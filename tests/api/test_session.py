@@ -26,13 +26,13 @@ from repro.tables.corpus import TableCorpus, save_corpus_jsonl
 from tests.api.conftest import find_productive_query
 from tests.oracles import OracleAnnotator
 
-#: the per-call engine knobs this API no longer has
-REMOVED_KNOBS = ("engine", "candidate_engine", "fusion")
+#: the engine and executor knobs this API no longer has
+REMOVED_KNOBS = ("engine", "candidate_engine", "fusion", "executor")
 
 
 class TestSessionConfig:
     def test_roundtrip_json(self):
-        config = SessionConfig(executor="serial", workers=2, cache_size=10)
+        config = SessionConfig(workers=2, cache_size=10)
         assert SessionConfig.from_json(config.to_json()) == config
 
     def test_unknown_field_rejected(self):
@@ -56,13 +56,9 @@ class TestSessionConfig:
     def test_pipeline_config_carries_engine(self):
         """The one pipeline config carries every session-level setting."""
         config = SessionConfig(
-            executor="serial", workers=2, batch_size=4, compiled_cache_size=7
+            workers=2, batch_size=4, compiled_cache_size=7
         ).pipeline_config()
-        assert (config.executor, config.workers, config.batch_size) == (
-            "serial",
-            2,
-            4,
-        )
+        assert (config.workers, config.batch_size) == (2, 4)
         assert config.compiled_cache_size == 7
 
     def test_roundtrip_json_with_candidate_engine(self):
@@ -77,7 +73,7 @@ class TestSessionConfig:
         for build in (
             lambda: SessionConfig(batch_size=0),
             lambda: SessionConfig.from_json({"workers": 0}),
-            lambda: SessionConfig.from_json({"serve": {"max_batch_size": 0}}),
+            lambda: SessionConfig.from_json({"serve": {"queue_depth": -1}}),
             lambda: SessionConfig.from_json({"search": {"max_middle": 0}}),
             lambda: SessionConfig.from_json({"workers": "two"}),
         ):

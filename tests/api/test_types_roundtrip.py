@@ -379,7 +379,7 @@ def test_to_api_error_classifies_internal_exceptions():
     assert api_errors.to_api_error(FileNotFoundError("f")).code == "io_error"
     assert api_errors.to_api_error(RuntimeError("boom")).code == "internal_error"
     # already-classified errors pass through untouched
-    original = ApiError("unknown_engine", "nope")
+    original = ApiError("unknown_id", "nope")
     assert api_errors.to_api_error(original) is original
 
 

@@ -1,13 +1,17 @@
 """Tests for batched execution: chunking, ordering, parallelism."""
 
-import multiprocessing
-import os
 import threading
 import time
 
 import pytest
 
-from repro.pipeline.executor import BatchExecutor, execute_batches, iter_batches
+from repro.pipeline.executor import BatchExecutor, iter_batches
+
+
+def execute(batches, worker, max_workers):
+    """One ``map_ordered`` stream on an executor that lives as long as it."""
+    with BatchExecutor(max_workers) as executor:
+        yield from executor.map_ordered(batches, worker)
 
 
 class TestIterBatches:
@@ -36,9 +40,11 @@ class TestIterBatches:
 
 
 class TestExecuteBatches:
+    """Executing a batch stream through :meth:`BatchExecutor.map_ordered`."""
+
     def test_serial_preserves_order(self):
         batches = iter_batches(range(10), 3)
-        results = list(execute_batches(batches, lambda b: sum(b), max_workers=1))
+        results = list(execute(batches, lambda b: sum(b), max_workers=1))
         assert results == [3, 12, 21, 9]
 
     def test_threaded_preserves_order(self):
@@ -48,7 +54,7 @@ class TestExecuteBatches:
             return batch[0]
 
         batches = [[i] for i in range(4)]
-        results = list(execute_batches(batches, slow_reverse, max_workers=4))
+        results = list(execute(batches, slow_reverse, max_workers=4))
         assert results == [0, 1, 2, 3]
 
     def test_threaded_actually_overlaps(self):
@@ -65,7 +71,7 @@ class TestExecuteBatches:
                 active.pop()
             return batch
 
-        list(execute_batches([[i] for i in range(4)], worker, max_workers=4))
+        list(execute([[i] for i in range(4)], worker, max_workers=4))
         assert max(peak) > 1
 
     def test_worker_exception_propagates(self):
@@ -73,7 +79,7 @@ class TestExecuteBatches:
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError):
-            list(execute_batches([[1]], explode, max_workers=2))
+            list(execute([[1]], explode, max_workers=2))
 
     def test_early_break_returns_promptly(self):
         # abandoning the stream must not block on queued batches: the pool
@@ -86,7 +92,7 @@ class TestExecuteBatches:
             time.sleep(0.25)
             return batch[0]
 
-        stream = execute_batches([[i] for i in range(20)], slow, max_workers=2)
+        stream = execute([[i] for i in range(20)], slow, max_workers=2)
         begin = time.perf_counter()
         for result in stream:
             assert result == 0
@@ -109,25 +115,27 @@ class TestExecuteBatches:
                 yield [i]
                 i += 1
 
-        stream = execute_batches(counting(), lambda b: b[0], max_workers=2)
+        stream = execute(counting(), lambda b: b[0], max_workers=2)
         for _ in range(3):
             next(stream)
         assert len(consumed) <= 3 + 2 * 2 + 1
 
 
-def _square_batch(batch):
-    return [item * item for item in batch]
-
-
 class TestBatchExecutor:
-    def test_unknown_kind_rejected(self):
+    def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
-            BatchExecutor("fiber")
+            BatchExecutor(0)
 
     def test_serial_runs_inline(self):
-        with BatchExecutor("serial") as executor:
+        caller = threading.get_ident()
+        with BatchExecutor(1) as executor:
             results = list(executor.map_ordered([[1, 2], [3]], sum))
+            threads = set(
+                executor.map_ordered([[1]], lambda _: threading.get_ident())
+            )
+            assert executor._pool is None
         assert results == [3, 3]
+        assert threads == {caller}
 
     def test_thread_pool_persists_across_calls(self):
         thread_ids: set[int] = set()
@@ -136,7 +144,7 @@ class TestBatchExecutor:
             thread_ids.add(threading.get_ident())
             return batch
 
-        with BatchExecutor("thread", max_workers=2) as executor:
+        with BatchExecutor(max_workers=2) as executor:
             for _ in range(3):
                 list(executor.map_ordered([[1]], record))
             first_pool = executor._pool
@@ -145,40 +153,8 @@ class TestBatchExecutor:
             assert executor._pool is first_pool
         assert executor._pool is None
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="process executor requires the fork start method",
-    )
-    def test_process_pool_runs_in_workers(self):
-        with BatchExecutor("process", max_workers=2) as executor:
-            results = list(
-                executor.map_ordered([[1, 2], [3, 4]], _square_batch)
-            )
-            assert results == [[1, 4], [9, 16]]
-            # pool survives for a second stream with the same worker
-            pool = executor._pool
-            assert list(executor.map_ordered([[5]], _square_batch)) == [[25]]
-            assert executor._pool is pool
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="process executor requires the fork start method",
-    )
-    def test_process_pool_inherits_parent_state(self):
-        # forked workers see the parent's memory at fork time: a closure over
-        # parent-side state works without any pickling of that state
-        payload = {"parent_pid": os.getpid(), "blob": list(range(100))}
-
-        def probe(batch):
-            return (os.getpid() != payload["parent_pid"], sum(payload["blob"]))
-
-        with BatchExecutor("process", max_workers=2) as executor:
-            (in_child, checksum), = executor.map_ordered([[0]], probe)
-        assert in_child
-        assert checksum == sum(range(100))
-
     def test_close_is_idempotent(self):
-        executor = BatchExecutor("thread", max_workers=2)
+        executor = BatchExecutor(max_workers=2)
         list(executor.map_ordered([[1]], sum))
         executor.close()
         executor.close()

@@ -1,7 +1,7 @@
 """Fused corpus execution must be invisible in the output.
 
 The pipeline plans every batch into shape buckets and runs each bucket as
-one cross-table BP graph (optionally on pools), but every table's
+one cross-table BP graph (optionally on a thread pool), but every table's
 annotation must be byte-identical to the one it gets alone — and to the
 scalar oracle's, one layer swapped at a time.  These tests compare the full
 ``annotation_to_dict`` payloads, the same serialisation the JSONL corpus
@@ -69,15 +69,8 @@ class TestFusedEquality:
         assert fused == expected
 
     def test_identical_on_thread_executor(self, world, corpus, serial_payloads):
-        fused, _ = annotate_corpus(world, corpus, executor="thread", workers=2)
+        fused, _ = annotate_corpus(world, corpus, workers=2)
         assert fused == serial_payloads
-
-    def test_identical_on_process_executor(self, world, corpus, serial_payloads):
-        fused, report = annotate_corpus(
-            world, corpus, executor="process", workers=2, batch_size=4
-        )
-        assert fused == serial_payloads
-        assert report.finished
 
     def test_duplicate_tables_share_buckets(self, world, corpus, serial_payloads):
         doubled = list(corpus) + list(corpus)
@@ -111,5 +104,7 @@ class TestPipelineLifecycle:
             AnnotatorConfig.from_dict({"fusion": "bucket"})
 
     def test_executor_knob_validated(self):
-        with pytest.raises(ValueError, match="executor"):
-            PipelineConfig(executor="bogus")
+        """The removed ``executor`` knob is rejected, not silently ignored:
+        ``workers`` alone picks inline or the thread pool."""
+        with pytest.raises(TypeError, match="executor"):
+            PipelineConfig(executor="thread")  # type: ignore[call-arg]

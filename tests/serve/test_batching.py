@@ -1,25 +1,29 @@
-"""Serve-time dynamic micro-batching: byte-identity, isolation, FIFO.
+"""Serve-time batching: byte-identity, isolation, FIFO.
 
-The coalescer's contract is that batching must be invisible in responses:
-every ``/annotate`` answer (success or error envelope) under concurrent
-batched serving is byte-identical to what the inline unbatched backend
-returns for the same payload.  The hypothesis test races N client threads
-against a :class:`BatchingBackend` over mixed-shape tables with a poisoned
-payload riding along, and checks every response byte-for-byte against solo
-references.
+Every request the dispatcher admits joins one queue; an idle worker takes
+the oldest plus — while no other worker is idle — everything queued behind
+it, as one worker round trip.  Batching must be invisible in responses:
+every answer (success or error envelope) under concurrent serving is
+byte-identical to what :meth:`ServeState.handle` returns for the same
+payload.  The tests park the one worker of a module-scoped dispatcher with
+``_sleep``, so concurrent requests queue up behind it and ride one round
+trip together deterministically; the hypothesis test races N client
+threads over mixed-shape tables with a poisoned payload riding along.
 
-Also covered here: per-request deadline enforcement (``request_timeout``
-is per request, not per batch), the fused→per-table fallback when a fused
-chunk dies (and its ``fallbacks`` counter), solo bypass for non-annotate
-endpoints, FIFO admission ordering (:class:`FifoSlots`), and the whole
-``batch`` pipe message end to end on a real pre-fork dispatcher.
+Also covered here: the queue deadline (a request still queued past
+``request_timeout`` fails ``overloaded`` without being shipped), a
+``/search`` riding in a batch of annotates, the fused→per-table fallback
+when a fused bucket dies (its ``fallbacks`` counter and WARNING log), and
+FIFO admission ordering (:class:`FifoSlots`).
 """
 
 from __future__ import annotations
 
 import copy
+import logging
 import os
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,10 +31,9 @@ from hypothesis import strategies as st
 
 from repro.api.config import ServeConfig, SessionConfig
 from repro.api.errors import ApiError
-from repro.api.types import encode_json
-from repro.serve.dispatcher import BatchingBackend, Dispatcher, FifoSlots
-from repro.serve.server import InlineBackend
+from repro.api.types import ErrorEnvelope, encode_json
 from repro.pipeline.planner import table_signature
+from repro.serve.dispatcher import Dispatcher, FifoSlots
 from repro.serve.state import ServeState
 from repro.tables.generator import (
     NoiseProfile,
@@ -40,27 +43,33 @@ from repro.tables.generator import (
 from repro.tables.model import Table
 from tests.serve.conftest import find_productive_query
 
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="the pre-fork tier requires fork"
+)
+
 #: a payload the wire layer rejects deterministically (missing table_id)
 POISON_PAYLOAD = {"table": {"cells": "not-a-grid"}, "include_timing": False}
 
+#: how long the worker is parked while a test's requests queue up
+PARK_SECONDS = 0.25
 
-def _batching_config(
-    max_batch_size: int = 8,
-    batch_wait_ms: float = 25.0,
-    request_timeout: float = 30.0,
-    workers: int = 1,
-) -> SessionConfig:
-    return SessionConfig(
-        serve=ServeConfig(
-            workers=workers,
-            queue_depth=32,
-            shed_timeout_seconds=2.0,
-            request_timeout_seconds=request_timeout,
-            batching=True,
-            max_batch_size=max_batch_size,
-            batch_wait_ms=batch_wait_ms,
-        )
+
+@pytest.fixture(scope="module")
+def dispatcher(bundle_dir):
+    """One worker, room to queue every request a test sends at once."""
+    d = Dispatcher(
+        bundle_dir,
+        config=SessionConfig(
+            serve=ServeConfig(
+                workers=1,
+                queue_depth=48,
+                shed_timeout_seconds=2.0,
+                request_timeout_seconds=30.0,
+            )
+        ),
     )
+    yield d
+    d.shutdown(drain_timeout=5.0)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +91,7 @@ def table_payloads(tiny_world, serve_corpus):
 
 @pytest.fixture(scope="module")
 def solo_state(loaded_bundle):
-    """The oracle: a plain unbatched inline state."""
+    """The oracle: a plain in-process state answering one request at a time."""
     return ServeState(loaded_bundle)
 
 
@@ -97,23 +106,25 @@ def solo_responses(solo_state, table_payloads):
 
 @pytest.fixture(scope="module")
 def solo_poison_error(solo_state):
-    """The deterministic (code, message) the unbatched path gives POISON."""
+    """The deterministic (code, message) the solo path gives POISON."""
     with pytest.raises(ApiError) as excinfo:
         solo_state.handle("annotate", POISON_PAYLOAD)
     return excinfo.value.code, str(excinfo.value)
 
 
-def _drive_concurrently(backend, payloads):
+def _drive_concurrently(backend, payloads, endpoints=None):
     """POST every payload from its own thread; returns outcomes in order.
 
     Each outcome is ``("ok", bytes)`` or ``("error", code, message)`` —
-    exactly what the HTTP layer would serialize either way.
+    exactly what the HTTP layer would serialize either way.  Endpoints
+    default to ``annotate``.
     """
+    endpoints = endpoints or ["annotate"] * len(payloads)
     outcomes: list = [None] * len(payloads)
 
     def client(index: int) -> None:
         try:
-            result = backend.call("annotate", payloads[index])
+            result = backend.call(endpoints[index], payloads[index])
         except ApiError as error:
             outcomes[index] = ("error", error.code, str(error))
         else:
@@ -129,6 +140,50 @@ def _drive_concurrently(backend, payloads):
         thread.join(timeout=120.0)
     assert all(outcome is not None for outcome in outcomes)
     return outcomes
+
+
+def _wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def _shipped(dispatcher) -> int:
+    """Worker round trips the dispatcher has shipped so far."""
+    histogram = dispatcher.dispatch_metrics.snapshot()["batch_size_histogram"]
+    return sum(histogram.values())
+
+
+def _park(dispatcher, seconds: float = PARK_SECONDS) -> threading.Thread:
+    """Busy the worker with ``_sleep`` and return once it has taken it, so
+    whatever arrives next queues behind it."""
+    shipped = _shipped(dispatcher)
+    parked = threading.Thread(
+        target=dispatcher.call, args=("_sleep", {"seconds": seconds})
+    )
+    parked.start()
+    _wait_until(lambda: _shipped(dispatcher) > shipped)
+    return parked
+
+
+def _drive_parked(dispatcher, payloads, endpoints=None):
+    """:func:`_drive_concurrently` behind a parked worker: every request
+    queues, then ships in as few round trips as ``batch_size`` allows."""
+    parked = _park(dispatcher)
+    try:
+        return _drive_concurrently(dispatcher, payloads, endpoints)
+    finally:
+        parked.join(timeout=30.0)
+
+
+def _new_batches(before: dict, after: dict) -> dict[int, int]:
+    """Round trips shipped between two ``batch_size_histogram`` reads."""
+    return {
+        int(size): count - before.get(size, 0)
+        for size, count in after.items()
+        if count > before.get(size, 0)
+    }
 
 
 # ----------------------------------------------------------------------
@@ -190,33 +245,24 @@ def test_fifo_slots_timeout_returns_slot():
 
 
 # ----------------------------------------------------------------------
-# the coalescer over the inline backend
+# batching on the one request path
 # ----------------------------------------------------------------------
+@needs_fork
 def test_batching_backend_byte_identity_under_concurrency(
-    loaded_bundle, table_payloads, solo_responses
+    dispatcher, table_payloads, solo_responses
 ):
-    """Concurrent batched responses == solo responses, byte for byte, and
-    at least one multi-table fused batch actually formed."""
-    backend = BatchingBackend(
-        InlineBackend(ServeState(loaded_bundle)),
-        config=_batching_config(max_batch_size=16, batch_wait_ms=50.0),
-    )
-    try:
-        indices = list(range(len(table_payloads))) * 2
-        outcomes = _drive_concurrently(
-            backend, [table_payloads[i] for i in indices]
-        )
-        for slot, index in enumerate(indices):
-            assert outcomes[slot] == ("ok", solo_responses[index])
-        snapshot = backend.batch_metrics.snapshot()
-        assert snapshot["batched_requests"] == len(indices)
-        assert any(
-            int(size) > 1 for size in snapshot["batch_size_histogram"]
-        ), snapshot
-    finally:
-        backend.shutdown(drain_timeout=5.0)
+    """Concurrent responses == solo responses, byte for byte, and at least
+    one multi-table round trip actually formed."""
+    before = dispatcher.dispatch_metrics.snapshot()["batch_size_histogram"]
+    indices = list(range(len(table_payloads))) * 2
+    outcomes = _drive_parked(dispatcher, [table_payloads[i] for i in indices])
+    for slot, index in enumerate(indices):
+        assert outcomes[slot] == ("ok", solo_responses[index])
+    after = dispatcher.dispatch_metrics.snapshot()["batch_size_histogram"]
+    assert any(size > 1 for size in _new_batches(before, after)), after
 
 
+@needs_fork
 @settings(
     max_examples=12,
     deadline=None,
@@ -224,11 +270,11 @@ def test_batching_backend_byte_identity_under_concurrency(
 )
 @given(data=st.data())
 def test_batching_property_byte_identity_with_poison(
-    data, loaded_bundle, table_payloads, solo_responses, solo_poison_error
+    data, dispatcher, table_payloads, solo_responses, solo_poison_error
 ):
     """N concurrent clients, mixed shapes, one poisoned table per batch:
-    every response byte-identical to the inline unbatched backend, and the
-    poison never takes a batchmate down with it."""
+    every response byte-identical to the solo path, and the poison never
+    takes a batchmate down with it."""
     indices = data.draw(
         st.lists(
             st.integers(min_value=0, max_value=len(table_payloads) - 1),
@@ -241,14 +287,7 @@ def test_batching_property_byte_identity_with_poison(
     )
     payloads = [table_payloads[i] for i in indices]
     payloads.insert(poison_slot, POISON_PAYLOAD)
-    backend = BatchingBackend(
-        InlineBackend(ServeState(loaded_bundle)),
-        config=_batching_config(max_batch_size=16, batch_wait_ms=30.0),
-    )
-    try:
-        outcomes = _drive_concurrently(backend, payloads)
-    finally:
-        backend.shutdown(drain_timeout=5.0)
+    outcomes = _drive_parked(dispatcher, payloads)
     expected_code, expected_message = solo_poison_error
     for slot, outcome in enumerate(outcomes):
         if slot == poison_slot:
@@ -258,131 +297,276 @@ def test_batching_property_byte_identity_with_poison(
             assert outcome == ("ok", solo_responses[index])
 
 
-def test_engine_override_bypasses_batching(
-    loaded_bundle, tiny_world, solo_state
+@needs_fork
+def test_search_rides_behind_annotates(
+    dispatcher, tiny_world, loaded_bundle, solo_state, table_payloads,
+    solo_responses,
 ):
-    """Non-annotate requests run solo — and still match the unbatched
-    backend byte for byte."""
-    backend = BatchingBackend(
-        InlineBackend(ServeState(loaded_bundle)),
-        config=_batching_config(),
+    """A ``/search`` queued with annotates ships in the same round trip and
+    still matches the solo path byte for byte."""
+    relation_id, entity_id = find_productive_query(
+        tiny_world, loaded_bundle.table_index
     )
-    try:
-        relation_id, entity_id = find_productive_query(
-            tiny_world, loaded_bundle.table_index
-        )
-        payload = {"relation": relation_id, "entity": entity_id}
-        result = backend.call("search", payload)
-        assert encode_json(result) == encode_json(
-            solo_state.handle("search", payload)
-        )
-        snapshot = backend.batch_metrics.snapshot()
-        assert snapshot["solo_requests"] == 1
-        assert snapshot["batched_requests"] == 0
-    finally:
-        backend.shutdown(drain_timeout=5.0)
+    search = {"relation": relation_id, "entity": entity_id}
+    before = dispatcher.dispatch_metrics.snapshot()["batch_size_histogram"]
+    outcomes = _drive_parked(
+        dispatcher,
+        [*table_payloads[:4], search],
+        ["annotate"] * 4 + ["search"],
+    )
+    assert outcomes[:4] == [("ok", body) for body in solo_responses[:4]]
+    assert outcomes[4] == (
+        "ok",
+        encode_json(solo_state.handle("search", search)),
+    )
+    after = dispatcher.dispatch_metrics.snapshot()["batch_size_histogram"]
+    assert _new_batches(before, after) == {1: 1, 5: 1}, after
 
 
-def test_request_timeout_is_per_request_not_per_batch(loaded_bundle):
-    """A request whose own deadline passes while the batch is still being
-    held must fail overloaded instead of riding along late."""
-    backend = BatchingBackend(
-        InlineBackend(ServeState(loaded_bundle)),
-        config=_batching_config(
-            batch_wait_ms=300.0, request_timeout=0.01
+@needs_fork
+def test_request_timeout_is_per_request_not_per_batch(bundle_dir):
+    """A request still queued past its own deadline fails ``overloaded``
+    without ever being shipped to the worker."""
+    d = Dispatcher(
+        bundle_dir,
+        config=SessionConfig(
+            batch_size=1,
+            serve=ServeConfig(
+                workers=1, queue_depth=4, request_timeout_seconds=0.8
+            ),
         ),
     )
     try:
+        parked = _park(d, seconds=0.5)
+        # queued behind the park; with batch_size=1 it ships alone next
+        second = threading.Thread(
+            target=d.call, args=("_sleep", {"seconds": 0.5})
+        )
+        second.start()
+        _wait_until(lambda: len(d._current().pending) == 1)
         with pytest.raises(ApiError) as excinfo:
-            backend.call(
-                "annotate", {"table": {"cells": "x"}, "include_timing": False}
-            )
+            d.call("annotate", {"table": {"cells": "x"}})
         assert excinfo.value.code == "overloaded"
-        assert "batching queue" in str(excinfo.value)
+        assert "no worker became available" in str(excinfo.value)
+        parked.join(timeout=10.0)
+        second.join(timeout=10.0)
+        snapshot = d.dispatch_metrics.snapshot()
+        assert snapshot["batch_size_histogram"] == {"1": 2}
+        assert snapshot["shed"] == {"queue_wait": 1}
+        assert snapshot["in_flight"] == 0
     finally:
-        backend.shutdown(drain_timeout=5.0)
+        d.shutdown(drain_timeout=5.0)
+
+
+@needs_fork
+def test_batching_over_dispatcher_pool(
+    dispatcher, table_payloads, solo_responses, solo_poison_error
+):
+    """The full stack: queue → one ``requests`` pipe message → worker
+    ``handle_requests`` → demultiplexed responses, byte-identical and
+    poison-isolated, with the round trip in ``/metrics``."""
+    payloads = [POISON_PAYLOAD, *table_payloads[:6]]
+    outcomes = _drive_parked(dispatcher, payloads)
+    expected_code, expected_message = solo_poison_error
+    assert outcomes[0] == ("error", expected_code, expected_message)
+    for slot in range(1, len(payloads)):
+        assert outcomes[slot] == ("ok", solo_responses[slot - 1])
+    histogram = dispatcher.metrics_snapshot()["dispatcher"][
+        "batch_size_histogram"
+    ]
+    assert histogram.get(str(len(payloads)), 0) >= 1, histogram
+
+
+@needs_fork
+def test_round_trip_time_is_split_across_its_requests(dispatcher):
+    """Per-worker handler time counts a round trip once: each of its
+    requests records an equal share, not the whole trip."""
+    (worker,) = dispatcher._current().workers
+    before = dispatcher.dispatch_metrics.worker_snapshot(worker.name)
+    outcomes = _drive_parked(dispatcher, [{"seconds": 0.1}] * 4, ["_sleep"] * 4)
+    assert [outcome[0] for outcome in outcomes] == ["ok"] * 4
+    after = dispatcher.dispatch_metrics.worker_snapshot(worker.name)
+    # the park (0.25 s) plus one 4-request trip of about 0.4 s
+    spent = after["total_seconds"] - before["total_seconds"]
+    assert 0.6 <= spent < 1.2, spent
+
+
+@needs_fork
+def test_unplannable_table_fails_only_itself(
+    dispatcher, solo_state, table_payloads, solo_responses
+):
+    """A table the wire decoder accepts but bucket planning cannot read
+    (a null cell) fails with the envelope :meth:`ServeState.handle` gives
+    it; its batchmates stay byte-identical and the worker lives on."""
+    broken = copy.deepcopy(table_payloads[0])
+    broken["table"]["cells"][0][0] = None
+    with pytest.raises(AttributeError) as excinfo:
+        solo_state.handle("annotate", broken)
+    expected = ErrorEnvelope.from_error(excinfo.value)
+    restarts = dispatcher.dispatch_metrics.snapshot()["worker_restarts"]
+    before = dispatcher.dispatch_metrics.snapshot()["batch_size_histogram"]
+    outcomes = _drive_parked(dispatcher, [*table_payloads[:4], broken])
+    assert outcomes[:4] == [("ok", body) for body in solo_responses[:4]]
+    assert outcomes[4] == ("error", expected.code, expected.message)
+    after = dispatcher.dispatch_metrics.snapshot()
+    assert _new_batches(before, after["batch_size_histogram"]) == {1: 1, 5: 1}
+    assert after["worker_restarts"] == restarts
+
+
+@needs_fork
+def test_escaped_exception_fails_the_message_not_the_worker(
+    bundle_dir, monkeypatch
+):
+    """Whatever escapes ``handle_requests`` becomes one error outcome per
+    request at the worker's process boundary; the worker is not replaced."""
+
+    def boom(self, items):
+        raise RuntimeError("handler bug")
+
+    # patched before the fork, so the worker inherits it
+    monkeypatch.setattr(ServeState, "handle_requests", boom)
+    d = Dispatcher(bundle_dir, config=SessionConfig(serve=ServeConfig(workers=1)))
+    try:
+        for _ in range(2):
+            with pytest.raises(ApiError) as excinfo:
+                d.call("_sleep", {"seconds": 0})
+            assert excinfo.value.code == "internal_error"
+            assert "handler bug" in str(excinfo.value)
+        assert d.dispatch_metrics.snapshot()["worker_restarts"] == 0
+    finally:
+        d.shutdown(drain_timeout=5.0)
+
+
+# ----------------------------------------------------------------------
+# fused-bucket failures inside one worker message
+# ----------------------------------------------------------------------
+def _annotates(payloads):
+    return [("annotate", payload) for payload in payloads]
 
 
 def test_fused_chunk_failure_falls_back_per_table(
     loaded_bundle, table_payloads, solo_responses, monkeypatch
 ):
-    """A fused super-graph blowing up must degrade to per-table execution
-    with identical responses, not fail the whole batch."""
+    """A multi-table fused super-graph blowing up must degrade to
+    per-table execution with identical responses, not fail the batch."""
     import repro.api.session as session_module
 
-    def explode(*args, **kwargs):
-        raise RuntimeError("fused graph corrupted")
+    fused = session_module.annotate_fused_chunk
+
+    def explode(annotator, tables):
+        if len(tables) > 1:
+            raise RuntimeError("fused graph corrupted")
+        return fused(annotator, tables)
 
     monkeypatch.setattr(session_module, "annotate_fused_chunk", explode)
     state = ServeState(loaded_bundle)
-    results = state.handle_batch("annotate", table_payloads)["results"]
+    results = state.handle_requests(_annotates(table_payloads))
     assert [
         ("ok", encode_json(outcome["ok"])) for outcome in results
     ] == [("ok", reference) for reference in solo_responses]
-
-
-# ----------------------------------------------------------------------
-# the batch message end to end on a real pre-fork pool
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="the pre-fork tier requires fork"
-)
-def test_batching_over_dispatcher_pool(
-    bundle_dir, table_payloads, solo_responses, solo_poison_error
-):
-    """The full stack: coalescer → dispatcher → ``batch`` pipe message →
-    worker ``handle_batch`` → demultiplexed responses, byte-identical and
-    poison-isolated."""
-    config = _batching_config(max_batch_size=8, batch_wait_ms=40.0)
-    dispatcher = Dispatcher(bundle_dir, config=config)
-    backend = BatchingBackend(dispatcher, config=config)
-    try:
-        payloads = [POISON_PAYLOAD, *table_payloads[:6]]
-        outcomes = _drive_concurrently(backend, payloads)
-        expected_code, expected_message = solo_poison_error
-        assert outcomes[0] == ("error", expected_code, expected_message)
-        for slot in range(1, len(payloads)):
-            assert outcomes[slot] == ("ok", solo_responses[slot - 1])
-        snapshot = backend.metrics_snapshot()
-        assert snapshot["batching"]["enabled"] is True
-        assert snapshot["batching"]["batched_requests"] == len(payloads)
-    finally:
-        backend.shutdown(drain_timeout=10.0)
+    assert state.cache_stats()["fusion"]["fallbacks"] >= 1
 
 
 #: a cell text the poisoned candidate generator below refuses to resolve
 POISON_CELL = "poison cell"
 
 
-def test_poisoned_batchmate_counts_one_fallback(
-    loaded_bundle, table_payloads, solo_responses, monkeypatch
-):
-    """A table that fails inside annotation takes its fused bucket down;
-    the bucket reruns table by table, the rerun is counted exactly once in
-    the pipeline's ``fusion`` counters, and every batchmate's response stays
-    byte-identical to a solo ``annotate``."""
-    state = ServeState(loaded_bundle)
+def _poison_candidates(state, monkeypatch) -> list[int]:
+    """Make the state's candidate lookup raise on :data:`POISON_CELL`;
+    returns the list its calls are counted in."""
     generator = state.pipeline().annotator.candidate_generator
     resolve = generator.cell_candidates_batch
+    calls: list[int] = []
 
     def poisoned(texts):
+        calls.append(1)
         if POISON_CELL in texts:
             raise RuntimeError("candidate index corrupted")
         return resolve(texts)
 
     monkeypatch.setattr(generator, "cell_candidates_batch", poisoned)
-    twin = copy.deepcopy(table_payloads[0])
+    return calls
+
+
+def _poisoned_twin(payload: dict) -> dict:
+    twin = copy.deepcopy(payload)
     twin["table"]["table_id"] = "poisoned"
     twin["table"]["cells"][0][0] = POISON_CELL
+    return twin
+
+
+def test_repeat_of_a_lone_table_runs_alone_on_its_cached_bundle(
+    loaded_bundle, solo_state, table_payloads
+):
+    """A table already annotated alone keeps its whole-bundle cache hit
+    when it comes back with a same-shape batchmate: it runs alone on the
+    hit and only the new table is planned into a bucket."""
+    state = ServeState(loaded_bundle)
+    seen = table_payloads[0]
+    state.handle("annotate", seen)
+    twin = copy.deepcopy(seen)
+    twin["table"]["table_id"] = "twin"
+    twin["table"]["cells"][0][0] = "another cell"
+    assert table_signature(Table.from_dict(twin["table"])) == table_signature(
+        Table.from_dict(seen["table"])
+    )
+    compiled = state.pipeline().compiled_cache
+    before = compiled.stats()
+    results = state.handle_requests(_annotates([seen, twin]))
+    after = compiled.stats()
+    assert [encode_json(outcome["ok"]) for outcome in results] == [
+        encode_json(solo_state.handle("annotate", payload))
+        for payload in (seen, twin)
+    ]
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+
+
+def test_poisoned_batchmate_counts_one_fallback(
+    loaded_bundle, table_payloads, solo_responses, monkeypatch, caplog
+):
+    """A table that fails inside annotation takes its fused bucket down;
+    the bucket reruns table by table, the rerun is counted exactly once in
+    the pipeline's ``fusion`` counters and logged at WARNING, and every
+    batchmate's response stays byte-identical to a solo ``annotate``."""
+    state = ServeState(loaded_bundle)
+    _poison_candidates(state, monkeypatch)
+    twin = _poisoned_twin(table_payloads[0])
     # the poisoned table shares a shape bucket with its twin
     assert table_signature(Table.from_dict(twin["table"])) == table_signature(
         Table.from_dict(table_payloads[0]["table"])
     )
 
     before = state.cache_stats()["fusion"]["fallbacks"]
-    results = state.handle_batch("annotate", table_payloads + [twin])["results"]
+    with caplog.at_level(logging.WARNING, logger="repro.api.session"):
+        results = state.handle_requests(_annotates(table_payloads + [twin]))
     assert state.cache_stats()["fusion"]["fallbacks"] == before + 1
     assert [encode_json(outcome["ok"]) for outcome in results[:-1]] == (
         solo_responses
     )
     assert results[-1]["error"]["error"]["code"] == "internal_error"
+    warnings = [
+        record for record in caplog.records if record.levelno == logging.WARNING
+    ]
+    assert len(warnings) == 1
+    assert "rerunning them one at a time" in warnings[0].getMessage()
+    assert "candidate index corrupted" in str(warnings[0].exc_info[1])
+
+
+def test_lone_failing_table_is_not_rerun(
+    loaded_bundle, table_payloads, monkeypatch, caplog
+):
+    """A bucket of one has no batchmates to protect: its failure is the
+    table's own error — the envelope :meth:`ServeState.handle` gives — after
+    one candidate lookup, with no rerun, fallback or warning."""
+    state = ServeState(loaded_bundle)
+    calls = _poison_candidates(state, monkeypatch)
+    twin = _poisoned_twin(table_payloads[0])
+    before = state.cache_stats()["fusion"]["fallbacks"]
+    with caplog.at_level(logging.WARNING, logger="repro.api.session"):
+        (outcome,) = state.handle_requests(_annotates([twin]))
+    assert len(calls) == 1
+    assert state.cache_stats()["fusion"]["fallbacks"] == before
+    assert not caplog.records
+    with pytest.raises(RuntimeError) as excinfo:
+        state.handle("annotate", twin)
+    assert outcome == {"error": ErrorEnvelope.from_error(excinfo.value).to_json()}

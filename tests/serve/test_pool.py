@@ -92,6 +92,32 @@ def wait_until(predicate, timeout: float = 10.0, interval: float = 0.05):
 
 
 class TestDispatcher:
+    def test_concurrent_requests_take_different_idle_workers(self, dispatcher):
+        """No worker takes a second request while another is idle: two
+        concurrent requests on a 2-worker pool run on two pids, one
+        request per round trip."""
+        before = dispatcher.dispatch_metrics.snapshot()["batch_size_histogram"]
+        results: list = []
+        threads = [
+            threading.Thread(
+                target=fire, args=(dispatcher, "_sleep", {"seconds": 0.3}, results)
+            )
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert [code for code, _ in results] == ["ok", "ok"]
+        assert len({body["pid"] for _, body in results}) == 2
+        after = dispatcher.dispatch_metrics.snapshot()["batch_size_histogram"]
+        shipped = {
+            size: count - before.get(size, 0)
+            for size, count in after.items()
+            if count > before.get(size, 0)
+        }
+        assert shipped == {"1": 2}
+
     def test_annotate_byte_identical_to_inline(
         self, dispatcher, serve_state, serve_corpus
     ):
