@@ -20,7 +20,7 @@ annotations and a >=3x inference-stage speedup.
 Batched inference turned candidate generation back into ~90% of per-table
 time, so the candidate stage got the same treatment: a dedicated section
 builds the snapshot's candidate spaces through production (the array-backed
-engine of :mod:`repro.core.candidates_batched`) and through the scalar
+engine of :mod:`repro.core.candidates`) and through the scalar
 per-cell oracle, asserts byte-identical annotations and a >=2x
 candidate-stage speedup, and records the ``candidate_engine_speedup``
 trajectory CI gates on.  A fourth section times corpus batching: the same
@@ -158,7 +158,7 @@ def test_fig7_inference_engine_speedup(bench_world, trained_model, emit, emit_js
         bench_world.annotator_view,
         model=trained_model,
         candidates="batched",
-        candidate_generator=production.candidate_generator,
+        candidate_engine=production.candidate_engine,
     )
     start = time.perf_counter()
     problems = [production.build_problem(labeled.table) for labeled in tables]

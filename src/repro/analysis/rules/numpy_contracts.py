@@ -25,7 +25,7 @@ from repro.analysis.walker import ParsedModule
 
 #: modules holding vectorized engine code (the byte-identity hot paths)
 ENGINE_MODULES = (
-    "src/repro/core/candidates_batched.py",
+    "src/repro/core/candidates.py",
     "src/repro/core/fused.py",
     "src/repro/graph/bp.py",
     "src/repro/graph/fused.py",

@@ -24,8 +24,8 @@ straight off disk, which is what ``repro serve`` runs on.
 Concurrency: a session is safe to share across threads exactly like the
 serving layer it powers — bundle state is immutable, pipelines memoise pure
 functions behind internally-locked LRUs, and the only mutation (lazy
-searcher construction, timing-ledger trims) happens under small mutexes
-here.  See :mod:`repro.serve.state` for the full story.
+searcher construction) happens under a small mutex here.  See
+:mod:`repro.serve.state` for the full story.
 """
 
 from __future__ import annotations
@@ -53,12 +53,8 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.errors import CatalogError
 from repro.catalog.io import load_catalog_json
 from repro.core.annotation import TableAnnotation
-from repro.core.candidates import CandidateGenerator
+from repro.core.candidates import CandidateEngine, InternedCandidateTables
 from repro.core.fused import annotate_fused_chunk, cached_alone
-from repro.core.candidates_batched import (
-    BatchedCandidateEngine,
-    InternedCandidateTables,
-)
 from repro.core.model import AnnotationModel, default_model
 from repro.pipeline.io import annotation_to_dict, iter_corpus_jsonl
 from repro.pipeline.pipeline import AnnotationPipeline
@@ -72,9 +68,6 @@ from repro.tables.model import LabeledTable, Table
 
 if TYPE_CHECKING:  # the serve package imports this module; break the cycle
     from repro.serve.bundle import LoadedBundle
-
-#: trim the annotator's per-table timing ledger once it exceeds this
-MAX_TIMING_LEDGER = 4096
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +86,6 @@ class ReproSession:
         self.bundle = bundle
         self.catalog = catalog
         self.model = model if model is not None else default_model()
-        self._timings_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._index: AnnotatedTableIndex | None = (
             bundle.table_index if bundle is not None else None
@@ -107,7 +99,7 @@ class ReproSession:
             self.catalog,
             model=self.model,
             config=self.config.pipeline_config(),
-            candidate_generator=self._candidate_engine,
+            candidate_engine=self._candidate_engine,
         )
 
     # ------------------------------------------------------------------
@@ -171,34 +163,26 @@ class ReproSession:
     # ------------------------------------------------------------------
     # pipelines
     # ------------------------------------------------------------------
-    def _make_candidate_engine(self) -> BatchedCandidateEngine:
+    def _make_candidate_engine(self) -> CandidateEngine:
         """The one candidate engine (frozen lemma index + interned tables)
         every pipeline of the session shares; bundle sessions load both
         straight from disk, world sessions build them once."""
         bundle = self.bundle
-        generator = CandidateGenerator(
+        state = bundle.candidate_state if bundle is not None else None
+        return CandidateEngine(
             self.catalog,
             top_k_entities=self.config.annotator.top_k_entities,
             max_type_candidates=self.config.annotator.max_type_candidates,
             lemma_index=bundle.lemma_index if bundle is not None else None,
             lemma_tfidf=bundle.lemma_tfidf if bundle is not None else None,
+            tables=(
+                InternedCandidateTables.from_state(state) if state is not None else None
+            ),
         )
-        state = bundle.candidate_state if bundle is not None else None
-        tables = (
-            InternedCandidateTables.from_state(state) if state is not None else None
-        )
-        return BatchedCandidateEngine(generator, tables=tables)
 
     def pipeline(self) -> AnnotationPipeline:
         """The session's one warm pipeline."""
         return self._pipeline
-
-    def _trim_timing_ledger(self) -> None:
-        timings = self._pipeline.annotator.timings
-        if len(timings) > MAX_TIMING_LEDGER:
-            with self._timings_lock:
-                if len(timings) > MAX_TIMING_LEDGER:
-                    timings.clear()
 
     # ------------------------------------------------------------------
     # annotation
@@ -206,7 +190,6 @@ class ReproSession:
     def annotate(self, request: AnnotateRequest) -> AnnotateResponse:
         """Annotate one table (the typed request/response path)."""
         annotation = self._pipeline.annotate(request.table)
-        self._trim_timing_ledger()
         return self._annotate_response(
             annotation, include_timing=request.include_timing
         )
@@ -292,7 +275,6 @@ class ReproSession:
                     annotations = [self._annotate_alone(table) for table in tables]
             for (index, _table), annotation in zip(entries, annotations):
                 outcomes[fresh[index]] = annotation
-        self._trim_timing_ledger()
         responses: list[AnnotateResponse | ApiError] = []
         for position, request in enumerate(requests):
             outcome = outcomes[position]
@@ -494,7 +476,7 @@ class ReproSession:
             self.catalog,
             model=default_model(),
             config=self.config.pipeline_config(),
-            candidate_generator=self._candidate_engine,
+            candidate_engine=self._candidate_engine,
         )
         try:
             trainer = StructuredTrainer(

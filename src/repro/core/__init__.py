@@ -38,7 +38,7 @@ from repro.core.augmentation import (
     TupleProposal,
 )
 from repro.core.baselines import LCAAnnotator, MajorityAnnotator
-from repro.core.candidates import CandidateGenerator
+from repro.core.candidates import CandidateEngine
 from repro.core.features import TypeEntityFeatureMode
 from repro.core.learning import StructuredTrainer, TrainingConfig
 from repro.core.model import AnnotationModel
@@ -47,7 +47,7 @@ __all__ = [
     "AnnotationModel",
     "AnnotatorConfig",
     "AugmentationReport",
-    "CandidateGenerator",
+    "CandidateEngine",
     "CatalogAugmenter",
     "InstanceLinkProposal",
     "TupleProposal",

@@ -1,13 +1,13 @@
 """High-level annotation facade.
 
-:class:`TableAnnotator` wires together the candidate generator, feature
+:class:`TableAnnotator` wires together the candidate engine, feature
 computer and the fused inference engine behind one call::
 
     annotator = TableAnnotator(catalog)
     annotation = annotator.annotate(table)
 
-It also owns the timing instrumentation behind the Figure-7 reproduction:
-every annotation records how long was spent probing the lemma index and
+Every annotation carries the timing behind the Figure-7 reproduction in
+``diagnostics["timing"]``: how long was spent probing the lemma index and
 computing similarities (``candidate_seconds``) versus running message passing
 (``inference_seconds``) — the paper reports roughly 80% and <1% of total time
 respectively.
@@ -22,16 +22,12 @@ from dataclasses import dataclass
 from repro.catalog.catalog import Catalog
 from repro.core.annotation import AnnotationTiming, TableAnnotation
 from repro.core.baselines import BaselineResult, LCAAnnotator, MajorityAnnotator
-from repro.core.candidates import CandidateGenerator
-from repro.core.candidates_batched import (
-    BatchedCandidateEngine,
-    BatchedFeatureComputer,
-)
+from repro.core.candidates import CandidateEngine, CandidateEntity
 from repro.core.fused import annotate_fused_chunk
 from repro.core.fused import annotate_problem as annotate_collective_problem
 from repro.core.inference import InferenceConfig
 from repro.core.model import AnnotationModel, default_model
-from repro.core.problem import AnnotationProblem, build_problem
+from repro.core.problem import AnnotationProblem, FeatureComputer, build_problem
 from repro.core.simple_inference import annotate_simple
 from repro.tables.model import Table
 
@@ -80,44 +76,64 @@ class TableAnnotator:
         catalog: Catalog,
         model: AnnotationModel | None = None,
         config: AnnotatorConfig | None = None,
-        candidate_generator: CandidateGenerator | BatchedCandidateEngine | None = None,
+        candidate_engine: CandidateEngine | None = None,
     ) -> None:
         self.catalog = catalog
         self.model = model if model is not None else default_model()
         self.config = config if config is not None else AnnotatorConfig()
-        # a prebuilt generator skips the lemma-index build — the serving
-        # layer passes one loaded straight from an artifact bundle; a scalar
-        # one is wrapped in the array-backed engine, a batched one (with its
-        # interned tables) is reused as is
-        generator = (
-            candidate_generator
-            if candidate_generator is not None
-            else CandidateGenerator(
+        # a prebuilt engine skips the lemma-index and interned-table builds —
+        # sessions pass one loaded straight from an artifact bundle
+        self.candidate_engine = (
+            candidate_engine
+            if candidate_engine is not None
+            else CandidateEngine(
                 catalog,
                 top_k_entities=self.config.top_k_entities,
                 max_type_candidates=self.config.max_type_candidates,
             )
         )
-        if not isinstance(generator, BatchedCandidateEngine):
-            generator = BatchedCandidateEngine(generator)
-        self.candidate_generator = generator
-        self.features = BatchedFeatureComputer(
-            catalog, self.model.mode, generator, engine=generator
+        self.features = FeatureComputer(
+            catalog, self.model.mode, self.candidate_engine
         )
+        #: optional ``Erc`` cache (set by the pipeline); every candidate
+        #: resolution of this annotator consults it
+        self.candidate_cache = None
         #: optional LRU for fused bundles (set by the pipeline); lets
         #: recurring tables skip candidate generation and compilation
         self.compiled_cache = None
-        self.timings: list[AnnotationTiming] = []
 
     # ------------------------------------------------------------------
     # problems
     # ------------------------------------------------------------------
+    def resolve_candidates(
+        self, tables: list[Table]
+    ) -> dict[str, list[CandidateEntity]]:
+        """``Erc`` of every distinct cell text of ``tables`` in one engine
+        call, through the candidate cache when one is attached."""
+        texts = list(
+            dict.fromkeys(
+                table.cell(row, column)
+                for table in tables
+                for column in range(table.n_columns)
+                for row in range(table.n_rows)
+            )
+        )
+        return dict(
+            zip(
+                texts,
+                self.candidate_engine.cell_candidates_batch(
+                    texts, self.candidate_cache
+                ),
+            )
+        )
+
     def build_problem(self, table: Table) -> AnnotationProblem:
         """Candidate spaces + feature caches for one table."""
         return build_problem(
             table,
-            self.candidate_generator,
+            self.candidate_engine,
             self.features,
+            self.resolve_candidates([table]),
             max_column_pairs=self.config.max_column_pairs,
         )
 
@@ -146,7 +162,6 @@ class TableAnnotator:
             n_rows=table.n_rows,
             n_columns=table.n_columns,
         )
-        self.timings.append(timing)
         annotation.diagnostics["timing"] = timing
         return annotation
 

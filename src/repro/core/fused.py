@@ -4,10 +4,11 @@ Every collective annotation goes through here — a lone table is a bucket of
 one, a corpus batch or a coalesced serving batch is planned into shape
 buckets (:mod:`repro.pipeline.planner`) first.  For one bucket this module
 
-1. **prefetches candidates** for every distinct cell of the bucket in one
-   ``cell_candidates_batch`` call and memoises the ``Tc`` / ``Bcc'`` passes
-   on candidate-id tuples (both are pure functions of the candidate entity
-   ids against a frozen catalog, so memo hits are exact),
+1. **resolves candidates** for every distinct cell text of the bucket in
+   one candidate-engine call
+   (:meth:`~repro.core.annotator.TableAnnotator.resolve_candidates`) and
+   builds each table's :class:`~repro.core.problem.AnnotationProblem` from
+   them,
 2. **compiles one fused graph** for the whole bucket directly from the
    per-table :class:`~repro.core.problem.AnnotationProblem` spaces — the
    potentials are the same per-space matrix products
@@ -20,7 +21,7 @@ buckets (:mod:`repro.pipeline.planner`) first.  For one bucket this module
 
 The fused bundle (graph + decode metadata) is memoised in the annotator's
 compiled-graph LRU under :func:`fused_cache_key` — the tables' raw content.
-Within one pipeline the catalog, candidate generator and model are frozen,
+Within one pipeline the catalog, candidate engine and model are frozen,
 so table content determines the bundle; recurring tables or buckets skip
 candidate generation *and* compilation entirely.
 
@@ -61,85 +62,6 @@ if TYPE_CHECKING:  # the annotator module imports this one
 
 
 # ----------------------------------------------------------------------
-# bucket-level candidate prefetch
-# ----------------------------------------------------------------------
-class _BucketPrefetchGenerator:
-    """Candidate-generator proxy that batches one bucket's retrieval.
-
-    All distinct cell texts of the bucket go through a single
-    ``cell_candidates_batch`` call up front (when the wrapped generator is
-    batch-capable); ``column_type_candidates`` / ``relation_candidates`` are
-    memoised on the candidate entity-id tuples, which fully determine their
-    results against a frozen catalog.  Everything else delegates to the
-    wrapped generator, so this proxy drops into
-    :func:`~repro.core.problem.build_problem` unchanged.
-    """
-
-    def __init__(self, inner, tables: list[Table]) -> None:
-        self._inner = inner
-        self._cells: dict[str, list] = {}
-        self._column_memo: dict[tuple, list] = {}
-        self._pair_memo: dict[tuple, list] = {}
-        texts: list[str] = []
-        seen: set[str] = set()
-        for table in tables:
-            for column in range(table.n_columns):
-                for row in range(table.n_rows):
-                    text = table.cell(row, column)
-                    if text not in seen:
-                        seen.add(text)
-                        texts.append(text)
-        batch = getattr(inner, "cell_candidates_batch", None)
-        if batch is not None and texts:
-            self._cells = dict(zip(texts, batch(texts)))
-
-    def cell_candidates(self, cell_text: str):
-        found = self._cells.get(cell_text)
-        if found is not None:
-            return found
-        return self._inner.cell_candidates(cell_text)
-
-    def cell_candidates_batch(self, cell_texts: list[str]):
-        if self._cells:
-            return [self.cell_candidates(text) for text in cell_texts]
-        inner_batch = getattr(self._inner, "cell_candidates_batch", None)
-        if inner_batch is not None:
-            return inner_batch(cell_texts)
-        return [self._inner.cell_candidates(text) for text in cell_texts]
-
-    def column_type_candidates(self, column_candidates):
-        key = tuple(
-            tuple(candidate.entity_id for candidate in cell)
-            for cell in column_candidates
-        )
-        if key not in self._column_memo:
-            self._column_memo[key] = self._inner.column_type_candidates(
-                column_candidates
-            )
-        return self._column_memo[key]
-
-    def relation_candidates(self, left_candidates, right_candidates):
-        key = (
-            tuple(
-                tuple(candidate.entity_id for candidate in cell)
-                for cell in left_candidates
-            ),
-            tuple(
-                tuple(candidate.entity_id for candidate in cell)
-                for cell in right_candidates
-            ),
-        )
-        if key not in self._pair_memo:
-            self._pair_memo[key] = self._inner.relation_candidates(
-                left_candidates, right_candidates
-            )
-        return self._pair_memo[key]
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-
-# ----------------------------------------------------------------------
 # fused compilation
 # ----------------------------------------------------------------------
 @dataclass
@@ -173,7 +95,7 @@ def fused_cache_key(
 ) -> tuple:
     """Content key under which a fused bundle may be reused.
 
-    Valid within one pipeline (frozen catalog + candidate generator): the
+    Valid within one pipeline (frozen catalog + candidate engine): the
     bundle is then a pure function of the tables' raw content, the candidate
     knobs and the model weights.  Table ids are deliberately excluded so
     duplicated table content hits regardless of id.
@@ -658,12 +580,13 @@ def annotate_fused_chunk(
         key = fused_cache_key(tables, annotator.model, config)
         bundle = cache.get(key)
     if bundle is None:
-        proxy = _BucketPrefetchGenerator(annotator.candidate_generator, tables)
+        erc = annotator.resolve_candidates(tables)
         problems = [
             build_problem(
                 table,
-                proxy,
+                annotator.candidate_engine,
                 annotator.features,
+                erc,
                 max_column_pairs=config.max_column_pairs,
             )
             for table in tables
@@ -688,6 +611,5 @@ def annotate_fused_chunk(
             n_rows=table.n_rows,
             n_columns=table.n_columns,
         )
-        annotator.timings.append(timing)
         annotation.diagnostics["timing"] = timing
     return annotations

@@ -16,16 +16,17 @@ learner re-scores the same problem under many weight vectors.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
 from repro.catalog.catalog import Catalog
-from repro.core.candidates import CandidateEntity, CandidateGenerator
+from repro.core.candidates import BoundedMemo, CandidateEngine, CandidateEntity
 from repro.core.features import (
     TypeEntityFeatureMode,
-    relation_entities_features,
-    text_lemma_features,
     header_absent_features,
     type_entity_features,
 )
@@ -33,31 +34,47 @@ from repro.core.model import AnnotationModel
 from repro.graph.factor_graph import FactorGraph
 from repro.tables.generator import base_relation
 from repro.tables.model import Table
+from repro.text.profile import (
+    JaroWinklerCache,
+    TokenProfile,
+    text_lemma_features_profiled,
+)
 
 #: The "no annotation" label; always domain position 0.
 NA = None
 
+#: Dense-f3-matrix ceiling: above this many (type × entity) pairs the
+#: interned grid would dominate memory, so f3 assembly falls back to the
+#: per-pair element cache.
+MAX_DENSE_F3_CELLS = 8_000_000
+
 
 class FeatureComputer:
-    """Feature evaluation against one catalog, with cross-table memoisation.
+    """Feature assembly against one catalog, with cross-table memoisation.
 
-    Two memoisation layers exist.  The element caches below (f1..f5 per
-    label) are always on, as in the seed implementation.  ``block_cache``,
-    when attached (the annotation pipeline does this), additionally memoises
-    whole *assembled* feature arrays keyed by the candidate-space tuples —
-    profiling shows the per-row stacking in :func:`build_problem`, not
-    retrieval, dominates candidate time on corpora with repeated cells.
+    Blocks are assembled with array programs over the candidate engine's
+    interned tables: f1/f2 run the profiled similarity battery
+    (:mod:`repro.text.profile`), f3 grids gather from one interned
+    (type × entity) matrix and f5 grids are ``searchsorted`` membership
+    tests over per-relation tuple keys.  The element-loop reading of every
+    family lives in ``tests/oracles``; the equivalence tests pin the blocks
+    bit for bit against it.
+
+    Two memoisation layers exist.  The per-element caches (f3, f4 sides)
+    are always on.  ``block_cache``, when attached (the annotation pipeline
+    does this), additionally memoises whole *assembled* feature arrays keyed
+    by the candidate-space tuples.
     """
 
     def __init__(
         self,
         catalog: Catalog,
         mode: TypeEntityFeatureMode,
-        generator: CandidateGenerator,
+        engine: CandidateEngine,
     ) -> None:
         self.catalog = catalog
         self.mode = mode
-        self.generator = generator
+        self.engine = engine
         #: optional shared LRU for assembled blocks (set by the pipeline);
         #: anything with get(key)/put(key, value) semantics works
         self.block_cache = None
@@ -65,7 +82,22 @@ class FeatureComputer:
         # text-keyed block cache which is therefore LRU-bounded instead
         self._f3_cache: dict[tuple[str, str], np.ndarray] = {}
         self._f4_side_cache: dict[tuple[str, str], tuple[float, float, float, float]] = {}
-        self._f5_cache: dict[tuple[str, str, str], np.ndarray] = {}
+        self._jw = JaroWinklerCache()
+        self._text_profiles = BoundedMemo()
+        self._entity_profiles: dict[str, tuple[TokenProfile, ...]] = {}
+        self._type_profiles: dict[str, tuple[TokenProfile, ...]] = {}
+        # dense interned f3 grid (lazy; gated on catalog size)
+        self._f3_values: np.ndarray | None = None
+        self._f3_known: np.ndarray | None = None
+        self._f3_init_lock = threading.Lock()
+        self._participant_cache: dict[tuple[int, str], np.ndarray] = {}
+        # interned f3 element inputs, built on first dense f3 fill:
+        # normalised per-type IDF, the type-co-occurrence count matrix
+        # |E(T1) ∩ E(T2)| and per-entity direct-type int arrays
+        self._norm_idf: np.ndarray | None = None
+        self._type_overlap: np.ndarray | None = None
+        self._type_member_counts: np.ndarray | None = None
+        self._direct_type_ints: list[np.ndarray] | None = None
 
     def _block(self, key: tuple, build) -> np.ndarray:
         """Assembled-array memoisation through ``block_cache`` when attached."""
@@ -78,24 +110,87 @@ class FeatureComputer:
             cache.put(key, cached)
         return cached
 
-    # -- assembled blocks (keyed by candidate-space tuples) ---------------
+    # -- profiles ---------------------------------------------------------
+    def _text_profile(self, text: str) -> TokenProfile:
+        profile = self._text_profiles.get(text)
+        if profile is None:
+            profile = TokenProfile.from_text(text, self.engine.lemma_tfidf)
+            self._text_profiles.put(text, profile)
+        return profile
+
+    def _lemma_profiles(
+        self,
+        cache: dict[str, tuple[TokenProfile, ...]],
+        lemmas: tuple[str, ...],
+        key: str,
+    ) -> tuple[TokenProfile, ...]:
+        profiles = cache.get(key)
+        if profiles is None:
+            weights = self.engine.lemma_tfidf
+            profiles = tuple(
+                TokenProfile.from_text(lemma, weights) for lemma in lemmas
+            )
+            cache[key] = profiles
+        return profiles
+
+    # -- f1 / f2 ----------------------------------------------------------
     def f1_block(
         self, cell_text: str, entity_ids: tuple[str, ...]
     ) -> np.ndarray:
         """f1 rows for one cell's candidate list, shape (n_entities, |f1|)."""
-        return self._block(
-            ("f1", cell_text, entity_ids),
-            lambda: np.stack([self.f1(cell_text, e) for e in entity_ids]),
-        )
+
+        def build() -> np.ndarray:
+            profile = self._text_profile(cell_text)
+            rows = [
+                text_lemma_features_profiled(
+                    profile,
+                    self._lemma_profiles(
+                        self._entity_profiles,
+                        self.catalog.entities.lemmas(entity_id),
+                        entity_id,
+                    ),
+                    self._jw,
+                )
+                for entity_id in entity_ids
+            ]
+            return np.stack(rows)
+
+        return self._block(("f1", cell_text, entity_ids), build)
 
     def f2_block(
         self, header_text: str | None, type_ids: tuple[str, ...]
     ) -> np.ndarray:
         """f2 rows for one column's candidate types, shape (n_types, |f2|)."""
-        return self._block(
-            ("f2", header_text, type_ids),
-            lambda: np.stack([self.f2(header_text, t) for t in type_ids]),
-        )
+
+        def build() -> np.ndarray:
+            if header_text is None or not header_text.strip():
+                return np.stack([header_absent_features() for _ in type_ids])
+            profile = self._text_profile(header_text)
+            rows = [
+                text_lemma_features_profiled(
+                    profile,
+                    self._lemma_profiles(
+                        self._type_profiles,
+                        self.catalog.types.lemmas(type_id),
+                        type_id,
+                    ),
+                    self._jw,
+                )
+                for type_id in type_ids
+            ]
+            return np.stack(rows)
+
+        return self._block(("f2", header_text, type_ids), build)
+
+    # -- f3 ---------------------------------------------------------------
+    def f3(self, type_id: str, entity_id: str) -> np.ndarray:
+        """One f3 element (the baselines and constraints score with it)."""
+        key = (type_id, entity_id)
+        cached = self._f3_cache.get(key)
+        if cached is None:
+            cached = type_entity_features(self.catalog, type_id, entity_id, self.mode)
+            self._f3_cache[key] = cached
+        return cached
 
     def f3_block(
         self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]
@@ -103,14 +198,136 @@ class FeatureComputer:
         """f3 grid for one cell, shape (n_types, n_entities, |f3|)."""
         return self._block(
             ("f3", type_ids, entity_ids),
-            lambda: np.stack(
+            lambda: self._f3_grid(type_ids, entity_ids),
+        )
+
+    def _f3_grid(
+        self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]
+    ) -> np.ndarray:
+        tables = self.engine.tables
+        if len(tables.type_ids) * len(tables.entity_ids) > MAX_DENSE_F3_CELLS:
+            # per-pair assembly (still served by the element cache)
+            return np.stack(
                 [
                     np.stack([self.f3(t, e) for e in entity_ids])
                     for t in type_ids
                 ]
-            ),
-        )
+            )
+        type_index = tables.intern("type", type_ids)
+        entity_index = tables.intern("entity", entity_ids)
+        # reprolint: ignore[lock-unguarded-attr]: double-checked init gate —
+        # a stale None re-checks under _f3_init_lock below
+        if self._f3_values is None:
+            # double-checked init: _f3_values is the readiness gate and is
+            # published last, so lock-free readers never see partial state;
+            # the grid itself fills idempotently (deterministic values,
+            # value written before its known flag) outside the lock
+            with self._f3_init_lock:
+                if self._f3_values is None:
+                    shape = (len(tables.type_ids), len(tables.entity_ids))
+                    self._ensure_f3_inputs()
+                    self._f3_known = np.zeros(shape, dtype=bool)
+                    self._f3_values = np.zeros(shape + (3,), dtype=np.float64)
+        # reprolint: ignore[lock-unguarded-attr]: _f3_known exists whenever
+        # _f3_values does (both published under _f3_init_lock above)
+        assert self._f3_known is not None
+        # reprolint: ignore[lock-unguarded-attr]: a racing reader seeing a
+        # stale False just recomputes the same deterministic value below
+        known = self._f3_known[np.ix_(type_index, entity_index)]
+        if not known.all():
+            for t_pos, e_pos in zip(*np.nonzero(~known)):
+                t_int = int(type_index[t_pos])
+                e_int = int(entity_index[e_pos])
+                # reprolint: ignore[lock-unguarded-attr]: idempotent fill —
+                # every racer writes the identical deterministic value
+                self._f3_values[t_int, e_int] = self._f3_value(t_int, e_int)
+                # reprolint: ignore[lock-unguarded-attr]: flag set strictly
+                # after its value; worst case is one redundant recompute
+                self._f3_known[t_int, e_int] = True
+        # reprolint: ignore[lock-unguarded-attr]: every cell read here was
+        # made known (value-before-flag) by this or an earlier call
+        return self._f3_values[np.ix_(type_index, entity_index)]
 
+    def _ensure_f3_inputs(self) -> None:
+        """Intern everything :func:`type_entity_features` derives per call.
+
+        The co-occurrence matrix turns ``relatedness``'s per-call set
+        intersections into one integer matmul over the entity→ancestor
+        membership matrix: ``overlap[T', T] = |E(T') ∩ E(T)|`` exactly,
+        because ``E ∈+ T ⇔ T ∈ T(E)``.
+        """
+        tables = self.engine.tables
+        catalog = self.catalog
+        # same expression as features._normalised_idf, hoisted per type
+        maximum = math.log(max(len(catalog.entities), 2))
+        self._norm_idf = np.asarray(tables.type_specificity) / maximum
+        n_entities = len(tables.entity_ids)
+        n_types = len(tables.type_ids)
+        membership = np.zeros((n_entities, n_types), dtype=np.float64)
+        counts = np.diff(tables.anc_offsets)
+        membership[
+            np.repeat(np.arange(n_entities), counts), tables.anc_flat
+        ] = 1.0
+        self._type_overlap = membership.T @ membership
+        self._type_member_counts = np.diagonal(self._type_overlap).copy()
+        type_index = tables.type_index
+        self._direct_type_ints = [
+            np.asarray(
+                sorted(
+                    type_index[t]
+                    for t in catalog.entities.get(entity_id).direct_types
+                ),
+                dtype=np.int64,
+            )
+            for entity_id in tables.entity_ids
+        ]
+
+    def _f3_value(self, t_int: int, e_int: int) -> tuple[float, float, float]:
+        """One f3 element from the interned inputs.
+
+        Term-for-term the arithmetic of :func:`type_entity_features`
+        (equivalence-tested bit-identical); only the lookups changed.
+        """
+        tables = self.engine.tables
+        catalog = self.catalog
+        assert (
+            self._norm_idf is not None
+            and self._type_overlap is not None
+            and self._type_member_counts is not None
+            and self._direct_type_ints is not None
+        )
+        type_id = tables.type_ids[t_int]
+        distance = catalog.distance(tables.entity_ids[e_int], type_id)
+        contained = math.isfinite(distance)
+        if contained:
+            scale = 1.0
+            effective_distance = distance
+        else:
+            # relatedness: min over direct types of |E(T') ∩ E(T)| / |E(T')|
+            best = math.inf
+            for direct in self._direct_type_ints[e_int].tolist():
+                members = self._type_member_counts[direct]
+                overlap = (
+                    self._type_overlap[direct, t_int] / members
+                    if members
+                    else 0.0
+                )
+                best = min(best, overlap)
+            scale = 0.0 if best is math.inf else float(best)
+            effective_distance = catalog.min_instance_distance(type_id)
+            if not math.isfinite(effective_distance):
+                scale = 0.0
+                effective_distance = 1.0
+        if self.mode is TypeEntityFeatureMode.INV_DIST:
+            distance_compat = scale / max(effective_distance, 1.0)
+        elif self.mode is TypeEntityFeatureMode.INV_SQRT_DIST:
+            distance_compat = scale / math.sqrt(max(effective_distance, 1.0))
+        else:  # IDF: specificity alone
+            distance_compat = 0.0
+        idf_specificity = scale * self._norm_idf[t_int]
+        return distance_compat, idf_specificity, 1.0 if contained else 0.0
+
+    # -- f4 ---------------------------------------------------------------
     def f4_block(
         self,
         relation_labels: tuple[str, ...],
@@ -123,47 +340,6 @@ class FeatureComputer:
             lambda: self.f4_table(relation_labels, left_types, right_types),
         )
 
-    def f5_block(
-        self,
-        labels: tuple[str, ...],
-        left_ids: tuple[str, ...],
-        right_ids: tuple[str, ...],
-    ) -> np.ndarray:
-        """f5 grid for one row of a pair, shape (n_labels, n_left, n_right, |f5|)."""
-
-        def build() -> np.ndarray:
-            block = np.zeros((len(labels), len(left_ids), len(right_ids), 2))
-            for b_index, label in enumerate(labels):
-                for e_index, left_id in enumerate(left_ids):
-                    for o_index, right_id in enumerate(right_ids):
-                        block[b_index, e_index, o_index] = self.f5(
-                            label, left_id, right_id
-                        )
-            return block
-
-        return self._block(("f5", labels, left_ids, right_ids), build)
-
-    # -- f1 / f2 --------------------------------------------------------
-    def f1(self, cell_text: str, entity_id: str) -> np.ndarray:
-        lemmas = self.catalog.entities.lemmas(entity_id)
-        return text_lemma_features(cell_text, lemmas, self.generator.lemma_tfidf)
-
-    def f2(self, header_text: str | None, type_id: str) -> np.ndarray:
-        if header_text is None or not header_text.strip():
-            return header_absent_features()
-        lemmas = self.catalog.types.lemmas(type_id)
-        return text_lemma_features(header_text, lemmas, self.generator.lemma_tfidf)
-
-    # -- f3 ---------------------------------------------------------------
-    def f3(self, type_id: str, entity_id: str) -> np.ndarray:
-        key = (type_id, entity_id)
-        cached = self._f3_cache.get(key)
-        if cached is None:
-            cached = type_entity_features(self.catalog, type_id, entity_id, self.mode)
-            self._f3_cache[key] = cached
-        return cached
-
-    # -- f4 ---------------------------------------------------------------
     def f4_sides(
         self, relation_id: str, type_id: str
     ) -> tuple[float, float, float, float]:
@@ -232,15 +408,90 @@ class FeatureComputer:
         return table
 
     # -- f5 ---------------------------------------------------------------
-    def f5(self, label: str, left_entity: str, right_entity: str) -> np.ndarray:
-        key = (label, left_entity, right_entity)
-        cached = self._f5_cache.get(key)
-        if cached is None:
-            cached = relation_entities_features(
-                self.catalog, label, left_entity, right_entity
-            )
-            self._f5_cache[key] = cached
-        return cached
+    def f5_block(
+        self,
+        labels: tuple[str, ...],
+        left_ids: tuple[str, ...],
+        right_ids: tuple[str, ...],
+    ) -> np.ndarray:
+        """f5 grid for one row of a pair, shape (n_labels, n_left, n_right, |f5|)."""
+        return self._block(
+            ("f5", labels, left_ids, right_ids),
+            lambda: self._f5_grid(labels, left_ids, right_ids),
+        )
+
+    def _f5_grid(
+        self,
+        labels: tuple[str, ...],
+        left_ids: tuple[str, ...],
+        right_ids: tuple[str, ...],
+    ) -> np.ndarray:
+        tables = self.engine.tables
+        left_ints = tables.intern("entity", left_ids)
+        right_ints = tables.intern("entity", right_ids)
+        bases = [base_relation(label) for label in labels]
+        relation_ints = tables.intern(
+            "relation", [relation_id for relation_id, _reverse in bases]
+        )
+        block = np.zeros(
+            (len(labels), len(left_ids), len(right_ids), 2), dtype=np.float64
+        )
+        n_entities = len(tables.entity_ids)
+        for b_index, ((relation_id, reverse), relation_int) in enumerate(
+            zip(bases, relation_ints.tolist())
+        ):
+            start = tables.tuple_offsets[relation_int]
+            stop = tables.tuple_offsets[relation_int + 1]
+            relation_keys = tables.tuple_keys_by_relation[start:stop]
+            # grid layout is [left, right]; the subject role swaps side for
+            # reversed labels, exactly as in relation_entities_features
+            if reverse:
+                keys = left_ints[:, None] + right_ints[None, :] * n_entities
+            else:
+                keys = left_ints[:, None] * n_entities + right_ints[None, :]
+            if len(relation_keys):
+                positions = np.searchsorted(relation_keys, keys)
+                positions = np.minimum(positions, len(relation_keys) - 1)
+                exists = relation_keys[positions] == keys
+            else:
+                exists = np.zeros(keys.shape, dtype=bool)
+            relation = self.catalog.relations.get(relation_id)
+            violation = np.zeros(keys.shape, dtype=bool)
+            if relation.cardinality.subject_functional:
+                # a subject with any catalog tuple contradicts a non-tuple
+                # pairing (the &= ~exists below restricts to those)
+                active = self._relation_participants(relation_int, "subject")
+                if reverse:
+                    violation |= active[right_ints][None, :]
+                else:
+                    violation |= active[left_ints][:, None]
+            if relation.cardinality.object_functional:
+                active = self._relation_participants(relation_int, "object")
+                if reverse:
+                    violation |= active[left_ints][:, None]
+                else:
+                    violation |= active[right_ints][None, :]
+            violation &= ~exists
+            block[b_index, :, :, 0] = exists
+            block[b_index, :, :, 1] = violation
+        return block
+
+    def _relation_participants(self, relation_int: int, role: str) -> np.ndarray:
+        """Bool-per-entity: participates in the relation as ``role``."""
+        cache = self._participant_cache
+        key = (relation_int, role)
+        active = cache.get(key)
+        if active is None:
+            tables = self.engine.tables
+            n_entities = len(tables.entity_ids)
+            start = tables.tuple_offsets[relation_int]
+            stop = tables.tuple_offsets[relation_int + 1]
+            keys = tables.tuple_keys_by_relation[start:stop]
+            members = keys // n_entities if role == "subject" else keys % n_entities
+            active = np.zeros(n_entities, dtype=bool)
+            active[members] = True
+            cache[key] = active
+        return active
 
 
 @dataclass
@@ -329,51 +580,39 @@ class AnnotationProblem:
 
 def build_problem(
     table: Table,
-    generator: CandidateGenerator,
+    engine: CandidateEngine,
     features: FeatureComputer,
+    erc: Mapping[str, list[CandidateEntity]],
     max_column_pairs: int = 12,
 ) -> AnnotationProblem:
     """Construct the candidate spaces and feature caches for one table.
 
-    Cells without candidates (numeric/blank/unmatched) get no variable — their
-    label is forced to na.  Column pairs are considered for every ordered pair
-    of columns that both carry a type variable; pairs with no candidate
-    relation get no variable.  ``max_column_pairs`` caps quadratic blow-up on
-    very wide tables (the widest pairs by candidate support are kept).
+    ``erc`` maps each cell text of the table to its resolved ``Erc`` list
+    (:meth:`~repro.core.annotator.TableAnnotator.resolve_candidates`
+    answers a whole bucket in one engine call); ``Tc`` and ``Bcc'`` come
+    from ``engine``.  Cells without candidates (numeric/blank/unmatched) get
+    no variable — their label is forced to na.  Column pairs are considered
+    for every ordered pair of columns that both carry a type variable; pairs
+    with no candidate relation get no variable.  ``max_column_pairs`` caps
+    quadratic blow-up on very wide tables (the widest pairs by candidate
+    support are kept).
     """
     cells: dict[tuple[int, int], CellSpace] = {}
     column_candidates: dict[int, list[list[CandidateEntity]]] = {}
-    # batch-capable generators (the batched candidate engine, the pipeline's
-    # caching front) resolve every cell of the table in one retrieval pass;
-    # the scalar reference generator probes per cell below
-    cell_candidates_batch = getattr(generator, "cell_candidates_batch", None)
-    batched: list[list[CandidateEntity]] | None = None
-    if cell_candidates_batch is not None:
-        batched = cell_candidates_batch(
-            [
-                table.cell(row, column)
-                for column in range(table.n_columns)
-                for row in range(table.n_rows)
-            ]
-        )
     for column in range(table.n_columns):
         per_row: list[list[CandidateEntity]] = []
         for row in range(table.n_rows):
-            candidates = (
-                batched[column * table.n_rows + row]
-                if batched is not None
-                else generator.cell_candidates(table.cell(row, column))
-            )
+            text = table.cell(row, column)
+            candidates = erc[text]
             per_row.append(candidates)
             if candidates:
                 f1 = features.f1_block(
-                    table.cell(row, column),
-                    tuple(c.entity_id for c in candidates),
+                    text, tuple(c.entity_id for c in candidates)
                 )
                 cells[(row, column)] = CellSpace(
                     row=row,
                     column=column,
-                    text=table.cell(row, column),
+                    text=text,
                     candidates=candidates,
                     labels=(NA,) + tuple(c.entity_id for c in candidates),
                     f1=f1,
@@ -382,7 +621,7 @@ def build_problem(
 
     columns: dict[int, ColumnSpace] = {}
     for column in range(table.n_columns):
-        type_ids = generator.column_type_candidates(column_candidates[column])
+        type_ids = engine.column_type_candidates(column_candidates[column])
         if not type_ids:
             continue
         header = table.header(column)
@@ -409,7 +648,7 @@ def build_problem(
         for right in sorted(columns):
             if left >= right:
                 continue
-            labels = generator.relation_candidates(
+            labels = engine.relation_candidates(
                 column_candidates[left], column_candidates[right]
             )
             if labels:

@@ -7,7 +7,6 @@ This package is the single corpus-annotation entry point of the system; see
 from repro.pipeline.cache import (
     CacheStats,
     CandidateCache,
-    CachingCandidateGenerator,
     LRUCache,
     normalized_cell_key,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "BatchTiming",
     "CacheStats",
     "CandidateCache",
-    "CachingCandidateGenerator",
     "CorpusTimingReport",
     "LRUCache",
     "PipelineConfig",

@@ -6,11 +6,10 @@ strings recur constantly (country names, people appearing in many tables,
 repeated headers-as-cells), yet the seed code redid all of that work for
 every occurrence.  Two cache layers remove it:
 
-* :class:`CandidateCache` memoises
-  :meth:`CandidateGenerator.cell_candidates` results so each distinct cell
-  string probes the lemma index once per corpus
-  (:class:`CachingCandidateGenerator` layers it transparently under any
-  existing generator), and
+* :class:`CandidateCache` memoises ``Erc`` so each distinct cell string
+  probes the lemma index once per corpus (the candidate engine consults it
+  inside its batch call,
+  :meth:`~repro.core.candidates.CandidateEngine.cell_candidates_batch`), and
 * a generic :class:`LRUCache` memoises the *assembled feature blocks* of
   :class:`~repro.core.problem.FeatureComputer` (the f1/f2/f3/f4/f5 arrays
   stacked per candidate space), which profiling shows is where most
@@ -21,7 +20,7 @@ Candidate-cache keys are **normalised** cell text
 the join of the same tokens retrieval scores on), so ``"Einstein"``,
 ``"einstein "`` and ``"Einstein!"`` share one entry.  This is sound by
 construction: retrieval depends only on the ordered token bag, so any two
-texts with equal keys get identical candidates from the generator.
+texts with equal keys get identical candidates from the engine.
 :class:`CacheStats` splits hits into raw (same surface form as the entry's
 first writer) versus normalised-only, quantifying what normalisation buys.
 
@@ -38,20 +37,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable
 
-from repro.core.candidates import CandidateEntity, CandidateGenerator
-from repro.text.normalize import is_numeric_text
-from repro.text.tokenize import tokenize
+from repro.core.candidates import CandidateEntity, normalized_cell_key
 
-
-def normalized_cell_key(text: str) -> str:
-    """The cache key of one cell text: its tokens joined by single spaces.
-
-    Tokenisation lower-cases and strips whitespace/punctuation, and the
-    ordered token bag is exactly what retrieval scores on — so two texts with
-    the same key are guaranteed the same candidates, while casing, stray
-    spaces and punctuation stop fragmenting the cache.
-    """
-    return " ".join(tokenize(text))
+__all__ = [
+    "CacheStats",
+    "CandidateCache",
+    "LRUCache",
+    "normalized_cell_key",
+]
 
 
 @dataclass(frozen=True)
@@ -199,79 +192,3 @@ class CandidateCache(LRUCache):
                 raw_hits=self._raw_hits,
                 normalized_hits=self._normalized_hits,
             )
-
-
-class CachingCandidateGenerator:
-    """A :class:`CandidateGenerator` front that serves ``Erc`` from a cache.
-
-    Only :meth:`cell_candidates` / :meth:`cell_candidates_batch` — the
-    lemma-index probes, the hot path — are intercepted; every other attribute
-    (``column_type_candidates``, ``relation_candidates``, ``lemma_tfidf``,
-    ``catalog`` …) delegates to the wrapped generator, so this object drops
-    into any ``CandidateGenerator`` call site unchanged.
-    """
-
-    def __init__(
-        self, generator: CandidateGenerator, cache: CandidateCache
-    ) -> None:
-        self._generator = generator
-        self.cache = cache
-
-    def cell_candidates(self, cell_text: str) -> list[CandidateEntity]:
-        # mirror the generator's cheap guards so cache statistics count only
-        # probes that would actually have hit the lemma index
-        text = cell_text.strip()
-        if not text or is_numeric_text(text):
-            return []
-        key = normalized_cell_key(text)
-        cached = self.cache.get_candidates(key, text)
-        if cached is not None:
-            return cached
-        candidates = self._generator.cell_candidates(text)
-        self.cache.put_candidates(key, text, candidates)
-        return candidates
-
-    def cell_candidates_batch(
-        self, cell_texts: list[str]
-    ) -> list[list[CandidateEntity]]:
-        """Batch ``Erc``: serve hits from the cache, probe misses in one pass.
-
-        With a batch-capable inner generator (the batched candidate engine)
-        all cache misses go through one ``search_batch`` call; a scalar inner
-        generator is probed per distinct missing text.  Results are
-        position-aligned with ``cell_texts``.
-        """
-        results: list[list[CandidateEntity] | None] = [None] * len(cell_texts)
-        missing: dict[str, tuple[str, list[int]]] = {}
-        for position, cell_text in enumerate(cell_texts):
-            text = cell_text.strip()
-            if not text or is_numeric_text(text):
-                results[position] = []
-                continue
-            key = normalized_cell_key(text)
-            pending = missing.get(key)
-            if pending is not None:
-                pending[1].append(position)
-                continue
-            cached = self.cache.get_candidates(key, text)
-            if cached is not None:
-                results[position] = cached
-            else:
-                missing[key] = (text, [position])
-        if missing:
-            texts = [raw for raw, _positions in missing.values()]
-            inner_batch = getattr(self._generator, "cell_candidates_batch", None)
-            if inner_batch is not None:
-                resolved = inner_batch(texts)
-            else:
-                resolved = [self._generator.cell_candidates(t) for t in texts]
-            for (key, (raw, positions)), candidates in zip(
-                missing.items(), resolved
-            ):
-                self.cache.put_candidates(key, raw, candidates)
-                for position in positions:
-                    results[position] = candidates
-        return results  # type: ignore[return-value]
-
-    def __getattr__(self, name: str):
-        return getattr(self._generator, name)

@@ -40,14 +40,10 @@ from typing import IO, Iterable, Iterator
 from repro.catalog.catalog import Catalog
 from repro.core.annotation import AnnotationTiming, TableAnnotation
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
+from repro.core.candidates import CandidateEngine
 from repro.core.fused import annotate_fused_chunk
 from repro.core.model import AnnotationModel
-from repro.pipeline.cache import (
-    CacheStats,
-    CandidateCache,
-    CachingCandidateGenerator,
-    LRUCache,
-)
+from repro.pipeline.cache import CacheStats, CandidateCache, LRUCache
 from repro.pipeline.executor import BatchExecutor, iter_batches
 from repro.pipeline.io import (
     annotation_to_dict,
@@ -183,10 +179,11 @@ class CorpusTimingReport:
 class AnnotationPipeline:
     """Annotates whole corpora against one catalog.
 
-    One pipeline owns one :class:`TableAnnotator` (hence one lemma index and
-    one feature cache) plus one shared :class:`CandidateCache`; it should be
-    built once per catalog and reused across corpora, exactly like the
-    annotator it wraps.
+    One pipeline owns one :class:`TableAnnotator` (hence one candidate
+    engine and one feature cache) plus one shared :class:`CandidateCache`;
+    it should be built once per catalog and reused across corpora, exactly
+    like the annotator it wraps.  A prebuilt ``candidate_engine`` (a
+    session's, loaded from a bundle) is shared rather than rebuilt.
     """
 
     def __init__(
@@ -194,26 +191,22 @@ class AnnotationPipeline:
         catalog: Catalog,
         model: AnnotationModel | None = None,
         config: PipelineConfig | None = None,
-        candidate_generator=None,
+        candidate_engine: CandidateEngine | None = None,
     ) -> None:
         self.config = config if config is not None else PipelineConfig()
         self.annotator = TableAnnotator(
             catalog,
             model=model,
             config=self.config.annotator,
-            candidate_generator=candidate_generator,
+            candidate_engine=candidate_engine,
         )
         self.cache: CandidateCache | None = None
         self.block_cache: LRUCache | None = None
         if self.config.cache_size:
+            # every problem built through this annotator goes through the
+            # caches, including baseline/learner paths that reuse it
             self.cache = CandidateCache(max_entries=self.config.cache_size)
-            caching = CachingCandidateGenerator(
-                self.annotator.candidate_generator, self.cache
-            )
-            # every problem built through this annotator now goes through the
-            # caches, including baseline/learner paths that reuse the annotator
-            self.annotator.candidate_generator = caching
-            self.annotator.features.generator = caching
+            self.annotator.candidate_cache = self.cache
             self.block_cache = LRUCache(max_entries=self.config.cache_size)
             self.annotator.features.block_cache = self.block_cache
         self.compiled_cache: LRUCache | None = None

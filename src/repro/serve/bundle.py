@@ -12,10 +12,10 @@ serializes everything the query path needs —
 * the corpus tables and their **pre-computed annotations** (full fidelity,
   scores included),
 * the annotated table index's frozen header/context text indexes, and
-* the batched candidate engine's **interned candidate tables** (entity /
-  type / relation id interning, type-ancestor arrays, packed pair→relations
-  and per-relation tuple keys — see
-  :class:`~repro.core.candidates_batched.InternedCandidateTables`), so a warm
+* the candidate engine's **interned candidate tables** (entity / type /
+  relation id interning, type-ancestor arrays, packed pair→relations and
+  per-relation tuple keys — see
+  :class:`~repro.core.candidates.InternedCandidateTables`), so a warm
   server skips that build exactly as it skips ``freeze()``,
 
 under a ``manifest.json`` carrying the format version, per-file SHA-256
@@ -262,22 +262,22 @@ def build_bundle(
     model_payload = json.dumps(model.to_dict(), indent=1)
     (output / "model.json").write_text(model_payload, encoding="utf-8")
 
-    generator = pipeline.annotator.candidate_generator
+    engine = pipeline.annotator.candidate_engine
     (output / "tfidf.json").write_text(
-        json.dumps(generator.lemma_tfidf.to_state(), ensure_ascii=False),
+        json.dumps(engine.lemma_tfidf.to_state(), ensure_ascii=False),
         encoding="utf-8",
     )
     header_state, context_state = index.text_index_states()
     index_files: list[Path] = []
     index_files += _write_index_state(
-        output / "indexes", "lemma", generator.lemma_index.to_state()
+        output / "indexes", "lemma", engine.lemma_index.to_state()
     )
     index_files += _write_index_state(output / "indexes", "header", header_state)
     index_files += _write_index_state(output / "indexes", "context", context_state)
     # the candidate engine's interned tables: reuse the pipeline's (it
     # annotated the whole corpus with them)
     index_files += _write_candidate_state(
-        output / "candidates", generator.tables.to_state()
+        output / "candidates", engine.tables.to_state()
     )
 
     report = pipeline.last_report
@@ -332,8 +332,8 @@ class LoadedBundle:
     table_index: AnnotatedTableIndex
     lemma_index: InvertedIndex
     lemma_tfidf: TfidfWeights
-    #: interned candidate tables (candidates/ arrays) for the batched
-    #: candidate engine; restored via InternedCandidateTables.from_state
+    #: interned candidate tables (candidates/ arrays) for the candidate
+    #: engine; restored via InternedCandidateTables.from_state
     candidate_state: dict | None = None
 
 

@@ -621,16 +621,8 @@ class Dispatcher:
         for entry in per_worker:
             for cache_name, counters in entry.items():
                 if cache_name == "fusion":
-                    fusion = merged.setdefault(
-                        "fusion",
-                        {
-                            "fused_batches": 0,
-                            "bucket_size_histogram": {},
-                            "fallbacks": 0,
-                        },
-                    )
-                    for key in ("fused_batches", "fallbacks"):
-                        fusion[key] += counters.get(key, 0)
+                    fusion = merged.setdefault("fusion", {"fallbacks": 0})
+                    fusion["fallbacks"] += counters.get("fallbacks", 0)
                     continue
                 cache = merged.setdefault(
                     cache_name,

@@ -19,9 +19,8 @@ Concurrency model (the whole locking story):
   LRUs carry their own internal locks, so concurrent ``/annotate`` requests
   produce exactly the answers serial requests would (covered by the
   concurrency determinism tests).
-* **The per-table timing ledger is bounded** — the session trims it under a
-  lock once it passes a threshold; each response reads its own timing from
-  the annotation's diagnostics, never from the ledger.
+* **Each response reads its own timing** from the annotation's
+  diagnostics; nothing accumulates per table.
 * **Everything else** (metrics registry, lazy searcher construction) sits
   behind one small mutex each, inside the session or the metrics registry.
 """
@@ -209,7 +208,8 @@ class ServeState:
         return {"pid": os.getpid(), "caches": self.cache_stats()}
 
     def cache_stats(self) -> dict:
-        """Cache and fusion counters of the session's pipeline."""
+        """Cache counters and the fused-fallback count of the session's
+        pipeline."""
         pipeline = self.session.pipeline()
         entry: dict[str, dict] = {}
         for cache_name, cache in (
@@ -227,12 +227,5 @@ class ServeState:
                 "entries": stats.entries,
                 "evictions": stats.evictions,
             }
-        report = pipeline.last_report
-        entry["fusion"] = {
-            "fused_batches": report.fused_batches if report else 0,
-            "bucket_size_histogram": (
-                report.bucket_size_histogram if report else {}
-            ),
-            "fallbacks": pipeline.fallbacks,
-        }
+        entry["fusion"] = {"fallbacks": pipeline.fallbacks}
         return entry

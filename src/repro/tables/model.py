@@ -88,14 +88,42 @@ class Table:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "Table":
+        """Decode a table, checking every field's type.
+
+        Wire requests, JSONL corpora and bundles all decode through here.
+
+        Raises:
+            KeyError: ``table_id`` or ``cells`` is missing.
+            TypeError: a field has the wrong type (e.g. a non-string cell).
+            ValueError: the grid is ragged or headers do not match it.
+        """
+        table_id = payload["table_id"]
+        cells = payload["cells"]
+        headers = payload.get("headers")
+        context = payload.get("context", "")
+        source = payload.get("source")
+        if not isinstance(table_id, str):
+            raise TypeError("table_id must be a string")
+        if not isinstance(cells, list) or not all(
+            isinstance(row, list) and all(isinstance(text, str) for text in row)
+            for row in cells
+        ):
+            raise TypeError("cells must be a list of rows of strings")
+        if headers is not None and (
+            not isinstance(headers, list)
+            or not all(header is None or isinstance(header, str) for header in headers)
+        ):
+            raise TypeError("headers must be a list of strings or nulls")
+        if not isinstance(context, str):
+            raise TypeError("context must be a string")
+        if source is not None and not isinstance(source, str):
+            raise TypeError("source must be a string or null")
         return cls(
-            table_id=payload["table_id"],
-            cells=[list(row) for row in payload["cells"]],
-            headers=(
-                list(payload["headers"]) if payload.get("headers") is not None else None
-            ),
-            context=payload.get("context", ""),
-            source=payload.get("source"),
+            table_id=table_id,
+            cells=[list(row) for row in cells],
+            headers=list(headers) if headers is not None else None,
+            context=context,
+            source=source,
         )
 
 

@@ -21,10 +21,11 @@ is then one vectorised accumulate per query token.
 
 Two retrieval paths share those arrays:
 
-* :meth:`search` — the single-query reference.  It accumulates into a pooled
+* :meth:`search` — the single-query reference (the scalar oracle in
+  ``tests/oracles`` probes with it).  It accumulates into a pooled
   per-thread scratch vector (allocated once per index, touched entries reset
   after each query) instead of a fresh dense ``np.zeros(n_docs)`` per call.
-* :meth:`search_batch` — the batch-first path used by the batched candidate
+* :meth:`search_batch` — the batch-first path used by the candidate
   engine.  Each query is scored in a *compact* candidate-id space: the union
   of its tokens' posting doc-ids, scattered per token, deduplicated per key
   with ``np.maximum.reduceat`` and cut to top-k with a partition — no dense

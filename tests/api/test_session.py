@@ -89,16 +89,15 @@ class TestSessionConfig:
 
 class TestCandidateEngines:
     def test_scalar_candidate_engine_session(self, tiny_world):
-        """The session's pipeline runs the array-backed candidate engine
-        over a scalar generator (behind the shared candidate cache)."""
-        from repro.core.candidates import CandidateGenerator
-        from repro.core.candidates_batched import BatchedCandidateEngine
+        """The session's pipeline runs the one candidate engine, unwrapped,
+        with the shared candidate cache consulted inside its batch call."""
+        from repro.core.candidates import CandidateEngine
 
         session = ReproSession.from_world(tiny_world.annotator_view)
-        generator = session.pipeline().annotator.candidate_generator
-        engine = getattr(generator, "_generator", generator)
-        assert type(engine) is BatchedCandidateEngine
-        assert type(engine.scalar_generator) is CandidateGenerator
+        annotator = session.pipeline().annotator
+        assert type(annotator.candidate_engine) is CandidateEngine
+        assert annotator.features.engine is annotator.candidate_engine
+        assert annotator.candidate_cache is session.pipeline().cache
 
     def test_candidate_engines_share_generator_and_agree(
         self, tiny_world, api_corpus
@@ -112,11 +111,11 @@ class TestCandidateEngines:
             tiny_world.annotator_view,
             candidates="scalar",
             bp="batched",
-            candidate_generator=pipeline.annotator.candidate_generator,
+            candidate_engine=pipeline.annotator.candidate_engine,
         )
         assert (
             oracle.generator.lemma_index
-            is pipeline.annotator.candidate_generator.lemma_index
+            is pipeline.annotator.candidate_engine.lemma_index
         )
         for labeled in api_corpus[:3]:
             assert annotation_to_dict(
@@ -132,7 +131,7 @@ class TestCandidateEngines:
 
         import repro.api.session as session_module
 
-        real_engine = session_module.BatchedCandidateEngine
+        real_engine = session_module.CandidateEngine
         built = []
 
         class CountingEngine(real_engine):
@@ -141,7 +140,7 @@ class TestCandidateEngines:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(
-            session_module, "BatchedCandidateEngine", CountingEngine
+            session_module, "CandidateEngine", CountingEngine
         )
         session = ReproSession.from_world(tiny_world.annotator_view)
         results = []

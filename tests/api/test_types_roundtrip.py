@@ -306,9 +306,18 @@ def test_missing_required_field_code_is_stable():
 
 
 def test_invalid_table_payload_code():
-    with pytest.raises(ApiError) as excinfo:
-        AnnotateRequest.from_json({"table": {"cells": [["x"]]}})
-    assert excinfo.value.code == "invalid_table"
+    malformed = [
+        {"cells": [["x"]]},
+        {"table_id": "t", "cells": [[None, "x"]]},
+        {"table_id": "t", "cells": [[3, "x"]]},
+        {"table_id": "t", "cells": [["x"]], "headers": [5]},
+        {"table_id": "t", "cells": "abc"},
+        {"table_id": 7, "cells": [["x"]]},
+    ]
+    for table in malformed:
+        with pytest.raises(ApiError) as excinfo:
+            AnnotateRequest.from_json({"table": table})
+        assert excinfo.value.code == "invalid_table", table
 
 
 def test_bad_top_k_rejected():

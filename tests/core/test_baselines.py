@@ -2,18 +2,15 @@
 
 import pytest
 
-from repro.core.annotator import TableAnnotator
-from repro.core.candidates import CandidateGenerator
+from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.model import default_model
-from repro.core.problem import FeatureComputer, build_problem
 from repro.eval.datasets import missing_link_fixture
 from repro.tables.model import Table
 
 
 @pytest.fixture()
 def book_problem(book_catalog):
-    generator = CandidateGenerator(book_catalog, top_k_entities=5)
-    features = FeatureComputer(book_catalog, default_model().mode, generator)
+    annotator = TableAnnotator(book_catalog, config=AnnotatorConfig(top_k_entities=5))
     table = Table(
         table_id="books",
         cells=[
@@ -22,7 +19,7 @@ def book_problem(book_catalog):
         ],
         headers=["Title", "Author"],
     )
-    return build_problem(table, generator, features), features
+    return annotator.build_problem(table), annotator.features
 
 
 class TestLCA:
@@ -38,15 +35,16 @@ class TestLCA:
         intersection."""
         from repro.core.baselines import LCAAnnotator
 
-        generator = CandidateGenerator(book_catalog, top_k_entities=5)
-        features = FeatureComputer(book_catalog, default_model().mode, generator)
+        annotator = TableAnnotator(
+            book_catalog, config=AnnotatorConfig(top_k_entities=5)
+        )
         table = Table(
             table_id="t",
             cells=[["Relativity", "x"], ["zzz unmatched qqq", "y"]],
             headers=None,
         )
-        problem = build_problem(table, generator, features)
-        result = LCAAnnotator(features).annotate(problem)
+        problem = annotator.build_problem(table)
+        result = LCAAnnotator(annotator.features).annotate(problem)
         assert result.column_type_sets[0] == set()
         assert result.annotation.type_of(0) is None
         # cells of a killed column fall to na
@@ -76,10 +74,11 @@ class TestLCAOverGeneralisation:
         for catalog, expect_specific in ((full, True), (broken, False)):
             # top_k=1: the distinct titles retrieve exactly their entity, so
             # the broken link cannot be papered over by homonym candidates
-            generator = CandidateGenerator(catalog, top_k_entities=1)
-            features = FeatureComputer(catalog, default_model().mode, generator)
-            problem = build_problem(table, generator, features)
-            result = LCAAnnotator(features).annotate(problem)
+            annotator = TableAnnotator(
+                catalog, config=AnnotatorConfig(top_k_entities=1)
+            )
+            problem = annotator.build_problem(table)
+            result = LCAAnnotator(annotator.features).annotate(problem)
             type_set = result.column_type_sets[0]
             if expect_specific:
                 assert type_set == {fixture.expected_type}

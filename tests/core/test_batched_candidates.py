@@ -1,10 +1,11 @@
-"""Equivalence tests: the batched candidate engine vs the scalar reference.
+"""Equivalence tests: the candidate engine vs the scalar oracle.
 
-The contract of :mod:`repro.core.candidates_batched` is *identity*, not
-approximation: identical ``Erc`` (ids, scores, ordering), identical ``Tc``
-and ``Bcc'``, bit-identical feature blocks and byte-identical annotations —
-on fixture corpora, on hypothesis-generated tables and on the numeric /
-blank / unknown-cell edges.
+The contract of :mod:`repro.core.candidates` (and the feature computer of
+:mod:`repro.core.problem`) is *identity*, not approximation: identical
+``Erc`` (ids, scores, ordering), identical ``Tc`` and ``Bcc'``,
+bit-identical feature blocks and byte-identical annotations — on fixture
+corpora, on hypothesis-generated tables and on the numeric / blank /
+unknown-cell edges.
 """
 
 from __future__ import annotations
@@ -14,16 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog.errors import UnknownIdError
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
-from repro.core.candidates import CandidateGenerator
-from repro.core.candidates_batched import (
-    BatchedCandidateEngine,
+from repro.core.candidates import (
+    CandidateEngine,
+    CandidateEntity,
     InternedCandidateTables,
 )
 from repro.core.model import default_model
 from repro.pipeline.io import annotation_to_dict
 from repro.tables.model import Table
-from tests.oracles import OracleAnnotator
+from tests.oracles import CandidateGenerator, OracleAnnotator
 
 TOP_K = 8
 
@@ -37,7 +39,7 @@ def engines(world):
         model=default_model(),
         candidates="scalar",
         bp="batched",
-        candidate_generator=batched.candidate_generator,
+        candidate_engine=batched.candidate_engine,
     )
     return scalar, batched
 
@@ -93,8 +95,8 @@ class TestDirectQueries:
 
     @pytest.fixture(scope="class")
     def pair(self, world):
-        scalar = CandidateGenerator(world.annotator_view, top_k_entities=TOP_K)
-        return scalar, BatchedCandidateEngine(scalar)
+        engine = CandidateEngine(world.annotator_view, top_k_entities=TOP_K)
+        return CandidateGenerator.sharing(engine), engine
 
     def test_cell_candidates_batch_matches_scalar(self, pair, world):
         scalar, batched = pair
@@ -135,17 +137,19 @@ class TestDirectQueries:
         )
         assert batched.relation_candidates([[]], [[]]) == []
 
-    def test_unknown_entity_falls_back_to_scalar(self, pair, book_catalog):
-        _scalar, batched = pair
-        from repro.core.candidates import CandidateEntity
-
-        from repro.catalog.errors import UnknownIdError
-
+    def test_unknown_entity_raises(self, pair, world):
+        """An id outside the catalog raises from the engine (as ``Tc`` does
+        from the oracle's catalog lookups) rather than a silent answer."""
+        scalar, batched = pair
         ghost = [[CandidateEntity("ent:not-in-catalog", 1.0)]]
+        entity = next(iter(world.annotator_view.entities.all_entities()))
+        known = [scalar.cell_candidates(entity.lemmas[0])]
         with pytest.raises(UnknownIdError):
-            # the scalar reference raises on unknown ids; the batched engine
-            # must defer to it rather than silently answering
+            scalar.column_type_candidates(ghost)
+        with pytest.raises(UnknownIdError):
             batched.column_type_candidates(ghost)
+        with pytest.raises(UnknownIdError):
+            batched.relation_candidates(ghost, known)
 
 
 class TestHypothesisTables:
@@ -216,10 +220,12 @@ class TestInternedTables:
             assert np.array_equal(state[field], state_again[field]), field
 
     def test_restored_tables_drive_identical_engine(self, world, wiki_tables):
-        generator = CandidateGenerator(world.annotator_view, top_k_entities=TOP_K)
-        built = BatchedCandidateEngine(generator)
-        restored = BatchedCandidateEngine(
-            generator,
+        built = CandidateEngine(world.annotator_view, top_k_entities=TOP_K)
+        restored = CandidateEngine(
+            world.annotator_view,
+            top_k_entities=TOP_K,
+            lemma_index=built.lemma_index,
+            lemma_tfidf=built.lemma_tfidf,
             tables=InternedCandidateTables.from_state(built.tables.to_state()),
         )
         table = wiki_tables[0].table
@@ -242,24 +248,9 @@ class TestEngineKnob:
         with pytest.raises(ValueError, match="candidate_engine"):
             AnnotatorConfig.from_dict({"candidate_engine": "scalar"})
 
-    def test_batched_knob_wraps_prebuilt_scalar_generator(self, world):
-        generator = CandidateGenerator(world.annotator_view)
-        annotator = TableAnnotator(
-            world.annotator_view, candidate_generator=generator
-        )
-        assert isinstance(annotator.candidate_generator, BatchedCandidateEngine)
-        assert annotator.candidate_generator.scalar_generator is generator
-
-    def test_scalar_knob_unwraps_batched_generator(self, world):
-        """The scalar oracle unwraps a batched engine to its generator."""
-        generator = CandidateGenerator(world.annotator_view)
-        engine = BatchedCandidateEngine(generator)
-        oracle = OracleAnnotator(world.annotator_view, candidate_generator=engine)
-        assert oracle.generator is generator
-
     def test_prebuilt_batched_engine_reused(self, world):
-        engine = BatchedCandidateEngine(CandidateGenerator(world.annotator_view))
+        engine = CandidateEngine(world.annotator_view)
         annotator = TableAnnotator(
-            world.annotator_view, candidate_generator=engine
+            world.annotator_view, candidate_engine=engine
         )
-        assert annotator.candidate_generator is engine
+        assert annotator.candidate_engine is engine

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.catalog.builder import CatalogBuilder
-from repro.core.candidates import CandidateGenerator
+from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.constraints import assign_unique_entities
 from repro.core.model import default_model
-from repro.core.problem import FeatureComputer, build_problem
 from repro.core.simple_inference import annotate_simple
 from repro.tables.model import Table
 
@@ -25,10 +24,9 @@ def twin_catalog():
 
 
 def build(catalog, cells):
-    generator = CandidateGenerator(catalog, top_k_entities=4)
-    features = FeatureComputer(catalog, default_model().mode, generator)
+    annotator = TableAnnotator(catalog, config=AnnotatorConfig(top_k_entities=4))
     table = Table(table_id="t", cells=cells, headers=["Name"])
-    return build_problem(table, generator, features), features
+    return annotator.build_problem(table), annotator.features
 
 
 class TestUniqueAssignment:

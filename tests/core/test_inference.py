@@ -6,15 +6,10 @@ import itertools
 import pytest
 
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
-from repro.core.candidates import CandidateGenerator
 from repro.core.fused import annotate_problem
 from repro.core.inference import InferenceConfig, map_assignment_of
 from repro.core.model import default_model
-from repro.core.problem import (
-    FeatureComputer,
-    build_factor_graph,
-    build_problem,
-)
+from repro.core.problem import build_factor_graph
 from repro.core.simple_inference import annotate_simple
 from repro.tables.model import Table
 
@@ -35,9 +30,10 @@ def book_table() -> Table:
 
 @pytest.fixture()
 def book_problem(book_catalog, book_table):
-    generator = CandidateGenerator(book_catalog, top_k_entities=5)
-    features = FeatureComputer(book_catalog, default_model().mode, generator)
-    return build_problem(book_table, generator, features)
+    annotator = TableAnnotator(
+        book_catalog, config=AnnotatorConfig(top_k_entities=5)
+    )
+    return annotator.build_problem(book_table)
 
 
 def brute_force_best(problem, model, with_relations=True):
@@ -149,7 +145,6 @@ class TestAnnotatorFacade:
         assert timing.candidate_seconds + timing.inference_seconds == pytest.approx(
             timing.total_seconds, rel=1e-6
         )
-        assert annotator.timings
 
     def test_simple_mode_config(self, world, wiki_tables):
         annotator = TableAnnotator(

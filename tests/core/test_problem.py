@@ -10,14 +10,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.annotator import TableAnnotator
-from repro.core.candidates import CandidateGenerator
+from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.model import default_model
 from repro.core.problem import (
     NA,
-    FeatureComputer,
     build_factor_graph,
-    build_problem,
     joint_feature_vector,
 )
 from repro.tables.model import Table
@@ -25,9 +22,8 @@ from repro.tables.model import Table
 
 @pytest.fixture()
 def book_problem(book_catalog):
-    generator = CandidateGenerator(book_catalog, top_k_entities=5)
-    features = FeatureComputer(
-        book_catalog, default_model().mode, generator
+    annotator = TableAnnotator(
+        book_catalog, config=AnnotatorConfig(top_k_entities=5)
     )
     table = Table(
         table_id="books",
@@ -39,7 +35,7 @@ def book_problem(book_catalog):
         headers=["Title", "Author"],
         context="books and their authors",
     )
-    return build_problem(table, generator, features)
+    return annotator.build_problem(table)
 
 
 class TestProblemStructure:

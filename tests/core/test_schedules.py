@@ -23,7 +23,7 @@ class TestScheduleOptions:
             config=AnnotatorConfig(max_iterations=30),
             candidates="batched",
             schedule="flooding",
-            candidate_generator=paper.candidate_generator,
+            candidate_engine=paper.candidate_engine,
         )
         agree = total = 0
         for labeled in wiki_tables[:4]:

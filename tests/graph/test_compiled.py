@@ -129,7 +129,7 @@ class TestPaperScheduleEquivalence:
             world.annotator_view,
             model=annotator.model,
             candidates="batched",
-            candidate_generator=annotator.candidate_generator,
+            candidate_engine=annotator.candidate_engine,
         )
         for problem in problems:
             scalar = oracle.annotate_problem(problem)

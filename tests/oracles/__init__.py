@@ -1,25 +1,31 @@
 """Reference implementations the production annotation path is tested against.
 
-Production annotation runs one path: array-backed candidates
-(:mod:`repro.core.candidates_batched`) feeding fused max-product BP
+Production annotation runs one path: the array-backed candidate engine
+(:mod:`repro.core.candidates`) and feature computer
+(:mod:`repro.core.problem`) feeding fused max-product BP
 (:mod:`repro.graph.fused`, driven by :mod:`repro.core.fused`).  The scalar
-paths kept here define what that path must compute, and the byte-identity
-tests compare the two:
+paths kept here define what that path must compute, and the equivalence and
+byte-identity tests compare the two:
 
+* :class:`CandidateGenerator` answers ``Erc`` / ``Tc`` / ``Bcc'`` per cell
+  straight from the catalog,
+* :class:`ScalarFeatureComputer` assembles f1, f2, f3 and f5 blocks one
+  element at a time,
 * :func:`run_scalar_paper_schedule` drives the per-edge scalar engine
   (:class:`repro.graph.bp.MaxProductBP`) through the Figure-11 schedule,
 * :func:`scalar_decode` turns its beliefs into a ``TableAnnotation``,
 * :func:`scalar_annotate_problem` is the two together (or generic flooding,
   the design ablation's schedule),
-* :class:`OracleAnnotator` builds problems through the scalar
-  ``CandidateGenerator`` / ``FeatureComputer`` path and annotates them with
-  the scalar engine — either half can be swapped for its production
-  counterpart to check one layer at a time.
+* :class:`OracleAnnotator` builds problems through the two classes above
+  and annotates them with the scalar engine — either half can be swapped
+  for its production counterpart to check one layer at a time.
 """
 
 from tests.oracles.scalar import (
     SCHEDULES,
+    CandidateGenerator,
     OracleAnnotator,
+    ScalarFeatureComputer,
     run_scalar_paper_schedule,
     scalar_annotate_problem,
     scalar_decode,
@@ -27,7 +33,9 @@ from tests.oracles.scalar import (
 
 __all__ = [
     "SCHEDULES",
+    "CandidateGenerator",
     "OracleAnnotator",
+    "ScalarFeatureComputer",
     "run_scalar_paper_schedule",
     "scalar_annotate_problem",
     "scalar_decode",

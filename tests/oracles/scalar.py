@@ -1,11 +1,15 @@
-"""The scalar oracle: per-cell candidates and per-edge max-product BP.
+"""The scalar oracle: per-cell candidates, element-loop features and
+per-edge max-product BP.
 
 See :mod:`tests.oracles` for how the tests use it.  Nothing here is tuned
 for speed; every function is the direct reading of the paper's definitions
-(Section 4.3 candidates, Figure-11 schedule, argmax decoding).
+(Section 4.3 candidates, Section 4.2 features, Figure-11 schedule, argmax
+decoding).
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -17,10 +21,16 @@ from repro.core.annotation import (
     TableAnnotation,
 )
 from repro.core.annotator import AnnotatorConfig
-from repro.core.candidates import CandidateGenerator
-from repro.core.candidates_batched import (
-    BatchedCandidateEngine,
-    BatchedFeatureComputer,
+from repro.core.candidates import (
+    CandidateEngine,
+    CandidateEntity,
+    build_lemma_index,
+)
+from repro.core.features import (
+    TypeEntityFeatureMode,
+    header_absent_features,
+    relation_entities_features,
+    text_lemma_features,
 )
 from repro.core.fused import annotate_problem
 from repro.core.inference import InferenceConfig
@@ -34,7 +44,11 @@ from repro.core.problem import (
 )
 from repro.core.simple_inference import annotate_simple
 from repro.graph.bp import MaxProductBP
+from repro.tables.generator import reversed_label
 from repro.tables.model import Table
+from repro.text.index import InvertedIndex
+from repro.text.normalize import is_numeric_text
+from repro.text.tfidf import TfidfWeights
 
 #: "paper" is the Figure-11 block schedule; "flooding" the generic
 #: synchronous schedule (the design ablation's alternative)
@@ -43,6 +57,197 @@ SCHEDULES = ("paper", "flooding")
 #: which implementation an :class:`OracleAnnotator` layer uses: "scalar"
 #: is the reference, "batched" the production counterpart
 LAYERS = ("scalar", "batched")
+
+
+class CandidateGenerator:
+    """Per-cell ``Erc`` / ``Tc`` / ``Bcc'`` straight from the catalog.
+
+    Same arguments as :class:`~repro.core.candidates.CandidateEngine`; a
+    ``lemma_index`` / ``lemma_tfidf`` pair shares a production engine's
+    frozen index (probed per cell here, never through ``search_batch``).
+    """
+
+    def __init__(
+        self,
+        catalog: Catalog,
+        top_k_entities: int = 8,
+        max_type_candidates: int = 64,
+        lemma_index: InvertedIndex | None = None,
+        lemma_tfidf: TfidfWeights | None = None,
+    ) -> None:
+        if top_k_entities < 1:
+            raise ValueError("top_k_entities must be >= 1")
+        if max_type_candidates < 1:
+            raise ValueError("max_type_candidates must be >= 1")
+        self.catalog = catalog
+        self.top_k_entities = top_k_entities
+        self.max_type_candidates = max_type_candidates
+        if lemma_index is None or lemma_tfidf is None:
+            lemma_index, lemma_tfidf = build_lemma_index(catalog)
+        self.lemma_index = lemma_index
+        self.lemma_tfidf = lemma_tfidf
+
+    @classmethod
+    def sharing(cls, engine: CandidateEngine) -> "CandidateGenerator":
+        """The oracle over a production engine's catalog, caps and index."""
+        return cls(
+            engine.catalog,
+            top_k_entities=engine.top_k_entities,
+            max_type_candidates=engine.max_type_candidates,
+            lemma_index=engine.lemma_index,
+            lemma_tfidf=engine.lemma_tfidf,
+        )
+
+    def cell_candidates(self, cell_text: str) -> list[CandidateEntity]:
+        """Candidate entities for one cell; empty for numeric/blank cells."""
+        text = cell_text.strip()
+        if not text or is_numeric_text(text):
+            return []
+        hits = self.lemma_index.search(text, top_k=self.top_k_entities)
+        return [
+            CandidateEntity(entity_id=hit.key, retrieval_score=hit.score)
+            for hit in hits
+        ]
+
+    def cell_candidates_batch(
+        self, cell_texts: list[str]
+    ) -> list[list[CandidateEntity]]:
+        """:meth:`cell_candidates` per text (the engine's batch signature)."""
+        return [self.cell_candidates(text) for text in cell_texts]
+
+    def column_type_candidates(
+        self, column_candidates: list[list[CandidateEntity]]
+    ) -> list[str]:
+        """``∪_{r} ∪_{E ∈ Erc} T(E)`` ranked by (#cells with a candidate
+        under the type, #candidate entities under the type, IDF specificity,
+        type id), truncated to ``max_type_candidates``."""
+        cell_support: Counter[str] = Counter()
+        entity_support: Counter[str] = Counter()
+        for candidates in column_candidates:
+            seen_in_cell: set[str] = set()
+            for candidate in candidates:
+                for type_id in self.catalog.type_ancestors(candidate.entity_id):
+                    entity_support[type_id] += 1
+                    seen_in_cell.add(type_id)
+            for type_id in seen_in_cell:
+                cell_support[type_id] += 1
+        ranked = sorted(
+            cell_support,
+            key=lambda type_id: (
+                -cell_support[type_id],
+                -entity_support[type_id],
+                -self.catalog.type_idf_specificity(type_id),
+                type_id,
+            ),
+        )
+        return ranked[: self.max_type_candidates]
+
+    def relation_candidates(
+        self,
+        left_candidates: list[list[CandidateEntity]],
+        right_candidates: list[list[CandidateEntity]],
+    ) -> list[str]:
+        """Relations ``B`` with ``B(E, E')`` (plain label) or ``B(E', E)``
+        (``^-1`` label) for candidates ``E`` left and ``E'`` right of one row."""
+        labels: set[str] = set()
+        for row_left, row_right in zip(left_candidates, right_candidates):
+            for left in row_left:
+                for right in row_right:
+                    for relation_id in self.catalog.relations.relations_between(
+                        left.entity_id, right.entity_id
+                    ):
+                        labels.add(relation_id)
+                    for relation_id in self.catalog.relations.relations_between(
+                        right.entity_id, left.entity_id
+                    ):
+                        labels.add(reversed_label(relation_id))
+        return sorted(labels)
+
+
+class ScalarFeatureComputer(FeatureComputer):
+    """Feature blocks assembled element by element.
+
+    f1, f2 and f5 come from the :mod:`repro.core.features` functions one
+    label at a time, f3 from the inherited per-pair element; f4 is shared
+    with production.  ``generator`` stands in for the engine: only its
+    ``lemma_tfidf`` is read.
+    """
+
+    def __init__(
+        self,
+        catalog: Catalog,
+        mode: TypeEntityFeatureMode,
+        generator: CandidateGenerator,
+    ) -> None:
+        super().__init__(catalog, mode, generator)  # type: ignore[arg-type]
+        self._f5_cache: dict[tuple[str, str, str], np.ndarray] = {}
+
+    def f1(self, cell_text: str, entity_id: str) -> np.ndarray:
+        lemmas = self.catalog.entities.lemmas(entity_id)
+        return text_lemma_features(cell_text, lemmas, self.engine.lemma_tfidf)
+
+    def f2(self, header_text: str | None, type_id: str) -> np.ndarray:
+        if header_text is None or not header_text.strip():
+            return header_absent_features()
+        lemmas = self.catalog.types.lemmas(type_id)
+        return text_lemma_features(header_text, lemmas, self.engine.lemma_tfidf)
+
+    def f5(self, label: str, left_entity: str, right_entity: str) -> np.ndarray:
+        key = (label, left_entity, right_entity)
+        cached = self._f5_cache.get(key)
+        if cached is None:
+            cached = relation_entities_features(
+                self.catalog, label, left_entity, right_entity
+            )
+            self._f5_cache[key] = cached
+        return cached
+
+    def f1_block(
+        self, cell_text: str, entity_ids: tuple[str, ...]
+    ) -> np.ndarray:
+        return self._block(
+            ("f1", cell_text, entity_ids),
+            lambda: np.stack([self.f1(cell_text, e) for e in entity_ids]),
+        )
+
+    def f2_block(
+        self, header_text: str | None, type_ids: tuple[str, ...]
+    ) -> np.ndarray:
+        return self._block(
+            ("f2", header_text, type_ids),
+            lambda: np.stack([self.f2(header_text, t) for t in type_ids]),
+        )
+
+    def f3_block(
+        self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]
+    ) -> np.ndarray:
+        return self._block(
+            ("f3", type_ids, entity_ids),
+            lambda: np.stack(
+                [
+                    np.stack([self.f3(t, e) for e in entity_ids])
+                    for t in type_ids
+                ]
+            ),
+        )
+
+    def f5_block(
+        self,
+        labels: tuple[str, ...],
+        left_ids: tuple[str, ...],
+        right_ids: tuple[str, ...],
+    ) -> np.ndarray:
+        def build() -> np.ndarray:
+            block = np.zeros((len(labels), len(left_ids), len(right_ids), 2))
+            for b_index, label in enumerate(labels):
+                for e_index, left_id in enumerate(left_ids):
+                    for o_index, right_id in enumerate(right_ids):
+                        block[b_index, e_index, o_index] = self.f5(
+                            label, left_id, right_id
+                        )
+            return block
+
+        return self._block(("f5", labels, left_ids, right_ids), build)
 
 
 def run_scalar_paper_schedule(
@@ -185,12 +390,12 @@ class OracleAnnotator:
     """Reference annotator, one layer at a time.
 
     ``candidates`` picks the problem builder ("scalar": per-cell
-    ``CandidateGenerator`` + ``FeatureComputer``; "batched": the production
-    array-backed pair) and ``bp`` the inference engine ("scalar": per-edge
-    :class:`MaxProductBP`; "batched": the production fused engine on a
-    bucket of one).  ``candidate_generator`` shares a prebuilt lemma index;
-    a batched engine is unwrapped to its scalar generator for the scalar
-    candidate path.
+    :class:`CandidateGenerator` + :class:`ScalarFeatureComputer`;
+    "batched": the production engine and feature computer) and ``bp`` the
+    inference engine ("scalar": per-edge :class:`MaxProductBP`; "batched":
+    the production fused engine on a bucket of one).  ``candidate_engine``
+    shares a prebuilt production engine (its lemma index, for the scalar
+    candidate path).
     """
 
     def __init__(
@@ -201,7 +406,7 @@ class OracleAnnotator:
         candidates: str = "scalar",
         bp: str = "scalar",
         schedule: str = "paper",
-        candidate_generator: CandidateGenerator | BatchedCandidateEngine | None = None,
+        candidate_engine: CandidateEngine | None = None,
     ) -> None:
         if candidates not in LAYERS or bp not in LAYERS:
             raise ValueError(f"unknown oracle layers: {candidates!r}, {bp!r}")
@@ -212,31 +417,34 @@ class OracleAnnotator:
         self.config = config if config is not None else AnnotatorConfig()
         self.bp = bp
         self.schedule = schedule
-        generator = candidate_generator
-        if isinstance(generator, BatchedCandidateEngine):
-            generator = generator.scalar_generator
-        if generator is None:
-            generator = CandidateGenerator(
-                catalog,
-                top_k_entities=self.config.top_k_entities,
-                max_type_candidates=self.config.max_type_candidates,
-            )
-        self.generator: CandidateGenerator | BatchedCandidateEngine
+        caps = {
+            "top_k_entities": self.config.top_k_entities,
+            "max_type_candidates": self.config.max_type_candidates,
+        }
+        self.generator: CandidateGenerator | CandidateEngine
         if candidates == "batched":
-            engine = BatchedCandidateEngine(generator)
+            engine = candidate_engine or CandidateEngine(catalog, **caps)
             self.generator = engine
-            self.features: FeatureComputer = BatchedFeatureComputer(
-                catalog, self.model.mode, engine, engine=engine
+            self.features: FeatureComputer = FeatureComputer(
+                catalog, self.model.mode, engine
             )
         else:
-            self.generator = generator
-            self.features = FeatureComputer(catalog, self.model.mode, generator)
+            self.generator = (
+                CandidateGenerator.sharing(candidate_engine)
+                if candidate_engine is not None
+                else CandidateGenerator(catalog, **caps)
+            )
+            self.features = ScalarFeatureComputer(
+                catalog, self.model.mode, self.generator
+            )
 
     def build_problem(self, table: Table) -> AnnotationProblem:
+        texts = list(dict.fromkeys(text for _row, _column, text in table.iter_cells()))
         return build_problem(
             table,
-            self.generator,
+            self.generator,  # type: ignore[arg-type]
             self.features,
+            dict(zip(texts, self.generator.cell_candidates_batch(texts))),
             max_column_pairs=self.config.max_column_pairs,
         )
 

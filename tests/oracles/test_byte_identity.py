@@ -63,7 +63,7 @@ def paths(world):
             world.annotator_view,
             model=default_model(),
             config=config,
-            candidate_generator=production.candidate_generator,
+            candidate_engine=production.candidate_engine,
         )
         pairs[damping] = production, oracle
     return pairs

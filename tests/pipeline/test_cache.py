@@ -1,14 +1,14 @@
-"""Tests for the LRU caches and the caching candidate generator."""
+"""Tests for the LRU caches and the candidate engine's cached ``Erc``."""
 
 import pytest
 
-from repro.core.candidates import CandidateGenerator
+from repro.core.candidates import CandidateEngine
 from repro.pipeline.cache import (
     CandidateCache,
-    CachingCandidateGenerator,
     LRUCache,
     normalized_cell_key,
 )
+from tests.oracles import CandidateGenerator
 
 
 class TestLRUCache:
@@ -73,46 +73,41 @@ class TestLRUCache:
 
 
 class TestCachingCandidateGenerator:
+    """The engine's batch call served through a :class:`CandidateCache`."""
+
     @pytest.fixture(scope="class")
-    def generator(self, tiny_world):
-        return CandidateGenerator(tiny_world.annotator_view)
+    def engine(self, tiny_world):
+        return CandidateEngine(tiny_world.annotator_view)
 
-    def test_results_identical_to_wrapped(self, generator, tiny_world):
-        caching = CachingCandidateGenerator(generator, CandidateCache())
+    def test_results_identical_to_wrapped(self, engine, tiny_world):
+        cache = CandidateCache()
         entity = next(iter(tiny_world.annotator_view.entities.all_entities()))
-        text = entity.lemmas[0]
-        assert caching.cell_candidates(text) == generator.cell_candidates(text)
+        texts = [entity.lemmas[0]]
+        uncached = engine.cell_candidates_batch(texts)
+        assert engine.cell_candidates_batch(texts, cache) == uncached
         # second lookup serves from cache, still identical
-        assert caching.cell_candidates(text) == generator.cell_candidates(text)
-        assert caching.cache.stats().hits == 1
+        assert engine.cell_candidates_batch(texts, cache) == uncached
+        assert cache.stats().hits == 1
 
-    def test_numeric_and_blank_bypass_cache(self, generator):
-        caching = CachingCandidateGenerator(generator, CandidateCache())
-        assert caching.cell_candidates("") == []
-        assert caching.cell_candidates("  42.5 ") == []
-        assert caching.cache.stats().lookups == 0
+    def test_numeric_and_blank_bypass_cache(self, engine):
+        cache = CandidateCache()
+        assert engine.cell_candidates_batch(["", "  42.5 "], cache) == [[], []]
+        assert cache.stats().lookups == 0
 
-    def test_unmatched_text_cached_as_empty(self, generator):
-        caching = CachingCandidateGenerator(generator, CandidateCache())
-        assert caching.cell_candidates("zzz qqq xyzzy") == []
-        assert caching.cell_candidates("zzz qqq xyzzy") == []
-        stats = caching.cache.stats()
+    def test_unmatched_text_cached_as_empty(self, engine):
+        cache = CandidateCache()
+        assert engine.cell_candidates_batch(["zzz qqq xyzzy"], cache) == [[]]
+        assert engine.cell_candidates_batch(["zzz qqq xyzzy"], cache) == [[]]
+        stats = cache.stats()
         assert (stats.hits, stats.misses) == (1, 1)
-
-    def test_delegates_everything_else(self, generator):
-        caching = CachingCandidateGenerator(generator, CandidateCache())
-        assert caching.catalog is generator.catalog
-        assert caching.top_k_entities == generator.top_k_entities
-        assert caching.lemma_tfidf is generator.lemma_tfidf
-        assert caching.column_type_candidates([[]]) == []
 
 
 class TestNormalizedKeys:
     """Satellite: cache keys are normalised (stripped, case-folded) text."""
 
     @pytest.fixture(scope="class")
-    def generator(self, tiny_world):
-        return CandidateGenerator(tiny_world.annotator_view)
+    def engine(self, tiny_world):
+        return CandidateEngine(tiny_world.annotator_view)
 
     def test_key_collapses_case_whitespace_punctuation(self):
         assert normalized_cell_key("Einstein") == "einstein"
@@ -123,18 +118,18 @@ class TestNormalizedKeys:
         assert normalized_cell_key("a b") != normalized_cell_key("b a")
 
     def test_variants_share_one_entry_with_identical_results(
-        self, generator, tiny_world
+        self, engine, tiny_world
     ):
-        caching = CachingCandidateGenerator(generator, CandidateCache())
+        cache = CandidateCache()
         entity = next(iter(tiny_world.annotator_view.entities.all_entities()))
         base = entity.lemmas[0]
         variants = [base, f"  {base}  ", base.upper(), f"{base}!"]
         for variant in variants:
-            # normalisation must never change what the generator would say
-            assert caching.cell_candidates(variant) == generator.cell_candidates(
-                variant
-            )
-        stats = caching.cache.stats()
+            # normalisation must never change what the engine would say
+            assert engine.cell_candidates_batch(
+                [variant], cache
+            ) == engine.cell_candidates_batch([variant])
+        stats = cache.stats()
         assert stats.misses == 1
         assert stats.hits == len(variants) - 1
         # "  base  " strips back to the stored surface form (raw hit); the
@@ -142,37 +137,37 @@ class TestNormalizedKeys:
         assert stats.raw_hits == 1
         assert stats.normalized_hits == 2
 
-    def test_raw_vs_normalized_hit_split(self, generator, tiny_world):
-        caching = CachingCandidateGenerator(generator, CandidateCache())
+    def test_raw_vs_normalized_hit_split(self, engine, tiny_world):
+        cache = CandidateCache()
         entity = next(iter(tiny_world.annotator_view.entities.all_entities()))
         base = entity.lemmas[0]
-        caching.cell_candidates(base)  # miss
-        before = caching.cache.stats()
-        caching.cell_candidates(base)  # raw hit
-        caching.cell_candidates(base.upper())  # normalised-only hit
-        stats = caching.cache.stats()
+        engine.cell_candidates_batch([base], cache)  # miss
+        before = cache.stats()
+        engine.cell_candidates_batch([base], cache)  # raw hit
+        engine.cell_candidates_batch([base.upper()], cache)  # normalised-only hit
+        stats = cache.stats()
         assert (stats.raw_hits, stats.normalized_hits) == (1, 1)
         delta = stats.since(before)  # since() threads the new counters
         assert (delta.raw_hits, delta.normalized_hits) == (1, 1)
         assert delta.hits == 2
 
-    def test_batch_matches_per_cell_path(self, generator, tiny_world):
-        caching = CachingCandidateGenerator(generator, CandidateCache())
+    def test_batch_matches_per_cell_path(self, engine, tiny_world):
+        cache = CandidateCache()
         entities = list(tiny_world.annotator_view.entities.all_entities())
         texts = [entity.lemmas[0] for entity in entities[:6]]
         texts += ["", "  ", "42", texts[0].upper(), "zzz qqq", texts[1]]
-        batch = caching.cell_candidates_batch(texts)
-        fresh = CachingCandidateGenerator(generator, CandidateCache())
-        assert batch == [fresh.cell_candidates(text) for text in texts]
+        batch = engine.cell_candidates_batch(texts, cache)
+        oracle = CandidateGenerator.sharing(engine)
+        assert batch == [oracle.cell_candidates(text) for text in texts]
         # warm batch: everything resolvable is now a hit
-        again = caching.cell_candidates_batch(texts)
+        again = engine.cell_candidates_batch(texts, cache)
         assert again == batch
 
-    def test_batch_probes_each_distinct_key_once(self, generator, tiny_world):
-        caching = CachingCandidateGenerator(generator, CandidateCache())
+    def test_batch_probes_each_distinct_key_once(self, engine, tiny_world):
+        cache = CandidateCache()
         entity = next(iter(tiny_world.annotator_view.entities.all_entities()))
         base = entity.lemmas[0]
-        caching.cell_candidates_batch([base, base.upper(), f" {base} ", "17"])
-        stats = caching.cache.stats()
+        engine.cell_candidates_batch([base, base.upper(), f" {base} ", "17"], cache)
+        stats = cache.stats()
         assert stats.misses == 1
-        assert len(caching.cache) == 1
+        assert len(cache) == 1

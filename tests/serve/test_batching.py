@@ -395,13 +395,14 @@ def test_round_trip_time_is_split_across_its_requests(dispatcher):
 def test_unplannable_table_fails_only_itself(
     dispatcher, solo_state, table_payloads, solo_responses
 ):
-    """A table the wire decoder accepts but bucket planning cannot read
-    (a null cell) fails with the envelope :meth:`ServeState.handle` gives
-    it; its batchmates stay byte-identical and the worker lives on."""
+    """A table the wire decoder refuses (a null cell) fails with the
+    envelope :meth:`ServeState.handle` gives it; its batchmates stay
+    byte-identical and the worker lives on."""
     broken = copy.deepcopy(table_payloads[0])
     broken["table"]["cells"][0][0] = None
-    with pytest.raises(AttributeError) as excinfo:
+    with pytest.raises(ApiError) as excinfo:
         solo_state.handle("annotate", broken)
+    assert excinfo.value.code == "invalid_table"
     expected = ErrorEnvelope.from_error(excinfo.value)
     restarts = dispatcher.dispatch_metrics.snapshot()["worker_restarts"]
     before = dispatcher.dispatch_metrics.snapshot()["batch_size_histogram"]
@@ -467,24 +468,24 @@ def test_fused_chunk_failure_falls_back_per_table(
     assert state.cache_stats()["fusion"]["fallbacks"] >= 1
 
 
-#: a cell text the poisoned candidate generator below refuses to resolve
+#: a cell text the poisoned candidate engine below refuses to resolve
 POISON_CELL = "poison cell"
 
 
 def _poison_candidates(state, monkeypatch) -> list[int]:
     """Make the state's candidate lookup raise on :data:`POISON_CELL`;
     returns the list its calls are counted in."""
-    generator = state.pipeline().annotator.candidate_generator
-    resolve = generator.cell_candidates_batch
+    engine = state.pipeline().annotator.candidate_engine
+    resolve = engine.cell_candidates_batch
     calls: list[int] = []
 
-    def poisoned(texts):
+    def poisoned(texts, cache=None):
         calls.append(1)
         if POISON_CELL in texts:
             raise RuntimeError("candidate index corrupted")
-        return resolve(texts)
+        return resolve(texts, cache)
 
-    monkeypatch.setattr(generator, "cell_candidates_batch", poisoned)
+    monkeypatch.setattr(engine, "cell_candidates_batch", poisoned)
     return calls
 
 

@@ -75,7 +75,7 @@ class TestCandidateTables:
     ):
         import numpy as np
 
-        from repro.core.candidates_batched import InternedCandidateTables
+        from repro.core.candidates import InternedCandidateTables
 
         assert loaded_bundle.candidate_state is not None
         restored = InternedCandidateTables.from_state(
@@ -101,14 +101,12 @@ class TestCandidateTables:
 
     def test_bundle_session_reuses_candidate_state(self, bundle_dir):
         from repro.api.session import ReproSession
-        from repro.core.candidates_batched import BatchedCandidateEngine
+        from repro.core.candidates import CandidateEngine
 
         session = ReproSession.from_bundle(bundle_dir)
         pipeline = session.pipeline()
-        generator = pipeline.annotator.candidate_generator
-        # the pipeline wraps the engine in the caching front; unwrap
-        engine = getattr(generator, "_generator", generator)
-        assert isinstance(engine, BatchedCandidateEngine)
+        engine = pipeline.annotator.candidate_engine
+        assert isinstance(engine, CandidateEngine)
         assert list(engine.tables.entity_ids) == list(
             session.bundle.candidate_state["entity_ids"]
         )
@@ -163,7 +161,7 @@ class TestRoundTrip:
 
     def test_lemma_index_identical(self, loaded_bundle, fresh_state):
         pipeline, _fresh_index = fresh_state
-        fresh_lemma = pipeline.annotator.candidate_generator.lemma_index
+        fresh_lemma = pipeline.annotator.candidate_engine.lemma_index
         for probe in ("a", "the", "john", "film", "club"):
             assert loaded_bundle.lemma_index.search(probe) == fresh_lemma.search(
                 probe

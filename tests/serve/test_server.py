@@ -50,11 +50,7 @@ class TestHealthAndMetrics:
         assert healthz["requests"] >= 1
         assert set(healthz["latency_seconds"]) == {"p50", "p90", "p99", "max", "window"}
         assert "candidate_cache" in payload["caches"]
-        assert set(payload["caches"]["fusion"]) == {
-            "fused_batches",
-            "bucket_size_histogram",
-            "fallbacks",
-        }
+        assert set(payload["caches"]["fusion"]) == {"fallbacks"}
         assert payload["bundle"]["identity"]["model_sha256"]
 
     def test_metrics_count_errors(self, running_server):
@@ -113,6 +109,17 @@ class TestAnnotateEndpoint:
         assert payload["schema_version"] == 2
         assert payload["error"]["code"] == "invalid_table"
         assert "invalid table payload" in payload["error"]["message"]
+
+    def test_non_string_cell_is_400(self, running_server):
+        """A null cell is refused at decode, not answered as a 500."""
+        status, payload = request(
+            *running_server,
+            "POST",
+            "/annotate",
+            {"table": {"table_id": "t", "cells": [[None, "x"]]}},
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_table"
 
     def test_unknown_engine(self, running_server, serve_corpus):
         status, payload = request(
@@ -312,7 +319,7 @@ class TestServeStateConfig:
     ):
         """The serving candidate engine runs on the bundle's interned tables
         (restored from disk, never rebuilt from the catalog)."""
-        from repro.core.candidates_batched import InternedCandidateTables
+        from repro.core.candidates import InternedCandidateTables
         from repro.serve.state import ServeState
 
         def rebuild(*args, **kwargs):
@@ -320,8 +327,8 @@ class TestServeStateConfig:
 
         monkeypatch.setattr(InternedCandidateTables, "from_catalog", rebuild)
         state = ServeState(loaded_bundle)
-        generator = state.pipeline().annotator.candidate_generator
-        restored = generator.tables.to_state()
+        engine = state.pipeline().annotator.candidate_engine
+        restored = engine.tables.to_state()
         assert restored["entity_ids"] == loaded_bundle.candidate_state["entity_ids"]
 
 
