@@ -360,7 +360,9 @@ class CandidateEngine:
         self.lemma_index = lemma_index
         self.lemma_tfidf = lemma_tfidf
         self.tables = (
-            tables if tables is not None else InternedCandidateTables.from_catalog(catalog)
+            tables
+            if tables is not None
+            else InternedCandidateTables.from_catalog(catalog)
         )
         self._pair_memo = BoundedMemo()
 

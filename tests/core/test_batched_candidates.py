@@ -82,6 +82,22 @@ class TestFixtureEquivalence:
                 batched.build_problem(labeled.table),
             )
 
+    def test_per_pair_f3_path_matches_oracle(
+        self, engines, world, web_tables, monkeypatch
+    ):
+        """Above the dense-grid ceiling f3 blocks come from the per-pair
+        element path, still identical to the oracle."""
+        import repro.core.problem as problem_module
+
+        scalar, _batched = engines
+        monkeypatch.setattr(problem_module, "MAX_DENSE_F3_CELLS", 0)
+        per_pair = TableAnnotator(world.annotator_view, model=default_model())
+        for labeled in web_tables[:3]:
+            assert_problems_identical(
+                scalar.build_problem(labeled.table),
+                per_pair.build_problem(labeled.table),
+            )
+
     def test_annotations_byte_identical(self, engines, wiki_tables, web_tables):
         scalar, batched = engines
         for labeled in wiki_tables + web_tables:
