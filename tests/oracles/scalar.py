@@ -62,9 +62,10 @@ LAYERS = ("scalar", "batched")
 class CandidateGenerator:
     """Per-cell ``Erc`` / ``Tc`` / ``Bcc'`` straight from the catalog.
 
-    Same arguments as :class:`~repro.core.candidates.CandidateEngine`; a
-    ``lemma_index`` / ``lemma_tfidf`` pair shares a production engine's
-    frozen index (probed per cell here, never through ``search_batch``).
+    Takes the arguments of :class:`~repro.core.candidates.CandidateEngine`
+    except ``tables``; a ``lemma_index`` / ``lemma_tfidf`` pair shares a
+    production engine's frozen index (probed per cell here, never through
+    ``search_batch``).
     """
 
     def __init__(
