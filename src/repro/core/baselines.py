@@ -187,8 +187,8 @@ def _assign_cells_constrained(
     contained candidates compete (on ``φ1 · φ3``); a cell with no contained
     candidate falls to na.  The LCA representative type may not be among the
     column's cached type candidates (minimal common ancestors can sit above
-    them), so φ3 is fetched through the memoised :class:`FeatureComputer`
-    rather than the problem's f3 cache.
+    them), so φ3 is read from the interned grid through
+    :meth:`FeatureComputer.f3` rather than from the problem's f3 blocks.
     """
     catalog = features.catalog
     for row in range(problem.table.n_rows):

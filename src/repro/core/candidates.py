@@ -21,11 +21,13 @@ artifact bundle) and shared by every pipeline:
 * :class:`InternedCandidateTables`, which intern entity / type / relation
   ids to dense integers and pack per-entity type-ancestor arrays (ragged:
   offsets + flat), per-type IDF specificity, a sorted ``(subject, object)
-  → relations`` pair table and per-relation tuple-key arrays.  ``Tc`` is
-  two ``np.bincount`` passes over stacked ancestor arrays and ``Bcc'`` a
-  sorted-array join over packed pair keys.  The tables serialize to flat
-  arrays (:meth:`InternedCandidateTables.to_state`) and ship inside
-  artifact bundles.
+  → relations`` pair table, per-relation tuple-key arrays and the f3 value
+  of every (type, entity) pair in every mode.  ``Tc`` is two
+  ``np.bincount`` passes over stacked ancestor arrays, ``Bcc'`` a
+  sorted-array join over packed pair keys and an f3 block one gather.  The
+  tables serialize to flat arrays
+  (:meth:`InternedCandidateTables.to_state`) and ship inside artifact
+  bundles.
 
 An id outside the interned tables raises
 :class:`~repro.catalog.errors.UnknownIdError`.  The per-cell reading of the
@@ -44,6 +46,7 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.errors import UnknownIdError
+from repro.core.features import type_entity_feature_grid
 from repro.tables.generator import reversed_label
 from repro.text.index import InvertedIndex
 from repro.text.normalize import is_numeric_text
@@ -55,6 +58,11 @@ if TYPE_CHECKING:  # the pipeline owns the cache; it imports this module
 
 #: Bound on the per-row-pair relation memo and the cell-text profile cache.
 _MEMO_ENTRIES = 65_536
+
+#: Ceiling on the (type × entity) cells of the interned f3 grid (72 bytes
+#: each: three features in each of three modes); a bigger catalog is
+#: refused when its tables are built.
+MAX_DENSE_F3_CELLS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,7 @@ class InternedCandidateTables:
         pair_relations: np.ndarray,
         tuple_offsets: np.ndarray,
         tuple_keys_by_relation: np.ndarray,
+        f3_grid: np.ndarray,
     ) -> None:
         self.entity_ids = entity_ids
         self.type_ids = type_ids
@@ -159,6 +168,10 @@ class InternedCandidateTables:
         #: ``tuple_keys_by_relation[tuple_offsets[r]:tuple_offsets[r+1]]``
         self.tuple_offsets = tuple_offsets
         self.tuple_keys_by_relation = tuple_keys_by_relation
+        #: ``type_entity_features`` of every interned (type, entity) pair,
+        #: shape (modes, types, entities, |f3|); see
+        #: :func:`~repro.core.features.type_entity_feature_grid`
+        self.f3_grid = f3_grid
 
     # ------------------------------------------------------------------
     # construction
@@ -168,6 +181,13 @@ class InternedCandidateTables:
         entity_ids = tuple(sorted(entity_id for entity_id in catalog.entities))
         type_ids = tuple(sorted(type_id for type_id in catalog.types))
         relation_ids = tuple(sorted(catalog.relations))
+        cells = len(type_ids) * len(entity_ids)
+        if cells > MAX_DENSE_F3_CELLS:
+            raise ValueError(
+                f"catalog {catalog.name!r} has {len(type_ids)} types x "
+                f"{len(entity_ids)} entities = {cells} f3 cells, over "
+                f"MAX_DENSE_F3_CELLS = {MAX_DENSE_F3_CELLS}"
+            )
         entity_index = {e: i for i, e in enumerate(entity_ids)}
         type_index = {t: i for i, t in enumerate(type_ids)}
 
@@ -237,6 +257,7 @@ class InternedCandidateTables:
             pair_relations=relation_array,
             tuple_offsets=tuple_offsets,
             tuple_keys_by_relation=tuple_keys_by_relation,
+            f3_grid=type_entity_feature_grid(catalog, type_ids, entity_ids),
         )
 
     def intern(self, kind: str, ids) -> np.ndarray:
@@ -280,6 +301,7 @@ class InternedCandidateTables:
             "pair_relations": self.pair_relations,
             "tuple_offsets": self.tuple_offsets,
             "tuple_keys_by_relation": self.tuple_keys_by_relation,
+            "f3_grid": self.f3_grid,
         }
 
     @classmethod
@@ -299,6 +321,7 @@ class InternedCandidateTables:
             tuple_keys_by_relation=np.asarray(
                 state["tuple_keys_by_relation"], dtype=np.int64
             ),
+            f3_grid=np.asarray(state["f3_grid"], dtype=np.float64),
         )
 
 

@@ -138,6 +138,88 @@ def _normalised_idf(catalog: Catalog, type_id: str) -> float:
     return catalog.type_idf_specificity(type_id) / maximum
 
 
+def type_entity_feature_grid(
+    catalog: Catalog,
+    type_ids: tuple[str, ...],
+    entity_ids: tuple[str, ...],
+) -> np.ndarray:
+    """:func:`type_entity_features` of every (type, entity) pair in every mode.
+
+    Returns shape ``(modes, types, entities, |f3|)``, modes in
+    :class:`TypeEntityFeatureMode` order; every element is byte-identical
+    to the scalar function.  One pass over the catalog:
+
+    * upward ``⊆`` hops between every pair of types, filled parents first
+      along :meth:`~repro.catalog.types.TypeHierarchy.topological_order`;
+    * ``dist(E, T)`` as ``1 + min`` of those hops over E's direct types
+      (``inf`` when ``E ∉+ T``, and for an entity with no direct type);
+    * relatedness from ``|E(T') ∩ E(T)|``, one matmul over the membership
+      matrix (``E ∈+ T`` exactly when the distance is finite);
+    * ``min_instance_distance`` as a row min of the distances, which are
+      ``inf`` off ``E(T)``.
+    """
+    n_types, n_entities = len(type_ids), len(entity_ids)
+    type_index = {type_id: i for i, type_id in enumerate(type_ids)}
+    hierarchy = catalog.types
+    hops = np.full((n_types, n_types), np.inf)
+    for type_id in hierarchy.topological_order():
+        child = type_index[type_id]
+        parents = [type_index[parent] for parent in hierarchy.parents(type_id)]
+        if parents:
+            hops[child] = hops[parents].min(axis=0) + 1.0
+        hops[child, child] = 0.0
+
+    direct = [
+        [type_index[t] for t in catalog.entities.get(entity_id).direct_types]
+        for entity_id in entity_ids
+    ]
+    counts = np.array([len(types) for types in direct], dtype=np.int64)
+    flat = np.array([t for types in direct for t in types], dtype=np.int64)
+    # reduceat cannot take an empty segment: entities with no direct type
+    # keep the defaults (no distance, no relatedness)
+    typed = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[typed]
+
+    def min_over_direct(per_type: np.ndarray, default: float) -> np.ndarray:
+        """``out[T, E] = min over E's direct types T' of per_type[T', T]``."""
+        out = np.full((n_types, n_entities), default)
+        if len(typed):
+            out[:, typed] = np.minimum.reduceat(per_type[flat], starts, axis=0).T
+        return out
+
+    distance = 1.0 + min_over_direct(hops, np.inf)
+    contained = np.isfinite(distance)
+    membership = contained.astype(np.float64)
+    # integer counts, exact in float64
+    overlap = membership @ membership.T
+    members = np.diagonal(overlap)[:, None]
+    ratio = np.divide(
+        overlap, members, out=np.zeros_like(overlap), where=members > 0
+    )
+    related = min_over_direct(ratio, 0.0)
+    min_instance = distance.min(axis=1, initial=np.inf)[:, None]
+
+    scale = np.where(contained, 1.0, related)
+    effective = np.where(contained, distance, min_instance)
+    # E ∉+ T and T has no instance: nothing to repair from
+    orphaned = np.isinf(effective)
+    scale[orphaned] = 0.0
+    effective[orphaned] = 1.0
+    floor = np.maximum(effective, 1.0)
+    norm_idf = np.array([_normalised_idf(catalog, t) for t in type_ids])
+
+    grid = np.zeros((len(TypeEntityFeatureMode), n_types, n_entities, 3))
+    for m, mode in enumerate(TypeEntityFeatureMode):
+        # IDF mode keeps a zero distance feature
+        if mode is TypeEntityFeatureMode.INV_DIST:
+            grid[m, :, :, 0] = scale / floor
+        elif mode is TypeEntityFeatureMode.INV_SQRT_DIST:
+            grid[m, :, :, 0] = scale / np.sqrt(floor)
+        grid[m, :, :, 1] = scale * norm_idf[:, None]
+        grid[m, :, :, 2] = contained
+    return grid
+
+
 # ----------------------------------------------------------------------
 # f4: relation vs pair of column types (Section 4.2.4)
 # ----------------------------------------------------------------------

@@ -16,8 +16,6 @@ learner re-scores the same problem under many weight vectors.
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -25,11 +23,7 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.core.candidates import BoundedMemo, CandidateEngine, CandidateEntity
-from repro.core.features import (
-    TypeEntityFeatureMode,
-    header_absent_features,
-    type_entity_features,
-)
+from repro.core.features import TypeEntityFeatureMode, header_absent_features
 from repro.core.model import AnnotationModel
 from repro.graph.factor_graph import FactorGraph
 from repro.tables.generator import base_relation
@@ -43,27 +37,23 @@ from repro.text.profile import (
 #: The "no annotation" label; always domain position 0.
 NA = None
 
-#: Dense-f3-matrix ceiling: above this many (type × entity) pairs the
-#: interned grid would dominate memory, so f3 assembly falls back to the
-#: per-pair element cache.
-MAX_DENSE_F3_CELLS = 8_000_000
-
 
 class FeatureComputer:
     """Feature assembly against one catalog, with cross-table memoisation.
 
     Blocks are assembled with array programs over the candidate engine's
     interned tables: f1/f2 run the profiled similarity battery
-    (:mod:`repro.text.profile`), f3 grids gather from one interned
-    (type × entity) matrix and f5 grids are ``searchsorted`` membership
+    (:mod:`repro.text.profile`), f3 blocks gather from the interned
+    (type × entity) grid and f5 grids are ``searchsorted`` membership
     tests over per-relation tuple keys.  The element-loop reading of every
     family lives in ``tests/oracles``; the equivalence tests pin the blocks
     bit for bit against it.
 
-    Two memoisation layers exist.  The per-element caches (f3, f4 sides)
-    are always on.  ``block_cache``, when attached (the annotation pipeline
-    does this), additionally memoises whole *assembled* feature arrays keyed
-    by the candidate-space tuples.
+    f3 needs no memo: the grid holds every value, built once with the
+    tables.  The per-(relation, type) f4 sides are memoised per element.
+    ``block_cache``, when attached (the annotation pipeline does this),
+    memoises whole *assembled* f1, f2, f4 and f5 arrays keyed by the
+    candidate-space tuples.
     """
 
     def __init__(
@@ -78,26 +68,17 @@ class FeatureComputer:
         #: optional shared LRU for assembled blocks (set by the pipeline);
         #: anything with get(key)/put(key, value) semantics works
         self.block_cache = None
-        # keyed by catalog ids only — bounded by catalog size, unlike the
-        # text-keyed block cache which is therefore LRU-bounded instead
-        self._f3_cache: dict[tuple[str, str], np.ndarray] = {}
+        #: this mode's slice of the interned f3 grid: a view, so a bundle's
+        #: memory-mapped grid stays unread until a block gathers from it
+        self._f3_grid = engine.tables.f3_grid[
+            list(TypeEntityFeatureMode).index(mode)
+        ]
         self._f4_side_cache: dict[tuple[str, str], tuple[float, float, float, float]] = {}
         self._jw = JaroWinklerCache()
         self._text_profiles = BoundedMemo()
         self._entity_profiles: dict[str, tuple[TokenProfile, ...]] = {}
         self._type_profiles: dict[str, tuple[TokenProfile, ...]] = {}
-        # dense interned f3 grid (lazy; gated on catalog size)
-        self._f3_values: np.ndarray | None = None
-        self._f3_known: np.ndarray | None = None
-        self._f3_init_lock = threading.Lock()
         self._participant_cache: dict[tuple[int, str], np.ndarray] = {}
-        # interned f3 element inputs, built on first dense f3 fill:
-        # normalised per-type IDF, the type-co-occurrence count matrix
-        # |E(T1) ∩ E(T2)| and per-entity direct-type int arrays
-        self._norm_idf: np.ndarray | None = None
-        self._type_overlap: np.ndarray | None = None
-        self._type_member_counts: np.ndarray | None = None
-        self._direct_type_ints: list[np.ndarray] | None = None
 
     def _block(self, key: tuple, build) -> np.ndarray:
         """Assembled-array memoisation through ``block_cache`` when attached."""
@@ -184,148 +165,26 @@ class FeatureComputer:
 
     # -- f3 ---------------------------------------------------------------
     def f3(self, type_id: str, entity_id: str) -> np.ndarray:
-        """One f3 element (the baselines and constraints score with it)."""
-        key = (type_id, entity_id)
-        cached = self._f3_cache.get(key)
-        if cached is None:
-            cached = type_entity_features(self.catalog, type_id, entity_id, self.mode)
-            self._f3_cache[key] = cached
-        return cached
+        """One f3 element (the baselines and constraints score with it).
+
+        Raises:
+            UnknownIdError: for an id outside the interned catalog.
+        """
+        tables = self.engine.tables
+        (type_int,) = tables.intern("type", (type_id,))
+        (entity_int,) = tables.intern("entity", (entity_id,))
+        return self._f3_grid[type_int, entity_int]
 
     def f3_block(
         self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]
     ) -> np.ndarray:
-        """f3 grid for one cell, shape (n_types, n_entities, |f3|)."""
-        return self._block(
-            ("f3", type_ids, entity_ids),
-            lambda: self._f3_grid(type_ids, entity_ids),
-        )
-
-    def _f3_grid(
-        self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]
-    ) -> np.ndarray:
+        """f3 grid for one cell, shape (n_types, n_entities, |f3|): one
+        gather (broadcast index arrays, which skip ``np.ix_``'s per-call
+        reshapes)."""
         tables = self.engine.tables
-        if len(tables.type_ids) * len(tables.entity_ids) > MAX_DENSE_F3_CELLS:
-            # per-pair assembly (still served by the element cache)
-            return np.stack(
-                [
-                    np.stack([self.f3(t, e) for e in entity_ids])
-                    for t in type_ids
-                ]
-            )
-        type_index = tables.intern("type", type_ids)
-        entity_index = tables.intern("entity", entity_ids)
-        # reprolint: ignore[lock-unguarded-attr]: double-checked init gate —
-        # a stale None re-checks under _f3_init_lock below
-        if self._f3_values is None:
-            # double-checked init: _f3_values is the readiness gate and is
-            # published last, so lock-free readers never see partial state;
-            # the grid itself fills idempotently (deterministic values,
-            # value written before its known flag) outside the lock
-            with self._f3_init_lock:
-                if self._f3_values is None:
-                    shape = (len(tables.type_ids), len(tables.entity_ids))
-                    self._ensure_f3_inputs()
-                    self._f3_known = np.zeros(shape, dtype=bool)
-                    self._f3_values = np.zeros(shape + (3,), dtype=np.float64)
-        # reprolint: ignore[lock-unguarded-attr]: _f3_known exists whenever
-        # _f3_values does (both published under _f3_init_lock above)
-        assert self._f3_known is not None
-        # reprolint: ignore[lock-unguarded-attr]: a racing reader seeing a
-        # stale False just recomputes the same deterministic value below
-        known = self._f3_known[np.ix_(type_index, entity_index)]
-        if not known.all():
-            for t_pos, e_pos in zip(*np.nonzero(~known)):
-                t_int = int(type_index[t_pos])
-                e_int = int(entity_index[e_pos])
-                # reprolint: ignore[lock-unguarded-attr]: idempotent fill —
-                # every racer writes the identical deterministic value
-                self._f3_values[t_int, e_int] = self._f3_value(t_int, e_int)
-                # reprolint: ignore[lock-unguarded-attr]: flag set strictly
-                # after its value; worst case is one redundant recompute
-                self._f3_known[t_int, e_int] = True
-        # reprolint: ignore[lock-unguarded-attr]: every cell read here was
-        # made known (value-before-flag) by this or an earlier call
-        return self._f3_values[np.ix_(type_index, entity_index)]
-
-    def _ensure_f3_inputs(self) -> None:
-        """Intern everything :func:`type_entity_features` derives per call.
-
-        The co-occurrence matrix turns ``relatedness``'s per-call set
-        intersections into one integer matmul over the entity→ancestor
-        membership matrix: ``overlap[T', T] = |E(T') ∩ E(T)|`` exactly,
-        because ``E ∈+ T ⇔ T ∈ T(E)``.
-        """
-        tables = self.engine.tables
-        catalog = self.catalog
-        # same expression as features._normalised_idf, hoisted per type
-        maximum = math.log(max(len(catalog.entities), 2))
-        self._norm_idf = np.asarray(tables.type_specificity) / maximum
-        n_entities = len(tables.entity_ids)
-        n_types = len(tables.type_ids)
-        membership = np.zeros((n_entities, n_types), dtype=np.float64)
-        counts = np.diff(tables.anc_offsets)
-        membership[
-            np.repeat(np.arange(n_entities), counts), tables.anc_flat
-        ] = 1.0
-        self._type_overlap = membership.T @ membership
-        self._type_member_counts = np.diagonal(self._type_overlap).copy()
-        type_index = tables.type_index
-        self._direct_type_ints = [
-            np.asarray(
-                sorted(
-                    type_index[t]
-                    for t in catalog.entities.get(entity_id).direct_types
-                ),
-                dtype=np.int64,
-            )
-            for entity_id in tables.entity_ids
-        ]
-
-    def _f3_value(self, t_int: int, e_int: int) -> tuple[float, float, float]:
-        """One f3 element from the interned inputs.
-
-        Term-for-term the arithmetic of :func:`type_entity_features`
-        (equivalence-tested bit-identical); only the lookups changed.
-        """
-        tables = self.engine.tables
-        catalog = self.catalog
-        assert (
-            self._norm_idf is not None
-            and self._type_overlap is not None
-            and self._type_member_counts is not None
-            and self._direct_type_ints is not None
-        )
-        type_id = tables.type_ids[t_int]
-        distance = catalog.distance(tables.entity_ids[e_int], type_id)
-        contained = math.isfinite(distance)
-        if contained:
-            scale = 1.0
-            effective_distance = distance
-        else:
-            # relatedness: min over direct types of |E(T') ∩ E(T)| / |E(T')|
-            best = math.inf
-            for direct in self._direct_type_ints[e_int].tolist():
-                members = self._type_member_counts[direct]
-                overlap = (
-                    self._type_overlap[direct, t_int] / members
-                    if members
-                    else 0.0
-                )
-                best = min(best, overlap)
-            scale = 0.0 if best is math.inf else float(best)
-            effective_distance = catalog.min_instance_distance(type_id)
-            if not math.isfinite(effective_distance):
-                scale = 0.0
-                effective_distance = 1.0
-        if self.mode is TypeEntityFeatureMode.INV_DIST:
-            distance_compat = scale / max(effective_distance, 1.0)
-        elif self.mode is TypeEntityFeatureMode.INV_SQRT_DIST:
-            distance_compat = scale / math.sqrt(max(effective_distance, 1.0))
-        else:  # IDF: specificity alone
-            distance_compat = 0.0
-        idf_specificity = scale * self._norm_idf[t_int]
-        return distance_compat, idf_specificity, 1.0 if contained else 0.0
+        type_ints = tables.intern("type", type_ids)
+        entity_ints = tables.intern("entity", entity_ids)
+        return self._f3_grid[type_ints[:, None], entity_ints]
 
     # -- f4 ---------------------------------------------------------------
     def f4_block(

@@ -11,9 +11,10 @@ every occurrence.  Two cache layers remove it:
   inside its batch call,
   :meth:`~repro.core.candidates.CandidateEngine.cell_candidates_batch`), and
 * a generic :class:`LRUCache` memoises the *assembled feature blocks* of
-  :class:`~repro.core.problem.FeatureComputer` (the f1/f2/f3/f4/f5 arrays
-  stacked per candidate space), which profiling shows is where most
-  candidate-stage time actually goes once retrieval is fast.
+  :class:`~repro.core.problem.FeatureComputer` (the f1/f2/f4/f5 arrays
+  stacked per candidate space; an f3 block is a gather and skips it),
+  which profiling shows is where most candidate-stage time actually goes
+  once retrieval is fast.
 
 Candidate-cache keys are **normalised** cell text
 (:func:`normalized_cell_key`: stripped, case-folded, punctuation collapsed —

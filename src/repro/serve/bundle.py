@@ -13,18 +13,20 @@ serializes everything the query path needs —
   scores included),
 * the annotated table index's frozen header/context text indexes, and
 * the candidate engine's **interned candidate tables** (entity / type /
-  relation id interning, type-ancestor arrays, packed pair→relations and
-  per-relation tuple keys — see
-  :class:`~repro.core.candidates.InternedCandidateTables`), so a warm
-  server skips that build exactly as it skips ``freeze()``,
+  relation id interning, type-ancestor arrays, packed pair→relations,
+  per-relation tuple keys and the f3 grid of every (type, entity) pair —
+  see :class:`~repro.core.candidates.InternedCandidateTables`), so a warm
+  server skips that build exactly as it skips ``freeze()``, and pre-fork
+  workers share one memory-mapped copy,
 
 under a ``manifest.json`` carrying the format version, per-file SHA-256
 content hashes and build statistics.  ``load_bundle`` verifies and restores
 all of it; startup cost drops from "re-annotate the corpus" to "read
 arrays" (the Figure-7 bench measures the ratio).
 
-Bundle layout (format version 2 — version-1 bundles predate the candidate
-tables and are rejected with a rebuild hint)::
+Bundle layout (format version 3 — version-1 bundles predate the candidate
+tables and version-2 bundles the f3 grid; both are rejected with a rebuild
+hint)::
 
     bundle/
       manifest.json          version, hashes, identity, build stats
@@ -36,7 +38,7 @@ tables and are rejected with a rebuild hint)::
       indexes/<name>.meta.json     tokens + document keys
       indexes/<name>.<field>.npy   offsets / doc_ids / weights / idf / doc_norm
       candidates/interned.meta.json    entity / type / relation id lists
-      candidates/interned.<field>.npy  ancestor / pair / tuple arrays
+      candidates/interned.<field>.npy  ancestor / pair / tuple arrays, f3 grid
 
 where ``<name>`` is ``lemma``, ``header`` or ``context``.
 """
@@ -63,7 +65,7 @@ from repro.tables.model import LabeledTable, Table
 from repro.text.index import InvertedIndex
 from repro.text.tfidf import TfidfWeights
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 TEXT_INDEX_NAMES = ("lemma", "header", "context")
 _INDEX_FIELDS = ("offsets", "doc_ids", "weights", "idf", "doc_norm")
@@ -77,6 +79,7 @@ _CANDIDATE_ARRAY_FIELDS = (
     "pair_relations",
     "tuple_offsets",
     "tuple_keys_by_relation",
+    "f3_grid",
 )
 
 

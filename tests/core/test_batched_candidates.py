@@ -22,6 +22,7 @@ from repro.core.candidates import (
     CandidateEntity,
     InternedCandidateTables,
 )
+from repro.core.features import TypeEntityFeatureMode, type_entity_features
 from repro.core.model import default_model
 from repro.pipeline.io import annotation_to_dict
 from repro.tables.model import Table
@@ -80,22 +81,6 @@ class TestFixtureEquivalence:
             assert_problems_identical(
                 scalar.build_problem(labeled.table),
                 batched.build_problem(labeled.table),
-            )
-
-    def test_per_pair_f3_path_matches_oracle(
-        self, engines, world, web_tables, monkeypatch
-    ):
-        """Above the dense-grid ceiling f3 blocks come from the per-pair
-        element path, still identical to the oracle."""
-        import repro.core.problem as problem_module
-
-        scalar, _batched = engines
-        monkeypatch.setattr(problem_module, "MAX_DENSE_F3_CELLS", 0)
-        per_pair = TableAnnotator(world.annotator_view, model=default_model())
-        for labeled in web_tables[:3]:
-            assert_problems_identical(
-                scalar.build_problem(labeled.table),
-                per_pair.build_problem(labeled.table),
             )
 
     def test_annotations_byte_identical(self, engines, wiki_tables, web_tables):
@@ -214,26 +199,78 @@ class TestHypothesisTables:
         )
 
 
+def assert_f3_grid_matches_oracle(catalog):
+    """``tables.f3_grid`` holds ``type_entity_features`` byte for byte, for
+    every (type, entity) pair in every mode."""
+    tables = InternedCandidateTables.from_catalog(catalog)
+    modes = list(TypeEntityFeatureMode)
+    expected = np.array(
+        [
+            [
+                [
+                    type_entity_features(catalog, type_id, entity_id, mode)
+                    for entity_id in tables.entity_ids
+                ]
+                for type_id in tables.type_ids
+            ]
+            for mode in modes
+        ]
+    )
+    grid = tables.f3_grid
+    assert grid.shape == (len(modes), len(tables.type_ids), len(tables.entity_ids), 3)
+    assert grid.dtype == expected.dtype
+    differing = np.argwhere(grid.view(np.uint64) != expected.view(np.uint64))
+    assert not len(differing), [
+        (modes[m].value, tables.type_ids[t], tables.entity_ids[e])
+        for m, t, e, _feature in differing[:5].tolist()
+    ]
+    assert grid.tobytes() == expected.tobytes()
+    return tables
+
+
 class TestInternedTables:
     def test_state_round_trip(self, world):
         tables = InternedCandidateTables.from_catalog(world.annotator_view)
         state = tables.to_state()
-        restored = InternedCandidateTables.from_state(state)
-        state_again = restored.to_state()
-        assert state["entity_ids"] == state_again["entity_ids"]
-        assert state["type_ids"] == state_again["type_ids"]
-        assert state["relation_ids"] == state_again["relation_ids"]
-        for field in (
-            "anc_offsets",
-            "anc_flat",
-            "type_specificity",
-            "pair_keys",
-            "pair_offsets",
-            "pair_relations",
-            "tuple_offsets",
-            "tuple_keys_by_relation",
-        ):
-            assert np.array_equal(state[field], state_again[field]), field
+        state_again = InternedCandidateTables.from_state(state).to_state()
+        assert state.keys() == state_again.keys()
+        for field, value in state.items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == state_again[field].dtype, field
+                assert value.tobytes() == state_again[field].tobytes(), field
+            else:
+                assert value == state_again[field], field
+
+    def test_f3_grid_matches_oracle_with_missing_links(self, world):
+        """The annotator view drops catalog links, so the repair branch
+        (not contained, relatedness > 0) is exercised."""
+        tables = assert_f3_grid_matches_oracle(world.annotator_view)
+        repaired = (tables.f3_grid[..., 2] == 0) & (tables.f3_grid[..., 1] > 0)
+        assert repaired.any()
+
+    def test_f3_grid_matches_oracle_on_edge_cases(self, book_catalog):
+        """An instance-less type and an entity with no direct type."""
+        book_catalog.add_type("type:empty", ["empty"])
+        book_catalog.add_subtype("type:empty", "type:book")
+        book_catalog.add_entity("ent:untyped", ["Untyped"])
+        tables = assert_f3_grid_matches_oracle(book_catalog)
+        empty = tables.type_index["type:empty"]
+        untyped = tables.entity_index["ent:untyped"]
+        assert not tables.f3_grid[:, empty].any()
+        assert not tables.f3_grid[:, :, untyped].any()
+
+    def test_f3_grid_over_ceiling_raises(self, world, monkeypatch):
+        """A catalog past ``MAX_DENSE_F3_CELLS`` is refused at build time,
+        naming its cell count and the ceiling."""
+        import repro.core.candidates as candidates_module
+
+        catalog = world.annotator_view
+        cells = len(catalog.types) * len(catalog.entities)
+        monkeypatch.setattr(candidates_module, "MAX_DENSE_F3_CELLS", cells - 1)
+        with pytest.raises(ValueError, match="MAX_DENSE_F3_CELLS") as raised:
+            InternedCandidateTables.from_catalog(catalog)
+        assert f"= {cells} f3 cells" in str(raised.value)
+        assert f"MAX_DENSE_F3_CELLS = {cells - 1}" in str(raised.value)
 
     def test_restored_tables_drive_identical_engine(self, world, wiki_tables):
         built = CandidateEngine(world.annotator_view, top_k_entities=TOP_K)

@@ -31,6 +31,7 @@ from repro.core.features import (
     header_absent_features,
     relation_entities_features,
     text_lemma_features,
+    type_entity_features,
 )
 from repro.core.fused import annotate_problem
 from repro.core.inference import InferenceConfig
@@ -168,10 +169,11 @@ class CandidateGenerator:
 class ScalarFeatureComputer(FeatureComputer):
     """Feature blocks assembled element by element.
 
-    f1, f2 and f5 come from the :mod:`repro.core.features` functions one
-    label at a time, f3 from the inherited per-pair element; f4 is shared
-    with production.  ``generator`` stands in for the engine: only its
-    ``lemma_tfidf`` is read.
+    f1, f2, f3 and f5 come from the :mod:`repro.core.features` functions
+    one label at a time (f3 and f5 memoised per element); f4 is shared with
+    production.  ``generator`` stands in for the engine: only its
+    ``lemma_tfidf`` is read.  f3 never reads the production grid, so every
+    f3 equivalence check compares two computations.
     """
 
     def __init__(
@@ -180,7 +182,15 @@ class ScalarFeatureComputer(FeatureComputer):
         mode: TypeEntityFeatureMode,
         generator: CandidateGenerator,
     ) -> None:
-        super().__init__(catalog, mode, generator)  # type: ignore[arg-type]
+        # not FeatureComputer.__init__: it takes a view of the engine's
+        # interned f3 grid, and a generator has no interned tables.  Only
+        # the state the inherited f4 path reads is set up.
+        self.catalog = catalog
+        self.mode = mode
+        self.engine = generator  # type: ignore[assignment]
+        self.block_cache = None
+        self._f4_side_cache = {}
+        self._f3_cache: dict[tuple[str, str], np.ndarray] = {}
         self._f5_cache: dict[tuple[str, str, str], np.ndarray] = {}
 
     def f1(self, cell_text: str, entity_id: str) -> np.ndarray:
@@ -192,6 +202,14 @@ class ScalarFeatureComputer(FeatureComputer):
             return header_absent_features()
         lemmas = self.catalog.types.lemmas(type_id)
         return text_lemma_features(header_text, lemmas, self.engine.lemma_tfidf)
+
+    def f3(self, type_id: str, entity_id: str) -> np.ndarray:
+        key = (type_id, entity_id)
+        cached = self._f3_cache.get(key)
+        if cached is None:
+            cached = type_entity_features(self.catalog, type_id, entity_id, self.mode)
+            self._f3_cache[key] = cached
+        return cached
 
     def f5(self, label: str, left_entity: str, right_entity: str) -> np.ndarray:
         key = (label, left_entity, right_entity)

@@ -85,19 +85,11 @@ class TestCandidateTables:
         assert restored.entity_ids == built.entity_ids
         assert restored.type_ids == built.type_ids
         assert restored.relation_ids == built.relation_ids
-        for field in (
-            "anc_offsets",
-            "anc_flat",
-            "type_specificity",
-            "pair_keys",
-            "pair_offsets",
-            "pair_relations",
-            "tuple_offsets",
-            "tuple_keys_by_relation",
-        ):
-            assert np.array_equal(
-                getattr(restored, field), getattr(built, field)
-            ), field
+        restored_state = restored.to_state()
+        for field, value in built.to_state().items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == restored_state[field].dtype, field
+                assert value.tobytes() == restored_state[field].tobytes(), field
 
     def test_bundle_session_reuses_candidate_state(self, bundle_dir):
         from repro.api.session import ReproSession
@@ -184,18 +176,34 @@ class TestRejection:
         return target
 
     def test_version_mismatch_rejected(self, copied_bundle):
+        """A newer bundle, and one from before the f3 grid, get the rebuild
+        hint."""
         manifest_path = copied_bundle / "manifest.json"
         payload = json.loads(manifest_path.read_text())
-        payload["format_version"] = FORMAT_VERSION + 1
-        manifest_path.write_text(json.dumps(payload))
-        with pytest.raises(BundleVersionError, match="format version"):
-            load_bundle(copied_bundle)
+        for version in (FORMAT_VERSION + 1, FORMAT_VERSION - 1):
+            payload["format_version"] = version
+            manifest_path.write_text(json.dumps(payload))
+            with pytest.raises(BundleVersionError, match="format version") as raised:
+                load_bundle(copied_bundle)
+            assert "rebuild the bundle" in str(raised.value)
 
     def test_corrupted_file_rejected(self, copied_bundle):
-        annotations = copied_bundle / "annotations.jsonl"
-        annotations.write_text(annotations.read_text().replace("e", "E", 1))
-        with pytest.raises(BundleIntegrityError, match="annotations.jsonl"):
-            load_bundle(copied_bundle)
+        def replace_one_e(data: bytes) -> bytes:
+            return data.replace(b"e", b"E", 1)
+
+        def flip_last_byte(data: bytes) -> bytes:
+            return data[:-1] + bytes([data[-1] ^ 0xFF])
+
+        for relative, corrupt in (
+            ("annotations.jsonl", replace_one_e),
+            ("candidates/interned.f3_grid.npy", flip_last_byte),
+        ):
+            path = copied_bundle / relative
+            original = path.read_bytes()
+            path.write_bytes(corrupt(original))
+            with pytest.raises(BundleIntegrityError, match=relative):
+                load_bundle(copied_bundle)
+            path.write_bytes(original)
 
     def test_missing_file_rejected(self, copied_bundle):
         (copied_bundle / "tfidf.json").unlink()
