@@ -23,10 +23,10 @@ builds the snapshot's candidate spaces through production (the array-backed
 engine of :mod:`repro.core.candidates`) and through the scalar
 per-cell oracle, asserts byte-identical annotations and a >=2x
 candidate-stage speedup, and records the ``candidate_engine_speedup``
-trajectory CI gates on.  A fourth section times corpus batching: the same
-list annotated in batches of 128 tables (planned into shape buckets, one
-fused BP run each) against one table per fused run.  Set
-``REPRO_BENCH_SMOKE=1`` to run the engine sections at CI scale.
+trajectory CI gates on.  A fourth section times corpus batching: BP and
+decode over the same list compiled in batches of 128 tables (planned into
+shape buckets, one fused BP run each) against one table per fused run.
+Set ``REPRO_BENCH_SMOKE=1`` to run the engine sections at CI scale.
 """
 
 import os
@@ -34,10 +34,12 @@ import statistics
 import time
 
 from repro.core.annotator import TableAnnotator
+from repro.core.fused import build_fused_bundle, run_fused_bundle
 from repro.eval.experiments import timing_experiment
 from repro.eval.reporting import format_table
-from repro.pipeline import AnnotationPipeline, PipelineConfig
+from repro.pipeline import AnnotationPipeline, PipelineConfig, iter_batches
 from repro.pipeline.io import annotation_to_dict
+from repro.pipeline.planner import plan_buckets
 from repro.tables.generator import (
     NoiseProfile,
     TableGeneratorConfig,
@@ -319,10 +321,10 @@ def test_fig7_candidate_engine_speedup(
     assert production_fraction < oracle_fraction
 
 
-#: fused_speedup floors (batch_size=128 over batch_size=1, warm best of
-#: five), set below the minimum of ten recorded runs on a 2-core VM —
-#: 320 tables: 1.77x-2.14x (median 2.04x); 60-table smoke: 1.75x-2.04x
-#: (median 1.83x)
+#: fused_speedup floors (batch_size=128 over batch_size=1: BP + decode
+#: over bundles compiled once per mode, best of five), set below the
+#: minimum of the recorded runs on a 2-core VM — 320 tables: 1.87x-2.35x
+#: (four runs); 60-table smoke: 1.62x-2.05x (median 1.81x, ten runs)
 FUSED_SPEEDUP_FLOOR = 1.6
 FUSED_SPEEDUP_SMOKE_FLOOR = 1.5
 
@@ -331,16 +333,16 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
     """Corpus batching: one fused BP run per shape bucket vs per table.
 
     The pipeline plans every ``batch_size`` batch into shape buckets and
-    runs each bucket as one cross-table BP graph; fused bundles are cached
-    by content, so re-annotating a recurring corpus — the serving steady
-    state — skips candidate generation and graph compilation and pays one
-    vectorised BP per bucket.  ``batch_size=1`` is the baseline: every
-    table its own fused run, paying the Python round trip per table.  Both
-    modes get one identical warm-up pass (the cold pass, recorded
-    alongside); the headline compares warm steady states as the best of
-    five *interleaved* passes per mode, which cancels machine-state drift
-    between the two measurements without favouring either side.
-    Annotations must be byte-identical throughout.
+    runs each bucket as one cross-table BP graph.  ``batch_size=1`` is the
+    baseline: every table its own fused run, paying the Python round trip
+    per table.  Each mode annotates the corpus once through its pipeline
+    (the cold pass, recorded alongside).  A second pass would be answered
+    from the answer cache, so the warm steady state is measured below it:
+    each mode's bundles are compiled once (buckets of one, and
+    ``plan_buckets`` over batches of 128) and the headline times BP plus
+    decode over them, as the best of five *interleaved* rounds per mode,
+    which cancels machine-state drift between the two measurements without
+    favouring either side.  Annotations must be byte-identical throughout.
 
     The thread-pool numbers are honest per-worker wall clocks of the one
     parallel executor: threads overlap only where NumPy releases the GIL,
@@ -373,16 +375,52 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
         ]
         return annotations, time.perf_counter() - start
 
+    def compile_bundles(pipeline, chunks):
+        annotator = pipeline.annotator
+        return [
+            (
+                build_fused_bundle(
+                    [annotator.build_problem(table) for table in chunk],
+                    annotator.model,
+                ),
+                chunk,
+            )
+            for chunk in chunks
+        ]
+
+    def warm_pass(bundles):
+        start = time.perf_counter()
+        decoded = [
+            run_fused_bundle(bundle, inference, chunk) for bundle, chunk in bundles
+        ]
+        seconds = time.perf_counter() - start
+        by_id = {
+            annotation.table_id: annotation_to_dict(annotation)
+            for annotations in decoded
+            for annotation in annotations
+        }
+        return [by_id[table.table_id] for table in tables], seconds
+
     baseline = make_pipeline(1)
     fused = make_pipeline(128)
     baseline_annotations, baseline_cold = timed_pass(baseline)
     fused_annotations, fused_cold = timed_pass(fused)
     identical = fused_annotations == baseline_annotations
+    inference = fused.annotator.config.inference_config()
+    baseline_bundles = compile_bundles(baseline, [[table] for table in tables])
+    fused_bundles = compile_bundles(
+        fused,
+        [
+            [table for _position, table in bucket.entries]
+            for batch in iter_batches(tables, 128)
+            for bucket in plan_buckets(batch)
+        ],
+    )
     baseline_warm = fused_warm = float("inf")
     for _round in range(5):
-        _, seconds = timed_pass(baseline)
+        _, seconds = warm_pass(baseline_bundles)
         baseline_warm = min(baseline_warm, seconds)
-        warm_annotations, seconds = timed_pass(fused)
+        warm_annotations, seconds = warm_pass(fused_bundles)
         fused_warm = min(fused_warm, seconds)
         identical = identical and warm_annotations == baseline_annotations
     fused_report = fused.last_report
@@ -410,14 +448,14 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
         format_table(
             ["Quantity", "batch_size=1", "batch_size=128"],
             [
-                ["tables (recurring corpus)", len(tables), len(tables)],
+                ["tables", len(tables), len(tables)],
                 [
                     "cold pass seconds",
                     round(baseline_cold, 3),
                     round(fused_cold, 3),
                 ],
                 [
-                    "warm pass seconds",
+                    "warm BP + decode seconds",
                     round(baseline_warm, 3),
                     round(fused_warm, 3),
                 ],
@@ -591,10 +629,12 @@ def test_fig7_candidate_cache_speedup(
     corpus = snapshot * 3  # >=2/3 of cells repeat earlier ones
 
     def run(cache_size: int) -> tuple[list[dict], float, object]:
+        # the answer cache would answer the repeats before their cells
+        # reach the candidate cache, so both arms run without it
         pipeline = AnnotationPipeline(
             bench_world.annotator_view,
             model=trained_model,
-            config=PipelineConfig(cache_size=cache_size),
+            config=PipelineConfig(cache_size=cache_size, answer_cache_size=0),
         )
         start = time.perf_counter()
         annotations = [

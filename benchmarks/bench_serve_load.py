@@ -24,7 +24,7 @@ Two invariants are asserted at every scale, then a cpu-aware scaling gate:
   failure.
 
 The scaling section's request tables are all distinct: repeated tables
-would hit the workers' candidate caches and measure queueing machinery
+would hit the workers' answer caches and measure queueing machinery
 rather than annotation.
 
 A second section, ``batching``, drives one single-worker dispatcher at
@@ -33,7 +33,7 @@ worker takes everything queued (up to ``batch_size``), so concurrency 1 is
 a batch of one per round trip and concurrent requests ride fused batches
 by themselves.  It measures two kinds of traffic — ``distinct`` (tables
 never served before) and ``repeated`` (replays of tables already served
-alone, whose fused bundles are cached) — and records throughput + p50/p99
+alone, answered from the worker's answer cache) — and records throughput + p50/p99
 per concurrency, the ``/metrics`` batch-size histogram, and a
 ``byte_identical`` flag asserting every response matches the table served
 alone byte for byte.
@@ -269,10 +269,10 @@ BATCHING_BATCH_SIZE = 32
 #: median pass
 BATCHING_ROUNDS = 5
 #: concurrency-32 over concurrency-1 throughput floors per traffic kind.
-#: Ten recorded smoke runs on a 2-core VM: distinct 1.06x-1.49x (median
-#: 1.29x), repeated 0.97x-1.22x (median 1.09x).  With repeats bucketed like
-#: new tables instead of run alone on their cached bundles, repeated fell
-#: to 0.75x-0.83x (five runs).
+#: Seven recorded smoke runs on a 2-core VM: distinct 1.00x-1.32x (median
+#: 1.08x), repeated 1.61x-2.15x (median 1.79x).  Six runs of the same
+#: smoke bench with the former compiled-graph cache read distinct
+#: 0.99x-1.18x and repeated 1.04x-1.26x.
 BATCHING_SPEEDUP_FLOORS = {"distinct": 1.0, "repeated": 0.9}
 
 
@@ -359,8 +359,9 @@ def test_serve_batching(bench_world, tmp_path, emit, emit_json):
     * **distinct** — every pass serves tables never served before;
     * **repeated** — every pass replays all the tables the distinct
       concurrency-1 passes served alone, shuffled so batch groupings do
-      not recur.  A repeat's whole fused bundle is cached, so this is the
-      replay case a batching path could lose to one request at a time.
+      not recur.  Every repeat is answered from the answer cache before
+      any planning, so this is the replay case a batching path could
+      lose to one request at a time.
 
     Every response must be byte-identical to the table served alone, and
     concurrency 32 must keep up with concurrency 1 on both kinds of

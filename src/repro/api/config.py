@@ -102,7 +102,7 @@ class SessionConfig:
     #: tables per pipeline batch, and requests per served worker round trip
     batch_size: int = 16
     cache_size: int = 100_000
-    compiled_cache_size: int = 2048
+    answer_cache_size: int = 2048
     annotator: AnnotatorConfig = field(default_factory=AnnotatorConfig)
     search: SearchConfig = field(default_factory=SearchConfig)
     serve: ServeConfig = field(default_factory=ServeConfig)
@@ -114,8 +114,8 @@ class SessionConfig:
             raise _invalid("batch_size must be >= 1")
         if self.cache_size < 0:
             raise _invalid("cache_size must be >= 0")
-        if self.compiled_cache_size < 0:
-            raise _invalid("compiled_cache_size must be >= 0")
+        if self.answer_cache_size < 0:
+            raise _invalid("answer_cache_size must be >= 0")
 
     # ------------------------------------------------------------------
     # derived configs
@@ -126,7 +126,7 @@ class SessionConfig:
             batch_size=self.batch_size,
             workers=self.workers,
             cache_size=self.cache_size,
-            compiled_cache_size=self.compiled_cache_size,
+            answer_cache_size=self.answer_cache_size,
             annotator=self.annotator,
         )
 
@@ -138,7 +138,7 @@ class SessionConfig:
             "workers": self.workers,
             "batch_size": self.batch_size,
             "cache_size": self.cache_size,
-            "compiled_cache_size": self.compiled_cache_size,
+            "answer_cache_size": self.answer_cache_size,
             "annotator": self.annotator.to_dict(),
             "search": dataclasses.asdict(self.search),
             "serve": dataclasses.asdict(self.serve),
@@ -181,7 +181,7 @@ class SessionConfig:
             "workers",
             "batch_size",
             "cache_size",
-            "compiled_cache_size",
+            "answer_cache_size",
         ):
             value = getattr(args, flag, None)
             if value is not None:

@@ -6,9 +6,9 @@ responses back.  A session owns
 
 * the catalog and model,
 * one warm :class:`~repro.pipeline.AnnotationPipeline` (built at open, then
-  shared by every request — its candidate / feature-block / compiled-graph
-  caches are internally locked; the candidate engine with its frozen lemma
-  index and interned candidate tables is shared with training pipelines),
+  shared by every request — its candidate / feature-block / answer caches
+  are internally locked; the candidate engine with its frozen lemma index
+  and interned candidate tables is shared with training pipelines),
 * the annotated table index plus both search processors and the join
   processor (built lazily once an index exists).
 
@@ -54,7 +54,7 @@ from repro.catalog.errors import CatalogError
 from repro.catalog.io import load_catalog_json
 from repro.core.annotation import TableAnnotation
 from repro.core.candidates import CandidateEngine, InternedCandidateTables
-from repro.core.fused import annotate_fused_chunk, cached_alone
+from repro.core.fused import annotate_fused_chunk
 from repro.core.model import AnnotationModel, default_model
 from repro.pipeline.io import annotation_to_dict, iter_corpus_jsonl
 from repro.pipeline.pipeline import AnnotationPipeline
@@ -224,17 +224,18 @@ class ReproSession:
     ) -> list[AnnotateResponse | ApiError]:
         """Annotate many requests as shape-bucketed fused super-batches.
 
-        The serving workers' entry point: the tables are planned into
-        shape buckets (the same :func:`~repro.pipeline.planner.plan_buckets`
-        corpus batches use) and each bucket runs as one fused BP super-graph
-        on the warm pipeline, amortising candidate retrieval and graph
-        compilation across batchmates.  Each response is byte-identical to
-        what a lone :meth:`annotate` call would produce (pinned by the
-        batching property tests).
-
-        A table whose lone bundle is already in the compiled-graph cache (a
-        repeat of one annotated alone) runs alone on that hit instead: in a
-        new bucket it would be rebuilt and recompiled with its batchmates.
+        The serving workers' entry point.  Every table is looked up in the
+        pipeline's answer cache first
+        (:meth:`~repro.pipeline.AnnotationPipeline.answer`): a table seen
+        before — alone, in a batch or under another id — is answered from
+        it, and a table the batch holds twice is computed once.  Only the
+        misses are planned into shape buckets (the same
+        :func:`~repro.pipeline.planner.plan_buckets` corpus batches use),
+        and each bucket runs as one fused BP super-graph on the warm
+        pipeline, amortising candidate retrieval and graph compilation
+        across batchmates.  Each response is byte-identical to what a lone
+        :meth:`annotate` call would produce (pinned by the batching
+        property tests).
 
         Failures are isolated per request: a slot whose table fails holds an
         :class:`ApiError` instead of a response — for a lone table, the
@@ -244,53 +245,52 @@ class ReproSession:
         as one fallback
         (:meth:`~repro.pipeline.AnnotationPipeline.record_fallback`).
         """
+        outcomes = self._pipeline.answer(
+            [request.table for request in requests], self._annotate_fresh
+        )
+        return [
+            outcome
+            if isinstance(outcome, ApiError)
+            else self._annotate_response(
+                outcome, include_timing=request.include_timing
+            )
+            for request, outcome in zip(requests, outcomes)
+        ]
+
+    def _annotate_fresh(self, tables: list[Table]) -> list[TableAnnotation | ApiError]:
+        """Tables the answer cache missed, as fused shape buckets, each
+        table's failure isolated (see :meth:`annotate_batch`)."""
         pipeline = self._pipeline
         outcomes: dict[int, TableAnnotation | ApiError] = {}
-        fresh: list[int] = []
-        for position, request in enumerate(requests):
-            if cached_alone(pipeline.annotator, request.table):
-                outcomes[position] = self._annotate_alone(request.table)
-            else:
-                fresh.append(position)
-        plan = plan_buckets([requests[position].table for position in fresh])
+        plan = plan_buckets(tables)
         for _signature, entries in iter_bucket_chunks(
             plan, pipeline.config.batch_size
         ):
-            tables = [table for _position, table in entries]
+            chunk = [table for _position, table in entries]
             annotations: list[TableAnnotation | ApiError]
             try:
-                annotations = list(annotate_fused_chunk(pipeline.annotator, tables))
+                annotations = list(annotate_fused_chunk(pipeline.annotator, chunk))
             except Exception as error:  # noqa: BLE001 - a poisoned table
                 # must fail only itself: rerun a shared bucket table by table
-                if len(tables) == 1:
+                if len(chunk) == 1:
                     annotations = [to_api_error(error)]
                 else:
                     logger.warning(
                         "fused bucket of %d tables failed; rerunning them "
                         "one at a time",
-                        len(tables),
+                        len(chunk),
                         exc_info=error,
                     )
                     pipeline.record_fallback()
-                    annotations = [self._annotate_alone(table) for table in tables]
-            for (index, _table), annotation in zip(entries, annotations):
-                outcomes[fresh[index]] = annotation
-        responses: list[AnnotateResponse | ApiError] = []
-        for position, request in enumerate(requests):
-            outcome = outcomes[position]
-            responses.append(
-                outcome
-                if isinstance(outcome, ApiError)
-                else self._annotate_response(
-                    outcome, include_timing=request.include_timing
-                )
-            )
-        return responses
+                    annotations = [self._annotate_alone(table) for table in chunk]
+            for (position, _table), annotation in zip(entries, annotations):
+                outcomes[position] = annotation
+        return [outcomes[position] for position in range(len(tables))]
 
     def _annotate_alone(self, table: Table) -> TableAnnotation | ApiError:
         """One table as a bucket of one, its failure captured as an error."""
         try:
-            return self._pipeline.annotate(table)
+            return self._pipeline.annotator.annotate(table)
         except Exception as error:  # noqa: BLE001 - isolate batchmates
             return to_api_error(error)
 

@@ -23,8 +23,8 @@ request object from :mod:`repro.api.types`, one shared
 :class:`~repro.api.ReproSession` executes it, and responses encode through
 the same :func:`~repro.api.encode_json` the HTTP server uses — so ``repro
 annotate --wire`` and ``POST /annotate`` emit byte-identical payloads for
-identical requests.  API failures print as ``error [<stable code>]:
-<message>`` and exit 1.
+identical requests.  API failures, bundle errors included, print as
+``error [<stable code>]: <message>`` and exit 1.
 
 All commands are deterministic given their ``--seed`` arguments.  Anything
 beyond one-shot usage should import :mod:`repro` (see ``ReproSession``).
@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.api.config import SessionConfig
-from repro.api.errors import ApiError
+from repro.api.errors import ApiError, to_api_error
 from repro.api.session import ReproSession
 from repro.api.types import (
     BundleBuildRequest,
@@ -56,6 +56,7 @@ from repro.pipeline.io import (
 )
 from repro.pipeline.pipeline import AnnotationPipeline
 from repro.search.table_index import AnnotatedTableIndex
+from repro.serve.errors import BundleError
 from repro.tables.corpus import TableCorpus, save_corpus_jsonl
 from repro.tables.generator import (
     NoiseProfile,
@@ -108,10 +109,10 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         help="candidate-cache entries (0 disables the cache)",
     )
     parser.add_argument(
-        "--compiled-cache-size",
+        "--answer-cache-size",
         type=_non_negative_int,
         default=2048,
-        help="fused-bundle LRU entries (0 disables it)",
+        help="tables in the answer LRU (0 disables it)",
     )
 
 
@@ -346,7 +347,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     config = SessionConfig(
         cache_size=args.cache_size,
-        compiled_cache_size=args.compiled_cache_size,
+        answer_cache_size=args.answer_cache_size,
         serve=ServeConfig(
             workers=args.workers,
             queue_depth=args.queue_depth,
@@ -577,10 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate-cache entries (0 disables the cache)",
     )
     serve.add_argument(
-        "--compiled-cache-size",
+        "--answer-cache-size",
         type=_non_negative_int,
         default=2048,
-        help="fused-bundle LRU entries per worker (0 disables it)",
+        help="tables in the answer LRU per worker (0 disables it)",
     )
     serve.add_argument(
         "--workers",
@@ -697,8 +698,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ApiError as error:
-        print(f"error [{error.code}]: {error.message}", file=sys.stderr)
+    except (ApiError, BundleError) as error:
+        api_error = to_api_error(error)
+        print(f"error [{api_error.code}]: {api_error.message}", file=sys.stderr)
         return 1
 
 

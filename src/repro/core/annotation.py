@@ -8,7 +8,10 @@ label and the runner-up, usable for ranking and confidence thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
+
+from repro.tables.model import Table
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,50 @@ class TableAnnotation:
             for column, annotation in self.columns.items()
             if annotation.type_id == type_id
         ]
+
+
+@dataclass(frozen=True)
+class FrozenAnnotation:
+    """A :class:`TableAnnotation` without table id or timing, as the answer
+    cache keeps it.  Its maps are read-only and :meth:`thaw` copies them,
+    so changing a returned annotation cannot change a later answer.
+    """
+
+    cells: MappingProxyType[tuple[int, int], CellAnnotation]
+    columns: MappingProxyType[int, ColumnAnnotation]
+    relations: MappingProxyType[tuple[int, int], RelationAnnotation]
+    diagnostics: MappingProxyType[str, Any]
+
+    @classmethod
+    def of(cls, annotation: TableAnnotation) -> "FrozenAnnotation":
+        diagnostics = dict(annotation.diagnostics)
+        diagnostics.pop("timing", None)
+        return cls(
+            MappingProxyType(dict(annotation.cells)),
+            MappingProxyType(dict(annotation.columns)),
+            MappingProxyType(dict(annotation.relations)),
+            MappingProxyType(diagnostics),
+        )
+
+    def thaw(self, table: Table, seconds: float) -> TableAnnotation:
+        """A fresh annotation of ``table``, timed as ``seconds`` of lookup
+        (no candidate or inference time)."""
+        diagnostics = self.diagnostics.copy()
+        diagnostics["timing"] = AnnotationTiming(
+            table_id=table.table_id,
+            total_seconds=seconds,
+            candidate_seconds=0.0,
+            inference_seconds=0.0,
+            n_rows=table.n_rows,
+            n_columns=table.n_columns,
+        )
+        return TableAnnotation(
+            table.table_id,
+            self.cells.copy(),
+            self.columns.copy(),
+            self.relations.copy(),
+            diagnostics,
+        )
 
 
 @dataclass

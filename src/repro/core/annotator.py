@@ -98,9 +98,6 @@ class TableAnnotator:
         #: optional ``Erc`` cache (set by the pipeline); every candidate
         #: resolution of this annotator consults it
         self.candidate_cache = None
-        #: optional LRU for fused bundles (set by the pipeline); lets
-        #: recurring tables skip candidate generation and compilation
-        self.compiled_cache = None
 
     # ------------------------------------------------------------------
     # problems

@@ -19,16 +19,12 @@ buckets (:mod:`repro.pipeline.planner`) first.  For one bucket this module
    per-table freezing, then decodes every table's annotation with vectorised
    argmax / margin computation.
 
-The fused bundle (graph + decode metadata) is memoised in the annotator's
-compiled-graph LRU under :func:`fused_cache_key` — the tables' raw content.
-Within one pipeline the catalog, candidate engine and model are frozen,
-so table content determines the bundle; recurring tables or buckets skip
-candidate generation *and* compilation entirely.
-
-A table's labels, scores, iteration count and convergence flag do not depend
-on its batchmates (see the ordering and padding analysis in
-:mod:`repro.graph.fused`).  The scalar reference in ``tests/oracles`` pins
-the wire output byte for byte.
+Nothing here is cached.  A table's labels, scores, iteration count and
+convergence flag do not depend on its batchmates (see the ordering and
+padding analysis in :mod:`repro.graph.fused`), so the pipeline caches
+whole answers per table (:meth:`~repro.pipeline.AnnotationPipeline.answer`)
+and sends only the tables it has not seen through here.  The scalar
+reference in ``tests/oracles`` pins the wire output byte for byte.
 """
 
 from __future__ import annotations
@@ -86,36 +82,6 @@ class FusedBundle:
 
     graph: FusedGraph
     specs: list[TableDecodeSpec]
-
-
-def fused_cache_key(
-    tables: list[Table],
-    model: AnnotationModel,
-    config,
-) -> tuple:
-    """Content key under which a fused bundle may be reused.
-
-    Valid within one pipeline (frozen catalog + candidate engine): the
-    bundle is then a pure function of the tables' raw content, the candidate
-    knobs and the model weights.  Table ids are deliberately excluded so
-    duplicated table content hits regardless of id.
-    """
-    content = tuple(
-        (
-            tuple(table.headers) if table.headers is not None else None,
-            tuple(tuple(row) for row in table.cells),
-        )
-        for table in tables
-    )
-    return (
-        "fused",
-        model.as_flat().tobytes(),
-        model.mode.value,
-        config.top_k_entities,
-        config.max_type_candidates,
-        config.max_column_pairs,
-        content,
-    )
 
 
 def _stage_factor(
@@ -540,30 +506,12 @@ def annotate_problem(
     return run_fused_bundle(bundle, config, [problem.table])[0]
 
 
-def cached_alone(annotator: TableAnnotator, table: Table) -> bool:
-    """Whether ``table`` as a bucket of one has its fused bundle in the
-    annotator's compiled-graph LRU (a peek: no hit or miss is recorded).
-
-    Such a table — a repeat of one already annotated alone — costs one BP
-    run alone; in a new bucket it would be rebuilt and recompiled with its
-    batchmates.
-    """
-    cache = annotator.compiled_cache
-    return (
-        cache is not None
-        and annotator.config.with_relations
-        and fused_cache_key([table], annotator.model, annotator.config) in cache
-    )
-
-
 def annotate_fused_chunk(
     annotator: TableAnnotator, tables: list[Table]
 ) -> list[TableAnnotation]:
     """Annotate one bucket of tables through the fused engine.
 
-    The fused bundle is memoised in ``annotator.compiled_cache`` (when
-    attached) under :func:`fused_cache_key`; a hit skips candidate
-    generation and compilation, leaving one BP run plus the vectorised
+    Candidate generation, compilation, one BP run and the vectorised
     decode.  Per-table timings apportion the chunk's wall time equally
     (individual tables are not separable inside a fused run).  Without
     relation variables the model is the exact Figure-2 special case, which
@@ -573,31 +521,19 @@ def annotate_fused_chunk(
     if not config.with_relations:
         return [annotator.annotate(table) for table in tables]
     start = time.perf_counter()
-    cache = annotator.compiled_cache
-    bundle = None
-    key = None
-    if cache is not None:
-        key = fused_cache_key(tables, annotator.model, config)
-        bundle = cache.get(key)
-    if bundle is None:
-        erc = annotator.resolve_candidates(tables)
-        problems = [
-            build_problem(
-                table,
-                annotator.candidate_engine,
-                annotator.features,
-                erc,
-                max_column_pairs=config.max_column_pairs,
-            )
-            for table in tables
-        ]
-        after_candidates = time.perf_counter()
-        bundle = build_fused_bundle(problems, annotator.model)
-        if cache is not None:
-            cache.put(key, bundle)
-    else:
-        after_candidates = time.perf_counter()
-
+    erc = annotator.resolve_candidates(tables)
+    problems = [
+        build_problem(
+            table,
+            annotator.candidate_engine,
+            annotator.features,
+            erc,
+            max_column_pairs=config.max_column_pairs,
+        )
+        for table in tables
+    ]
+    after_candidates = time.perf_counter()
+    bundle = build_fused_bundle(problems, annotator.model)
     annotations = run_fused_bundle(bundle, config.inference_config(), tables)
     end = time.perf_counter()
 

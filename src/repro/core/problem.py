@@ -52,8 +52,10 @@ class FeatureComputer:
     f3 needs no memo: the grid holds every value, built once with the
     tables.  The per-(relation, type) f4 sides are memoised per element.
     ``block_cache``, when attached (the annotation pipeline does this),
-    memoises whole *assembled* f1, f2, f4 and f5 arrays keyed by the
-    candidate-space tuples.
+    memoises the blocks that recur across tables — whole *assembled* f1
+    and f5 arrays keyed by the candidate-space tuples.  f2 and f4 blocks
+    almost never recur (a column's header with its exact type list, a
+    pair's relation and type lists), so they are built directly.
     """
 
     def __init__(
@@ -142,26 +144,22 @@ class FeatureComputer:
         self, header_text: str | None, type_ids: tuple[str, ...]
     ) -> np.ndarray:
         """f2 rows for one column's candidate types, shape (n_types, |f2|)."""
-
-        def build() -> np.ndarray:
-            if header_text is None or not header_text.strip():
-                return np.stack([header_absent_features() for _ in type_ids])
-            profile = self._text_profile(header_text)
-            rows = [
-                text_lemma_features_profiled(
-                    profile,
-                    self._lemma_profiles(
-                        self._type_profiles,
-                        self.catalog.types.lemmas(type_id),
-                        type_id,
-                    ),
-                    self._jw,
-                )
-                for type_id in type_ids
-            ]
-            return np.stack(rows)
-
-        return self._block(("f2", header_text, type_ids), build)
+        if header_text is None or not header_text.strip():
+            return np.stack([header_absent_features() for _ in type_ids])
+        profile = self._text_profile(header_text)
+        rows = [
+            text_lemma_features_profiled(
+                profile,
+                self._lemma_profiles(
+                    self._type_profiles,
+                    self.catalog.types.lemmas(type_id),
+                    type_id,
+                ),
+                self._jw,
+            )
+            for type_id in type_ids
+        ]
+        return np.stack(rows)
 
     # -- f3 ---------------------------------------------------------------
     def f3(self, type_id: str, entity_id: str) -> np.ndarray:
@@ -187,18 +185,6 @@ class FeatureComputer:
         return self._f3_grid[type_ints[:, None], entity_ints]
 
     # -- f4 ---------------------------------------------------------------
-    def f4_block(
-        self,
-        relation_labels: tuple[str, ...],
-        left_types: tuple[str, ...],
-        right_types: tuple[str, ...],
-    ) -> np.ndarray:
-        """Cached :meth:`f4_table` (same shape and contents)."""
-        return self._block(
-            ("f4", relation_labels, left_types, right_types),
-            lambda: self.f4_table(relation_labels, left_types, right_types),
-        )
-
     def f4_sides(
         self, relation_id: str, type_id: str
     ) -> tuple[float, float, float, float]:
@@ -207,7 +193,7 @@ class FeatureComputer:
         Returns ``(is_sub_of_subject_schema, is_sub_of_object_schema,
         subject_participation, object_participation)``; f4 for a pair of
         types is composed from two of these tuples in
-        :meth:`f4_table`.
+        :meth:`f4_block`.
         """
         key = (relation_id, type_id)
         cached = self._f4_side_cache.get(key)
@@ -226,7 +212,7 @@ class FeatureComputer:
             self._f4_side_cache[key] = cached
         return cached
 
-    def f4_table(
+    def f4_block(
         self,
         relation_labels: tuple[str, ...],
         left_types: tuple[str, ...],

@@ -4,17 +4,20 @@ The paper's Figure 7 attributes ~80% of annotation time to lemma-index
 probing plus similarity/feature computation.  Across a corpus the same cell
 strings recur constantly (country names, people appearing in many tables,
 repeated headers-as-cells), yet the seed code redid all of that work for
-every occurrence.  Two cache layers remove it:
+every occurrence.  Three cache layers remove it:
 
 * :class:`CandidateCache` memoises ``Erc`` so each distinct cell string
   probes the lemma index once per corpus (the candidate engine consults it
   inside its batch call,
-  :meth:`~repro.core.candidates.CandidateEngine.cell_candidates_batch`), and
+  :meth:`~repro.core.candidates.CandidateEngine.cell_candidates_batch`),
 * a generic :class:`LRUCache` memoises the *assembled feature blocks* of
-  :class:`~repro.core.problem.FeatureComputer` (the f1/f2/f4/f5 arrays
-  stacked per candidate space; an f3 block is a gather and skips it),
-  which profiling shows is where most candidate-stage time actually goes
-  once retrieval is fast.
+  :class:`~repro.core.problem.FeatureComputer` that recur across tables:
+  the f1 arrays of a cell text and the f5 grids of a row's entity pair.
+  f2 and f4 blocks almost never recur and are built directly; an f3 block
+  is a gather, and
+* another :class:`LRUCache` holds whole answers, so a table seen before
+  is answered without candidate generation or BP
+  (:meth:`~repro.pipeline.AnnotationPipeline.answer`).
 
 Candidate-cache keys are **normalised** cell text
 (:func:`normalized_cell_key`: stripped, case-folded, punctuation collapsed —
@@ -25,7 +28,7 @@ texts with equal keys get identical candidates from the engine.
 :class:`CacheStats` splits hits into raw (same surface form as the entry's
 first writer) versus normalised-only, quantifying what normalisation buys.
 
-Both are size-bounded (LRU eviction) and thread-safe, and neither changes
+All are size-bounded (LRU eviction) and thread-safe, and none changes
 results: every cached value is a pure function of its key for a frozen
 catalog, so cached and uncached paths produce byte-identical annotations
 (covered by tests).
@@ -134,11 +137,6 @@ class LRUCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        """Whether ``key`` is cached — a peek: no hit, miss or recency."""
-        with self._lock:
-            return key in self._entries
 
     def stats(self) -> CacheStats:
         with self._lock:

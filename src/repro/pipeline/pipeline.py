@@ -7,9 +7,10 @@ runners, search-index construction) with:
 
 * a **shared candidate cache** (:mod:`repro.pipeline.cache`): repeated cell
   strings across the corpus probe the lemma index once,
-* a **compiled-graph cache**: recurring tables and buckets reuse whole
-  fused bundles (:mod:`repro.core.fused`), skipping candidate generation,
-  potential construction and compilation,
+* an **answer cache**: every table is looked up by content before any
+  planning (:meth:`AnnotationPipeline.answer`), so a table seen before is
+  answered without candidate generation, compilation or BP, and only the
+  misses are planned into buckets,
 * **fused batched execution** (:mod:`repro.pipeline.executor`): tables are
   chunked into batches, each batch is planned into shape buckets
   (:mod:`repro.pipeline.planner`) and every bucket runs as one fused BP
@@ -30,15 +31,16 @@ functions of the content.
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.catalog.catalog import Catalog
-from repro.core.annotation import AnnotationTiming, TableAnnotation
+from repro.core.annotation import AnnotationTiming, FrozenAnnotation, TableAnnotation
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.candidates import CandidateEngine
 from repro.core.fused import annotate_fused_chunk
@@ -52,6 +54,36 @@ from repro.pipeline.io import (
 )
 from repro.pipeline.planner import plan_buckets
 from repro.tables.model import LabeledTable, Table
+
+#: what a caller's compute step may return for a table it could not
+#: annotate (the session's per-request errors)
+Failure = TypeVar("Failure", bound=Exception)
+
+
+def answer_keys(
+    tables: list[Table], model: AnnotationModel, config: AnnotatorConfig
+) -> list[tuple]:
+    """The answer-cache key of each table.
+
+    A table's annotation is a pure function of its headers and cells, the
+    model's weights and feature mode, and every :class:`AnnotatorConfig`
+    field (the candidate knobs and the inference settings), within one
+    pipeline's frozen catalog and candidate engine.  The table id, context
+    and source are left out, so the same content under a new id hits.
+    """
+    settings = (
+        model.as_flat().tobytes(),
+        model.mode.value,
+        dataclasses.astuple(config),
+    )
+    return [
+        (
+            settings,
+            None if table.headers is None else tuple(table.headers),
+            tuple(map(tuple, table.cells)),
+        )
+        for table in tables
+    ]
 
 
 @dataclass
@@ -68,10 +100,8 @@ class PipelineConfig:
     batch_size: int = 16
     workers: int = 1
     cache_size: int = 100_000
-    #: entries in the fused-bundle LRU (0 disables it); compiled bundles
-    #: are far heavier than feature blocks, so the bound is separate and
-    #: much smaller than ``cache_size``
-    compiled_cache_size: int = 2048
+    #: tables in the answer LRU (0 disables it: every table is computed)
+    answer_cache_size: int = 2048
     annotator: AnnotatorConfig = field(default_factory=AnnotatorConfig)
 
     def __post_init__(self) -> None:
@@ -81,8 +111,8 @@ class PipelineConfig:
             raise ValueError("workers must be >= 1")
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        if self.compiled_cache_size < 0:
-            raise ValueError("compiled_cache_size must be >= 0")
+        if self.answer_cache_size < 0:
+            raise ValueError("answer_cache_size must be >= 0")
 
 
 @dataclass
@@ -120,9 +150,8 @@ class CorpusTimingReport:
     cache: CacheStats | None = None
     #: feature-block-cache activity during this run (None when disabled)
     block_cache: CacheStats | None = None
-    #: compiled-graph (fused bundle) cache activity during this run (None
-    #: when disabled)
-    compiled_cache: CacheStats | None = None
+    #: answer-cache activity during this run (None when disabled)
+    answer_cache: CacheStats | None = None
     #: number of fused work units (shape buckets) executed
     fused_batches: int = 0
     #: tables per fused work unit, in execution order
@@ -180,10 +209,11 @@ class AnnotationPipeline:
     """Annotates whole corpora against one catalog.
 
     One pipeline owns one :class:`TableAnnotator` (hence one candidate
-    engine and one feature cache) plus one shared :class:`CandidateCache`;
-    it should be built once per catalog and reused across corpora, exactly
-    like the annotator it wraps.  A prebuilt ``candidate_engine`` (a
-    session's, loaded from a bundle) is shared rather than rebuilt.
+    engine and one feature cache), one shared :class:`CandidateCache` and
+    one answer cache; it should be built once per catalog and reused across
+    corpora, exactly like the annotator it wraps.  A prebuilt
+    ``candidate_engine`` (a session's, loaded from a bundle) is shared
+    rather than rebuilt.
     """
 
     def __init__(
@@ -209,14 +239,9 @@ class AnnotationPipeline:
             self.annotator.candidate_cache = self.cache
             self.block_cache = LRUCache(max_entries=self.config.cache_size)
             self.annotator.features.block_cache = self.block_cache
-        self.compiled_cache: LRUCache | None = None
-        if self.config.compiled_cache_size:
-            # recurring (table, model) pairs reuse whole compiled factor
-            # graphs — potentials and stacked blocks — across the corpus
-            self.compiled_cache = LRUCache(
-                max_entries=self.config.compiled_cache_size
-            )
-            self.annotator.compiled_cache = self.compiled_cache
+        self.answer_cache: LRUCache | None = None
+        if self.config.answer_cache_size:
+            self.answer_cache = LRUCache(max_entries=self.config.answer_cache_size)
         #: fused buckets that failed and were rerun one table at a time
         #: (see :meth:`record_fallback`); a lifetime counter
         self.fallbacks = 0
@@ -258,10 +283,57 @@ class AnnotationPipeline:
     # annotation
     # ------------------------------------------------------------------
     def annotate(self, table: Table | LabeledTable) -> TableAnnotation:
-        """Annotate a single table (shares the pipeline's cache)."""
+        """Annotate a single table (shares the pipeline's caches)."""
         if isinstance(table, LabeledTable):
             table = table.table
-        return self.annotator.annotate(table)
+        (annotation,) = self.answer(
+            [table], lambda misses: [self.annotator.annotate(misses[0])]
+        )
+        return annotation
+
+    def answer(
+        self,
+        tables: list[Table],
+        compute: Callable[[list[Table]], Sequence[TableAnnotation | Failure]],
+    ) -> list[TableAnnotation | Failure]:
+        """Every table's annotation, looked up in the answer cache first.
+
+        ``compute`` gets the distinct misses, once each in first-seen order,
+        and returns an annotation or a failure per miss.  A computed
+        annotation answers its table and is cached frozen; a hit, or a
+        repeat of a miss within ``tables``, gets a fresh copy under its own
+        table id, timed as its share of the lookup.  Failures are not
+        cached.  Without the cache every table goes to ``compute``.
+        """
+        cache = self.answer_cache
+        if cache is None or not tables:
+            return list(compute(tables))
+        start = time.perf_counter()
+        keys = answer_keys(tables, self.annotator.model, self.annotator.config)
+        frozen: dict[tuple, FrozenAnnotation] = {}
+        misses: dict[tuple, Table] = {}
+        for key, table in zip(keys, tables):
+            if key not in frozen and key not in misses:
+                hit = cache.get(key)
+                if hit is None:
+                    misses[key] = table
+                else:
+                    frozen[key] = hit
+        seconds = (time.perf_counter() - start) / len(tables)
+        computed: dict[tuple, TableAnnotation | Failure] = {}
+        if misses:
+            computed = dict(zip(misses, compute(list(misses.values()))))
+        for key, result in computed.items():
+            if isinstance(result, TableAnnotation):
+                frozen[key] = FrozenAnnotation.of(result)
+                cache.put(key, frozen[key])
+        answers: list[TableAnnotation | Failure] = []
+        for key, table in zip(keys, tables):
+            if misses.pop(key, None) is None and key in frozen:
+                answers.append(frozen[key].thaw(table, seconds))
+            else:  # the table computed for this key, or a repeat of a failure
+                answers.append(computed[key])
+        return answers
 
     def annotate_with_tables(
         self, tables: Iterable[Table | LabeledTable]
@@ -269,8 +341,9 @@ class AnnotationPipeline:
         """Stream ``(table, annotation)`` pairs in corpus order.
 
         Tables are chunked into ``config.batch_size`` batches and executed on
-        the pipeline's executor; each batch is planned into shape buckets and
-        every bucket runs as one fused BP super-graph.  Pairs come back in
+        the pipeline's executor; each batch is looked up in the answer cache
+        and its misses are planned into shape buckets, every bucket running
+        as one fused BP super-graph (:meth:`answer`).  Pairs come back in
         exactly the order the input iterable produced them, only
         ``O(workers × batch_size)`` tables are in flight at once, and each
         annotation is identical to a lone :meth:`annotate` call's.
@@ -283,8 +356,8 @@ class AnnotationPipeline:
         blocks_before = (
             self.block_cache.stats() if self.block_cache is not None else None
         )
-        compiled_before = (
-            self.compiled_cache.stats() if self.compiled_cache is not None else None
+        answers_before = (
+            self.answer_cache.stats() if self.answer_cache is not None else None
         )
         start = time.perf_counter()
 
@@ -303,10 +376,8 @@ class AnnotationPipeline:
             report.cache = stats_after.since(stats_before)
         if blocks_before is not None and self.block_cache is not None:
             report.block_cache = self.block_cache.stats().since(blocks_before)
-        if compiled_before is not None and self.compiled_cache is not None:
-            report.compiled_cache = self.compiled_cache.stats().since(
-                compiled_before
-            )
+        if answers_before is not None and self.answer_cache is not None:
+            report.answer_cache = self.answer_cache.stats().since(answers_before)
         report.finished = True
 
     # ------------------------------------------------------------------
@@ -315,7 +386,8 @@ class AnnotationPipeline:
     def _annotate_batch(
         self, batch: list[Table | LabeledTable]
     ) -> tuple[list[tuple[Table, TableAnnotation]], list[int], float]:
-        """Plan one batch into shape buckets and run each bucket fused.
+        """Answer one batch from the answer cache, plan its misses into
+        shape buckets and run each bucket fused.
 
         Returns the batch's ``(table, annotation)`` pairs in batch order,
         the bucket sizes in execution order, and the batch wall time.
@@ -325,15 +397,19 @@ class AnnotationPipeline:
             item.table if isinstance(item, LabeledTable) else item
             for item in batch
         ]
-        annotations: dict[int, TableAnnotation] = {}
         bucket_sizes: list[int] = []
-        for bucket in plan_buckets(tables):
-            chunk = [table for _position, table in bucket.entries]
-            results = annotate_fused_chunk(self.annotator, chunk)
-            for (position, _table), annotation in zip(bucket.entries, results):
-                annotations[position] = annotation
-            bucket_sizes.append(bucket.size)
-        pairs = [(table, annotations[position]) for position, table in enumerate(tables)]
+
+        def compute(misses: list[Table]) -> list[TableAnnotation]:
+            annotations: dict[int, TableAnnotation] = {}
+            for bucket in plan_buckets(misses):
+                chunk = [table for _position, table in bucket.entries]
+                results = annotate_fused_chunk(self.annotator, chunk)
+                for (position, _table), annotation in zip(bucket.entries, results):
+                    annotations[position] = annotation
+                bucket_sizes.append(bucket.size)
+            return [annotations[position] for position in range(len(misses))]
+
+        pairs = list(zip(tables, self.answer(tables, compute)))
         return pairs, bucket_sizes, time.perf_counter() - batch_start
 
     def _record_batch(

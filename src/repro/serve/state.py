@@ -15,10 +15,11 @@ Concurrency model (the whole locking story):
   them lock-free.
 * **Annotation is a pure function with thread-safe memoisation.**  One
   :class:`~repro.pipeline.AnnotationPipeline` is shared by all requests
-  (owned by the session); its candidate / feature-block / compiled-graph
-  LRUs carry their own internal locks, so concurrent ``/annotate`` requests
+  (owned by the session); its candidate / feature-block / answer LRUs
+  carry their own internal locks, so concurrent ``/annotate`` requests
   produce exactly the answers serial requests would (covered by the
-  concurrency determinism tests).
+  concurrency determinism tests).  The answer LRU hands every request a
+  fresh copy of a cached answer, under the request's own table id.
 * **Each response reads its own timing** from the annotation's
   diagnostics; nothing accumulates per table.
 * **Everything else** (metrics registry, lazy searcher construction) sits
@@ -215,7 +216,7 @@ class ServeState:
         for cache_name, cache in (
             ("candidate_cache", pipeline.cache),
             ("block_cache", pipeline.block_cache),
-            ("compiled_graph_cache", pipeline.compiled_cache),
+            ("answer_cache", pipeline.answer_cache),
         ):
             if cache is None:
                 continue

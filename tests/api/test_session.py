@@ -56,10 +56,10 @@ class TestSessionConfig:
     def test_pipeline_config_carries_engine(self):
         """The one pipeline config carries every session-level setting."""
         config = SessionConfig(
-            workers=2, batch_size=4, compiled_cache_size=7
+            workers=2, batch_size=4, answer_cache_size=7
         ).pipeline_config()
         assert (config.workers, config.batch_size) == (2, 4)
-        assert config.compiled_cache_size == 7
+        assert config.answer_cache_size == 7
 
     def test_roundtrip_json_with_candidate_engine(self):
         config = SessionConfig(annotator=AnnotatorConfig(damping=0.25))

@@ -12,11 +12,7 @@ scalar flooding schedule and sum-product are tested in ``test_bp.py`` and
 import numpy as np
 import pytest
 
-from repro.core.fused import (
-    annotate_fused_chunk,
-    build_fused_bundle,
-    fused_cache_key,
-)
+from repro.core.fused import build_fused_bundle
 from repro.core.model import default_model
 from repro.core.problem import (
     AnnotationProblem,
@@ -26,7 +22,6 @@ from repro.core.problem import (
 )
 from repro.graph.bp import MaxProductBP
 from repro.graph.fused import FusedMaxProductBP
-from repro.pipeline.cache import LRUCache
 from repro.pipeline.io import annotation_to_dict
 from repro.tables.model import Table
 from tests.oracles import OracleAnnotator, run_scalar_paper_schedule
@@ -181,32 +176,3 @@ class TestDampingSemantics:
         assert engine._deltas[0] == pytest.approx(3.0)
         assert engine._var_to_factor[0][1][0] == pytest.approx([0.0, -0.3])
 
-
-class TestCompiledGraphCache:
-    def test_reuse_returns_same_object(self, world, wiki_tables):
-        from repro.core.annotator import TableAnnotator
-
-        annotator = TableAnnotator(world.annotator_view)
-        annotator.compiled_cache = cache = LRUCache(max_entries=8)
-        table = wiki_tables[0].table
-        first = annotate_fused_chunk(annotator, [table])[0]
-        key = fused_cache_key([table], annotator.model, annotator.config)
-        bundle = cache.get(key)
-        second = annotate_fused_chunk(annotator, [table])[0]
-        assert cache.get(key) is bundle
-        assert cache.stats().hits >= 2
-        assert annotation_to_dict(second) == annotation_to_dict(first)
-
-    def test_model_change_invalidates(self, annotator, wiki_tables):
-        table = wiki_tables[0].table
-        first = fused_cache_key([table], annotator.model, annotator.config)
-        other_model = default_model()
-        other_model.w1 = other_model.w1 + 0.5
-        assert fused_cache_key([table], other_model, annotator.config) != first
-        assert fused_cache_key([table], default_model(), annotator.config) == (
-            fused_cache_key([table], default_model(), annotator.config)
-        )
-        renamed = Table("other-id", table.cells, table.headers)
-        assert fused_cache_key([renamed], annotator.model, annotator.config) == (
-            first
-        )

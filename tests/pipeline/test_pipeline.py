@@ -84,10 +84,10 @@ class TestCacheAccounting:
         assert report.cache.lookups == report.cache.hits + report.cache.misses
 
     def test_second_run_all_hits(self, tiny_world, corpus_tables):
-        # without the fused-bundle cache, which would serve the second run
+        # without the answer cache, which would serve the second run
         # before any candidate lookup happens
         pipeline = AnnotationPipeline(
-            tiny_world.annotator_view, config=PipelineConfig(compiled_cache_size=0)
+            tiny_world.annotator_view, config=PipelineConfig(answer_cache_size=0)
         )
         pipeline.annotate_corpus(corpus_tables)
         pipeline.annotate_corpus(corpus_tables)
@@ -95,6 +95,14 @@ class TestCacheAccounting:
         assert report.cache.misses == 0
         assert report.cache.hit_rate == 1.0
         assert report.block_cache.misses == 0
+
+    def test_block_cache_holds_only_f1_and_f5(self, tiny_world, corpus_tables):
+        """f2 and f4 blocks almost never recur, so they are built directly;
+        after a crawl the block cache holds f1 and f5 blocks only."""
+        pipeline = AnnotationPipeline(tiny_world.annotator_view)
+        pipeline.annotate_corpus(corpus_tables)
+        families = {key[0] for key in pipeline.block_cache._entries}
+        assert families == {"f1", "f5"}
 
     def test_disabled_cache_reports_none(self, tiny_world, corpus_tables):
         pipeline = AnnotationPipeline(
@@ -107,35 +115,6 @@ class TestCacheAccounting:
 
 
 class TestCompiledGraphReuse:
-    def test_repeated_tables_hit_compiled_cache(self, tiny_world, corpus_tables):
-        """A corpus that repeats its tables reuses whole fused bundles, and
-        the annotations stay identical to fresh builds."""
-        fresh = AnnotationPipeline(
-            tiny_world.annotator_view,
-            config=PipelineConfig(compiled_cache_size=0),
-        )
-        baseline = [
-            annotation_to_dict(a)
-            for a in fresh.annotate_corpus(corpus_tables * 2)
-        ]
-        assert fresh.last_report.compiled_cache is None
-
-        # one batch per pass, so the repeat plans into the same buckets
-        reusing = AnnotationPipeline(
-            tiny_world.annotator_view,
-            config=PipelineConfig(batch_size=len(corpus_tables)),
-        )
-        reused = [
-            annotation_to_dict(a)
-            for a in reusing.annotate_corpus(corpus_tables * 2)
-        ]
-        assert reused == baseline
-        report = reusing.last_report
-        stats = report.compiled_cache
-        # the second pass over the corpus is all hits, one per bucket
-        assert stats is not None
-        assert stats.hits == stats.misses == report.fused_batches // 2
-
     def test_scalar_engine_through_pipeline_matches(
         self, tiny_world, corpus_tables, serial_annotations
     ):
@@ -150,6 +129,38 @@ class TestCompiledGraphReuse:
             for labeled in corpus_tables
         ]
         assert scalar == serial
+
+
+class TestAnswerReuse:
+    def test_repeated_tables_hit_answer_cache(self, tiny_world, corpus_tables):
+        """A corpus that repeats its tables answers the repeats from the
+        answer cache, identical to computing them afresh."""
+        fresh = AnnotationPipeline(
+            tiny_world.annotator_view,
+            config=PipelineConfig(answer_cache_size=0),
+        )
+        baseline = [
+            annotation_to_dict(a)
+            for a in fresh.annotate_corpus(corpus_tables * 2)
+        ]
+        assert fresh.last_report.answer_cache is None
+
+        reusing = AnnotationPipeline(
+            tiny_world.annotator_view,
+            config=PipelineConfig(batch_size=len(corpus_tables)),
+        )
+        reused = [
+            annotation_to_dict(a)
+            for a in reusing.annotate_corpus(corpus_tables * 2)
+        ]
+        assert reused == baseline
+        report = reusing.last_report
+        stats = report.answer_cache
+        # the second pass over the corpus is all hits, one per table, and
+        # plans no bucket
+        assert stats is not None
+        assert stats.hits == stats.misses == len(corpus_tables)
+        assert sum(report.bucket_sizes) == len(corpus_tables)
 
 
 class TestTimingReport:
@@ -220,10 +231,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
 
-    def test_single_table_annotate_shares_cache(self, tiny_world, corpus_tables):
+    def test_single_table_annotate_shares_answer_cache(self, tiny_world, corpus_tables):
         pipeline = AnnotationPipeline(tiny_world.annotator_view)
         first = pipeline.annotate(corpus_tables[0])
         again = pipeline.annotate(corpus_tables[0])
         assert annotation_to_dict(first) == annotation_to_dict(again)
-        # the repeat is served whole from the pipeline's fused-bundle cache
-        assert pipeline.compiled_cache.stats().hits == 1
+        # the repeat is answered from the pipeline's answer cache, and so
+        # is the same table in a corpus run
+        assert pipeline.answer_cache.stats().hits == 1
+        pipeline.annotate_corpus(corpus_tables[:1])
+        assert pipeline.answer_cache.stats().hits == 2

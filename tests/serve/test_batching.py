@@ -496,12 +496,23 @@ def _poisoned_twin(payload: dict) -> dict:
     return twin
 
 
-def test_repeat_of_a_lone_table_runs_alone_on_its_cached_bundle(
-    loaded_bundle, solo_state, table_payloads
+def test_repeats_are_answered_from_the_answer_cache(
+    loaded_bundle, solo_state, table_payloads, monkeypatch
 ):
-    """A table already annotated alone keeps its whole-bundle cache hit
-    when it comes back with a same-shape batchmate: it runs alone on the
-    hit and only the new table is planned into a bucket."""
+    """A table already annotated alone is answered from the answer cache
+    when it comes back with a same-shape batchmate, and again under a new
+    id in the same batch; only the new table is planned and computed, and
+    every response is byte-identical to a solo ``annotate``."""
+    import repro.api.session as session_module
+
+    computed: list[str] = []
+    fused = session_module.annotate_fused_chunk
+
+    def recorded(annotator, tables):
+        computed.extend(table.table_id for table in tables)
+        return fused(annotator, tables)
+
+    monkeypatch.setattr(session_module, "annotate_fused_chunk", recorded)
     state = ServeState(loaded_bundle)
     seen = table_payloads[0]
     state.handle("annotate", seen)
@@ -511,14 +522,17 @@ def test_repeat_of_a_lone_table_runs_alone_on_its_cached_bundle(
     assert table_signature(Table.from_dict(twin["table"])) == table_signature(
         Table.from_dict(seen["table"])
     )
-    compiled = state.pipeline().compiled_cache
-    before = compiled.stats()
-    results = state.handle_requests(_annotates([seen, twin]))
-    after = compiled.stats()
+    renamed = copy.deepcopy(seen)
+    renamed["table"]["table_id"] = "renamed"
+    answers = state.pipeline().answer_cache
+    before = answers.stats()
+    results = state.handle_requests(_annotates([seen, twin, renamed]))
+    after = answers.stats()
     assert [encode_json(outcome["ok"]) for outcome in results] == [
         encode_json(solo_state.handle("annotate", payload))
-        for payload in (seen, twin)
+        for payload in (seen, twin, renamed)
     ]
+    assert computed == ["twin"]
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
 

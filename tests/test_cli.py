@@ -1,10 +1,16 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -331,6 +337,29 @@ class TestApiErrorExit:
         assert exit_code == 1
         assert "error [io_error]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["bundle", "info", "--bundle"], ["serve", "--port", "0", "--bundle"]],
+    )
+    def test_old_bundle_format_prints_error_line(self, tmp_path, command):
+        """A bundle error is an API error like any other: one
+        ``error [code]: message`` line with the rebuild hint, exit 1, and
+        no traceback."""
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"format_version": 2}), encoding="utf-8"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *command, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.startswith("error [bundle_version_unsupported]: ")
+        assert "rebuild the bundle with `repro bundle build`" in completed.stderr
+        assert "Traceback" not in completed.stderr
+
 
 class TestParser:
     def test_missing_command_errors(self):
@@ -341,9 +370,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_compiled_cache_size_flag_reaches_session_config(self):
-        # regression: the field existed on SessionConfig but had no CLI
-        # flag, so operators could never change the compiled-graph LRU
+    def test_answer_cache_size_flag_reaches_session_config(self):
+        # every SessionConfig cache bound has its CLI flag, on both the
+        # corpus commands and serve
         from repro.api.config import SessionConfig
         from repro.cli import build_parser
 
@@ -352,11 +381,11 @@ class TestParser:
             ["annotate", "--catalog", "c", "--corpus", "x"],
             ["serve", "--bundle", "b"],
         ):
-            args = parser.parse_args([*command, "--compiled-cache-size", "7"])
-            assert SessionConfig.from_args(args).compiled_cache_size == 7
+            args = parser.parse_args([*command, "--answer-cache-size", "7"])
+            assert SessionConfig.from_args(args).answer_cache_size == 7
             defaulted = parser.parse_args(command)
-            assert SessionConfig.from_args(defaulted).compiled_cache_size == (
-                SessionConfig().compiled_cache_size
+            assert SessionConfig.from_args(defaulted).answer_cache_size == (
+                SessionConfig().answer_cache_size
             )
 
 
