@@ -11,7 +11,7 @@ from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.eval.metrics import entity_accuracy, relation_f1, type_f1, annotation_type_sets
 from repro.eval.reporting import format_table, percent
 from repro.pipeline.io import annotation_to_dict
-from tests.oracles import CandidateGenerator, OracleAnnotator, ScalarFeatureComputer
+from tests.oracles import OracleAnnotator, ScalarFeatureComputer
 
 
 class _NoRepairFeatureComputer(ScalarFeatureComputer):
@@ -48,15 +48,15 @@ def test_missing_link_repair_ablation(
 ):
     tables = bench_datasets["wiki_manual"].tables
     with_repair = TableAnnotator(bench_world.annotator_view, model=trained_model)
-    without_repair = TableAnnotator(
+    # the oracle's row-by-row problem builder, fused BP
+    without_repair = OracleAnnotator(
         bench_world.annotator_view,
         model=trained_model,
+        bp="batched",
         candidate_engine=with_repair.candidate_engine,
     )
     without_repair.features = _NoRepairFeatureComputer(
-        bench_world.annotator_view,
-        trained_model.mode,
-        CandidateGenerator.sharing(with_repair.candidate_engine),
+        bench_world.annotator_view, trained_model.mode, without_repair.generator
     )
     annotations_with: list[dict] = []
     annotations_without: list[dict] = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.catalog.catalog import Catalog
 from repro.core.annotation import AnnotationTiming, TableAnnotation
 from repro.core.baselines import BaselineResult, LCAAnnotator, MajorityAnnotator
-from repro.core.candidates import CandidateEngine, CandidateEntity
+from repro.core.candidates import CandidateEngine, CellCandidates
 from repro.core.fused import annotate_fused_chunk
 from repro.core.fused import annotate_problem as annotate_collective_problem
 from repro.core.inference import InferenceConfig
@@ -104,7 +104,7 @@ class TableAnnotator:
     # ------------------------------------------------------------------
     def resolve_candidates(
         self, tables: list[Table]
-    ) -> dict[str, list[CandidateEntity]]:
+    ) -> dict[str, CellCandidates]:
         """``Erc`` of every distinct cell text of ``tables`` in one engine
         call, through the candidate cache when one is attached."""
         texts = list(

@@ -70,8 +70,8 @@ class LCAAnnotator:
                 cell = problem.cells.get((row, column_index))
                 ancestors: set[str] = set()
                 if cell is not None:
-                    for candidate in cell.candidates:
-                        ancestors.update(catalog.type_ancestors(candidate.entity_id))
+                    for entity_id in cell.labels[1:]:
+                        ancestors.update(catalog.type_ancestors(entity_id))
                 common = ancestors if common is None else common & ancestors
                 if not common:
                     break
@@ -132,8 +132,8 @@ class MajorityAnnotator:
                     continue
                 n_voting_rows += 1
                 row_types: set[str] = set()
-                for candidate in cell.candidates:
-                    row_types.update(catalog.type_ancestors(candidate.entity_id))
+                for entity_id in cell.labels[1:]:
+                    row_types.update(catalog.type_ancestors(entity_id))
                 for type_id in row_types:
                     votes[type_id] = votes.get(type_id, 0) + 1
             if not n_voting_rows:
@@ -203,11 +203,11 @@ def _assign_cells_constrained(
             )
             continue
         scores = np.concatenate(([0.0], cell.f1 @ model.w1))
-        for index, candidate in enumerate(cell.candidates, start=1):
-            if not catalog.is_instance(candidate.entity_id, type_id):
+        for index, entity_id in enumerate(cell.labels[1:], start=1):
+            if not catalog.is_instance(entity_id, type_id):
                 scores[index] = float("-inf")
             else:
-                f3 = features.f3(type_id, candidate.entity_id)
+                f3 = features.f3(type_id, entity_id)
                 scores[index] += float(f3 @ model.w3)
         chosen = int(scores.argmax())
         annotation.cells[(row, column_index)] = CellAnnotation(

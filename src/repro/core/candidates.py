@@ -17,30 +17,35 @@ artifact bundle) and shared by every pipeline:
 * the frozen lemma index and its TF-IDF table: ``Erc`` scores all distinct
   cell texts of a call at once through
   :meth:`~repro.text.index.InvertedIndex.search_batch`, consulting the
-  pipeline's candidate cache first when one is passed;
+  pipeline's candidate cache first when one is passed, and hands out
+  interned entity ints with their scores (:class:`CellCandidates`);
 * :class:`InternedCandidateTables`, which intern entity / type / relation
   ids to dense integers and pack per-entity type-ancestor arrays (ragged:
   offsets + flat), per-type IDF specificity, a sorted ``(subject, object)
   → relations`` pair table, per-relation tuple-key arrays and the f3 value
-  of every (type, entity) pair in every mode.  ``Tc`` is two
-  ``np.bincount`` passes over stacked ancestor arrays, ``Bcc'`` a
-  sorted-array join over packed pair keys and an f3 block one gather.  The
-  tables serialize to flat arrays
-  (:meth:`InternedCandidateTables.to_state`) and ship inside artifact
-  bundles.
+  of every (type, entity) pair in every mode.  The tables serialize to flat
+  arrays (:meth:`InternedCandidateTables.to_state`) and ship inside
+  artifact bundles.
 
-An id outside the interned tables raises
-:class:`~repro.catalog.errors.UnknownIdError`.  The per-cell reading of the
-same definitions lives in ``tests/oracles``; the equivalence tests pin
-identical ids, scores and ordering against it.
+``Tc`` and ``Bcc'`` run as whole-column array passes over those ints: a
+column's ``Erc`` is one flat array cut by row offsets
+(:class:`ColumnCandidates`), ``Tc`` is one ancestor gather and two
+``np.bincount`` passes over it, and ``Bcc'`` is one ``searchsorted`` per
+direction of every row's packed pair keys (:class:`PairCandidates`), which
+the f5 blocks reuse.  Strings come back only in the label tuples decode
+reads.
+
+Every lemma-index key is interned when the engine is built, so an index
+naming an entity outside the catalog raises
+:class:`~repro.catalog.errors.UnknownIdError` there.  The per-cell reading
+of the same definitions lives in ``tests/oracles``; the equivalence tests
+pin identical ids, scores and ordering against it.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,21 +61,10 @@ from repro.text.tokenize import tokenize
 if TYPE_CHECKING:  # the pipeline owns the cache; it imports this module
     from repro.pipeline.cache import CandidateCache
 
-#: Bound on the per-row-pair relation memo and the cell-text profile cache.
-_MEMO_ENTRIES = 65_536
-
 #: Ceiling on the (type × entity) cells of the interned f3 grid (72 bytes
 #: each: three features in each of three modes); a bigger catalog is
 #: refused when its tables are built.
 MAX_DENSE_F3_CELLS = 8_000_000
-
-
-@dataclass(frozen=True)
-class CandidateEntity:
-    """One retrieved candidate: entity id and raw index score."""
-
-    entity_id: str
-    retrieval_score: float
 
 
 def normalized_cell_key(text: str) -> str:
@@ -94,32 +88,6 @@ def build_lemma_index(catalog: Catalog) -> tuple[InvertedIndex, TfidfWeights]:
             lemma_documents.append(lemma)
     index.freeze()
     return index, TfidfWeights.from_documents(lemma_documents)
-
-
-class BoundedMemo:
-    """Tiny thread-safe LRU dict for text-keyed memos (no stats).
-
-    Engines and feature computers are shared across serving / pipeline
-    worker threads, so the recency shuffle and eviction run under a lock.
-    """
-
-    def __init__(self, max_entries: int = _MEMO_ENTRIES) -> None:
-        self.max_entries = max_entries
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            if len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
 
 
 class InternedCandidateTables:
@@ -152,7 +120,6 @@ class InternedCandidateTables:
         self.reversed_ids = tuple(reversed_label(r) for r in relation_ids)
         self.entity_index = {e: i for i, e in enumerate(entity_ids)}
         self.type_index = {t: i for i, t in enumerate(type_ids)}
-        self.relation_index = {r: i for i, r in enumerate(relation_ids)}
         #: entity i's type ancestors: ``anc_flat[anc_offsets[i]:anc_offsets[i+1]]``
         self.anc_offsets = anc_offsets
         self.anc_flat = anc_flat
@@ -261,16 +228,12 @@ class InternedCandidateTables:
         )
 
     def intern(self, kind: str, ids) -> np.ndarray:
-        """Interned ints of ``kind`` ("entity", "type" or "relation") ids.
+        """Interned ints of ``kind`` ("entity" or "type") ids.
 
         Raises:
             UnknownIdError: for an id outside the interned catalog.
         """
-        index = {
-            "entity": self.entity_index,
-            "type": self.type_index,
-            "relation": self.relation_index,
-        }[kind]
+        index = {"entity": self.entity_index, "type": self.type_index}[kind]
         try:
             return np.fromiter(
                 (index[identifier] for identifier in ids),
@@ -327,18 +290,124 @@ class InternedCandidateTables:
 
 def _gather_ragged(
     offsets: np.ndarray, flat: np.ndarray, positions: np.ndarray
-) -> np.ndarray:
-    """Concatenate ``flat[offsets[p]:offsets[p+1]]`` for every ``p`` given."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``flat[offsets[p]:offsets[p+1]]`` for every ``p`` given, concatenated,
+    and the length of each piece."""
     starts = offsets[positions]
-    counts = (offsets[positions + 1] - starts).astype(np.int64)
+    counts = offsets[positions + 1] - starts
     total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=flat.dtype)
-    index = np.repeat(starts, counts) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts
     )
-    return flat[index]
+    return flat[index], counts
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class CellCandidates(NamedTuple):
+    """``Erc`` of one cell: interned entity ints and their retrieval scores,
+    best hit first.  Both arrays are read-only: every cell (and, through the
+    candidate cache, every table) with the same text shares them."""
+
+    entities: np.ndarray
+    scores: np.ndarray
+
+
+#: ``Erc`` of a numeric or blank cell
+NO_CANDIDATES = CellCandidates(
+    _frozen(np.zeros(0, dtype=np.int64)), _frozen(np.zeros(0, dtype=np.float64))
+)
+
+
+@dataclass(frozen=True)
+class ColumnCandidates:
+    """One column's ``Erc``, row after row: row ``r``'s candidates are
+    ``entities[offsets[r]:offsets[r + 1]]``."""
+
+    entities: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, cells: Sequence[CellCandidates]) -> "ColumnCandidates":
+        offsets = np.zeros(len(cells) + 1, dtype=np.int64)
+        np.cumsum([len(cell.entities) for cell in cells], out=offsets[1:])
+        entities = (
+            np.concatenate([cell.entities for cell in cells])
+            if cells
+            else NO_CANDIDATES.entities
+        )
+        return cls(entities=entities, offsets=offsets)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Candidates per row."""
+        return np.diff(self.offsets)
+
+    def blocks(self) -> Iterator[tuple[int, int, int]]:
+        """``(row, start, stop)`` of every row with candidates."""
+        rows = np.flatnonzero(self.counts)
+        return zip(
+            rows.tolist(),
+            self.offsets[rows].tolist(),
+            self.offsets[rows + 1].tolist(),
+        )
+
+
+@dataclass(frozen=True)
+class PairCandidates:
+    """Every row's (left, right) candidate pairs of an ordered column pair.
+
+    Row ``r``'s pairs are ``[offsets[r], offsets[r + 1])``, left-major (the
+    layout of a ``(n_left, n_right)`` grid); ``forward`` keys each pair as
+    ``left·N + right`` and ``backward`` as ``right·N + left`` (``N``
+    entities), the packed form of the interned pair and tuple tables.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    forward: np.ndarray
+    backward: np.ndarray
+    offsets: np.ndarray
+    left_counts: np.ndarray
+    right_counts: np.ndarray
+
+    @classmethod
+    def of(
+        cls, left: ColumnCandidates, right: ColumnCandidates, n_entities: int
+    ) -> "PairCandidates":
+        left_counts, right_counts = left.counts, right.counts
+        per_row = left_counts * right_counts
+        offsets = np.zeros(len(per_row) + 1, dtype=np.int64)
+        np.cumsum(per_row, out=offsets[1:])
+        rows = np.repeat(np.arange(len(per_row)), per_row)
+        within = np.arange(int(offsets[-1]), dtype=np.int64) - offsets[rows]
+        width = right_counts[rows]
+        left_ints = left.entities[left.offsets[rows] + within // width]
+        right_ints = right.entities[right.offsets[rows] + within % width]
+        return cls(
+            left=left_ints,
+            right=right_ints,
+            forward=left_ints * n_entities + right_ints,
+            backward=right_ints * n_entities + left_ints,
+            offsets=offsets,
+            left_counts=left_counts,
+            right_counts=right_counts,
+        )
+
+    def blocks(self) -> Iterator[tuple[int, int, int, int, int]]:
+        """``(row, start, stop, n_left, n_right)`` of every row where both
+        sides have candidates."""
+        rows = np.flatnonzero(np.diff(self.offsets))
+        return zip(
+            rows.tolist(),
+            self.offsets[rows].tolist(),
+            self.offsets[rows + 1].tolist(),
+            self.left_counts[rows].tolist(),
+            self.right_counts[rows].tolist(),
+        )
 
 
 class CandidateEngine:
@@ -357,6 +426,11 @@ class CandidateEngine:
             must be given exactly when ``lemma_index`` is.
         tables: Prebuilt interned tables (bundle load path); built from the
             catalog when ``None``.
+
+    Raises:
+        UnknownIdError: when a lemma-index key is not an interned entity (a
+            bundle whose index and catalog disagree fails here, at session
+            open, not on the first request that retrieves the key).
     """
 
     def __init__(
@@ -387,29 +461,30 @@ class CandidateEngine:
             if tables is not None
             else InternedCandidateTables.from_catalog(catalog)
         )
-        self._pair_memo = BoundedMemo()
+        # run for its UnknownIdError: every hit key must intern later
+        self.tables.intern("entity", lemma_index.keys())
 
     # ------------------------------------------------------------------
     # Erc
     # ------------------------------------------------------------------
     def cell_candidates_batch(
         self, cell_texts: list[str], cache: CandidateCache | None = None
-    ) -> list[list[CandidateEntity]]:
+    ) -> list[CellCandidates]:
         """``Erc`` for many cells at once, position-aligned with ``cell_texts``.
 
-        Numeric/blank cells yield ``[]`` without touching the index.  With a
-        ``cache``, each remaining text is looked up under its
+        Numeric/blank cells yield :data:`NO_CANDIDATES` without touching the
+        index.  With a ``cache``, each remaining text is looked up under its
         :func:`normalized_cell_key` (texts sharing a pending miss share its
         probe); every miss is then scored in one
-        :meth:`InvertedIndex.search_batch` pass and stored.  Cells with the
-        same key share one (immutable) candidate list.
+        :meth:`InvertedIndex.search_batch` pass, whose hit keys are interned
+        in one pass, and stored.  Cells with the same key share one
+        (read-only) :class:`CellCandidates`.
         """
-        results: list[list[CandidateEntity] | None] = [None] * len(cell_texts)
+        results: list[CellCandidates] = [NO_CANDIDATES] * len(cell_texts)
         missing: dict[str, tuple[str, list[int]]] = {}
         for position, cell_text in enumerate(cell_texts):
             text = cell_text.strip()
             if not text or is_numeric_text(text):
-                results[position] = []
                 continue
             key = normalized_cell_key(text) if cache is not None else text
             pending = missing.get(key)
@@ -427,57 +502,52 @@ class CandidateEngine:
             hits_per_query = self.lemma_index.search_batch(
                 queries, top_k=self.top_k_entities
             )
-            for (key, (text, positions)), hits in zip(
+            hits = [hit for query_hits in hits_per_query for hit in query_hits]
+            entities = _frozen(self.tables.intern("entity", [hit.key for hit in hits]))
+            scores = _frozen(
+                np.fromiter(
+                    (hit.score for hit in hits), dtype=np.float64, count=len(hits)
+                )
+            )
+            stop = 0
+            for (key, (text, positions)), query_hits in zip(
                 missing.items(), hits_per_query
             ):
-                candidates = [
-                    CandidateEntity(entity_id=hit.key, retrieval_score=hit.score)
-                    for hit in hits
-                ]
+                start, stop = stop, stop + len(query_hits)
+                found = CellCandidates(entities[start:stop], scores[start:stop])
                 if cache is not None:
-                    cache.put_candidates(key, text, candidates)
+                    cache.put_candidates(key, text, found)
                 for position in positions:
-                    results[position] = candidates
-        return results  # type: ignore[return-value]
+                    results[position] = found
+        return results
 
     # ------------------------------------------------------------------
     # Tc
     # ------------------------------------------------------------------
-    def _entity_ints(self, candidates: list[CandidateEntity]) -> np.ndarray:
-        return self.tables.intern(
-            "entity", [candidate.entity_id for candidate in candidates]
-        )
+    def column_type_candidates(self, column: ColumnCandidates) -> np.ndarray:
+        """``Tc``: interned type ints in rank order, at most
+        ``max_type_candidates`` of them.
 
-    def column_type_candidates(
-        self, column_candidates: list[list[CandidateEntity]]
-    ) -> list[str]:
-        """``Tc`` via two bincounts over stacked ancestor arrays.
-
-        Returns ``∪_{r} ∪_{E ∈ Erc} T(E)`` ranked by (#cells with a candidate
-        under the type, #candidate entities under the type, IDF specificity,
-        type id), truncated to ``max_type_candidates``.
+        ``∪_{r} ∪_{E ∈ Erc} T(E)`` ranked by (#cells with a candidate under
+        the type, #candidate entities under the type, IDF specificity, type
+        id): one ancestor gather over every row, ``np.unique`` over (row,
+        type) keys, two bincounts and one lexsort.
         """
         tables = self.tables
-        per_cell = [
-            _gather_ragged(
-                tables.anc_offsets, tables.anc_flat, self._entity_ints(candidates)
-            )
-            for candidates in column_candidates
-            if candidates
-        ]
-        if not per_cell:
-            return []
-        n_types = len(tables.type_ids)
-        entity_support = np.bincount(
-            np.concatenate(per_cell), minlength=n_types
+        ancestors, counts = _gather_ragged(
+            tables.anc_offsets, tables.anc_flat, column.entities
         )
+        if not len(ancestors):
+            return ancestors
+        n_types = len(tables.type_ids)
+        rows = np.repeat(
+            np.repeat(np.arange(len(column.offsets) - 1), column.counts), counts
+        )
+        entity_support = np.bincount(ancestors, minlength=n_types)
         cell_support = np.bincount(
-            np.concatenate([np.unique(ancestors) for ancestors in per_cell]),
-            minlength=n_types,
+            np.unique(rows * n_types + ancestors) % n_types, minlength=n_types
         )
         supported = np.flatnonzero(cell_support)
-        if not len(supported):
-            return []
         # lexsort's last key is primary: cell support desc, entity support
         # desc, specificity desc, interned type id asc (== type id asc, the
         # ids are interned in sorted order)
@@ -489,72 +559,39 @@ class CandidateEngine:
                 -cell_support[supported],
             )
         )
-        ranked = supported[order[: self.max_type_candidates]]
-        return [tables.type_ids[i] for i in ranked.tolist()]
+        return supported[order[: self.max_type_candidates]]
 
     # ------------------------------------------------------------------
     # Bcc'
     # ------------------------------------------------------------------
-    def _pair_relation_ints(
-        self, left_ints: np.ndarray, right_ints: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(forward, reversed) relation ints joining one row's candidates."""
-        tables = self.tables
-        n_entities = len(tables.entity_ids)
-        forward_keys = (
-            left_ints[:, None] * n_entities + right_ints[None, :]
-        ).reshape(-1)
-        backward_keys = (
-            right_ints[:, None] * n_entities + left_ints[None, :]
-        ).reshape(-1)
-        found: list[np.ndarray] = []
-        for keys in (forward_keys, backward_keys):
-            positions = np.searchsorted(tables.pair_keys, keys)
-            positions = np.minimum(positions, len(tables.pair_keys) - 1)
-            matched = (
-                positions[tables.pair_keys[positions] == keys]
-                if len(tables.pair_keys)
-                else np.zeros(0, dtype=np.int64)
-            )
-            found.append(
-                np.unique(
-                    _gather_ragged(
-                        tables.pair_offsets, tables.pair_relations, matched
-                    )
-                )
-            )
-        return found[0], found[1]
-
     def relation_candidates(
-        self,
-        left_candidates: list[list[CandidateEntity]],
-        right_candidates: list[list[CandidateEntity]],
-    ) -> list[str]:
-        """Candidate relation labels for an ordered column pair.
+        self, pairs: PairCandidates
+    ) -> list[tuple[str, int, bool]]:
+        """``Bcc'`` of an ordered column pair as ``(label, relation int,
+        reversed)`` in label order.
 
         A relation ``B`` is a candidate when some row has candidate entities
         ``E`` (left) and ``E'`` (right) with ``B(E, E')`` — emitted as the
-        plain label — or ``B(E', E)`` — emitted with the ``^-1`` suffix.
-        Answered as sorted-array pair joins, memoised per row pair.
+        plain label — or ``B(E', E)`` — emitted with the ``^-1`` suffix: one
+        ``searchsorted`` of every row's pair keys per direction into the
+        interned pair table.
         """
         tables = self.tables
-        forward: set[int] = set()
-        backward: set[int] = set()
-        for row_left, row_right in zip(left_candidates, right_candidates):
-            if not row_left or not row_right:
-                continue
-            memo_key = (
-                tuple(candidate.entity_id for candidate in row_left),
-                tuple(candidate.entity_id for candidate in row_right),
+        if not len(pairs.forward) or not len(tables.pair_keys):
+            return []
+        found: list[tuple[str, int, bool]] = []
+        for keys, labels, reverse in (
+            (pairs.forward, tables.relation_ids, False),
+            (pairs.backward, tables.reversed_ids, True),
+        ):
+            positions = np.minimum(
+                np.searchsorted(tables.pair_keys, keys), len(tables.pair_keys) - 1
             )
-            cached = self._pair_memo.get(memo_key)
-            if cached is None:
-                cached = self._pair_relation_ints(
-                    self._entity_ints(row_left), self._entity_ints(row_right)
-                )
-                self._pair_memo.put(memo_key, cached)
-            forward.update(cached[0].tolist())
-            backward.update(cached[1].tolist())
-        labels = {tables.relation_ids[r] for r in forward}
-        labels.update(tables.reversed_ids[r] for r in backward)
-        return sorted(labels)
+            matched = positions[tables.pair_keys[positions] == keys]
+            relations, _counts = _gather_ragged(
+                tables.pair_offsets, tables.pair_relations, matched
+            )
+            found.extend(
+                (labels[r], r, reverse) for r in np.unique(relations).tolist()
+            )
+        return sorted(found)

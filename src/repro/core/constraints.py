@@ -54,9 +54,9 @@ def assign_unique_entities(
         return {}
     entities = sorted(
         {
-            candidate.entity_id
+            entity_id
             for row in rows
-            for candidate in problem.cells[(row, column)].candidates
+            for entity_id in problem.cells[(row, column)].labels[1:]
         }
     )
     entity_index = {entity: position for position, entity in enumerate(entities)}
@@ -67,11 +67,11 @@ def assign_unique_entities(
     for row_position, row in enumerate(rows):
         cell = problem.cells[(row, column)]
         unary = cell.f1 @ model.w1
-        for candidate_position, candidate in enumerate(cell.candidates):
+        for candidate_position, entity_id in enumerate(cell.labels[1:]):
             score = float(unary[candidate_position])
             if type_id is not NA:
-                score += float(features.f3(type_id, candidate.entity_id) @ model.w3)
-            scores[row_position, entity_index[candidate.entity_id]] = score
+                score += float(features.f3(type_id, entity_id) @ model.w3)
+            scores[row_position, entity_index[entity_id]] = score
         scores[row_position, n_entities + row_position] = 0.0  # this row's na
 
     row_indices, column_indices = linear_sum_assignment(scores, maximize=True)

@@ -22,7 +22,12 @@ from typing import Mapping
 import numpy as np
 
 from repro.catalog.catalog import Catalog
-from repro.core.candidates import BoundedMemo, CandidateEngine, CandidateEntity
+from repro.core.candidates import (
+    CandidateEngine,
+    CellCandidates,
+    ColumnCandidates,
+    PairCandidates,
+)
 from repro.core.features import TypeEntityFeatureMode, header_absent_features
 from repro.core.model import AnnotationModel
 from repro.graph.factor_graph import FactorGraph
@@ -43,19 +48,25 @@ class FeatureComputer:
 
     Blocks are assembled with array programs over the candidate engine's
     interned tables: f1/f2 run the profiled similarity battery
-    (:mod:`repro.text.profile`), f3 blocks gather from the interned
-    (type × entity) grid and f5 grids are ``searchsorted`` membership
-    tests over per-relation tuple keys.  The element-loop reading of every
-    family lives in ``tests/oracles``; the equivalence tests pin the blocks
-    bit for bit against it.
+    (:mod:`repro.text.profile`), a column's f3 blocks are one gather from
+    the interned (type × entity) grid and a column pair's f5 blocks one
+    ``searchsorted`` per label of every row's packed pair keys, each cut
+    into per-row views.  The element-loop reading of every family lives in
+    ``tests/oracles``; the equivalence tests pin the blocks bit for bit
+    against it.
 
-    f3 needs no memo: the grid holds every value, built once with the
-    tables.  The per-(relation, type) f4 sides are memoised per element.
+    f3 and f5 need no memo: the grid and the tuple keys hold every value,
+    built once with the tables.  The per-(relation, type) f4 sides are
+    memoised per element, and so are the Jaro-Winkler scores and lemma
+    profiles behind f1/f2; a cell or header text's own profile is rebuilt
+    per block (a memo of those saved under 1% of a corpus crawl).
+
     ``block_cache``, when attached (the annotation pipeline does this),
-    memoises the blocks that recur across tables — whole *assembled* f1
-    and f5 arrays keyed by the candidate-space tuples.  f2 and f4 blocks
-    almost never recur (a column's header with its exact type list, a
-    pair's relation and type lists), so they are built directly.
+    memoises the f1 block of a cell text and its candidate list, the one
+    block that recurs across tables; cached blocks are read-only, since
+    every table that hits shares them.  f2 and f4 blocks almost never recur
+    (a column's header with its exact type list, a pair's relation and
+    type lists), so they are built directly.
     """
 
     def __init__(
@@ -75,32 +86,14 @@ class FeatureComputer:
         self._f3_grid = engine.tables.f3_grid[
             list(TypeEntityFeatureMode).index(mode)
         ]
+        #: the same slice with one row per (type, entity) pair, for np.take
+        self._f3_rows = self._f3_grid.reshape(-1, self._f3_grid.shape[-1])
         self._f4_side_cache: dict[tuple[str, str], tuple[float, float, float, float]] = {}
         self._jw = JaroWinklerCache()
-        self._text_profiles = BoundedMemo()
         self._entity_profiles: dict[str, tuple[TokenProfile, ...]] = {}
         self._type_profiles: dict[str, tuple[TokenProfile, ...]] = {}
-        self._participant_cache: dict[tuple[int, str], np.ndarray] = {}
-
-    def _block(self, key: tuple, build) -> np.ndarray:
-        """Assembled-array memoisation through ``block_cache`` when attached."""
-        cache = self.block_cache
-        if cache is None:
-            return build()
-        cached = cache.get(key)
-        if cached is None:
-            cached = build()
-            cache.put(key, cached)
-        return cached
 
     # -- profiles ---------------------------------------------------------
-    def _text_profile(self, text: str) -> TokenProfile:
-        profile = self._text_profiles.get(text)
-        if profile is None:
-            profile = TokenProfile.from_text(text, self.engine.lemma_tfidf)
-            self._text_profiles.put(text, profile)
-        return profile
-
     def _lemma_profiles(
         self,
         cache: dict[str, tuple[TokenProfile, ...]],
@@ -120,25 +113,31 @@ class FeatureComputer:
     def f1_block(
         self, cell_text: str, entity_ids: tuple[str, ...]
     ) -> np.ndarray:
-        """f1 rows for one cell's candidate list, shape (n_entities, |f1|)."""
-
-        def build() -> np.ndarray:
-            profile = self._text_profile(cell_text)
-            rows = [
-                text_lemma_features_profiled(
-                    profile,
-                    self._lemma_profiles(
-                        self._entity_profiles,
-                        self.catalog.entities.lemmas(entity_id),
-                        entity_id,
-                    ),
-                    self._jw,
-                )
-                for entity_id in entity_ids
-            ]
-            return np.stack(rows)
-
-        return self._block(("f1", cell_text, entity_ids), build)
+        """f1 rows for one cell's candidate list, shape (n_entities, |f1|),
+        read-only, through ``block_cache`` when one is attached."""
+        cache = self.block_cache
+        key = ("f1", cell_text, entity_ids)
+        block = cache.get(key) if cache is not None else None
+        if block is None:
+            profile = TokenProfile.from_text(cell_text, self.engine.lemma_tfidf)
+            block = np.stack(
+                [
+                    text_lemma_features_profiled(
+                        profile,
+                        self._lemma_profiles(
+                            self._entity_profiles,
+                            self.catalog.entities.lemmas(entity_id),
+                            entity_id,
+                        ),
+                        self._jw,
+                    )
+                    for entity_id in entity_ids
+                ]
+            )
+            block.flags.writeable = False
+            if cache is not None:
+                cache.put(key, block)
+        return block
 
     def f2_block(
         self, header_text: str | None, type_ids: tuple[str, ...]
@@ -146,7 +145,7 @@ class FeatureComputer:
         """f2 rows for one column's candidate types, shape (n_types, |f2|)."""
         if header_text is None or not header_text.strip():
             return np.stack([header_absent_features() for _ in type_ids])
-        profile = self._text_profile(header_text)
+        profile = TokenProfile.from_text(header_text, self.engine.lemma_tfidf)
         rows = [
             text_lemma_features_profiled(
                 profile,
@@ -173,16 +172,15 @@ class FeatureComputer:
         (entity_int,) = tables.intern("entity", (entity_id,))
         return self._f3_grid[type_int, entity_int]
 
-    def f3_block(
-        self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]
-    ) -> np.ndarray:
-        """f3 grid for one cell, shape (n_types, n_entities, |f3|): one
-        gather (broadcast index arrays, which skip ``np.ix_``'s per-call
-        reshapes)."""
-        tables = self.engine.tables
-        type_ints = tables.intern("type", type_ids)
-        entity_ints = tables.intern("entity", entity_ids)
-        return self._f3_grid[type_ints[:, None], entity_ints]
+    def f3_blocks(
+        self, type_ints: np.ndarray, column: ColumnCandidates
+    ) -> dict[int, np.ndarray]:
+        """f3 of a column's candidate types against each row's candidate
+        entities, shape (n_types, n_entities, |f3|) per row with
+        candidates: one gather for the whole column, cut into row views."""
+        pairs = type_ints[:, None] * self._f3_grid.shape[1] + column.entities
+        grid = np.take(self._f3_rows, pairs, axis=0)
+        return {row: grid[:, start:stop] for row, start, stop in column.blocks()}
 
     # -- f4 ---------------------------------------------------------------
     def f4_sides(
@@ -253,90 +251,53 @@ class FeatureComputer:
         return table
 
     # -- f5 ---------------------------------------------------------------
-    def f5_block(
-        self,
-        labels: tuple[str, ...],
-        left_ids: tuple[str, ...],
-        right_ids: tuple[str, ...],
-    ) -> np.ndarray:
-        """f5 grid for one row of a pair, shape (n_labels, n_left, n_right, |f5|)."""
-        return self._block(
-            ("f5", labels, left_ids, right_ids),
-            lambda: self._f5_grid(labels, left_ids, right_ids),
-        )
+    def f5_blocks(
+        self, relations: list[tuple[str, int, bool]], pairs: PairCandidates
+    ) -> dict[int, np.ndarray]:
+        """f5 of a column pair's candidate relations (``Bcc'`` as
+        :meth:`~repro.core.candidates.CandidateEngine.relation_candidates`
+        returns it) against each row's candidate pairs, shape (n_labels,
+        n_left, n_right, |f5|) per row where both sides have candidates.
 
-    def _f5_grid(
-        self,
-        labels: tuple[str, ...],
-        left_ids: tuple[str, ...],
-        right_ids: tuple[str, ...],
-    ) -> np.ndarray:
+        One ``searchsorted`` per label of the pair keys into the relation's
+        tuple keys; a reversed label reads the backward keys, with the
+        subject role on the right, exactly as in
+        :func:`~repro.core.features.relation_entities_features`.
+        """
         tables = self.engine.tables
-        left_ints = tables.intern("entity", left_ids)
-        right_ints = tables.intern("entity", right_ids)
-        bases = [base_relation(label) for label in labels]
-        relation_ints = tables.intern(
-            "relation", [relation_id for relation_id, _reverse in bases]
-        )
-        block = np.zeros(
-            (len(labels), len(left_ids), len(right_ids), 2), dtype=np.float64
-        )
         n_entities = len(tables.entity_ids)
-        for b_index, ((relation_id, reverse), relation_int) in enumerate(
-            zip(bases, relation_ints.tolist())
-        ):
+        flat = np.zeros((len(relations), len(pairs.forward), 2), dtype=np.float64)
+        for b_index, (_label, relation_int, reverse) in enumerate(relations):
             start = tables.tuple_offsets[relation_int]
             stop = tables.tuple_offsets[relation_int + 1]
             relation_keys = tables.tuple_keys_by_relation[start:stop]
-            # grid layout is [left, right]; the subject role swaps side for
-            # reversed labels, exactly as in relation_entities_features
-            if reverse:
-                keys = left_ints[:, None] + right_ints[None, :] * n_entities
-            else:
-                keys = left_ints[:, None] * n_entities + right_ints[None, :]
+            keys = pairs.backward if reverse else pairs.forward
             if len(relation_keys):
-                positions = np.searchsorted(relation_keys, keys)
-                positions = np.minimum(positions, len(relation_keys) - 1)
+                positions = np.minimum(
+                    np.searchsorted(relation_keys, keys), len(relation_keys) - 1
+                )
                 exists = relation_keys[positions] == keys
             else:
-                exists = np.zeros(keys.shape, dtype=bool)
-            relation = self.catalog.relations.get(relation_id)
-            violation = np.zeros(keys.shape, dtype=bool)
-            if relation.cardinality.subject_functional:
-                # a subject with any catalog tuple contradicts a non-tuple
-                # pairing (the &= ~exists below restricts to those)
-                active = self._relation_participants(relation_int, "subject")
-                if reverse:
-                    violation |= active[right_ints][None, :]
-                else:
-                    violation |= active[left_ints][:, None]
-            if relation.cardinality.object_functional:
-                active = self._relation_participants(relation_int, "object")
-                if reverse:
-                    violation |= active[left_ints][:, None]
-                else:
-                    violation |= active[right_ints][None, :]
-            violation &= ~exists
-            block[b_index, :, :, 0] = exists
-            block[b_index, :, :, 1] = violation
-        return block
-
-    def _relation_participants(self, relation_int: int, role: str) -> np.ndarray:
-        """Bool-per-entity: participates in the relation as ``role``."""
-        cache = self._participant_cache
-        key = (relation_int, role)
-        active = cache.get(key)
-        if active is None:
-            tables = self.engine.tables
-            n_entities = len(tables.entity_ids)
-            start = tables.tuple_offsets[relation_int]
-            stop = tables.tuple_offsets[relation_int + 1]
-            keys = tables.tuple_keys_by_relation[start:stop]
-            members = keys // n_entities if role == "subject" else keys % n_entities
-            active = np.zeros(n_entities, dtype=bool)
-            active[members] = True
-            cache[key] = active
-        return active
+                exists = np.zeros(len(keys), dtype=bool)
+            subjects, objects = (
+                (pairs.right, pairs.left) if reverse else (pairs.left, pairs.right)
+            )
+            cardinality = self.catalog.relations.get(
+                tables.relation_ids[relation_int]
+            ).cardinality
+            violation = np.zeros(len(keys), dtype=bool)
+            # an entity with any catalog tuple in a functional role
+            # contradicts a non-tuple pairing (the & ~exists below)
+            if cardinality.subject_functional:
+                violation |= np.isin(subjects, relation_keys // n_entities)
+            if cardinality.object_functional:
+                violation |= np.isin(objects, relation_keys % n_entities)
+            flat[b_index, :, 0] = exists
+            flat[b_index, :, 1] = violation & ~exists
+        return {
+            row: flat[:, start:stop].reshape(len(relations), n_left, n_right, 2)
+            for row, start, stop, n_left, n_right in pairs.blocks()
+        }
 
 
 @dataclass
@@ -346,9 +307,10 @@ class CellSpace:
     row: int
     column: int
     text: str
-    candidates: list[CandidateEntity]
-    #: domain = (NA,) + concrete entity ids
+    #: domain = (NA,) + concrete entity ids, best retrieval score first
     labels: tuple[str | None, ...]
+    #: retrieval scores of the concrete labels
+    scores: np.ndarray
     #: f1 features of concrete labels, shape (n_concrete, |f1|)
     f1: np.ndarray
 
@@ -408,7 +370,7 @@ class AnnotationProblem:
 
     def stats(self) -> dict[str, float]:
         """Candidate-space statistics (feeds the §6.1.1 candidate bench)."""
-        entity_counts = [len(space.candidates) for space in self.cells.values()]
+        entity_counts = [len(space.labels) - 1 for space in self.cells.values()]
         type_counts = [len(space.labels) - 1 for space in self.columns.values()]
         relation_counts = [len(space.labels) - 1 for space in self.pairs.values()]
         return {
@@ -427,99 +389,86 @@ def build_problem(
     table: Table,
     engine: CandidateEngine,
     features: FeatureComputer,
-    erc: Mapping[str, list[CandidateEntity]],
+    erc: Mapping[str, CellCandidates],
     max_column_pairs: int = 12,
 ) -> AnnotationProblem:
     """Construct the candidate spaces and feature caches for one table.
 
-    ``erc`` maps each cell text of the table to its resolved ``Erc`` list
+    ``erc`` maps each cell text of the table to its resolved ``Erc``
     (:meth:`~repro.core.annotator.TableAnnotator.resolve_candidates`
     answers a whole bucket in one engine call); ``Tc`` and ``Bcc'`` come
-    from ``engine``.  Cells without candidates (numeric/blank/unmatched) get
-    no variable — their label is forced to na.  Column pairs are considered
-    for every ordered pair of columns that both carry a type variable; pairs
-    with no candidate relation get no variable.  ``max_column_pairs`` caps
-    quadratic blow-up on very wide tables (the widest pairs by candidate
-    support are kept).
+    from ``engine``, one whole-column array pass each over the interned
+    entity ints, and the f3 and f5 blocks of a column or column pair from
+    one gather or one ``searchsorted`` per label.  Cells without candidates
+    (numeric/blank/unmatched) get no variable — their label is forced to
+    na.  Column pairs are considered for every ordered pair of columns that
+    both carry a type variable; pairs with no candidate relation get no
+    variable.  ``max_column_pairs`` caps quadratic blow-up on very wide
+    tables (the widest pairs by candidate support are kept).
     """
+    entity_ids = engine.tables.entity_ids
+    type_ids = engine.tables.type_ids
     cells: dict[tuple[int, int], CellSpace] = {}
-    column_candidates: dict[int, list[list[CandidateEntity]]] = {}
+    column_candidates: list[ColumnCandidates] = []
     for column in range(table.n_columns):
-        per_row: list[list[CandidateEntity]] = []
+        per_row: list[CellCandidates] = []
         for row in range(table.n_rows):
             text = table.cell(row, column)
-            candidates = erc[text]
-            per_row.append(candidates)
-            if candidates:
-                f1 = features.f1_block(
-                    text, tuple(c.entity_id for c in candidates)
-                )
+            found = erc[text]
+            per_row.append(found)
+            if len(found.entities):
+                ids = tuple(entity_ids[i] for i in found.entities.tolist())
                 cells[(row, column)] = CellSpace(
                     row=row,
                     column=column,
                     text=text,
-                    candidates=candidates,
-                    labels=(NA,) + tuple(c.entity_id for c in candidates),
-                    f1=f1,
+                    labels=(NA,) + ids,
+                    scores=found.scores,
+                    f1=features.f1_block(text, ids),
                 )
-        column_candidates[column] = per_row
+        column_candidates.append(ColumnCandidates.of(per_row))
 
     columns: dict[int, ColumnSpace] = {}
-    for column in range(table.n_columns):
-        type_ids = engine.column_type_candidates(column_candidates[column])
-        if not type_ids:
+    for column, candidates in enumerate(column_candidates):
+        type_ints = engine.column_type_candidates(candidates)
+        if not len(type_ints):
             continue
+        types = tuple(type_ids[t] for t in type_ints.tolist())
         header = table.header(column)
-        f2 = features.f2_block(header, tuple(type_ids))
-        space = ColumnSpace(
+        columns[column] = ColumnSpace(
             column=column,
             header=header,
-            labels=(NA,) + tuple(type_ids),
-            f2=f2,
+            labels=(NA,) + types,
+            f2=features.f2_block(header, types),
+            f3=features.f3_blocks(type_ints, candidates),
         )
-        for row in range(table.n_rows):
-            cell = cells.get((row, column))
-            if cell is None:
-                continue
-            space.f3[row] = features.f3_block(
-                tuple(type_ids),
-                tuple(c.entity_id for c in cell.candidates),
-            )
-        columns[column] = space
 
-    pairs: dict[tuple[int, int], PairSpace] = {}
-    candidate_pairs: list[tuple[int, int, list[str]]] = []
-    for left in sorted(columns):
-        for right in sorted(columns):
+    candidate_pairs: list[
+        tuple[int, int, list[tuple[str, int, bool]], PairCandidates]
+    ] = []
+    for left in columns:
+        for right in columns:
             if left >= right:
                 continue
-            labels = engine.relation_candidates(
-                column_candidates[left], column_candidates[right]
+            row_pairs = PairCandidates.of(
+                column_candidates[left], column_candidates[right], len(entity_ids)
             )
-            if labels:
-                candidate_pairs.append((left, right, labels))
+            relations = engine.relation_candidates(row_pairs)
+            if relations:
+                candidate_pairs.append((left, right, relations, row_pairs))
     candidate_pairs.sort(key=lambda item: (-len(item[2]), item[0], item[1]))
-    for left, right, labels in candidate_pairs[:max_column_pairs]:
-        left_types = columns[left].labels[1:]
-        right_types = columns[right].labels[1:]
-        f4 = features.f4_block(tuple(labels), left_types, right_types)
-        space = PairSpace(
+    pairs: dict[tuple[int, int], PairSpace] = {}
+    for left, right, relations, row_pairs in candidate_pairs[:max_column_pairs]:
+        labels = tuple(label for label, _relation, _reverse in relations)
+        pairs[(left, right)] = PairSpace(
             left=left,
             right=right,
-            labels=(NA,) + tuple(labels),
-            f4=f4,
+            labels=(NA,) + labels,
+            f4=features.f4_block(
+                labels, columns[left].labels[1:], columns[right].labels[1:]
+            ),
+            f5=features.f5_blocks(relations, row_pairs),
         )
-        for row in range(table.n_rows):
-            left_cell = cells.get((row, left))
-            right_cell = cells.get((row, right))
-            if left_cell is None or right_cell is None:
-                continue
-            space.f5[row] = features.f5_block(
-                tuple(labels),
-                tuple(c.entity_id for c in left_cell.candidates),
-                tuple(c.entity_id for c in right_cell.candidates),
-            )
-        pairs[(left, right)] = space
 
     return AnnotationProblem(table=table, cells=cells, columns=columns, pairs=pairs)
 

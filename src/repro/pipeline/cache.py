@@ -9,12 +9,14 @@ every occurrence.  Three cache layers remove it:
 * :class:`CandidateCache` memoises ``Erc`` so each distinct cell string
   probes the lemma index once per corpus (the candidate engine consults it
   inside its batch call,
-  :meth:`~repro.core.candidates.CandidateEngine.cell_candidates_batch`),
-* a generic :class:`LRUCache` memoises the *assembled feature blocks* of
-  :class:`~repro.core.problem.FeatureComputer` that recur across tables:
-  the f1 arrays of a cell text and the f5 grids of a row's entity pair.
-  f2 and f4 blocks almost never recur and are built directly; an f3 block
-  is a gather, and
+  :meth:`~repro.core.candidates.CandidateEngine.cell_candidates_batch`);
+  an entry is the read-only interned entity ints and scores every table
+  with that text shares,
+* a generic :class:`LRUCache` memoises the one *assembled feature block* of
+  :class:`~repro.core.problem.FeatureComputer` that recurs across tables:
+  the (read-only) f1 array of a cell text and its candidates.  f2 and f4
+  blocks almost never recur and are built directly; f3 and f5 blocks are
+  a gather and a ``searchsorted`` over whole columns, and
 * another :class:`LRUCache` holds whole answers, so a table seen before
   is answered without candidate generation or BP
   (:meth:`~repro.pipeline.AnnotationPipeline.answer`).
@@ -41,7 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable
 
-from repro.core.candidates import CandidateEntity, normalized_cell_key
+from repro.core.candidates import CellCandidates, normalized_cell_key
 
 __all__ = [
     "CacheStats",
@@ -90,9 +92,9 @@ class CacheStats:
 class LRUCache:
     """Size-bounded, thread-safe LRU map with hit/miss/eviction counters.
 
-    Values are treated as immutable by every caller (candidate lists and
-    feature arrays are never mutated after construction), so the same object
-    is handed out on every hit.  ``None`` is not a storable value — it is the
+    Values are treated as immutable by every caller (the candidate engine
+    and the feature computer store read-only arrays), so the same object is
+    handed out on every hit.  ``None`` is not a storable value — it is the
     miss sentinel.
     """
 
@@ -150,7 +152,7 @@ class LRUCache:
 
 
 class CandidateCache(LRUCache):
-    """LRU from *normalised* cell text to candidate entities (``Erc``).
+    """LRU from *normalised* cell text to its ``Erc`` (:class:`CellCandidates`).
 
     Entries store ``(first_raw_text, candidates)`` so hits can be split into
     raw (identical surface form) versus normalised-only in :meth:`stats`.
@@ -175,7 +177,7 @@ class CandidateCache(LRUCache):
         return candidates
 
     def put_candidates(
-        self, key: str, raw_text: str, candidates: list[CandidateEntity]
+        self, key: str, raw_text: str, candidates: CellCandidates
     ) -> None:
         self.put(key, (raw_text, candidates))
 

@@ -200,6 +200,10 @@ class InvertedIndex:
     def document_count(self) -> int:
         return len(self._doc_key)
 
+    def keys(self) -> list[Hashable]:
+        """Every distinct document key, in first-indexed order."""
+        return list(dict.fromkeys(self._doc_key))
+
     def document_frequency(self, token: str) -> int:
         if self._frozen:
             # array-backed source of truth: a from_state() index carries no

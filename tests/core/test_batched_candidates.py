@@ -4,29 +4,36 @@ The contract of :mod:`repro.core.candidates` (and the feature computer of
 :mod:`repro.core.problem`) is *identity*, not approximation: identical
 ``Erc`` (ids, scores, ordering), identical ``Tc`` and ``Bcc'``,
 bit-identical feature blocks and byte-identical annotations — on fixture
-corpora, on hypothesis-generated tables and on the numeric / blank /
-unknown-cell edges.
+corpora, on hypothesis-generated tables, on generated catalogs built to hit
+the array stage's edge cases, and on the numeric / blank / unknown-cell
+edges.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.session import ReproSession
+from repro.catalog.builder import CatalogBuilder
 from repro.catalog.errors import UnknownIdError
+from repro.catalog.relations import Cardinality
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.candidates import (
     CandidateEngine,
-    CandidateEntity,
     InternedCandidateTables,
+    build_lemma_index,
 )
 from repro.core.features import TypeEntityFeatureMode, type_entity_features
 from repro.core.model import default_model
 from repro.pipeline.io import annotation_to_dict
 from repro.tables.model import Table
-from tests.oracles import CandidateGenerator, OracleAnnotator
+from repro.text.index import InvertedIndex
+from tests.oracles import CandidateGenerator, EngineQueries, OracleAnnotator, wire
 
 TOP_K = 8
 
@@ -45,33 +52,37 @@ def engines(world):
     return scalar, batched
 
 
+def assert_bits_equal(expected: np.ndarray, actual: np.ndarray) -> None:
+    assert expected.dtype == actual.dtype
+    assert expected.shape == actual.shape
+    assert expected.tobytes() == actual.tobytes()
+
+
 def assert_problems_identical(scalar_problem, batched_problem):
-    assert set(scalar_problem.cells) == set(batched_problem.cells)
+    """Same variables in the same order, same label tuples (``Erc``,
+    ``Tc``, ``Bcc'``), bit-identical scores and feature blocks."""
+    assert list(scalar_problem.cells) == list(batched_problem.cells)
     for key, scalar_space in scalar_problem.cells.items():
         batched_space = batched_problem.cells[key]
         assert scalar_space.labels == batched_space.labels
-        assert [
-            (c.entity_id, c.retrieval_score) for c in scalar_space.candidates
-        ] == [
-            (c.entity_id, c.retrieval_score) for c in batched_space.candidates
-        ]
-        assert np.array_equal(scalar_space.f1, batched_space.f1)
-    assert set(scalar_problem.columns) == set(batched_problem.columns)
+        assert_bits_equal(scalar_space.scores, batched_space.scores)
+        assert_bits_equal(scalar_space.f1, batched_space.f1)
+    assert list(scalar_problem.columns) == list(batched_problem.columns)
     for column, scalar_space in scalar_problem.columns.items():
         batched_space = batched_problem.columns[column]
         assert scalar_space.labels == batched_space.labels
-        assert np.array_equal(scalar_space.f2, batched_space.f2)
-        assert set(scalar_space.f3) == set(batched_space.f3)
+        assert_bits_equal(scalar_space.f2, batched_space.f2)
+        assert list(scalar_space.f3) == list(batched_space.f3)
         for row, grid in scalar_space.f3.items():
-            assert np.array_equal(grid, batched_space.f3[row])
-    assert set(scalar_problem.pairs) == set(batched_problem.pairs)
+            assert_bits_equal(grid, batched_space.f3[row])
+    assert list(scalar_problem.pairs) == list(batched_problem.pairs)
     for pair, scalar_space in scalar_problem.pairs.items():
         batched_space = batched_problem.pairs[pair]
         assert scalar_space.labels == batched_space.labels
-        assert np.array_equal(scalar_space.f4, batched_space.f4)
-        assert set(scalar_space.f5) == set(batched_space.f5)
+        assert_bits_equal(scalar_space.f4, batched_space.f4)
+        assert list(scalar_space.f5) == list(batched_space.f5)
         for row, grid in scalar_space.f5.items():
-            assert np.array_equal(grid, batched_space.f5[row])
+            assert_bits_equal(grid, batched_space.f5[row])
 
 
 class TestFixtureEquivalence:
@@ -97,7 +108,7 @@ class TestDirectQueries:
     @pytest.fixture(scope="class")
     def pair(self, world):
         engine = CandidateEngine(world.annotator_view, top_k_entities=TOP_K)
-        return CandidateGenerator.sharing(engine), engine
+        return CandidateGenerator.sharing(engine), EngineQueries(engine)
 
     def test_cell_candidates_batch_matches_scalar(self, pair, world):
         scalar, batched = pair
@@ -132,25 +143,41 @@ class TestDirectQueries:
         assert batched.relation_candidates(lefts, rights) == (
             scalar.relation_candidates(lefts, rights)
         )
-        # memoised second pass must answer the same
-        assert batched.relation_candidates(lefts, rights) == (
-            scalar.relation_candidates(lefts, rights)
-        )
         assert batched.relation_candidates([[]], [[]]) == []
 
-    def test_unknown_entity_raises(self, pair, world):
-        """An id outside the catalog raises from the engine (as ``Tc`` does
-        from the oracle's catalog lookups) rather than a silent answer."""
-        scalar, batched = pair
-        ghost = [[CandidateEntity("ent:not-in-catalog", 1.0)]]
-        entity = next(iter(world.annotator_view.entities.all_entities()))
-        known = [scalar.cell_candidates(entity.lemmas[0])]
-        with pytest.raises(UnknownIdError):
-            scalar.column_type_candidates(ghost)
-        with pytest.raises(UnknownIdError):
-            batched.column_type_candidates(ghost)
-        with pytest.raises(UnknownIdError):
-            batched.relation_candidates(ghost, known)
+
+def ghost_lemma_index(catalog):
+    """The catalog's lemma index plus one key no catalog entity has."""
+    index = InvertedIndex()
+    for entity in catalog.entities.all_entities():
+        for lemma in entity.lemmas:
+            index.add(entity.entity_id, lemma)
+    index.add("ent:ghost", "Ghost Lemma")
+    index.freeze()
+    _index, tfidf = build_lemma_index(catalog)
+    return index, tfidf
+
+
+class TestLemmaIndexCheck:
+    """Every lemma-index key is interned when the engine is built, so an
+    index naming an entity outside the catalog fails there, not on the
+    first request that retrieves the key."""
+
+    def test_ghost_lemma_key_raises_at_engine_build(self, book_catalog):
+        index, tfidf = ghost_lemma_index(book_catalog)
+        with pytest.raises(UnknownIdError, match="ent:ghost"):
+            CandidateEngine(book_catalog, lemma_index=index, lemma_tfidf=tfidf)
+
+    def test_ghost_lemma_key_raises_at_session_open(self, tmp_path, tiny_world):
+        from repro.serve.bundle import build_bundle, load_bundle
+
+        build_bundle(tmp_path / "bundle", tiny_world.annotator_view, [])
+        bundle = load_bundle(tmp_path / "bundle")
+        index, tfidf = ghost_lemma_index(bundle.catalog)
+        with pytest.raises(UnknownIdError, match="ent:ghost"):
+            ReproSession.from_bundle(
+                dataclasses.replace(bundle, lemma_index=index, lemma_tfidf=tfidf)
+            )
 
 
 class TestHypothesisTables:
@@ -197,6 +224,154 @@ class TestHypothesisTables:
         assert annotation_to_dict(batched.annotate(table)) == (
             annotation_to_dict(scalar.annotate(table))
         )
+
+
+#: lemma vocabulary of the edge-case catalogs: few words, so cells match
+#: several entities and retrieval, type support and pair counts tie often
+WORDS = ("red", "blue", "green", "gold")
+JUNK_CELLS = ("", "  ", "12", "3.5%", "zzz")
+
+
+@st.composite
+def edge_catalogs(draw):
+    """A small catalog built to hit the array stage's edge cases.
+
+    Types form a random DAG (some without instances); one entity in four
+    has no direct type, so no type ancestor at all, the others one or two;
+    relations have random schemas and cardinalities (functional ones give
+    violations) and up to eight tuples (the first at least two), and
+    ``rel:empty`` never has one.
+    """
+    builder = CatalogBuilder(name="edge")
+    n_types = draw(st.integers(1, 5))
+    for t in range(n_types):
+        parents = draw(st.sets(st.integers(0, t - 1), max_size=2)) if t else set()
+        builder.type(
+            f"type:t{t}",
+            f"{WORDS[t % len(WORDS)]} kind",
+            parents=[f"type:t{p}" for p in sorted(parents)],
+        )
+    n_entities = draw(st.integers(2, 9))
+    for e in range(n_entities):
+        types = (
+            draw(st.sets(st.integers(0, n_types - 1), min_size=1, max_size=2))
+            if draw(st.integers(0, 3))
+            else set()
+        )
+        words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
+        builder.entity(
+            f"ent:e{e}", [" ".join(words)], types=[f"type:t{t}" for t in sorted(types)]
+        )
+    type_ids = st.sampled_from([f"type:t{t}" for t in range(n_types)])
+    entities = st.integers(0, n_entities - 1)
+    for r in range(draw(st.integers(1, 3))):
+        builder.relation(
+            f"rel:r{r}",
+            draw(type_ids),
+            draw(type_ids),
+            cardinality=draw(st.sampled_from(list(Cardinality))),
+        )
+        for subject, object_ in sorted(
+            draw(
+                st.sets(
+                    st.tuples(entities, entities),
+                    min_size=0 if r else 2,
+                    max_size=8,
+                )
+            )
+        ):
+            builder.fact(f"rel:r{r}", f"ent:e{subject}", f"ent:e{object_}")
+    builder.relation("rel:empty", draw(type_ids), draw(type_ids))
+    return builder.build()
+
+
+@st.composite
+def edge_tables(draw, catalog):
+    """2-4 columns and 1-5 rows of lemmas, bare words and junk; a column
+    is junk in every row one time in four.  Most rows put a catalog fact's subject
+    and object into two of their columns, in either order, so column pairs
+    have candidate relations (plain and reversed) to rank and cut."""
+    lemma = st.sampled_from(
+        sorted(
+            {
+                lemma
+                for entity in catalog.entities.all_entities()
+                for lemma in entity.lemmas
+            }
+        )
+    )
+    cell = st.one_of(
+        lemma, lemma, st.sampled_from(WORDS), st.sampled_from(JUNK_CELLS)
+    )
+    facts = [
+        (catalog.entities.lemmas(subject)[0], catalog.entities.lemmas(object_)[0])
+        for relation_id in sorted(catalog.relations)
+        for subject, object_ in sorted(catalog.relations.tuples(relation_id))
+    ]
+    n_rows = draw(st.integers(1, 5))
+    n_columns = draw(st.integers(2, 4))
+    junk_columns = {
+        column for column in range(n_columns) if draw(st.integers(0, 3)) == 0
+    }
+    cells = []
+    for _row in range(n_rows):
+        row = [draw(cell) for _column in range(n_columns)]
+        if draw(st.integers(0, 3)):
+            left, right = draw(
+                st.lists(
+                    st.integers(0, n_columns - 1), min_size=2, max_size=2, unique=True
+                )
+            )
+            row[left], row[right] = draw(st.sampled_from(facts))
+        for column in junk_columns:
+            row[column] = draw(st.sampled_from(JUNK_CELLS))
+        cells.append(row)
+    headers = [
+        draw(st.one_of(st.none(), st.sampled_from(("", "red kind", "gold"))))
+        for _column in range(n_columns)
+    ]
+    return Table(table_id="edge", cells=cells, headers=headers)
+
+
+class TestArrayStageEdgeCases:
+    """Generated catalogs and tables against the scalar candidate oracle:
+    ``Tc``, ``Bcc'``, every block and the wire JSON, bit for bit, on
+    columns where no row has candidates, rows where one side of a pair has
+    none, entities with no type ancestors, relations with no tuples,
+    reversed labels, functional-relation violations and ties at the
+    ``max_type_candidates`` and ``max_column_pairs`` cuts (caps of 1 and 2
+    against small catalogs).
+
+    Both sides decode with the fused BP engine, so the wire check covers
+    the candidate stage alone: these catalogs make exactly tied MAP
+    labelings common (two entities with the same lemma and types), and on
+    such a tie the per-edge scalar engine and the fused engine can sum a
+    belief to 0.0 and -4.4e-16 and pick different labels.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_edge_cases_identical(self, data):
+        catalog = data.draw(edge_catalogs(), label="catalog")
+        table = data.draw(edge_tables(catalog), label="table")
+        config = AnnotatorConfig(
+            top_k_entities=data.draw(st.sampled_from((1, 3, 8))),
+            max_type_candidates=data.draw(st.sampled_from((1, 2, 64))),
+            max_column_pairs=data.draw(st.sampled_from((1, 2, 12))),
+        )
+        model = default_model(data.draw(st.sampled_from(list(TypeEntityFeatureMode))))
+        production = TableAnnotator(catalog, model=model, config=config)
+        oracle = OracleAnnotator(
+            catalog,
+            model=model,
+            config=config,
+            bp="batched",
+            candidate_engine=production.candidate_engine,
+        )
+        assert_problems_identical(
+            oracle.build_problem(table), production.build_problem(table)
+        )
+        assert wire(production.annotate(table)) == wire(oracle.annotate(table))
 
 
 def assert_f3_grid_matches_oracle(catalog):
@@ -287,6 +462,7 @@ class TestInternedTables:
             for row in range(table.n_rows)
             for column in range(table.n_columns)
         ]
+        built, restored = EngineQueries(built), EngineQueries(restored)
         per_cell = built.cell_candidates_batch(texts)
         assert per_cell == restored.cell_candidates_batch(texts)
         column = per_cell[: table.n_rows]

@@ -1,14 +1,15 @@
 """Tests for candidate space generation (Erc, Tc, Bcc').
 
 Every case runs against the scalar oracle and, through the ``...OnEngine``
-subclasses at the bottom, against the production candidate engine: the
-``make`` fixture is the implementation under test.
+subclasses at the bottom, against the production candidate engine behind
+the oracle's signatures: the ``make`` fixture is the implementation under
+test.
 """
 
 import pytest
 
 from repro.core.candidates import CandidateEngine
-from tests.oracles import CandidateGenerator
+from tests.oracles import CandidateGenerator, EngineQueries
 
 
 @pytest.fixture()
@@ -132,7 +133,7 @@ class OnEngine:
 
     @pytest.fixture()
     def make(self):
-        return CandidateEngine
+        return lambda catalog, **caps: EngineQueries(CandidateEngine(catalog, **caps))
 
 
 class TestCellCandidatesOnEngine(OnEngine, TestCellCandidates):

@@ -111,7 +111,6 @@ class TestAveraging:
 
     @staticmethod
     def _single_cell_problem(table_id, text, entity_id, f1_row):
-        from repro.core.candidates import CandidateEntity
         from repro.core.problem import CellSpace
         from repro.tables.model import Table
 
@@ -120,8 +119,8 @@ class TestAveraging:
             row=0,
             column=0,
             text=text,
-            candidates=[CandidateEntity(entity_id=entity_id, retrieval_score=1.0)],
             labels=(None, entity_id),
+            scores=np.array([1.0]),
             f1=np.array([f1_row], dtype=float),
         )
         from repro.core.problem import AnnotationProblem

@@ -152,8 +152,8 @@ class TestDampingSemantics:
                     row=0,
                     column=0,
                     text="x",
-                    candidates=[],
                     labels=(None, "ent:x"),
+                    scores=np.zeros(1),
                     f1=np.zeros((1, len(model.w1))),
                 )
             },

@@ -8,9 +8,13 @@ paths kept here define what that path must compute, and the equivalence and
 byte-identity tests compare the two:
 
 * :class:`CandidateGenerator` answers ``Erc`` / ``Tc`` / ``Bcc'`` per cell
-  straight from the catalog,
+  straight from the catalog, as :class:`CandidateEntity` lists and label
+  lists (:class:`EngineQueries` puts the production engine behind the same
+  signatures),
 * :class:`ScalarFeatureComputer` assembles f1, f2, f3 and f5 blocks one
   element at a time,
+* :func:`scalar_build_problem` builds a table's problem from the two, row
+  by row,
 * :func:`run_scalar_paper_schedule` drives the per-edge scalar engine
   (:class:`repro.graph.bp.MaxProductBP`) through the Figure-11 schedule,
 * :func:`scalar_decode` turns its beliefs into a ``TableAnnotation``,
@@ -18,25 +22,34 @@ byte-identity tests compare the two:
   the design ablation's schedule),
 * :class:`OracleAnnotator` builds problems through the two classes above
   and annotates them with the scalar engine — either half can be swapped
-  for its production counterpart to check one layer at a time.
+  for its production counterpart to check one layer at a time,
+* :func:`wire` is the ``/annotate`` body the identity tests compare.
 """
 
 from tests.oracles.scalar import (
     SCHEDULES,
+    CandidateEntity,
     CandidateGenerator,
+    EngineQueries,
     OracleAnnotator,
     ScalarFeatureComputer,
     run_scalar_paper_schedule,
     scalar_annotate_problem,
+    scalar_build_problem,
     scalar_decode,
+    wire,
 )
 
 __all__ = [
     "SCHEDULES",
+    "CandidateEntity",
     "CandidateGenerator",
+    "EngineQueries",
     "OracleAnnotator",
     "ScalarFeatureComputer",
     "run_scalar_paper_schedule",
     "scalar_annotate_problem",
+    "scalar_build_problem",
     "scalar_decode",
+    "wire",
 ]

@@ -10,6 +10,7 @@ decoding).
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +21,13 @@ from repro.core.annotation import (
     RelationAnnotation,
     TableAnnotation,
 )
+from repro.api.types import AnnotateResponse, encode_json
 from repro.core.annotator import AnnotatorConfig
 from repro.core.candidates import (
     CandidateEngine,
-    CandidateEntity,
+    CellCandidates,
+    ColumnCandidates,
+    PairCandidates,
     build_lemma_index,
 )
 from repro.core.features import (
@@ -39,12 +43,16 @@ from repro.core.model import AnnotationModel, default_model
 from repro.core.problem import (
     NA,
     AnnotationProblem,
+    CellSpace,
+    ColumnSpace,
     FeatureComputer,
+    PairSpace,
     build_factor_graph,
     build_problem,
 )
 from repro.core.simple_inference import annotate_simple
 from repro.graph.bp import MaxProductBP
+from repro.pipeline.io import annotation_to_dict
 from repro.tables.generator import reversed_label
 from repro.tables.model import Table
 from repro.text.index import InvertedIndex
@@ -58,6 +66,14 @@ SCHEDULES = ("paper", "flooding")
 #: which implementation an :class:`OracleAnnotator` layer uses: "scalar"
 #: is the reference, "batched" the production counterpart
 LAYERS = ("scalar", "batched")
+
+
+@dataclass(frozen=True)
+class CandidateEntity:
+    """One retrieved candidate: entity id and raw index score."""
+
+    entity_id: str
+    retrieval_score: float
 
 
 class CandidateGenerator:
@@ -166,6 +182,63 @@ class CandidateGenerator:
         return sorted(labels)
 
 
+class EngineQueries:
+    """The production engine behind :class:`CandidateGenerator`'s per-cell
+    signatures, so one set of queries checks both.
+
+    ``Erc`` comes back as :class:`CandidateEntity` lists decoded from the
+    engine's interned ints; ``Tc`` and ``Bcc'`` take such lists, re-intern
+    them into the engine's column arrays and return label lists.
+    """
+
+    def __init__(self, engine: CandidateEngine) -> None:
+        self.engine = engine
+
+    def cell_candidates_batch(
+        self, cell_texts: list[str]
+    ) -> list[list[CandidateEntity]]:
+        names = self.engine.tables.entity_ids
+        return [
+            [
+                CandidateEntity(names[entity], score)
+                for entity, score in zip(
+                    found.entities.tolist(), found.scores.tolist()
+                )
+            ]
+            for found in self.engine.cell_candidates_batch(cell_texts)
+        ]
+
+    def _column(self, cells: list[list[CandidateEntity]]) -> ColumnCandidates:
+        intern = self.engine.tables.intern
+        return ColumnCandidates.of(
+            [
+                CellCandidates(
+                    intern("entity", [c.entity_id for c in candidates]),
+                    np.array([c.retrieval_score for c in candidates]),
+                )
+                for candidates in cells
+            ]
+        )
+
+    def column_type_candidates(
+        self, column_candidates: list[list[CandidateEntity]]
+    ) -> list[str]:
+        ranked = self.engine.column_type_candidates(self._column(column_candidates))
+        return [self.engine.tables.type_ids[t] for t in ranked.tolist()]
+
+    def relation_candidates(
+        self,
+        left_candidates: list[list[CandidateEntity]],
+        right_candidates: list[list[CandidateEntity]],
+    ) -> list[str]:
+        pairs = PairCandidates.of(
+            self._column(left_candidates),
+            self._column(right_candidates),
+            len(self.engine.tables.entity_ids),
+        )
+        return [label for label, _r, _rev in self.engine.relation_candidates(pairs)]
+
+
 class ScalarFeatureComputer(FeatureComputer):
     """Feature blocks assembled element by element.
 
@@ -188,7 +261,6 @@ class ScalarFeatureComputer(FeatureComputer):
         self.catalog = catalog
         self.mode = mode
         self.engine = generator  # type: ignore[assignment]
-        self.block_cache = None
         self._f4_side_cache = {}
         self._f3_cache: dict[tuple[str, str], np.ndarray] = {}
         self._f5_cache: dict[tuple[str, str, str], np.ndarray] = {}
@@ -224,30 +296,19 @@ class ScalarFeatureComputer(FeatureComputer):
     def f1_block(
         self, cell_text: str, entity_ids: tuple[str, ...]
     ) -> np.ndarray:
-        return self._block(
-            ("f1", cell_text, entity_ids),
-            lambda: np.stack([self.f1(cell_text, e) for e in entity_ids]),
-        )
+        return np.stack([self.f1(cell_text, e) for e in entity_ids])
 
     def f2_block(
         self, header_text: str | None, type_ids: tuple[str, ...]
     ) -> np.ndarray:
-        return self._block(
-            ("f2", header_text, type_ids),
-            lambda: np.stack([self.f2(header_text, t) for t in type_ids]),
-        )
+        return np.stack([self.f2(header_text, t) for t in type_ids])
 
     def f3_block(
         self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]
     ) -> np.ndarray:
-        return self._block(
-            ("f3", type_ids, entity_ids),
-            lambda: np.stack(
-                [
-                    np.stack([self.f3(t, e) for e in entity_ids])
-                    for t in type_ids
-                ]
-            ),
+        """f3 of one cell, shape (n_types, n_entities, |f3|)."""
+        return np.stack(
+            [np.stack([self.f3(t, e) for e in entity_ids]) for t in type_ids]
         )
 
     def f5_block(
@@ -256,17 +317,109 @@ class ScalarFeatureComputer(FeatureComputer):
         left_ids: tuple[str, ...],
         right_ids: tuple[str, ...],
     ) -> np.ndarray:
-        def build() -> np.ndarray:
-            block = np.zeros((len(labels), len(left_ids), len(right_ids), 2))
-            for b_index, label in enumerate(labels):
-                for e_index, left_id in enumerate(left_ids):
-                    for o_index, right_id in enumerate(right_ids):
-                        block[b_index, e_index, o_index] = self.f5(
-                            label, left_id, right_id
-                        )
-            return block
+        """f5 of one row of a pair, shape (n_labels, n_left, n_right, |f5|)."""
+        block = np.zeros((len(labels), len(left_ids), len(right_ids), 2))
+        for b_index, label in enumerate(labels):
+            for e_index, left_id in enumerate(left_ids):
+                for o_index, right_id in enumerate(right_ids):
+                    block[b_index, e_index, o_index] = self.f5(
+                        label, left_id, right_id
+                    )
+        return block
 
-        return self._block(("f5", labels, left_ids, right_ids), build)
+
+def scalar_build_problem(
+    table: Table,
+    generator: CandidateGenerator,
+    features: ScalarFeatureComputer,
+    max_column_pairs: int = 12,
+) -> AnnotationProblem:
+    """:func:`~repro.core.problem.build_problem` read row by row: per-cell
+    ``Erc``, ``Tc`` and ``Bcc'`` from the catalog loops of ``generator``
+    and every f3 / f5 block assembled per row from elements."""
+    cells: dict[tuple[int, int], CellSpace] = {}
+    column_candidates: dict[int, list[list[CandidateEntity]]] = {}
+    for column in range(table.n_columns):
+        texts = [table.cell(row, column) for row in range(table.n_rows)]
+        per_row = generator.cell_candidates_batch(texts)
+        for row, (text, candidates) in enumerate(zip(texts, per_row)):
+            if candidates:
+                ids = tuple(c.entity_id for c in candidates)
+                cells[(row, column)] = CellSpace(
+                    row=row,
+                    column=column,
+                    text=text,
+                    labels=(NA,) + ids,
+                    scores=np.array([c.retrieval_score for c in candidates]),
+                    f1=features.f1_block(text, ids),
+                )
+        column_candidates[column] = per_row
+
+    columns: dict[int, ColumnSpace] = {}
+    for column in range(table.n_columns):
+        type_ids = tuple(generator.column_type_candidates(column_candidates[column]))
+        if not type_ids:
+            continue
+        header = table.header(column)
+        space = ColumnSpace(
+            column=column,
+            header=header,
+            labels=(NA,) + type_ids,
+            f2=features.f2_block(header, type_ids),
+        )
+        for row in range(table.n_rows):
+            cell = cells.get((row, column))
+            if cell is not None:
+                space.f3[row] = features.f3_block(type_ids, cell.labels[1:])
+        columns[column] = space
+
+    pairs: dict[tuple[int, int], PairSpace] = {}
+    candidate_pairs: list[tuple[int, int, tuple[str, ...]]] = []
+    for left in sorted(columns):
+        for right in sorted(columns):
+            if left >= right:
+                continue
+            labels = tuple(
+                generator.relation_candidates(
+                    column_candidates[left], column_candidates[right]
+                )
+            )
+            if labels:
+                candidate_pairs.append((left, right, labels))
+    candidate_pairs.sort(key=lambda item: (-len(item[2]), item[0], item[1]))
+    for left, right, labels in candidate_pairs[:max_column_pairs]:
+        space = PairSpace(
+            left=left,
+            right=right,
+            labels=(NA,) + labels,
+            f4=features.f4_block(
+                labels, columns[left].labels[1:], columns[right].labels[1:]
+            ),
+        )
+        for row in range(table.n_rows):
+            left_cell = cells.get((row, left))
+            right_cell = cells.get((row, right))
+            if left_cell is not None and right_cell is not None:
+                space.f5[row] = features.f5_block(
+                    labels, left_cell.labels[1:], right_cell.labels[1:]
+                )
+        pairs[(left, right)] = space
+
+    return AnnotationProblem(table=table, cells=cells, columns=columns, pairs=pairs)
+
+
+def wire(annotation: TableAnnotation) -> str:
+    """The ``/annotate`` response body of one annotation (timing excluded)."""
+    return encode_json(
+        AnnotateResponse(
+            table_id=annotation.table_id,
+            annotation=annotation_to_dict(annotation),
+            diagnostics={
+                key: annotation.diagnostics.get(key)
+                for key in ("iterations", "converged", "n_variables", "n_factors")
+            },
+        ).to_json()
+    )
 
 
 def run_scalar_paper_schedule(
@@ -458,10 +611,17 @@ class OracleAnnotator:
             )
 
     def build_problem(self, table: Table) -> AnnotationProblem:
+        if isinstance(self.generator, CandidateGenerator):
+            return scalar_build_problem(
+                table,
+                self.generator,
+                self.features,  # type: ignore[arg-type]
+                max_column_pairs=self.config.max_column_pairs,
+            )
         texts = list(dict.fromkeys(text for _row, _column, text in table.iter_cells()))
         return build_problem(
             table,
-            self.generator,  # type: ignore[arg-type]
+            self.generator,
             self.features,
             dict(zip(texts, self.generator.cell_candidates_batch(texts))),
             max_column_pairs=self.config.max_column_pairs,

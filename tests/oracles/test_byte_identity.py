@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.types import AnnotateResponse, encode_json
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.fused import (
     annotate_fused_chunk,
@@ -24,25 +23,10 @@ from repro.core.fused import (
     run_fused_bundle,
 )
 from repro.core.model import default_model
-from repro.pipeline.io import annotation_to_dict
 from repro.tables.model import Table
-from tests.oracles import OracleAnnotator
+from tests.oracles import OracleAnnotator, wire
 
 JUNK = ["", "  ", "1984", "12%", "zzz qqq", "Baker"]
-
-
-def wire(annotation) -> str:
-    """The ``/annotate`` response body of one annotation (timing excluded)."""
-    return encode_json(
-        AnnotateResponse(
-            table_id=annotation.table_id,
-            annotation=annotation_to_dict(annotation),
-            diagnostics={
-                key: annotation.diagnostics.get(key)
-                for key in ("iterations", "converged", "n_variables", "n_factors")
-            },
-        ).to_json()
-    )
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,18 @@ from repro.pipeline.cache import (
 from tests.oracles import CandidateGenerator
 
 
+def decoded(engine, results) -> list[list[tuple[str, float]]]:
+    """``Erc`` results as (entity id, score) lists, comparable with ``==``."""
+    names = engine.tables.entity_ids
+    return [
+        [
+            (names[entity], score)
+            for entity, score in zip(found.entities.tolist(), found.scores.tolist())
+        ]
+        for found in results
+    ]
+
+
 class TestLRUCache:
     def test_miss_then_hit(self):
         cache = LRUCache(max_entries=4)
@@ -83,21 +95,23 @@ class TestCachingCandidateGenerator:
         cache = CandidateCache()
         entity = next(iter(tiny_world.annotator_view.entities.all_entities()))
         texts = [entity.lemmas[0]]
-        uncached = engine.cell_candidates_batch(texts)
-        assert engine.cell_candidates_batch(texts, cache) == uncached
+        uncached = decoded(engine, engine.cell_candidates_batch(texts))
+        assert decoded(engine, engine.cell_candidates_batch(texts, cache)) == uncached
         # second lookup serves from cache, still identical
-        assert engine.cell_candidates_batch(texts, cache) == uncached
+        assert decoded(engine, engine.cell_candidates_batch(texts, cache)) == uncached
         assert cache.stats().hits == 1
 
     def test_numeric_and_blank_bypass_cache(self, engine):
         cache = CandidateCache()
-        assert engine.cell_candidates_batch(["", "  42.5 "], cache) == [[], []]
+        found = engine.cell_candidates_batch(["", "  42.5 "], cache)
+        assert decoded(engine, found) == [[], []]
         assert cache.stats().lookups == 0
 
     def test_unmatched_text_cached_as_empty(self, engine):
         cache = CandidateCache()
-        assert engine.cell_candidates_batch(["zzz qqq xyzzy"], cache) == [[]]
-        assert engine.cell_candidates_batch(["zzz qqq xyzzy"], cache) == [[]]
+        for _ in range(2):
+            found = engine.cell_candidates_batch(["zzz qqq xyzzy"], cache)
+            assert decoded(engine, found) == [[]]
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (1, 1)
 
@@ -126,9 +140,9 @@ class TestNormalizedKeys:
         variants = [base, f"  {base}  ", base.upper(), f"{base}!"]
         for variant in variants:
             # normalisation must never change what the engine would say
-            assert engine.cell_candidates_batch(
-                [variant], cache
-            ) == engine.cell_candidates_batch([variant])
+            assert decoded(
+                engine, engine.cell_candidates_batch([variant], cache)
+            ) == decoded(engine, engine.cell_candidates_batch([variant]))
         stats = cache.stats()
         assert stats.misses == 1
         assert stats.hits == len(variants) - 1
@@ -156,11 +170,14 @@ class TestNormalizedKeys:
         entities = list(tiny_world.annotator_view.entities.all_entities())
         texts = [entity.lemmas[0] for entity in entities[:6]]
         texts += ["", "  ", "42", texts[0].upper(), "zzz qqq", texts[1]]
-        batch = engine.cell_candidates_batch(texts, cache)
+        batch = decoded(engine, engine.cell_candidates_batch(texts, cache))
         oracle = CandidateGenerator.sharing(engine)
-        assert batch == [oracle.cell_candidates(text) for text in texts]
+        assert batch == [
+            [(c.entity_id, c.retrieval_score) for c in oracle.cell_candidates(text)]
+            for text in texts
+        ]
         # warm batch: everything resolvable is now a hit
-        again = engine.cell_candidates_batch(texts, cache)
+        again = decoded(engine, engine.cell_candidates_batch(texts, cache))
         assert again == batch
 
     def test_batch_probes_each_distinct_key_once(self, engine, tiny_world):

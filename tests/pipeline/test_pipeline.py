@@ -96,13 +96,42 @@ class TestCacheAccounting:
         assert report.cache.hit_rate == 1.0
         assert report.block_cache.misses == 0
 
-    def test_block_cache_holds_only_f1_and_f5(self, tiny_world, corpus_tables):
-        """f2 and f4 blocks almost never recur, so they are built directly;
-        after a crawl the block cache holds f1 and f5 blocks only."""
+    def test_block_cache_holds_only_f1(self, tiny_world, corpus_tables):
+        """f2 and f4 blocks almost never recur and f3 and f5 blocks are
+        whole-column array passes, so all four are built directly; after a
+        crawl the block cache holds f1 blocks only."""
         pipeline = AnnotationPipeline(tiny_world.annotator_view)
         pipeline.annotate_corpus(corpus_tables)
         families = {key[0] for key in pipeline.block_cache._entries}
-        assert families == {"f1", "f5"}
+        assert families == {"f1"}
+
+    def test_cached_arrays_are_read_only(
+        self, tiny_world, corpus_tables, serial_annotations
+    ):
+        """Every table that hits the candidate cache shares its ``Erc``
+        arrays, and every table that hits the block cache its f1 blocks, so
+        both are stored read-only: a write raises, and a later pass still
+        annotates byte-identically."""
+        serial, _ = serial_annotations
+        pipeline = AnnotationPipeline(
+            tiny_world.annotator_view, config=PipelineConfig(answer_cache_size=0)
+        )
+        pipeline.annotate_corpus(corpus_tables)
+        shared = [
+            array
+            for _raw_text, found in pipeline.cache._entries.values()
+            for array in (found.entities, found.scores)
+        ] + list(pipeline.block_cache._entries.values())
+        assert shared
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        again = [
+            annotation_to_dict(a) for a in pipeline.annotate_corpus(corpus_tables)
+        ]
+        assert pipeline.last_report.cache.misses == 0
+        assert pipeline.last_report.block_cache.misses == 0
+        assert again == serial
 
     def test_disabled_cache_reports_none(self, tiny_world, corpus_tables):
         pipeline = AnnotationPipeline(
