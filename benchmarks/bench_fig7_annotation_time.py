@@ -68,9 +68,9 @@ def test_fig7_annotation_time(
         ["candidate+similarity share", f"{report.candidate_fraction:.1%}"],
         ["inference share", f"{report.inference_fraction:.1%}"],
         ["candidate cache hit rate", f"{report.cache_hit_rate:.1%}"],
-        ["lemma probes saved", report.cache_hits],
-        ["  raw-text hits", report.cache_raw_hits],
-        ["  normalised-key-only hits", report.cache_normalized_hits],
+        ["lemma probes saved", report.cache.hits],
+        ["  raw-text hits", report.cache.raw_hits],
+        ["  normalised-key-only hits", report.cache.normalized_hits],
     ]
     emit(
         "fig7_annotation_time",
@@ -94,9 +94,9 @@ def test_fig7_annotation_time(
             "candidate_fraction": round(report.candidate_fraction, 4),
             "inference_fraction": round(report.inference_fraction, 4),
             "cache_hit_rate": round(report.cache_hit_rate, 4),
-            "cache_hits": report.cache_hits,
-            "cache_raw_hits": report.cache_raw_hits,
-            "cache_normalized_hits": report.cache_normalized_hits,
+            "cache_hits": report.cache.hits,
+            "cache_raw_hits": report.cache.raw_hits,
+            "cache_normalized_hits": report.cache.normalized_hits,
         },
     )
 
@@ -110,7 +110,7 @@ def test_fig7_annotation_time(
     # variance exists ("considerable variation depending on the number of rows")
     assert statistics.pstdev(report.per_table_seconds) > 0
     # real corpora repeat cell strings; the shared cache must be absorbing some
-    assert report.cache_hits > 0
+    assert report.cache.hits > 0
 
     # larger tables cost more on average (coarse correlation check)
     annotator_timings = sorted(
@@ -391,7 +391,8 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
     def warm_pass(bundles):
         start = time.perf_counter()
         decoded = [
-            run_fused_bundle(bundle, inference, chunk) for bundle, chunk in bundles
+            run_fused_bundle(bundle, annotator_config, chunk)
+            for bundle, chunk in bundles
         ]
         seconds = time.perf_counter() - start
         by_id = {
@@ -406,7 +407,7 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
     baseline_annotations, baseline_cold = timed_pass(baseline)
     fused_annotations, fused_cold = timed_pass(fused)
     identical = fused_annotations == baseline_annotations
-    inference = fused.annotator.config.inference_config()
+    annotator_config = fused.annotator.config
     baseline_bundles = compile_bundles(baseline, [[table] for table in tables])
     fused_bundles = compile_bundles(
         fused,

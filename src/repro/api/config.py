@@ -1,7 +1,7 @@
 """One composed configuration for the whole API surface.
 
 Before this module existed every frontend wired its own stack of
-``AnnotatorConfig`` / ``InferenceConfig`` / ``PipelineConfig`` objects.
+``AnnotatorConfig`` / ``PipelineConfig`` objects.
 :class:`SessionConfig` replaces that: one object, loadable from JSON or CLI
 flags, that every :class:`~repro.api.session.ReproSession` (and therefore
 every frontend) is built from.  Every validator here raises

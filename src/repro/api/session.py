@@ -30,7 +30,6 @@ searcher construction) happens under a small mutex here.  See
 
 from __future__ import annotations
 
-import logging
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -54,11 +53,9 @@ from repro.catalog.errors import CatalogError
 from repro.catalog.io import load_catalog_json
 from repro.core.annotation import TableAnnotation
 from repro.core.candidates import CandidateEngine, InternedCandidateTables
-from repro.core.fused import annotate_fused_chunk
 from repro.core.model import AnnotationModel, default_model
 from repro.pipeline.io import annotation_to_dict, iter_corpus_jsonl
 from repro.pipeline.pipeline import AnnotationPipeline
-from repro.pipeline.planner import iter_bucket_chunks, plan_buckets
 from repro.search.annotated_search import AnnotatedSearcher
 from repro.search.join_search import JoinQuery, JoinSearcher
 from repro.search.query import RelationQuery
@@ -68,8 +65,6 @@ from repro.tables.model import LabeledTable, Table
 
 if TYPE_CHECKING:  # the serve package imports this module; break the cycle
     from repro.serve.bundle import LoadedBundle
-
-logger = logging.getLogger(__name__)
 
 
 class ReproSession:
@@ -222,77 +217,26 @@ class ReproSession:
     def annotate_batch(
         self, requests: Sequence[AnnotateRequest]
     ) -> list[AnnotateResponse | ApiError]:
-        """Annotate many requests as shape-bucketed fused super-batches.
+        """Annotate many requests in one pass of the pipeline's miss path.
 
-        The serving workers' entry point.  Every table is looked up in the
-        pipeline's answer cache first
-        (:meth:`~repro.pipeline.AnnotationPipeline.answer`): a table seen
-        before — alone, in a batch or under another id — is answered from
-        it, and a table the batch holds twice is computed once.  Only the
-        misses are planned into shape buckets (the same
-        :func:`~repro.pipeline.planner.plan_buckets` corpus batches use),
-        and each bucket runs as one fused BP super-graph on the warm
-        pipeline, amortising candidate retrieval and graph compilation
-        across batchmates.  Each response is byte-identical to what a lone
-        :meth:`annotate` call would produce (pinned by the batching
-        property tests).
-
-        Failures are isolated per request: a slot whose table fails holds an
-        :class:`ApiError` instead of a response — for a lone table, the
-        error :meth:`annotate` would raise.  A bucket of two or more that
-        fails is rerun one table at a time so its batchmates still succeed;
-        each such rerun is logged at WARNING with the exception and counts
-        as one fallback
-        (:meth:`~repro.pipeline.AnnotationPipeline.record_fallback`).
+        The serving workers' entry point.
+        :meth:`~repro.pipeline.AnnotationPipeline.answer` looks every table
+        up in the answer cache, computes each distinct miss once in fused
+        shape buckets and isolates each table's failure.  A slot whose
+        table fails holds an :class:`ApiError` instead of a response — for
+        a lone table, the error :meth:`annotate` would raise.  Each response
+        is byte-identical to what a lone :meth:`annotate` call would
+        produce (pinned by the batching property tests).
         """
-        outcomes = self._pipeline.answer(
-            [request.table for request in requests], self._annotate_fresh
-        )
+        outcomes = self._pipeline.answer([request.table for request in requests])
         return [
-            outcome
-            if isinstance(outcome, ApiError)
+            to_api_error(outcome)
+            if isinstance(outcome, Exception)
             else self._annotate_response(
                 outcome, include_timing=request.include_timing
             )
             for request, outcome in zip(requests, outcomes)
         ]
-
-    def _annotate_fresh(self, tables: list[Table]) -> list[TableAnnotation | ApiError]:
-        """Tables the answer cache missed, as fused shape buckets, each
-        table's failure isolated (see :meth:`annotate_batch`)."""
-        pipeline = self._pipeline
-        outcomes: dict[int, TableAnnotation | ApiError] = {}
-        plan = plan_buckets(tables)
-        for _signature, entries in iter_bucket_chunks(
-            plan, pipeline.config.batch_size
-        ):
-            chunk = [table for _position, table in entries]
-            annotations: list[TableAnnotation | ApiError]
-            try:
-                annotations = list(annotate_fused_chunk(pipeline.annotator, chunk))
-            except Exception as error:  # noqa: BLE001 - a poisoned table
-                # must fail only itself: rerun a shared bucket table by table
-                if len(chunk) == 1:
-                    annotations = [to_api_error(error)]
-                else:
-                    logger.warning(
-                        "fused bucket of %d tables failed; rerunning them "
-                        "one at a time",
-                        len(chunk),
-                        exc_info=error,
-                    )
-                    pipeline.record_fallback()
-                    annotations = [self._annotate_alone(table) for table in chunk]
-            for (position, _table), annotation in zip(entries, annotations):
-                outcomes[position] = annotation
-        return [outcomes[position] for position in range(len(tables))]
-
-    def _annotate_alone(self, table: Table) -> TableAnnotation | ApiError:
-        """One table as a bucket of one, its failure captured as an error."""
-        try:
-            return self._pipeline.annotator.annotate(table)
-        except Exception as error:  # noqa: BLE001 - isolate batchmates
-            return to_api_error(error)
 
     def annotate_wire_stream(
         self,

@@ -16,16 +16,14 @@ respectively.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog
-from repro.core.annotation import AnnotationTiming, TableAnnotation
+from repro.core.annotation import TableAnnotation
 from repro.core.baselines import BaselineResult, LCAAnnotator, MajorityAnnotator
 from repro.core.candidates import CandidateEngine, CellCandidates
 from repro.core.fused import annotate_fused_chunk
 from repro.core.fused import annotate_problem as annotate_collective_problem
-from repro.core.inference import InferenceConfig
 from repro.core.model import AnnotationModel, default_model
 from repro.core.problem import AnnotationProblem, FeatureComputer, build_problem
 from repro.core.simple_inference import annotate_simple
@@ -44,14 +42,6 @@ class AnnotatorConfig:
     damping: float = 0.0
     #: False disables bcc'/φ4/φ5 — the polynomial special case (Section 4.4.1)
     with_relations: bool = True
-
-    def inference_config(self) -> InferenceConfig:
-        return InferenceConfig(
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-            damping=self.damping,
-            with_relations=self.with_relations,
-        )
 
     def to_dict(self) -> dict:
         """JSON-ready view (used by :class:`repro.api.SessionConfig`)."""
@@ -138,29 +128,9 @@ class TableAnnotator:
     # annotation
     # ------------------------------------------------------------------
     def annotate(self, table: Table) -> TableAnnotation:
-        """Collective annotation of one table (records timing).
-
-        The table runs as a fused bucket of one
-        (:func:`~repro.core.fused.annotate_fused_chunk`); without relation
-        variables it is the exact Figure-2 special case.
-        """
-        if self.config.with_relations:
-            return annotate_fused_chunk(self, [table])[0]
-        start = time.perf_counter()
-        problem = self.build_problem(table)
-        after_candidates = time.perf_counter()
-        annotation = annotate_simple(problem, self.model)
-        end = time.perf_counter()
-        timing = AnnotationTiming(
-            table_id=table.table_id,
-            total_seconds=end - start,
-            candidate_seconds=after_candidates - start,
-            inference_seconds=end - after_candidates,
-            n_rows=table.n_rows,
-            n_columns=table.n_columns,
-        )
-        annotation.diagnostics["timing"] = timing
-        return annotation
+        """Annotate one table as a bucket of one (records timing; see
+        :func:`~repro.core.fused.annotate_fused_chunk`)."""
+        return annotate_fused_chunk(self, [table])[0]
 
     def annotate_simple(
         self, table: Table, unique_columns: tuple[int, ...] = ()
@@ -178,9 +148,7 @@ class TableAnnotator:
     def annotate_problem(self, problem: AnnotationProblem) -> TableAnnotation:
         """Collective inference on a pre-built problem (learner fast path)."""
         if self.config.with_relations:
-            return annotate_collective_problem(
-                problem, self.model, self.config.inference_config()
-            )
+            return annotate_collective_problem(problem, self.model, self.config)
         return annotate_simple(problem, self.model)
 
     def marginals(self, table: Table) -> dict[str, dict[str | None, float]]:
@@ -191,9 +159,7 @@ class TableAnnotator:
         from repro.core.inference import annotation_marginals
 
         problem = self.build_problem(table)
-        return annotation_marginals(
-            problem, self.model, self.config.inference_config()
-        )
+        return annotation_marginals(problem, self.model, self.config)
 
     # ------------------------------------------------------------------
     # baselines sharing this annotator's caches

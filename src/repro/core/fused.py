@@ -1,8 +1,8 @@
 """Fused annotation: a bucket of tables as one BP run.
 
-Every collective annotation goes through here — a lone table is a bucket of
-one, a corpus batch or a coalesced serving batch is planned into shape
-buckets (:mod:`repro.pipeline.planner`) first.  For one bucket this module
+Every annotation goes through here — a lone table is a bucket of one, a
+corpus batch or a coalesced serving batch is planned into shape buckets
+(:mod:`repro.pipeline.planner`) first.  For one bucket this module
 
 1. **resolves candidates** for every distinct cell text of the bucket in
    one candidate-engine call
@@ -42,9 +42,9 @@ from repro.core.annotation import (
     RelationAnnotation,
     TableAnnotation,
 )
-from repro.core.inference import InferenceConfig
 from repro.core.model import AnnotationModel
 from repro.core.problem import NA, AnnotationProblem, build_problem
+from repro.core.simple_inference import annotate_simple
 from repro.graph.fused import (
     FusedBlock,
     FusedGraph,
@@ -54,7 +54,7 @@ from repro.graph.fused import (
 from repro.tables.model import Table
 
 if TYPE_CHECKING:  # the annotator module imports this one
-    from repro.core.annotator import TableAnnotator
+    from repro.core.annotator import AnnotatorConfig, TableAnnotator
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +478,7 @@ def _decode_bundle(
 # entry points
 # ----------------------------------------------------------------------
 def run_fused_bundle(
-    bundle: FusedBundle, config: InferenceConfig, tables: list[Table]
+    bundle: FusedBundle, config: AnnotatorConfig, tables: list[Table]
 ) -> list[TableAnnotation]:
     """One Figure-11 BP run over a compiled bundle, decoded per table."""
     engine = FusedMaxProductBP(bundle.graph, damping=config.damping)
@@ -491,7 +491,7 @@ def run_fused_bundle(
 def annotate_problem(
     problem: AnnotationProblem,
     model: AnnotationModel,
-    config: InferenceConfig,
+    config: AnnotatorConfig,
     unary_bonus: dict[str, np.ndarray] | None = None,
 ) -> TableAnnotation:
     """Collective inference on one pre-built problem (a bucket of one).
@@ -509,17 +509,15 @@ def annotate_problem(
 def annotate_fused_chunk(
     annotator: TableAnnotator, tables: list[Table]
 ) -> list[TableAnnotation]:
-    """Annotate one bucket of tables through the fused engine.
+    """Annotate one bucket of tables.
 
-    Candidate generation, compilation, one BP run and the vectorised
-    decode.  Per-table timings apportion the chunk's wall time equally
-    (individual tables are not separable inside a fused run).  Without
-    relation variables the model is the exact Figure-2 special case, which
-    the annotator solves table by table.
+    One candidate resolution for the bucket, one problem per table, then
+    one fused BP run and the vectorised decode — or, without relation
+    variables, the exact Figure-2 special case table by table.  Per-table
+    timings apportion the chunk's wall time equally (individual tables are
+    not separable inside a fused run).
     """
     config = annotator.config
-    if not config.with_relations:
-        return [annotator.annotate(table) for table in tables]
     start = time.perf_counter()
     erc = annotator.resolve_candidates(tables)
     problems = [
@@ -533,13 +531,18 @@ def annotate_fused_chunk(
         for table in tables
     ]
     after_candidates = time.perf_counter()
-    bundle = build_fused_bundle(problems, annotator.model)
-    annotations = run_fused_bundle(bundle, config.inference_config(), tables)
+    if config.with_relations:
+        bundle = build_fused_bundle(problems, annotator.model)
+        annotations = run_fused_bundle(bundle, config, tables)
+    else:
+        annotations = [
+            annotate_simple(problem, annotator.model) for problem in problems
+        ]
     end = time.perf_counter()
 
     share = len(tables) or 1
     for table, annotation in zip(tables, annotations):
-        timing = AnnotationTiming(
+        annotation.diagnostics["timing"] = AnnotationTiming(
             table_id=table.table_id,
             total_seconds=(end - start) / share,
             candidate_seconds=(after_candidates - start) / share,
@@ -547,5 +550,4 @@ def annotate_fused_chunk(
             n_rows=table.n_rows,
             n_columns=table.n_columns,
         )
-        annotation.diagnostics["timing"] = timing
     return annotations

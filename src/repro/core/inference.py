@@ -14,44 +14,37 @@ exact Figure-2 computation, which the tests verify against
 
 The schedule runs on one engine, :class:`~repro.graph.fused.FusedMaxProductBP`,
 driven by :mod:`repro.core.fused` for a bucket of tables (a lone table is a
-bucket of one).  This module holds the knobs of that run plus the
+bucket of one), with the knobs of
+:class:`~repro.core.annotator.AnnotatorConfig`.  This module holds the
 sum-product marginals extension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.annotation import TableAnnotation
 from repro.core.model import AnnotationModel
 from repro.core.problem import AnnotationProblem, build_factor_graph
 from repro.graph.bp import SumProductBP
 
-
-@dataclass
-class InferenceConfig:
-    """Knobs of the message-passing run."""
-
-    max_iterations: int = 10
-    tolerance: float = 1e-5
-    damping: float = 0.0
-    with_relations: bool = True
+if TYPE_CHECKING:  # the annotator module imports this one
+    from repro.core.annotator import AnnotatorConfig
 
 
 def annotation_marginals(
     problem: AnnotationProblem,
     model: AnnotationModel,
-    config: InferenceConfig | None = None,
+    config: AnnotatorConfig,
 ) -> dict[str, dict[str | None, float]]:
     """Posterior marginals for every variable via sum-product BP.
 
     An extension beyond the paper (which decodes with max-product only):
     returns, for each variable name (``e:r,c`` / ``t:c`` / ``b:l,r``), a
     mapping from label (including na) to its approximate posterior
-    probability.  Useful for calibrated confidence thresholds, e.g. in
-    catalog augmentation.
+    probability.  Useful for calibrated confidence thresholds; catalog
+    augmentation thresholds the belief-margin scores instead.
     """
-    config = config if config is not None else InferenceConfig()
     graph = build_factor_graph(problem, model, with_relations=config.with_relations)
     engine = SumProductBP(graph, damping=config.damping)
     engine.run_flooding(

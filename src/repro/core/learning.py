@@ -188,10 +188,7 @@ class StructuredTrainer:
             bonus[space.variable_name] = penalties
         if self.annotator.config.with_relations:
             annotation = annotate_problem(
-                problem,
-                model,
-                self.annotator.config.inference_config(),
-                unary_bonus=bonus,
+                problem, model, self.annotator.config, unary_bonus=bonus
             )
         else:
             annotation = annotate_simple(problem, model)

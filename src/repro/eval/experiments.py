@@ -7,7 +7,7 @@ paper-style tables.  See DESIGN.md section 4 for the experiment index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.synthetic import SyntheticWorld
@@ -15,7 +15,11 @@ from repro.core.annotator import AnnotatorConfig
 from repro.core.features import TypeEntityFeatureMode
 from repro.core.learning import StructuredTrainer, TrainingConfig
 from repro.core.model import AnnotationModel, default_model
-from repro.pipeline.pipeline import AnnotationPipeline, PipelineConfig
+from repro.pipeline.pipeline import (
+    AnnotationPipeline,
+    CorpusTimingReport,
+    PipelineConfig,
+)
 from repro.eval.datasets import EvalDataset
 from repro.eval.metrics import (
     AnnotationScores,
@@ -207,38 +211,18 @@ def threshold_sweep(
 # ----------------------------------------------------------------------
 # Figure 7: annotation time
 # ----------------------------------------------------------------------
-@dataclass
-class TimingReport:
-    """Summary of the per-table annotation timing experiment.
-
-    The cache fields describe the pipeline's shared candidate cache during
-    the run (all zero when caching is disabled).
-    """
-
-    n_tables: int
-    mean_seconds: float
-    median_seconds: float
-    p90_seconds: float
-    candidate_fraction: float
-    inference_fraction: float
-    per_table_seconds: list[float] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_hit_rate: float = 0.0
-    #: hits split by kind: exact surface form vs normalised-key-only
-    cache_raw_hits: int = 0
-    cache_normalized_hits: int = 0
-
-
 def timing_experiment(
     world: SyntheticWorld,
     tables: list[LabeledTable],
     model: AnnotationModel,
     annotator_config: AnnotatorConfig | None = None,
     pipeline_config: PipelineConfig | None = None,
-) -> TimingReport:
-    """Annotate a snapshot of tables, recording the Figure-7 breakdown."""
+) -> CorpusTimingReport:
+    """Annotate a snapshot of tables, recording the Figure-7 breakdown.
+
+    The report's ``cache`` describes the pipeline's shared candidate cache
+    during the run (None when caching is disabled).
+    """
     pipeline = _make_pipeline(
         world.annotator_view,
         model=model,
@@ -247,24 +231,8 @@ def timing_experiment(
     )
     pipeline.annotate_corpus(tables)
     report = pipeline.last_report
-    totals = report.per_table_seconds
-    grand_total = report.total_seconds or 1.0
-    cache = report.cache
-    return TimingReport(
-        n_tables=report.n_tables,
-        mean_seconds=report.mean_seconds,
-        median_seconds=report.median_seconds,
-        p90_seconds=report.p90_seconds,
-        candidate_fraction=report.candidate_seconds / grand_total,
-        inference_fraction=report.inference_seconds / grand_total,
-        per_table_seconds=totals,
-        wall_seconds=report.wall_seconds,
-        cache_hits=cache.hits if cache else 0,
-        cache_misses=cache.misses if cache else 0,
-        cache_hit_rate=cache.hit_rate if cache else 0.0,
-        cache_raw_hits=cache.raw_hits if cache else 0,
-        cache_normalized_hits=cache.normalized_hits if cache else 0,
-    )
+    assert report is not None
+    return report
 
 
 # ----------------------------------------------------------------------

@@ -237,12 +237,11 @@ class FusedMaxProductBP:
         self._active = np.ones(fused.n_tables, dtype=bool)
         self._deltas = np.zeros(fused.n_tables, dtype=np.float64)
         self._belief_matrix: np.ndarray | None = None
-        # per-block row selections and compacted scatter plans are pure
-        # functions of the frozen set, so they are cached between freezes
+        # per-block row selections are pure functions of the frozen set, so
+        # they are cached between freezes
         self._selection_cache: dict[
             int, tuple[slice | np.ndarray, int, tuple[np.ndarray, np.ndarray]] | None
         ] = {}
-        self._plan_cache: dict[tuple[int, int], ScatterPlan] = {}
 
     # ------------------------------------------------------------------
     # block primitives
@@ -441,13 +440,7 @@ class FusedMaxProductBP:
                 np.subtract(message, old, out=difference)
                 self._accumulate_abs_delta(groups, difference)
             var_ids = block.var_ids[target][rows]
-            if all_active:
-                plan = block.scatter[target]
-            else:
-                plan = self._plan_cache.get((block_id, target))
-                if plan is None:
-                    plan = ScatterPlan.for_ids(var_ids)
-                    self._plan_cache[block_id, target] = plan
+            plan = block.scatter[target] if all_active else ScatterPlan.for_ids(var_ids)
             # a variable's factor rows all live in one table, so compaction
             # drops whole scatter groups (whose deltas would be exact +0.0)
             # and keeps the surviving groups' float-summation order intact
@@ -488,7 +481,6 @@ class FusedMaxProductBP:
                 converged |= newly_frozen
                 self._active &= ~newly_frozen
                 self._selection_cache.clear()
-                self._plan_cache.clear()
                 if not self._active.any():
                     break
         return iterations, converged

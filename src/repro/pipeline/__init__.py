@@ -19,14 +19,12 @@ from repro.pipeline.io import (
 )
 from repro.pipeline.pipeline import (
     AnnotationPipeline,
-    BatchTiming,
     CorpusTimingReport,
     PipelineConfig,
 )
 
 __all__ = [
     "AnnotationPipeline",
-    "BatchTiming",
     "CacheStats",
     "CandidateCache",
     "CorpusTimingReport",

@@ -12,16 +12,19 @@ runners, search-index construction) with:
   answered without candidate generation, compilation or BP, and only the
   misses are planned into buckets,
 * **fused batched execution** (:mod:`repro.pipeline.executor`): tables are
-  chunked into batches, each batch is planned into shape buckets
+  chunked into batches, each batch's misses are planned into shape buckets
   (:mod:`repro.pipeline.planner`) and every bucket runs as one fused BP
   super-graph; batches optionally run on a thread pool, with results
   streamed back in deterministic corpus order,
+* **failure isolation**: a bucket that fails is rerun one table at a time,
+  so only the failing table gets an error, and every such rerun is logged
+  and counted (:meth:`AnnotationPipeline.answer`),
 * **streaming I/O** (:mod:`repro.pipeline.io`): JSONL in, JSONL out, bounded
   memory, and
-* **aggregate timing** extending the per-table
-  :class:`~repro.core.annotator.AnnotationTiming` records with per-batch and
-  corpus-level rollups plus cache hit-rates — the Figure-7 instrumentation
-  at corpus scale.
+* **aggregate timing** rolling the per-table
+  :class:`~repro.core.annotation.AnnotationTiming` records up into one
+  :class:`CorpusTimingReport` with cache hit-rates — the Figure-7
+  instrumentation at corpus scale.
 
 Parallel, serial, batched and lone-table execution produce identical
 annotations: each table's annotation is a pure function of (table, catalog,
@@ -32,12 +35,13 @@ functions of the content.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import statistics
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Iterable, Iterator, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.core.annotation import AnnotationTiming, FrozenAnnotation, TableAnnotation
@@ -52,12 +56,10 @@ from repro.pipeline.io import (
     iter_corpus_jsonl,
     write_annotations_jsonl,
 )
-from repro.pipeline.planner import plan_buckets
+from repro.pipeline.planner import iter_bucket_chunks, plan_buckets
 from repro.tables.model import LabeledTable, Table
 
-#: what a caller's compute step may return for a table it could not
-#: annotate (the session's per-request errors)
-Failure = TypeVar("Failure", bound=Exception)
+logger = logging.getLogger(__name__)
 
 
 def answer_keys(
@@ -116,20 +118,6 @@ class PipelineConfig:
 
 
 @dataclass
-class BatchTiming:
-    """Rollup of one batch of annotations."""
-
-    batch_index: int
-    n_tables: int
-    #: wall-clock of the batch as one unit of work (overlaps other batches
-    #: when running threaded)
-    wall_seconds: float
-    total_seconds: float
-    candidate_seconds: float
-    inference_seconds: float
-
-
-@dataclass
 class CorpusTimingReport:
     """Figure-7 timing at corpus scale, plus cache accounting.
 
@@ -144,7 +132,6 @@ class CorpusTimingReport:
     inference_seconds: float = 0.0
     #: end-to-end elapsed time of the run (≤ total_seconds when threaded)
     wall_seconds: float = 0.0
-    batches: list[BatchTiming] = field(default_factory=list)
     per_table_seconds: list[float] = field(default_factory=list)
     #: candidate-cache activity during this run (None when caching is disabled)
     cache: CacheStats | None = None
@@ -152,9 +139,7 @@ class CorpusTimingReport:
     block_cache: CacheStats | None = None
     #: answer-cache activity during this run (None when disabled)
     answer_cache: CacheStats | None = None
-    #: number of fused work units (shape buckets) executed
-    fused_batches: int = 0
-    #: tables per fused work unit, in execution order
+    #: tables per fused work unit (shape bucket), in execution order
     bucket_sizes: list[int] = field(default_factory=list)
     finished: bool = False
 
@@ -196,6 +181,11 @@ class CorpusTimingReport:
         return self.cache.hit_rate if self.cache else 0.0
 
     # -- fusion -------------------------------------------------------------
+    @property
+    def fused_batches(self) -> int:
+        """Number of fused work units (shape buckets) executed."""
+        return len(self.bucket_sizes)
+
     @property
     def bucket_size_histogram(self) -> dict[int, int]:
         """``{bucket size: count}`` over the fused work units of this run."""
@@ -243,7 +233,7 @@ class AnnotationPipeline:
         if self.config.answer_cache_size:
             self.answer_cache = LRUCache(max_entries=self.config.answer_cache_size)
         #: fused buckets that failed and were rerun one table at a time
-        #: (see :meth:`record_fallback`); a lifetime counter
+        #: (see :meth:`answer`); a lifetime counter
         self.fallbacks = 0
         self._fallback_lock = threading.Lock()
         #: one persistent executor for the pipeline's lifetime — repeated
@@ -274,40 +264,41 @@ class AnnotationPipeline:
         """Lifetime cache counters (None when caching is disabled)."""
         return self.cache.stats() if self.cache is not None else None
 
-    def record_fallback(self) -> None:
-        """Count one fused bucket rerun table by table after a failure."""
-        with self._fallback_lock:
-            self.fallbacks += 1
-
     # ------------------------------------------------------------------
     # annotation
     # ------------------------------------------------------------------
     def annotate(self, table: Table | LabeledTable) -> TableAnnotation:
-        """Annotate a single table (shares the pipeline's caches)."""
+        """Annotate a single table (shares the pipeline's caches); raises
+        the table's own error when it cannot be annotated."""
         if isinstance(table, LabeledTable):
             table = table.table
-        (annotation,) = self.answer(
-            [table], lambda misses: [self.annotator.annotate(misses[0])]
-        )
-        return annotation
+        (outcome,) = self.answer([table])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def answer(
-        self,
-        tables: list[Table],
-        compute: Callable[[list[Table]], Sequence[TableAnnotation | Failure]],
-    ) -> list[TableAnnotation | Failure]:
-        """Every table's annotation, looked up in the answer cache first.
+        self, tables: list[Table], bucket_sizes: list[int] | None = None
+    ) -> list[TableAnnotation | Exception]:
+        """Every table's annotation, or the exception that failed it.
 
-        ``compute`` gets the distinct misses, once each in first-seen order,
-        and returns an annotation or a failure per miss.  A computed
-        annotation answers its table and is cached frozen; a hit, or a
-        repeat of a miss within ``tables``, gets a fresh copy under its own
-        table id, timed as its share of the lookup.  Failures are not
-        cached.  Without the cache every table goes to ``compute``.
+        The one miss path.  Every table is looked up in the answer cache
+        first; the distinct misses, once each in first-seen order, are
+        planned into shape buckets of at most ``batch_size`` tables
+        (whose sizes are appended to ``bucket_sizes`` in execution order)
+        and each bucket runs as one fused BP super-graph.  A bucket of two
+        or more that fails is rerun one table at a time, so only the
+        failing table gets an error; each rerun is logged at WARNING and
+        counted in :attr:`fallbacks`.
+
+        A computed annotation answers its table and is cached frozen; a
+        hit, or a repeat of a miss within ``tables``, gets a fresh copy
+        under its own table id, timed as its share of the lookup.  Failures
+        are not cached.  Without the cache every table is computed.
         """
         cache = self.answer_cache
         if cache is None or not tables:
-            return list(compute(tables))
+            return self._compute(tables, bucket_sizes)
         start = time.perf_counter()
         keys = answer_keys(tables, self.annotator.model, self.annotator.config)
         frozen: dict[tuple, FrozenAnnotation] = {}
@@ -320,14 +311,16 @@ class AnnotationPipeline:
                 else:
                     frozen[key] = hit
         seconds = (time.perf_counter() - start) / len(tables)
-        computed: dict[tuple, TableAnnotation | Failure] = {}
+        computed: dict[tuple, TableAnnotation | Exception] = {}
         if misses:
-            computed = dict(zip(misses, compute(list(misses.values()))))
+            computed = dict(
+                zip(misses, self._compute(list(misses.values()), bucket_sizes))
+            )
         for key, result in computed.items():
             if isinstance(result, TableAnnotation):
                 frozen[key] = FrozenAnnotation.of(result)
                 cache.put(key, frozen[key])
-        answers: list[TableAnnotation | Failure] = []
+        answers: list[TableAnnotation | Exception] = []
         for key, table in zip(keys, tables):
             if misses.pop(key, None) is None and key in frozen:
                 answers.append(frozen[key].thaw(table, seconds))
@@ -335,18 +328,51 @@ class AnnotationPipeline:
                 answers.append(computed[key])
         return answers
 
+    def _compute(
+        self, tables: list[Table], bucket_sizes: list[int] | None
+    ) -> list[TableAnnotation | Exception]:
+        """``tables`` as fused shape buckets (see :meth:`answer`)."""
+        outcomes: dict[int, TableAnnotation | Exception] = {}
+        plan = plan_buckets(tables)
+        for _signature, entries in iter_bucket_chunks(plan, self.config.batch_size):
+            chunk = [table for _position, table in entries]
+            if bucket_sizes is not None:
+                bucket_sizes.append(len(chunk))
+            for (position, _table), outcome in zip(entries, self._run_bucket(chunk)):
+                outcomes[position] = outcome
+        return [outcomes[position] for position in range(len(tables))]
+
+    def _run_bucket(
+        self, chunk: list[Table]
+    ) -> Sequence[TableAnnotation | Exception]:
+        """One fused run; a failed bucket of two or more reruns table by
+        table, so only the failing table gets its error."""
+        try:
+            return annotate_fused_chunk(self.annotator, chunk)
+        except Exception as error:  # noqa: BLE001 - isolate batchmates
+            if len(chunk) == 1:
+                return [error]
+            logger.warning(
+                "fused bucket of %d tables failed; rerunning them one at a time",
+                len(chunk),
+                exc_info=error,
+            )
+            with self._fallback_lock:
+                self.fallbacks += 1
+            return [outcome for table in chunk for outcome in self._run_bucket([table])]
+
     def annotate_with_tables(
         self, tables: Iterable[Table | LabeledTable]
     ) -> Iterator[tuple[Table, TableAnnotation]]:
         """Stream ``(table, annotation)`` pairs in corpus order.
 
         Tables are chunked into ``config.batch_size`` batches and executed on
-        the pipeline's executor; each batch is looked up in the answer cache
-        and its misses are planned into shape buckets, every bucket running
-        as one fused BP super-graph (:meth:`answer`).  Pairs come back in
-        exactly the order the input iterable produced them, only
-        ``O(workers × batch_size)`` tables are in flight at once, and each
-        annotation is identical to a lone :meth:`annotate` call's.
+        the pipeline's executor; each batch is answered by :meth:`answer`.
+        Pairs come back in exactly the order the input iterable produced
+        them, only ``O(workers × batch_size)`` tables are in flight at once,
+        and each annotation is identical to a lone :meth:`annotate` call's.
+        A table that cannot be annotated raises its own error (the first
+        failure of its batch) after its batchmates were isolated from it.
 
         Consuming the stream to the end finalises :attr:`last_report`.
         """
@@ -362,12 +388,12 @@ class AnnotationPipeline:
         start = time.perf_counter()
 
         batches = iter_batches(tables, self.config.batch_size)
-        for batch_index, (pairs, bucket_sizes, batch_wall) in enumerate(
-            self.executor.map_ordered(batches, self._annotate_batch)
+        for pairs, bucket_sizes in self.executor.map_ordered(
+            batches, self._annotate_batch
         ):
-            report.fused_batches += len(bucket_sizes)
             report.bucket_sizes.extend(bucket_sizes)
-            self._record_batch(report, batch_index, pairs, batch_wall)
+            for _table, annotation in pairs:
+                report.record(annotation.diagnostics["timing"])
             yield from pairs
 
         report.wall_seconds = time.perf_counter() - start
@@ -380,58 +406,22 @@ class AnnotationPipeline:
             report.answer_cache = self.answer_cache.stats().since(answers_before)
         report.finished = True
 
-    # ------------------------------------------------------------------
-    # batch worker
-    # ------------------------------------------------------------------
     def _annotate_batch(
         self, batch: list[Table | LabeledTable]
-    ) -> tuple[list[tuple[Table, TableAnnotation]], list[int], float]:
-        """Answer one batch from the answer cache, plan its misses into
-        shape buckets and run each bucket fused.
-
-        Returns the batch's ``(table, annotation)`` pairs in batch order,
-        the bucket sizes in execution order, and the batch wall time.
-        """
-        batch_start = time.perf_counter()
+    ) -> tuple[list[tuple[Table, TableAnnotation]], list[int]]:
+        """One batch's ``(table, annotation)`` pairs in batch order and its
+        bucket sizes in execution order; raises the batch's first failure."""
         tables = [
             item.table if isinstance(item, LabeledTable) else item
             for item in batch
         ]
         bucket_sizes: list[int] = []
-
-        def compute(misses: list[Table]) -> list[TableAnnotation]:
-            annotations: dict[int, TableAnnotation] = {}
-            for bucket in plan_buckets(misses):
-                chunk = [table for _position, table in bucket.entries]
-                results = annotate_fused_chunk(self.annotator, chunk)
-                for (position, _table), annotation in zip(bucket.entries, results):
-                    annotations[position] = annotation
-                bucket_sizes.append(bucket.size)
-            return [annotations[position] for position in range(len(misses))]
-
-        pairs = list(zip(tables, self.answer(tables, compute)))
-        return pairs, bucket_sizes, time.perf_counter() - batch_start
-
-    def _record_batch(
-        self,
-        report: CorpusTimingReport,
-        batch_index: int,
-        pairs: list,
-        batch_wall: float,
-    ) -> None:
-        timings = [pair[-1].diagnostics["timing"] for pair in pairs]
-        for timing in timings:
-            report.record(timing)
-        report.batches.append(
-            BatchTiming(
-                batch_index=batch_index,
-                n_tables=len(pairs),
-                wall_seconds=batch_wall,
-                total_seconds=sum(t.total_seconds for t in timings),
-                candidate_seconds=sum(t.candidate_seconds for t in timings),
-                inference_seconds=sum(t.inference_seconds for t in timings),
-            )
-        )
+        pairs: list[tuple[Table, TableAnnotation]] = []
+        for table, outcome in zip(tables, self.answer(tables, bucket_sizes)):
+            if isinstance(outcome, Exception):
+                raise outcome
+            pairs.append((table, outcome))
+        return pairs, bucket_sizes
 
     def annotate_stream(
         self, tables: Iterable[Table | LabeledTable]

@@ -28,7 +28,6 @@ Concurrency model (the whole locking story):
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 
@@ -48,8 +47,6 @@ from repro.pipeline.pipeline import AnnotationPipeline
 from repro.search.ranking import SearchResponse as RankedResponse
 from repro.serve.bundle import LoadedBundle
 from repro.serve.metrics import MetricsRegistry
-
-logger = logging.getLogger(__name__)
 
 
 def response_to_dict(response: RankedResponse, top_k: int | None = None) -> dict:
@@ -117,13 +114,10 @@ class ServeState:
         ``{"ok": <response body>}`` or ``{"error": <ErrorEnvelope>}`` —
         exactly the body or envelope :meth:`handle` gives that item alone,
         which is what keeps batching invisible in responses.  The
-        annotates run as one fused
-        :meth:`~repro.api.session.ReproSession.annotate_batch`; every other
-        endpoint runs item by item through :meth:`handle`.  Should the
-        fused call itself raise — a table the wire decoder accepts but
-        bucket planning cannot read, say — the annotates are answered one
-        at a time through :meth:`handle` instead, and the rerun is logged
-        at WARNING.
+        annotates run as one
+        :meth:`~repro.api.session.ReproSession.annotate_batch`, which
+        isolates each table's failure itself; every other endpoint runs
+        item by item through :meth:`handle`.
         """
         outcomes: dict[int, dict] = {}
         annotates: list[tuple[int, AnnotateRequest]] = []
@@ -135,26 +129,15 @@ class ServeState:
                 annotates.append((index, AnnotateRequest.from_json(payload)))
             except Exception as error:  # noqa: BLE001 - isolate batchmates
                 outcomes[index] = _error_outcome(error)
-        if annotates:
-            try:
-                responses = self.session.annotate_batch(
-                    [request for _index, request in annotates]
-                )
-                for (index, _request), response in zip(annotates, responses):
-                    outcomes[index] = (
-                        _error_outcome(response)
-                        if isinstance(response, ApiError)
-                        else {"ok": response.to_json()}
-                    )
-            except Exception as error:  # noqa: BLE001 - isolate batchmates
-                logger.warning(
-                    "fused annotate of %d request(s) failed; answering "
-                    "them one at a time",
-                    len(annotates),
-                    exc_info=error,
-                )
-                for index, _request in annotates:
-                    outcomes[index] = self._outcome("annotate", items[index][1])
+        responses = self.session.annotate_batch(
+            [request for _index, request in annotates]
+        )
+        for (index, _request), response in zip(annotates, responses):
+            outcomes[index] = (
+                _error_outcome(response)
+                if isinstance(response, ApiError)
+                else {"ok": response.to_json()}
+            )
         return [outcomes[index] for index in range(len(items))]
 
     def _outcome(self, endpoint: str, payload: dict) -> dict:

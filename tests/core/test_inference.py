@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.fused import annotate_problem
-from repro.core.inference import InferenceConfig, map_assignment_of
+from repro.core.inference import map_assignment_of
 from repro.core.model import default_model
 from repro.core.problem import build_factor_graph
 from repro.core.simple_inference import annotate_simple
@@ -81,18 +81,18 @@ class TestCollectiveInference:
     def test_matches_brute_force_on_small_problem(self, book_problem):
         """Message passing finds the exact MAP on this (loopy) problem."""
         model = default_model()
-        annotation = annotate_problem(book_problem, model, InferenceConfig())
+        annotation = annotate_problem(book_problem, model, AnnotatorConfig())
         assignment = map_assignment_of(annotation)
         graph = build_factor_graph(book_problem, model)
         _best, best_score = brute_force_best(book_problem, model)
         assert graph.score(assignment) == pytest.approx(best_score, abs=1e-6)
 
     def test_relation_recovered(self, book_problem):
-        annotation = annotate_problem(book_problem, default_model(), InferenceConfig())
+        annotation = annotate_problem(book_problem, default_model(), AnnotatorConfig())
         assert annotation.relation_of(0, 1) == "rel:wrote"
 
     def test_converges_within_few_iterations(self, book_problem):
-        annotation = annotate_problem(book_problem, default_model(), InferenceConfig())
+        annotation = annotate_problem(book_problem, default_model(), AnnotatorConfig())
         assert annotation.diagnostics["converged"]
         # the paper: "convergence was achieved within three iterations"
         assert annotation.diagnostics["iterations"] <= 5
@@ -101,7 +101,7 @@ class TestCollectiveInference:
         """With no bcc' variables the schedule reduces to Figure 2."""
         model = default_model()
         no_relations = dataclasses.replace(book_problem, pairs={})
-        collective = annotate_problem(no_relations, model, InferenceConfig())
+        collective = annotate_problem(no_relations, model, AnnotatorConfig())
         simple = annotate_simple(book_problem, model)
         graph = build_factor_graph(book_problem, model, with_relations=False)
         assert graph.score(map_assignment_of(collective)) == pytest.approx(
@@ -111,7 +111,7 @@ class TestCollectiveInference:
     def test_unary_bonus_changes_decision(self, book_problem):
         """Loss augmentation must be able to flip labels."""
         model = default_model()
-        plain = annotate_problem(book_problem, model, InferenceConfig())
+        plain = annotate_problem(book_problem, model, AnnotatorConfig())
         space = book_problem.cells[(0, 0)]
         bonus = {
             space.variable_name: [
@@ -119,7 +119,7 @@ class TestCollectiveInference:
             ]
         }
         augmented = annotate_problem(
-            book_problem, model, InferenceConfig(), unary_bonus=bonus
+            book_problem, model, AnnotatorConfig(), unary_bonus=bonus
         )
         assert plain.entity_of(0, 0) == "ent:relativity"
         assert augmented.entity_of(0, 0) is None

@@ -38,7 +38,6 @@ from repro.core.features import (
     type_entity_features,
 )
 from repro.core.fused import annotate_problem
-from repro.core.inference import InferenceConfig
 from repro.core.model import AnnotationModel, default_model
 from repro.core.problem import (
     NA,
@@ -534,7 +533,7 @@ def scalar_decode(
 def scalar_annotate_problem(
     problem: AnnotationProblem,
     model: AnnotationModel,
-    config: InferenceConfig,
+    config: AnnotatorConfig,
     unary_bonus: dict[str, np.ndarray] | None = None,
     schedule: str = "paper",
 ) -> TableAnnotation:
@@ -634,11 +633,10 @@ class OracleAnnotator:
     ) -> TableAnnotation:
         if not self.config.with_relations:
             return annotate_simple(problem, self.model)
-        inference = self.config.inference_config()
         if self.bp == "batched":
-            return annotate_problem(problem, self.model, inference, unary_bonus)
+            return annotate_problem(problem, self.model, self.config, unary_bonus)
         return scalar_annotate_problem(
-            problem, self.model, inference, unary_bonus, self.schedule
+            problem, self.model, self.config, unary_bonus, self.schedule
         )
 
     def annotate(self, table: Table) -> TableAnnotation:

@@ -119,9 +119,7 @@ def test_production_wire_json_matches_oracle(data, sources, paths):
         problems = [production.build_problem(table) for table in tables]
         bonuses = [hamming_bonus(data.draw, problem) for problem in problems]
         bundle = build_fused_bundle(problems, production.model, bonuses)
-        produced = run_fused_bundle(
-            bundle, production.config.inference_config(), tables
-        )
+        produced = run_fused_bundle(bundle, production.config, tables)
         expected = [
             oracle.annotate_problem(oracle.build_problem(table), bonus)
             for table, bonus in zip(tables, bonuses)

@@ -2,8 +2,11 @@
 
 The load-bearing properties: parallel == serial == uncached (annotations are
 byte-identical however the pipeline is configured), cache accounting is
-correct, and streaming JSONL round-trips.
+correct, a table that cannot be annotated fails only itself, and streaming
+JSONL round-trips.
 """
+
+import logging
 
 import pytest
 
@@ -14,6 +17,7 @@ from repro.pipeline import (
     iter_corpus_jsonl,
     read_annotations_jsonl,
 )
+from repro.pipeline.planner import table_signature
 from repro.search.table_index import AnnotatedTableIndex
 from repro.tables.corpus import TableCorpus, save_corpus_jsonl
 from repro.tables.generator import (
@@ -21,6 +25,7 @@ from repro.tables.generator import (
     TableGeneratorConfig,
     WebTableGenerator,
 )
+from repro.tables.model import Table
 
 
 @pytest.fixture(scope="module")
@@ -197,8 +202,6 @@ class TestTimingReport:
         _, report = serial_annotations
         assert report.finished
         assert report.n_tables == 8
-        assert sum(batch.n_tables for batch in report.batches) == 8
-        assert len(report.batches) == 3  # ceil(8 / batch_size=3)
         assert report.total_seconds == pytest.approx(
             report.candidate_seconds + report.inference_seconds
         )
@@ -209,6 +212,69 @@ class TestTimingReport:
         assert len(report.per_table_seconds) == 8
         assert report.mean_seconds > 0
         assert report.p90_seconds >= report.median_seconds
+
+
+#: a cell text the poisoned candidate engine below refuses to resolve
+POISON_CELL = "poison cell"
+
+
+class TestFailureIsolation:
+    """A table whose candidate lookup raises, on the corpus and lone paths."""
+
+    @pytest.fixture()
+    def poisoned(self, tiny_world, corpus_tables, monkeypatch):
+        """A pipeline whose candidate engine raises on :data:`POISON_CELL`,
+        a table and its poisoned same-shape twin, and the list of errors
+        the engine raised."""
+        pipeline = AnnotationPipeline(tiny_world.annotator_view)
+        engine = pipeline.annotator.candidate_engine
+        resolve = engine.cell_candidates_batch
+        raised: list[Exception] = []
+
+        def lookup(texts, cache=None):
+            if POISON_CELL in texts:
+                raised.append(RuntimeError("candidate index corrupted"))
+                raise raised[-1]
+            return resolve(texts, cache)
+
+        monkeypatch.setattr(engine, "cell_candidates_batch", lookup)
+        table = next(
+            labeled.table
+            for labeled in corpus_tables
+            if not table_signature(labeled.table)[2][0]
+        )
+        cells = [list(row) for row in table.cells]
+        cells[0][0] = POISON_CELL
+        twin = Table("poisoned", cells, table.headers)
+        assert table_signature(twin) == table_signature(table)
+        return pipeline, table, twin, raised
+
+    def test_corpus_pass_raises_the_poisoned_tables_own_error(
+        self, poisoned, caplog
+    ):
+        pipeline, table, twin, raised = poisoned
+        with caplog.at_level(logging.WARNING, logger="repro.pipeline.pipeline"):
+            with pytest.raises(RuntimeError) as excinfo:
+                list(pipeline.annotate_with_tables([table, twin]))
+        # the shared bucket failed, then the twin failed alone: its own error
+        assert len(raised) == 2
+        assert excinfo.value is raised[-1]
+        assert pipeline.fallbacks == 1
+        warnings = [
+            record for record in caplog.records if record.levelno == logging.WARNING
+        ]
+        assert len(warnings) == 1
+        assert "rerunning them one at a time" in warnings[0].getMessage()
+        assert warnings[0].exc_info[1] is raised[0]
+
+    def test_lone_annotate_raises_without_fallback(self, poisoned, caplog):
+        pipeline, _table, twin, raised = poisoned
+        with caplog.at_level(logging.WARNING, logger="repro.pipeline.pipeline"):
+            with pytest.raises(RuntimeError) as excinfo:
+                pipeline.annotate(twin)
+        assert raised == [excinfo.value]
+        assert pipeline.fallbacks == 0
+        assert not caplog.records
 
 
 class TestStreamingJsonl:

@@ -450,16 +450,16 @@ def test_fused_chunk_failure_falls_back_per_table(
 ):
     """A multi-table fused super-graph blowing up must degrade to
     per-table execution with identical responses, not fail the batch."""
-    import repro.api.session as session_module
+    import repro.pipeline.pipeline as pipeline_module
 
-    fused = session_module.annotate_fused_chunk
+    fused = pipeline_module.annotate_fused_chunk
 
     def explode(annotator, tables):
         if len(tables) > 1:
             raise RuntimeError("fused graph corrupted")
         return fused(annotator, tables)
 
-    monkeypatch.setattr(session_module, "annotate_fused_chunk", explode)
+    monkeypatch.setattr(pipeline_module, "annotate_fused_chunk", explode)
     state = ServeState(loaded_bundle)
     results = state.handle_requests(_annotates(table_payloads))
     assert [
@@ -503,19 +503,20 @@ def test_repeats_are_answered_from_the_answer_cache(
     when it comes back with a same-shape batchmate, and again under a new
     id in the same batch; only the new table is planned and computed, and
     every response is byte-identical to a solo ``annotate``."""
-    import repro.api.session as session_module
+    import repro.pipeline.pipeline as pipeline_module
 
     computed: list[str] = []
-    fused = session_module.annotate_fused_chunk
+    fused = pipeline_module.annotate_fused_chunk
 
     def recorded(annotator, tables):
         computed.extend(table.table_id for table in tables)
         return fused(annotator, tables)
 
-    monkeypatch.setattr(session_module, "annotate_fused_chunk", recorded)
+    monkeypatch.setattr(pipeline_module, "annotate_fused_chunk", recorded)
     state = ServeState(loaded_bundle)
     seen = table_payloads[0]
     state.handle("annotate", seen)
+    computed.clear()  # the warm-up ran through the stub as a bucket of one
     twin = copy.deepcopy(seen)
     twin["table"]["table_id"] = "twin"
     twin["table"]["cells"][0][0] = "another cell"
@@ -528,11 +529,12 @@ def test_repeats_are_answered_from_the_answer_cache(
     before = answers.stats()
     results = state.handle_requests(_annotates([seen, twin, renamed]))
     after = answers.stats()
+    # checked before the solo comparisons below, which run through the stub
+    assert computed == ["twin"]
     assert [encode_json(outcome["ok"]) for outcome in results] == [
         encode_json(solo_state.handle("annotate", payload))
         for payload in (seen, twin, renamed)
     ]
-    assert computed == ["twin"]
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
 
@@ -552,7 +554,7 @@ def test_poisoned_batchmate_counts_one_fallback(
     )
 
     before = state.cache_stats()["fusion"]["fallbacks"]
-    with caplog.at_level(logging.WARNING, logger="repro.api.session"):
+    with caplog.at_level(logging.WARNING, logger="repro.pipeline.pipeline"):
         results = state.handle_requests(_annotates(table_payloads + [twin]))
     assert state.cache_stats()["fusion"]["fallbacks"] == before + 1
     assert [encode_json(outcome["ok"]) for outcome in results[:-1]] == (
@@ -577,7 +579,7 @@ def test_lone_failing_table_is_not_rerun(
     calls = _poison_candidates(state, monkeypatch)
     twin = _poisoned_twin(table_payloads[0])
     before = state.cache_stats()["fusion"]["fallbacks"]
-    with caplog.at_level(logging.WARNING, logger="repro.api.session"):
+    with caplog.at_level(logging.WARNING, logger="repro.pipeline.pipeline"):
         (outcome,) = state.handle_requests(_annotates([twin]))
     assert len(calls) == 1
     assert state.cache_stats()["fusion"]["fallbacks"] == before
