@@ -343,10 +343,6 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
     decode over them, as the best of five *interleaved* rounds per mode,
     which cancels machine-state drift between the two measurements without
     favouring either side.  Annotations must be byte-identical throughout.
-
-    The thread-pool numbers are honest per-worker wall clocks of the one
-    parallel executor: threads overlap only where NumPy releases the GIL,
-    which is what ``cpu_count`` in the JSON puts in context.
     """
     generator = WebTableGenerator(
         bench_world.full,
@@ -360,11 +356,11 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
     )
     tables = [labeled.table for labeled in generator.generate()]
 
-    def make_pipeline(batch_size, workers=1):
+    def make_pipeline(batch_size):
         return AnnotationPipeline(
             bench_world.annotator_view,
             model=trained_model,
-            config=PipelineConfig(workers=workers, batch_size=batch_size),
+            config=PipelineConfig(batch_size=batch_size),
         )
 
     def timed_pass(pipeline):
@@ -425,20 +421,8 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
         fused_warm = min(fused_warm, seconds)
         identical = identical and warm_annotations == baseline_annotations
     fused_report = fused.last_report
-    baseline.close()
-    fused.close()
     speedup = baseline_warm / fused_warm
     cold_speedup = baseline_cold / fused_cold
-
-    # the thread pool runs whole batches side by side; per-worker wall
-    # clocks of one cold pass each are recorded as measured
-    pool_seconds = {}
-    for workers in (1, 2):
-        pool = make_pipeline(128, workers=workers)
-        pool_annotations, seconds = timed_pass(pool)
-        pool.close()
-        identical = identical and pool_annotations == baseline_annotations
-        pool_seconds[workers] = round(seconds, 4)
 
     histogram = {
         str(size): count
@@ -463,11 +447,6 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
                 ["warm speedup", "1.00x", f"{speedup:.2f}x"],
                 ["fused batches", len(tables), fused_report.fused_batches],
                 ["bucket-size histogram", "-", histogram],
-                [
-                    "thread-pool seconds (workers=1/2)",
-                    "-",
-                    f"{pool_seconds[1]}/{pool_seconds[2]}",
-                ],
             ],
             title="One table vs shape buckets per fused run (same annotations)",
         ),
@@ -485,10 +464,6 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
             "cold_speedup": round(cold_speedup, 3),
             "fused_batches": fused_report.fused_batches,
             "bucket_size_histogram": histogram,
-            "thread_pool_seconds": {
-                str(workers): seconds
-                for workers, seconds in pool_seconds.items()
-            },
             "cpu_count": os.cpu_count(),
             "identical_annotations": identical,
         },

@@ -24,7 +24,7 @@ Quickstart::
 """
 
 from repro.api.errors import ApiError, BadRequestError, to_api_error
-from repro.api.config import SearchConfig, ServeConfig, SessionConfig
+from repro.api.config import ServeConfig, SessionConfig
 from repro.api.session import ReproSession
 from repro.api.types import (
     SCHEMA_VERSION,
@@ -54,7 +54,6 @@ __all__ = [
     "ErrorEnvelope",
     "JoinSearchRequest",
     "ReproSession",
-    "SearchConfig",
     "ServeConfig",
     "SearchRequest",
     "SearchResponse",

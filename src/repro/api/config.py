@@ -28,22 +28,6 @@ def _invalid(message: str) -> ApiError:
 
 
 @dataclass
-class SearchConfig:
-    """Knobs of the query processors owned by a session."""
-
-    #: middles explored per join query (paper two-hop join)
-    max_middle: int = 10
-    #: ranked answers kept per query before any request-level top_k trim
-    top_k_answers: int = 50
-
-    def __post_init__(self) -> None:
-        if self.max_middle < 1:
-            raise _invalid("max_middle must be >= 1")
-        if self.top_k_answers < 1:
-            raise _invalid("top_k_answers must be >= 1")
-
-
-@dataclass
 class ServeConfig:
     """Knobs of the multi-process serving tier (``repro serve``).
 
@@ -92,24 +76,19 @@ class ServeConfig:
 class SessionConfig:
     """Everything a :class:`~repro.api.session.ReproSession` is built from.
 
-    Composes the per-subsystem configs (annotator + pipeline + search +
-    serve) that the CLI used to thread by hand, plus the session-level
-    pipeline settings (worker threads, batching, how much caching).
+    Composes the per-subsystem configs (annotator + pipeline + serve) that
+    the CLI used to thread by hand, plus the session-level pipeline
+    settings (batching, how much caching).
     """
 
-    #: pipeline worker threads (1 runs batches inline)
-    workers: int = 1
     #: tables per pipeline batch, and requests per served worker round trip
     batch_size: int = 16
     cache_size: int = 100_000
     answer_cache_size: int = 2048
     annotator: AnnotatorConfig = field(default_factory=AnnotatorConfig)
-    search: SearchConfig = field(default_factory=SearchConfig)
     serve: ServeConfig = field(default_factory=ServeConfig)
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise _invalid("workers must be >= 1")
         if self.batch_size < 1:
             raise _invalid("batch_size must be >= 1")
         if self.cache_size < 0:
@@ -124,7 +103,6 @@ class SessionConfig:
         """The :class:`PipelineConfig` of the session's pipeline."""
         return PipelineConfig(
             batch_size=self.batch_size,
-            workers=self.workers,
             cache_size=self.cache_size,
             answer_cache_size=self.answer_cache_size,
             annotator=self.annotator,
@@ -135,12 +113,10 @@ class SessionConfig:
     # ------------------------------------------------------------------
     def to_json(self) -> dict[str, Any]:
         return {
-            "workers": self.workers,
             "batch_size": self.batch_size,
             "cache_size": self.cache_size,
             "answer_cache_size": self.answer_cache_size,
             "annotator": self.annotator.to_dict(),
-            "search": dataclasses.asdict(self.search),
             "serve": dataclasses.asdict(self.serve),
         }
 
@@ -154,18 +130,17 @@ class SessionConfig:
                 f"unknown SessionConfig field(s): {', '.join(unknown)}",
             )
         kwargs: dict[str, Any] = dict(payload)
-        # the validators raise ApiError themselves; what is left to classify
-        # is a payload of the wrong shape: unknown nested fields (TypeError
-        # from the dataclass constructors, ValueError from
-        # AnnotatorConfig.from_dict) or wrongly typed values (TypeError from
-        # the range comparisons)
+        # the session and serve validators raise ApiError themselves; what
+        # is left to classify is a payload of the wrong shape: unknown nested
+        # fields (TypeError from the dataclass constructors, ValueError from
+        # AnnotatorConfig.from_dict), bad annotator values (ValueError from
+        # its validators) or wrongly typed values (TypeError from the range
+        # comparisons)
         try:
             if "annotator" in kwargs:
                 kwargs["annotator"] = AnnotatorConfig.from_dict(
                     dict(kwargs["annotator"])
                 )
-            if "search" in kwargs:
-                kwargs["search"] = SearchConfig(**dict(kwargs["search"]))
             if "serve" in kwargs:
                 kwargs["serve"] = ServeConfig(**dict(kwargs["serve"]))
             return cls(**kwargs)
@@ -177,12 +152,7 @@ class SessionConfig:
         """Build from the CLI's shared pipeline flags (missing flags keep
         their defaults, so every command reuses this)."""
         kwargs: dict[str, Any] = {}
-        for flag in (
-            "workers",
-            "batch_size",
-            "cache_size",
-            "answer_cache_size",
-        ):
+        for flag in ("batch_size", "cache_size", "answer_cache_size"):
             value = getattr(args, flag, None)
             if value is not None:
                 kwargs[flag] = value

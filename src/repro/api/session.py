@@ -245,12 +245,11 @@ class ReproSession:
     ) -> Iterator[AnnotateResponse]:
         """Stream typed responses for a whole corpus.
 
-        Runs through the batched/threaded pipeline (so ``workers`` /
-        ``batch_size`` apply), yielding one :class:`AnnotateResponse` per
-        table in corpus order — each byte-identical to what a single
-        :meth:`annotate` call for that table would produce.  Timing is
-        excluded by default: the corpus wire format is the deterministic
-        one.
+        Runs through the batched pipeline (so ``batch_size`` applies),
+        yielding one :class:`AnnotateResponse` per table in corpus order —
+        each byte-identical to what a single :meth:`annotate` call for that
+        table would produce.  Timing is excluded by default: the corpus wire
+        format is the deterministic one.
         """
         for annotation in self.annotate_stream(tables):
             yield self._annotate_response(
@@ -260,8 +259,8 @@ class ReproSession:
     def annotate_stream(
         self, tables: Iterable[Table | LabeledTable]
     ) -> Iterator[TableAnnotation]:
-        """Stream corpus annotations in order (batched, cached, optionally
-        threaded — see :class:`AnnotationPipeline`)."""
+        """Stream corpus annotations in order (batched and cached — see
+        :class:`AnnotationPipeline`)."""
         return self._pipeline.annotate_stream(tables)
 
     def annotate_with_tables(
@@ -357,11 +356,7 @@ class ReproSession:
                 if self._lemma_resolver is None:
                     self._lemma_resolver = build_lemma_resolver(self.catalog)
                 self._join_searcher = JoinSearcher(
-                    index,
-                    self.catalog,
-                    max_middle=self.config.search.max_middle,
-                    top_k_answers=self.config.search.top_k_answers,
-                    lemma_resolver=self._lemma_resolver,
+                    index, self.catalog, lemma_resolver=self._lemma_resolver
                 )
             return self._join_searcher
 

@@ -90,12 +90,6 @@ def _non_negative_int(text: str) -> int:
 
 def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="annotation worker threads (1 = serial)",
-    )
-    parser.add_argument(
         "--batch-size",
         type=_positive_int,
         default=16,
@@ -167,7 +161,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         # one full AnnotateResponse wire payload per line — the canonical
         # deterministic encoding (timing excluded), byte-identical to what
         # POST /annotate returns for the same request; runs through the
-        # batched/threaded pipeline like every other corpus mode
+        # batched pipeline like every other corpus mode
         wire_lines = (
             encode_json(response.to_json())
             for response in session.annotate_wire_stream(

@@ -38,10 +38,23 @@ class AnnotatorConfig:
     max_type_candidates: int = 64
     max_column_pairs: int = 12
     max_iterations: int = 10
-    tolerance: float = 1e-5
-    damping: float = 0.0
     #: False disables bcc'/φ4/φ5 — the polynomial special case (Section 4.4.1)
     with_relations: bool = True
+
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("top_k_entities", 1),
+            ("max_type_candidates", 1),
+            ("max_column_pairs", 0),
+            ("max_iterations", 1),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an int >= {least}: {value!r}")
+        if not isinstance(self.with_relations, bool):
+            raise ValueError(
+                f"with_relations must be a bool: {self.with_relations!r}"
+            )
 
     def to_dict(self) -> dict:
         """JSON-ready view (used by :class:`repro.api.SessionConfig`)."""

@@ -1,8 +1,9 @@
 """Fused annotation: a bucket of tables as one BP run.
 
-Every annotation goes through here — a lone table is a bucket of one, a
-corpus batch or a coalesced serving batch is planned into shape buckets
-(:mod:`repro.pipeline.planner`) first.  For one bucket this module
+Every annotation goes through here — a lone table is a bucket of one, and
+the answer-cache misses of a corpus batch or of a served worker round trip
+are planned into shape buckets (:mod:`repro.pipeline.planner`) first.  For
+one bucket this module
 
 1. **resolves candidates** for every distinct cell text of the bucket in
    one candidate-engine call
@@ -46,6 +47,7 @@ from repro.core.model import AnnotationModel
 from repro.core.problem import NA, AnnotationProblem, build_problem
 from repro.core.simple_inference import annotate_simple
 from repro.graph.fused import (
+    TOLERANCE,
     FusedBlock,
     FusedGraph,
     FusedMaxProductBP,
@@ -481,9 +483,9 @@ def run_fused_bundle(
     bundle: FusedBundle, config: AnnotatorConfig, tables: list[Table]
 ) -> list[TableAnnotation]:
     """One Figure-11 BP run over a compiled bundle, decoded per table."""
-    engine = FusedMaxProductBP(bundle.graph, damping=config.damping)
+    engine = FusedMaxProductBP(bundle.graph)
     iterations, converged = engine.run_paper_schedule(
-        max_iterations=config.max_iterations, tolerance=config.tolerance
+        max_iterations=config.max_iterations, tolerance=TOLERANCE
     )
     return _decode_bundle(bundle, engine, iterations, converged, tables)
 

@@ -27,6 +27,7 @@ from repro.core.annotation import TableAnnotation
 from repro.core.model import AnnotationModel
 from repro.core.problem import AnnotationProblem, build_factor_graph
 from repro.graph.bp import SumProductBP
+from repro.graph.fused import TOLERANCE
 
 if TYPE_CHECKING:  # the annotator module imports this one
     from repro.core.annotator import AnnotatorConfig
@@ -46,9 +47,9 @@ def annotation_marginals(
     augmentation thresholds the belief-margin scores instead.
     """
     graph = build_factor_graph(problem, model, with_relations=config.with_relations)
-    engine = SumProductBP(graph, damping=config.damping)
+    engine = SumProductBP(graph)
     engine.run_flooding(
-        max_iterations=max(config.max_iterations, 10), tolerance=config.tolerance
+        max_iterations=max(config.max_iterations, 10), tolerance=TOLERANCE
     )
     marginals: dict[str, dict[str | None, float]] = {}
     for name, variable in graph.variables.items():

@@ -26,7 +26,7 @@ depend on its batchmates:
   zeroed there before scattering, and the validity masks exclude them from
   convergence deltas — so padded slots never perturb a real slot's value.
 * **Per-table freezing.**  Convergence is tracked per table: once a table's
-  iteration delta drops below tolerance its rows stop updating (stored
+  iteration delta drops below :data:`TOLERANCE` its rows stop updating (stored
   messages are kept, scatter contributions become exact ``+0.0``), which
   reproduces a lone run's early stopping — including the reported iteration
   counts — inside one fused run.
@@ -104,6 +104,10 @@ PAPER_SCHEDULE: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = (
     ("phi4", (1, 2), (0,)),
     ("phi4", (0,), (1, 2)),
 )
+
+#: the convergence threshold of every annotation BP run: a table stops once
+#: no message of one iteration moved by this much
+TOLERANCE = 1e-5
 
 
 #: reusable per-thread work tensors: the factor→variable update's summed
@@ -199,14 +203,13 @@ class FusedGraph:
 class FusedMaxProductBP:
     """Max-product BP over a :class:`FusedGraph` with per-table freezing.
 
-    The update rules are the scalar engine's
+    The update rules are the undamped scalar engine's
     (:class:`~repro.graph.bp.MaxProductBP`) applied a block at a time —
     gather / exclusive-sum / max-reduce / normalise, messages normalised to
-    max 0 after every update, damping interpolating against the stored
-    message, convergence measured on the **undamped** change.  The
-    per-table ``active`` mask (frozen tables keep their stored messages and
-    contribute exact ``+0.0`` to the totals) and per-table delta accounting
-    give every table the early stopping of a lone run.
+    max 0 after every update, convergence measured on the largest message
+    change.  The per-table ``active`` mask (frozen tables keep their stored
+    messages and contribute exact ``+0.0`` to the totals) and per-table
+    delta accounting give every table the early stopping of a lone run.
 
     Message state per (block, position) is an ``(n_factors, size)`` array;
     variable→factor messages hold ``-inf`` at padded slots, factor→variable
@@ -214,11 +217,8 @@ class FusedMaxProductBP:
     arithmetic away from the padding.
     """
 
-    def __init__(self, fused: FusedGraph, damping: float = 0.0) -> None:
-        if not 0.0 <= damping < 1.0:
-            raise ValueError(f"damping must be in [0, 1): {damping}")
+    def __init__(self, fused: FusedGraph) -> None:
         self.fused = fused
-        self.damping = damping
         self._var_to_factor: list[list[np.ndarray]] = [
             [
                 np.where(block.valid[position], 0.0, -np.inf)
@@ -261,8 +261,7 @@ class FusedMaxProductBP:
         fancy assignment safe).  ``valid`` masks the subtraction where
         messages carry ``-inf`` at padded slots (``-inf - -inf`` would be
         NaN); pass ``None`` when both operands are finite everywhere
-        (uniform blocks, or factor→variable messages already zeroed at
-        padded slots) — the plain subtraction yields the identical delta.
+        (uniform blocks) — the plain subtraction yields the identical delta.
         """
         if not message.size:
             return
@@ -372,8 +371,6 @@ class FusedMaxProductBP:
                 old,
                 None if block.uniform[position] else block.valid[position][rows],
             )
-            if self.damping:
-                message = self.damping * old + (1.0 - self.damping) * message
             if all_active:
                 store[position] = message
             else:
@@ -427,18 +424,12 @@ class FusedMaxProductBP:
             if not block.uniform[target]:
                 message = np.where(block.valid[target][rows], message, 0.0)
             old = store[target] if all_active else store[target][rows]
-            if self.damping:
-                # both operands are exactly 0.0 at invalid slots, so the
-                # plain subtraction already yields the per-table masked delta
-                self._accumulate_delta(groups, message, old, None)
-                message = self.damping * old + (1.0 - self.damping) * message
-                difference = message - old
-            else:
-                # undamped, the delta diff and the scatter diff coincide:
-                # compute it once and fold |diff| into the per-table maxima
-                difference = _borrow("f2v-diff", message.shape)
-                np.subtract(message, old, out=difference)
-                self._accumulate_abs_delta(groups, difference)
+            # the delta diff and the scatter diff coincide: compute it once
+            # and fold |diff| into the per-table maxima (both operands are
+            # exactly 0.0 at invalid slots, so no mask is needed)
+            difference = _borrow("f2v-diff", message.shape)
+            np.subtract(message, old, out=difference)
+            self._accumulate_abs_delta(groups, difference)
             var_ids = block.var_ids[target][rows]
             plan = block.scatter[target] if all_active else ScatterPlan.for_ids(var_ids)
             # a variable's factor rows all live in one table, so compaction
@@ -457,7 +448,7 @@ class FusedMaxProductBP:
     # schedule
     # ------------------------------------------------------------------
     def run_paper_schedule(
-        self, max_iterations: int = 10, tolerance: float = 1e-5
+        self, max_iterations: int = 10, tolerance: float = TOLERANCE
     ) -> tuple[np.ndarray, np.ndarray]:
         """The Figure-11 block schedule with per-table early stopping.
 

@@ -10,7 +10,6 @@ from repro.pipeline.cache import (
     LRUCache,
     normalized_cell_key,
 )
-from repro.pipeline.executor import iter_batches
 from repro.pipeline.io import (
     annotation_to_dict,
     iter_corpus_jsonl,
@@ -21,6 +20,7 @@ from repro.pipeline.pipeline import (
     AnnotationPipeline,
     CorpusTimingReport,
     PipelineConfig,
+    iter_batches,
 )
 
 __all__ = [

@@ -11,11 +11,11 @@ runners, search-index construction) with:
   planning (:meth:`AnnotationPipeline.answer`), so a table seen before is
   answered without candidate generation, compilation or BP, and only the
   misses are planned into buckets,
-* **fused batched execution** (:mod:`repro.pipeline.executor`): tables are
-  chunked into batches, each batch's misses are planned into shape buckets
-  (:mod:`repro.pipeline.planner`) and every bucket runs as one fused BP
-  super-graph; batches optionally run on a thread pool, with results
-  streamed back in deterministic corpus order,
+* **fused batched execution**: tables are chunked into batches
+  (:func:`iter_batches`), each batch's misses are planned into shape
+  buckets (:mod:`repro.pipeline.planner`) and every bucket runs as one
+  fused BP super-graph; batches run one after another, with results
+  streamed back in corpus order,
 * **failure isolation**: a bucket that fails is rerun one table at a time,
   so only the failing table gets an error, and every such rerun is logged
   and counted (:meth:`AnnotationPipeline.answer`),
@@ -26,10 +26,12 @@ runners, search-index construction) with:
   :class:`CorpusTimingReport` with cache hit-rates — the Figure-7
   instrumentation at corpus scale.
 
-Parallel, serial, batched and lone-table execution produce identical
-annotations: each table's annotation is a pure function of (table, catalog,
-model) whatever bucket it runs in, and the caches only memoise pure
-functions of the content.
+Batched and lone-table execution produce identical annotations: each
+table's annotation is a pure function of (table, catalog, model) whatever
+bucket it runs in, and the caches only memoise pure functions of the
+content.  The caches are locked, so one pipeline may also be shared by
+threads (the inline serving backend's HTTP threads); parallel corpus runs
+belong in separate processes.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence, TypeVar
 
 from repro.catalog.catalog import Catalog
 from repro.core.annotation import AnnotationTiming, FrozenAnnotation, TableAnnotation
@@ -50,7 +52,6 @@ from repro.core.candidates import CandidateEngine
 from repro.core.fused import annotate_fused_chunk
 from repro.core.model import AnnotationModel
 from repro.pipeline.cache import CacheStats, CandidateCache, LRUCache
-from repro.pipeline.executor import BatchExecutor, iter_batches
 from repro.pipeline.io import (
     annotation_to_dict,
     iter_corpus_jsonl,
@@ -60,6 +61,22 @@ from repro.pipeline.planner import iter_bucket_chunks, plan_buckets
 from repro.tables.model import LabeledTable, Table
 
 logger = logging.getLogger(__name__)
+
+ItemT = TypeVar("ItemT")
+
+
+def iter_batches(items: Iterable[ItemT], batch_size: int) -> Iterator[list[ItemT]]:
+    """Chunk ``items`` into lists of at most ``batch_size`` (lazily)."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    batch: list[ItemT] = []
+    for item in items:
+        batch.append(item)
+        if len(batch) >= batch_size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
 def answer_keys(
@@ -93,14 +110,11 @@ class PipelineConfig:
     """Configuration of corpus-scale annotation.
 
     ``batch_size`` tables are planned and fused together (and bound the
-    tables in flight per worker); ``workers=1`` runs batches inline,
-    ``workers>1`` on a shared-memory thread pool.  ``cache_size=0`` disables
-    the shared candidate cache (every cell probes the lemma index, as the
-    seed code did).
+    tables in flight).  ``cache_size=0`` disables the shared candidate cache
+    (every cell probes the lemma index, as the seed code did).
     """
 
     batch_size: int = 16
-    workers: int = 1
     cache_size: int = 100_000
     #: tables in the answer LRU (0 disables it: every table is computed)
     answer_cache_size: int = 2048
@@ -109,8 +123,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0")
         if self.answer_cache_size < 0:
@@ -130,7 +142,8 @@ class CorpusTimingReport:
     total_seconds: float = 0.0
     candidate_seconds: float = 0.0
     inference_seconds: float = 0.0
-    #: end-to-end elapsed time of the run (≤ total_seconds when threaded)
+    #: elapsed time from the first batch to the end of the stream (the
+    #: consumer's own work between annotations included)
     wall_seconds: float = 0.0
     per_table_seconds: list[float] = field(default_factory=list)
     #: candidate-cache activity during this run (None when caching is disabled)
@@ -236,21 +249,7 @@ class AnnotationPipeline:
         #: (see :meth:`answer`); a lifetime counter
         self.fallbacks = 0
         self._fallback_lock = threading.Lock()
-        #: one persistent executor for the pipeline's lifetime — repeated
-        #: corpus runs reuse the same pool instead of paying construction
-        #: and teardown per call (see :class:`BatchExecutor`)
-        self.executor = BatchExecutor(self.config.workers)
         self.last_report: CorpusTimingReport | None = None
-
-    def close(self) -> None:
-        """Release the pipeline's executor pool (idempotent)."""
-        self.executor.close()
-
-    def __enter__(self) -> "AnnotationPipeline":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @property
     def catalog(self) -> Catalog:
@@ -366,13 +365,13 @@ class AnnotationPipeline:
     ) -> Iterator[tuple[Table, TableAnnotation]]:
         """Stream ``(table, annotation)`` pairs in corpus order.
 
-        Tables are chunked into ``config.batch_size`` batches and executed on
-        the pipeline's executor; each batch is answered by :meth:`answer`.
-        Pairs come back in exactly the order the input iterable produced
-        them, only ``O(workers × batch_size)`` tables are in flight at once,
-        and each annotation is identical to a lone :meth:`annotate` call's.
-        A table that cannot be annotated raises its own error (the first
-        failure of its batch) after its batchmates were isolated from it.
+        Tables are chunked into ``config.batch_size`` batches and each batch
+        is answered by :meth:`answer` in turn.  Pairs come back in exactly
+        the order the input iterable produced them, only one batch of
+        tables is in flight at once, and each annotation is identical to a
+        lone :meth:`annotate` call's.  A table that cannot be annotated
+        raises its own error (the first failure of its batch, before any of
+        that batch is yielded) after its batchmates were isolated from it.
 
         Consuming the stream to the end finalises :attr:`last_report`.
         """
@@ -387,11 +386,8 @@ class AnnotationPipeline:
         )
         start = time.perf_counter()
 
-        batches = iter_batches(tables, self.config.batch_size)
-        for pairs, bucket_sizes in self.executor.map_ordered(
-            batches, self._annotate_batch
-        ):
-            report.bucket_sizes.extend(bucket_sizes)
+        for batch in iter_batches(tables, self.config.batch_size):
+            pairs = self._annotate_batch(batch, report.bucket_sizes)
             for _table, annotation in pairs:
                 report.record(annotation.diagnostics["timing"])
             yield from pairs
@@ -407,21 +403,21 @@ class AnnotationPipeline:
         report.finished = True
 
     def _annotate_batch(
-        self, batch: list[Table | LabeledTable]
-    ) -> tuple[list[tuple[Table, TableAnnotation]], list[int]]:
-        """One batch's ``(table, annotation)`` pairs in batch order and its
-        bucket sizes in execution order; raises the batch's first failure."""
+        self, batch: list[Table | LabeledTable], bucket_sizes: list[int]
+    ) -> list[tuple[Table, TableAnnotation]]:
+        """One batch's ``(table, annotation)`` pairs in batch order (its
+        bucket sizes appended to ``bucket_sizes``); raises the batch's first
+        failure."""
         tables = [
             item.table if isinstance(item, LabeledTable) else item
             for item in batch
         ]
-        bucket_sizes: list[int] = []
         pairs: list[tuple[Table, TableAnnotation]] = []
         for table, outcome in zip(tables, self.answer(tables, bucket_sizes)):
             if isinstance(outcome, Exception):
                 raise outcome
             pairs.append((table, outcome))
-        return pairs, bucket_sizes
+        return pairs
 
     def annotate_stream(
         self, tables: Iterable[Table | LabeledTable]

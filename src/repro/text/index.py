@@ -79,8 +79,9 @@ class InvertedIndex:
         self._idf: dict[str, float] = {}
         self._doc_norm: np.ndarray = np.zeros(0, dtype=np.float64)
         self._token_arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # pooled scratch vectors for search(); one per thread so pipelines
-        # running workers > 1 never share an accumulator
+        # pooled scratch vectors for search(); one per thread so concurrent
+        # callers (the inline serving backend's HTTP threads sharing one
+        # session) never share an accumulator
         self._scratch = threading.local()
         # filled lazily by _ensure_key_arrays() (search_batch dedup arrays)
         self._doc_key_id: np.ndarray | None = None

@@ -26,13 +26,23 @@ from repro.tables.corpus import TableCorpus, save_corpus_jsonl
 from tests.api.conftest import find_productive_query
 from tests.oracles import OracleAnnotator
 
-#: the engine and executor knobs this API no longer has
-REMOVED_KNOBS = ("engine", "candidate_engine", "fusion", "executor")
+#: the engine, executor, thread-pool, damping, tolerance and search knobs
+#: this API no longer has
+REMOVED_KNOBS = (
+    "engine",
+    "candidate_engine",
+    "fusion",
+    "executor",
+    "workers",
+    "search",
+    "damping",
+    "tolerance",
+)
 
 
 class TestSessionConfig:
     def test_roundtrip_json(self):
-        config = SessionConfig(workers=2, cache_size=10)
+        config = SessionConfig(batch_size=2, cache_size=10)
         assert SessionConfig.from_json(config.to_json()) == config
 
     def test_unknown_field_rejected(self):
@@ -56,13 +66,13 @@ class TestSessionConfig:
     def test_pipeline_config_carries_engine(self):
         """The one pipeline config carries every session-level setting."""
         config = SessionConfig(
-            workers=2, batch_size=4, answer_cache_size=7
+            batch_size=4, cache_size=9, answer_cache_size=7
         ).pipeline_config()
-        assert (config.workers, config.batch_size) == (2, 4)
+        assert (config.batch_size, config.cache_size) == (4, 9)
         assert config.answer_cache_size == 7
 
     def test_roundtrip_json_with_candidate_engine(self):
-        config = SessionConfig(annotator=AnnotatorConfig(damping=0.25))
+        config = SessionConfig(annotator=AnnotatorConfig(max_iterations=25))
         assert SessionConfig.from_json(config.to_json()) == config
         assert not set(REMOVED_KNOBS) & set(config.to_json())
         assert not set(REMOVED_KNOBS) & set(config.to_json()["annotator"])
@@ -72,17 +82,20 @@ class TestSessionConfig:
         validators, whichever way the config is built."""
         for build in (
             lambda: SessionConfig(batch_size=0),
-            lambda: SessionConfig.from_json({"workers": 0}),
             lambda: SessionConfig.from_json({"serve": {"queue_depth": -1}}),
-            lambda: SessionConfig.from_json({"search": {"max_middle": 0}}),
-            lambda: SessionConfig.from_json({"workers": "two"}),
+            # each would reach the pipeline unchecked: a negative slice cap
+            # drops every table's last-ranked column pair, a string fails
+            # the first annotate, and a zero top-k fails session open
+            lambda: SessionConfig.from_json({"annotator": {"max_column_pairs": -1}}),
+            lambda: SessionConfig.from_json({"annotator": {"max_iterations": "10"}}),
+            lambda: SessionConfig.from_json({"annotator": {"top_k_entities": 0}}),
         ):
             with pytest.raises(ApiError) as excinfo:
                 build()
             assert excinfo.value.code == "validation_error"
 
     def test_pipeline_config_carries_candidate_engine(self):
-        annotator = AnnotatorConfig(top_k_entities=3, damping=0.5)
+        annotator = AnnotatorConfig(top_k_entities=3, max_iterations=5)
         config = SessionConfig(annotator=annotator).pipeline_config()
         assert config.annotator == annotator
 

@@ -1,4 +1,4 @@
-"""The paper's Figure-11 schedule against generic flooding and damping.
+"""The paper's Figure-11 schedule against generic flooding.
 
 Flooding is not a production schedule: it runs only in the scalar oracle
 (:mod:`tests.oracles`), where it stands in for the design ablation's
@@ -41,14 +41,3 @@ class TestScheduleOptions:
         assert annotation.diagnostics["method"] == "collective"
         assert annotation.diagnostics["iterations"] >= 1
 
-    def test_damping_does_not_change_easy_map(self, world, wiki_tables):
-        plain = TableAnnotator(world.annotator_view)
-        damped = TableAnnotator(
-            world.annotator_view, config=AnnotatorConfig(damping=0.3, max_iterations=25)
-        )
-        labeled = wiki_tables[1]
-        annotation_a = plain.annotate(labeled.table)
-        annotation_b = damped.annotate(labeled.table)
-        types_a = {c: a.type_id for c, a in annotation_a.columns.items()}
-        types_b = {c: a.type_id for c, a in annotation_b.columns.items()}
-        assert types_a == types_b

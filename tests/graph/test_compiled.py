@@ -141,8 +141,8 @@ class TestPaperScheduleEquivalence:
 
 class TestDampingSemantics:
     def test_delta_is_undamped(self):
-        """Damping shrinks the stored step, not the reported convergence
-        delta (mirror of the scalar test)."""
+        """The reported convergence delta is the whole step the stored
+        message took (the schedule is undamped)."""
         model = default_model()
         table = Table("t", [["x"]])
         problem = AnnotationProblem(
@@ -171,8 +171,8 @@ class TestDampingSemantics:
         bundle = build_fused_bundle(
             [problem], model, [{"e:0,0": np.array([3.0, 0.0])}]
         )
-        engine = FusedMaxProductBP(bundle.graph, damping=0.9)
+        engine = FusedMaxProductBP(bundle.graph)
         engine.update_block_vars_to_factor(0, (1,))  # entity -> phi3
         assert engine._deltas[0] == pytest.approx(3.0)
-        assert engine._var_to_factor[0][1][0] == pytest.approx([0.0, -0.3])
+        assert engine._var_to_factor[0][1][0] == pytest.approx([0.0, -3.0])
 

@@ -51,6 +51,7 @@ from repro.core.problem import (
 )
 from repro.core.simple_inference import annotate_simple
 from repro.graph.bp import MaxProductBP
+from repro.graph.fused import TOLERANCE
 from repro.pipeline.io import annotation_to_dict
 from repro.tables.generator import reversed_label
 from repro.tables.model import Table
@@ -422,7 +423,7 @@ def wire(annotation: TableAnnotation) -> str:
 
 
 def run_scalar_paper_schedule(
-    engine: MaxProductBP, max_iterations: int = 10, tolerance: float = 1e-5
+    engine: MaxProductBP, max_iterations: int = 10, tolerance: float = TOLERANCE
 ) -> tuple[int, bool]:
     """Drive a scalar engine through the Figure-11 block schedule.
 
@@ -545,14 +546,14 @@ def scalar_annotate_problem(
         variable = graph.variables.get(name)
         if variable is not None:
             variable.unary = variable.unary + np.asarray(bonus, dtype=float)
-    engine = MaxProductBP(graph, damping=config.damping)
+    engine = MaxProductBP(graph)
     if schedule == "flooding":
         result = engine.run_flooding(
-            max_iterations=config.max_iterations, tolerance=config.tolerance
+            max_iterations=config.max_iterations, tolerance=TOLERANCE
         )
         return scalar_decode(problem, engine, result.iterations, result.converged)
     iterations, converged = run_scalar_paper_schedule(
-        engine, max_iterations=config.max_iterations, tolerance=config.tolerance
+        engine, max_iterations=config.max_iterations, tolerance=TOLERANCE
     )
     return scalar_decode(problem, engine, iterations, converged)
 

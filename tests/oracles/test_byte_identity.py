@@ -5,8 +5,8 @@ in) run through the production path — array-backed candidates into one
 fused BP run per bucket — and through the oracle — per-cell candidates and
 per-edge BP, one table at a time.  The wire JSON of every table must be
 identical: labels, iteration counts, convergence flags and graph sizes.
-Buckets of one and multi-table buckets, damped and undamped runs, and runs
-with and without a loss-augmentation ``unary_bonus`` are all drawn.
+Buckets of one and multi-table buckets, and runs with and without a
+loss-augmentation ``unary_bonus``, are all drawn.
 """
 
 from __future__ import annotations
@@ -36,21 +36,18 @@ def sources(wiki_tables, web_tables):
 
 @pytest.fixture(scope="module")
 def paths(world):
-    """(production, oracle) annotator pairs keyed by damping."""
-    pairs = {}
-    for damping in (0.0, 0.3):
-        config = AnnotatorConfig(damping=damping, max_iterations=25)
-        production = TableAnnotator(
-            world.annotator_view, model=default_model(), config=config
-        )
-        oracle = OracleAnnotator(
-            world.annotator_view,
-            model=default_model(),
-            config=config,
-            candidate_engine=production.candidate_engine,
-        )
-        pairs[damping] = production, oracle
-    return pairs
+    """The (production, oracle) annotator pair."""
+    config = AnnotatorConfig(max_iterations=25)
+    production = TableAnnotator(
+        world.annotator_view, model=default_model(), config=config
+    )
+    oracle = OracleAnnotator(
+        world.annotator_view,
+        model=default_model(),
+        config=config,
+        candidate_engine=production.candidate_engine,
+    )
+    return production, oracle
 
 
 @st.composite
@@ -111,9 +108,8 @@ def hamming_bonus(draw, problem, cost: float = 1.0) -> dict[str, np.ndarray]:
 def test_production_wire_json_matches_oracle(data, sources, paths):
     size = data.draw(st.integers(1, 4), label="bucket size")
     tables = [data.draw(cut_table(sources, index)) for index in range(size)]
-    damping = data.draw(st.sampled_from(sorted(paths)), label="damping")
     with_bonus = data.draw(st.booleans(), label="unary bonus")
-    production, oracle = paths[damping]
+    production, oracle = paths
 
     if with_bonus:
         problems = [production.build_problem(table) for table in tables]

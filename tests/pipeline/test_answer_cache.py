@@ -11,6 +11,7 @@ computes it once.
 import dataclasses
 import json
 import sys
+import threading
 
 import pytest
 
@@ -182,24 +183,38 @@ def test_disabled_cache_computes_every_table(tiny_world, tables):
 
 
 def test_threads_sharing_the_cache_answer_as_serial(tiny_world, tables):
-    """Four pipeline threads over a corpus that repeats every table: each
-    answer is the serial one, and every lookup is counted once."""
+    """Four threads calling one shared pipeline (the inline serving
+    backend's shape) over a corpus that repeats every table: each answer is
+    the serial one, and every lookup is counted once."""
     serial = AnnotationPipeline(
         tiny_world.annotator_view, config=PipelineConfig(answer_cache_size=0)
     )
     corpus = tables * 3
     expected = [wire(a) for a in serial.annotate_corpus(corpus)]
-    threaded = AnnotationPipeline(
-        tiny_world.annotator_view, config=PipelineConfig(batch_size=2, workers=4)
-    )
+    shared = AnnotationPipeline(tiny_world.annotator_view)
+    answers: list[str | None] = [None] * len(corpus)
+    errors: list[Exception] = []
+
+    def serve(offset: int) -> None:
+        try:
+            for position in range(offset, len(corpus), 4):
+                answers[position] = wire(shared.annotate(corpus[position]))
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=serve, args=(offset,)) for offset in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        answers = [wire(a) for a in threaded.annotate_corpus(corpus)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-        threaded.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
     assert answers == expected
-    stats = threaded.last_report.answer_cache
+    stats = shared.answer_cache.stats()
     assert stats.hits + stats.misses == len(corpus)
     assert stats.misses >= len(tables)

@@ -1,9 +1,9 @@
 """Fused corpus execution must be invisible in the output.
 
 The pipeline plans every batch into shape buckets and runs each bucket as
-one cross-table BP graph (optionally on a thread pool), but every table's
-annotation must be byte-identical to the one it gets alone — and to the
-scalar oracle's, one layer swapped at a time.  These tests compare the full
+one cross-table BP graph, but every table's annotation must be
+byte-identical to the one it gets alone — and to the scalar oracle's, one
+layer swapped at a time.  These tests compare the full
 ``annotation_to_dict`` payloads, the same serialisation the JSONL corpus
 path writes.
 """
@@ -21,13 +21,12 @@ def annotate_corpus(world, tables, with_relations=True, **kwargs):
     config = PipelineConfig(
         annotator=AnnotatorConfig(with_relations=with_relations), **kwargs
     )
-    with AnnotationPipeline(world.annotator_view, config=config) as pipeline:
-        payloads = [
-            annotation_to_dict(annotation)
-            for _table, annotation in pipeline.annotate_with_tables(tables)
-        ]
-        report = pipeline.last_report
-    return payloads, report
+    pipeline = AnnotationPipeline(world.annotator_view, config=config)
+    payloads = [
+        annotation_to_dict(annotation)
+        for _table, annotation in pipeline.annotate_with_tables(tables)
+    ]
+    return payloads, pipeline.last_report
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +67,6 @@ class TestFusedEquality:
         fused, _ = annotate_corpus(world, corpus, with_relations=False)
         assert fused == expected
 
-    def test_identical_on_thread_executor(self, world, corpus, serial_payloads):
-        fused, _ = annotate_corpus(world, corpus, workers=2)
-        assert fused == serial_payloads
-
     def test_duplicate_tables_share_buckets(self, world, corpus, serial_payloads):
         doubled = list(corpus) + list(corpus)
         fused, report = annotate_corpus(world, doubled, batch_size=len(doubled))
@@ -80,8 +75,8 @@ class TestFusedEquality:
 
     def test_output_order_is_corpus_order(self, world, corpus):
         reversed_corpus = list(reversed(corpus))
-        with AnnotationPipeline(world.annotator_view) as pipeline:
-            pairs = list(pipeline.annotate_with_tables(reversed_corpus))
+        pipeline = AnnotationPipeline(world.annotator_view)
+        pairs = list(pipeline.annotate_with_tables(reversed_corpus))
         assert [table.table_id for table, _ in pairs] == [
             table.table_id for table in reversed_corpus
         ]
@@ -92,19 +87,15 @@ class TestFusedEquality:
 
 
 class TestPipelineLifecycle:
-    def test_close_is_idempotent(self, world, corpus):
-        pipeline = AnnotationPipeline(world.annotator_view)
-        list(pipeline.annotate_with_tables(corpus[:2]))
-        pipeline.close()
-        pipeline.close()
-
     def test_fusion_knob_validated(self):
         """The removed ``fusion`` knob is rejected, not silently ignored."""
         with pytest.raises(ValueError, match="fusion"):
             AnnotatorConfig.from_dict({"fusion": "bucket"})
 
     def test_executor_knob_validated(self):
-        """The removed ``executor`` knob is rejected, not silently ignored:
-        ``workers`` alone picks inline or the thread pool."""
+        """The removed ``executor`` and ``workers`` knobs are rejected, not
+        silently ignored: batches always run inline."""
         with pytest.raises(TypeError, match="executor"):
             PipelineConfig(executor="thread")  # type: ignore[call-arg]
+        with pytest.raises(TypeError, match="workers"):
+            PipelineConfig(workers=2)  # type: ignore[call-arg]

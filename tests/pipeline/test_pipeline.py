@@ -1,6 +1,6 @@
 """Tests for the corpus annotation pipeline.
 
-The load-bearing properties: parallel == serial == uncached (annotations are
+The load-bearing properties: batched == uncached (annotations are
 byte-identical however the pipeline is configured), cache accounting is
 correct, a table that cannot be annotated fails only itself, and streaming
 JSONL round-trips.
@@ -47,19 +47,6 @@ def serial_annotations(tiny_world, corpus_tables):
 
 
 class TestDeterminism:
-    def test_parallel_identical_to_serial(
-        self, tiny_world, corpus_tables, serial_annotations
-    ):
-        serial, _ = serial_annotations
-        pipeline = AnnotationPipeline(
-            tiny_world.annotator_view,
-            config=PipelineConfig(batch_size=2, workers=4),
-        )
-        parallel = [
-            annotation_to_dict(a) for a in pipeline.annotate_corpus(corpus_tables)
-        ]
-        assert parallel == serial
-
     def test_cached_identical_to_uncached(
         self, tiny_world, corpus_tables, serial_annotations
     ):
@@ -318,8 +305,8 @@ class TestConfigValidation:
         "kwargs",
         [
             {"batch_size": 0},
-            {"workers": 0},
             {"cache_size": -1},
+            {"answer_cache_size": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -306,13 +306,13 @@ class TestServeStateConfig:
         from repro.serve.state import ServeState
 
         config = SessionConfig(
-            batch_size=4, annotator=AnnotatorConfig(damping=0.2)
+            batch_size=4, annotator=AnnotatorConfig(max_iterations=7)
         )
         state = ServeState(loaded_bundle, session_config=config)
         assert state.session.config is config
         pipeline = state.pipeline()
         assert pipeline.config.batch_size == 4
-        assert pipeline.annotator.config.damping == 0.2
+        assert pipeline.annotator.config.max_iterations == 7
 
     def test_legacy_pipeline_config_keeps_candidate_engine(
         self, loaded_bundle, monkeypatch

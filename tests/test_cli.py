@@ -125,23 +125,6 @@ class TestAnnotateStreaming:
         assert len(lines) == 4
         assert all("table_id" in json.loads(line) for line in lines)
 
-    def test_parallel_workers_match_serial(self, world_dir, tmp_path):
-        serial = tmp_path / "serial.jsonl"
-        threaded = tmp_path / "threaded.jsonl"
-        base_args = [
-            "annotate",
-            "--catalog",
-            str(world_dir / "catalog_view.json"),
-            "--corpus",
-            str(world_dir / "corpus.jsonl"),
-            "--jsonl",
-            "--batch-size",
-            "2",
-        ]
-        assert main(base_args + ["--output", str(serial)]) == 0
-        assert main(base_args + ["--workers", "4", "--output", str(threaded)]) == 0
-        assert serial.read_text() == threaded.read_text()
-
 
 class TestSearchIndex:
     def test_reports_stats_and_writes_annotations(self, world_dir, tmp_path, capsys):
@@ -387,6 +370,23 @@ class TestParser:
             assert SessionConfig.from_args(defaulted).answer_cache_size == (
                 SessionConfig().answer_cache_size
             )
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["annotate"],
+            ["search", "--relation", "r", "--entity", "e"],
+            ["search-index"],
+            ["augment"],
+            ["bundle", "build", "--output", "b"],
+        ],
+    )
+    def test_corpus_commands_reject_workers(self, command, capsys):
+        """``--workers`` counts pre-fork processes, so only ``serve`` has it."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--catalog", "c", "--corpus", "x", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestAnnotateStreamedArray:

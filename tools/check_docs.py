@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Documentation checks: markdown links, runnable examples, layer contract.
+"""Documentation checks: markdown links, runnable examples, layer contract,
+documented CLI flags.
 
-Three subcommands, all exercised by CI's ``docs`` job:
+Four subcommands, all exercised by CI's ``docs`` job:
 
 ``links``
     Scan every tracked ``*.md`` file for relative links and verify each
@@ -22,6 +23,14 @@ Three subcommands, all exercised by CI's ``docs`` job:
     ``src/repro/analysis/layers.py`` — the same declaration ``repro
     lint``'s ``arch-layering`` rule enforces — so the documented contract
     cannot drift from the enforced one.
+
+``flags``
+    Verify every ``--flag`` named in a markdown table row of
+    ``README.md`` and ``docs/*.md`` is accepted by at least one
+    subcommand of ``repro.cli.build_parser()``, so a table row for a
+    deleted flag fails CI.  (``repro lint``'s ``config-knob-drift`` rule
+    checks the other direction: every config field has a flag and a
+    mention.)
 
 Run all with no arguments::
 
@@ -47,6 +56,8 @@ LINK_PATTERN = re.compile(r"\]\(([^)\s]+)\)")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 #: directories never scanned for markdown
 SKIP_DIRS = {".git", ".venv", "__pycache__", "node_modules", ".mypy_cache"}
+#: a long option such as ``--answer-cache-size`` (not a table rule ``---``)
+FLAG_PATTERN = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def iter_markdown_files() -> list[Path]:
@@ -58,16 +69,17 @@ def iter_markdown_files() -> list[Path]:
 
 
 def strip_code_blocks(text: str) -> str:
-    """Drop fenced code blocks — their ``#`` lines are not headings and
-    their bracketed text is not links."""
+    """Blank out fenced code blocks — their ``#`` lines are not headings,
+    their bracketed text is not links and their ``|`` lines are not table
+    rows; line numbers are kept."""
     out: list[str] = []
     in_fence = False
     for line in text.splitlines():
         if line.lstrip().startswith("```"):
             in_fence = not in_fence
+            out.append("")
             continue
-        if not in_fence:
-            out.append(line)
+        out.append("" if in_fence else line)
     return "\n".join(out)
 
 
@@ -158,12 +170,51 @@ def check_layers() -> list[str]:
     return problems
 
 
+def cli_flags() -> set[str]:
+    """Every option string some ``repro`` subcommand accepts."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from repro.cli import build_parser
+    finally:
+        sys.path.pop(0)
+    flags: set[str] = set()
+    parsers = [build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            flags.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return flags
+
+
+def check_flags() -> list[str]:
+    """Every ``--flag`` in a table row of README.md and docs/*.md must be
+    accepted by some ``repro`` subcommand."""
+    accepted = cli_flags()
+    problems: list[str] = []
+    documents = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+    for markdown in documents:
+        relative = markdown.relative_to(REPO_ROOT)
+        text = strip_code_blocks(markdown.read_text())
+        for number, line in enumerate(text.splitlines(), 1):
+            if not line.lstrip().startswith("|"):
+                continue
+            for flag in FLAG_PATTERN.findall(line):
+                if flag not in accepted:
+                    problems.append(
+                        f"{relative}:{number}: table row documents {flag}, "
+                        f"which no repro subcommand accepts"
+                    )
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "check",
         nargs="?",
-        choices=("links", "examples", "layers", "all"),
+        choices=("links", "examples", "layers", "flags", "all"),
         default="all",
     )
     args = parser.parse_args()
@@ -179,6 +230,11 @@ def main() -> int:
         layer_problems = check_layers()
         problems.extend(layer_problems)
         print(f"  {len(layer_problems)} drifted line(s)")
+    if args.check in ("flags", "all"):
+        print("checking documented CLI flags against repro's parser ...")
+        flag_problems = check_flags()
+        problems.extend(flag_problems)
+        print(f"  {len(flag_problems)} unknown flag(s)")
     if args.check in ("examples", "all"):
         print("running examples/ in smoke mode (REPRO_SMOKE=1) ...")
         problems.extend(check_examples())
