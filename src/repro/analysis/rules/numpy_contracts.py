@@ -27,7 +27,6 @@ from repro.analysis.walker import ParsedModule
 ENGINE_MODULES = (
     "src/repro/core/candidates.py",
     "src/repro/core/fused.py",
-    "src/repro/graph/bp.py",
     "src/repro/graph/fused.py",
     "src/repro/text/index.py",
 )

@@ -27,6 +27,13 @@ def _invalid(message: str) -> ApiError:
     return ApiError(errors.VALIDATION_ERROR, message)
 
 
+def _check_count(name: str, value: Any, least: int) -> None:
+    """Refuse a count that is not an int (bools included) or is below
+    ``least``, as :class:`AnnotatorConfig` does."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise _invalid(f"{name} must be an int >= {least}: {value!r}")
+
+
 @dataclass
 class ServeConfig:
     """Knobs of the multi-process serving tier (``repro serve``).
@@ -58,10 +65,8 @@ class ServeConfig:
     drain_timeout_seconds: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise _invalid("serve workers must be >= 1")
-        if self.queue_depth < 0:
-            raise _invalid("serve queue_depth must be >= 0")
+        _check_count("serve workers", self.workers, 1)
+        _check_count("serve queue_depth", self.queue_depth, 0)
         for name in (
             "shed_timeout_seconds",
             "request_timeout_seconds",
@@ -89,12 +94,9 @@ class SessionConfig:
     serve: ServeConfig = field(default_factory=ServeConfig)
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise _invalid("batch_size must be >= 1")
-        if self.cache_size < 0:
-            raise _invalid("cache_size must be >= 0")
-        if self.answer_cache_size < 0:
-            raise _invalid("answer_cache_size must be >= 0")
+        _check_count("batch_size", self.batch_size, 1)
+        _check_count("cache_size", self.cache_size, 0)
+        _check_count("answer_cache_size", self.answer_cache_size, 0)
 
     # ------------------------------------------------------------------
     # derived configs

@@ -8,20 +8,18 @@ annotation model of Section 4:
   ``Bcc'``) built from the lemma index,
 * :mod:`repro.core.model` — the trainable weight container
   (:class:`AnnotationModel`),
-* :mod:`repro.core.problem` — per-table feature caches and factor-graph
-  construction,
+* :mod:`repro.core.problem` — per-table candidate spaces, feature caches
+  and the joint feature map,
 * :mod:`repro.core.simple_inference` — the polynomial special case of the
   paper's Figure 2 (no relation variables),
-* :mod:`repro.core.inference` — collective message-passing inference
-  (Figure 11 schedule),
+* :mod:`repro.core.fused` — collective message-passing inference (the
+  Figure-11 schedule on the fused engine of :mod:`repro.graph.fused`),
 * :mod:`repro.core.baselines` — the LCA and Majority baselines
   (Section 4.5),
 * :mod:`repro.core.learning` — structured perceptron / SSVM-subgradient
   training of w1..w5,
 * :mod:`repro.core.annotator` — the high-level :class:`TableAnnotator`
-  facade,
-* :mod:`repro.core.reductions` — the Appendix-C graph-colouring reduction
-  (NP-hardness witness, used by tests).
+  facade.
 """
 
 from repro.core.annotation import (

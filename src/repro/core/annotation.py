@@ -70,14 +70,6 @@ class TableAnnotation:
         annotation = self.relations.get((left, right))
         return annotation.label if annotation else None
 
-    def columns_with_type(self, type_id: str) -> list[int]:
-        """Columns annotated with exactly ``type_id`` (used by search)."""
-        return [
-            column
-            for column, annotation in self.columns.items()
-            if annotation.type_id == type_id
-        ]
-
 
 @dataclass(frozen=True)
 class FrozenAnnotation:

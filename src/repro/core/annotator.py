@@ -164,16 +164,6 @@ class TableAnnotator:
             return annotate_collective_problem(problem, self.model, self.config)
         return annotate_simple(problem, self.model)
 
-    def marginals(self, table: Table) -> dict[str, dict[str | None, float]]:
-        """Posterior label marginals per variable (sum-product extension).
-
-        See :func:`repro.core.inference.annotation_marginals`.
-        """
-        from repro.core.inference import annotation_marginals
-
-        problem = self.build_problem(table)
-        return annotation_marginals(problem, self.model, self.config)
-
     # ------------------------------------------------------------------
     # baselines sharing this annotator's caches
     # ------------------------------------------------------------------

@@ -11,11 +11,10 @@ one bucket this module
    builds each table's :class:`~repro.core.problem.AnnotationProblem` from
    them,
 2. **compiles one fused graph** for the whole bucket directly from the
-   per-table :class:`~repro.core.problem.AnnotationProblem` spaces — the
-   potentials are the same per-space matrix products
-   :func:`~repro.core.problem.build_factor_graph` computes, written straight
-   into the cross-table block tensors of :class:`~repro.graph.fused.FusedGraph`
-   (no per-table ``FactorGraph`` construction), and
+   per-table :class:`~repro.core.problem.AnnotationProblem` spaces — each
+   potential is one per-space matrix product (``f @ w`` with the na row and
+   column left at zero), written straight into the cross-table block
+   tensors of :class:`~repro.graph.fused.FusedGraph`, and
 3. **runs one** :class:`~repro.graph.fused.FusedMaxProductBP` schedule with
    per-table freezing, then decodes every table's annotation with vectorised
    argmax / margin computation.
@@ -121,10 +120,10 @@ def build_fused_bundle(
 ) -> FusedBundle:
     """Compile one fused graph for a bucket of annotation problems.
 
-    Potentials are the exact per-space matrix products of
-    :func:`~repro.core.problem.build_factor_graph` (bit-identical entries);
-    they are written straight into cross-table block tensors, skipping the
-    per-table graph construction entirely.
+    Potentials are the per-space matrix products of equation (1), zero
+    wherever na is involved, bit-identical to the per-table factor graph the
+    oracle in ``tests/oracles`` builds; they are written straight into
+    cross-table block tensors.
 
     ``unary_bonuses`` (one dict per problem, aligned with ``problems``) adds
     per-label terms to named variables before message passing — the

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.annotation import TableAnnotation
 from repro.core.annotator import TableAnnotator
 from repro.core.fused import annotate_problem
-from repro.core.inference import map_assignment_of
 from repro.core.model import AnnotationModel
 from repro.core.problem import (
     NA,
@@ -81,6 +81,22 @@ def truth_assignment(
     for (left, right), space in problem.pairs.items():
         label = truth.relations.get((left, right), NA)
         assignment[space.variable_name] = label if label in space.labels else NA
+    return assignment
+
+
+def map_assignment_of(annotation: TableAnnotation) -> dict[str, str | None]:
+    """Assignment dict (variable name -> label) from a decoded annotation.
+
+    Used by the learner to compare prediction and truth through the joint
+    feature map.
+    """
+    assignment: dict[str, str | None] = {}
+    for (row, column), cell in annotation.cells.items():
+        assignment[f"e:{row},{column}"] = cell.entity_id
+    for column, column_annotation in annotation.columns.items():
+        assignment[f"t:{column}"] = column_annotation.type_id
+    for (left, right), relation in annotation.relations.items():
+        assignment[f"b:{left},{right}"] = relation.label
     return assignment
 
 

@@ -1,11 +1,11 @@
-"""Per-table annotation problems: candidate spaces, feature caches, graphs.
+"""Per-table annotation problems: candidate spaces and feature caches.
 
 An :class:`AnnotationProblem` is everything about one table that does *not*
 depend on the model weights: the candidate label spaces (``Erc``, ``Tc``,
 ``Bcc'`` — each with ``na`` at domain position 0) and the raw feature arrays
 for every concrete label combination.  Given a weight vector the problem is
-turned into a :class:`~repro.graph.factor_graph.FactorGraph` (potentials are
-dot products) in :func:`build_factor_graph`, and — for the structured
+compiled into fused factor tensors (potentials are dot products) by
+:func:`~repro.core.fused.build_fused_bundle`, and — for the structured
 learner — any full assignment is turned into its joint feature vector in
 :func:`joint_feature_vector`.
 
@@ -29,8 +29,6 @@ from repro.core.candidates import (
     PairCandidates,
 )
 from repro.core.features import TypeEntityFeatureMode, header_absent_features
-from repro.core.model import AnnotationModel
-from repro.graph.factor_graph import FactorGraph
 from repro.tables.generator import base_relation
 from repro.tables.model import Table
 from repro.text.profile import (
@@ -364,10 +362,6 @@ class AnnotationProblem:
     columns: dict[int, ColumnSpace]
     pairs: dict[tuple[int, int], PairSpace]
 
-    def cell_labels(self, row: int, column: int) -> tuple[str | None, ...]:
-        space = self.cells.get((row, column))
-        return space.labels if space else (NA,)
-
     def stats(self) -> dict[str, float]:
         """Candidate-space statistics (feeds the §6.1.1 candidate bench)."""
         entity_counts = [len(space.labels) - 1 for space in self.cells.values()]
@@ -474,76 +468,6 @@ def build_problem(
 
 
 # ----------------------------------------------------------------------
-# factor-graph construction
-# ----------------------------------------------------------------------
-def build_factor_graph(
-    problem: AnnotationProblem,
-    model: AnnotationModel,
-    with_relations: bool = True,
-) -> FactorGraph:
-    """Materialise equation (1) as a log-space factor graph.
-
-    Potentials for any combination involving na are identically zero ("no
-    feature is fired if label na is involved").  With
-    ``with_relations=False`` the bcc'/φ4/φ5 parts are omitted — the
-    polynomial special case of Section 4.4.1.
-    """
-    graph = FactorGraph()
-    for space in problem.cells.values():
-        unary = np.concatenate(([0.0], space.f1 @ model.w1))
-        graph.add_variable(space.variable_name, space.labels, unary, kind="entity")
-    for space in problem.columns.values():
-        unary = np.concatenate(([0.0], space.f2 @ model.w2))
-        graph.add_variable(space.variable_name, space.labels, unary, kind="type")
-        for row, f3 in space.f3.items():
-            table = np.zeros((len(space.labels), f3.shape[1] + 1))
-            table[1:, 1:] = f3 @ model.w3
-            graph.add_factor(
-                f"phi3:{row},{space.column}",
-                (space.variable_name, f"e:{row},{space.column}"),
-                table,
-                kind="phi3",
-            )
-    if not with_relations:
-        return graph
-    for space in problem.pairs.values():
-        left_var = f"t:{space.left}"
-        right_var = f"t:{space.right}"
-        graph.add_variable(
-            space.variable_name,
-            space.labels,
-            np.zeros(len(space.labels)),
-            kind="relation",
-        )
-        n_left_types = len(problem.columns[space.left].labels)
-        n_right_types = len(problem.columns[space.right].labels)
-        phi4 = np.zeros((len(space.labels), n_left_types, n_right_types))
-        phi4[1:, 1:, 1:] = space.f4 @ model.w4
-        graph.add_factor(
-            f"phi4:{space.left},{space.right}",
-            (space.variable_name, left_var, right_var),
-            phi4,
-            kind="phi4",
-        )
-        for row, f5 in space.f5.items():
-            phi5 = np.zeros(
-                (len(space.labels), f5.shape[1] + 1, f5.shape[2] + 1)
-            )
-            phi5[1:, 1:, 1:] = f5 @ model.w5
-            graph.add_factor(
-                f"phi5:{row}:{space.left},{space.right}",
-                (
-                    space.variable_name,
-                    f"e:{row},{space.left}",
-                    f"e:{row},{space.right}",
-                ),
-                phi5,
-                kind="phi5",
-            )
-    return graph
-
-
-# ----------------------------------------------------------------------
 # joint feature map (structured learning)
 # ----------------------------------------------------------------------
 def joint_feature_vector(
@@ -555,7 +479,7 @@ def joint_feature_vector(
 
     ``assignment`` maps variable names (``e:r,c`` / ``t:c`` / ``b:l,r``) to
     labels; missing variables count as na.  na labels contribute nothing, so
-    ``w · Φ`` equals the factor graph's log-score.
+    ``w · Φ`` equals the assignment's log-score under equation (1).
     """
     from repro.core.features import (
         F1_FEATURE_NAMES,

@@ -160,10 +160,3 @@ class AnnotationScores:
     entity: MetricCounts = field(default_factory=MetricCounts)
     type_: MetricCounts = field(default_factory=MetricCounts)
     relation: MetricCounts = field(default_factory=MetricCounts)
-
-    def as_row(self) -> dict[str, float]:
-        return {
-            "entity_accuracy": self.entity.accuracy,
-            "type_f1": self.type_.mean_f1,
-            "relation_f1": self.relation.mean_f1,
-        }

@@ -34,9 +34,9 @@ depend on its batchmates:
 Variable→factor messages use the exclusive-sum trick (``running total −
 incoming``), with the running totals maintained incrementally through
 precompiled :class:`ScatterPlan` scatters; the trick assumes **finite**
-log-potentials.  The scalar per-edge engine of :mod:`repro.graph.bp` is the
-reference; ``tests/oracles`` holds the loop that runs it through the same
-schedule, and the byte-identity tests compare the two.
+log-potentials.  The scalar per-edge engine in ``tests/oracles`` is the
+reference; it runs through the same schedule there, and the byte-identity
+tests compare the two.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class ScatterPlan:
 
 #: the Figure-11 block schedule as (factor kind, var→factor positions,
 #: factor→var positions) half-steps — position 0 is the type/relation head,
-#: positions 1+ are the tail variables (see build_factor_graph)
+#: positions 1+ are the tail variables (see build_fused_bundle)
 PAPER_SCHEDULE: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = (
     ("phi3", (1,), (0,)),
     ("phi3", (0,), (1,)),
@@ -203,8 +203,8 @@ class FusedGraph:
 class FusedMaxProductBP:
     """Max-product BP over a :class:`FusedGraph` with per-table freezing.
 
-    The update rules are the undamped scalar engine's
-    (:class:`~repro.graph.bp.MaxProductBP`) applied a block at a time —
+    The update rules are the per-edge reference engine's (``tests/oracles``)
+    applied a block at a time —
     gather / exclusive-sum / max-reduce / normalise, messages normalised to
     max 0 after every update, convergence measured on the largest message
     change.  The per-table ``active`` mask (frozen tables keep their stored

@@ -7,7 +7,7 @@ package provides pure-Python equivalents:
 * :mod:`repro.text.tokenize` — lower-cased alphanumeric tokenisation,
 * :mod:`repro.text.normalize` — cell/header normalisation helpers,
 * :mod:`repro.text.tfidf` — corpus document-frequency statistics,
-* :mod:`repro.text.similarity` — cosine/Jaccard/Dice/soft-TFIDF/edit
+* :mod:`repro.text.similarity` — cosine/Jaccard/Dice/soft-TFIDF/Jaro-Winkler
   similarities, all in ``[0, 1]``,
 * :mod:`repro.text.index` — an inverted index with TF-IDF scoring used for
   candidate entity retrieval and table search.
@@ -20,7 +20,6 @@ from repro.text.similarity import (
     dice,
     jaccard,
     jaro_winkler,
-    levenshtein_similarity,
     soft_tfidf,
 )
 from repro.text.tfidf import TfidfWeights
@@ -34,7 +33,6 @@ __all__ = [
     "dice",
     "jaccard",
     "jaro_winkler",
-    "levenshtein_similarity",
     "normalize_text",
     "soft_tfidf",
     "tokenize",

@@ -2,9 +2,8 @@
 
 The feature vectors f1/f2 of the paper combine several similarity measures
 between cell (or header) text and catalog lemmas: TF-IDF cosine [18], Jaccard
-and a soft cosine [2].  We implement those plus Dice, normalised Levenshtein
-and Jaro-Winkler (the secondary measure inside soft-TFIDF, following Bilenko
-et al.'s SoftTFIDF).
+and a soft cosine [2].  We implement those plus Dice and Jaro-Winkler (the
+secondary measure inside soft-TFIDF, following Bilenko et al.'s SoftTFIDF).
 """
 
 from __future__ import annotations
@@ -60,37 +59,6 @@ def cosine_tfidf(a: str, b: str, weights: TfidfWeights | None = None) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
-
-
-def levenshtein_distance(a: str, b: str) -> int:
-    """Classic edit distance (two-row dynamic program)."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[-1]
-
-
-def levenshtein_similarity(a: str, b: str) -> float:
-    """``1 - edit_distance / max_len``, case-insensitive."""
-    a, b = a.lower(), b.lower()
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein_distance(a, b) / longest
 
 
 def jaro(a: str, b: str) -> float:

@@ -89,6 +89,14 @@ class TestSessionConfig:
             lambda: SessionConfig.from_json({"annotator": {"max_column_pairs": -1}}),
             lambda: SessionConfig.from_json({"annotator": {"max_iterations": "10"}}),
             lambda: SessionConfig.from_json({"annotator": {"top_k_entities": 0}}),
+            # counts must be ints, not floats or bools: a float batch size
+            # fails every later annotate call in the batching range()
+            lambda: SessionConfig.from_json({"batch_size": 2.5}),
+            lambda: SessionConfig.from_json({"batch_size": True}),
+            lambda: SessionConfig.from_json({"cache_size": 1.5}),
+            lambda: SessionConfig.from_json({"answer_cache_size": 0.5}),
+            lambda: SessionConfig.from_json({"serve": {"workers": 1.5}}),
+            lambda: SessionConfig.from_json({"serve": {"queue_depth": 2.5}}),
         ):
             with pytest.raises(ApiError) as excinfo:
                 build()

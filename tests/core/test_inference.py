@@ -7,11 +7,11 @@ import pytest
 
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.fused import annotate_problem
-from repro.core.inference import map_assignment_of
+from repro.core.learning import map_assignment_of
 from repro.core.model import default_model
-from repro.core.problem import build_factor_graph
 from repro.core.simple_inference import annotate_simple
 from repro.tables.model import Table
+from tests.oracles import build_factor_graph
 
 
 @pytest.fixture()

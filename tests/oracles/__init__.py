@@ -11,12 +11,14 @@ byte-identity tests compare the two:
   straight from the catalog, as :class:`CandidateEntity` lists and label
   lists (:class:`EngineQueries` puts the production engine behind the same
   signatures),
-* :class:`ScalarFeatureComputer` assembles f1, f2, f3 and f5 blocks one
-  element at a time,
+* :class:`ScalarFeatureComputer` assembles f1 to f5 blocks one element at
+  a time,
 * :func:`scalar_build_problem` builds a table's problem from the two, row
   by row,
+* :func:`build_factor_graph` materialises a problem under a model as a
+  per-table :class:`FactorGraph` (:mod:`tests.oracles.bp`),
 * :func:`run_scalar_paper_schedule` drives the per-edge scalar engine
-  (:class:`repro.graph.bp.MaxProductBP`) through the Figure-11 schedule,
+  (:class:`MaxProductBP`, same module) through the Figure-11 schedule,
 * :func:`scalar_decode` turns its beliefs into a ``TableAnnotation``,
 * :func:`scalar_annotate_problem` is the two together (or generic flooding,
   the design ablation's schedule),
@@ -26,6 +28,7 @@ byte-identity tests compare the two:
 * :func:`wire` is the ``/annotate`` body the identity tests compare.
 """
 
+from tests.oracles.bp import Factor, FactorGraph, MaxProductBP, Variable
 from tests.oracles.scalar import (
     SCHEDULES,
     CandidateEntity,
@@ -33,6 +36,7 @@ from tests.oracles.scalar import (
     EngineQueries,
     OracleAnnotator,
     ScalarFeatureComputer,
+    build_factor_graph,
     run_scalar_paper_schedule,
     scalar_annotate_problem,
     scalar_build_problem,
@@ -45,8 +49,13 @@ __all__ = [
     "CandidateEntity",
     "CandidateGenerator",
     "EngineQueries",
+    "Factor",
+    "FactorGraph",
+    "MaxProductBP",
     "OracleAnnotator",
     "ScalarFeatureComputer",
+    "Variable",
+    "build_factor_graph",
     "run_scalar_paper_schedule",
     "scalar_annotate_problem",
     "scalar_build_problem",

@@ -1,10 +1,10 @@
-"""The scalar oracle: per-cell candidates, element-loop features and
-per-edge max-product BP.
+"""The scalar oracle: per-cell candidates, element-loop features, the
+per-table factor graph and per-edge max-product BP over it.
 
 See :mod:`tests.oracles` for how the tests use it.  Nothing here is tuned
 for speed; every function is the direct reading of the paper's definitions
-(Section 4.3 candidates, Section 4.2 features, Figure-11 schedule, argmax
-decoding).
+(Section 4.3 candidates, Section 4.2 features, equation (1), Figure-11
+schedule, argmax decoding).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.core.features import (
     TypeEntityFeatureMode,
     header_absent_features,
     relation_entities_features,
+    relation_types_features,
     text_lemma_features,
     type_entity_features,
 )
@@ -46,11 +47,9 @@ from repro.core.problem import (
     ColumnSpace,
     FeatureComputer,
     PairSpace,
-    build_factor_graph,
     build_problem,
 )
 from repro.core.simple_inference import annotate_simple
-from repro.graph.bp import MaxProductBP
 from repro.graph.fused import TOLERANCE
 from repro.pipeline.io import annotation_to_dict
 from repro.tables.generator import reversed_label
@@ -58,6 +57,7 @@ from repro.tables.model import Table
 from repro.text.index import InvertedIndex
 from repro.text.normalize import is_numeric_text
 from repro.text.tfidf import TfidfWeights
+from tests.oracles.bp import FactorGraph, MaxProductBP
 
 #: "paper" is the Figure-11 block schedule; "flooding" the generic
 #: synchronous schedule (the design ablation's alternative)
@@ -242,11 +242,11 @@ class EngineQueries:
 class ScalarFeatureComputer(FeatureComputer):
     """Feature blocks assembled element by element.
 
-    f1, f2, f3 and f5 come from the :mod:`repro.core.features` functions
-    one label at a time (f3 and f5 memoised per element); f4 is shared with
-    production.  ``generator`` stands in for the engine: only its
-    ``lemma_tfidf`` is read.  f3 never reads the production grid, so every
-    f3 equivalence check compares two computations.
+    f1 to f5 come from the :mod:`repro.core.features` functions one label
+    at a time (f3, f4 and f5 memoised per element).  ``generator`` stands
+    in for the engine: only its ``lemma_tfidf`` is read.  No block reads
+    production's grid or memos, so every equivalence check compares two
+    computations.
     """
 
     def __init__(
@@ -256,13 +256,12 @@ class ScalarFeatureComputer(FeatureComputer):
         generator: CandidateGenerator,
     ) -> None:
         # not FeatureComputer.__init__: it takes a view of the engine's
-        # interned f3 grid, and a generator has no interned tables.  Only
-        # the state the inherited f4 path reads is set up.
+        # interned f3 grid, and a generator has no interned tables
         self.catalog = catalog
         self.mode = mode
         self.engine = generator  # type: ignore[assignment]
-        self._f4_side_cache = {}
         self._f3_cache: dict[tuple[str, str], np.ndarray] = {}
+        self._f4_cache: dict[tuple[str, str, str], np.ndarray] = {}
         self._f5_cache: dict[tuple[str, str, str], np.ndarray] = {}
 
     def f1(self, cell_text: str, entity_id: str) -> np.ndarray:
@@ -281,6 +280,14 @@ class ScalarFeatureComputer(FeatureComputer):
         if cached is None:
             cached = type_entity_features(self.catalog, type_id, entity_id, self.mode)
             self._f3_cache[key] = cached
+        return cached
+
+    def f4(self, label: str, left_type: str, right_type: str) -> np.ndarray:
+        key = (label, left_type, right_type)
+        cached = self._f4_cache.get(key)
+        if cached is None:
+            cached = relation_types_features(self.catalog, label, left_type, right_type)
+            self._f4_cache[key] = cached
         return cached
 
     def f5(self, label: str, left_entity: str, right_entity: str) -> np.ndarray:
@@ -311,6 +318,22 @@ class ScalarFeatureComputer(FeatureComputer):
             [np.stack([self.f3(t, e) for e in entity_ids]) for t in type_ids]
         )
 
+    def f4_block(
+        self,
+        relation_labels: tuple[str, ...],
+        left_types: tuple[str, ...],
+        right_types: tuple[str, ...],
+    ) -> np.ndarray:
+        """f4 of one column pair, shape (n_labels, n_left, n_right, |f4|)."""
+        block = np.zeros((len(relation_labels), len(left_types), len(right_types), 4))
+        for b_index, label in enumerate(relation_labels):
+            for l_index, left_type in enumerate(left_types):
+                for r_index, right_type in enumerate(right_types):
+                    block[b_index, l_index, r_index] = self.f4(
+                        label, left_type, right_type
+                    )
+        return block
+
     def f5_block(
         self,
         labels: tuple[str, ...],
@@ -336,7 +359,7 @@ def scalar_build_problem(
 ) -> AnnotationProblem:
     """:func:`~repro.core.problem.build_problem` read row by row: per-cell
     ``Erc``, ``Tc`` and ``Bcc'`` from the catalog loops of ``generator``
-    and every f3 / f5 block assembled per row from elements."""
+    and every f3 / f4 / f5 block assembled from elements."""
     cells: dict[tuple[int, int], CellSpace] = {}
     column_candidates: dict[int, list[list[CandidateEntity]]] = {}
     for column in range(table.n_columns):
@@ -406,6 +429,73 @@ def scalar_build_problem(
         pairs[(left, right)] = space
 
     return AnnotationProblem(table=table, cells=cells, columns=columns, pairs=pairs)
+
+
+def build_factor_graph(
+    problem: AnnotationProblem,
+    model: AnnotationModel,
+    with_relations: bool = True,
+) -> FactorGraph:
+    """Materialise equation (1) as a log-space factor graph.
+
+    Potentials for any combination involving na are identically zero ("no
+    feature is fired if label na is involved").  With
+    ``with_relations=False`` the bcc'/φ4/φ5 parts are omitted — the
+    polynomial special case of Section 4.4.1.
+    """
+    graph = FactorGraph()
+    for space in problem.cells.values():
+        unary = np.concatenate(([0.0], space.f1 @ model.w1))
+        graph.add_variable(space.variable_name, space.labels, unary, kind="entity")
+    for space in problem.columns.values():
+        unary = np.concatenate(([0.0], space.f2 @ model.w2))
+        graph.add_variable(space.variable_name, space.labels, unary, kind="type")
+        for row, f3 in space.f3.items():
+            table = np.zeros((len(space.labels), f3.shape[1] + 1))
+            table[1:, 1:] = f3 @ model.w3
+            graph.add_factor(
+                f"phi3:{row},{space.column}",
+                (space.variable_name, f"e:{row},{space.column}"),
+                table,
+                kind="phi3",
+            )
+    if not with_relations:
+        return graph
+    for space in problem.pairs.values():
+        left_var = f"t:{space.left}"
+        right_var = f"t:{space.right}"
+        graph.add_variable(
+            space.variable_name,
+            space.labels,
+            np.zeros(len(space.labels)),
+            kind="relation",
+        )
+        n_left_types = len(problem.columns[space.left].labels)
+        n_right_types = len(problem.columns[space.right].labels)
+        phi4 = np.zeros((len(space.labels), n_left_types, n_right_types))
+        phi4[1:, 1:, 1:] = space.f4 @ model.w4
+        graph.add_factor(
+            f"phi4:{space.left},{space.right}",
+            (space.variable_name, left_var, right_var),
+            phi4,
+            kind="phi4",
+        )
+        for row, f5 in space.f5.items():
+            phi5 = np.zeros(
+                (len(space.labels), f5.shape[1] + 1, f5.shape[2] + 1)
+            )
+            phi5[1:, 1:, 1:] = f5 @ model.w5
+            graph.add_factor(
+                f"phi5:{row}:{space.left},{space.right}",
+                (
+                    space.variable_name,
+                    f"e:{row},{space.left}",
+                    f"e:{row},{space.right}",
+                ),
+                phi5,
+                kind="phi5",
+            )
+    return graph
 
 
 def wire(annotation: TableAnnotation) -> str:

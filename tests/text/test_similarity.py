@@ -10,8 +10,6 @@ from repro.text.similarity import (
     jaccard,
     jaro,
     jaro_winkler,
-    levenshtein_distance,
-    levenshtein_similarity,
     soft_tfidf,
 )
 from repro.text.tfidf import TfidfWeights
@@ -21,7 +19,7 @@ texts = st.text(
     max_size=30,
 )
 
-ALL_MEASURES = [jaccard, dice, cosine_tfidf, levenshtein_similarity, soft_tfidf]
+ALL_MEASURES = [jaccard, dice, cosine_tfidf, soft_tfidf]
 
 
 class TestExamples:
@@ -46,14 +44,6 @@ class TestExamples:
         assert rare_match == pytest.approx(1.0)
         assert common_only < 0.5
 
-    def test_levenshtein_distance(self):
-        assert levenshtein_distance("kitten", "sitting") == 3
-        assert levenshtein_distance("", "abc") == 3
-        assert levenshtein_distance("abc", "abc") == 0
-
-    def test_levenshtein_similarity_case_insensitive(self):
-        assert levenshtein_similarity("Einstein", "einstein") == 1.0
-
     def test_jaro_winkler_prefix_boost(self):
         plain = jaro("einstein", "einstien")
         boosted = jaro_winkler("einstein", "einstien")
@@ -77,7 +67,7 @@ class TestProperties:
     @given(texts, texts)
     @settings(max_examples=60)
     def test_range_and_symmetry(self, a, b):
-        for measure in (jaccard, dice, cosine_tfidf, levenshtein_similarity):
+        for measure in (jaccard, dice, cosine_tfidf):
             value_ab = measure(a, b)
             value_ba = measure(b, a)
             assert 0.0 <= value_ab <= 1.0 + 1e-9
@@ -94,12 +84,6 @@ class TestProperties:
     def test_soft_tfidf_dominates_cosine(self, a, b):
         # fuzzy matching can only add mass relative to exact cosine
         assert soft_tfidf(a, b) >= cosine_tfidf(a, b) - 1e-9
-
-    @given(texts, texts)
-    @settings(max_examples=60)
-    def test_levenshtein_triangle(self, a, b):
-        assert levenshtein_distance(a, b) == levenshtein_distance(b, a)
-        assert levenshtein_distance(a, b) <= max(len(a), len(b))
 
     @given(texts, texts)
     @settings(max_examples=60)

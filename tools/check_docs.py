@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Documentation checks: markdown links, runnable examples, layer contract,
-documented CLI flags.
+documented CLI flags, code references.
 
-Four subcommands, all exercised by CI's ``docs`` job:
+Five subcommands, all exercised by CI's ``docs`` job:
 
 ``links``
     Scan every tracked ``*.md`` file for relative links and verify each
@@ -32,6 +32,14 @@ Four subcommands, all exercised by CI's ``docs`` job:
     checks the other direction: every config field has a flag and a
     mention.)
 
+``refs``
+    Verify every backticked code reference outside code fences in
+    ``README.md`` and ``docs/*.md`` still names something: a dotted
+    ``repro.…`` name must resolve by import plus attribute walk, and a
+    ``….py`` path (optionally suffixed ``::name``) must exist under the
+    repository root, ``src/repro/`` or ``src/`` — so a doc naming a
+    deleted module, class or file fails CI.
+
 Run all with no arguments::
 
     python tools/check_docs.py
@@ -40,6 +48,7 @@ Run all with no arguments::
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import re
 import subprocess
@@ -58,6 +67,17 @@ EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 SKIP_DIRS = {".git", ".venv", "__pycache__", "node_modules", ".mypy_cache"}
 #: a long option such as ``--answer-cache-size`` (not a table rule ``---``)
 FLAG_PATTERN = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: an inline code span; it may wrap onto the next line
+CODE_SPAN_PATTERN = re.compile(r"`([^`]+)`")
+#: a span that is exactly a dotted name in the package
+DOTTED_PATTERN = re.compile(r"repro(?:\.[A-Za-z_]\w*)+")
+#: a span that is exactly a python file path, optionally ``::name``-suffixed
+PY_PATH_PATTERN = re.compile(r"([\w./-]+\.py)(?:::[\w.]+)?")
+
+
+def readme_and_docs() -> list[Path]:
+    """The user-facing documents: README.md and docs/*.md."""
+    return [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
 
 
 def iter_markdown_files() -> list[Path]:
@@ -193,8 +213,7 @@ def check_flags() -> list[str]:
     accepted by some ``repro`` subcommand."""
     accepted = cli_flags()
     problems: list[str] = []
-    documents = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
-    for markdown in documents:
+    for markdown in readme_and_docs():
         relative = markdown.relative_to(REPO_ROOT)
         text = strip_code_blocks(markdown.read_text())
         for number, line in enumerate(text.splitlines(), 1):
@@ -209,12 +228,59 @@ def check_flags() -> list[str]:
     return problems
 
 
+def resolves(dotted: str) -> bool:
+    """Whether a dotted name imports: the longest importable module
+    prefix, then the rest as attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for part in parts[cut:]:
+            if not hasattr(target, part):
+                return False
+            target = getattr(target, part)
+        return True
+    return False
+
+
+def check_refs() -> list[str]:
+    """Every backticked ``repro.…`` name in README.md and docs/*.md must
+    resolve and every backticked ``….py`` path must exist."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        problems: list[str] = []
+        roots = (REPO_ROOT, REPO_ROOT / "src" / "repro", REPO_ROOT / "src")
+        for markdown in readme_and_docs():
+            relative = markdown.relative_to(REPO_ROOT)
+            text = strip_code_blocks(markdown.read_text())
+            for match in CODE_SPAN_PATTERN.finditer(text):
+                span = " ".join(match.group(1).split())
+                number = text.count("\n", 0, match.start()) + 1
+                if DOTTED_PATTERN.fullmatch(span):
+                    if not resolves(span):
+                        problems.append(
+                            f"{relative}:{number}: `{span}` does not resolve"
+                        )
+                    continue
+                path = PY_PATH_PATTERN.fullmatch(span)
+                if path and not any((root / path.group(1)).is_file() for root in roots):
+                    problems.append(
+                        f"{relative}:{number}: `{span}` names no file under "
+                        f"the repo root, src/repro/ or src/"
+                    )
+        return problems
+    finally:
+        sys.path.pop(0)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "check",
         nargs="?",
-        choices=("links", "examples", "layers", "flags", "all"),
+        choices=("links", "examples", "layers", "flags", "refs", "all"),
         default="all",
     )
     args = parser.parse_args()
@@ -235,6 +301,11 @@ def main() -> int:
         flag_problems = check_flags()
         problems.extend(flag_problems)
         print(f"  {len(flag_problems)} unknown flag(s)")
+    if args.check in ("refs", "all"):
+        print("checking backticked code references in README.md and docs/ ...")
+        ref_problems = check_refs()
+        problems.extend(ref_problems)
+        print(f"  {len(ref_problems)} dangling reference(s)")
     if args.check in ("examples", "all"):
         print("running examples/ in smoke mode (REPRO_SMOKE=1) ...")
         problems.extend(check_examples())
