@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.api import errors
 from repro.api.errors import ApiError
-from repro.core.annotator import AnnotatorConfig
+from repro.core.annotator import AnnotatorConfig, check_count
 from repro.pipeline.pipeline import PipelineConfig
 
 
@@ -28,10 +29,22 @@ def _invalid(message: str) -> ApiError:
 
 
 def _check_count(name: str, value: Any, least: int) -> None:
-    """Refuse a count that is not an int (bools included) or is below
-    ``least``, as :class:`AnnotatorConfig` does."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise _invalid(f"{name} must be an int >= {least}: {value!r}")
+    """:func:`~repro.core.annotator.check_count`, as a ``validation_error``."""
+    try:
+        check_count(name, value, least)
+    except ValueError as error:
+        raise _invalid(str(error)) from None
+
+
+def _check_seconds(name: str, value: Any) -> None:
+    """Refuse a duration that is not a finite number >= 0 (bools included:
+    ``true`` would be a one-second timeout)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 <= value < math.inf  # NaN fails both comparisons
+    ):
+        raise _invalid(f"serve {name} must be a finite number >= 0: {value!r}")
 
 
 @dataclass
@@ -73,8 +86,7 @@ class ServeConfig:
             "health_interval_seconds",
             "drain_timeout_seconds",
         ):
-            if getattr(self, name) < 0:
-                raise _invalid(f"serve {name} must be >= 0")
+            _check_seconds(name, getattr(self, name))
 
 
 @dataclass
@@ -135,9 +147,8 @@ class SessionConfig:
         # the session and serve validators raise ApiError themselves; what
         # is left to classify is a payload of the wrong shape: unknown nested
         # fields (TypeError from the dataclass constructors, ValueError from
-        # AnnotatorConfig.from_dict), bad annotator values (ValueError from
-        # its validators) or wrongly typed values (TypeError from the range
-        # comparisons)
+        # AnnotatorConfig.from_dict) or bad annotator values (ValueError from
+        # its validators)
         try:
             if "annotator" in kwargs:
                 kwargs["annotator"] = AnnotatorConfig.from_dict(

@@ -30,6 +30,13 @@ from repro.core.simple_inference import annotate_simple
 from repro.tables.model import Table
 
 
+def check_count(name: str, value: object, least: int) -> None:
+    """Refuse a count that is not an int (bools included) or is below
+    ``least``, with a ``ValueError``.  Every config count is checked here."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}: {value!r}")
+
+
 @dataclass
 class AnnotatorConfig:
     """Configuration of the full annotation pipeline."""
@@ -48,9 +55,7 @@ class AnnotatorConfig:
             ("max_column_pairs", 0),
             ("max_iterations", 1),
         ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an int >= {least}: {value!r}")
+            check_count(name, getattr(self, name), least)
         if not isinstance(self.with_relations, bool):
             raise ValueError(
                 f"with_relations must be a bool: {self.with_relations!r}"

@@ -47,7 +47,7 @@ from typing import IO, Iterable, Iterator, Sequence, TypeVar
 
 from repro.catalog.catalog import Catalog
 from repro.core.annotation import AnnotationTiming, FrozenAnnotation, TableAnnotation
-from repro.core.annotator import AnnotatorConfig, TableAnnotator
+from repro.core.annotator import AnnotatorConfig, TableAnnotator, check_count
 from repro.core.candidates import CandidateEngine
 from repro.core.fused import annotate_fused_chunk
 from repro.core.model import AnnotationModel
@@ -121,12 +121,9 @@ class PipelineConfig:
     annotator: AnnotatorConfig = field(default_factory=AnnotatorConfig)
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
-        if self.answer_cache_size < 0:
-            raise ValueError("answer_cache_size must be >= 0")
+        check_count("batch_size", self.batch_size, 1)
+        check_count("cache_size", self.cache_size, 0)
+        check_count("answer_cache_size", self.answer_cache_size, 0)
 
 
 @dataclass

@@ -12,27 +12,24 @@ Two strengths, matching the paper's Figure-9 systems:
 Collected cells contribute entity evidence when annotated, string evidence
 otherwise; evidence is aggregated in favour of known entities and ranked
 (Figure 4 lines 8-10).
+
+A query visits only the rows that can anchor ``E2``: the cells annotated
+``E2`` (the index's entity map) and the cells sharing a token with its text
+(the index's per-column token postings), in ascending row order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog
 from repro.search.query import RelationQuery
 from repro.search.ranking import EvidenceAccumulator, SearchResponse
 from repro.search.table_index import AnnotatedTableIndex
-from repro.text.similarity import cosine_tfidf
 
-
-@dataclass
-class AnnotatedSearchConfig:
-    """Thresholds of the annotation-aware pipeline."""
-
-    min_cell_similarity: float = 0.6
-    #: weight of an entity-annotated answer cell (vs similarity-weighted text)
-    entity_evidence_weight: float = 1.0
-    top_k_answers: int = 50
+#: text similarity below which a given-column cell does not anchor ``E2``
+MIN_CELL_SIMILARITY = 0.6
+#: weight of an entity-annotated answer cell (vs similarity-weighted text)
+ENTITY_EVIDENCE_WEIGHT = 1.0
+TOP_K_ANSWERS = 50
 
 
 class AnnotatedSearcher:
@@ -43,13 +40,11 @@ class AnnotatedSearcher:
         index: AnnotatedTableIndex,
         catalog: Catalog,
         use_relations: bool = True,
-        config: AnnotatedSearchConfig | None = None,
         lemma_resolver: dict[str, str] | None = None,
     ) -> None:
         self.index = index
         self.catalog = catalog
         self.use_relations = use_relations
-        self.config = config if config is not None else AnnotatedSearchConfig()
         #: optional prebuilt lemma → entity mapping shared across queries
         #: (see :func:`repro.search.ranking.build_lemma_resolver`); the
         #: serving layer passes one so queries never pay the catalog scan
@@ -60,25 +55,25 @@ class AnnotatedSearcher:
         accumulator = EvidenceAccumulator(
             self.catalog, lemma_resolver=self.lemma_resolver
         )
+        entity_rows = self._entity_anchored_rows(query)
         for table_id, answer_column, given_column in self._candidate_column_pairs(
             query
         ):
             accumulator.tables_considered += 1
             table = self.index.tables[table_id]
             annotation = self.index.annotations.get(table_id)
-            for row in range(table.n_rows):
-                anchor_weight = self._anchor_weight(
-                    query, table, annotation, row, given_column
-                )
-                if anchor_weight <= 0.0:
-                    continue
+            anchor_weights = self._anchor_weights(
+                query, table_id, given_column, entity_rows
+            )
+            for row in sorted(anchor_weights):
+                anchor_weight = anchor_weights[row]
                 answer_entity = (
                     annotation.entity_of(row, answer_column) if annotation else None
                 )
                 if answer_entity is not None:
                     accumulator.add_entity_evidence(
                         answer_entity,
-                        anchor_weight * self.config.entity_evidence_weight,
+                        anchor_weight * ENTITY_EVIDENCE_WEIGHT,
                         table_id,
                     )
                 else:
@@ -87,7 +82,7 @@ class AnnotatedSearcher:
                         accumulator.add_string_evidence(
                             answer_text, anchor_weight, table_id
                         )
-        return accumulator.response(top_k=self.config.top_k_answers)
+        return accumulator.response(top_k=TOP_K_ANSWERS)
 
     # ------------------------------------------------------------------
     def _candidate_column_pairs(
@@ -112,19 +107,40 @@ class AnnotatedSearcher:
                     pairs.append((table_id, answer_column, given_column))
         return sorted(set(pairs))
 
-    def _anchor_weight(
+    def _entity_anchored_rows(
+        self, query: RelationQuery
+    ) -> dict[tuple[str, int], list[int]]:
+        """Rows whose cell is annotated ``E2``, grouped by (table, column)."""
+        grouped: dict[tuple[str, int], list[int]] = {}
+        if query.given_entity is not None:
+            for table_id, row, column in self.index.cells_of_entity(
+                query.given_entity
+            ):
+                grouped.setdefault((table_id, column), []).append(row)
+        return grouped
+
+    def _anchor_weights(
         self,
         query: RelationQuery,
-        table,
-        annotation,
-        row: int,
+        table_id: str,
         given_column: int,
-    ) -> float:
-        """How strongly this row's given-column cell matches ``E2``."""
-        if annotation is not None and query.given_entity is not None:
-            if annotation.entity_of(row, given_column) == query.given_entity:
-                return 1.0
-        similarity = cosine_tfidf(table.cell(row, given_column), query.given_text)
-        if similarity >= self.config.min_cell_similarity:
-            return similarity
-        return 0.0
+        entity_rows: dict[tuple[str, int], list[int]],
+    ) -> dict[int, float]:
+        """Row → how strongly its given-column cell matches ``E2``.
+
+        A cell annotated ``E2`` anchors with 1.0; any other cell anchors with
+        its text similarity to ``E2`` if that reaches
+        :data:`MIN_CELL_SIMILARITY`.  Rows left out anchor with 0.0.
+        """
+        weights = {
+            row: similarity
+            for row, similarity in self.index.anchor_rows(
+                table_id, given_column, query.given_text
+            )
+            if similarity >= MIN_CELL_SIMILARITY
+        }
+        n_rows = self.index.tables[table_id].n_rows
+        for row in entity_rows.get((table_id, given_column), ()):
+            if 0 <= row < n_rows:
+                weights[row] = 1.0
+        return weights

@@ -6,8 +6,9 @@ All inputs are interpreted as strings.  The processor:
    whose context matches the ``R`` string (context is a soft bonus — headers
    are the hard requirement, since without headers the baseline has nothing
    to anchor a column),
-2. within each qualifying table, scans the ``T2``-matched column for cells
-   textually similar to ``E2``,
+2. within each qualifying table, finds the cells of the ``T2``-matched
+   column textually similar to ``E2`` (through the index's token postings,
+   so only cells sharing a token with ``E2`` are visited),
 3. collects the cell contents of the ``T1``-matched column in qualifying
    rows, and
 4. clusters, dedups and ranks the collected strings.
@@ -17,37 +18,26 @@ Answers are raw strings — the baseline never consults the catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.catalog.catalog import Catalog
 from repro.search.query import RelationQuery
 from repro.search.ranking import EvidenceAccumulator, SearchResponse
 from repro.search.table_index import AnnotatedTableIndex
-from repro.text.similarity import cosine_tfidf
 
-
-@dataclass
-class BaselineSearchConfig:
-    """Thresholds of the string-matching pipeline."""
-
-    header_top_k: int = 60
-    min_cell_similarity: float = 0.6
-    context_bonus: float = 0.25
-    top_k_answers: int = 50
+#: header matches kept per ``T1`` / ``T2`` string
+HEADER_TOP_K = 60
+#: text similarity below which a ``T2``-column cell does not match ``E2``
+MIN_CELL_SIMILARITY = 0.6
+#: weight of the context match in a table's weight, beside its two headers
+CONTEXT_BONUS = 0.25
+TOP_K_ANSWERS = 50
 
 
 class BaselineSearcher:
     """Figure-3 query processing over the textual part of the index."""
 
-    def __init__(
-        self,
-        index: AnnotatedTableIndex,
-        catalog: Catalog,
-        config: BaselineSearchConfig | None = None,
-    ) -> None:
+    def __init__(self, index: AnnotatedTableIndex, catalog: Catalog) -> None:
         self.index = index
         self.catalog = catalog
-        self.config = config if config is not None else BaselineSearchConfig()
 
     def search(self, query: RelationQuery) -> SearchResponse:
         relation_text, t1_text, t2_text, e2_text = query.as_strings(self.catalog)
@@ -55,12 +45,8 @@ class BaselineSearcher:
             self.catalog, resolve_strings_to_entities=False
         )
 
-        t1_hits = self.index.columns_with_header(
-            t1_text, top_k=self.config.header_top_k
-        )
-        t2_hits = self.index.columns_with_header(
-            t2_text, top_k=self.config.header_top_k
-        )
+        t1_hits = self.index.columns_with_header(t1_text, top_k=HEADER_TOP_K)
+        t2_hits = self.index.columns_with_header(t2_text, top_k=HEADER_TOP_K)
         context_scores = self.index.tables_with_context(relation_text)
 
         t1_by_table: dict[str, tuple[int, float]] = {}
@@ -78,18 +64,14 @@ class BaselineSearcher:
             accumulator.tables_considered += 1
             table = self.index.tables[table_id]
             table_weight = (
-                t1_score
-                + t2_score
-                + self.config.context_bonus * context_scores.get(table_id, 0.0)
+                t1_score + t2_score + CONTEXT_BONUS * context_scores.get(table_id, 0.0)
             )
-            for row in range(table.n_rows):
-                cell_text = table.cell(row, t2_column)
-                similarity = cosine_tfidf(cell_text, e2_text)
-                if similarity < self.config.min_cell_similarity:
+            for row, similarity in self.index.anchor_rows(table_id, t2_column, e2_text):
+                if similarity < MIN_CELL_SIMILARITY:
                     continue
                 answer_text = table.cell(row, t1_column)
                 if answer_text.strip():
                     accumulator.add_string_evidence(
                         answer_text, table_weight * similarity, table_id
                     )
-        return accumulator.response(top_k=self.config.top_k_answers)
+        return accumulator.response(top_k=TOP_K_ANSWERS)

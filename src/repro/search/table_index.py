@@ -7,10 +7,18 @@ relations produced by the annotator — what Figure 4 exploits).
 
 Type lookups expand through the catalog's subtype DAG: a column annotated
 ``type:cat:1990s_films`` satisfies a query for ``type:movie``.
+
+Cell text is indexed per column as token postings (:class:`ColumnPostings`),
+so anchoring ``E2`` by text (:meth:`AnnotatedTableIndex.anchor_rows`) visits
+only the rows that share a token with it.  A column's postings are built on
+the first query that touches it, not when the index is built or loaded.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -19,6 +27,7 @@ from repro.core.annotation import TableAnnotation
 from repro.tables.generator import base_relation
 from repro.tables.model import Table
 from repro.text.index import InvertedIndex
+from repro.text.tokenize import tokenize
 
 
 @dataclass
@@ -30,6 +39,40 @@ class RelationEdge:
     object_column: int
     relation_id: str
     score: float = 0.0
+
+
+@dataclass(frozen=True)
+class ColumnPostings:
+    """One column's cell text as token postings.
+
+    ``postings`` maps each token to a flat ``(row, count, row, count, …)``
+    tuple in ascending row order.  ``norms[row]`` is the cell's
+    ``sqrt(Σ count²)``, 0.0 for a cell without tokens; ``tokenless_rows``
+    lists those cells in ascending order.
+    """
+
+    postings: dict[str, tuple[int, ...]]
+    norms: tuple[float, ...]
+    tokenless_rows: tuple[int, ...]
+
+    @classmethod
+    def of_cells(cls, cells: list[str]) -> "ColumnPostings":
+        postings: dict[str, list[int]] = {}
+        norms = []
+        tokenless_rows = []
+        for row, text in enumerate(cells):
+            counts = Counter(tokenize(text))
+            if not counts:
+                tokenless_rows.append(row)
+            for token, count in counts.items():
+                # columns share one string per token
+                postings.setdefault(sys.intern(token), []).extend((row, count))
+            norms.append(math.sqrt(sum(count * count for count in counts.values())))
+        return cls(
+            postings={token: tuple(flat) for token, flat in postings.items()},
+            norms=tuple(norms),
+            tokenless_rows=tuple(tokenless_rows),
+        )
 
 
 @dataclass
@@ -44,6 +87,10 @@ class AnnotatedTableIndex:
     _columns_by_type: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
     _cells_by_entity: dict[str, list[tuple[str, int, int]]] = field(default_factory=dict)
     _edges_by_relation: dict[str, list[RelationEdge]] = field(default_factory=dict)
+    #: (table, column) → postings, filled lazily by :meth:`anchor_rows`
+    _postings: dict[tuple[str, int], ColumnPostings] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     _frozen: bool = False
 
     # ------------------------------------------------------------------
@@ -206,6 +253,41 @@ class AnnotatedTableIndex:
 
     def relation_edges(self, relation_id: str) -> list[RelationEdge]:
         return list(self._edges_by_relation.get(relation_id, ()))
+
+    def anchor_rows(
+        self, table_id: str, column: int, text: str
+    ) -> list[tuple[int, float]]:
+        """Rows whose cell in ``column`` has a nonzero ``cosine_tfidf`` with
+        ``text``, ascending, each with that cosine.
+
+        The cosine is computed from the column's postings with
+        :func:`repro.text.similarity.cosine_tfidf`'s arithmetic.  With IDF 1
+        and integer counts the dot product and both norms are exact, so the
+        quotient is bit-identical.  As there, a tokenless cell against a
+        tokenless ``text`` scores 1.0.
+        """
+        column_postings = self._column_postings(table_id, column)
+        query_counts = Counter(tokenize(text))
+        if not query_counts:
+            return [(row, 1.0) for row in column_postings.tokenless_rows]
+        dots: dict[int, int] = {}
+        for token, query_count in query_counts.items():
+            pairs = iter(column_postings.postings.get(token, ()))
+            for row, count in zip(pairs, pairs):
+                dots[row] = dots.get(row, 0) + count * query_count
+        query_norm = math.sqrt(sum(count * count for count in query_counts.values()))
+        norms = column_postings.norms
+        return [(row, dots[row] / (norms[row] * query_norm)) for row in sorted(dots)]
+
+    def _column_postings(self, table_id: str, column: int) -> ColumnPostings:
+        key = (table_id, column)
+        postings = self._postings.get(key)
+        if postings is None:
+            built = ColumnPostings.of_cells(self.tables[table_id].column(column))
+            # one publish: a racing thread builds an equal value, and both
+            # go on with whichever landed first
+            postings = self._postings.setdefault(key, built)
+        return postings
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:

@@ -12,7 +12,12 @@ Concurrency model (the whole locking story):
 * **Bundle state is immutable.**  The catalog, the frozen lemma/header/
   context indexes and the annotated table index are never mutated after
   :func:`~repro.serve.bundle.load_bundle`, so every search request reads
-  them lock-free.
+  them lock-free.  The one exception is a memo: the table index builds a
+  column's token postings on the first query that touches the column and
+  publishes them with one ``dict.setdefault``.  A thread racing on the
+  same cold column builds an equal value, and both go on with whichever
+  landed first, so no lock is needed and answers do not depend on which
+  thread won.
 * **Annotation is a pure function with thread-safe memoisation.**  One
   :class:`~repro.pipeline.AnnotationPipeline` is shared by all requests
   (owned by the session); its candidate / feature-block / answer LRUs

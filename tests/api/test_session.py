@@ -102,6 +102,34 @@ class TestSessionConfig:
                 build()
             assert excinfo.value.code == "validation_error"
 
+    def test_serve_seconds_refuse_bools_and_non_finite(self):
+        """``true`` would be a silent one-second timeout and NaN passes
+        every range comparison; both, and infinities, are refused."""
+        from repro.api.config import ServeConfig
+
+        for name in (
+            "shed_timeout_seconds",
+            "request_timeout_seconds",
+            "health_interval_seconds",
+            "drain_timeout_seconds",
+        ):
+            for value in (True, False, float("nan"), float("inf"), "1", -1):
+                with pytest.raises(ApiError) as excinfo:
+                    ServeConfig(**{name: value})
+                assert excinfo.value.code == "validation_error"
+                assert name in excinfo.value.message
+        # the JSON path: Python's json reads NaN and true
+        for raw in (
+            '{"serve": {"drain_timeout_seconds": NaN}}',
+            '{"serve": {"request_timeout_seconds": true}}',
+        ):
+            with pytest.raises(ApiError) as excinfo:
+                SessionConfig.from_json(json.loads(raw))
+            assert excinfo.value.code == "validation_error"
+        accepted = ServeConfig(shed_timeout_seconds=0, drain_timeout_seconds=0.5)
+        assert accepted.shed_timeout_seconds == 0
+        assert accepted.drain_timeout_seconds == 0.5
+
     def test_pipeline_config_carries_candidate_engine(self):
         annotator = AnnotatorConfig(top_k_entities=3, max_iterations=5)
         config = SessionConfig(annotator=annotator).pipeline_config()

@@ -26,6 +26,10 @@ byte-identity tests compare the two:
   and annotates them with the scalar engine — either half can be swapped
   for its production counterpart to check one layer at a time,
 * :func:`wire` is the ``/annotate`` body the identity tests compare.
+
+:mod:`tests.oracles.search` does the same for search: its searchers score
+every row of every candidate column with ``cosine_tfidf``, the loops the
+production searchers' token postings replaced.
 """
 
 from tests.oracles.bp import Factor, FactorGraph, MaxProductBP, Variable

@@ -313,6 +313,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["batch_size", "cache_size", "answer_cache_size"])
+    @pytest.mark.parametrize("value", [2.5, True, "4"])
+    def test_rejects_non_int_counts(self, name, value):
+        """Counts are ints, as in ``SessionConfig``: a float batch size
+        would fail later in the batching ``range()``."""
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig(**{name: value})
+
     def test_single_table_annotate_shares_answer_cache(self, tiny_world, corpus_tables):
         pipeline = AnnotationPipeline(tiny_world.annotator_view)
         first = pipeline.annotate(corpus_tables[0])

@@ -1,5 +1,8 @@
 """Tests for the three query processors on a hand-built corpus."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.annotation import (
@@ -11,8 +14,11 @@ from repro.core.annotation import (
 from repro.search.annotated_search import AnnotatedSearcher
 from repro.search.baseline_search import BaselineSearcher
 from repro.search.query import RelationQuery
-from repro.search.table_index import AnnotatedTableIndex
+from repro.search.table_index import AnnotatedTableIndex, ColumnPostings
 from repro.tables.model import Table
+from repro.text.similarity import cosine_tfidf
+from repro.text.tokenize import tokenize
+from tests.oracles.search import ScanAnnotatedSearcher
 
 
 @pytest.fixture()
@@ -156,3 +162,109 @@ class TestTypeRelSearcher:
         searcher = AnnotatedSearcher(index, book_catalog, use_relations=True)
         ids = [a.entity_id for a in searcher.search(query).answers]
         assert ids == ["ent:uncle_albert"]
+
+
+class TestPostings:
+    """Text anchoring reads per-column token postings."""
+
+    def test_anchor_rows_are_the_nonzero_cosines(self, corpus_index):
+        texts = ("Russell Stannard", "stannard STANNARD", "A. Einstein", "Uncle")
+        for table_id, table in corpus_index.tables.items():
+            for column in range(table.n_columns):
+                for text in texts:
+                    cosines = [
+                        (row, cosine_tfidf(table.cell(row, column), text))
+                        for row in range(table.n_rows)
+                    ]
+                    expected = [(row, cos) for row, cos in cosines if cos != 0.0]
+                    assert corpus_index.anchor_rows(table_id, column, text) == expected
+
+    def test_tokenless_text_anchors_tokenless_cells(self, book_catalog):
+        index = AnnotatedTableIndex(catalog=book_catalog)
+        index.add_table(
+            Table(table_id="t", cells=[["", "x"], ["Stannard", "y"], ["—", "z"]])
+        )
+        index.freeze()
+        for text in ("", "—", "!!"):
+            assert index.anchor_rows("t", 0, text) == [(0, 1.0), (2, 1.0)]
+        assert index.anchor_rows("t", 0, "stannard") == [(1, 1.0)]
+
+    def test_postings_build_once_per_touched_column(
+        self, corpus_index, book_catalog, stannard_query, monkeypatch
+    ):
+        built = []
+        of_cells = ColumnPostings.of_cells
+
+        def counting(cells):
+            built.append(tuple(cells))
+            return of_cells(cells)
+
+        monkeypatch.setattr(ColumnPostings, "of_cells", staticmethod(counting))
+        searcher = AnnotatedSearcher(corpus_index, book_catalog, use_relations=True)
+        searcher.search(stannard_query)
+        # Type+Rel considers one column pair: t1's author column
+        assert built == [tuple(corpus_index.tables["t1"].column(1))]
+        searcher.search(stannard_query)
+        assert len(built) == 1
+
+    def test_threads_racing_on_cold_columns_agree(
+        self, corpus_index, book_catalog, stannard_query
+    ):
+        """Every racing search publishes or reads one postings value per
+        column and answers as the row scan does."""
+        expected = ScanAnnotatedSearcher(
+            corpus_index, book_catalog, use_relations=False
+        ).search(stannard_query)
+        searcher = AnnotatedSearcher(corpus_index, book_catalog, use_relations=False)
+        n_threads = 8
+        start = threading.Barrier(n_threads)
+        responses = []
+
+        def search():
+            start.wait(timeout=30)
+            responses.append(searcher.search(stannard_query))
+
+        threads = [threading.Thread(target=search) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert responses == [expected] * n_threads
+
+    def test_warm_search_tokenizes_only_the_query(
+        self, corpus_index, book_catalog, stannard_query, monkeypatch
+    ):
+        """Once a column's postings exist, no cell text is tokenized again."""
+        searchers = [
+            AnnotatedSearcher(corpus_index, book_catalog, use_relations=flag)
+            for flag in (True, False)
+        ]
+        baseline = BaselineSearcher(corpus_index, book_catalog)
+        for searcher in [*searchers, baseline]:
+            searcher.search(stannard_query)
+        seen = []
+
+        def counting(text, *args, **kwargs):
+            seen.append(text)
+            return tokenize(text, *args, **kwargs)
+
+        # every module that imported the tokenizer by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and vars(module).get("tokenize") is tokenize:
+                monkeypatch.setattr(module, "tokenize", counting)
+        for searcher in searchers:
+            seen.clear()
+            assert searcher.search(stannard_query).answers
+            assert seen and set(seen) == {stannard_query.given_text}
+        # the baseline also matches the relation and type strings against
+        # headers and context
+        seen.clear()
+        assert baseline.search(stannard_query).answers
+        assert stannard_query.given_text in seen
+        assert set(seen) <= set(stannard_query.as_strings(book_catalog))
