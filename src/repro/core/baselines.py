@@ -66,11 +66,13 @@ class LCAAnnotator:
             # brittleness the paper criticises ("insisting on a brittle
             # choice like LCA may be damaging").
             common: set[str] | None = None
+            space = problem.columns[column_index]
+            cells = dict(zip(space.rows.tolist(), range(len(space.rows))))
             for row in range(problem.table.n_rows):
-                cell = problem.cells.get((row, column_index))
+                cell = cells.get(row)
                 ancestors: set[str] = set()
                 if cell is not None:
-                    for entity_id in cell.labels[1:]:
+                    for entity_id in space.labels(cell)[1:]:
                         ancestors.update(catalog.type_ancestors(entity_id))
                 common = ancestors if common is None else common & ancestors
                 if not common:
@@ -125,14 +127,11 @@ class MajorityAnnotator:
         type_sets: dict[int, set[str]] = {}
         for column_index in range(problem.table.n_columns):
             votes: dict[str, int] = {}
-            n_voting_rows = 0
-            for row in range(problem.table.n_rows):
-                cell = problem.cells.get((row, column_index))
-                if cell is None:
-                    continue
-                n_voting_rows += 1
+            space = problem.columns[column_index]
+            n_voting_rows = len(space.rows)
+            for cell in range(n_voting_rows):
                 row_types: set[str] = set()
-                for entity_id in cell.labels[1:]:
+                for entity_id in space.labels(cell)[1:]:
                     row_types.update(catalog.type_ancestors(entity_id))
                 for type_id in row_types:
                     votes[type_id] = votes.get(type_id, 0) + 1
@@ -191,10 +190,11 @@ def _assign_cells_constrained(
     :meth:`FeatureComputer.f3` rather than from the problem's f3 blocks.
     """
     catalog = features.catalog
-    for row in range(problem.table.n_rows):
-        cell = problem.cells.get((row, column_index))
-        if cell is None:
-            continue
+    space = problem.columns[column_index]
+    starts = space.offsets.tolist()
+    for cell, (row, start, stop) in enumerate(
+        zip(space.rows.tolist(), starts, starts[1:])
+    ):
         if type_id is NA:
             # a killed column (empty intersection) carries no phi3 support
             # for any concrete entity: every cell falls to na
@@ -202,8 +202,9 @@ def _assign_cells_constrained(
                 row=row, column=column_index, entity_id=NA, score=0.0
             )
             continue
-        scores = np.concatenate(([0.0], cell.f1 @ model.w1))
-        for index, entity_id in enumerate(cell.labels[1:], start=1):
+        labels = space.labels(cell)
+        scores = np.concatenate(([0.0], space.f1[start:stop] @ model.w1))
+        for index, entity_id in enumerate(labels[1:], start=1):
             if not catalog.is_instance(entity_id, type_id):
                 scores[index] = float("-inf")
             else:
@@ -213,7 +214,7 @@ def _assign_cells_constrained(
         annotation.cells[(row, column_index)] = CellAnnotation(
             row=row,
             column=column_index,
-            entity_id=cell.labels[chosen],
+            entity_id=labels[chosen],
             score=float(scores[chosen]),
         )
 

@@ -45,7 +45,7 @@ pin identical ids, scores and ordering against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -346,15 +346,6 @@ class ColumnCandidates:
         """Candidates per row."""
         return np.diff(self.offsets)
 
-    def blocks(self) -> Iterator[tuple[int, int, int]]:
-        """``(row, start, stop)`` of every row with candidates."""
-        rows = np.flatnonzero(self.counts)
-        return zip(
-            rows.tolist(),
-            self.offsets[rows].tolist(),
-            self.offsets[rows + 1].tolist(),
-        )
-
 
 @dataclass(frozen=True)
 class PairCandidates:
@@ -395,18 +386,6 @@ class PairCandidates:
             offsets=offsets,
             left_counts=left_counts,
             right_counts=right_counts,
-        )
-
-    def blocks(self) -> Iterator[tuple[int, int, int, int, int]]:
-        """``(row, start, stop, n_left, n_right)`` of every row where both
-        sides have candidates."""
-        rows = np.flatnonzero(np.diff(self.offsets))
-        return zip(
-            rows.tolist(),
-            self.offsets[rows].tolist(),
-            self.offsets[rows + 1].tolist(),
-            self.left_counts[rows].tolist(),
-            self.right_counts[rows].tolist(),
         )
 
 

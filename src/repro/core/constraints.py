@@ -47,27 +47,20 @@ def assign_unique_entities(
         entity id or ``None`` (na).  Maximises the summed log-score subject
         to the all-different constraint over concrete entities.
     """
-    rows = [
-        row for row in range(problem.table.n_rows) if (row, column) in problem.cells
-    ]
+    space = problem.columns[column]
+    rows = space.rows.tolist()
     if not rows:
         return {}
-    entities = sorted(
-        {
-            entity_id
-            for row in rows
-            for entity_id in problem.cells[(row, column)].labels[1:]
-        }
-    )
+    entities = sorted(set(space.entities))
     entity_index = {entity: position for position, entity in enumerate(entities)}
 
     # Score matrix: rows x (entities ... | one na slot per row).
     n_rows, n_entities = len(rows), len(entities)
     scores = np.full((n_rows, n_entities + n_rows), _FORBIDDEN)
-    for row_position, row in enumerate(rows):
-        cell = problem.cells[(row, column)]
-        unary = cell.f1 @ model.w1
-        for candidate_position, entity_id in enumerate(cell.labels[1:]):
+    starts = space.offsets.tolist()
+    for row_position, (start, stop) in enumerate(zip(starts, starts[1:])):
+        unary = space.f1[start:stop] @ model.w1
+        for candidate_position, entity_id in enumerate(space.entities[start:stop]):
             score = float(unary[candidate_position])
             if type_id is not NA:
                 score += float(features.f3(type_id, entity_id) @ model.w3)

@@ -75,12 +75,13 @@ def truth_assignment(
     for (row, column), space in problem.cells.items():
         label = truth.cell_entities.get((row, column), NA)
         assignment[space.variable_name] = label if label in space.labels else NA
-    for column, space in problem.columns.items():
-        label = truth.column_types.get(column, NA)
-        assignment[space.variable_name] = label if label in space.labels else NA
-    for (left, right), space in problem.pairs.items():
-        label = truth.relations.get((left, right), NA)
-        assignment[space.variable_name] = label if label in space.labels else NA
+    for column in problem.columns:
+        if column.has_type:
+            label = truth.column_types.get(column.column, NA)
+            assignment[column.variable_name] = label if label in column.types else NA
+    for pair in problem.pairs:
+        label = truth.relations.get((pair.left, pair.right), NA)
+        assignment[pair.variable_name] = label if label in pair.labels else NA
     return assignment
 
 
@@ -190,18 +191,15 @@ class StructuredTrainer:
         """MAP under ``w·Φ + Hamming(y, gold)`` (cost-augmented decoding)."""
         bonus: dict[str, np.ndarray] = {}
         cost = self.config.loss_cost
-        spaces = list(problem.cells.values()) + list(problem.columns.values())
-        if self.annotator.config.with_relations:
-            spaces += list(problem.pairs.values())
-        for space in spaces:
-            gold_label = gold.get(space.variable_name, NA)
-            penalties = np.full(len(space.labels), cost)
-            try:
-                gold_index = space.labels.index(gold_label)
-            except ValueError:
-                gold_index = 0
-            penalties[gold_index] = 0.0
-            bonus[space.variable_name] = penalties
+        variables = problem.variables()
+        if not self.annotator.config.with_relations:
+            # the relation variables come last
+            variables = variables[: len(variables) - len(problem.pairs)]
+        for name, domain in variables:
+            gold_label = gold.get(name, NA)
+            penalties = np.full(len(domain), cost)
+            penalties[domain.index(gold_label) if gold_label in domain else 0] = 0.0
+            bonus[name] = penalties
         if self.annotator.config.with_relations:
             annotation = annotate_problem(
                 problem, model, self.annotator.config, unary_bonus=bonus

@@ -16,7 +16,8 @@ learner re-scores the same problem under many weight vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -24,11 +25,20 @@ import numpy as np
 from repro.catalog.catalog import Catalog
 from repro.core.candidates import (
     CandidateEngine,
+    NO_CANDIDATES,
     CellCandidates,
     ColumnCandidates,
     PairCandidates,
 )
-from repro.core.features import TypeEntityFeatureMode, header_absent_features
+from repro.core.features import (
+    F1_FEATURE_NAMES,
+    F2_FEATURE_NAMES,
+    F3_FEATURE_NAMES,
+    F4_FEATURE_NAMES,
+    F5_FEATURE_NAMES,
+    TypeEntityFeatureMode,
+    header_absent_features,
+)
 from repro.tables.generator import base_relation
 from repro.tables.model import Table
 from repro.text.profile import (
@@ -46,10 +56,10 @@ class FeatureComputer:
 
     Blocks are assembled with array programs over the candidate engine's
     interned tables: f1/f2 run the profiled similarity battery
-    (:mod:`repro.text.profile`), a column's f3 blocks are one gather from
-    the interned (type × entity) grid and a column pair's f5 blocks one
-    ``searchsorted`` per label of every row's packed pair keys, each cut
-    into per-row views.  The element-loop reading of every family lives in
+    (:mod:`repro.text.profile`), a column's f3 block is one gather from
+    the interned (type × entity) grid and a column pair's f5 block one
+    ``searchsorted`` per label of every row's packed pair keys, each over
+    all rows at once.  The element-loop reading of every family lives in
     ``tests/oracles``; the equivalence tests pin the blocks bit for bit
     against it.
 
@@ -170,15 +180,14 @@ class FeatureComputer:
         (entity_int,) = tables.intern("entity", (entity_id,))
         return self._f3_grid[type_int, entity_int]
 
-    def f3_blocks(
+    def f3_block(
         self, type_ints: np.ndarray, column: ColumnCandidates
-    ) -> dict[int, np.ndarray]:
-        """f3 of a column's candidate types against each row's candidate
-        entities, shape (n_types, n_entities, |f3|) per row with
-        candidates: one gather for the whole column, cut into row views."""
+    ) -> np.ndarray:
+        """f3 of a column's candidate types against every row's candidate
+        entities, shape (n_types, n_candidates, |f3|): one gather, rows in
+        order along the candidate axis."""
         pairs = type_ints[:, None] * self._f3_grid.shape[1] + column.entities
-        grid = np.take(self._f3_rows, pairs, axis=0)
-        return {row: grid[:, start:stop] for row, start, stop in column.blocks()}
+        return np.take(self._f3_rows, pairs, axis=0)
 
     # -- f4 ---------------------------------------------------------------
     def f4_sides(
@@ -249,13 +258,13 @@ class FeatureComputer:
         return table
 
     # -- f5 ---------------------------------------------------------------
-    def f5_blocks(
+    def f5_block(
         self, relations: list[tuple[str, int, bool]], pairs: PairCandidates
-    ) -> dict[int, np.ndarray]:
+    ) -> np.ndarray:
         """f5 of a column pair's candidate relations (``Bcc'`` as
         :meth:`~repro.core.candidates.CandidateEngine.relation_candidates`
-        returns it) against each row's candidate pairs, shape (n_labels,
-        n_left, n_right, |f5|) per row where both sides have candidates.
+        returns it) against every row's candidate pairs, shape (n_labels,
+        n_pairs, |f5|), the pairs in the order of ``pairs``.
 
         One ``searchsorted`` per label of the pair keys into the relation's
         tuple keys; a reversed label reads the backward keys, with the
@@ -292,19 +301,92 @@ class FeatureComputer:
                 violation |= np.isin(objects, relation_keys % n_entities)
             flat[b_index, :, 0] = exists
             flat[b_index, :, 1] = violation & ~exists
-        return {
-            row: flat[:, start:stop].reshape(len(relations), n_left, n_right, 2)
-            for row, start, stop, n_left, n_right in pairs.blocks()
-        }
+        return flat
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class ColumnSpace:
+    """One table column's variables as arrays in a fixed order.
+
+    A cell variable for every row with candidates, held as a CSR over
+    those rows (the layout of
+    :class:`~repro.core.candidates.ColumnCandidates`), and a type variable
+    when ``Tc`` is not empty.  A column without candidates has no cells and
+    no type variable.
+    """
+
+    column: int
+    header: str | None
+    #: rows with candidates, ascending: cell ``i`` is row ``rows[i]``
+    rows: np.ndarray
+    #: cell ``i``'s candidates are ``[offsets[i], offsets[i + 1])`` of
+    #: ``entities``, ``scores`` and ``f1``, best retrieval score first
+    offsets: np.ndarray
+    #: candidate entity ids of every cell, cell after cell
+    entities: tuple[str, ...]
+    #: retrieval scores of the candidates
+    scores: np.ndarray
+    #: f1 of every candidate, shape (n_candidates, |f1|)
+    f1: np.ndarray
+    #: type domain = (NA,) + ``Tc``; ``(NA,)`` alone when there is no type
+    #: variable
+    types: tuple[str | None, ...]
+    #: f2 of the concrete types, shape (n_types, |f2|)
+    f2: np.ndarray
+    #: f3 of every concrete type against every candidate, shape
+    #: (n_types, n_candidates, |f3|)
+    f3: np.ndarray
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Concrete candidates per cell."""
+        return np.diff(self.offsets)
+
+    @property
+    def has_type(self) -> bool:
+        return len(self.types) > 1
+
+    @property
+    def variable_name(self) -> str:
+        return f"t:{self.column}"
+
+    def labels(self, cell: int) -> tuple[str | None, ...]:
+        """Cell ``cell``'s domain: (NA,) + its candidate entity ids."""
+        return (NA,) + self.entities[self.offsets[cell] : self.offsets[cell + 1]]
+
+
+@dataclass(frozen=True, eq=False)
+class PairSpace:
+    """An ordered column pair's relation variable and its f4/f5 arrays."""
+
+    left: int
+    right: int
+    #: domain = (NA,) + concrete relation labels (possibly ``^-1``-suffixed)
+    labels: tuple[str | None, ...]
+    #: f4 array, shape (n_concrete, n_left_types, n_right_types, |f4|)
+    f4: np.ndarray
+    #: for every row where both cells have candidates, ascending: the
+    #: cell's index in the left and in the right :class:`ColumnSpace`
+    left_cells: np.ndarray
+    right_cells: np.ndarray
+    #: the candidate counts of those cells
+    n_left: np.ndarray
+    n_right: np.ndarray
+    #: f5 of every such row's candidate pairs, rows in order and each row
+    #: left-major, shape (n_concrete, Σ n_left·n_right, |f5|)
+    f5: np.ndarray
+
+    @property
+    def variable_name(self) -> str:
+        return f"b:{self.left},{self.right}"
+
+
+@dataclass(frozen=True, eq=False)
 class CellSpace:
-    """Candidate space and f1 features of one cell."""
+    """One cell variable, read through its column's arrays (views)."""
 
     row: int
     column: int
-    text: str
     #: domain = (NA,) + concrete entity ids, best retrieval score first
     labels: tuple[str | None, ...]
     #: retrieval scores of the concrete labels
@@ -317,60 +399,67 @@ class CellSpace:
         return f"e:{self.row},{self.column}"
 
 
-@dataclass
-class ColumnSpace:
-    """Candidate space and f2/f3 features of one column."""
-
-    column: int
-    header: str | None
-    #: domain = (NA,) + concrete type ids
-    labels: tuple[str | None, ...]
-    #: f2 features of concrete labels, shape (n_concrete, |f2|)
-    f2: np.ndarray
-    #: per-row f3 arrays, shape (n_concrete_types, n_concrete_entities, |f3|)
-    f3: dict[int, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def variable_name(self) -> str:
-        return f"t:{self.column}"
-
-
-@dataclass
-class PairSpace:
-    """Candidate space and f4/f5 features of an ordered column pair."""
-
-    left: int
-    right: int
-    #: domain = (NA,) + concrete relation labels (possibly ``^-1``-suffixed)
-    labels: tuple[str | None, ...]
-    #: f4 array, shape (n_concrete, n_left_types, n_right_types, |f4|)
-    f4: np.ndarray
-    #: per-row f5 arrays, shape (n_concrete, n_left_ents, n_right_ents, |f5|)
-    f5: dict[int, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def variable_name(self) -> str:
-        return f"b:{self.left},{self.right}"
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AnnotationProblem:
-    """Everything weight-independent about annotating one table."""
+    """Everything weight-independent about annotating one table.
+
+    Variables are numbered in one fixed order, the order compile and decode
+    lay them out: every cell column by column (rows ascending), then every
+    type variable by column, then the relation variables in ``pairs``
+    order.
+    """
 
     table: Table
-    cells: dict[tuple[int, int], CellSpace]
-    columns: dict[int, ColumnSpace]
-    pairs: dict[tuple[int, int], PairSpace]
+    #: one space per table column, in column order
+    columns: tuple[ColumnSpace, ...]
+    #: relation variables, the widest candidate support first
+    pairs: tuple[PairSpace, ...]
+
+    @cached_property
+    def cells(self) -> dict[tuple[int, int], CellSpace]:
+        """Every cell variable as views into its column's arrays, keyed by
+        ``(row, column)`` in variable order; built on first use, for the
+        per-cell readers (baselines, the learner, oracles)."""
+        cells: dict[tuple[int, int], CellSpace] = {}
+        for space in self.columns:
+            offsets = space.offsets.tolist()
+            for cell, row in enumerate(space.rows.tolist()):
+                start, stop = offsets[cell], offsets[cell + 1]
+                cells[(row, space.column)] = CellSpace(
+                    row=row,
+                    column=space.column,
+                    labels=(NA,) + space.entities[start:stop],
+                    scores=space.scores[start:stop],
+                    f1=space.f1[start:stop],
+                )
+        return cells
+
+    def variables(self) -> list[tuple[str, tuple[str | None, ...]]]:
+        """``(name, domain)`` of every variable, in variable order."""
+        variables = [
+            (cell.variable_name, cell.labels) for cell in self.cells.values()
+        ]
+        variables += [
+            (space.variable_name, space.types)
+            for space in self.columns
+            if space.has_type
+        ]
+        variables += [(space.variable_name, space.labels) for space in self.pairs]
+        return variables
 
     def stats(self) -> dict[str, float]:
         """Candidate-space statistics (feeds the §6.1.1 candidate bench)."""
-        entity_counts = [len(space.labels) - 1 for space in self.cells.values()]
-        type_counts = [len(space.labels) - 1 for space in self.columns.values()]
-        relation_counts = [len(space.labels) - 1 for space in self.pairs.values()]
+        entity_counts = np.concatenate(
+            [space.counts for space in self.columns] or [np.zeros(0)]
+        )
+        type_counts = [
+            len(space.types) - 1 for space in self.columns if space.has_type
+        ]
+        relation_counts = [len(space.labels) - 1 for space in self.pairs]
         return {
             "cells_with_candidates": len(entity_counts),
             "avg_entity_candidates": (
-                float(np.mean(entity_counts)) if entity_counts else 0.0
+                float(np.mean(entity_counts)) if len(entity_counts) else 0.0
             ),
             "avg_type_candidates": float(np.mean(type_counts)) if type_counts else 0.0,
             "avg_relation_candidates": (
@@ -386,13 +475,13 @@ def build_problem(
     erc: Mapping[str, CellCandidates],
     max_column_pairs: int = 12,
 ) -> AnnotationProblem:
-    """Construct the candidate spaces and feature caches for one table.
+    """Construct the candidate spaces and feature arrays for one table.
 
     ``erc`` maps each cell text of the table to its resolved ``Erc``
     (:meth:`~repro.core.annotator.TableAnnotator.resolve_candidates`
     answers a whole bucket in one engine call); ``Tc`` and ``Bcc'`` come
     from ``engine``, one whole-column array pass each over the interned
-    entity ints, and the f3 and f5 blocks of a column or column pair from
+    entity ints, and the f3 and f5 arrays of a column or column pair from
     one gather or one ``searchsorted`` per label.  Cells without candidates
     (numeric/blank/unmatched) get no variable — their label is forced to
     na.  Column pairs are considered for every ordered pair of columns that
@@ -402,46 +491,51 @@ def build_problem(
     """
     entity_ids = engine.tables.entity_ids
     type_ids = engine.tables.type_ids
-    cells: dict[tuple[int, int], CellSpace] = {}
+    columns: list[ColumnSpace] = []
     column_candidates: list[ColumnCandidates] = []
     for column in range(table.n_columns):
-        per_row: list[CellCandidates] = []
-        for row in range(table.n_rows):
-            text = table.cell(row, column)
-            found = erc[text]
-            per_row.append(found)
-            if len(found.entities):
-                ids = tuple(entity_ids[i] for i in found.entities.tolist())
-                cells[(row, column)] = CellSpace(
-                    row=row,
-                    column=column,
-                    text=text,
-                    labels=(NA,) + ids,
-                    scores=found.scores,
-                    f1=features.f1_block(text, ids),
-                )
-        column_candidates.append(ColumnCandidates.of(per_row))
-
-    columns: dict[int, ColumnSpace] = {}
-    for column, candidates in enumerate(column_candidates):
+        texts = [table.cell(row, column) for row in range(table.n_rows)]
+        found = [erc[text] for text in texts]
+        candidates = ColumnCandidates.of(found)
+        rows = np.flatnonzero(candidates.counts)
+        entities = tuple(entity_ids[i] for i in candidates.entities.tolist())
+        offsets = candidates.offsets[np.concatenate((rows, [len(texts)]))]
+        starts = offsets.tolist()
+        f1 = [
+            features.f1_block(texts[row], entities[start:stop])
+            for row, start, stop in zip(rows.tolist(), starts, starts[1:])
+        ]
         type_ints = engine.column_type_candidates(candidates)
-        if not len(type_ints):
-            continue
         types = tuple(type_ids[t] for t in type_ints.tolist())
         header = table.header(column)
-        columns[column] = ColumnSpace(
-            column=column,
-            header=header,
-            labels=(NA,) + types,
-            f2=features.f2_block(header, types),
-            f3=features.f3_blocks(type_ints, candidates),
+        columns.append(
+            ColumnSpace(
+                column=column,
+                header=header,
+                rows=rows,
+                offsets=offsets,
+                entities=entities,
+                scores=np.concatenate(
+                    [cell.scores for cell in found] or [NO_CANDIDATES.scores]
+                ),
+                f1=np.concatenate(f1) if f1 else np.zeros((0, len(F1_FEATURE_NAMES))),
+                types=(NA,) + types,
+                f2=(
+                    features.f2_block(header, types)
+                    if types
+                    else np.zeros((0, len(F2_FEATURE_NAMES)))
+                ),
+                f3=features.f3_block(type_ints, candidates),
+            )
         )
+        column_candidates.append(candidates)
 
+    typed = [space.column for space in columns if space.has_type]
     candidate_pairs: list[
         tuple[int, int, list[tuple[str, int, bool]], PairCandidates]
     ] = []
-    for left in columns:
-        for right in columns:
+    for left in typed:
+        for right in typed:
             if left >= right:
                 continue
             row_pairs = PairCandidates.of(
@@ -451,20 +545,52 @@ def build_problem(
             if relations:
                 candidate_pairs.append((left, right, relations, row_pairs))
     candidate_pairs.sort(key=lambda item: (-len(item[2]), item[0], item[1]))
-    pairs: dict[tuple[int, int], PairSpace] = {}
+    pairs: list[PairSpace] = []
     for left, right, relations, row_pairs in candidate_pairs[:max_column_pairs]:
         labels = tuple(label for label, _relation, _reverse in relations)
-        pairs[(left, right)] = PairSpace(
-            left=left,
-            right=right,
-            labels=(NA,) + labels,
-            f4=features.f4_block(
-                labels, columns[left].labels[1:], columns[right].labels[1:]
-            ),
-            f5=features.f5_blocks(relations, row_pairs),
+        rows = np.flatnonzero(np.diff(row_pairs.offsets))
+        pairs.append(
+            PairSpace(
+                left=left,
+                right=right,
+                labels=(NA,) + labels,
+                f4=features.f4_block(
+                    labels, columns[left].types[1:], columns[right].types[1:]
+                ),
+                left_cells=np.searchsorted(columns[left].rows, rows),
+                right_cells=np.searchsorted(columns[right].rows, rows),
+                n_left=row_pairs.left_counts[rows],
+                n_right=row_pairs.right_counts[rows],
+                f5=features.f5_block(relations, row_pairs),
+            )
         )
 
-    return AnnotationProblem(table=table, cells=cells, columns=columns, pairs=pairs)
+    return AnnotationProblem(table=table, columns=tuple(columns), pairs=tuple(pairs))
+
+
+def candidate_products(
+    features: np.ndarray, offsets: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """``features @ weights`` over a whole candidate axis, bit for bit the
+    products of each cell's own slice.
+
+    ``features`` holds the candidates of a CSR of cells (``offsets``) on
+    its second-to-last axis: f1 stacks, ``(n_candidates, |f1|)``, or a
+    column's f3 grid, ``(n_types, n_candidates, |f3|)``.  One product runs
+    over the whole axis.  A cell with exactly one candidate is redone on
+    its own: NumPy multiplies a one-row slice as a dot product, whose sum
+    order differs from the matrix-vector product of longer slices in the
+    last bits.
+    """
+    # one matrix-vector product over every (row, candidate) at once; each
+    # output of it equals the product of the cell's own slice
+    values = (features.reshape(-1, features.shape[-1]) @ weights).reshape(
+        features.shape[:-1]
+    )
+    singles = offsets[:-1][np.diff(offsets) == 1]
+    if len(singles):
+        values[..., singles] = (features[..., singles, None, :] @ weights)[..., 0]
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -481,83 +607,59 @@ def joint_feature_vector(
     labels; missing variables count as na.  na labels contribute nothing, so
     ``w · Φ`` equals the assignment's log-score under equation (1).
     """
-    from repro.core.features import (
-        F1_FEATURE_NAMES,
-        F2_FEATURE_NAMES,
-        F3_FEATURE_NAMES,
-        F4_FEATURE_NAMES,
-        F5_FEATURE_NAMES,
-    )
-
     phi1 = np.zeros(len(F1_FEATURE_NAMES))
     phi2 = np.zeros(len(F2_FEATURE_NAMES))
     phi3 = np.zeros(len(F3_FEATURE_NAMES))
     phi4 = np.zeros(len(F4_FEATURE_NAMES))
     phi5 = np.zeros(len(F5_FEATURE_NAMES))
 
-    def label_index(labels: tuple[str | None, ...], label: str | None) -> int | None:
-        try:
-            return labels.index(label)
-        except ValueError:
-            return None
+    def label_index(labels: tuple[str | None, ...], name: str) -> int:
+        """The assigned label's domain position; 0 (na) when the variable
+        is unassigned or its label is outside the domain."""
+        label = assignment.get(name, NA)
+        return labels.index(label) if label in labels else 0
 
-    for space in problem.cells.values():
-        label = assignment.get(space.variable_name, NA)
-        index = label_index(space.labels, label)
-        if index is None or index == 0:
-            continue
-        phi1 += space.f1[index - 1]
-    for space in problem.columns.values():
-        type_label = assignment.get(space.variable_name, NA)
-        type_index = label_index(space.labels, type_label)
-        if type_index is None or type_index == 0:
+    # every cell's assigned domain position, per column (0 is na)
+    picks = [
+        [
+            label_index(space.labels(cell), f"e:{row},{space.column}")
+            for cell, row in enumerate(space.rows.tolist())
+        ]
+        for space in problem.columns
+    ]
+    for space, column_picks in zip(problem.columns, picks):
+        for start, pick in zip(space.offsets.tolist(), column_picks):
+            if pick:
+                phi1 += space.f1[start + pick - 1]
+    types = [
+        label_index(space.types, space.variable_name) for space in problem.columns
+    ]
+    for space, column_picks, type_index in zip(problem.columns, picks, types):
+        if not type_index:
             continue
         phi2 += space.f2[type_index - 1]
-        for row, f3 in space.f3.items():
-            cell = problem.cells[(row, space.column)]
-            entity_label = assignment.get(cell.variable_name, NA)
-            entity_index = label_index(cell.labels, entity_label)
-            if entity_index is None or entity_index == 0:
-                continue
-            phi3 += f3[type_index - 1, entity_index - 1]
+        for start, pick in zip(space.offsets.tolist(), column_picks):
+            if pick:
+                phi3 += space.f3[type_index - 1, start + pick - 1]
     if with_relations:
-        for space in problem.pairs.values():
-            relation_label = assignment.get(space.variable_name, NA)
-            relation_index = label_index(space.labels, relation_label)
-            if relation_index is None or relation_index == 0:
+        for space in problem.pairs:
+            relation_index = label_index(space.labels, space.variable_name)
+            if not relation_index:
                 continue
-            left_space = problem.columns[space.left]
-            right_space = problem.columns[space.right]
-            left_type_index = label_index(
-                left_space.labels, assignment.get(left_space.variable_name, NA)
-            )
-            right_type_index = label_index(
-                right_space.labels, assignment.get(right_space.variable_name, NA)
-            )
-            if (
-                left_type_index is not None
-                and right_type_index is not None
-                and left_type_index > 0
-                and right_type_index > 0
+            left_type, right_type = types[space.left], types[space.right]
+            if left_type and right_type:
+                phi4 += space.f4[relation_index - 1, left_type - 1, right_type - 1]
+            start = 0
+            for left_cell, right_cell, n_left, n_right in zip(
+                space.left_cells.tolist(),
+                space.right_cells.tolist(),
+                space.n_left.tolist(),
+                space.n_right.tolist(),
             ):
-                phi4 += space.f4[
-                    relation_index - 1, left_type_index - 1, right_type_index - 1
-                ]
-            for row, f5 in space.f5.items():
-                left_cell = problem.cells[(row, space.left)]
-                right_cell = problem.cells[(row, space.right)]
-                left_index = label_index(
-                    left_cell.labels, assignment.get(left_cell.variable_name, NA)
-                )
-                right_index = label_index(
-                    right_cell.labels, assignment.get(right_cell.variable_name, NA)
-                )
-                if (
-                    left_index is None
-                    or right_index is None
-                    or left_index == 0
-                    or right_index == 0
-                ):
-                    continue
-                phi5 += f5[relation_index - 1, left_index - 1, right_index - 1]
+                left = picks[space.left][left_cell]
+                right = picks[space.right][right_cell]
+                if left and right:
+                    pair = start + (left - 1) * n_right + right - 1
+                    phi5 += space.f5[relation_index - 1, pair]
+                start += n_left * n_right
     return np.concatenate([phi1, phi2, phi3, phi4, phi5])

@@ -21,7 +21,7 @@ from repro.core.annotation import (
     TableAnnotation,
 )
 from repro.core.model import AnnotationModel
-from repro.core.problem import NA, AnnotationProblem
+from repro.core.problem import NA, AnnotationProblem, candidate_products
 
 
 def annotate_simple(
@@ -41,64 +41,73 @@ def annotate_simple(
     if unique_columns and features is None:
         raise ValueError("unique_columns requires the FeatureComputer")
     annotation = TableAnnotation(table_id=problem.table.table_id)
-    # Cells in columns without a type variable still get their best entity.
     chosen_cells: dict[tuple[int, int], tuple[str | None, float]] = {}
 
-    for column_index, space in problem.columns.items():
-        n_types = len(space.labels)  # includes na at index 0
+    for space in problem.columns:
+        if not space.has_type:
+            continue
+        # every cell's concrete φ1 scores, one product over the column
+        unaries = candidate_products(space.f1, space.offsets, model.w1)
+        starts = space.offsets.tolist()
+        cells = list(zip(space.rows.tolist(), starts, starts[1:]))
+        n_types = len(space.types)  # includes na at index 0
         type_scores = np.zeros(n_types)
         type_scores[1:] = space.f2 @ model.w2
+        pairwise = candidate_products(space.f3, space.offsets, model.w3)
         # per (type, row) best entity indices, to recall after argmax over T
-        best_entity_index: dict[int, np.ndarray] = {}
-        for row, f3 in space.f3.items():
-            cell = problem.cells[(row, column_index)]
-            unary = np.concatenate(([0.0], cell.f1 @ model.w1))
-            pairwise = np.zeros((n_types, len(cell.labels)))
-            pairwise[1:, 1:] = f3 @ model.w3
-            combined = pairwise + unary[None, :]
+        combined_rows: list[np.ndarray] = []
+        best_rows: list[np.ndarray] = []
+        for row, start, stop in cells:
+            combined = np.zeros((n_types, stop - start + 1))
+            combined[1:, 1:] = pairwise[:, start:stop]
+            combined += np.concatenate(([0.0], unaries[start:stop]))[None, :]
             best = combined.argmax(axis=1)
-            best_entity_index[row] = best
             type_scores += combined[np.arange(n_types), best]
+            combined_rows.append(combined)
+            best_rows.append(best)
         chosen_type_index = int(type_scores.argmax())
         runner_up = float(np.partition(type_scores, -2)[-2]) if n_types > 1 else 0.0
-        annotation.columns[column_index] = ColumnAnnotation(
-            column=column_index,
-            type_id=space.labels[chosen_type_index],
+        annotation.columns[space.column] = ColumnAnnotation(
+            column=space.column,
+            type_id=space.types[chosen_type_index],
             score=float(type_scores[chosen_type_index]) - runner_up,
         )
-        if column_index in unique_columns:
+        if space.column in unique_columns:
             from repro.core.constraints import assign_unique_entities
 
             assigned = assign_unique_entities(
                 problem,
                 model,
                 features,
-                column_index,
-                space.labels[chosen_type_index],
+                space.column,
+                space.types[chosen_type_index],
             )
             for row, entity_id in assigned.items():
-                chosen_cells[(row, column_index)] = (entity_id, 0.0)
+                chosen_cells[(row, space.column)] = (entity_id, 0.0)
             continue
-        for row, best in best_entity_index.items():
-            cell = problem.cells[(row, column_index)]
-            entity_index = int(best[chosen_type_index])
-            unary = np.concatenate(([0.0], cell.f1 @ model.w1))
-            pairwise = np.zeros((n_types, len(cell.labels)))
-            pairwise[1:, 1:] = space.f3[row] @ model.w3
-            combined = pairwise[chosen_type_index] + unary
-            margin = _margin(combined, entity_index)
-            chosen_cells[(row, column_index)] = (cell.labels[entity_index], margin)
+        for cell, (row, _start, _stop) in enumerate(cells):
+            entity_index = int(best_rows[cell][chosen_type_index])
+            margin = _margin(combined_rows[cell][chosen_type_index], entity_index)
+            chosen_cells[(row, space.column)] = (
+                space.labels(cell)[entity_index],
+                margin,
+            )
 
     # Cells in columns that never got a type variable: best φ1 alone.
-    for (row, column_index), cell in problem.cells.items():
-        if (row, column_index) in chosen_cells:
+    for space in problem.columns:
+        if space.has_type:
             continue
-        unary = np.concatenate(([0.0], cell.f1 @ model.w1))
-        entity_index = int(unary.argmax())
-        chosen_cells[(row, column_index)] = (
-            cell.labels[entity_index],
-            _margin(unary, entity_index),
-        )
+        unaries = candidate_products(space.f1, space.offsets, model.w1)
+        starts = space.offsets.tolist()
+        for cell, (row, start, stop) in enumerate(
+            zip(space.rows.tolist(), starts, starts[1:])
+        ):
+            unary = np.concatenate(([0.0], unaries[start:stop]))
+            entity_index = int(unary.argmax())
+            chosen_cells[(row, space.column)] = (
+                space.labels(cell)[entity_index],
+                _margin(unary, entity_index),
+            )
 
     for (row, column_index), (entity_id, score) in chosen_cells.items():
         annotation.cells[(row, column_index)] = CellAnnotation(

@@ -59,14 +59,28 @@ class ScatterPlan:
     every φ5 row factor of its column pair).
     """
 
-    #: distinct destination variable ids, ascending
+    #: distinct destination variable ids, one per group
     unique_ids: np.ndarray
-    #: factor slots reordered so equal destinations are contiguous
-    order: np.ndarray
-    #: segment starts into ``order``, one per unique id
+    #: factor slots reordered so equal destinations are contiguous; None
+    #: when they already are
+    order: np.ndarray | None
+    #: group starts into the (reordered) slots, one per unique id
     starts: np.ndarray
     #: True when every destination is distinct (plain fancy-index add works)
     all_unique: bool
+
+    @classmethod
+    def of_runs(
+        cls, run_ids: np.ndarray, starts: np.ndarray, n_rows: int
+    ) -> "ScatterPlan":
+        """Rows already grouped: the run from ``starts[i]`` to the next
+        start goes to ``run_ids[i]``, and no two runs share an id."""
+        return cls(
+            unique_ids=run_ids,
+            order=None,
+            starts=starts,
+            all_unique=len(run_ids) == n_rows,
+        )
 
     @classmethod
     def for_ids(cls, ids: np.ndarray) -> "ScatterPlan":
@@ -88,8 +102,9 @@ class ScatterPlan:
         if self.all_unique:
             destination[ids] += rows
         else:
+            grouped = rows if self.order is None else rows[self.order]
             destination[self.unique_ids] += np.add.reduceat(
-                rows[self.order], self.starts, axis=0
+                grouped, self.starts, axis=0
             )
 
 

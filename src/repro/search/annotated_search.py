@@ -20,10 +20,13 @@ A query visits only the rows that can anchor ``E2``: the cells annotated
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.catalog.catalog import Catalog
 from repro.search.query import RelationQuery
 from repro.search.ranking import EvidenceAccumulator, SearchResponse
 from repro.search.table_index import AnnotatedTableIndex
+from repro.text.tokenize import tokenize
 
 #: text similarity below which a given-column cell does not anchor ``E2``
 MIN_CELL_SIMILARITY = 0.6
@@ -56,6 +59,7 @@ class AnnotatedSearcher:
             self.catalog, lemma_resolver=self.lemma_resolver
         )
         entity_rows = self._entity_anchored_rows(query)
+        given_counts = Counter(tokenize(query.given_text))
         for table_id, answer_column, given_column in self._candidate_column_pairs(
             query
         ):
@@ -63,7 +67,7 @@ class AnnotatedSearcher:
             table = self.index.tables[table_id]
             annotation = self.index.annotations.get(table_id)
             anchor_weights = self._anchor_weights(
-                query, table_id, given_column, entity_rows
+                given_counts, table_id, given_column, entity_rows
             )
             for row in sorted(anchor_weights):
                 anchor_weight = anchor_weights[row]
@@ -121,7 +125,7 @@ class AnnotatedSearcher:
 
     def _anchor_weights(
         self,
-        query: RelationQuery,
+        given_counts: Counter[str],
         table_id: str,
         given_column: int,
         entity_rows: dict[tuple[str, int], list[int]],
@@ -129,13 +133,14 @@ class AnnotatedSearcher:
         """Row → how strongly its given-column cell matches ``E2``.
 
         A cell annotated ``E2`` anchors with 1.0; any other cell anchors with
-        its text similarity to ``E2`` if that reaches
-        :data:`MIN_CELL_SIMILARITY`.  Rows left out anchor with 0.0.
+        its text similarity to ``E2`` (whose token counts are
+        ``given_counts``) if that reaches :data:`MIN_CELL_SIMILARITY`.  Rows
+        left out anchor with 0.0.
         """
         weights = {
             row: similarity
             for row, similarity in self.index.anchor_rows(
-                table_id, given_column, query.given_text
+                table_id, given_column, given_counts
             )
             if similarity >= MIN_CELL_SIMILARITY
         }

@@ -18,10 +18,13 @@ Answers are raw strings — the baseline never consults the catalog.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.catalog.catalog import Catalog
 from repro.search.query import RelationQuery
 from repro.search.ranking import EvidenceAccumulator, SearchResponse
 from repro.search.table_index import AnnotatedTableIndex
+from repro.text.tokenize import tokenize
 
 #: header matches kept per ``T1`` / ``T2`` string
 HEADER_TOP_K = 60
@@ -48,6 +51,7 @@ class BaselineSearcher:
         t1_hits = self.index.columns_with_header(t1_text, top_k=HEADER_TOP_K)
         t2_hits = self.index.columns_with_header(t2_text, top_k=HEADER_TOP_K)
         context_scores = self.index.tables_with_context(relation_text)
+        e2_counts = Counter(tokenize(e2_text))
 
         t1_by_table: dict[str, tuple[int, float]] = {}
         for table_id, column, score in t1_hits:
@@ -66,7 +70,9 @@ class BaselineSearcher:
             table_weight = (
                 t1_score + t2_score + CONTEXT_BONUS * context_scores.get(table_id, 0.0)
             )
-            for row, similarity in self.index.anchor_rows(table_id, t2_column, e2_text):
+            for row, similarity in self.index.anchor_rows(
+                table_id, t2_column, e2_counts
+            ):
                 if similarity < MIN_CELL_SIMILARITY:
                     continue
                 answer_text = table.cell(row, t1_column)

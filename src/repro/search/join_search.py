@@ -12,7 +12,7 @@ module implements exactly that on top of the annotated index:
 
 1. answer ``R2(?, E3)`` with the Type+Rel processor → candidate middle
    entities with scores,
-2. for each middle entity (top ``max_middle``), answer ``R1(?, e2)``,
+2. for each middle entity (the top :data:`MAX_MIDDLE`), answer ``R1(?, e2)``,
 3. aggregate ``E1`` scores across middles (score of the join path = product
    of hop scores, summed over paths).
 
@@ -29,6 +29,11 @@ from repro.search.annotated_search import AnnotatedSearcher
 from repro.search.query import RelationQuery
 from repro.search.ranking import SearchAnswer, SearchResponse
 from repro.search.table_index import AnnotatedTableIndex
+
+#: middle entities (best hop-2 answers first) whose hop 1 is searched
+MAX_MIDDLE = 10
+#: join answers returned
+TOP_K_ANSWERS = 50
 
 
 @dataclass(frozen=True)
@@ -75,14 +80,10 @@ class JoinSearcher:
         self,
         index: AnnotatedTableIndex,
         catalog: Catalog,
-        max_middle: int = 10,
-        top_k_answers: int = 50,
         lemma_resolver: dict[str, str] | None = None,
     ) -> None:
         self.index = index
         self.catalog = catalog
-        self.max_middle = max_middle
-        self.top_k_answers = top_k_answers
         self._hop_searcher = AnnotatedSearcher(
             index, catalog, use_relations=True, lemma_resolver=lemma_resolver
         )
@@ -97,7 +98,7 @@ class JoinSearcher:
             answer
             for answer in middle_response.answers
             if answer.entity_id is not None
-        ][: self.max_middle]
+        ][:MAX_MIDDLE]
 
         # Hop 1: answers e1 with R1(e1, e2), aggregated over middles.
         scores: dict[str, float] = {}
@@ -131,7 +132,7 @@ class JoinSearcher:
                 entity_id=entity_id,
                 supporting_tables=tuple(sorted(supports[entity_id])),
             )
-            for entity_id, score in ranked[: self.top_k_answers]
+            for entity_id, score in ranked[:TOP_K_ANSWERS]
         ]
         return SearchResponse(
             answers=answers,

@@ -255,19 +255,20 @@ class AnnotatedTableIndex:
         return list(self._edges_by_relation.get(relation_id, ()))
 
     def anchor_rows(
-        self, table_id: str, column: int, text: str
+        self, table_id: str, column: int, query_counts: Counter[str]
     ) -> list[tuple[int, float]]:
         """Rows whose cell in ``column`` has a nonzero ``cosine_tfidf`` with
-        ``text``, ascending, each with that cosine.
+        the text whose token counts are ``query_counts`` (``Counter(
+        tokenize(text))``, counted once per search), ascending, each with
+        that cosine.
 
         The cosine is computed from the column's postings with
         :func:`repro.text.similarity.cosine_tfidf`'s arithmetic.  With IDF 1
         and integer counts the dot product and both norms are exact, so the
         quotient is bit-identical.  As there, a tokenless cell against a
-        tokenless ``text`` scores 1.0.
+        tokenless text scores 1.0.
         """
         column_postings = self._column_postings(table_id, column)
-        query_counts = Counter(tokenize(text))
         if not query_counts:
             return [(row, 1.0) for row in column_postings.tokenless_rows]
         dots: dict[int, int] = {}

@@ -60,29 +60,30 @@ def assert_bits_equal(expected: np.ndarray, actual: np.ndarray) -> None:
 
 def assert_problems_identical(scalar_problem, batched_problem):
     """Same variables in the same order, same label tuples (``Erc``,
-    ``Tc``, ``Bcc'``), bit-identical scores and feature blocks."""
-    assert list(scalar_problem.cells) == list(batched_problem.cells)
-    for key, scalar_space in scalar_problem.cells.items():
-        batched_space = batched_problem.cells[key]
+    ``Tc``, ``Bcc'``), bit-identical scores and feature arrays."""
+    assert scalar_problem.variables() == batched_problem.variables()
+    for scalar_space, batched_space in zip(
+        scalar_problem.columns, batched_problem.columns, strict=True
+    ):
+        assert scalar_space.column == batched_space.column
+        assert scalar_space.entities == batched_space.entities
+        assert scalar_space.types == batched_space.types
+        for name in ("rows", "offsets", "scores", "f1", "f2", "f3"):
+            assert_bits_equal(
+                getattr(scalar_space, name), getattr(batched_space, name)
+            )
+    for scalar_space, batched_space in zip(
+        scalar_problem.pairs, batched_problem.pairs, strict=True
+    ):
+        assert (scalar_space.left, scalar_space.right) == (
+            batched_space.left,
+            batched_space.right,
+        )
         assert scalar_space.labels == batched_space.labels
-        assert_bits_equal(scalar_space.scores, batched_space.scores)
-        assert_bits_equal(scalar_space.f1, batched_space.f1)
-    assert list(scalar_problem.columns) == list(batched_problem.columns)
-    for column, scalar_space in scalar_problem.columns.items():
-        batched_space = batched_problem.columns[column]
-        assert scalar_space.labels == batched_space.labels
-        assert_bits_equal(scalar_space.f2, batched_space.f2)
-        assert list(scalar_space.f3) == list(batched_space.f3)
-        for row, grid in scalar_space.f3.items():
-            assert_bits_equal(grid, batched_space.f3[row])
-    assert list(scalar_problem.pairs) == list(batched_problem.pairs)
-    for pair, scalar_space in scalar_problem.pairs.items():
-        batched_space = batched_problem.pairs[pair]
-        assert scalar_space.labels == batched_space.labels
-        assert_bits_equal(scalar_space.f4, batched_space.f4)
-        assert list(scalar_space.f5) == list(batched_space.f5)
-        for row, grid in scalar_space.f5.items():
-            assert_bits_equal(grid, batched_space.f5[row])
+        for name in ("f4", "left_cells", "right_cells", "n_left", "n_right", "f5"):
+            assert_bits_equal(
+                getattr(scalar_space, name), getattr(batched_space, name)
+            )
 
 
 class TestFixtureEquivalence:

@@ -100,7 +100,7 @@ class TestCollectiveInference:
     def test_without_relations_equals_simple(self, book_problem):
         """With no bcc' variables the schedule reduces to Figure 2."""
         model = default_model()
-        no_relations = dataclasses.replace(book_problem, pairs={})
+        no_relations = dataclasses.replace(book_problem, pairs=())
         collective = annotate_problem(no_relations, model, AnnotatorConfig())
         simple = annotate_simple(book_problem, model)
         graph = build_factor_graph(book_problem, model, with_relations=False)

@@ -111,23 +111,23 @@ class TestAveraging:
 
     @staticmethod
     def _single_cell_problem(table_id, text, entity_id, f1_row):
-        from repro.core.problem import CellSpace
+        from repro.core.problem import AnnotationProblem, ColumnSpace
         from repro.tables.model import Table
 
         table = Table(table_id=table_id, cells=[[text]])
-        space = CellSpace(
-            row=0,
+        space = ColumnSpace(
             column=0,
-            text=text,
-            labels=(None, entity_id),
+            header=None,
+            rows=np.array([0]),
+            offsets=np.array([0, 1]),
+            entities=(entity_id,),
             scores=np.array([1.0]),
             f1=np.array([f1_row], dtype=float),
+            types=(None,),
+            f2=np.zeros((0, 6)),
+            f3=np.zeros((0, 1, 3)),
         )
-        from repro.core.problem import AnnotationProblem
-
-        return AnnotationProblem(
-            table=table, cells={(0, 0): space}, columns={}, pairs={}
-        )
+        return AnnotationProblem(table=table, columns=(space,), pairs=())
 
     def test_average_runs_over_every_example_step(self):
         from repro.core.annotator import AnnotatorConfig

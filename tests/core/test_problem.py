@@ -44,29 +44,37 @@ class TestProblemStructure:
         assert "ent:relativity" in labels
 
     def test_columns_have_types(self, book_problem):
-        assert "type:book" in book_problem.columns[0].labels
-        assert "type:author" in book_problem.columns[1].labels
+        assert "type:book" in book_problem.columns[0].types
+        assert "type:author" in book_problem.columns[1].types
 
     def test_pair_has_wrote(self, book_problem):
-        assert (0, 1) in book_problem.pairs
-        assert "rel:wrote" in book_problem.pairs[(0, 1)].labels
+        pairs = {(pair.left, pair.right): pair for pair in book_problem.pairs}
+        assert (0, 1) in pairs
+        assert "rel:wrote" in pairs[(0, 1)].labels
 
     def test_f3_shapes(self, book_problem):
         column = book_problem.columns[0]
-        for row, f3 in column.f3.items():
-            cell = book_problem.cells[(row, 0)]
-            assert f3.shape == (len(column.labels) - 1, len(cell.labels) - 1, 3)
+        assert column.f3.shape == (
+            len(column.types) - 1,
+            len(column.entities),
+            3,
+        )
+        assert column.f1.shape == (len(column.entities), 6)
+        assert column.offsets[-1] == len(column.entities)
 
     def test_f4_f5_shapes(self, book_problem):
-        pair = book_problem.pairs[(0, 1)]
+        (pair,) = book_problem.pairs
         n_b = len(pair.labels) - 1
-        n_tl = len(book_problem.columns[0].labels) - 1
-        n_tr = len(book_problem.columns[1].labels) - 1
+        n_tl = len(book_problem.columns[0].types) - 1
+        n_tr = len(book_problem.columns[1].types) - 1
         assert pair.f4.shape == (n_b, n_tl, n_tr, 4)
-        for row, f5 in pair.f5.items():
-            left = book_problem.cells[(row, 0)]
-            right = book_problem.cells[(row, 1)]
-            assert f5.shape == (n_b, len(left.labels) - 1, len(right.labels) - 1, 2)
+        left, right = book_problem.columns[0], book_problem.columns[1]
+        np.testing.assert_array_equal(pair.n_left, left.counts[pair.left_cells])
+        np.testing.assert_array_equal(pair.n_right, right.counts[pair.right_cells])
+        np.testing.assert_array_equal(
+            left.rows[pair.left_cells], right.rows[pair.right_cells]
+        )
+        assert pair.f5.shape == (n_b, int(pair.n_left @ pair.n_right), 2)
 
     def test_stats(self, book_problem):
         stats = book_problem.stats()
@@ -122,7 +130,8 @@ class TestProblemViaAnnotator:
             headers=["Name", "Year"],
         )
         problem = annotator.build_problem(table)
-        assert 1 not in problem.columns
+        assert not problem.columns[1].has_type
+        assert not len(problem.columns[1].rows)
         assert (0, 1) not in problem.cells
 
     def test_max_column_pairs_cap(self, world, wiki_tables):

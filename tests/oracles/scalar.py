@@ -31,6 +31,10 @@ from repro.core.candidates import (
     build_lemma_index,
 )
 from repro.core.features import (
+    F1_FEATURE_NAMES,
+    F2_FEATURE_NAMES,
+    F3_FEATURE_NAMES,
+    F5_FEATURE_NAMES,
     TypeEntityFeatureMode,
     header_absent_features,
     relation_entities_features,
@@ -43,7 +47,6 @@ from repro.core.model import AnnotationModel, default_model
 from repro.core.problem import (
     NA,
     AnnotationProblem,
-    CellSpace,
     ColumnSpace,
     FeatureComputer,
     PairSpace,
@@ -359,47 +362,59 @@ def scalar_build_problem(
 ) -> AnnotationProblem:
     """:func:`~repro.core.problem.build_problem` read row by row: per-cell
     ``Erc``, ``Tc`` and ``Bcc'`` from the catalog loops of ``generator``
-    and every f3 / f4 / f5 block assembled from elements."""
-    cells: dict[tuple[int, int], CellSpace] = {}
-    column_candidates: dict[int, list[list[CandidateEntity]]] = {}
+    and every f1 / f3 / f4 / f5 block assembled from elements, one cell or
+    row at a time, then laid side by side in the problem's arrays."""
+    columns: list[ColumnSpace] = []
+    column_candidates: list[list[list[CandidateEntity]]] = []
     for column in range(table.n_columns):
         texts = [table.cell(row, column) for row in range(table.n_rows)]
         per_row = generator.cell_candidates_batch(texts)
-        for row, (text, candidates) in enumerate(zip(texts, per_row)):
-            if candidates:
-                ids = tuple(c.entity_id for c in candidates)
-                cells[(row, column)] = CellSpace(
-                    row=row,
-                    column=column,
-                    text=text,
-                    labels=(NA,) + ids,
-                    scores=np.array([c.retrieval_score for c in candidates]),
-                    f1=features.f1_block(text, ids),
-                )
-        column_candidates[column] = per_row
-
-    columns: dict[int, ColumnSpace] = {}
-    for column in range(table.n_columns):
-        type_ids = tuple(generator.column_type_candidates(column_candidates[column]))
-        if not type_ids:
-            continue
+        cells = [
+            (row, text, tuple(c.entity_id for c in candidates), candidates)
+            for row, (text, candidates) in enumerate(zip(texts, per_row))
+            if candidates
+        ]
+        type_ids = tuple(generator.column_type_candidates(per_row))
         header = table.header(column)
-        space = ColumnSpace(
-            column=column,
-            header=header,
-            labels=(NA,) + type_ids,
-            f2=features.f2_block(header, type_ids),
+        entities = tuple(entity for _row, _text, ids, _c in cells for entity in ids)
+        columns.append(
+            ColumnSpace(
+                column=column,
+                header=header,
+                rows=np.array([row for row, *_ in cells], dtype=np.int64),
+                offsets=np.cumsum([0] + [len(ids) for _r, _t, ids, _c in cells]),
+                entities=entities,
+                scores=np.array(
+                    [c.retrieval_score for *_, candidates in cells for c in candidates]
+                ),
+                f1=_side_by_side(
+                    [features.f1_block(text, ids) for _row, text, ids, _c in cells],
+                    0,
+                    (0, len(F1_FEATURE_NAMES)),
+                ),
+                types=(NA,) + type_ids,
+                f2=(
+                    features.f2_block(header, type_ids)
+                    if type_ids
+                    else np.zeros((0, len(F2_FEATURE_NAMES)))
+                ),
+                f3=_side_by_side(
+                    [
+                        features.f3_block(type_ids, ids)
+                        for _row, _text, ids, _c in cells
+                        if type_ids
+                    ],
+                    1,
+                    (len(type_ids), len(entities), len(F3_FEATURE_NAMES)),
+                ),
+            )
         )
-        for row in range(table.n_rows):
-            cell = cells.get((row, column))
-            if cell is not None:
-                space.f3[row] = features.f3_block(type_ids, cell.labels[1:])
-        columns[column] = space
+        column_candidates.append(per_row)
 
-    pairs: dict[tuple[int, int], PairSpace] = {}
     candidate_pairs: list[tuple[int, int, tuple[str, ...]]] = []
-    for left in sorted(columns):
-        for right in sorted(columns):
+    typed = [space.column for space in columns if space.has_type]
+    for left in typed:
+        for right in typed:
             if left >= right:
                 continue
             labels = tuple(
@@ -410,25 +425,93 @@ def scalar_build_problem(
             if labels:
                 candidate_pairs.append((left, right, labels))
     candidate_pairs.sort(key=lambda item: (-len(item[2]), item[0], item[1]))
+    pairs: list[PairSpace] = []
     for left, right, labels in candidate_pairs[:max_column_pairs]:
-        space = PairSpace(
-            left=left,
-            right=right,
-            labels=(NA,) + labels,
-            f4=features.f4_block(
-                labels, columns[left].labels[1:], columns[right].labels[1:]
-            ),
+        left_space, right_space = columns[left], columns[right]
+        left_cells = {row: cell for cell, row in enumerate(left_space.rows.tolist())}
+        right_cells = {
+            row: cell for cell, row in enumerate(right_space.rows.tolist())
+        }
+        rows = [row for row in left_cells if row in right_cells]
+        blocks = [
+            features.f5_block(
+                labels,
+                left_space.labels(left_cells[row])[1:],
+                right_space.labels(right_cells[row])[1:],
+            )
+            for row in rows
+        ]
+        pairs.append(
+            PairSpace(
+                left=left,
+                right=right,
+                labels=(NA,) + labels,
+                f4=features.f4_block(
+                    labels, left_space.types[1:], right_space.types[1:]
+                ),
+                left_cells=np.array([left_cells[row] for row in rows], dtype=np.int64),
+                right_cells=np.array(
+                    [right_cells[row] for row in rows], dtype=np.int64
+                ),
+                n_left=np.array([block.shape[1] for block in blocks], dtype=np.int64),
+                n_right=np.array([block.shape[2] for block in blocks], dtype=np.int64),
+                f5=_side_by_side(
+                    [block.reshape(len(labels), -1, 2) for block in blocks],
+                    1,
+                    (len(labels), 0, len(F5_FEATURE_NAMES)),
+                ),
+            )
         )
-        for row in range(table.n_rows):
-            left_cell = cells.get((row, left))
-            right_cell = cells.get((row, right))
-            if left_cell is not None and right_cell is not None:
-                space.f5[row] = features.f5_block(
-                    labels, left_cell.labels[1:], right_cell.labels[1:]
-                )
-        pairs[(left, right)] = space
 
-    return AnnotationProblem(table=table, cells=cells, columns=columns, pairs=pairs)
+    return AnnotationProblem(table=table, columns=tuple(columns), pairs=tuple(pairs))
+
+
+def _side_by_side(
+    blocks: list[np.ndarray], axis: int, empty: tuple[int, ...]
+) -> np.ndarray:
+    """``blocks`` concatenated along ``axis``; zeros of shape ``empty``
+    when there are none."""
+    return np.concatenate(blocks, axis=axis) if blocks else np.zeros(empty)
+
+
+def cell_blocks(problem: AnnotationProblem):
+    """Every cell as ``(name, labels, f1, row, column)``, in variable order:
+    the per-cell reading of the column arrays."""
+    for space in problem.columns:
+        starts = space.offsets.tolist()
+        for cell, (row, start, stop) in enumerate(
+            zip(space.rows.tolist(), starts, starts[1:])
+        ):
+            yield (
+                f"e:{row},{space.column}",
+                space.labels(cell),
+                space.f1[start:stop],
+                row,
+                space.column,
+            )
+
+
+def f3_blocks(space: ColumnSpace):
+    """``(row, f3)`` of a typed column's cells, f3 shape (n_types,
+    n_candidates, |f3|): the per-row views of the column grid."""
+    starts = space.offsets.tolist()
+    for row, start, stop in zip(space.rows.tolist(), starts, starts[1:]):
+        yield row, space.f3[:, start:stop]
+
+
+def f5_blocks(problem: AnnotationProblem, space: PairSpace):
+    """``(row, f5)`` of a pair's rows, f5 shape (n_labels, n_left,
+    n_right, |f5|): the per-row views of the pair's flat array."""
+    rows = problem.columns[space.left].rows[space.left_cells]
+    start = 0
+    for row, n_left, n_right in zip(
+        rows.tolist(), space.n_left.tolist(), space.n_right.tolist()
+    ):
+        stop = start + n_left * n_right
+        yield row, space.f5[:, start:stop].reshape(
+            len(space.labels) - 1, n_left, n_right, -1
+        )
+        start = stop
 
 
 def build_factor_graph(
@@ -441,17 +524,20 @@ def build_factor_graph(
     Potentials for any combination involving na are identically zero ("no
     feature is fired if label na is involved").  With
     ``with_relations=False`` the bcc'/φ4/φ5 parts are omitted — the
-    polynomial special case of Section 4.4.1.
+    polynomial special case of Section 4.4.1.  Every potential is the
+    product of one cell's or one row's own features.
     """
     graph = FactorGraph()
-    for space in problem.cells.values():
-        unary = np.concatenate(([0.0], space.f1 @ model.w1))
-        graph.add_variable(space.variable_name, space.labels, unary, kind="entity")
-    for space in problem.columns.values():
+    for name, labels, f1, _row, _column in cell_blocks(problem):
+        unary = np.concatenate(([0.0], f1 @ model.w1))
+        graph.add_variable(name, labels, unary, kind="entity")
+    for space in problem.columns:
+        if not space.has_type:
+            continue
         unary = np.concatenate(([0.0], space.f2 @ model.w2))
-        graph.add_variable(space.variable_name, space.labels, unary, kind="type")
-        for row, f3 in space.f3.items():
-            table = np.zeros((len(space.labels), f3.shape[1] + 1))
+        graph.add_variable(space.variable_name, space.types, unary, kind="type")
+        for row, f3 in f3_blocks(space):
+            table = np.zeros((len(space.types), f3.shape[1] + 1))
             table[1:, 1:] = f3 @ model.w3
             graph.add_factor(
                 f"phi3:{row},{space.column}",
@@ -461,7 +547,7 @@ def build_factor_graph(
             )
     if not with_relations:
         return graph
-    for space in problem.pairs.values():
+    for space in problem.pairs:
         left_var = f"t:{space.left}"
         right_var = f"t:{space.right}"
         graph.add_variable(
@@ -470,8 +556,8 @@ def build_factor_graph(
             np.zeros(len(space.labels)),
             kind="relation",
         )
-        n_left_types = len(problem.columns[space.left].labels)
-        n_right_types = len(problem.columns[space.right].labels)
+        n_left_types = len(problem.columns[space.left].types)
+        n_right_types = len(problem.columns[space.right].types)
         phi4 = np.zeros((len(space.labels), n_left_types, n_right_types))
         phi4[1:, 1:, 1:] = space.f4 @ model.w4
         graph.add_factor(
@@ -480,7 +566,7 @@ def build_factor_graph(
             phi4,
             kind="phi4",
         )
-        for row, f5 in space.f5.items():
+        for row, f5 in f5_blocks(problem, space):
             phi5 = np.zeros(
                 (len(space.labels), f5.shape[1] + 1, f5.shape[2] + 1)
             )
@@ -577,21 +663,23 @@ def scalar_decode(
     """Per-variable argmax decoding of a scalar run (ties to na's side)."""
     annotation = TableAnnotation(table_id=problem.table.table_id)
     graph = engine.graph
-    for space in problem.cells.values():
-        belief = engine.belief(space.variable_name)
+    for name, labels, _f1, row, column in cell_blocks(problem):
+        belief = engine.belief(name)
         index = int(np.argmax(belief))
-        annotation.cells[(space.row, space.column)] = CellAnnotation(
-            row=space.row,
-            column=space.column,
-            entity_id=space.labels[index],
+        annotation.cells[(row, column)] = CellAnnotation(
+            row=row,
+            column=column,
+            entity_id=labels[index],
             score=_belief_margin(belief, index),
         )
-    for space in problem.columns.values():
+    for space in problem.columns:
+        if not space.has_type:
+            continue
         belief = engine.belief(space.variable_name)
         index = int(np.argmax(belief))
         annotation.columns[space.column] = ColumnAnnotation(
             column=space.column,
-            type_id=space.labels[index],
+            type_id=space.types[index],
             score=_belief_margin(belief, index),
         )
     for column in range(problem.table.n_columns):
@@ -599,7 +687,7 @@ def scalar_decode(
             annotation.columns[column] = ColumnAnnotation(
                 column=column, type_id=NA, score=0.0
             )
-    for space in problem.pairs.values():
+    for space in problem.pairs:
         belief = engine.belief(space.variable_name)
         index = int(np.argmax(belief))
         annotation.relations[(space.left, space.right)] = RelationAnnotation(

@@ -90,16 +90,11 @@ def cut_table(draw, sources, index: int) -> Table:
 def hamming_bonus(draw, problem, cost: float = 1.0) -> dict[str, np.ndarray]:
     """A learner-style loss-augmentation bonus against a drawn gold label."""
     bonus: dict[str, np.ndarray] = {}
-    spaces = (
-        list(problem.cells.values())
-        + list(problem.columns.values())
-        + list(problem.pairs.values())
-    )
-    for space in spaces:
-        gold = draw(st.integers(0, len(space.labels) - 1))
-        penalties = np.full(len(space.labels), cost)
+    for name, domain in problem.variables():
+        gold = draw(st.integers(0, len(domain) - 1))
+        penalties = np.full(len(domain), cost)
         penalties[gold] = 0.0
-        bonus[space.variable_name] = penalties
+        bonus[name] = penalties
     return bonus
 
 

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,11 @@ from repro.tables.model import Table
 from repro.text.similarity import cosine_tfidf
 from repro.text.tokenize import tokenize
 from tests.oracles.search import ScanAnnotatedSearcher
+
+
+def counts(text: str) -> Counter[str]:
+    """A text's token counts, as the searchers pass them to ``anchor_rows``."""
+    return Counter(tokenize(text))
 
 
 @pytest.fixture()
@@ -177,7 +183,10 @@ class TestPostings:
                         for row in range(table.n_rows)
                     ]
                     expected = [(row, cos) for row, cos in cosines if cos != 0.0]
-                    assert corpus_index.anchor_rows(table_id, column, text) == expected
+                    assert (
+                        corpus_index.anchor_rows(table_id, column, counts(text))
+                        == expected
+                    )
 
     def test_tokenless_text_anchors_tokenless_cells(self, book_catalog):
         index = AnnotatedTableIndex(catalog=book_catalog)
@@ -186,8 +195,8 @@ class TestPostings:
         )
         index.freeze()
         for text in ("", "—", "!!"):
-            assert index.anchor_rows("t", 0, text) == [(0, 1.0), (2, 1.0)]
-        assert index.anchor_rows("t", 0, "stannard") == [(1, 1.0)]
+            assert index.anchor_rows("t", 0, counts(text)) == [(0, 1.0), (2, 1.0)]
+        assert index.anchor_rows("t", 0, counts("stannard")) == [(1, 1.0)]
 
     def test_postings_build_once_per_touched_column(
         self, corpus_index, book_catalog, stannard_query, monkeypatch
