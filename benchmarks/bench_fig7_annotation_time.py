@@ -487,12 +487,13 @@ def test_fig7_serving_bundle_speedup(
     checks the loaded index answers queries byte-identically, and pins the
     headline claim — load at least 5x faster than cold re-annotation.
     """
+    from repro.api.types import SearchResponse
     from repro.pipeline.io import annotation_to_dict
     from repro.search.annotated_search import AnnotatedSearcher
     from repro.search.query import RelationQuery
     from repro.search.table_index import AnnotatedTableIndex
     from repro.serve.bundle import build_bundle, load_bundle
-    from repro.serve.state import ServeState, response_to_dict
+    from repro.serve.state import ServeState
 
     catalog = bench_world.annotator_view
     tables = bench_datasets["web_manual"].tables[: 10 if SMOKE else 32]
@@ -542,8 +543,9 @@ def test_fig7_serving_bundle_speedup(
             warm_response = AnnotatedSearcher(
                 loaded.table_index, catalog
             ).search(query)
-            assert response_to_dict(warm_response) == response_to_dict(
-                cold_response
+            assert (
+                SearchResponse.from_ranked(warm_response).to_json()
+                == SearchResponse.from_ranked(cold_response).to_json()
             )
             queries_checked += 1
     assert queries_checked > 0

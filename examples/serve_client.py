@@ -1,10 +1,10 @@
 """Programmatic client for the `repro serve` HTTP service.
 
-Boots a server over a freshly built bundle (so the example is
-self-contained), then exercises every endpoint the way an application
-would: health check, single-table annotation (repeated), relational
+Boots a server (one pre-fork worker) over a freshly built bundle, so the
+example is self-contained, then exercises every endpoint the way an
+application would: health check, single-table annotation (repeated), relational
 search, a two-hop join, and the metrics snapshot.  Point ``--url`` at an
-already-running server to skip the in-process boot.
+already-running server to skip the local boot.
 
 Run:
 
@@ -93,11 +93,12 @@ class ServeClient:
 
 
 def boot_local_server():
-    """Build a bundle from a synthetic world and serve it in-process."""
+    """Build a bundle from a synthetic world and serve it through a
+    one-worker dispatcher, as `repro serve` does by default."""
     from repro.catalog.synthetic import SyntheticCatalogConfig, generate_world
     from repro.serve.bundle import build_bundle, load_bundle
+    from repro.serve.dispatcher import Dispatcher
     from repro.serve.server import create_server
-    from repro.serve.state import ServeState
     from repro.tables.generator import (
         NoiseProfile,
         TableGeneratorConfig,
@@ -113,8 +114,7 @@ def boot_local_server():
     bundle_dir = Path(tempfile.mkdtemp(prefix="repro-bundle-")) / "bundle"
     print(f"building bundle under {bundle_dir} (annotating {n_tables} tables) ...")
     build_bundle(bundle_dir, world.annotator_view, tables)
-    state = ServeState(load_bundle(bundle_dir))
-    server = create_server(state, port=0)
+    server = create_server(Dispatcher(bundle_dir), port=0)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]
     print(f"serving on http://{host}:{port}")
@@ -123,7 +123,7 @@ def boot_local_server():
     # annotated relation edge, so the search is guaranteed to match rows
     catalog = world.annotator_view
     relation = entity = None
-    index = state.index
+    index = load_bundle(bundle_dir).table_index
     relation_ids = sorted(
         relation.relation_id for relation in catalog.relations.all_relations()
     )
@@ -140,7 +140,30 @@ def boot_local_server():
                 break
         if relation:
             break
-    return server, host, port, tables[0].table.to_dict(), relation, entity
+    demo_table = tables[0].table.to_dict()
+    return server, host, port, demo_table, relation, entity, chained_join(catalog)
+
+
+def chained_join(catalog):
+    """A two-hop join whose relations chain in the catalog: the first
+    relation's object type meets the second's subject type (either way up
+    the hierarchy), anchored at an object of the second; None if none."""
+    relations = sorted(
+        catalog.relations.all_relations(), key=lambda relation: relation.relation_id
+    )
+    for first in relations:
+        for second in relations:
+            if not (
+                catalog.types.is_subtype(second.subject_type, first.object_type)
+                or catalog.types.is_subtype(first.object_type, second.subject_type)
+            ):
+                continue
+            objects = sorted(
+                catalog.relations.participating_objects(second.relation_id)
+            )
+            if objects:
+                return first.relation_id, second.relation_id, objects[0]
+    return None
 
 
 def main() -> int:
@@ -148,7 +171,7 @@ def main() -> int:
     parser.add_argument(
         "--url",
         default=None,
-        help="base URL of a running server (default: boot one in-process)",
+        help="base URL of a running server (default: boot one locally)",
     )
     args = parser.parse_args()
 
@@ -157,9 +180,9 @@ def main() -> int:
         parsed = urlparse(args.url)
         client = ServeClient(parsed.hostname, parsed.port or 80)
         demo_table = {"table_id": "demo", "cells": [["example", "row"]]}
-        relation = entity = None
+        relation = entity = join = None
     else:
-        server, host, port, demo_table, relation, entity = boot_local_server()
+        server, host, port, demo_table, relation, entity, join = boot_local_server()
         client = ServeClient(host, port)
 
     health = client.healthz()
@@ -177,6 +200,14 @@ def main() -> int:
         for answer in result["answers"]:
             print(f"    {answer['score']:8.3f}  {answer['text']}")
 
+    if join is not None:
+        first, second, anchor = join
+        result = client.search_join(first, second, anchor)
+        print(
+            f"/search/join {first} -> {second}({anchor}) -> "
+            f"{len(result['answers'])} answers"
+        )
+
     metrics = client.metrics()
     for endpoint, stats in metrics["endpoints"].items():
         latency = stats["latency_seconds"]
@@ -188,6 +219,7 @@ def main() -> int:
     if server is not None:
         server.shutdown()
         server.server_close()
+        server.dispatcher.shutdown()
     return 0
 
 

@@ -61,8 +61,7 @@ class ServeConfig:
     ``docs/OPERATIONS.md`` for tuning guidance.
     """
 
-    #: pre-fork worker processes (1 still forks one worker; the in-process
-    #: inline backend is a library construct, not a CLI mode)
+    #: pre-fork worker processes (1 still forks one worker)
     workers: int = 1
     #: requests allowed to queue for a worker beyond the in-flight ones
     queue_depth: int = 16

@@ -21,11 +21,31 @@ Sessions open two ways::
 ``from_bundle`` starts warm — the index and frozen text indexes come
 straight off disk, which is what ``repro serve`` runs on.
 
-Concurrency: a session is safe to share across threads exactly like the
-serving layer it powers — bundle state is immutable, pipelines memoise pure
-functions behind internally-locked LRUs, and the only mutation (lazy
-searcher construction) happens under a small mutex here.  See
-:mod:`repro.serve.state` for the full story.
+Thread safety (the library contract): one session may be shared by any
+number of threads, and concurrent requests get exactly the answers serial
+requests would.  Serving workers answer one message at a time and do not
+need this; library callers do.  How it holds:
+
+* **Bundle state is immutable.**  The catalog, the frozen lemma/header/
+  context indexes and the annotated table index are never mutated after
+  :func:`~repro.serve.bundle.load_bundle`, so every search reads them
+  lock-free.  The one exception is a memo: the table index builds a
+  column's token postings on the first query that touches the column and
+  publishes them with one ``dict.setdefault``.  A thread racing on the
+  same cold column builds an equal value, and both go on with whichever
+  landed first, so no lock is needed and answers do not depend on which
+  thread won.
+* **Annotation is a pure function with thread-safe memoisation.**  The
+  session's one :class:`~repro.pipeline.AnnotationPipeline` carries its
+  candidate / feature-block / answer LRUs behind their own internal locks
+  (pinned by ``tests/pipeline/test_answer_cache.py``).  The answer LRU
+  hands every request a fresh copy of a cached answer, under the request's
+  own table id.  Scratch buffers (the text index's, the fused engine's)
+  are per-thread.
+* **Each response reads its own timing** from the annotation's
+  diagnostics; nothing accumulates per table.
+* **Everything else** (lazy searcher construction) happens under one small
+  mutex here.
 """
 
 from __future__ import annotations
@@ -466,23 +486,3 @@ class ReproSession:
             n_files=len(manifest.files),
             annotate_seconds=float(manifest.stats.get("annotate_seconds", 0.0)),
         )
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def describe(self) -> dict:
-        """Identity + capability snapshot (feeds ``/healthz``)."""
-        from repro.api.types import SCHEMA_VERSION
-
-        info: dict = {
-            "schema_version": SCHEMA_VERSION,
-            # reprolint: ignore[lock-unguarded-attr]: health-check snapshot;
-            # _index is monotone None -> frozen index (never reset to None),
-            # so the check-then-len pair cannot observe a vanishing index
-            "tables": len(self._index) if self._index is not None else 0,
-            "model_sha256": self.model.fingerprint(),
-            "catalog": self.catalog.name,
-        }
-        if self.bundle is not None:
-            info["bundle"] = str(self.bundle.path)
-        return info

@@ -32,7 +32,3 @@ class CycleError(CatalogError, ValueError):
         super().__init__(
             f"adding subtype edge {child!r} <= {parent!r} would create a cycle"
         )
-
-
-class SchemaError(CatalogError, ValueError):
-    """Raised when a relation tuple violates the relation's type schema."""

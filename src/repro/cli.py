@@ -23,8 +23,9 @@ request object from :mod:`repro.api.types`, one shared
 :class:`~repro.api.ReproSession` executes it, and responses encode through
 the same :func:`~repro.api.encode_json` the HTTP server uses — so ``repro
 annotate --wire`` and ``POST /annotate`` emit byte-identical payloads for
-identical requests.  API failures, bundle errors included, print as
-``error [<stable code>]: <message>`` and exit 1.
+identical requests.  API and serving failures (a bad bundle, a worker
+that cannot start) print as ``error [<stable code>]: <message>`` and exit
+1.
 
 All commands are deterministic given their ``--seed`` arguments.  Anything
 beyond one-shot usage should import :mod:`repro` (see ``ReproSession``).
@@ -56,7 +57,7 @@ from repro.pipeline.io import (
 )
 from repro.pipeline.pipeline import AnnotationPipeline
 from repro.search.table_index import AnnotatedTableIndex
-from repro.serve.errors import BundleError
+from repro.serve.errors import ServeError
 from repro.tables.corpus import TableCorpus, save_corpus_jsonl
 from repro.tables.generator import (
     NoiseProfile,
@@ -335,9 +336,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
     from repro.api.config import ServeConfig
-    from repro.serve.bundle import load_bundle
-    from repro.serve.server import InlineBackend, create_server, run_server
-    from repro.serve.state import ServeState
+    from repro.serve.dispatcher import Dispatcher
+    from repro.serve.server import create_server, run_server
 
     config = SessionConfig(
         cache_size=args.cache_size,
@@ -351,36 +351,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
             drain_timeout_seconds=args.drain_timeout,
         ),
     )
-    verify = not args.no_verify
-    backend: Any
-    if args.inline:
-        bundle = load_bundle(args.bundle, verify=verify)
-        backend = InlineBackend(ServeState(bundle, session_config=config))
-        topology = "inline (in-process)"
-        n_tables = len(backend.state.index)
-    else:
-        try:
-            from repro.serve.dispatcher import Dispatcher
-            from repro.serve.pool import fork_context
-
-            fork_context()  # raises where fork is unavailable
-        except RuntimeError as error:
-            print(f"warning: {error}", file=sys.stderr, flush=True)
-            bundle = load_bundle(args.bundle, verify=verify)
-            backend = InlineBackend(ServeState(bundle, session_config=config))
-            topology = "inline (in-process; fork unavailable)"
-            n_tables = len(backend.state.index)
-        else:
-            backend = Dispatcher(
-                args.bundle,
-                config=config,
-                verify=verify,
-                quiet=not args.verbose,
-            )
-            topology = f"{args.workers} pre-fork worker(s)"
-            n_tables = backend.healthz()["tables"]
+    # the workers are forked and ping-verified before the socket is bound,
+    # so a start-up failure leaves nothing listening
+    dispatcher = Dispatcher(
+        args.bundle,
+        config=config,
+        verify=not args.no_verify,
+        quiet=not args.verbose,
+    )
     server = create_server(
-        backend, host=args.host, port=args.port, quiet=not args.verbose
+        dispatcher, host=args.host, port=args.port, quiet=not args.verbose
     )
 
     def _drain(signum: int, frame: Any) -> None:
@@ -390,14 +370,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     signal.signal(signal.SIGTERM, _drain)
     host, port = server.server_address[:2]
+    n_tables = dispatcher.healthz()["tables"]
     print(
-        f"serving bundle {args.bundle} ({n_tables} tables, {topology}) "
+        f"serving bundle {args.bundle} ({n_tables} tables, "
+        f"{args.workers} pre-fork worker(s)) "
         f"on http://{host}:{port}  (Ctrl-C to stop, SIGTERM to drain)",
         file=sys.stderr,
         flush=True,
     )
     run_server(server)
-    drained = server.backend.shutdown(config.serve.drain_timeout_seconds)
+    drained = dispatcher.shutdown(config.serve.drain_timeout_seconds)
     print(
         "shutdown: in-flight requests "
         + ("drained" if drained else "FORCE-STOPPED after drain timeout"),
@@ -617,12 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds shutdown / hot-swap waits for in-flight requests",
     )
     serve.add_argument(
-        "--inline",
-        action="store_true",
-        help="run in-process (no worker fork) — library/debug shape; "
-        "--workers is ignored",
-    )
-    serve.add_argument(
         "--no-verify",
         action="store_true",
         help="skip manifest hash verification at load",
@@ -692,7 +668,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ApiError, BundleError) as error:
+    except (ApiError, ServeError) as error:
         api_error = to_api_error(error)
         print(f"error [{api_error.code}]: {api_error.message}", file=sys.stderr)
         return 1

@@ -30,8 +30,8 @@ Batched and lone-table execution produce identical annotations: each
 table's annotation is a pure function of (table, catalog, model) whatever
 bucket it runs in, and the caches only memoise pure functions of the
 content.  The caches are locked, so one pipeline may also be shared by
-threads (the inline serving backend's HTTP threads); parallel corpus runs
-belong in separate processes.
+threads (a library caller sharing one :class:`~repro.api.ReproSession`);
+parallel corpus runs belong in separate processes.
 """
 
 from __future__ import annotations

@@ -6,16 +6,19 @@ The offline/online split of the paper's deployment story:
   versioned on-disk format holding the catalog, trained model, frozen
   (array-backed) text indexes and pre-computed corpus annotations, under a
   hash-verified manifest.
-* :mod:`repro.serve.state` — :class:`ServeState`: request metrics plus the
-  payload handlers (decode JSON → typed request → shared
-  :class:`~repro.api.ReproSession` → typed response → JSON).
 * :mod:`repro.serve.server` — the threaded stdlib-HTTP front end
   (``repro serve``): ``/annotate``, ``/search``, ``/search/join``,
-  ``/healthz``, ``/metrics``, ``/admin/reload``.
+  ``/healthz``, ``/metrics``, ``/admin/reload``, all answered through one
+  dispatcher.
 * :mod:`repro.serve.pool` / :mod:`repro.serve.dispatcher` — the pre-fork
-  multi-process tier (``repro serve --workers N``): forked workers sharing
-  one mmapped bundle, admission control with 503 load shedding, automatic
-  worker restart, and generational bundle hot-swap.
+  tier behind it (``repro serve --workers N``, one worker by default):
+  forked workers sharing one mmapped bundle, admission control with 503
+  load shedding, automatic worker restart, and generational bundle
+  hot-swap.
+* :mod:`repro.serve.state` — :class:`ServeState`: a worker's request
+  handlers (decode JSON → typed request → shared
+  :class:`~repro.api.ReproSession` → typed response → JSON); in-process,
+  the reference served bodies are compared against.
 * :mod:`repro.serve.metrics` — request counters and latency percentiles,
   aggregate and per-worker.
 
@@ -45,12 +48,7 @@ from repro.serve.errors import (
 from repro.serve.dispatcher import Dispatcher
 from repro.serve.metrics import DispatcherMetrics, MetricsRegistry
 from repro.serve.pool import WorkerHandle, WorkerTimeout, spawn_worker
-from repro.serve.server import (
-    InlineBackend,
-    TableServer,
-    create_server,
-    run_server,
-)
+from repro.serve.server import TableServer, create_server, run_server
 from repro.serve.state import ServeState
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "BundleVersionError",
     "Dispatcher",
     "DispatcherMetrics",
-    "InlineBackend",
     "LoadedBundle",
     "MetricsRegistry",
     "ServeError",

@@ -1,8 +1,10 @@
 """The serving parent: admission control, one request queue, worker lifecycle.
 
 One :class:`Dispatcher` sits between the threaded HTTP front end and the
-pre-fork worker pool (:mod:`repro.serve.pool`).  Its job is four loops of
-bookkeeping around a very small hot path:
+pre-fork worker pool (:mod:`repro.serve.pool`); it is the only serving
+backend, and ``repro serve`` always runs one, with a single worker by
+default.  Its job is four loops of bookkeeping around a very small hot
+path:
 
 * **Admission + backpressure.**  A generation of ``N`` workers with queue
   depth ``Q`` admits at most ``N + Q`` requests; a request that cannot be
@@ -173,11 +175,11 @@ class _Generation:
 
 
 class Dispatcher:
-    """The multi-process serving backend (see module docs).
+    """What ``repro serve`` runs behind its HTTP front end (see module docs).
 
-    Implements the same backend surface as the in-process
-    :class:`~repro.serve.server.InlineBackend`: ``call`` / ``healthz`` /
-    ``metrics_snapshot`` / ``reload`` / ``observe`` / ``shutdown``.
+    The HTTP layer (:mod:`repro.serve.server`) calls ``call`` / ``healthz``
+    / ``metrics_snapshot`` / ``reload`` / ``observe``; the CLI calls
+    ``shutdown`` after the socket closes.
     """
 
     def __init__(

@@ -45,7 +45,8 @@ class WorkerTimeout(Exception):
 
 
 class WorkerSpawnError(ServeError, RuntimeError):
-    """A forked worker never became ready (died during warmup).
+    """A worker could not be started: it died during warm-up, stayed
+    silent past the ready timeout, or this platform cannot fork.
 
     Subclasses ``RuntimeError`` too: callers that treated the old
     ``RuntimeError`` raise from ``spawn_worker`` as fatal keep working,

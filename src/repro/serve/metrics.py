@@ -12,10 +12,9 @@ the arithmetic is nanoseconds next to request work):
   batch-size histogram of the worker round trips, and the dispatcher
   counters (sheds, worker restarts, reloads, in-flight gauge).
 
-``/metrics`` reports both: the aggregate ``endpoints`` section keeps its
-shape from the single-process days, and the ``workers`` / ``dispatcher``
-sections carry the per-worker split (see ``docs/OPERATIONS.md`` for the
-full field reference).
+``/metrics`` reports both: the aggregate ``endpoints`` section, and the
+``workers`` / ``dispatcher`` sections with the per-worker split (see
+``docs/OPERATIONS.md`` for the full field reference).
 """
 
 from __future__ import annotations

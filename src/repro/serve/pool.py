@@ -42,12 +42,13 @@ the pipe as raw buffer frames instead of being copied through the pickle
 stream, and the in-band pickle stays small however large the arrays get
 (regression-tested in ``tests/serve/test_pool.py``).
 
-Errors cross the pipe as the same :class:`~repro.api.types.ErrorEnvelope`
-payload the single-process server would emit, one per failed request, so
-multi-worker error responses are byte-identical to inline ones and a
-failing request never fails the others in its message.  An exception that
-still escapes request handling becomes an error outcome for every request
-in the message; it never takes the worker down.
+Errors cross the pipe as :class:`~repro.api.types.ErrorEnvelope`
+payloads, one per failed request: the envelope of the error
+:meth:`ServeState.handle` raises for that request alone, so served error
+responses are byte-identical to in-process ones and a failing request
+never fails the others in its message.  An exception that still escapes
+request handling becomes an error outcome for every request in the
+message; it never takes the worker down.
 """
 
 from __future__ import annotations
@@ -125,19 +126,16 @@ def fork_context() -> multiprocessing.context.BaseContext:
 
     Page-shared workers require ``fork`` (spawn would re-import and reload
     the bundle per worker, forfeiting the shared warm state this tier is
-    built on).  Every Linux and macOS CPython supports it; on platforms
-    without it `repro serve` falls back to the in-process backend.
+    built on).  Every Linux and macOS CPython supports it.  Without it
+    ``repro serve`` stops at start with this error; ``ReproSession`` and
+    ``ServeState`` still work in-process.
     """
     try:
         return multiprocessing.get_context("fork")
-    except ValueError as error:  # pragma: no cover - non-POSIX platforms
-        # reprolint: ignore[exc-unclassified]: startup-only capability
-        # probe — cmd_serve catches it and falls back to the in-process
-        # backend; it never crosses the request path
-        raise RuntimeError(
-            "the multi-worker serving tier requires the 'fork' start "
-            "method, which this platform does not provide; run with "
-            "--workers 1 on the in-process backend instead"
+    except ValueError as error:
+        raise WorkerSpawnError(
+            "repro serve needs the 'fork' start method, which this "
+            "platform does not provide"
         ) from error
 
 
@@ -327,8 +325,13 @@ def spawn_worker(
     """
     handle = WorkerHandle(name, generation, bundle, config)
     if not handle.ping(timeout=ready_timeout):
+        handle.process.join(timeout=1.0)  # reap a child that died
+        exitcode = handle.process.exitcode
         handle.stop(timeout=1.0)
         raise WorkerSpawnError(
-            f"worker {name} failed to become ready within {ready_timeout:.0f}s"
+            f"worker {name} died during warm-up (exit code {exitcode})"
+            if exitcode is not None
+            else f"worker {name} failed to become ready within "
+            f"{ready_timeout:.0f}s"
         )
     return handle

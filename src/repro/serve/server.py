@@ -1,20 +1,12 @@
-"""Threaded stdlib-HTTP front end over a pluggable serving backend.
+"""Threaded stdlib-HTTP front end over the pre-fork dispatcher.
 
 No third-party dependencies: :class:`http.server.ThreadingHTTPServer` gives
-one OS thread per in-flight request.  What those threads do with a request
-depends on the **backend** behind the server:
-
-* :class:`InlineBackend` — the single-process shape: requests run directly
-  on the HTTP threads against one shared
-  :class:`~repro.serve.state.ServeState` (read-mostly NumPy work that
-  releases the GIL in the hot spots; see the locking story in
-  :mod:`repro.serve.state`).
-* :class:`~repro.serve.dispatcher.Dispatcher` — the pre-fork shape
-  (``repro serve --workers N``): HTTP threads hand the decoded body to the
-  dispatcher, which queues it for the next idle one of N forked worker
-  processes sharing the bundle's pages; concurrent requests ride one
-  worker round trip together.  Backpressure, load shedding, worker
-  restarts and bundle hot-swap all live there.
+one OS thread per in-flight request.  Each thread decodes its request body
+and hands it to the :class:`~repro.serve.dispatcher.Dispatcher`, which
+queues it for the next idle one of the forked worker processes sharing the
+bundle's pages; concurrent requests ride one worker round trip together.
+Backpressure, load shedding, worker restarts and bundle hot-swap all live
+there.
 
 Endpoints::
 
@@ -28,11 +20,10 @@ Endpoints::
 Request and response bodies are the versioned wire schema of
 :mod:`repro.api.types`, serialized with :func:`repro.api.types.encode_json`
 — the same encoder the CLI's ``--wire``/``--json`` modes use, which is what
-makes the frontends (and the two serving backends) byte-identical for
-identical requests.  Failures of any kind are an
-:class:`~repro.api.types.ErrorEnvelope`::
+makes the frontends byte-identical for identical requests.  Failures of
+any kind are an :class:`~repro.api.types.ErrorEnvelope`::
 
-    {"schema_version": 1, "error": {"code": "<stable code>", "message": …}}
+    {"schema_version": 2, "error": {"code": "<stable code>", "message": …}}
 
 with the HTTP status derived from the code by the taxonomy in
 :mod:`repro.api.errors` (400 family for bad payloads / unknown catalog ids,
@@ -45,21 +36,18 @@ from __future__ import annotations
 import io
 import json
 import sys
-import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
-from repro.api import errors as api_errors
-from repro.api.errors import ApiError
 from repro.api.types import ErrorEnvelope, encode_json
+from repro.serve.dispatcher import Dispatcher
 from repro.serve.errors import BadRequestError
-from repro.serve.state import ServeState
 
 #: reject request bodies larger than this (64 MiB) outright
 MAX_BODY_BYTES = 64 << 20
 
-#: endpoint names the HTTP layer routes to ``backend.call``
+#: endpoint names the HTTP layer routes to ``Dispatcher.call``
 _POST_ROUTES = {
     "/annotate": "annotate",
     "/search": "search",
@@ -67,114 +55,20 @@ _POST_ROUTES = {
 }
 
 
-class Backend(Protocol):
-    """What the HTTP layer needs from a serving implementation."""
-
-    def call(self, endpoint: str, payload: dict) -> dict:
-        """Handle one decoded request body; raises on failure."""
-
-    def observe(self, endpoint: str, seconds: float, error: bool) -> None:
-        """Record one finished request in the aggregate registry."""
-
-    def healthz(self) -> dict: ...
-
-    def metrics_snapshot(self) -> dict: ...
-
-    def reload(self, payload: dict) -> dict:
-        """Swap the serving bundle (``POST /admin/reload``)."""
-
-    def shutdown(self, drain_timeout: float | None = None) -> bool:
-        """Stop serving resources; True if in-flight work drained."""
-
-
-class InlineBackend:
-    """Single-process backend: requests run on the HTTP threads.
-
-    ``reload`` builds a whole new :class:`ServeState` (bundle, session,
-    pipelines, metrics) and swaps it in; requests already executing finish
-    on the old state, which the garbage collector then retires.  Metrics
-    restart with the new state — the process-level aggregate continuity of
-    the dispatcher backend needs the dispatcher.
-    """
-
-    def __init__(self, state: ServeState) -> None:
-        self._lock = threading.Lock()
-        self._state = state
-
-    @property
-    def state(self) -> ServeState:
-        with self._lock:
-            return self._state
-
-    def call(self, endpoint: str, payload: dict) -> dict:
-        return self.state.handle(endpoint, payload)
-
-    def observe(self, endpoint: str, seconds: float, error: bool) -> None:
-        self.state.metrics.observe(endpoint, seconds, error=error)
-
-    def healthz(self) -> dict:
-        return self.state.healthz()
-
-    def metrics_snapshot(self) -> dict:
-        return self.state.metrics_snapshot()
-
-    def reload(self, payload: dict) -> dict:
-        from repro.serve.bundle import load_bundle
-
-        old = self.state
-        bundle_path = payload.get("bundle")
-        if bundle_path is None:
-            bundle_path = str(old.bundle.path)
-        if not isinstance(bundle_path, str):
-            raise ApiError(
-                api_errors.VALIDATION_ERROR, "reload 'bundle' must be a path"
-            )
-        start = time.perf_counter()
-        bundle = load_bundle(bundle_path)
-        fresh = ServeState(bundle, session_config=old.session.config)
-        with self._lock:
-            self._state = fresh
-        return {
-            "status": "ok",
-            "bundle": str(bundle.path),
-            "workers": 0,
-            "reload_seconds": round(time.perf_counter() - start, 3),
-        }
-
-    def shutdown(self, drain_timeout: float | None = None) -> bool:
-        return True  # HTTP threads are joined by TableServer.server_close
-
-
 class TableServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer carrying the serving backend."""
+    """A ThreadingHTTPServer carrying the dispatcher it fronts."""
 
     daemon_threads = True
 
     def __init__(
         self,
         address: tuple[str, int],
-        backend: Backend | ServeState,
+        dispatcher: Dispatcher,
         quiet: bool = True,
     ):
         super().__init__(address, _Handler)
-        if isinstance(backend, ServeState):
-            backend = InlineBackend(backend)
-        self.backend = backend
+        self.dispatcher = dispatcher
         self.quiet = quiet
-
-    @property
-    def state(self) -> ServeState:
-        """The inline backend's state (kept for tests / library callers);
-        raises on a dispatcher backend, which has no in-process state."""
-        backend = self.backend
-        if isinstance(backend, InlineBackend):
-            return backend.state
-        # reprolint: ignore[exc-unclassified]: library-misuse guard on a
-        # test/debug accessor — it is never reachable from a request
-        # handler, so it cannot cross the wire
-        raise AttributeError(
-            "TableServer.state only exists on the inline backend"
-        )
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -186,11 +80,11 @@ class _Handler(BaseHTTPRequestHandler):
     # routing
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        backend = self.server.backend
+        dispatcher = self.server.dispatcher
         if self.path == "/healthz":
-            self._handle("healthz", backend.healthz)
+            self._handle("healthz", dispatcher.healthz)
         elif self.path == "/metrics":
-            self._handle("metrics", backend.metrics_snapshot)
+            self._handle("metrics", dispatcher.metrics_snapshot)
         elif self.path in _POST_ROUTES or self.path == "/admin/reload":
             self._send_error(
                 BadRequestError(
@@ -203,12 +97,12 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        backend = self.server.backend
+        dispatcher = self.server.dispatcher
         if self.path == "/admin/reload":
             # body optional: an empty body re-loads the current bundle path
             self._handle(
                 "admin_reload",
-                lambda: backend.reload(self._read_json_body(required=False)),
+                lambda: dispatcher.reload(self._read_json_body(required=False)),
             )
             return
         endpoint = _POST_ROUTES.get(self.path)
@@ -227,7 +121,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             return
         self._handle(
-            endpoint, lambda: backend.call(endpoint, self._read_json_body())
+            endpoint, lambda: dispatcher.call(endpoint, self._read_json_body())
         )
 
     # ------------------------------------------------------------------
@@ -256,15 +150,15 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle(self, endpoint: str, run: Callable[[], dict]) -> None:
         """Run one handler, recording metrics and mapping every failure to
         the structured :class:`ErrorEnvelope`."""
-        backend = self.server.backend
+        dispatcher = self.server.dispatcher
         start = time.perf_counter()
         try:
             result = run()
         except Exception as error:  # noqa: BLE001 - the API boundary
-            backend.observe(endpoint, time.perf_counter() - start, error=True)
+            dispatcher.observe(endpoint, time.perf_counter() - start, error=True)
             self._send_error(error)
             return
-        backend.observe(endpoint, time.perf_counter() - start, error=False)
+        dispatcher.observe(endpoint, time.perf_counter() - start, error=False)
         self._send_json(200, result)
 
     def _send_error(self, error: BaseException) -> None:
@@ -302,19 +196,14 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def create_server(
-    backend: Backend | ServeState,
+    dispatcher: Dispatcher,
     host: str = "127.0.0.1",
     port: int = 8080,
     quiet: bool = True,
 ) -> TableServer:
-    """Bind a :class:`TableServer` (``port=0`` picks a free port).
-
-    Accepts either a bare :class:`ServeState` (wrapped in an
-    :class:`InlineBackend`, the historical single-process shape) or any
-    :class:`Backend` — in particular the multi-process
-    :class:`~repro.serve.dispatcher.Dispatcher`.
-    """
-    return TableServer((host, port), backend, quiet=quiet)
+    """Bind a :class:`TableServer` over ``dispatcher`` (``port=0`` picks a
+    free port)."""
+    return TableServer((host, port), dispatcher, quiet=quiet)
 
 
 def run_server(server: TableServer) -> None:

@@ -1,34 +1,18 @@
-"""Warm, shared serving state: one bundle, many concurrent requests.
+"""A serving worker's request handlers over one warm session.
 
-Since the typed API layer landed, this module is deliberately thin: all
-domain work lives in :class:`~repro.api.session.ReproSession` (shared with
-the CLI and library callers, so the frontends cannot diverge), and
-``ServeState`` adds only what an HTTP *process* needs on top — request
-metrics and the payload-level handlers that decode JSON into typed requests
-and encode typed responses back out.
+All domain work lives in :class:`~repro.api.session.ReproSession` (shared
+with the CLI and library callers, so the frontends cannot diverge).
+``ServeState`` adds only what a serving worker needs on top: the
+payload-level handlers that decode JSON into typed requests and encode
+typed responses back out, with each request's failure isolated from its
+batchmates (:meth:`ServeState.handle_requests`), and the per-process cache
+counters the dispatcher sums across workers for ``/metrics``.
 
-Concurrency model (the whole locking story):
-
-* **Bundle state is immutable.**  The catalog, the frozen lemma/header/
-  context indexes and the annotated table index are never mutated after
-  :func:`~repro.serve.bundle.load_bundle`, so every search request reads
-  them lock-free.  The one exception is a memo: the table index builds a
-  column's token postings on the first query that touches the column and
-  publishes them with one ``dict.setdefault``.  A thread racing on the
-  same cold column builds an equal value, and both go on with whichever
-  landed first, so no lock is needed and answers do not depend on which
-  thread won.
-* **Annotation is a pure function with thread-safe memoisation.**  One
-  :class:`~repro.pipeline.AnnotationPipeline` is shared by all requests
-  (owned by the session); its candidate / feature-block / answer LRUs
-  carry their own internal locks, so concurrent ``/annotate`` requests
-  produce exactly the answers serial requests would (covered by the
-  concurrency determinism tests).  The answer LRU hands every request a
-  fresh copy of a cached answer, under the request's own table id.
-* **Each response reads its own timing** from the annotation's
-  diagnostics; nothing accumulates per table.
-* **Everything else** (metrics registry, lazy searcher construction) sits
-  behind one small mutex each, inside the session or the metrics registry.
+Each forked worker (:mod:`repro.serve.pool`) builds one ``ServeState`` and
+answers one pipe message at a time.  Built in-process, it is also the
+reference served bodies are compared against, byte for byte.  Sharing one
+across threads is as safe as sharing its session (see the thread-safety
+contract in :mod:`repro.api.session`).
 """
 
 from __future__ import annotations
@@ -41,29 +25,13 @@ from repro.api.config import SessionConfig
 from repro.api.errors import ApiError
 from repro.api.session import ReproSession
 from repro.api.types import (
-    SCHEMA_VERSION,
     AnnotateRequest,
     ErrorEnvelope,
     JoinSearchRequest,
     SearchRequest,
-    SearchResponse,
 )
 from repro.pipeline.pipeline import AnnotationPipeline
-from repro.search.ranking import SearchResponse as RankedResponse
 from repro.serve.bundle import LoadedBundle
-from repro.serve.metrics import MetricsRegistry
-
-
-def response_to_dict(response: RankedResponse, top_k: int | None = None) -> dict:
-    """Deprecated shim over :meth:`repro.api.types.SearchResponse.to_json`.
-
-    Returns the current versioned wire shape — a superset of the pre-API
-    dict (same ``answers``/``tables_considered``/``rows_matched`` content,
-    plus a leading ``schema_version`` key).  Callers comparing two of these
-    payloads are unaffected; callers pinning the exact pre-API key set
-    should move to the typed :class:`SearchResponse`.
-    """
-    return SearchResponse.from_ranked(response, top_k=top_k).to_json()
 
 
 def _error_outcome(error: BaseException) -> dict:
@@ -72,7 +40,7 @@ def _error_outcome(error: BaseException) -> dict:
 
 
 class ServeState:
-    """Everything one server process shares across requests."""
+    """One worker's warm session and the payload handlers over it."""
 
     def __init__(
         self,
@@ -80,11 +48,8 @@ class ServeState:
         session_config: SessionConfig | None = None,
     ) -> None:
         self.session = ReproSession.from_bundle(bundle, config=session_config)
-        self.bundle = bundle
         self.catalog = bundle.catalog
-        self.model = bundle.model
         self.index = bundle.table_index
-        self.metrics = MetricsRegistry()
 
     def pipeline(self) -> AnnotationPipeline:
         """The session's shared pipeline (kept for introspection / tests)."""
@@ -96,10 +61,10 @@ class ServeState:
     def handle(self, endpoint: str, payload: dict) -> dict:
         """Route one decoded request body by endpoint name.
 
-        The single routing table shared by the in-process backend and the
-        pool workers (:mod:`repro.serve.pool`), so the two serving modes
-        cannot drift.  ``_sleep`` is a drain/test aid — it is never routed
-        by the HTTP server, only reachable through a dispatcher handle.
+        The single routing table of the pool workers
+        (:mod:`repro.serve.pool`) and of in-process callers.  ``_sleep`` is
+        a drain/test aid — it is never routed by the HTTP server, only
+        reachable through a dispatcher handle.
         """
         if endpoint == "annotate":
             return self.annotate_payload(payload)
@@ -170,27 +135,6 @@ class ServeState:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def healthz(self) -> dict:
-        return {
-            "status": "ok",
-            "schema_version": SCHEMA_VERSION,
-            "bundle": str(self.bundle.path),
-            "tables": len(self.index),
-            "catalog": self.bundle.manifest.identity.get("catalog_name"),
-            "model_sha256": self.bundle.manifest.identity.get("model_sha256"),
-        }
-
-    def metrics_snapshot(self) -> dict:
-        snapshot = self.metrics.snapshot()
-        snapshot["schema_version"] = SCHEMA_VERSION
-        snapshot["caches"] = self.cache_stats()
-        snapshot["bundle"] = {
-            "path": str(self.bundle.path),
-            "tables": len(self.index),
-            "identity": self.bundle.manifest.identity,
-        }
-        return snapshot
-
     def worker_stats(self) -> dict:
         """The per-process stats fragment a pool worker reports to the
         dispatcher's ``/metrics`` aggregation (see :mod:`repro.serve.pool`)."""

@@ -19,18 +19,14 @@ precomputes everything a query needs into flat arrays: per-token IDF values
 (document ids + IDF²-weighted counts) and the document norm vector.  A search
 is then one vectorised accumulate per query token.
 
-Two retrieval paths share those arrays:
-
-* :meth:`search` — the single-query reference (the scalar oracle in
-  ``tests/oracles`` probes with it).  It accumulates into a pooled
-  per-thread scratch vector (allocated once per index, touched entries reset
-  after each query) instead of a fresh dense ``np.zeros(n_docs)`` per call.
-* :meth:`search_batch` — the batch-first path used by the candidate
-  engine.  Each query is scored in a *compact* candidate-id space: the union
-  of its tokens' posting doc-ids, scattered per token, deduplicated per key
-  with ``np.maximum.reduceat`` and cut to top-k with a partition — no dense
-  allocation, no Python per-document loop.  Both paths return identical hits
-  (scores and ordering), which the equivalence tests assert.
+One retrieval path reads those arrays: :meth:`search_batch`, used by the
+candidate engine (:meth:`search` is one query through it).  Each query is
+scored in a *compact* candidate-id space: the union of its tokens' posting
+doc-ids, scattered per token, deduplicated per key with
+``np.maximum.reduceat`` and cut to top-k with a partition — no dense
+allocation, no Python per-document loop.  The dense reading (one score per
+document, a dict pass per key) lives in ``tests/oracles/retrieval.py``, and
+the equivalence tests hold the two to identical hits, scores and ordering.
 
 The frozen arrays are also the index's *serialization*:
 :meth:`InvertedIndex.to_state` exports them as flat concatenated vectors
@@ -43,7 +39,6 @@ a served index starts warm instead of replaying ``freeze()``.
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 from collections import Counter
@@ -79,9 +74,9 @@ class InvertedIndex:
         self._idf: dict[str, float] = {}
         self._doc_norm: np.ndarray = np.zeros(0, dtype=np.float64)
         self._token_arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # pooled scratch vectors for search(); one per thread so concurrent
-        # callers (the inline serving backend's HTTP threads sharing one
-        # session) never share an accumulator
+        # pooled scratch vectors for search_batch(); one per thread so
+        # concurrent callers (library threads sharing one session) never
+        # share an accumulator
         self._scratch = threading.local()
         # filled lazily by _ensure_key_arrays() (search_batch dedup arrays)
         self._doc_key_id: np.ndarray | None = None
@@ -110,7 +105,7 @@ class InvertedIndex:
     def freeze(self) -> None:
         """Precompute IDF values, posting arrays and document norms (idempotent).
 
-        After freezing, :meth:`search` touches only flat arrays: per token a
+        After freezing, retrieval touches only flat arrays: per token a
         ``(doc_ids, idf²·count)`` pair, plus one norm per document.
         """
         if self._frozen:
@@ -143,7 +138,7 @@ class InvertedIndex:
         Freezes first if needed.  Tokens come out sorted; each token's
         postings occupy ``[offsets[i], offsets[i + 1])`` of the concatenated
         ``doc_ids`` / ``weights`` vectors (weights are the precomputed
-        ``idf² · count`` values used by :meth:`search`).  The export is a
+        ``idf² · count`` values retrieval scores with).  The export is a
         pure function of the indexed documents, so build → export → import
         → export round-trips to identical arrays.
         """
@@ -224,53 +219,14 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # retrieval
     # ------------------------------------------------------------------
-    def _scratch_scores(self) -> np.ndarray:
-        """This thread's pooled score accumulator (zeros between queries)."""
-        scores = getattr(self._scratch, "scores", None)
-        if scores is None or len(scores) != len(self._doc_key):
-            scores = np.zeros(len(self._doc_key), dtype=np.float64)
-            self._scratch.scores = scores
-        return scores
-
     def search(self, query: str, top_k: int = 10) -> list[IndexHit]:
         """Top-k documents by TF-IDF score, deduplicated by key (max score).
 
         Results are sorted by descending score; ties broken by the string
-        form of the key so retrieval is fully deterministic.
+        form of the key so retrieval is fully deterministic.  One query
+        through :meth:`search_batch`.
         """
-        if not self._frozen:
-            self.freeze()
-        query_counts = Counter(tokenize(query))
-        if not query_counts:
-            return []
-        scores = self._scratch_scores()
-        touched: list[np.ndarray] = []
-        try:
-            for token, query_count in query_counts.items():
-                entry = self._token_arrays.get(token)
-                if entry is None:
-                    continue
-                doc_ids, weighted_counts = entry
-                scores[doc_ids] += query_count * weighted_counts
-                touched.append(doc_ids)
-            if not touched:
-                return []
-            # same ascending hit-id order np.flatnonzero over the dense
-            # vector produced (every touched doc scores > 0: idf >= 1)
-            hit_ids = np.unique(np.concatenate(touched))
-            normalised = scores[hit_ids] / self._doc_norm[hit_ids]
-        finally:
-            for doc_ids in touched:
-                scores[doc_ids] = 0.0
-        by_key: dict[Hashable, float] = {}
-        for doc_id, score in zip(hit_ids.tolist(), normalised.tolist()):
-            key = self._doc_key[doc_id]
-            if score > by_key.get(key, 0.0):
-                by_key[key] = score
-        top = heapq.nlargest(
-            top_k, by_key.items(), key=lambda item: (item[1], str(item[0]))
-        )
-        return [IndexHit(key=key, score=score) for key, score in top]
+        return self.search_batch([query], top_k)[0]
 
     # ------------------------------------------------------------------
     # batched retrieval (compact candidate-id space)
@@ -280,7 +236,7 @@ class InvertedIndex:
 
         ``_doc_key_id[d]`` is the interned id of document ``d``'s key;
         ``_key_rank[k]`` is key ``k``'s position in the ``str(key)`` sort
-        order, the same tie-break :meth:`search` applies.
+        order, the tie-break of :meth:`search`.
 
         Thread-safe without a lock: concurrent first callers build identical
         arrays, and ``_doc_key_id`` — the readiness gate — is published
@@ -329,9 +285,9 @@ class InvertedIndex:
     ) -> list[IndexHit]:
         """One query scored over the union of its tokens' posting lists.
 
-        Accumulation order per document matches :meth:`search` exactly (one
-        scatter-add per query token, in query token order), so scores are
-        bit-identical to the dense path.
+        Each document's score accumulates one scatter-add per query token,
+        in query token order, so scores are bit-identical to a dense
+        per-document accumulator.
         """
         if top_k < 1:
             return []
@@ -348,7 +304,7 @@ class InvertedIndex:
             positions = np.searchsorted(hit_ids, doc_ids)
             scores[positions] += query_count * weighted_counts
         normalised = scores / self._doc_norm[hit_ids]
-        # per-key max score (vectorised version of search()'s dict pass)
+        # per-key max score, vectorised
         assert self._doc_key_id is not None and self._key_rank is not None
         key_ids = self._doc_key_id[hit_ids]
         order = np.argsort(key_ids, kind="stable")
@@ -368,7 +324,7 @@ class InvertedIndex:
             best_scores = best_scores[keep]
         ranks = self._key_rank[unique_keys]
         # descending score, ties broken by descending str(key) rank — the
-        # ordering heapq.nlargest produces in search()
+        # ordering heapq.nlargest gives on (score, str(key))
         final = np.lexsort((-ranks, -best_scores))[:top_k]
         return [
             IndexHit(key=self._key_list[unique_keys[i]], score=float(best_scores[i]))
@@ -378,7 +334,7 @@ class InvertedIndex:
     def search_batch(
         self, queries: Sequence[str], top_k: int = 10
     ) -> list[list[IndexHit]]:
-        """Top-k hits for every query, identical to per-query :meth:`search`.
+        """Top-k hits for every query.
 
         Distinct query strings are tokenized and scored once; duplicates
         share the (immutable) result list.  Scoring never allocates a dense

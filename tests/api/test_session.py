@@ -405,9 +405,3 @@ class TestTrainAndBundle:
         assert json.loads(
             encode_json(bundle_session.search(search).to_json())
         ) == json.loads(encode_json(world_session.search(search).to_json()))
-
-    def test_describe_reports_identity(self, api_session):
-        info = api_session.describe()
-        assert info["schema_version"] == 2
-        assert info["tables"] == 6
-        assert not {"default_engine", "engines"} & set(info)

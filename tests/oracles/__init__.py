@@ -7,10 +7,12 @@ Production annotation runs one path: the array-backed candidate engine
 paths kept here define what that path must compute, and the equivalence and
 byte-identity tests compare the two:
 
+* :func:`dense_search` (:mod:`tests.oracles.retrieval`) ranks an inverted
+  index's documents for one query over a dense score vector,
 * :class:`CandidateGenerator` answers ``Erc`` / ``Tc`` / ``Bcc'`` per cell
-  straight from the catalog, as :class:`CandidateEntity` lists and label
-  lists (:class:`EngineQueries` puts the production engine behind the same
-  signatures),
+  straight from the catalog (``Erc`` through :func:`dense_search`), as
+  :class:`CandidateEntity` lists and label lists (:class:`EngineQueries`
+  puts the production engine behind the same signatures),
 * :class:`ScalarFeatureComputer` assembles f1 to f5 blocks one element at
   a time,
 * :func:`scalar_build_problem` builds a table's problem from the two, row
@@ -33,6 +35,7 @@ production searchers' token postings replaced.
 """
 
 from tests.oracles.bp import Factor, FactorGraph, MaxProductBP, Variable
+from tests.oracles.retrieval import dense_search
 from tests.oracles.scalar import (
     SCHEDULES,
     CandidateEntity,
@@ -60,6 +63,7 @@ __all__ = [
     "ScalarFeatureComputer",
     "Variable",
     "build_factor_graph",
+    "dense_search",
     "run_scalar_paper_schedule",
     "scalar_annotate_problem",
     "scalar_build_problem",

@@ -183,9 +183,9 @@ def test_disabled_cache_computes_every_table(tiny_world, tables):
 
 
 def test_threads_sharing_the_cache_answer_as_serial(tiny_world, tables):
-    """Four threads calling one shared pipeline (the inline serving
-    backend's shape) over a corpus that repeats every table: each answer is
-    the serial one, and every lookup is counted once."""
+    """Four threads calling one shared pipeline (library threads sharing
+    one ``ReproSession``) over a corpus that repeats every table: each
+    answer is the serial one, and every lookup is counted once."""
     serial = AnnotationPipeline(
         tiny_world.annotator_view, config=PipelineConfig(answer_cache_size=0)
     )

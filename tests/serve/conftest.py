@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
 
 from repro.serve.bundle import build_bundle, load_bundle
+from repro.serve.dispatcher import Dispatcher
 from repro.serve.server import create_server
 from repro.serve.state import ServeState
 from repro.tables.generator import (
@@ -41,13 +43,24 @@ def loaded_bundle(bundle_dir):
 
 @pytest.fixture(scope="session")
 def serve_state(loaded_bundle):
+    """The in-process reference served bodies are compared against."""
     return ServeState(loaded_bundle)
 
 
 @pytest.fixture(scope="session")
-def running_server(serve_state):
+def serve_dispatcher(bundle_dir):
+    """A one-worker dispatcher, the shape `repro serve` runs by default."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the pre-fork tier requires fork")
+    dispatcher = Dispatcher(bundle_dir)
+    yield dispatcher
+    dispatcher.shutdown(drain_timeout=5.0)
+
+
+@pytest.fixture(scope="session")
+def running_server(serve_dispatcher):
     """A live threaded server on an ephemeral port; yields (host, port)."""
-    server = create_server(serve_state, port=0)
+    server = create_server(serve_dispatcher, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

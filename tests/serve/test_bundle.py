@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.types import SearchResponse
 from repro.pipeline.io import (
     annotation_from_payload,
     annotation_to_dict,
@@ -33,7 +34,6 @@ from repro.serve.errors import (
     BundleIntegrityError,
     BundleVersionError,
 )
-from repro.serve.state import response_to_dict
 from repro.text.index import InvertedIndex
 from tests.serve.conftest import find_productive_query
 
@@ -130,9 +130,9 @@ class TestRoundTrip:
             loaded_response = AnnotatedSearcher(
                 loaded_bundle.table_index, catalog, use_relations=use_relations
             ).search(query)
-            assert json.dumps(response_to_dict(loaded_response)) == json.dumps(
-                response_to_dict(fresh_response)
-            )
+            loaded_json = SearchResponse.from_ranked(loaded_response).to_json()
+            fresh_json = SearchResponse.from_ranked(fresh_response).to_json()
+            assert json.dumps(loaded_json) == json.dumps(fresh_json)
         assert fresh_response.answers  # the query is productive, not vacuous
 
     def test_header_and_context_lookups_identical(

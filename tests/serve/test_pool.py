@@ -2,11 +2,11 @@
 
 Three layers of coverage:
 
-* dispatcher semantics against a live 2-worker pool — byte parity with the
-  inline backend, load shedding, dead-worker replacement, generational
-  hot-swap (in-flight requests finish on the old bundle, new requests land
-  on the new generation), graceful drain;
-* the HTTP front end over a dispatcher backend — ``/admin/reload``, the
+* dispatcher semantics against a live 2-worker pool — byte parity with
+  in-process ``ServeState.handle``, load shedding, dead-worker
+  replacement, generational hot-swap (in-flight requests finish on the old
+  bundle, new requests land on the new generation), graceful drain;
+* the HTTP front end over a 2-worker dispatcher — ``/admin/reload``, the
   per-worker ``/metrics`` split, 503 envelopes;
 * the CLI process end to end — ``repro serve --workers 2`` answering
   requests and draining on SIGTERM within the configured timeout.
@@ -20,9 +20,11 @@ annotation workloads.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -36,8 +38,11 @@ import pytest
 from repro.api.config import ServeConfig, SessionConfig
 from repro.api.errors import ApiError
 from repro.api.types import encode_json
+from repro.cli import main
+from repro.serve import server as server_module
 from repro.serve.dispatcher import Dispatcher
 from repro.serve.server import create_server
+from repro.serve.state import ServeState
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="the pre-fork tier requires fork"
@@ -121,7 +126,7 @@ class TestDispatcher:
     def test_annotate_byte_identical_to_inline(
         self, dispatcher, serve_state, serve_corpus
     ):
-        """A pool worker's response is the inline backend's response."""
+        """A pool worker's response is in-process ``ServeState.handle``'s."""
         for index in range(3):
             payload = annotate_payload(serve_corpus, index)
             pooled = dispatcher.call("annotate", payload)
@@ -298,15 +303,15 @@ class TestGracefulShutdown:
 class TestDispatcherOverHttp:
     @pytest.fixture(scope="class")
     def pool_server(self, bundle_dir):
-        backend = Dispatcher(bundle_dir, config=POOL_CONFIG)
-        server = create_server(backend, port=0)
+        dispatcher = Dispatcher(bundle_dir, config=POOL_CONFIG)
+        server = create_server(dispatcher, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
         yield host, port
         server.shutdown()
         server.server_close()
-        backend.shutdown(drain_timeout=5.0)
+        dispatcher.shutdown(drain_timeout=5.0)
 
     @staticmethod
     def request(host, port, method, path, body=None):
@@ -417,6 +422,52 @@ class TestServeCliSigterm:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10)
+
+
+class TestServeStartupFailures:
+    """A `repro serve` that cannot start its workers prints one
+    ``error [code]: message`` line, exits 1 and leaves no socket bound."""
+
+    @staticmethod
+    def serve_stderr(bundle_dir, capsys, monkeypatch) -> str:
+        def refuse(*args, **kwargs):
+            raise AssertionError("an HTTP server was bound")
+
+        # a server bound here would serve forever instead of failing
+        monkeypatch.setattr(server_module, "create_server", refuse)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        argv = ["serve", "--bundle", str(bundle_dir), "--port", str(port)]
+        assert main(argv) == 1
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", port))  # raises if the port is held
+        return capsys.readouterr().err
+
+    def test_worker_dying_in_warm_up(self, bundle_dir, capsys, monkeypatch):
+        def die(self, *args, **kwargs):
+            raise RuntimeError("warm-up failed")
+
+        # the forked worker inherits the patch and dies before its ping
+        monkeypatch.setattr(ServeState, "__init__", die)
+        assert self.serve_stderr(bundle_dir, capsys, monkeypatch) == (
+            "error [worker_failed]: worker g1.w0 died during warm-up "
+            "(exit code 1)\n"
+        )
+
+    def test_missing_fork(self, bundle_dir, capsys, monkeypatch):
+        get_context = multiprocessing.get_context
+
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        assert self.serve_stderr(bundle_dir, capsys, monkeypatch) == (
+            "error [worker_failed]: repro serve needs the 'fork' start "
+            "method, which this platform does not provide\n"
+        )
 
 
 class TestWireProtocol:

@@ -1,4 +1,8 @@
-"""Live-server tests: endpoint behaviour and concurrent determinism."""
+"""Live-server tests: endpoint behaviour and concurrent determinism.
+
+The server fronts a one-worker dispatcher, as `repro serve` does by
+default; served bodies are compared with in-process answers.
+"""
 
 from __future__ import annotations
 
@@ -418,12 +422,12 @@ class TestConcurrentDeterminism:
 
 
 class TestKeepAlive:
-    def test_one_write_per_response(self, serve_state, serve_corpus):
+    def test_one_write_per_response(self, serve_dispatcher, serve_corpus):
         """Headers and body leave in one write, so a keep-alive client is
         never left waiting on delayed ACK between the two."""
         from repro.serve.server import create_server
 
-        server = create_server(serve_state, port=0)
+        server = create_server(serve_dispatcher, port=0)
         writes: list[int] = []
 
         class CountingWriter:

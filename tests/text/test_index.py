@@ -1,8 +1,15 @@
 """Tests for the inverted index (Lucene substitute)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.text.index import InvertedIndex
+from tests.oracles.retrieval import dense_search
+
+
+#: the vocabulary property-drawn documents and queries are made of
+WORDS = ["red", "green", "blue", "film", "club"]
 
 
 @pytest.fixture()
@@ -56,8 +63,8 @@ class TestRetrieval:
         assert [hit.key for hit in hits] == ["b", "a"]
 
     def test_pooled_scratch_resets_between_queries(self, index):
-        # back-to-back identical queries share the scratch accumulator; a
-        # dirty reset would double every score
+        # back-to-back identical queries share the pooled compact
+        # accumulator; a dirty reset would double every score
         first = index.search("albert einstein bagels")
         second = index.search("albert einstein bagels")
         assert first == second
@@ -65,6 +72,8 @@ class TestRetrieval:
 
 
 class TestSearchBatch:
+    """``search_batch`` against the dense reference in ``tests/oracles``."""
+
     def test_matches_single_query_search(self, index):
         queries = [
             "Albert Einstein",
@@ -78,7 +87,8 @@ class TestSearchBatch:
         ]
         batch = index.search_batch(queries, top_k=3)
         for query, hits in zip(queries, batch):
-            assert hits == index.search(query, top_k=3), query
+            assert hits == dense_search(index, query, top_k=3), query
+            assert index.search(query, top_k=3) == hits
 
     def test_duplicate_queries_share_one_result(self, index):
         batch = index.search_batch(["einstein", "einstein"])
@@ -91,7 +101,7 @@ class TestSearchBatch:
         idx.add("c", "same text")
         for top_k in (1, 2, 3, 5):
             assert idx.search_batch(["same text"], top_k=top_k) == [
-                idx.search("same text", top_k=top_k)
+                dense_search(idx, "same text", top_k=top_k)
             ]
 
     def test_boundary_ties_kept_exactly(self):
@@ -102,13 +112,41 @@ class TestSearchBatch:
             idx.add(key, "shared words")
         idx.add("best", "shared words unique")
         assert idx.search_batch(["shared words unique"], top_k=2) == [
-            idx.search("shared words unique", top_k=2)
+            dense_search(idx, "shared words unique", top_k=2)
         ]
 
     def test_batch_on_state_restored_index(self, index):
         restored = InvertedIndex.from_state(index.to_state())
         queries = ["einstein", "albert", "isaac newton", "nope"]
         assert restored.search_batch(queries) == index.search_batch(queries)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        documents=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", 1, 2, ("t", 0)]),
+                st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        queries=st.lists(
+            st.lists(st.sampled_from(WORDS + ["zzz"]), max_size=4),
+            min_size=1,
+            max_size=5,
+        ),
+        top_k=st.integers(min_value=0, max_value=6),
+    )
+    def test_property_matches_dense_reference(self, documents, queries, top_k):
+        """Hits, score bits and order equal the dense reference's on small
+        vocabularies, where repeated documents make exact score ties."""
+        idx = InvertedIndex()
+        for key, words in documents:
+            idx.add(key, " ".join(words))
+        texts = [" ".join(words) for words in queries]
+        assert idx.search_batch(texts, top_k=top_k) == [
+            dense_search(idx, text, top_k=top_k) for text in texts
+        ]
 
 
 class TestStatistics:
