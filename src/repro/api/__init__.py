@@ -6,8 +6,9 @@ and library callers do goes through this package:
 * :class:`ReproSession` — the facade (open from a world or a bundle; offers
   ``annotate`` / ``annotate_stream`` / ``search`` / ``join_search`` /
   ``train`` / ``build_bundle``),
-* :mod:`repro.api.types` — versioned request/response dataclasses with
-  strict ``to_json``/``from_json`` round-tripping,
+* :mod:`repro.api.types` — versioned request/response dataclasses; one
+  field-driven codec gives each its strict ``to_json``/``from_json``
+  round trip,
 * :mod:`repro.api.errors` — the stable error-code taxonomy every frontend
   maps failures through,
 * :class:`SessionConfig` — the one composed configuration object.

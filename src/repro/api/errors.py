@@ -24,7 +24,9 @@ code                                    status  raised when
                                                 invalid (e.g. join types
                                                 incompatible)
 ``io_error``                            400     a referenced corpus/catalog/
-                                                model path cannot be read
+                                                model path cannot be read, or
+                                                ``repro serve`` cannot listen
+                                                on its address
 ``not_found``                           404     unknown HTTP route
 ``method_not_allowed``                  405     wrong HTTP method for a route
 ``no_index``                            409     search on a session with no

@@ -1,16 +1,28 @@
 """Versioned, typed wire schema of the public API.
 
-Every request/response that crosses the API boundary is a dataclass here
-with a strict ``to_json`` / ``from_json`` pair:
+Every request/response that crosses the API boundary is a dataclass here,
+and one codec encodes and decodes them all from their field lists:
 
 * ``to_json`` returns a plain JSON-ready dict whose first key is always
-  ``schema_version`` (currently |SCHEMA_VERSION|) and whose key order is
-  stable — encoding the same object twice yields the same bytes,
-* ``from_json`` validates types, rejects unknown keys, rejects payloads
-  declaring a ``schema_version`` this build does not speak (stable code
-  ``schema_version_unsupported``) and round-trips exactly:
+  ``schema_version`` (currently |SCHEMA_VERSION|), followed by the fields
+  in declaration order — encoding the same object twice yields the same
+  bytes,
+* ``from_json`` rejects payloads declaring a ``schema_version`` this build
+  does not speak (stable code ``schema_version_unsupported``), rejects
+  unknown keys and checks every field's JSON kind without coercing it
+  (``validation_error``; a table that does not decode is
+  ``invalid_table``).  It round-trips exactly:
   ``T.from_json(T.to_json(x)) == x`` for every ``x`` (property-tested under
   hypothesis in ``tests/api``).
+
+A field is declared once: its annotation, plus at most a
+``field(metadata={"minimum": n})`` bound.  The codec reads each class's
+field list once and maps ``str``, ``bool``, ``int`` and ``float`` to a JSON
+string, boolean, integer (never a boolean) and number (an integer or a
+float, never a boolean); ``X | None`` to X or null; ``dict[str, V]`` to an
+object; ``Table`` to an object read by :meth:`Table.from_dict`; and
+``tuple[X, ...]`` to an array, whose nested dataclasses (search answers)
+decode by the same rules.
 
 A payload *without* ``schema_version`` is accepted as the current version,
 so hand-written ``curl`` bodies keep working.
@@ -22,9 +34,11 @@ two frontends byte-identical for identical requests.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from collections.abc import Callable, Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Any, NamedTuple, TypeVar, get_args, get_origin, get_type_hints
 
 from repro.api import errors
 from repro.api.errors import ApiError
@@ -42,7 +56,7 @@ def encode_json(payload: Mapping[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# strict decoding helpers
+# the codec
 # ----------------------------------------------------------------------
 def _ensure_mapping(payload: object, type_name: str) -> Mapping[str, Any]:
     if not isinstance(payload, Mapping):
@@ -77,62 +91,195 @@ def _reject_unknown_keys(
         )
 
 
-def _require(payload: Mapping[str, Any], key: str, type_name: str) -> Any:
-    if key not in payload:
-        raise ApiError(
-            errors.VALIDATION_ERROR, f"missing required field: {key!r}"
-        )
-    return payload[key]
+def _missing(key: str) -> ApiError:
+    return ApiError(errors.VALIDATION_ERROR, f"missing required field: {key!r}")
 
 
-def _require_str(payload: Mapping[str, Any], key: str, type_name: str) -> str:
-    value = _require(payload, key, type_name)
-    if not isinstance(value, str):
-        raise ApiError(
-            errors.VALIDATION_ERROR,
-            f"{type_name}.{key} must be a string, got {type(value).__name__}",
-        )
-    return value
-
-
-def _optional_top_k(payload: Mapping[str, Any], type_name: str) -> int | None:
-    top_k = payload.get("top_k")
-    if top_k is None:
-        return None
-    if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
-        raise ApiError(
-            errors.VALIDATION_ERROR, "top_k must be a positive integer"
-        )
-    return top_k
-
-
-def _coerce(kind, value, type_name: str, key: str):
-    """Coerce one decoded field, mapping failures into the taxonomy."""
+def _decode_table(payload: dict[str, Any]) -> Table:
     try:
-        return kind(value)
-    except (TypeError, ValueError) as error:
-        raise ApiError(
-            errors.VALIDATION_ERROR,
-            f"{type_name}.{key} must be a {kind.__name__}: {error}",
-        ) from error
-
-
-def _decode_table(payload: object) -> Table:
-    try:
-        return Table.from_dict(_ensure_mapping(payload, "table"))
-    except ApiError:
-        raise
+        return Table.from_dict(payload)
     except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise ApiError(
             errors.INVALID_TABLE, f"invalid table payload: {error}"
         ) from error
 
 
+_NONE = type(None)
+_Step = Callable[[Any], Any]
+
+#: scalar annotation -> (the exact value types it accepts, their name)
+_SCALARS: dict[Any, tuple[frozenset[type], str]] = {
+    str: (frozenset({str}), "a string"),
+    bool: (frozenset({bool}), "a boolean"),
+    int: (frozenset({int}), "an integer"),
+    float: (frozenset({int, float}), "a number"),
+}
+
+
+class _Kind(NamedTuple):
+    """How the values of one field, or of its items, cross the wire."""
+
+    #: the exact value types accepted, so a boolean is never an integer
+    accepts: frozenset[type]
+    #: what a value must be and where it sits, for the error message
+    expected: str
+    where: str
+    #: checks or converts an accepted non-null value; None keeps it as is
+    decode: _Step | None = None
+    #: turns a non-null attribute into JSON; None when it already is JSON
+    encode: _Step | None = None
+
+
+def _check(kind: _Kind, value: Any) -> Any:
+    """``value`` decoded as ``kind``, or a ``validation_error``."""
+    accepts, expected, where, decode, _ = kind
+    if type(value) not in accepts:
+        raise ApiError(
+            errors.VALIDATION_ERROR,
+            f"{where} must be {expected}, got {type(value).__name__}",
+        )
+    return value if decode is None or value is None else decode(value)
+
+
+def _kind(hint: Any, where: str, minimum: int | None = None) -> _Kind:
+    """The JSON kind of the values annotated ``hint``."""
+    args, origin = get_args(hint), get_origin(hint)
+    if _NONE in args:
+        (inner,) = [arg for arg in args if arg is not _NONE]
+        kind = _kind(inner, where, minimum)
+        return kind._replace(
+            accepts=kind.accepts | {_NONE}, expected=f"{kind.expected} or null"
+        )
+    if hint in _SCALARS:
+        accepts, expected = _SCALARS[hint]
+        if minimum is None:
+            return _Kind(accepts, expected, where)
+        lowest = minimum
+
+        def at_least(value: int) -> int:
+            if value < lowest:
+                raise ApiError(
+                    errors.VALIDATION_ERROR, f"{where} must be >= {lowest}, got {value}"
+                )
+            return value
+
+        return _Kind(accepts, f"{expected} >= {lowest}", where, at_least)
+    if hint is Table:
+        return _Kind(
+            frozenset({dict}), "an object", where, _decode_table, Table.to_dict
+        )
+    if isinstance(hint, type) and is_dataclass(hint):
+        codec = _codec(hint)
+        return _Kind(
+            frozenset({dict}),
+            "an object",
+            where,
+            lambda value: hint(**codec.decode(value)),
+            codec.encode,
+        )
+    if origin is dict and args[1] is Any:
+        return _Kind(frozenset({dict}), "an object", where, dict)
+    if origin is dict:
+        values = _kind(args[1], f"{where} values")
+        return _Kind(
+            frozenset({dict}),
+            "an object",
+            where,
+            lambda value: {key: _check(values, item) for key, item in value.items()},
+        )
+    if origin is tuple:
+        items = _kind(args[0], f"{where} items")
+        encode_item = items.encode
+        return _Kind(
+            frozenset({list}),
+            "an array",
+            where,
+            lambda value: tuple([_check(items, item) for item in value]),
+            list
+            if encode_item is None
+            else lambda value: [encode_item(item) for item in value],
+        )
+    raise NotImplementedError(f"{where}: no wire kind for {hint!r}")
+
+
+class _Codec:
+    """One field-shaped dataclass's encode and decode steps, per field."""
+
+    def __init__(self, cls: type) -> None:
+        hints = get_type_hints(cls)
+        self.name = cls.__name__
+        self.fields = tuple(entry.name for entry in fields(cls))
+        self.known = frozenset(self.fields) | {"schema_version"}
+        #: (name, required, kind) per field, in declaration order
+        self.kinds: list[tuple[str, bool, _Kind]] = []
+        for entry in fields(cls):
+            where = f"{self.name}.{entry.name}"
+            kind = _kind(hints[entry.name], where, entry.metadata.get("minimum"))
+            required = entry.default is MISSING and entry.default_factory is MISSING
+            self.kinds.append((entry.name, required, kind))
+        self.encode = self._compile_encoder()
+
+    def _compile_encoder(self) -> Callable[[Any], dict[str, Any]]:
+        """One function building a value's JSON fields in declaration order.
+
+        It is compiled into a single dict display, the way ``dataclasses``
+        builds ``__init__``: a loop over the fields doubled the time a search
+        answer takes to encode.
+        """
+        steps: dict[str, Any] = {}
+        entries = []
+        for index, (name, _, kind) in enumerate(self.kinds):
+            read = f"value.{name}"
+            if kind.encode is not None:
+                steps[f"encode_{index}"] = kind.encode
+                read = f"encode_{index}({read})"
+                if _NONE in kind.accepts:
+                    read = f"None if value.{name} is None else {read}"
+            entries.append(f"{name!r}: {read}")
+        exec(f"def encode(value):\n    return {{{', '.join(entries)}}}", steps)
+        return steps["encode"]
+
+    def decode(self, payload: object) -> dict[str, Any]:
+        """The checked constructor arguments of one payload."""
+        mapping = _ensure_mapping(payload, self.name)
+        check_schema_version(mapping, self.name)
+        if not self.known.issuperset(mapping):
+            _reject_unknown_keys(mapping, self.fields, self.name)
+        values: dict[str, Any] = {}
+        for name, required, kind in self.kinds:
+            if name in mapping:
+                values[name] = _check(kind, mapping[name])
+            elif required:
+                raise _missing(name)
+        return values
+
+
+@functools.cache
+def _codec(cls: type) -> _Codec:
+    """The codec of one field-shaped dataclass, built on first use."""
+    return _Codec(cls)
+
+
+_W = TypeVar("_W", bound="WireType")
+
+
+class WireType:
+    """Base of the field-shaped wire dataclasses: both directions come from
+    the one codec, driven by the subclass's field list."""
+
+    def to_json(self) -> dict[str, Any]:
+        return {"schema_version": SCHEMA_VERSION, **_codec(type(self)).encode(self)}
+
+    @classmethod
+    def from_json(cls: type[_W], payload: Mapping[str, Any]) -> _W:
+        return cls(**_codec(cls).decode(payload))
+
+
 # ----------------------------------------------------------------------
 # annotate
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class AnnotateRequest:
+class AnnotateRequest(WireType):
     """Annotate one table.
 
     Timing numbers are wall-clock and therefore non-deterministic;
@@ -143,32 +290,9 @@ class AnnotateRequest:
     table: Table
     include_timing: bool = True
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "table": self.table.to_dict(),
-            "include_timing": self.include_timing,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "AnnotateRequest":
-        name = cls.__name__
-        payload = _ensure_mapping(payload, name)
-        check_schema_version(payload, name)
-        _reject_unknown_keys(payload, ("table", "include_timing"), name)
-        include_timing = payload.get("include_timing", True)
-        if not isinstance(include_timing, bool):
-            raise ApiError(
-                errors.VALIDATION_ERROR, f"{name}.include_timing must be a boolean"
-            )
-        return cls(
-            table=_decode_table(_require(payload, "table", name)),
-            include_timing=include_timing,
-        )
-
 
 @dataclass(frozen=True)
-class AnnotateResponse:
+class AnnotateResponse(WireType):
     """One annotated table.
 
     ``annotation`` is the compact label map produced by
@@ -183,50 +307,12 @@ class AnnotateResponse:
     diagnostics: dict[str, Any] = field(default_factory=dict)
     timing_seconds: dict[str, float] | None = None
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "table_id": self.table_id,
-            "annotation": self.annotation,
-            "diagnostics": self.diagnostics,
-            "timing_seconds": self.timing_seconds,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "AnnotateResponse":
-        name = cls.__name__
-        payload = _ensure_mapping(payload, name)
-        check_schema_version(payload, name)
-        _reject_unknown_keys(
-            payload,
-            ("table_id", "annotation", "diagnostics", "timing_seconds"),
-            name,
-        )
-        annotation = _require(payload, "annotation", name)
-        timing = payload.get("timing_seconds")
-        return cls(
-            table_id=_require_str(payload, "table_id", name),
-            annotation=dict(_ensure_mapping(annotation, f"{name}.annotation")),
-            diagnostics=dict(
-                _ensure_mapping(
-                    payload.get("diagnostics") or {}, f"{name}.diagnostics"
-                )
-            ),
-            timing_seconds=(
-                None
-                if timing is None
-                else dict(
-                    _ensure_mapping(timing, f"{name}.timing_seconds")
-                )
-            ),
-        )
-
 
 # ----------------------------------------------------------------------
 # search
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SearchRequest:
+class SearchRequest(WireType):
     """One relational query ``R(?, entity)`` (paper Section 5).
 
     ``use_relations=False`` runs the type-only processor (Figure 4 without
@@ -236,76 +322,21 @@ class SearchRequest:
     relation: str
     entity: str
     use_relations: bool = True
-    top_k: int | None = None
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "relation": self.relation,
-            "entity": self.entity,
-            "use_relations": self.use_relations,
-            "top_k": self.top_k,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "SearchRequest":
-        name = cls.__name__
-        payload = _ensure_mapping(payload, name)
-        check_schema_version(payload, name)
-        _reject_unknown_keys(
-            payload, ("relation", "entity", "use_relations", "top_k"), name
-        )
-        use_relations = payload.get("use_relations", True)
-        if not isinstance(use_relations, bool):
-            raise ApiError(
-                errors.VALIDATION_ERROR, f"{name}.use_relations must be a boolean"
-            )
-        return cls(
-            relation=_require_str(payload, "relation", name),
-            entity=_require_str(payload, "entity", name),
-            use_relations=use_relations,
-            top_k=_optional_top_k(payload, name),
-        )
+    top_k: int | None = field(default=None, metadata={"minimum": 1})
 
 
 @dataclass(frozen=True)
-class JoinSearchRequest:
+class JoinSearchRequest(WireType):
     """Two-hop join ``R1(?, e2) ∧ R2(e2, entity)`` with ``entity`` given."""
 
     first_relation: str
     second_relation: str
     entity: str
-    top_k: int | None = None
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "first_relation": self.first_relation,
-            "second_relation": self.second_relation,
-            "entity": self.entity,
-            "top_k": self.top_k,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "JoinSearchRequest":
-        name = cls.__name__
-        payload = _ensure_mapping(payload, name)
-        check_schema_version(payload, name)
-        _reject_unknown_keys(
-            payload,
-            ("first_relation", "second_relation", "entity", "top_k"),
-            name,
-        )
-        return cls(
-            first_relation=_require_str(payload, "first_relation", name),
-            second_relation=_require_str(payload, "second_relation", name),
-            entity=_require_str(payload, "entity", name),
-            top_k=_optional_top_k(payload, name),
-        )
+    top_k: int | None = field(default=None, metadata={"minimum": 1})
 
 
 @dataclass(frozen=True)
-class SearchResponse:
+class SearchResponse(WireType):
     """Ranked answers plus bookkeeping (shared by /search and /search/join)."""
 
     answers: tuple[SearchAnswer, ...] = ()
@@ -324,51 +355,12 @@ class SearchResponse:
             rows_matched=response.rows_matched,
         )
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "answers": [answer.to_payload() for answer in self.answers],
-            "tables_considered": self.tables_considered,
-            "rows_matched": self.rows_matched,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "SearchResponse":
-        name = cls.__name__
-        payload = _ensure_mapping(payload, name)
-        check_schema_version(payload, name)
-        _reject_unknown_keys(
-            payload, ("answers", "tables_considered", "rows_matched"), name
-        )
-        answers = _require(payload, "answers", name)
-        if not isinstance(answers, list):
-            raise ApiError(
-                errors.VALIDATION_ERROR, f"{name}.answers must be an array"
-            )
-        try:
-            decoded = tuple(
-                SearchAnswer.from_payload(answer) for answer in answers
-            )
-        except (KeyError, TypeError, AttributeError) as error:
-            raise ApiError(
-                errors.VALIDATION_ERROR, f"invalid answer payload: {error}"
-            ) from error
-        return cls(
-            answers=decoded,
-            tables_considered=_coerce(
-                int, payload.get("tables_considered", 0), name, "tables_considered"
-            ),
-            rows_matched=_coerce(
-                int, payload.get("rows_matched", 0), name, "rows_matched"
-            ),
-        )
-
 
 # ----------------------------------------------------------------------
 # train
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class TrainRequest:
+class TrainRequest(WireType):
     """Train model weights on a labeled JSONL corpus.
 
     ``output_path=None`` trains without persisting (the response still
@@ -376,63 +368,14 @@ class TrainRequest:
     """
 
     corpus_path: str
-    epochs: int = 3
+    epochs: int = field(default=3, metadata={"minimum": 1})
     seed: int = 0
     method: str = "perceptron"
     output_path: str | None = None
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "corpus_path": self.corpus_path,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "method": self.method,
-            "output_path": self.output_path,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "TrainRequest":
-        name = cls.__name__
-        payload = _ensure_mapping(payload, name)
-        check_schema_version(payload, name)
-        _reject_unknown_keys(
-            payload,
-            ("corpus_path", "epochs", "seed", "method", "output_path"),
-            name,
-        )
-        epochs = payload.get("epochs", 3)
-        if isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 1:
-            raise ApiError(
-                errors.VALIDATION_ERROR, f"{name}.epochs must be a positive integer"
-            )
-        seed = payload.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ApiError(
-                errors.VALIDATION_ERROR, f"{name}.seed must be an integer"
-            )
-        method = payload.get("method", "perceptron")
-        if not isinstance(method, str):
-            raise ApiError(
-                errors.VALIDATION_ERROR, f"{name}.method must be a string"
-            )
-        output_path = payload.get("output_path")
-        if output_path is not None and not isinstance(output_path, str):
-            raise ApiError(
-                errors.VALIDATION_ERROR,
-                f"{name}.output_path must be a string or null",
-            )
-        return cls(
-            corpus_path=_require_str(payload, "corpus_path", name),
-            epochs=epochs,
-            seed=seed,
-            method=method,
-            output_path=output_path,
-        )
-
 
 @dataclass(frozen=True)
-class TrainResponse:
+class TrainResponse(WireType):
     """Outcome of one training run."""
 
     n_tables: int
@@ -441,118 +384,26 @@ class TrainResponse:
     model_fingerprint: str
     model_path: str | None = None
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n_tables": self.n_tables,
-            "epochs": self.epochs,
-            "final_hamming_loss": self.final_hamming_loss,
-            "model_fingerprint": self.model_fingerprint,
-            "model_path": self.model_path,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "TrainResponse":
-        name = cls.__name__
-        payload = _ensure_mapping(payload, name)
-        check_schema_version(payload, name)
-        _reject_unknown_keys(
-            payload,
-            (
-                "n_tables",
-                "epochs",
-                "final_hamming_loss",
-                "model_fingerprint",
-                "model_path",
-            ),
-            name,
-        )
-        return cls(
-            n_tables=_coerce(
-                int, _require(payload, "n_tables", name), name, "n_tables"
-            ),
-            epochs=_coerce(int, _require(payload, "epochs", name), name, "epochs"),
-            final_hamming_loss=_coerce(
-                float,
-                _require(payload, "final_hamming_loss", name),
-                name,
-                "final_hamming_loss",
-            ),
-            model_fingerprint=_require_str(payload, "model_fingerprint", name),
-            model_path=payload.get("model_path"),
-        )
-
 
 # ----------------------------------------------------------------------
 # bundles
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class BundleBuildRequest:
+class BundleBuildRequest(WireType):
     """Annotate a JSONL corpus and write a versioned artifact bundle."""
 
     corpus_path: str
     output_path: str
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "corpus_path": self.corpus_path,
-            "output_path": self.output_path,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "BundleBuildRequest":
-        name = cls.__name__
-        payload = _ensure_mapping(payload, name)
-        check_schema_version(payload, name)
-        _reject_unknown_keys(payload, ("corpus_path", "output_path"), name)
-        return cls(
-            corpus_path=_require_str(payload, "corpus_path", name),
-            output_path=_require_str(payload, "output_path", name),
-        )
-
 
 @dataclass(frozen=True)
-class BundleBuildResponse:
+class BundleBuildResponse(WireType):
     """What one bundle build produced."""
 
     output_path: str
     n_tables: int
     n_files: int
     annotate_seconds: float
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "output_path": self.output_path,
-            "n_tables": self.n_tables,
-            "n_files": self.n_files,
-            "annotate_seconds": self.annotate_seconds,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "BundleBuildResponse":
-        name = cls.__name__
-        payload = _ensure_mapping(payload, name)
-        check_schema_version(payload, name)
-        _reject_unknown_keys(
-            payload,
-            ("output_path", "n_tables", "n_files", "annotate_seconds"),
-            name,
-        )
-        return cls(
-            output_path=_require_str(payload, "output_path", name),
-            n_tables=_coerce(
-                int, _require(payload, "n_tables", name), name, "n_tables"
-            ),
-            n_files=_coerce(int, _require(payload, "n_files", name), name, "n_files"),
-            annotate_seconds=_coerce(
-                float,
-                _require(payload, "annotate_seconds", name),
-                name,
-                "annotate_seconds",
-            ),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -564,7 +415,8 @@ class ErrorEnvelope:
 
     ``code`` is stable (see :mod:`repro.api.errors`); ``message`` is for
     humans.  The HTTP status is derived from the code, never stored, so the
-    envelope cannot disagree with the taxonomy.
+    envelope cannot disagree with the taxonomy.  The fields travel nested
+    under ``error``; the body decodes through the same field codec.
     """
 
     code: str
@@ -591,12 +443,9 @@ class ErrorEnvelope:
         payload = _ensure_mapping(payload, name)
         check_schema_version(payload, name)
         _reject_unknown_keys(payload, ("error",), name)
-        body = _ensure_mapping(_require(payload, "error", name), f"{name}.error")
-        _reject_unknown_keys(body, ("code", "message"), f"{name}.error")
-        return cls(
-            code=_require_str(body, "code", name),
-            message=_require_str(body, "message", name),
-        )
+        if "error" not in payload:
+            raise _missing("error")
+        return cls(**_codec(cls).decode(payload["error"]))
 
 
 #: request type -> response type, in wire-schema order (drives the README

@@ -359,9 +359,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         verify=not args.no_verify,
         quiet=not args.verbose,
     )
-    server = create_server(
-        dispatcher, host=args.host, port=args.port, quiet=not args.verbose
-    )
+    try:
+        server = create_server(
+            dispatcher, host=args.host, port=args.port, quiet=not args.verbose
+        )
+    except OSError as error:
+        # a busy port must not strand the warmed workers until exit
+        dispatcher.shutdown()
+        raise ApiError(
+            "io_error",
+            f"cannot listen on {args.host}:{args.port}: {error.strerror or error}",
+        ) from error
 
     def _drain(signum: int, frame: Any) -> None:
         # serve_forever must be stopped from another thread; server_close
@@ -390,27 +398,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    # imported here so no other command pays for loading the analyzer
     from repro.analysis.runner import main as lint_main
 
-    argv = [str(path) for path in args.paths]
-    if args.root is not None:
-        argv += ["--root", str(args.root)]
-    argv += ["--format", args.format]
-    if args.baseline is not None:
-        argv += ["--baseline", str(args.baseline)]
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.changed_only:
-        argv.append("--changed-only")
-    if args.base_ref != "HEAD":
-        argv += ["--base-ref", args.base_ref]
-    if args.dump_graph is not None:
-        argv += ["--dump-graph", str(args.dump_graph)]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
+    return lint_main(args.lint_argv)
 
 
 # ----------------------------------------------------------------------
@@ -608,56 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(handler=cmd_serve)
 
+    # reprolint parses its own flags: `repro lint --help` lists them
     lint = subparsers.add_parser(
         "lint",
         help="run the project-specific static analyzer (reprolint)",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: src/ and tests/)",
-    )
-    lint.add_argument(
-        "--root", default=None, help="repository root (default: cwd)"
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (json is the CI artifact shape)",
-    )
-    lint.add_argument(
-        "--baseline", default=None, help="baseline file to ratchet against"
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline (review the shrink)",
-    )
-    lint.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="analyze the whole program, report only files changed vs "
-        "--base-ref (plus untracked files)",
-    )
-    lint.add_argument(
-        "--base-ref",
-        default="HEAD",
-        help="git ref --changed-only diffs against (default: HEAD)",
-    )
-    lint.add_argument(
-        "--dump-graph",
-        default=None,
-        metavar="PATH",
-        help="also write the whole-program import/call graph JSON here",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the on-disk AST cache (.reprolint_cache/)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule table"
+        add_help=False,
     )
     lint.set_defaults(handler=cmd_lint)
     return parser
@@ -665,7 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        args.lint_argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         return args.handler(args)
     except (ApiError, ServeError) as error:

@@ -1,7 +1,7 @@
 """Evaluation harness: metrics, dataset analogues and experiment runners.
 
-Maps one-to-one onto the paper's Section 6 (see the per-experiment index in
-DESIGN.md):
+Maps one-to-one onto the paper's Section 6 (``benchmarks/`` holds one
+``bench_fig<N>_*.py`` per figure, each driving the runners below):
 
 * :mod:`repro.eval.metrics` — 0/1 entity accuracy, set-F1 for types and
   relations, average precision / MAP,

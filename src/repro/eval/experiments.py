@@ -2,7 +2,7 @@
 
 Every runner is deterministic given its seeds and returns plain data
 structures; the benchmark harness under ``benchmarks/`` times them and prints
-paper-style tables.  See DESIGN.md section 4 for the experiment index.
+paper-style tables, one ``bench_fig<N>_*.py`` per figure.
 """
 
 from __future__ import annotations

@@ -22,31 +22,14 @@ class SearchAnswer:
     """One ranked answer.
 
     ``entity_id`` is set when the evidence resolved to a catalog entity;
-    ``text`` always carries a displayable surface form.
+    ``text`` always carries a displayable surface form.  On the wire the
+    API codec (:mod:`repro.api.types`) encodes it from these fields.
     """
 
     text: str
     score: float
     entity_id: str | None = None
     supporting_tables: tuple[str, ...] = ()
-
-    def to_payload(self) -> dict:
-        """Wire shape of one answer (stable field order)."""
-        return {
-            "text": self.text,
-            "score": self.score,
-            "entity_id": self.entity_id,
-            "supporting_tables": list(self.supporting_tables),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SearchAnswer":
-        return cls(
-            text=payload["text"],
-            score=payload["score"],
-            entity_id=payload.get("entity_id"),
-            supporting_tables=tuple(payload.get("supporting_tables", ())),
-        )
 
 
 @dataclass

@@ -39,7 +39,6 @@ from repro.serve.bundle import (
     verify_bundle,
 )
 from repro.serve.errors import (
-    BadRequestError,
     BundleError,
     BundleIntegrityError,
     BundleVersionError,
@@ -53,7 +52,6 @@ from repro.serve.state import ServeState
 
 __all__ = [
     "FORMAT_VERSION",
-    "BadRequestError",
     "BundleError",
     "BundleIntegrityError",
     "BundleManifest",

@@ -1,26 +1,17 @@
 """Exception hierarchy of the serving subsystem.
 
-The bundle errors live here (they belong to the artifact format);
-request-payload failures moved to the shared API taxonomy in
-:mod:`repro.api.errors` and are :class:`~repro.api.errors.ApiError`
-instances — new code should catch ``ApiError``.  ``BadRequestError`` below
-is a deprecation shim keeping both the old import path *and* the old
-hierarchy: it subclasses the API taxonomy and ``ServeError``, and the HTTP
-transport still raises it for body-level problems.  Schema-level
-validation errors raised by :mod:`repro.api.types` are plain ``ApiError``
-and are **not** ``ServeError`` — that part of the old hierarchy moved.
-All of these classify to stable wire codes through
+The bundle and worker errors live here (they belong to the artifact
+format and the pre-fork tier).  Request-payload failures belong to the
+shared API taxonomy in :mod:`repro.api.errors`: the HTTP transport raises
+:class:`~repro.api.errors.BadRequestError` for body-level problems, and
+schema-level validation errors raised by :mod:`repro.api.types` are plain
+``ApiError``.  All of these classify to stable wire codes through
 :func:`repro.api.errors.to_api_error`.
 """
 
 from __future__ import annotations
 
-from repro.api.errors import BAD_REQUEST, ApiError
-from repro.api.errors import BadRequestError as _ApiBadRequestError
-
 __all__ = [
-    "ApiError",
-    "BadRequestError",
     "BundleError",
     "BundleIntegrityError",
     "BundleVersionError",
@@ -53,18 +44,6 @@ class WorkerSpawnError(ServeError, RuntimeError):
     while :func:`repro.api.errors.to_api_error` now classifies it to the
     stable ``worker_failed`` wire code instead of ``internal_error``.
     """
-
-
-class BadRequestError(_ApiBadRequestError, ServeError):
-    """A request body is malformed at the transport level.
-
-    Deprecated alias kept for compatibility: carries the API taxonomy
-    (stable ``code``, HTTP status) *and* remains a :class:`ServeError` so
-    pre-existing ``except ServeError`` handlers still catch it.
-    """
-
-    def __init__(self, message: str, code: str = BAD_REQUEST) -> None:
-        super().__init__(message, code)
 
 
 class BundleError(ServeError):

@@ -35,12 +35,9 @@ of ``(endpoint, payload)`` pairs      handler_seconds)`` — one
 ``("shutdown",)``                     ``("bye",)`` then exit 0
 ====================================  ====================================
 
-Messages are pickled at :data:`pickle.HIGHEST_PROTOCOL` with PEP-574
-out-of-band buffer extraction (:func:`send_message` / :func:`recv_message`)
-rather than the default ``Connection.send`` pickler: NumPy payloads cross
-the pipe as raw buffer frames instead of being copied through the pickle
-stream, and the in-band pickle stays small however large the arrays get
-(regression-tested in ``tests/serve/test_pool.py``).
+Each message is one ``Connection.send`` / ``Connection.recv`` frame: the
+payloads are request and response JSON bodies plus a few counters, never
+NumPy arrays, so the default pickling is all the pipe needs.
 
 Errors cross the pipe as :class:`~repro.api.types.ErrorEnvelope`
 payloads, one per failed request: the envelope of the error
@@ -55,9 +52,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import signal
-import struct
 import threading
 import time
 from multiprocessing.connection import Connection
@@ -75,51 +70,11 @@ __all__ = [
     "WorkerSpawnError",
     "WorkerTimeout",
     "fork_context",
-    "recv_message",
-    "send_message",
     "spawn_worker",
 ]
 
 #: default ceiling on one pipe round trip (overridden per dispatcher config)
 DEFAULT_CALL_TIMEOUT = 120.0
-
-#: frame header: little-endian u32 count of out-of-band buffer frames
-_HEADER = struct.Struct("<I")
-
-
-def send_message(conn: Connection, message: Any) -> None:
-    """Send one message as framed protocol-5 pickle bytes.
-
-    Frames: ``[u32 buffer count][pickle payload][raw buffer]*``.  NumPy
-    arrays (and anything else advertising :class:`pickle.PickleBuffer`)
-    travel as raw buffer frames after the payload, so the pickle stream
-    itself stays a few hundred bytes regardless of array sizes.  Falls back
-    to one in-band frame for the rare non-contiguous buffer.
-    """
-    buffers: list[pickle.PickleBuffer] = []
-    try:
-        payload = pickle.dumps(
-            message,
-            protocol=pickle.HIGHEST_PROTOCOL,
-            buffer_callback=buffers.append,
-        )
-        raw_frames = [buffer.raw() for buffer in buffers]
-    except BufferError:  # pragma: no cover - non-contiguous exotic payload
-        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        raw_frames = []
-    conn.send_bytes(_HEADER.pack(len(raw_frames)))
-    conn.send_bytes(payload)
-    for frame in raw_frames:
-        conn.send_bytes(frame)
-
-
-def recv_message(conn: Connection) -> Any:
-    """Receive one :func:`send_message` frame sequence."""
-    (n_buffers,) = _HEADER.unpack(conn.recv_bytes())
-    payload = conn.recv_bytes()
-    buffers = [conn.recv_bytes() for _ in range(n_buffers)]
-    return pickle.loads(payload, buffers=buffers)
-
 
 def fork_context() -> multiprocessing.context.BaseContext:
     """The fork start method, or a clear error where it does not exist.
@@ -162,7 +117,7 @@ def _worker_main(
     state = ServeState(bundle, session_config=config)
     while True:
         try:
-            message = recv_message(conn)
+            message = conn.recv()
         except (EOFError, OSError):  # parent is gone: nothing to serve
             break
         kind = message[0]
@@ -175,18 +130,16 @@ def _worker_main(
                 # escaping it fails this message's requests, not the worker
                 failure = {"error": ErrorEnvelope.from_error(error).to_json()}
                 outcomes = [failure] * len(message[1])
-            send_message(conn, ("ok", outcomes, time.perf_counter() - start))
+            conn.send(("ok", outcomes, time.perf_counter() - start))
         elif kind == "ping":
-            send_message(conn, ("pong", os.getpid()))
+            conn.send(("pong", os.getpid()))
         elif kind == "stats":
-            send_message(conn, ("ok", state.worker_stats(), 0.0))
+            conn.send(("ok", state.worker_stats(), 0.0))
         elif kind == "shutdown":
-            send_message(conn, ("bye",))
+            conn.send(("bye",))
             break
         else:  # unknown control message: fail loudly, do not wedge the pipe
-            send_message(
-                conn, ("error", {"unknown_message": repr(kind)}, 500, 0.0)
-            )
+            conn.send(("error", {"unknown_message": repr(kind)}, 500, 0.0))
     conn.close()
 
 
@@ -245,10 +198,10 @@ class WorkerHandle:
             self._conn_lock.release()
 
     def _round_trip(self, message: tuple, timeout: float) -> tuple[Any, ...]:
-        send_message(self._conn, message)
+        self._conn.send(message)
         if not self._conn.poll(timeout):
             raise WorkerTimeout(f"worker {self.name} silent for {timeout:.0f}s")
-        reply = recv_message(self._conn)
+        reply = self._conn.recv()
         if not isinstance(reply, tuple) or not reply:
             # reprolint: ignore[exc-unclassified]: deliberately a pipe-level
             # error — the dispatcher's _PIPE_ERRORS handling turns it into
@@ -283,9 +236,9 @@ class WorkerHandle:
         """
         if self._conn_lock.acquire(timeout=0.1):
             try:
-                send_message(self._conn, ("shutdown",))
+                self._conn.send(("shutdown",))
                 if self._conn.poll(timeout):
-                    recv_message(self._conn)
+                    self._conn.recv()
             except (OSError, EOFError, BrokenPipeError):
                 pass
             finally:

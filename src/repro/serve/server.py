@@ -40,9 +40,9 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 
+from repro.api.errors import BadRequestError
 from repro.api.types import ErrorEnvelope, encode_json
 from repro.serve.dispatcher import Dispatcher
-from repro.serve.errors import BadRequestError
 
 #: reject request bodies larger than this (64 MiB) outright
 MAX_BODY_BYTES = 64 << 20

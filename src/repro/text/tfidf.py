@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.text.tokenize import tokenize
 
@@ -73,11 +73,3 @@ class TfidfWeights:
             {token: int(count) for token, count in state["document_frequency"].items()}
         )
         return weights
-
-    def vector(self, text: str) -> dict[str, float]:
-        """Sparse TF-IDF vector of ``text`` (raw term counts times IDF)."""
-        counts = Counter(tokenize(text))
-        return {token: count * self.idf(token) for token, count in counts.items()}
-
-    def norm(self, vector: Mapping[str, float]) -> float:
-        return math.sqrt(sum(weight * weight for weight in vector.values()))

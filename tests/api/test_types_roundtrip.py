@@ -3,12 +3,15 @@
 For each public request/response type ``T`` and every hypothesis-generated
 instance ``x``: ``T.from_json(json.loads(encode_json(x.to_json()))) == x`` —
 i.e. the round trip goes through real JSON text, not just dicts.  Plus the
-strictness contract: unknown ``schema_version`` and unknown fields are
-rejected with stable error codes.
+strictness contract: unknown ``schema_version``, unknown fields and
+mistyped fields are rejected with stable error codes, arbitrary JSON never
+escapes as ``internal_error`` (fuzzed), and one fully populated instance
+per type encodes to pinned golden bytes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -350,15 +353,217 @@ def test_malformed_response_fields_map_to_validation_error():
     assert excinfo.value.code == "validation_error"
 
 
-def test_bad_request_error_keeps_serve_hierarchy():
-    """The serve-layer shim is both an ApiError and a ServeError."""
-    from repro.serve.errors import BadRequestError, ServeError
+# ----------------------------------------------------------------------
+# strictness: every JSON kind is checked, nothing is coerced
+# ----------------------------------------------------------------------
+MISTYPED = [
+    (TrainResponse, "n_tables", 1.9),
+    (TrainResponse, "n_tables", "3"),
+    (TrainResponse, "n_tables", True),
+    (TrainResponse, "final_hamming_loss", "nan"),
+    (TrainResponse, "final_hamming_loss", False),
+    (TrainResponse, "model_path", 5),
+    (SearchResponse, "tables_considered", 2.7),
+    (SearchResponse, "answers", [{"text": 1, "score": "x"}]),
+    (SearchResponse, "answers", [{"text": "a", "score": 1.0, "rank": 1}]),
+    (SearchResponse, "answers", [{"text": "a", "score": 1, "supporting_tables": [3]}]),
+    (SearchResponse, "answers", ["a"]),
+    (AnnotateResponse, "diagnostics", 0),
+    (AnnotateResponse, "diagnostics", []),
+    (AnnotateResponse, "diagnostics", None),
+    (AnnotateResponse, "timing_seconds", {"a": "x"}),
+    (AnnotateResponse, "timing_seconds", {"a": True}),
+    (BundleBuildResponse, "annotate_seconds", "1.5"),
+    (TrainRequest, "seed", 1.0),
+]
 
-    error = BadRequestError("nope")
-    assert isinstance(error, ApiError)
-    assert isinstance(error, ServeError)
-    assert error.code == "bad_request"
-    assert error.http_status == 400
+
+@pytest.mark.parametrize(
+    "wire_type, key, value",
+    MISTYPED,
+    ids=[f"{t.__name__}.{key}={value!r}" for t, key, value in MISTYPED],
+)
+def test_mistyped_field_rejected(wire_type, key, value):
+    payload = EXAMPLES[wire_type].to_json()
+    payload[key] = value
+    with pytest.raises(ApiError) as excinfo:
+        wire_type.from_json(payload)
+    assert excinfo.value.code == "validation_error"
+
+
+# ----------------------------------------------------------------------
+# fuzz: arbitrary JSON never escapes as anything but a classified ApiError
+# ----------------------------------------------------------------------
+def _field_names(wire_type) -> list[str]:
+    return [entry.name for entry in dataclasses.fields(wire_type)]
+
+
+#: every key a wire payload can carry, nested ones included, so drawn
+#: objects reach the nested decoders (answers, tables, the error body)
+WIRE_KEYS = sorted(
+    {"schema_version", "error", "cells", "headers", "context", "source"}.union(
+        *(_field_names(t) for t in (*WIRE_TYPES, SearchAnswer))
+    )
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(WIRE_KEYS) | st.text(max_size=4), children, max_size=4
+    ),
+    max_leaves=10,
+)
+
+
+@pytest.mark.parametrize("wire_type", WIRE_TYPES, ids=lambda t: t.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_arbitrary_json_raises_only_classified_errors(wire_type, data):
+    own_keys = ["schema_version", *_field_names(wire_type)]
+    if wire_type is ErrorEnvelope:
+        own_keys.append("error")
+    payload = data.draw(
+        json_values
+        | st.dictionaries(st.sampled_from(own_keys), json_values, max_size=6)
+    )
+    try:
+        decoded = wire_type.from_json(payload)
+    except ApiError as error:
+        assert error.code != "internal_error"
+    else:
+        assert isinstance(decoded, wire_type)
+
+
+# ----------------------------------------------------------------------
+# golden bytes: one fully populated instance per wire type
+# ----------------------------------------------------------------------
+GOLDEN_TABLE = Table(
+    table_id="t1",
+    cells=[["Ran", "1985"], ["Ikiru", "1952"]],
+    headers=["Film", None],
+    context="films by 黒澤明",
+    source="wiki",
+)
+GOLDEN = [
+    (
+        AnnotateRequest(table=GOLDEN_TABLE, include_timing=False),
+        '{"schema_version": 2, "table": {"table_id": "t1", "cells": '
+        '[["Ran", "1985"], ["Ikiru", "1952"]], "headers": ["Film", null], '
+        '"context": "films by 黒澤明", "source": "wiki"}, '
+        '"include_timing": false}',
+    ),
+    (
+        AnnotateResponse(
+            table_id="t1",
+            annotation={
+                "table_id": "t1",
+                "cells": {"0,0": "ent:movie:3"},
+                "columns": {"0": "type:movie"},
+                "relations": {},
+            },
+            diagnostics={"iterations": 3, "converged": True},
+            timing_seconds={"total": 0.5, "inference": 0.25},
+        ),
+        '{"schema_version": 2, "table_id": "t1", "annotation": '
+        '{"table_id": "t1", "cells": {"0,0": "ent:movie:3"}, "columns": '
+        '{"0": "type:movie"}, "relations": {}}, "diagnostics": '
+        '{"iterations": 3, "converged": true}, "timing_seconds": '
+        '{"total": 0.5, "inference": 0.25}}',
+    ),
+    (
+        SearchRequest(
+            relation="rel:directed",
+            entity="ent:person:7",
+            use_relations=False,
+            top_k=5,
+        ),
+        '{"schema_version": 2, "relation": "rel:directed", "entity": '
+        '"ent:person:7", "use_relations": false, "top_k": 5}',
+    ),
+    (
+        JoinSearchRequest(
+            first_relation="rel:acted_in",
+            second_relation="rel:born_in",
+            entity="ent:city:2",
+            top_k=3,
+        ),
+        '{"schema_version": 2, "first_relation": "rel:acted_in", '
+        '"second_relation": "rel:born_in", "entity": "ent:city:2", '
+        '"top_k": 3}',
+    ),
+    (
+        SearchResponse(
+            answers=(
+                SearchAnswer(
+                    text="Akira Kurosawa",
+                    score=2.5,
+                    entity_id="ent:person:7",
+                    supporting_tables=("t1", "t2"),
+                ),
+                SearchAnswer(text="Ran", score=1.0),
+            ),
+            tables_considered=4,
+            rows_matched=6,
+        ),
+        '{"schema_version": 2, "answers": [{"text": "Akira Kurosawa", '
+        '"score": 2.5, "entity_id": "ent:person:7", "supporting_tables": '
+        '["t1", "t2"]}, {"text": "Ran", "score": 1.0, "entity_id": null, '
+        '"supporting_tables": []}], "tables_considered": 4, '
+        '"rows_matched": 6}',
+    ),
+    (
+        TrainRequest(
+            corpus_path="corpus.jsonl",
+            epochs=2,
+            seed=9,
+            method="ssvm",
+            output_path="model.json",
+        ),
+        '{"schema_version": 2, "corpus_path": "corpus.jsonl", "epochs": 2, '
+        '"seed": 9, "method": "ssvm", "output_path": "model.json"}',
+    ),
+    (
+        TrainResponse(
+            n_tables=12,
+            epochs=2,
+            final_hamming_loss=3.0,
+            model_fingerprint="abc123",
+            model_path="model.json",
+        ),
+        '{"schema_version": 2, "n_tables": 12, "epochs": 2, '
+        '"final_hamming_loss": 3.0, "model_fingerprint": "abc123", '
+        '"model_path": "model.json"}',
+    ),
+    (
+        BundleBuildRequest(corpus_path="corpus.jsonl", output_path="bundle"),
+        '{"schema_version": 2, "corpus_path": "corpus.jsonl", '
+        '"output_path": "bundle"}',
+    ),
+    (
+        BundleBuildResponse(
+            output_path="bundle", n_tables=12, n_files=9, annotate_seconds=1.25
+        ),
+        '{"schema_version": 2, "output_path": "bundle", "n_tables": 12, '
+        '"n_files": 9, "annotate_seconds": 1.25}',
+    ),
+    (
+        ErrorEnvelope(code="not_found", message="unknown path: /x"),
+        '{"schema_version": 2, "error": {"code": "not_found", "message": '
+        '"unknown path: /x"}}',
+    ),
+]
+
+
+def test_golden_covers_every_wire_type():
+    assert [type(value) for value, _ in GOLDEN] == list(WIRE_TYPES)
+
+
+@pytest.mark.parametrize(
+    "value, expected", GOLDEN, ids=[type(value).__name__ for value, _ in GOLDEN]
+)
+def test_golden_bytes(value, expected):
+    assert encode_json(value.to_json()) == expected
+    assert type(value).from_json(json.loads(expected)) == value
 
 
 def test_every_error_code_has_a_status():

@@ -3,9 +3,11 @@
 Every ``repro`` command and every serving worker pays its imports at
 start.  scipy is only needed by the Section-4.4.1 primary-key constraint
 (``repro.core.constraints``, imported lazily where a unique column is
-asked for), so neither entry point may load it.
+asked for), and the static analyzer (``repro.analysis``) only by ``repro
+lint``, so neither entry point may load them.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -14,13 +16,16 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_entry_points_load_no_scipy():
+def loaded_at_start(package: str) -> list[str]:
+    """Modules of ``package`` loaded by importing the CLI (and building
+    its parser) and the server."""
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "import repro.cli\n"
+        "repro.cli.build_parser()\n"
         "import repro.serve.server\n"
-        "print(sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.')))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules"
+        f" if m == {package!r} or m.startswith({package + '.'!r}))))\n"
     )
     environment = dict(os.environ)
     environment["PYTHONPATH"] = os.pathsep.join(
@@ -34,4 +39,12 @@ def test_entry_points_load_no_scipy():
         timeout=120,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout)
+
+
+def test_entry_points_load_no_scipy():
+    assert loaded_at_start("scipy") == []
+
+
+def test_entry_points_load_no_analyzer():
+    assert loaded_at_start("repro.analysis") == []

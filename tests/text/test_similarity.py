@@ -102,12 +102,6 @@ class TestTfidfWeights:
         weights = TfidfWeights.from_documents(["a b", "a c"])
         assert weights.idf("zzz") >= weights.idf("b")
 
-    def test_vector_and_norm(self):
-        weights = TfidfWeights.from_documents(["a b", "c"])
-        vector = weights.vector("a a b")
-        assert vector["a"] == pytest.approx(2 * weights.idf("a"))
-        assert weights.norm(vector) > 0
-
     def test_duplicate_tokens_counted_once_per_doc(self):
         weights = TfidfWeights.from_documents(["a a a"])
         assert weights.document_frequency("a") == 1
