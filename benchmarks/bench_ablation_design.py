@@ -1,4 +1,4 @@
-"""Ablations of DESIGN.md design decisions beyond the paper's own figures.
+"""Ablations of design decisions beyond the paper's own figures.
 
 * missing-link repair on/off — the Section-4.2.3 repair feature,
 * Figure-11 paper schedule vs generic flooding BP,

@@ -4,7 +4,7 @@ Paper: "the typical number of entities between which the algorithms had to
 choose for each cell was around 7-8" and "the typical number of types ...
 for each column was in the hundreds" (on YAGO's 2M-entity scale; our world is
 ~450 entities, so tens of candidate types is the proportional analogue).
-Also ablates the per-cell top-K retrieval cap from DESIGN.md decision 3.
+Also ablates the per-cell top-K retrieval cap (``top_k_entities``).
 """
 
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
@@ -42,7 +42,7 @@ def test_candidate_statistics(bench_world, bench_datasets, emit, benchmark):
 
 
 def test_top_k_ablation(bench_world, bench_datasets, trained_model, emit, benchmark):
-    """Entity accuracy as the retrieval cap K varies (DESIGN.md decision 3)."""
+    """Entity accuracy as the retrieval cap K (``top_k_entities``) varies."""
     tables = bench_datasets["wiki_manual"].tables[:12]
     rows = []
     accuracies = {}

@@ -24,8 +24,9 @@ engine of :mod:`repro.core.candidates`) and through the scalar
 per-cell oracle, asserts byte-identical annotations and a >=2x
 candidate-stage speedup, and records the ``candidate_engine_speedup``
 trajectory CI gates on.  A fourth section times corpus batching: BP and
-decode over the same list compiled in batches of 128 tables (planned into
-shape buckets, one fused BP run each) against one table per fused run.
+decode over the same list compiled in batches of 128 tables (cut in
+arrival order into the pipeline's fused runs, one BP run each) against one
+table per fused run.
 Set ``REPRO_BENCH_SMOKE=1`` to run the engine sections at CI scale.
 """
 
@@ -34,12 +35,11 @@ import statistics
 import time
 
 from repro.core.annotator import TableAnnotator
-from repro.core.fused import build_fused_bundle, run_fused_bundle
+from repro.core.fused import build_fused_bundle, fused_runs, run_fused_bundle
 from repro.eval.experiments import timing_experiment
 from repro.eval.reporting import format_table
 from repro.pipeline import AnnotationPipeline, PipelineConfig, iter_batches
 from repro.pipeline.io import annotation_to_dict
-from repro.pipeline.planner import plan_buckets
 from repro.tables.generator import (
     NoiseProfile,
     TableGeneratorConfig,
@@ -323,23 +323,24 @@ def test_fig7_candidate_engine_speedup(
 
 #: fused_speedup floors (batch_size=128 over batch_size=1: BP + decode
 #: over bundles compiled once per mode, best of five), set below the
-#: minimum of the recorded runs on a 2-core VM — 320 tables: 1.87x-2.35x
-#: (four runs); 60-table smoke: 1.62x-2.05x (median 1.81x, ten runs)
+#: minimum of the recorded runs on a 2-core VM — 320 tables: 2.04x-2.49x
+#: (three runs); 60-table smoke: 2.07x-2.26x (median 2.09x, six runs)
 FUSED_SPEEDUP_FLOOR = 1.6
 FUSED_SPEEDUP_SMOKE_FLOOR = 1.5
 
 
 def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
-    """Corpus batching: one fused BP run per shape bucket vs per table.
+    """Corpus batching: one BP run per fused run of tables vs per table.
 
-    The pipeline plans every ``batch_size`` batch into shape buckets and
-    runs each bucket as one cross-table BP graph.  ``batch_size=1`` is the
-    baseline: every table its own fused run, paying the Python round trip
-    per table.  Each mode annotates the corpus once through its pipeline
-    (the cold pass, recorded alongside).  A second pass would be answered
-    from the answer cache, so the warm steady state is measured below it:
-    each mode's bundles are compiled once (buckets of one, and
-    ``plan_buckets`` over batches of 128) and the headline times BP plus
+    The pipeline cuts every ``batch_size`` batch, in arrival order, into
+    fused runs under one cell budget (``fused_runs``) and runs each as one
+    cross-table BP graph.  ``batch_size=1`` is the baseline: every table
+    its own fused run, paying the Python round trip per table.  Each mode
+    annotates the corpus once through its pipeline (the cold pass,
+    recorded alongside).  A second pass would be answered from the answer
+    cache, so the warm steady state is measured below it: each mode's
+    bundles are compiled once (runs of one, and the pipeline's
+    ``fused_runs`` over batches of 128) and the headline times BP plus
     decode over them, as the best of five *interleaved* rounds per mode,
     which cancels machine-state drift between the two measurements without
     favouring either side.  Annotations must be byte-identical throughout.
@@ -408,9 +409,9 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
     fused_bundles = compile_bundles(
         fused,
         [
-            [table for _position, table in bucket.entries]
+            run
             for batch in iter_batches(tables, 128)
-            for bucket in plan_buckets(batch)
+            for run in fused_runs(batch, fused.config.batch_size)
         ],
     )
     baseline_warm = fused_warm = float("inf")
@@ -446,9 +447,9 @@ def test_fig7_fused_speedup(bench_world, trained_model, emit, emit_json):
                 ],
                 ["warm speedup", "1.00x", f"{speedup:.2f}x"],
                 ["fused batches", len(tables), fused_report.fused_batches],
-                ["bucket-size histogram", "-", histogram],
+                ["tables-per-run histogram", "-", histogram],
             ],
-            title="One table vs shape buckets per fused run (same annotations)",
+            title="One table vs many tables per fused run (same annotations)",
         ),
     )
     emit_json(

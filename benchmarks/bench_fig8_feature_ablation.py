@@ -8,8 +8,8 @@ Shapes asserted here: (a) entity accuracy is flat across settings, and
 (b) type F1 is *more sensitive* to the setting than entity accuracy.  The
 paper's dramatic IDF-alone collapse does not reproduce at our catalog scale
 (161 types vs YAGO's 249k — with so few confusable types the containment
-gate does the discriminating regardless of setting); EXPERIMENTS.md records
-this as a known deviation.
+gate does the discriminating regardless of setting), so it is a known
+deviation and is not asserted.
 """
 
 import pytest

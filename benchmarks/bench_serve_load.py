@@ -277,13 +277,13 @@ BATCHING_SPEEDUP_FLOORS = {"distinct": 1.0, "repeated": 0.9}
 
 
 def _build_batching_corpus(world):
-    """Request tables that cluster into a few shape buckets.
+    """Distinct request tables of similar size.
 
-    Real web-table traffic is template-rendered — one site emits thousands
-    of tables sharing a handful of layouts — so the batching corpus narrows
-    the generator's row range to reproduce that clustering.  Tables are
-    all distinct, they just share shapes.  Returns one table set per
-    (round, concurrency) pass plus a few warm-up tables.
+    The generator's row range is narrowed to 8-12 rows so every table costs
+    about the same and passes stay comparable.  Fusion does not depend on
+    it: a coalesced batch's misses are cut, in arrival order, into fused
+    runs under one cell budget whatever their shapes.  Returns one table
+    set per (round, concurrency) pass plus a few warm-up tables.
     """
     passes = [
         (round_index, clients)

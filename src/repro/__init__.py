@@ -19,8 +19,9 @@ versioned wire schema, so their behaviour is identical by construction.
 Lower-level building blocks (catalogs, generators, annotators, pipelines,
 searchers) remain importable below for power users and existing code.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure.
+See docs/ARCHITECTURE.md for the system inventory and
+``benchmarks/bench_fig<N>_*.py`` for the paper-vs-measured check of every
+figure.
 """
 
 from repro.api import (

@@ -5,8 +5,8 @@ scalar, batched and fused engines — plus the serving tier's shared-state
 concurrency rest on invariants no generic linter checks:
 
 * **determinism** — no unseeded randomness, no wall clock flowing into
-  cache keys or planner signatures, no unordered iteration in the planning
-  / fused hot paths (:mod:`repro.analysis.rules.determinism`),
+  cache keys, no unordered iteration in the fused hot paths, where fused
+  runs are planned (:mod:`repro.analysis.rules.determinism`),
 * **lock discipline** — attributes written under a class's
   ``threading.Lock`` must never be touched outside one
   (:mod:`repro.analysis.rules.locks`),

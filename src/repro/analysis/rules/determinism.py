@@ -2,13 +2,13 @@
 
 The whole reproduction is built on "same input, same bytes out" — the
 engines are proven equivalent by byte-comparison, bundle caches are
-content-addressed, and the planner must produce the same plan for the same
-corpus on every run.  Two per-module ways that property silently dies:
+content-addressed, and a corpus must be cut into the same fused runs on
+every run.  Two per-module ways that property silently dies:
 
 * an **unseeded random source** (module-level ``random.*`` or legacy
   ``np.random.*``) varies per process,
-* **unordered iteration** in the planning / fused hot paths makes bucket
-  and block construction depend on insertion history rather than content.
+* **unordered iteration** in the fused hot paths makes run and block
+  construction depend on insertion history rather than content.
 
 Wall clock flowing into identities is the interprocedural
 ``det-taint-interproc`` rule (see :mod:`repro.analysis.rules.taint`),
@@ -66,9 +66,9 @@ _NP_RANDOM_FNS = frozenset(
     }
 )
 
-#: the hot planning / fused-execution modules held to content-ordering
+#: the hot fused-execution modules (run planning included) held to
+#: content-ordering
 _ORDER_SENSITIVE_MODULES = (
-    "src/repro/pipeline/planner.py",
     "src/repro/core/fused.py",
     "src/repro/graph/fused.py",
 )

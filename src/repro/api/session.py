@@ -242,7 +242,7 @@ class ReproSession:
         The serving workers' entry point.
         :meth:`~repro.pipeline.AnnotationPipeline.answer` looks every table
         up in the answer cache, computes each distinct miss once in fused
-        shape buckets and isolates each table's failure.  A slot whose
+        runs and isolates each table's failure.  A slot whose
         table fails holds an :class:`ApiError` instead of a response — for
         a lone table, the error :meth:`annotate` would raise.  Each response
         is byte-identical to what a lone :meth:`annotate` call would

@@ -69,9 +69,11 @@ def _ensure_mapping(payload: object, type_name: str) -> Mapping[str, Any]:
 
 
 def check_schema_version(payload: Mapping[str, Any], type_name: str) -> None:
-    """Reject payloads from a schema this build does not speak."""
+    """Reject payloads from a schema this build does not speak: the version
+    must be the JSON integer :data:`SCHEMA_VERSION` (``2.0`` is refused, as
+    every integer field refuses a float)."""
     version = payload.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ApiError(
             errors.SCHEMA_VERSION_UNSUPPORTED,
             f"{type_name} declares schema_version {version!r}; this build "

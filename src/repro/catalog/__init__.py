@@ -17,7 +17,7 @@ This package models the knowledge catalog of the paper (Section 3.1):
 * a fluent :class:`~repro.catalog.builder.CatalogBuilder`, and
 * a seeded synthetic YAGO-substitute generator
   (:mod:`repro.catalog.synthetic`) used because the YAGO 2008-w40-2 dump is
-  not available offline (see DESIGN.md section 3).
+  not available offline.
 """
 
 from repro.catalog.builder import CatalogBuilder

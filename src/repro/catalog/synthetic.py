@@ -2,7 +2,7 @@
 
 The YAGO 2008-w40-2 dump used in the paper is not available offline, so we
 generate a catalog with the same *structural* properties the paper's
-algorithms exploit (DESIGN.md section 3):
+algorithms exploit:
 
 * a WordNet-like spine of coarse types (person, work, place, ...) with
   Wikipedia-category-like fine types underneath ("Veridian actors",

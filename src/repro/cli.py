@@ -94,8 +94,8 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         "--batch-size",
         type=_positive_int,
         default=16,
-        help="tables per batch (each batch is planned into shape buckets "
-        "and every bucket runs as one fused BP graph)",
+        help="tables per batch and the most tables one fused BP graph "
+        "holds (a batch's tables are fused in arrival order)",
     )
     parser.add_argument(
         "--cache-size",

@@ -2,8 +2,8 @@
 
 Every annotation goes through here — a lone table is a bucket of one, and
 the answer-cache misses of a corpus batch or of a served worker round trip
-are planned into shape buckets (:mod:`repro.pipeline.planner`) first.  For
-one bucket this module
+are cut, in arrival order, into fused runs under one cell budget
+(:func:`fused_runs`) first.  For one bucket this module
 
 1. **resolves candidates** for every distinct cell text of the bucket in
    one candidate-engine call
@@ -34,7 +34,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -368,6 +368,34 @@ def _unaries(
     for var_id, values in type_unaries:
         unaries[var_id, 1 : len(values) + 1] = values
     return unaries
+
+
+#: cells (rows × columns) one fused run may hold: fusing spreads BP's fixed
+#: cost per block over more tables, and this bounds the run's tensor memory.
+#: 256 is from a sweep over perfbench's corpus crawl, whose peak memory it
+#: raises 4% over nearly unfused runs (384: 7%, 512: 11%).
+FUSED_RUN_CELLS = 256
+
+
+def fused_runs(tables: Sequence[Table], limit: int) -> Iterator[list[Table]]:
+    """Cut ``tables``, in arrival order, into fused runs.
+
+    A run closes when it holds ``limit`` tables or when the next table's
+    cells would push it past :data:`FUSED_RUN_CELLS`, so a table larger than
+    the budget runs alone.  Any table may share a run: padding between
+    unequal shapes is bounded per block by :func:`_partition_rank_group`.
+    """
+    run: list[Table] = []
+    cells = 0
+    for table in tables:
+        size = table.n_rows * table.n_columns
+        if run and (len(run) >= limit or cells + size > FUSED_RUN_CELLS):
+            yield run
+            run, cells = [], 0
+        run.append(table)
+        cells += size
+    if run:
+        yield run
 
 
 #: cross-table padding budget: a block may be at most this factor larger

@@ -3,7 +3,7 @@
 The paper trains with the structured SVM of Tsochantaridis et al. [22] and
 says only that "we follow standard machine learning procedures".  The exact
 Java implementation is unavailable offline, so this module provides the same
-max-margin family (DESIGN.md section 3):
+max-margin family:
 
 * **averaged structured perceptron** (default) — per-table updates
   ``w += lr (Φ(y*) − Φ(ŷ))`` with the prediction ``ŷ`` obtained by

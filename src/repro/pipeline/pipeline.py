@@ -8,15 +8,16 @@ runners, search-index construction) with:
 * a **shared candidate cache** (:mod:`repro.pipeline.cache`): repeated cell
   strings across the corpus probe the lemma index once,
 * an **answer cache**: every table is looked up by content before any
-  planning (:meth:`AnnotationPipeline.answer`), so a table seen before is
-  answered without candidate generation, compilation or BP, and only the
-  misses are planned into buckets,
+  computation (:meth:`AnnotationPipeline.answer`), so a table seen before
+  is answered without candidate generation, compilation or BP, and only
+  the misses are computed,
 * **fused batched execution**: tables are chunked into batches
-  (:func:`iter_batches`), each batch's misses are planned into shape
-  buckets (:mod:`repro.pipeline.planner`) and every bucket runs as one
-  fused BP super-graph; batches run one after another, with results
-  streamed back in corpus order,
-* **failure isolation**: a bucket that fails is rerun one table at a time,
+  (:func:`iter_batches`), each batch's misses are cut in arrival order
+  into fused runs under one cell budget
+  (:func:`~repro.core.fused.fused_runs`) and every run is one fused BP
+  super-graph; batches run one after another, with results streamed back
+  in corpus order,
+* **failure isolation**: a run that fails is rerun one table at a time,
   so only the failing table gets an error, and every such rerun is logged
   and counted (:meth:`AnnotationPipeline.answer`),
 * **streaming I/O** (:mod:`repro.pipeline.io`): JSONL in, JSONL out, bounded
@@ -28,7 +29,7 @@ runners, search-index construction) with:
 
 Batched and lone-table execution produce identical annotations: each
 table's annotation is a pure function of (table, catalog, model) whatever
-bucket it runs in, and the caches only memoise pure functions of the
+run it shares, and the caches only memoise pure functions of the
 content.  The caches are locked, so one pipeline may also be shared by
 threads (a library caller sharing one :class:`~repro.api.ReproSession`);
 parallel corpus runs belong in separate processes.
@@ -49,7 +50,7 @@ from repro.catalog.catalog import Catalog
 from repro.core.annotation import AnnotationTiming, FrozenAnnotation, TableAnnotation
 from repro.core.annotator import AnnotatorConfig, TableAnnotator, check_count
 from repro.core.candidates import CandidateEngine
-from repro.core.fused import annotate_fused_chunk
+from repro.core.fused import annotate_fused_chunk, fused_runs
 from repro.core.model import AnnotationModel
 from repro.pipeline.cache import CacheStats, CandidateCache, LRUCache
 from repro.pipeline.io import (
@@ -57,7 +58,6 @@ from repro.pipeline.io import (
     iter_corpus_jsonl,
     write_annotations_jsonl,
 )
-from repro.pipeline.planner import iter_bucket_chunks, plan_buckets
 from repro.tables.model import LabeledTable, Table
 
 logger = logging.getLogger(__name__)
@@ -109,9 +109,10 @@ def answer_keys(
 class PipelineConfig:
     """Configuration of corpus-scale annotation.
 
-    ``batch_size`` tables are planned and fused together (and bound the
-    tables in flight).  ``cache_size=0`` disables the shared candidate cache
-    (every cell probes the lemma index, as the seed code did).
+    ``batch_size`` tables are read in one batch (and bound the tables in
+    flight), and at most that many share one fused run.  ``cache_size=0``
+    disables the shared candidate cache (every cell probes the lemma
+    index, as the seed code did).
     """
 
     batch_size: int = 16
@@ -149,7 +150,7 @@ class CorpusTimingReport:
     block_cache: CacheStats | None = None
     #: answer-cache activity during this run (None when disabled)
     answer_cache: CacheStats | None = None
-    #: tables per fused work unit (shape bucket), in execution order
+    #: tables per fused run, in execution order
     bucket_sizes: list[int] = field(default_factory=list)
     finished: bool = False
 
@@ -193,12 +194,12 @@ class CorpusTimingReport:
     # -- fusion -------------------------------------------------------------
     @property
     def fused_batches(self) -> int:
-        """Number of fused work units (shape buckets) executed."""
+        """Number of fused runs executed."""
         return len(self.bucket_sizes)
 
     @property
     def bucket_size_histogram(self) -> dict[int, int]:
-        """``{bucket size: count}`` over the fused work units of this run."""
+        """``{tables per fused run: count}`` over this corpus run."""
         histogram: dict[int, int] = {}
         for size in self.bucket_sizes:
             histogram[size] = histogram.get(size, 0) + 1
@@ -242,7 +243,7 @@ class AnnotationPipeline:
         self.answer_cache: LRUCache | None = None
         if self.config.answer_cache_size:
             self.answer_cache = LRUCache(max_entries=self.config.answer_cache_size)
-        #: fused buckets that failed and were rerun one table at a time
+        #: fused runs that failed and were rerun one table at a time
         #: (see :meth:`answer`); a lifetime counter
         self.fallbacks = 0
         self._fallback_lock = threading.Lock()
@@ -279,13 +280,13 @@ class AnnotationPipeline:
         """Every table's annotation, or the exception that failed it.
 
         The one miss path.  Every table is looked up in the answer cache
-        first; the distinct misses, once each in first-seen order, are
-        planned into shape buckets of at most ``batch_size`` tables
-        (whose sizes are appended to ``bucket_sizes`` in execution order)
-        and each bucket runs as one fused BP super-graph.  A bucket of two
-        or more that fails is rerun one table at a time, so only the
-        failing table gets an error; each rerun is logged at WARNING and
-        counted in :attr:`fallbacks`.
+        first; the distinct misses, once each in first-seen order, are cut
+        into fused runs (:func:`~repro.core.fused.fused_runs`, at most
+        ``batch_size`` tables each, whose sizes are appended to
+        ``bucket_sizes`` in execution order) and each run is one fused BP
+        super-graph.  A run of two or more that fails is rerun one table
+        at a time, so only the failing table gets an error; each rerun is
+        logged at WARNING and counted in :attr:`fallbacks`.
 
         A computed annotation answers its table and is cached frozen; a
         hit, or a repeat of a miss within ``tables``, gets a fresh copy
@@ -327,21 +328,18 @@ class AnnotationPipeline:
     def _compute(
         self, tables: list[Table], bucket_sizes: list[int] | None
     ) -> list[TableAnnotation | Exception]:
-        """``tables`` as fused shape buckets (see :meth:`answer`)."""
-        outcomes: dict[int, TableAnnotation | Exception] = {}
-        plan = plan_buckets(tables)
-        for _signature, entries in iter_bucket_chunks(plan, self.config.batch_size):
-            chunk = [table for _position, table in entries]
+        """``tables`` as fused runs, outcomes in order (see :meth:`answer`)."""
+        outcomes: list[TableAnnotation | Exception] = []
+        for run in fused_runs(tables, self.config.batch_size):
             if bucket_sizes is not None:
-                bucket_sizes.append(len(chunk))
-            for (position, _table), outcome in zip(entries, self._run_bucket(chunk)):
-                outcomes[position] = outcome
-        return [outcomes[position] for position in range(len(tables))]
+                bucket_sizes.append(len(run))
+            outcomes.extend(self._run_bucket(run))
+        return outcomes
 
     def _run_bucket(
         self, chunk: list[Table]
     ) -> Sequence[TableAnnotation | Exception]:
-        """One fused run; a failed bucket of two or more reruns table by
+        """One fused run; a failed run of two or more reruns table by
         table, so only the failing table gets its error."""
         try:
             return annotate_fused_chunk(self.annotator, chunk)
@@ -403,8 +401,8 @@ class AnnotationPipeline:
         self, batch: list[Table | LabeledTable], bucket_sizes: list[int]
     ) -> list[tuple[Table, TableAnnotation]]:
         """One batch's ``(table, annotation)`` pairs in batch order (its
-        bucket sizes appended to ``bucket_sizes``); raises the batch's first
-        failure."""
+        fused run sizes appended to ``bucket_sizes``); raises the batch's
+        first failure."""
         tables = [
             item.table if isinstance(item, LabeledTable) else item
             for item in batch

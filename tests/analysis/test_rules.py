@@ -77,7 +77,7 @@ def test_unordered_iter_scoped_to_hot_modules(lint_tree):
             out.append(name)
         return out
     """
-    hot = lint_tree({"src/repro/pipeline/planner.py": source})
+    hot = lint_tree({"src/repro/core/fused.py": source})
     assert rule_ids(hot) == ["det-unordered-iter"]
     assert hot.findings[0].line == 3  # the sorted() loop is clean
     cold = lint_tree({"src/repro/pipeline/other.py": source})

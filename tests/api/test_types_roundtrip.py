@@ -270,11 +270,13 @@ def test_examples_cover_every_wire_type():
 def test_unknown_schema_version_rejected(wire_type):
     payload = EXAMPLES[wire_type].to_json()
     assert payload["schema_version"] == SCHEMA_VERSION
-    payload["schema_version"] = SCHEMA_VERSION + 99
-    with pytest.raises(ApiError) as excinfo:
-        wire_type.from_json(payload)
-    assert excinfo.value.code == "schema_version_unsupported"
-    assert excinfo.value.http_status == 400
+    # a float equal to the version is foreign too, like any integer field's
+    for version in (SCHEMA_VERSION + 99, float(SCHEMA_VERSION)):
+        payload["schema_version"] = version
+        with pytest.raises(ApiError) as excinfo:
+            wire_type.from_json(payload)
+        assert excinfo.value.code == "schema_version_unsupported"
+        assert excinfo.value.http_status == 400
 
 
 @pytest.mark.parametrize("wire_type", WIRE_TYPES, ids=lambda t: t.__name__)

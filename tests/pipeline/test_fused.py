@@ -1,7 +1,7 @@
 """Fused corpus execution must be invisible in the output.
 
-The pipeline plans every batch into shape buckets and runs each bucket as
-one cross-table BP graph, but every table's annotation must be
+The pipeline cuts every batch into fused runs and runs each as one
+cross-table BP graph, but every table's annotation must be
 byte-identical to the one it gets alone — and to the scalar oracle's, one
 layer swapped at a time.  These tests compare the full
 ``annotation_to_dict`` payloads, the same serialisation the JSONL corpus
@@ -9,10 +9,14 @@ path writes.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
+from repro.core.fused import FUSED_RUN_CELLS, fused_runs
 from repro.pipeline.io import annotation_to_dict
 from repro.pipeline.pipeline import AnnotationPipeline, PipelineConfig
+from repro.tables.model import Table
 from tests.oracles import OracleAnnotator
 
 
@@ -84,6 +88,34 @@ class TestFusedEquality:
             annotation.table_id == table.table_id
             for table, annotation in pairs
         )
+
+
+def _cells(tables: list[Table]) -> int:
+    return sum(table.n_rows * table.n_columns for table in tables)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(1, 40), st.integers(1, 8)), max_size=40
+    ),
+    limit=st.integers(1, 20),
+)
+def test_fused_runs_cut_arrival_order_under_both_bounds(shapes, limit):
+    """Runs are the input in order, cut only where the next table would
+    break the table limit or the cell budget; only a lone table may
+    exceed the budget."""
+    tables = [
+        Table(f"t{index}", [["x"] * columns for _ in range(rows)])
+        for index, (rows, columns) in enumerate(shapes)
+    ]
+    runs = list(fused_runs(tables, limit))
+    assert [table for run in runs for table in run] == tables
+    for run in runs:
+        assert 1 <= len(run) <= limit
+        assert len(run) == 1 or _cells(run) <= FUSED_RUN_CELLS
+    for run, following in zip(runs, runs[1:]):
+        assert len(run) == limit or _cells(run + following[:1]) > FUSED_RUN_CELLS
 
 
 class TestPipelineLifecycle:

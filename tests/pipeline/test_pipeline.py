@@ -10,6 +10,7 @@ import logging
 
 import pytest
 
+from repro.core.fused import fused_runs
 from repro.pipeline import (
     AnnotationPipeline,
     PipelineConfig,
@@ -17,7 +18,6 @@ from repro.pipeline import (
     iter_corpus_jsonl,
     read_annotations_jsonl,
 )
-from repro.pipeline.planner import table_signature
 from repro.search.table_index import AnnotatedTableIndex
 from repro.tables.corpus import TableCorpus, save_corpus_jsonl
 from repro.tables.generator import (
@@ -211,8 +211,8 @@ class TestFailureIsolation:
     @pytest.fixture()
     def poisoned(self, tiny_world, corpus_tables, monkeypatch):
         """A pipeline whose candidate engine raises on :data:`POISON_CELL`,
-        a table and its poisoned same-shape twin, and the list of errors
-        the engine raised."""
+        a table and its poisoned twin, and the list of errors the engine
+        raised."""
         pipeline = AnnotationPipeline(tiny_world.annotator_view)
         engine = pipeline.annotator.candidate_engine
         resolve = engine.cell_candidates_batch
@@ -225,15 +225,14 @@ class TestFailureIsolation:
             return resolve(texts, cache)
 
         monkeypatch.setattr(engine, "cell_candidates_batch", lookup)
-        table = next(
-            labeled.table
-            for labeled in corpus_tables
-            if not table_signature(labeled.table)[2][0]
-        )
+        table = corpus_tables[0].table
         cells = [list(row) for row in table.cells]
         cells[0][0] = POISON_CELL
         twin = Table("poisoned", cells, table.headers)
-        assert table_signature(twin) == table_signature(table)
+        # the twin shares one fused run with its batchmate
+        assert list(fused_runs([table, twin], pipeline.config.batch_size)) == [
+            [table, twin]
+        ]
         return pipeline, table, twin, raised
 
     def test_corpus_pass_raises_the_poisoned_tables_own_error(
@@ -243,7 +242,7 @@ class TestFailureIsolation:
         with caplog.at_level(logging.WARNING, logger="repro.pipeline.pipeline"):
             with pytest.raises(RuntimeError) as excinfo:
                 list(pipeline.annotate_with_tables([table, twin]))
-        # the shared bucket failed, then the twin failed alone: its own error
+        # the shared run failed, then the twin failed alone: its own error
         assert len(raised) == 2
         assert excinfo.value is raised[-1]
         assert pipeline.fallbacks == 1

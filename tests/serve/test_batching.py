@@ -13,7 +13,7 @@ threads over mixed-shape tables with a poisoned payload riding along.
 Also covered here: the queue deadline (a request still queued past
 ``request_timeout`` fails ``overloaded`` without being shipped), a
 ``/search`` riding in a batch of annotates, the fused→per-table fallback
-when a fused bucket dies (its ``fallbacks`` counter and WARNING log), and
+when a fused run dies (its ``fallbacks`` counter and WARNING log), and
 FIFO admission ordering (:class:`FifoSlots`).
 """
 
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.api.config import ServeConfig, SessionConfig
 from repro.api.errors import ApiError
 from repro.api.types import ErrorEnvelope, encode_json
-from repro.pipeline.planner import table_signature
+from repro.core.fused import fused_runs
 from repro.serve.dispatcher import Dispatcher, FifoSlots
 from repro.serve.state import ServeState
 from repro.tables.generator import (
@@ -75,7 +75,7 @@ def dispatcher(bundle_dir):
 @pytest.fixture(scope="module")
 def table_payloads(tiny_world, serve_corpus):
     """Mixed-shape wire payloads: the serve corpus plus a second generator
-    run with different shape ranges, so batches span several buckets."""
+    run with different shape ranges, so batches span several fused runs."""
     extra = WebTableGenerator(
         tiny_world.full,
         TableGeneratorConfig(
@@ -439,7 +439,7 @@ def test_escaped_exception_fails_the_message_not_the_worker(
 
 
 # ----------------------------------------------------------------------
-# fused-bucket failures inside one worker message
+# fused-run failures inside one worker message
 # ----------------------------------------------------------------------
 def _annotates(payloads):
     return [("annotate", payload) for payload in payloads]
@@ -500,9 +500,10 @@ def test_repeats_are_answered_from_the_answer_cache(
     loaded_bundle, solo_state, table_payloads, monkeypatch
 ):
     """A table already annotated alone is answered from the answer cache
-    when it comes back with a same-shape batchmate, and again under a new
-    id in the same batch; only the new table is planned and computed, and
-    every response is byte-identical to a solo ``annotate``."""
+    when it comes back with a batchmate it would share a fused run with,
+    and again under a new id in the same batch; only the new table is
+    computed, and every response is byte-identical to a solo
+    ``annotate``."""
     import repro.pipeline.pipeline as pipeline_module
 
     computed: list[str] = []
@@ -516,13 +517,15 @@ def test_repeats_are_answered_from_the_answer_cache(
     state = ServeState(loaded_bundle)
     seen = table_payloads[0]
     state.handle("annotate", seen)
-    computed.clear()  # the warm-up ran through the stub as a bucket of one
+    computed.clear()  # the warm-up ran through the stub as a run of one
     twin = copy.deepcopy(seen)
     twin["table"]["table_id"] = "twin"
     twin["table"]["cells"][0][0] = "another cell"
-    assert table_signature(Table.from_dict(twin["table"])) == table_signature(
-        Table.from_dict(seen["table"])
-    )
+    # uncached, the twin would share one fused run with its batchmate
+    tables = [Table.from_dict(payload["table"]) for payload in (seen, twin)]
+    assert list(fused_runs(tables, state.pipeline().config.batch_size)) == [
+        tables
+    ]
     renamed = copy.deepcopy(seen)
     renamed["table"]["table_id"] = "renamed"
     answers = state.pipeline().answer_cache
@@ -541,26 +544,30 @@ def test_repeats_are_answered_from_the_answer_cache(
 def test_poisoned_batchmate_counts_one_fallback(
     loaded_bundle, table_payloads, solo_responses, monkeypatch, caplog
 ):
-    """A table that fails inside annotation takes its fused bucket down;
-    the bucket reruns table by table, the rerun is counted exactly once in
+    """A table that fails inside annotation takes its fused run down;
+    the run reruns table by table, the rerun is counted exactly once in
     the pipeline's ``fusion`` counters and logged at WARNING, and every
     batchmate's response stays byte-identical to a solo ``annotate``."""
     state = ServeState(loaded_bundle)
     _poison_candidates(state, monkeypatch)
     twin = _poisoned_twin(table_payloads[0])
-    # the poisoned table shares a shape bucket with its twin
-    assert table_signature(Table.from_dict(twin["table"])) == table_signature(
-        Table.from_dict(table_payloads[0]["table"])
-    )
+    batch = [table_payloads[0], twin] + table_payloads[1:]
+    # the poisoned table shares one fused run with its twin
+    tables = [Table.from_dict(payload["table"]) for payload in batch]
+    first_run = next(fused_runs(tables, state.pipeline().config.batch_size))
+    assert [table.table_id for table in first_run[:2]] == [
+        tables[0].table_id,
+        "poisoned",
+    ]
 
     before = state.cache_stats()["fusion"]["fallbacks"]
     with caplog.at_level(logging.WARNING, logger="repro.pipeline.pipeline"):
-        results = state.handle_requests(_annotates(table_payloads + [twin]))
+        results = state.handle_requests(_annotates(batch))
     assert state.cache_stats()["fusion"]["fallbacks"] == before + 1
-    assert [encode_json(outcome["ok"]) for outcome in results[:-1]] == (
-        solo_responses
-    )
-    assert results[-1]["error"]["error"]["code"] == "internal_error"
+    assert [
+        encode_json(outcome["ok"]) for outcome in results[:1] + results[2:]
+    ] == solo_responses
+    assert results[1]["error"]["error"]["code"] == "internal_error"
     warnings = [
         record for record in caplog.records if record.levelno == logging.WARNING
     ]
@@ -572,7 +579,7 @@ def test_poisoned_batchmate_counts_one_fallback(
 def test_lone_failing_table_is_not_rerun(
     loaded_bundle, table_payloads, monkeypatch, caplog
 ):
-    """A bucket of one has no batchmates to protect: its failure is the
+    """A run of one has no batchmates to protect: its failure is the
     table's own error — the envelope :meth:`ServeState.handle` gives — after
     one candidate lookup, with no rerun, fallback or warning."""
     state = ServeState(loaded_bundle)

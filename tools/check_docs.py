@@ -38,7 +38,9 @@ Five subcommands, all exercised by CI's ``docs`` job:
     ``repro.…`` name must resolve by import plus attribute walk, and a
     ``….py`` path (optionally suffixed ``::name``) must exist under the
     repository root, ``src/repro/`` or ``src/`` — so a doc naming a
-    deleted module, class or file fails CI.
+    deleted module, class or file fails CI.  The other direction too:
+    every ``….md`` name in a ``.py`` file under ``src/`` or
+    ``benchmarks/`` must name a file relative to the repository root.
 
 Run all with no arguments::
 
@@ -73,6 +75,8 @@ CODE_SPAN_PATTERN = re.compile(r"`([^`]+)`")
 DOTTED_PATTERN = re.compile(r"repro(?:\.[A-Za-z_]\w*)+")
 #: a span that is exactly a python file path, optionally ``::name``-suffixed
 PY_PATH_PATTERN = re.compile(r"([\w./-]+\.py)(?:::[\w.]+)?")
+#: a markdown file name cited in python source
+MD_NAME_PATTERN = re.compile(r"[\w./-]+\.md\b")
 
 
 def readme_and_docs() -> list[Path]:
@@ -247,7 +251,8 @@ def resolves(dotted: str) -> bool:
 
 def check_refs() -> list[str]:
     """Every backticked ``repro.…`` name in README.md and docs/*.md must
-    resolve and every backticked ``….py`` path must exist."""
+    resolve and every backticked ``….py`` path must exist; every ``….md``
+    name in python source under src/ and benchmarks/ must exist."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     try:
         problems: list[str] = []
@@ -270,6 +275,16 @@ def check_refs() -> list[str]:
                         f"{relative}:{number}: `{span}` names no file under "
                         f"the repo root, src/repro/ or src/"
                     )
+        for directory in ("src", "benchmarks"):
+            for source in sorted((REPO_ROOT / directory).rglob("*.py")):
+                relative = source.relative_to(REPO_ROOT)
+                for number, line in enumerate(source.read_text().splitlines(), 1):
+                    for name in MD_NAME_PATTERN.findall(line):
+                        if not (REPO_ROOT / name).is_file():
+                            problems.append(
+                                f"{relative}:{number}: {name} names no file "
+                                f"under the repo root"
+                            )
         return problems
     finally:
         sys.path.pop(0)
@@ -302,7 +317,7 @@ def main() -> int:
         problems.extend(flag_problems)
         print(f"  {len(flag_problems)} unknown flag(s)")
     if args.check in ("refs", "all"):
-        print("checking backticked code references in README.md and docs/ ...")
+        print("checking code references in README.md and docs/, doc names in code ...")
         ref_problems = check_refs()
         problems.extend(ref_problems)
         print(f"  {len(ref_problems)} dangling reference(s)")
