@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import time
 from pathlib import Path
 
@@ -118,17 +119,38 @@ def emit():
     return _emit
 
 
+def git_sha() -> str | None:
+    """The checkout's commit, suffixed ``-dirty`` when tracked files differ
+    from it; None outside a git checkout."""
+    root = Path(__file__).resolve().parent.parent
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return sha + ("-dirty" if dirty else "")
+
+
 @pytest.fixture(scope="session")
 def emit_json():
     """Machine-readable perf trajectory: merges sections into BENCH_<name>.json.
 
     Each call updates one section of ``results/BENCH_<bench>.json`` in place,
     so partial runs (``-k section``) refresh only their own numbers while the
-    rest of the trajectory file survives.  CI uploads the file as an artifact
+    rest of the trajectory file survives.  Every section records the run's
+    context beside its numbers: smoke or full, Python version and the git
+    sha of the checkout (see :func:`git_sha`).  CI uploads the file as an artifact
     and a local run is committed at the repo root — grep ``BENCH_*.json`` to
     see the speed history.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
+    sha = git_sha()
 
     def _emit_json(bench: str, section: str, payload: dict) -> Path:
         path = RESULTS_DIR / f"BENCH_{bench}.json"
@@ -146,6 +168,7 @@ def emit_json():
             **payload,
             "smoke": bool(os.environ.get("REPRO_BENCH_SMOKE")),
             "python": platform.python_version(),
+            "git_sha": sha,
             "recorded_unix": round(time.time(), 3),
         }
         path.write_text(

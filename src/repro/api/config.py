@@ -71,7 +71,7 @@ class ServeConfig:
     #: ``overloaded``; a worker silent past it is presumed wedged, killed
     #: and replaced
     request_timeout_seconds: float = 120.0
-    #: how long an idle worker waits for work before a liveness check
+    #: seconds between the liveness checks of idle workers
     health_interval_seconds: float = 1.0
     #: how long shutdown / hot-swap waits for in-flight requests to finish
     drain_timeout_seconds: float = 30.0

@@ -372,8 +372,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ) from error
 
     def _drain(signum: int, frame: Any) -> None:
-        # serve_forever must be stopped from another thread; server_close
-        # then joins the in-flight handler threads before we drain workers
+        # serve_forever must be stopped from another thread; run_server
+        # then drains the dispatcher and returns once every in-flight
+        # request's response is written
         threading.Thread(target=server.shutdown, daemon=True).start()
 
     signal.signal(signal.SIGTERM, _drain)
@@ -386,8 +387,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         file=sys.stderr,
         flush=True,
     )
-    run_server(server)
-    drained = dispatcher.shutdown(config.serve.drain_timeout_seconds)
+    drained = run_server(server)
     print(
         "shutdown: in-flight requests "
         + ("drained" if drained else "FORCE-STOPPED after drain timeout"),
@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--health-interval",
         type=float,
         default=1.0,
-        help="seconds an idle worker waits for work between liveness checks",
+        help="seconds between the liveness checks of idle workers",
     )
     serve.add_argument(
         "--drain-timeout",

@@ -16,22 +16,27 @@ path:
   no request starves behind later arrivals however long the overload
   lasts.
 * **One request path.**  Every admitted request, whatever its endpoint,
-  joins its generation's pending queue.  Each worker has one feeder
-  thread: when the worker is idle, the feeder takes the oldest request
-  plus — only while no other worker of the generation is idle —
-  everything else queued, up to ``batch_size``, and ships them as one
-  ``requests`` pipe message.  Under light load that is a batch of one with
-  no hold; under load batches grow by themselves.  The worker runs the
+  joins its generation's pending queue, and the thread that brought it
+  ships it: while its request is queued, a request's thread borrows an
+  idle worker and sends it the oldest request plus — only while no other
+  worker of the generation is idle — everything else queued, up to
+  ``batch_size``, as one ``requests`` pipe message.  (With another worker
+  still idle, it ships its own request alone; the threads of the other
+  queued requests take the other idle workers.)  A lone request therefore
+  reaches the pipe on the thread that accepted it, with no hand-off; under
+  load, requests queue while every worker is busy and the next borrower
+  takes them together, so batches grow by themselves.  The worker runs the
   annotates as one fused batch, and each request resolves from its own
   outcome, so a failing request never fails its batchmates.  A request
   still queued ``request_timeout_seconds`` after admission fails
   ``overloaded`` without being shipped.
-* **Health.**  A feeder's idle wait (``health_interval_seconds``) doubles
-  as its worker's liveness check: a worker found dead is replaced.  A
+* **Health.**  One sweeper thread per generation checks the idle
+  workers' liveness every ``health_interval_seconds`` and replaces the
+  dead ones; a borrower checks its worker once more before shipping.  A
   worker that dies or goes silent (past ``request_timeout_seconds``)
-  mid-message is replaced too, and the requests it carried fail with a
-  503 ``worker_failed`` (the client retries; every other request is
-  untouched).
+  mid-message is replaced by its borrower, and the requests it carried
+  fail with a 503 ``worker_failed`` (the client retries; every other
+  request is untouched).
 * **Hot swap.**  ``reload()`` builds a whole new *generation* — load the
   new bundle, fork fresh workers, ping them ready — then atomically swaps
   it in.  Requests admitted before the swap drain on the old generation;
@@ -41,10 +46,10 @@ path:
 Lock discipline (checked by ``repro lint``'s ``lock-unguarded-attr`` rule):
 every access to the generation table (``_active``, ``_generation_seq``,
 per-generation worker lists) happens under ``_lock``; each generation's
-pending queue and idle count sit behind its own ``ready`` condition, never
-taken together with ``_lock``; metrics live behind their own locks in
-:mod:`repro.serve.metrics`; the pipe of each worker is serialized by its
-handle's lock.
+pending queue, idle workers and request outcomes sit behind its own
+``ready`` condition, never taken together with ``_lock``; metrics live
+behind their own locks in :mod:`repro.serve.metrics`; the pipe of each
+worker is serialized by its handle's lock.
 """
 
 from __future__ import annotations
@@ -86,7 +91,9 @@ class FifoSlots:
             raise ValueError("capacity must be >= 1")
         self._lock = threading.Lock()
         self._available = capacity
-        self._waiters: deque[threading.Event] = deque()
+        #: one held lock per parked acquirer; a release hands the slot
+        #: over by unlocking the head ticket
+        self._waiters: deque[threading.Lock] = deque()
 
     def acquire(self, timeout: float | None = None) -> bool:
         """Take one slot; False when none frees up within ``timeout``."""
@@ -94,12 +101,13 @@ class FifoSlots:
             if self._available > 0 and not self._waiters:
                 self._available -= 1
                 return True
-            ticket = threading.Event()
+            ticket = threading.Lock()
+            ticket.acquire()
             self._waiters.append(ticket)
-        if ticket.wait(timeout):
+        if ticket.acquire(timeout=-1 if timeout is None else timeout):
             return True
         with self._lock:
-            if ticket.is_set():
+            if not ticket.locked():
                 # a release handed us the slot in the instant we timed out;
                 # the hand-off already consumed it, so the acquire stands
                 return True
@@ -110,19 +118,24 @@ class FifoSlots:
         """Free one slot — passed to the head waiter if anyone is parked."""
         with self._lock:
             if self._waiters:
-                self._waiters.popleft().set()
+                self._waiters.popleft().release()
             else:
                 self._available += 1
 
 
 class _Request:
-    """One admitted request: queued, then shipped, then resolved once."""
+    """One admitted request: queued, then shipped, then resolved once.
+
+    Its state changes only under its generation's ``ready`` condition,
+    which is also what its thread waits on.
+    """
 
     __slots__ = (
         "endpoint",
         "payload",
         "admitted_at",
         "deadline",
+        "shipped",
         "done",
         "result",
         "error",
@@ -135,17 +148,22 @@ class _Request:
         self.payload = payload
         self.admitted_at = admitted_at
         self.deadline = deadline
-        self.done = threading.Event()
+        self.shipped = False
+        self.done = False
         self.result: dict = {}
         self.error: ApiError | None = None
 
     def resolve(self, result: dict) -> None:
         self.result = result
-        self.done.set()
+        self.done = True
 
     def fail(self, error: ApiError) -> None:
         self.error = error
-        self.done.set()
+        self.done = True
+
+
+#: what a borrowed worker's round trip settles each request with
+_Outcome = dict | ApiError
 
 
 class _Generation:
@@ -163,15 +181,37 @@ class _Generation:
         self.workers = workers
         self.capacity = len(workers) + queue_depth
         self.slots = FifoSlots(self.capacity)
-        #: guards ``pending``, ``idle`` and ``stopping``
+        #: guards ``pending``, ``idle``, ``stopping`` and the requests'
+        #: state; request threads wait on it for a worker or an outcome
         self.ready = threading.Condition()
         self.pending: deque[_Request] = deque()
-        #: feeders waiting for work right now
-        self.idle = 0
+        #: workers no request thread has borrowed, longest idle first
+        self.idle: deque[WorkerHandle] = deque(workers)
         self.stopping = False
-        self.feeders: list[threading.Thread] = []
+        #: set when the generation stops; ends its sweeper's wait
+        self.stopped = threading.Event()
+        self.sweeper: threading.Thread | None = None
         self.next_worker_index = len(workers)
         self.retired = False
+
+    def settle(
+        self,
+        requests: list[_Request],
+        outcomes: list[_Outcome],
+        worker: WorkerHandle | None,
+    ) -> None:
+        """Resolve each request from its outcome, hand ``worker`` (None: no
+        worker to return) back to the idle list and wake every waiting
+        thread."""
+        with self.ready:
+            for request, outcome in zip(requests, outcomes):
+                if isinstance(outcome, ApiError):
+                    request.fail(outcome)
+                else:
+                    request.resolve(outcome)
+            if worker is not None and not self.stopping:
+                self.idle.append(worker)
+            self.ready.notify_all()
 
 
 class Dispatcher:
@@ -235,15 +275,13 @@ class Dispatcher:
         generation = _Generation(
             generation_id, bundle, list(workers), self.queue_depth
         )
-        for worker in workers:
-            feeder = threading.Thread(
-                target=self._feed,
-                args=(generation, worker),
-                name=f"repro-serve-feeder-{worker.name}",
-                daemon=True,
-            )
-            generation.feeders.append(feeder)
-            feeder.start()
+        generation.sweeper = threading.Thread(
+            target=self._sweep,
+            args=(generation,),
+            name=f"repro-serve-sweeper-g{generation_id}",
+            daemon=True,
+        )
+        generation.sweeper.start()
         return generation
 
     def _log(self, message: str) -> None:
@@ -256,11 +294,11 @@ class Dispatcher:
             return self._active
 
     # ------------------------------------------------------------------
-    # the hot path
+    # the hot path: each request ships on its own thread
     # ------------------------------------------------------------------
     def call(self, endpoint: str, payload: dict) -> dict:
-        """Admit one request, queue it for the next idle worker and wait
-        for its own outcome; raises :class:`ApiError`."""
+        """Admit one request, ship it on the calling thread and return its
+        own outcome; raises :class:`ApiError`."""
         generation = self._current()
         admitted_at = time.perf_counter()
         self.dispatch_metrics.observe_admitted()
@@ -279,108 +317,125 @@ class Dispatcher:
                 admitted_at,
                 time.perf_counter() + self.request_timeout,
             )
-            with generation.ready:
+            ready = generation.ready
+            with ready:
                 generation.pending.append(request)
-                generation.ready.notify()
-            if not request.done.wait(self.request_timeout):
-                with generation.ready:
-                    queued = request in generation.pending
-                    if queued:
-                        generation.pending.remove(request)
-                if queued:
-                    self._expire(request)
-                # a shipped request resolves within its worker round trip
-                request.done.wait()
+                trip = self._next_trip(generation, request)
+            while trip is not None:
+                self._trip(generation, *trip)
+                with ready:
+                    trip = self._next_trip(generation, request)
             if request.error is not None:
                 raise request.error
             return request.result
         finally:
             generation.slots.release()
 
-    def _expire(self, request: _Request) -> None:
-        """Fail one request that waited out its deadline unshipped."""
-        self.dispatch_metrics.observe_shed("queue_wait")
-        request.fail(
-            ApiError(
-                api_errors.OVERLOADED,
-                "no worker became available within "
-                f"{self.request_timeout:g}s; retry with backoff",
-            )
-        )
+    def _next_trip(
+        self, generation: _Generation, request: _Request
+    ) -> tuple[WorkerHandle, list[_Request]] | None:
+        """The worker ``request``'s thread borrows and what it ships on it
+        next; None once ``request`` has resolved.  Runs under ``ready``.
 
-    # ------------------------------------------------------------------
-    # feeders: one thread per worker
-    # ------------------------------------------------------------------
-    def _feed(self, generation: _Generation, worker: WorkerHandle) -> None:
-        """Ship queued requests to one worker until its generation stops.
-
-        A dead worker — found by the idle liveness check or just before a
-        round trip — is replaced before anything more is shipped to it.
+        While its request is queued the thread borrows the longest-idle
+        worker.  With another worker still idle it ships its own request
+        alone; otherwise the oldest queued requests, up to ``batch_size``,
+        its own among them or not (it then comes back for its own).
+        Requests past their deadline are failed, not taken.  With no
+        worker idle it waits for one; once its request has shipped, it
+        waits for whoever shipped it to resolve it.
         """
-        interval = max(self.config.serve.health_interval_seconds, 0.05)
-        while True:
-            requests = self._take(generation, worker, interval)
-            if requests is None:
-                return
-            live: WorkerHandle | None = worker
-            if not worker.process.is_alive():
-                live = self._replace_worker(generation, worker, reason="found dead")
-                if live is None:
-                    self._fail_all(
-                        requests,
-                        f"worker {worker.name} died and no replacement "
-                        "started — retry",
-                    )
-            if requests and live is not None:
-                live = self._ship(generation, live, requests)
-            if live is None:
-                return
-            worker = live
-
-    def _take(
-        self, generation: _Generation, worker: WorkerHandle, interval: float
-    ) -> list[_Request] | None:
-        """The next requests for ``worker``; None once the generation stops.
-
-        While nothing is queued the feeder counts as idle and checks its
-        worker's liveness every ``interval``, returning [] if it died.  It
-        takes the oldest request, plus — only while no other worker of the
-        generation is idle — everything else queued, up to ``batch_size``.
-        Requests past their deadline are failed, not taken.
-        """
-        expired: list[_Request] = []
-        taken: list[_Request] = []
-        with generation.ready:
-            generation.idle += 1
-            while not (generation.pending or generation.stopping):
-                timed_out = not generation.ready.wait(interval)
-                if timed_out and not worker.process.is_alive():
-                    break
-            generation.idle -= 1
-            if generation.stopping:
-                return None
+        ready = generation.ready
+        pending = generation.pending
+        while not request.done:
+            if request.shipped:
+                # resolves within the round trip carrying it
+                ready.wait()
+                continue
             now = time.perf_counter()
-            pending = generation.pending
-            while pending and len(taken) < self.batch_size and (
-                not taken or generation.idle == 0
-            ):
-                request = pending.popleft()
-                if request.deadline <= now:
-                    expired.append(request)
-                else:
-                    taken.append(request)
-        for request in expired:
-            self._expire(request)
-        return taken
+            if generation.stopping or request.deadline <= now:
+                pending.remove(request)
+                self._shed_queued(request, stopped=generation.stopping)
+                break
+            if not generation.idle:
+                ready.wait(request.deadline - now)
+                continue
+            worker = generation.idle.popleft()
+            if generation.idle:
+                pending.remove(request)
+                taken = [request]
+            else:
+                taken = []
+                while pending and len(taken) < self.batch_size:
+                    queued = pending.popleft()
+                    if queued.deadline <= now:
+                        self._shed_queued(queued, stopped=False)
+                    else:
+                        taken.append(queued)
+            if not taken:
+                generation.idle.appendleft(worker)
+                continue
+            for queued in taken:
+                queued.shipped = True
+            return worker, taken
+        return None
 
-    def _ship(
+    def _shed_queued(self, request: _Request, stopped: bool) -> None:
+        """Fail one request that never shipped: its deadline passed, or its
+        generation stopped first.  Runs under ``ready``."""
+        if stopped:
+            self.dispatch_metrics.observe_shed("drain")
+            message = (
+                "the server stopped this bundle generation before a worker "
+                "took the request; retry"
+            )
+        else:
+            self.dispatch_metrics.observe_shed("queue_wait")
+            message = (
+                "no worker became available within "
+                f"{self.request_timeout:g}s; retry with backoff"
+            )
+        request.fail(ApiError(api_errors.OVERLOADED, message))
+
+    def _trip(
         self,
         generation: _Generation,
         worker: WorkerHandle,
         requests: list[_Request],
-    ) -> WorkerHandle | None:
-        """One worker round trip; returns the worker to feed next (its
-        replacement after a failure, None when none could start)."""
+    ) -> None:
+        """Ship ``requests`` on a borrowed worker and settle each from its
+        own outcome, then hand the worker back to the idle list.
+
+        A worker found dead before the round trip is replaced first; one
+        that dies during it fails the requests it carried, and its
+        replacement is handed back instead.
+        """
+        if not worker.process.is_alive():
+            replacement = self._replace_worker(
+                generation, worker, reason="found dead"
+            )
+            if replacement is None:
+                failures = self._failures(
+                    requests,
+                    f"worker {worker.name} died and no replacement started "
+                    "— retry",
+                )
+                generation.settle(requests, failures, None)
+                return
+            worker = replacement
+        outcomes, fault = self._ship(worker, requests)
+        if fault is None:
+            generation.settle(requests, outcomes, worker)
+            return
+        generation.settle(requests, outcomes, None)
+        replacement = self._replace_worker(generation, worker, reason=fault)
+        generation.settle([], [], replacement)
+
+    def _ship(
+        self, worker: WorkerHandle, requests: list[_Request]
+    ) -> tuple[list[_Outcome], str | None]:
+        """One worker round trip: each request's outcome, and what went
+        wrong with the worker (None when it answered)."""
         self.dispatch_metrics.observe_batch(len(requests))
         shipped_at = time.perf_counter()
         message = ("requests", [(r.endpoint, r.payload) for r in requests])
@@ -395,14 +450,15 @@ class Dispatcher:
         except _PIPE_ERRORS as error:
             fault = type(error).__name__
         if fault is not None:
-            self._fail_all(
+            failures = self._failures(
                 requests,
                 f"worker {worker.name} died handling the request ({fault}); "
                 "it is being replaced — retry",
             )
-            return self._replace_worker(generation, worker, reason=fault)
+            return failures, fault
         # the round trip's worker time, split equally across its requests
         handler_seconds = reply[2] / len(requests)
+        settled: list[_Outcome] = []
         for request, outcome in zip(requests, reply[1]):
             failure = outcome.get("error")
             self.dispatch_metrics.observe_done(
@@ -412,22 +468,39 @@ class Dispatcher:
                 error=failure is not None,
             )
             if failure is None:
-                request.resolve(outcome["ok"])
+                settled.append(outcome["ok"])
             else:
                 body: Mapping[str, str] = failure.get("error", {})
-                request.fail(
+                settled.append(
                     ApiError(
                         body.get("code", api_errors.INTERNAL_ERROR),
                         body.get("message", "worker error"),
                     )
                 )
-        return worker
+        return settled, None
 
-    def _fail_all(self, requests: list[_Request], message: str) -> None:
-        """Fail requests that went down with their worker."""
+    def _failures(
+        self, requests: list[_Request], message: str
+    ) -> list[_Outcome]:
+        """Outcomes for requests that went down with their worker."""
         self.dispatch_metrics.observe_worker_failed(len(requests))
-        for request in requests:
-            request.fail(ApiError(api_errors.WORKER_FAILED, message))
+        return [ApiError(api_errors.WORKER_FAILED, message) for _ in requests]
+
+    def _sweep(self, generation: _Generation) -> None:
+        """Replace the generation's dead idle workers once per health
+        interval until it stops (a borrowed worker is its borrower's to
+        check)."""
+        interval = max(self.config.serve.health_interval_seconds, 0.05)
+        while not generation.stopped.wait(interval):
+            with generation.ready:
+                dead = [w for w in generation.idle if not w.process.is_alive()]
+                for worker in dead:
+                    generation.idle.remove(worker)
+            for worker in dead:
+                replacement = self._replace_worker(
+                    generation, worker, reason="found dead"
+                )
+                generation.settle([], [], replacement)
 
     # ------------------------------------------------------------------
     # worker lifecycle
@@ -437,9 +510,11 @@ class Dispatcher:
     ) -> WorkerHandle | None:
         """Retire one dead/wedged worker and fork its replacement.
 
-        Only the worker's own feeder calls this, so each corpse is
-        replaced exactly once.  None when the generation is retired or the
-        replacement fails to start (the generation runs one worker short).
+        Only the thread holding the worker calls this — the request thread
+        that borrowed it, or the sweeper that took it off the idle list —
+        so each corpse is replaced exactly once.  None when the generation
+        is retired or the replacement fails to start (the generation runs
+        one worker short).
         """
         with self._lock:
             if generation.retired:
@@ -539,30 +614,24 @@ class Dispatcher:
                 break
         with generation.ready:
             generation.stopping = True
-            stranded = list(generation.pending)
+            for request in generation.pending:
+                self._shed_queued(request, stopped=True)
             generation.pending.clear()
+            generation.idle.clear()
             generation.ready.notify_all()
-        for request in stranded:
-            self.dispatch_metrics.observe_shed("drain")
-            request.fail(
-                ApiError(
-                    api_errors.OVERLOADED,
-                    "the server stopped this bundle generation before a "
-                    "worker took the request; retry",
-                )
-            )
+        generation.stopped.set()
         with self._lock:
             workers = list(generation.workers)
             generation.workers = []
         for worker in workers:
             worker.stop(timeout=5.0)
             self.dispatch_metrics.forget_worker(worker.name)
-        for feeder in generation.feeders:
-            feeder.join(timeout=5.0)
+        if generation.sweeper is not None:
+            generation.sweeper.join(timeout=5.0)
         return drained
 
     def shutdown(self, drain_timeout: float | None = None) -> bool:
-        """Drain in-flight work, stop every worker and feeder."""
+        """Drain in-flight work, stop every worker and the sweeper."""
         if drain_timeout is not None:
             self.drain_timeout = drain_timeout
         return self._retire(self._current())
@@ -610,7 +679,7 @@ class Dispatcher:
             try:
                 reply = worker.call_if_idle(("stats",), timeout=timeout_per_worker)
             except _PIPE_ERRORS:
-                continue  # its feeder's liveness check will deal with it
+                continue  # the sweeper or its next borrower replaces it
             if reply is not None and reply[0] == "ok":
                 stats[worker.name] = reply[1]
         return stats

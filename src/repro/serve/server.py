@@ -1,12 +1,17 @@
 """Threaded stdlib-HTTP front end over the pre-fork dispatcher.
 
-No third-party dependencies: :class:`http.server.ThreadingHTTPServer` gives
-one OS thread per in-flight request.  Each thread decodes its request body
-and hands it to the :class:`~repro.serve.dispatcher.Dispatcher`, which
-queues it for the next idle one of the forked worker processes sharing the
-bundle's pages; concurrent requests ride one worker round trip together.
-Backpressure, load shedding, worker restarts and bundle hot-swap all live
-there.
+No third-party dependencies: :class:`TableServer` is a stdlib
+:class:`http.server.HTTPServer` that serves each request on one thread, end
+to end.  The thread that takes a connection reads each request head with a
+small reader of its own, decodes the body and calls the
+:class:`~repro.serve.dispatcher.Dispatcher`, which ships the request to an
+idle one of the forked worker processes sharing the bundle's pages from
+that same thread (concurrent requests ride one worker round trip
+together); it then writes the response head and body in one write.  A
+handler thread whose connection has closed parks and takes the next one; a
+connection that finds no parked thread starts a new one, so concurrency is
+not capped here.  Backpressure, load shedding, worker restarts and bundle
+hot-swap all live in the dispatcher.
 
 Endpoints::
 
@@ -33,11 +38,15 @@ unexpected).
 
 from __future__ import annotations
 
-import io
 import json
+import queue
+import re
+import socket
 import sys
+import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Any, Callable
 
 from repro.api.errors import BadRequestError
@@ -47,6 +56,22 @@ from repro.serve.dispatcher import Dispatcher
 #: reject request bodies larger than this (64 MiB) outright
 MAX_BODY_BYTES = 64 << 20
 
+#: handler threads kept parked for the next connection; a thread whose
+#: connection closes while this many are parked ends instead
+MAX_PARKED_THREADS = 16
+
+#: the request-head bounds of :func:`http.client.parse_headers`: bytes per
+#: line, and lines per head counting the blank line that ends it
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+
+#: a header line as :mod:`email.parser` recognises one: a (possibly
+#: empty) field name of printable ASCII other than ``:``, then ``:``
+_FIELD_NAME = re.compile(rb"[\x21-\x39\x3b-\x7e]*:")
+
+#: a blank line ends the head; so does the end of the stream
+_HEAD_END = (b"\r\n", b"\n", b"")
+
 #: endpoint names the HTTP layer routes to ``Dispatcher.call``
 _POST_ROUTES = {
     "/annotate": "annotate",
@@ -55,10 +80,24 @@ _POST_ROUTES = {
 }
 
 
-class TableServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer carrying the dispatcher it fronts."""
+def _version_number(version: str) -> tuple[int, int] | None:
+    """``HTTP/<major>.<minor>`` as two ints, as the stdlib reads it; None
+    when malformed."""
+    parts = version[5:].split(".") if version.startswith("HTTP/") else []
+    if len(parts) != 2 or not all(
+        part.isascii() and part.isdigit() and len(part) <= 10 for part in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
 
-    daemon_threads = True
+
+class TableServer(HTTPServer):
+    """An HTTP server carrying the dispatcher it fronts.
+
+    Each connection is served on one thread.  A thread whose connection
+    has closed parks (up to :data:`MAX_PARKED_THREADS` of them) and takes
+    the next connection; one that finds no parked thread starts a new one.
+    """
 
     def __init__(
         self,
@@ -66,15 +105,215 @@ class TableServer(ThreadingHTTPServer):
         dispatcher: Dispatcher,
         quiet: bool = True,
     ):
-        super().__init__(address, _Handler)
         self.dispatcher = dispatcher
         self.quiet = quiet
+        #: guards ``_parked``, ``_closing``, ``_threads`` and ``_connections``
+        self._lock = threading.Lock()
+        #: connections handed to parked threads; None ends a parked thread
+        self._handoff: queue.SimpleQueue[
+            tuple[socket.socket, Any] | None
+        ] = queue.SimpleQueue()
+        self._parked = 0
+        self._closing = False
+        self._threads: set[threading.Thread] = set()
+        self._connections: set[socket.socket] = set()
+        # last: a failed bind calls server_close, which reads the above
+        super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        """Hand a new connection to a parked thread, or start one."""
+        thread: threading.Thread | None
+        with self._lock:
+            if self._parked:
+                self._parked -= 1
+                thread = None
+            else:
+                thread = threading.Thread(
+                    target=self._run,
+                    args=(request, client_address),
+                    name="repro-serve-http",
+                    daemon=True,
+                )
+                self._threads.add(thread)
+        if thread is None:
+            self._handoff.put((request, client_address))
+        else:
+            thread.start()
+
+    def _run(self, request: socket.socket, client_address: Any) -> None:
+        """One handler thread: serve a connection, park, take the next."""
+        connection: tuple[socket.socket, Any] | None = (request, client_address)
+        try:
+            while connection is not None:
+                self._serve_connection(*connection)
+                with self._lock:
+                    if self._closing or self._parked >= MAX_PARKED_THREADS:
+                        return
+                    self._parked += 1
+                connection = self._handoff.get()
+        finally:
+            with self._lock:
+                self._threads.discard(threading.current_thread())
+
+    def _serve_connection(
+        self, request: socket.socket, client_address: Any
+    ) -> None:
+        """Serve one connection (closed unserved once the server closes)."""
+        with self._lock:
+            closing = self._closing
+            if not closing:
+                self._connections.add(request)
+        try:
+            if not closing:
+                self.finish_request(request, client_address)
+        except Exception:  # noqa: BLE001 - socketserver's per-connection boundary
+            self.handle_error(request, client_address)
+        finally:
+            with self._lock:
+                self._connections.discard(request)
+            self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop taking connections; return once every response in flight
+        has been written.
+
+        Parked threads end.  Each open connection's read side is shut, so a
+        thread waiting for a keep-alive client's next request sees the end
+        of the stream, while one mid-request still writes its response.
+        """
+        super().server_close()
+        with self._lock:
+            self._closing = True
+            parked, self._parked = self._parked, 0
+            connections = list(self._connections)
+            threads = list(self._threads)
+        for _ in range(parked):
+            self._handoff.put(None)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # closed by its own thread meanwhile
+                pass
+        for thread in threads:
+            thread.join()
 
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/2.1"
     protocol_version = "HTTP/1.1"
     server: TableServer
+    #: the request's header fields by lower-cased name, first one wins
+    fields: dict[str, str]
+
+    # ------------------------------------------------------------------
+    # the request head
+    # ------------------------------------------------------------------
+    def parse_request(self) -> bool:
+        """Parse the request line and head as :class:`BaseHTTPRequestHandler`
+        does, with the same error statuses, without :mod:`email.parser`.
+
+        Header lines end at the first line that is not one (the stdlib parser
+        reads the rest as a body); continuation lines extend the field above
+        them, and a repeated field keeps its first value.
+        """
+        self.command = ""
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})"
+                )
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({version[5:]})",
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})"
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad HTTP/0.9 request type ({command!r})",
+                )
+                return False
+        self.command, self.path = command, path
+        if self.path.startswith("//"):
+            self.path = "/" + self.path.lstrip("/")
+        if not self._read_fields():
+            return False
+        connection = self.fields.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        expect = self.fields.get("expect", "")
+        if (
+            expect.lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
+
+    def _read_fields(self) -> bool:
+        """Read the header lines into ``fields``; False (431 sent) past the
+        line or size bound."""
+        raw: dict[str, str] = {}
+        name: str | None = None  # the field a continuation line extends
+        in_head = True
+        for count in range(1, _MAX_HEAD_LINES + 2):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {_MAX_LINE} bytes when reading header line",
+                )
+                return False
+            if count > _MAX_HEAD_LINES:
+                break
+            if line in _HEAD_END:
+                self.fields = {
+                    key: value.rstrip("\r\n") for key, value in raw.items()
+                }
+                return True
+            if not in_head:
+                continue
+            text = line.decode("iso-8859-1")
+            if text[0] in " \t":
+                if name is not None:
+                    raw[name] += text
+            elif (match := _FIELD_NAME.match(line)) is None:
+                in_head = False
+            else:
+                key = text[: match.end() - 1].lower()
+                name = key if key and key not in raw else None
+                if name is not None:
+                    raw[name] = text[match.end() :].lstrip(" \t")
+        self.send_error(
+            HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+            "Too many headers",
+            f"got more than {_MAX_HEAD_LINES} headers",
+        )
+        return False
 
     # ------------------------------------------------------------------
     # routing
@@ -129,7 +368,7 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _read_json_body(self, required: bool = True) -> dict:
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(self.fields.get("content-length") or 0)
         except ValueError:
             raise BadRequestError("invalid Content-Length header") from None
         if length <= 0:
@@ -172,21 +411,23 @@ class _Handler(BaseHTTPRequestHandler):
             # HTTP/1.1 keep-alive the unread bytes would be parsed as the
             # next request line, so drop the connection instead
             self.close_connection = True
-        # stage the status line and headers, then send them with the body
-        # in one write: as two writes on the unbuffered socket, a keep-alive
-        # client's next request waits out its delayed ACK (~40 ms)
-        socket_writer = self.wfile
-        self.wfile = staged = io.BytesIO()
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-        finally:
-            self.wfile = socket_writer
-        socket_writer.write(staged.getvalue() + body)
+        if not self.server.quiet:
+            self.log_request(status)
+        if self.request_version != "HTTP/0.9":
+            # the head goes out with the body in one write: as two writes on
+            # the unbuffered socket, a keep-alive client's next request
+            # waits out its delayed ACK (~40 ms)
+            reason = self.responses[status][0] if status in self.responses else ""
+            close = "Connection: close\r\n" if self.close_connection else ""
+            head = (
+                f"{self.protocol_version} {status} {reason}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                "Content-Type: application/json; charset=utf-8\r\n"
+                f"Content-Length: {len(body)}\r\n{close}\r\n"
+            )
+            body = head.encode("latin-1") + body
+        self.wfile.write(body)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.server.quiet:
@@ -206,11 +447,19 @@ def create_server(
     return TableServer((host, port), dispatcher, quiet=quiet)
 
 
-def run_server(server: TableServer) -> None:
-    """Serve until interrupted; always releases the socket."""
+def run_server(server: TableServer) -> bool:
+    """Serve until shut down or interrupted, then stop in order.
+
+    The dispatcher drains first: requests in flight finish, or fail once its
+    drain timeout has passed.  ``server_close`` then returns when each of
+    their responses is written, and releases the socket.  True when the
+    dispatcher drained cleanly.
+    """
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
+    try:
+        return server.dispatcher.shutdown()
     finally:
         server.server_close()

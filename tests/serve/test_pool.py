@@ -41,6 +41,7 @@ from repro.api.types import encode_json
 from repro.cli import main
 from repro.serve import server as server_module
 from repro.serve.dispatcher import Dispatcher
+from repro.serve.pool import DEFAULT_CALL_TIMEOUT, WorkerHandle
 from repro.serve.server import create_server
 from repro.serve.state import ServeState
 
@@ -122,6 +123,23 @@ class TestDispatcher:
             if count > before.get(size, 0)
         }
         assert shipped == {"1": 2}
+
+    def test_lone_call_ships_on_the_calling_thread(
+        self, dispatcher, monkeypatch
+    ):
+        """A request that finds a worker idle makes its pipe round trip on
+        the thread that called ``Dispatcher.call``: no hand-off."""
+        shipped_on: list[int] = []
+        call = WorkerHandle.call
+
+        def recording(self, message, timeout=DEFAULT_CALL_TIMEOUT):
+            if message[0] == "requests":
+                shipped_on.append(threading.get_ident())
+            return call(self, message, timeout)
+
+        monkeypatch.setattr(WorkerHandle, "call", recording)
+        assert dispatcher.call("_sleep", {"seconds": 0.0})["pid"] > 0
+        assert shipped_on == [threading.get_ident()]
 
     def test_annotate_byte_identical_to_inline(
         self, dispatcher, serve_state, serve_corpus
