@@ -189,7 +189,6 @@ class ReproSession:
             top_k_entities=self.config.annotator.top_k_entities,
             max_type_candidates=self.config.annotator.max_type_candidates,
             lemma_index=bundle.lemma_index if bundle is not None else None,
-            lemma_tfidf=bundle.lemma_tfidf if bundle is not None else None,
             tables=(
                 InternedCandidateTables.from_state(state) if state is not None else None
             ),

@@ -101,7 +101,8 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-size",
         type=_non_negative_int,
         default=100_000,
-        help="candidate-cache entries (0 disables the cache)",
+        help="entries of the candidate cache and of the f1 block cache "
+        "(0 disables both)",
     )
     parser.add_argument(
         "--answer-cache-size",
@@ -542,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size",
         type=_non_negative_int,
         default=100_000,
-        help="candidate-cache entries (0 disables the cache)",
+        help="entries of the candidate cache and of the f1 block cache, per "
+        "worker (0 disables both)",
     )
     serve.add_argument(
         "--answer-cache-size",

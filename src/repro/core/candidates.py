@@ -14,8 +14,8 @@ time to this stage, so :class:`CandidateEngine` answers all three from
 **build-time array layouts**, built once per catalog (or loaded from an
 artifact bundle) and shared by every pipeline:
 
-* the frozen lemma index and its TF-IDF table: ``Erc`` scores all distinct
-  cell texts of a call at once through
+* the frozen lemma index, whose IDF values also weigh f1/f2: ``Erc``
+  scores all distinct cell texts of a call at once through
   :meth:`~repro.text.index.InvertedIndex.search_batch`, consulting the
   pipeline's candidate cache first when one is passed, and hands out
   interned entity ints with their scores (:class:`CellCandidates`);
@@ -55,7 +55,6 @@ from repro.core.features import type_entity_feature_grid
 from repro.tables.generator import reversed_label
 from repro.text.index import InvertedIndex
 from repro.text.normalize import is_numeric_text
-from repro.text.tfidf import TfidfWeights
 from repro.text.tokenize import tokenize
 
 if TYPE_CHECKING:  # the pipeline owns the cache; it imports this module
@@ -78,16 +77,19 @@ def normalized_cell_key(text: str) -> str:
     return " ".join(tokenize(text))
 
 
-def build_lemma_index(catalog: Catalog) -> tuple[InvertedIndex, TfidfWeights]:
-    """The frozen lemma index over every entity lemma, and its TF-IDF table."""
+def build_lemma_index(catalog: Catalog) -> InvertedIndex:
+    """The frozen lemma index over every entity lemma.
+
+    Its IDF values are the one IDF table of the annotator: retrieval scores
+    with them, and f1/f2 weigh tokens with them.  A lemma with no tokens
+    adds no document, so it counts in neither.
+    """
     index = InvertedIndex()
-    lemma_documents: list[str] = []
     for entity in catalog.entities.all_entities():
         for lemma in entity.lemmas:
             index.add(entity.entity_id, lemma)
-            lemma_documents.append(lemma)
     index.freeze()
-    return index, TfidfWeights.from_documents(lemma_documents)
+    return index
 
 
 class InternedCandidateTables:
@@ -401,8 +403,6 @@ class CandidateEngine:
             specificity), so the cap trims only rarely-supported types.
         lemma_index: A prebuilt frozen lemma index (artifact-bundle load
             path); built from the catalog's lemmas when ``None``.
-        lemma_tfidf: The prebuilt TF-IDF table matching ``lemma_index``;
-            must be given exactly when ``lemma_index`` is.
         tables: Prebuilt interned tables (bundle load path); built from the
             catalog when ``None``.
 
@@ -418,23 +418,20 @@ class CandidateEngine:
         top_k_entities: int = 8,
         max_type_candidates: int = 64,
         lemma_index: InvertedIndex | None = None,
-        lemma_tfidf: TfidfWeights | None = None,
         tables: InternedCandidateTables | None = None,
     ) -> None:
         if top_k_entities < 1:
             raise ValueError("top_k_entities must be >= 1")
         if max_type_candidates < 1:
             raise ValueError("max_type_candidates must be >= 1")
-        if (lemma_index is None) != (lemma_tfidf is None):
-            raise ValueError("lemma_index and lemma_tfidf must be given together")
         self.catalog = catalog
         self.top_k_entities = top_k_entities
         self.max_type_candidates = max_type_candidates
-        if lemma_index is None or lemma_tfidf is None:
-            lemma_index, lemma_tfidf = build_lemma_index(catalog)
-        #: the frozen lemma index and its TF-IDF table (exported into bundles)
+        if lemma_index is None:
+            lemma_index = build_lemma_index(catalog)
+        #: the frozen lemma index (exported into bundles); its IDF values
+        #: weigh f1/f2 too
         self.lemma_index = lemma_index
-        self.lemma_tfidf = lemma_tfidf
         self.tables = (
             tables
             if tables is not None

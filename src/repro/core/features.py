@@ -20,8 +20,8 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.tables.generator import base_relation
+from repro.text.index import InvertedIndex
 from repro.text.similarity import cosine_tfidf, dice, jaccard, soft_tfidf
-from repro.text.tfidf import TfidfWeights
 
 #: Feature names, index-aligned with the vectors produced below.
 F1_FEATURE_NAMES = ("cosine", "soft_tfidf", "jaccard", "dice", "exact", "bias")
@@ -45,13 +45,14 @@ class TypeEntityFeatureMode(enum.Enum):
 def text_lemma_features(
     text: str,
     lemmas: tuple[str, ...],
-    weights: TfidfWeights | None,
+    index: InvertedIndex | None,
 ) -> np.ndarray:
     """Similarity battery between a text span and a lemma set.
 
     Used both as f1 (cell text vs entity lemmas, Section 4.2.1) and f2
     (header text vs type lemmas, Section 4.2.2).  Each similarity takes the
     **max over lemmas**, the paper's ``max_{l in L(E)} sim(D_rc, l)``.
+    TF-IDF weights take their IDF from ``index``, the lemma index.
     """
     vector = np.zeros(len(F1_FEATURE_NAMES))
     vector[-1] = 1.0  # bias for a concrete (non-na) label
@@ -61,8 +62,8 @@ def text_lemma_features(
     exact = 0.0
     text_folded = text.strip().lower()
     for lemma in lemmas:
-        best_cosine = max(best_cosine, cosine_tfidf(text, lemma, weights))
-        best_soft = max(best_soft, soft_tfidf(text, lemma, weights))
+        best_cosine = max(best_cosine, cosine_tfidf(text, lemma, index))
+        best_soft = max(best_soft, soft_tfidf(text, lemma, index))
         best_jaccard = max(best_jaccard, jaccard(text, lemma))
         best_dice = max(best_dice, dice(text, lemma))
         if text_folded == lemma.strip().lower():

@@ -110,10 +110,8 @@ class FeatureComputer:
     ) -> tuple[TokenProfile, ...]:
         profiles = cache.get(key)
         if profiles is None:
-            weights = self.engine.lemma_tfidf
-            profiles = tuple(
-                TokenProfile.from_text(lemma, weights) for lemma in lemmas
-            )
+            index = self.engine.lemma_index
+            profiles = tuple(TokenProfile.from_text(lemma, index) for lemma in lemmas)
             cache[key] = profiles
         return profiles
 
@@ -127,7 +125,7 @@ class FeatureComputer:
         key = ("f1", cell_text, entity_ids)
         block = cache.get(key) if cache is not None else None
         if block is None:
-            profile = TokenProfile.from_text(cell_text, self.engine.lemma_tfidf)
+            profile = TokenProfile.from_text(cell_text, self.engine.lemma_index)
             block = np.stack(
                 [
                     text_lemma_features_profiled(
@@ -153,7 +151,7 @@ class FeatureComputer:
         """f2 rows for one column's candidate types, shape (n_types, |f2|)."""
         if header_text is None or not header_text.strip():
             return np.stack([header_absent_features() for _ in type_ids])
-        profile = TokenProfile.from_text(header_text, self.engine.lemma_tfidf)
+        profile = TokenProfile.from_text(header_text, self.engine.lemma_index)
         rows = [
             text_lemma_features_profiled(
                 profile,

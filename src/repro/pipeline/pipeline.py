@@ -110,9 +110,10 @@ class PipelineConfig:
     """Configuration of corpus-scale annotation.
 
     ``batch_size`` tables are read in one batch (and bound the tables in
-    flight), and at most that many share one fused run.  ``cache_size=0``
-    disables the shared candidate cache (every cell probes the lemma
-    index, as the seed code did).
+    flight), and at most that many share one fused run.  ``cache_size``
+    sizes both the shared candidate cache and the f1 block cache;
+    ``cache_size=0`` disables both (every cell probes the lemma index and
+    every f1 block is assembled afresh, as the seed code did).
     """
 
     batch_size: int = 16

@@ -7,8 +7,8 @@ serializes everything the query path needs —
 * the catalog and the trained :class:`~repro.core.model.AnnotationModel`,
 * the **frozen lemma index** with its precomputed IDF values, posting arrays
   and document norms (as flat ``.npy`` vectors, loaded array-backed /
-  memory-mapped instead of re-running ``freeze()``), plus the matching
-  TF-IDF table,
+  memory-mapped instead of re-running ``freeze()``); its IDF values are
+  also the ones f1/f2 weigh tokens with,
 * the corpus tables and their **pre-computed annotations** (full fidelity,
   scores included),
 * the annotated table index's frozen header/context text indexes, and
@@ -22,17 +22,19 @@ serializes everything the query path needs —
 under a ``manifest.json`` carrying the format version, per-file SHA-256
 content hashes and build statistics.  ``load_bundle`` verifies and restores
 all of it; startup cost drops from "re-annotate the corpus" to "read
-arrays" (the Figure-7 bench measures the ratio).
+arrays" (the Figure-7 bench measures the ratio).  Verification requires a
+hash for every file of :data:`BUNDLE_FILES`, the list the build writes, so
+nothing is read that no hash covers.
 
-Bundle layout (format version 3 — version-1 bundles predate the candidate
-tables and version-2 bundles the f3 grid; both are rejected with a rebuild
-hint)::
+Bundle layout (format version 4 — version-1 bundles predate the candidate
+tables, version-2 bundles the f3 grid, and version-3 bundles carried a
+second copy of the lemma IDF as a JSON document-frequency table; all are
+rejected with a rebuild hint)::
 
     bundle/
       manifest.json          version, hashes, identity, build stats
       catalog.json           repro.catalog.io format
       model.json             AnnotationModel.to_dict
-      tfidf.json             lemma TF-IDF document frequencies
       tables.jsonl           one Table per line, corpus order
       annotations.jsonl      one full-fidelity annotation per line
       indexes/<name>.meta.json     tokens + document keys
@@ -63,9 +65,8 @@ from repro.search.table_index import AnnotatedTableIndex
 from repro.serve.errors import BundleError, BundleIntegrityError, BundleVersionError
 from repro.tables.model import LabeledTable, Table
 from repro.text.index import InvertedIndex
-from repro.text.tfidf import TfidfWeights
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 TEXT_INDEX_NAMES = ("lemma", "header", "context")
 _INDEX_FIELDS = ("offsets", "doc_ids", "weights", "idf", "doc_norm")
@@ -81,6 +82,31 @@ _CANDIDATE_ARRAY_FIELDS = (
     "tuple_keys_by_relation",
     "f3_grid",
 )
+#: every file of a bundle besides its manifest, as manifest keys: what
+#: :func:`build_bundle` writes and hashes, and what :func:`verify_bundle`
+#: requires a hash for before :func:`load_bundle` reads any of it
+BUNDLE_FILES = (
+    "catalog.json",
+    "model.json",
+    "tables.jsonl",
+    "annotations.jsonl",
+    *(
+        f"indexes/{name}.{suffix}"
+        for name in TEXT_INDEX_NAMES
+        for suffix in ("meta.json", *(f"{f}.npy" for f in _INDEX_FIELDS))
+    ),
+    "candidates/interned.meta.json",
+    *(f"candidates/interned.{f}.npy" for f in _CANDIDATE_ARRAY_FIELDS),
+)
+
+#: each manifest field's JSON kinds, as Python types (a bool is no int)
+_MANIFEST_FIELD_TYPES = {
+    "format_version": (int,),
+    "created_unix": (int, float),
+    "files": (dict,),
+    "identity": (dict,),
+    "stats": (dict,),
+}
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +135,29 @@ class BundleManifest:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "BundleManifest":
-        return cls(
-            format_version=payload.get("format_version", -1),
+    def from_dict(cls, payload: object) -> "BundleManifest":
+        """Decode a manifest; :class:`BundleError` when it, or one of its
+        fields, is of the wrong JSON kind."""
+        if not isinstance(payload, dict):
+            raise BundleError(
+                f"bundle manifest is a JSON {type(payload).__name__}, not an object"
+            )
+        manifest = cls(
+            format_version=payload.get("format_version"),
             created_unix=payload.get("created_unix", 0.0),
-            files=dict(payload.get("files", {})),
-            identity=dict(payload.get("identity", {})),
-            stats=dict(payload.get("stats", {})),
+            files=payload.get("files", {}),
+            identity=payload.get("identity", {}),
+            stats=payload.get("stats", {}),
         )
+        for name, kinds in _MANIFEST_FIELD_TYPES.items():
+            value = getattr(manifest, name)
+            if type(value) not in kinds:
+                raise BundleError(
+                    f"bundle manifest field {name} is a {type(value).__name__}"
+                )
+        if not all(isinstance(digest, str) for digest in manifest.files.values()):
+            raise BundleError("bundle manifest files must map names to sha256 strings")
+        return manifest
 
 
 def _sha256_file(path: Path) -> str:
@@ -139,11 +180,9 @@ def _decode_key(key):
     return tuple(key) if isinstance(key, list) else key
 
 
-def _write_index_state(directory: Path, name: str, state: dict) -> list[Path]:
-    """Persist one frozen-index state; returns the files written."""
-    written = []
-    meta_path = directory / f"{name}.meta.json"
-    meta_path.write_text(
+def _write_index_state(directory: Path, name: str, state: dict) -> None:
+    """Persist one frozen-index state."""
+    (directory / f"{name}.meta.json").write_text(
         json.dumps(
             {
                 "tokens": state["tokens"],
@@ -153,12 +192,8 @@ def _write_index_state(directory: Path, name: str, state: dict) -> list[Path]:
         ),
         encoding="utf-8",
     )
-    written.append(meta_path)
     for field_name in _INDEX_FIELDS:
-        array_path = directory / f"{name}.{field_name}.npy"
-        np.save(array_path, np.asarray(state[field_name]))
-        written.append(array_path)
-    return written
+        np.save(directory / f"{name}.{field_name}.npy", np.asarray(state[field_name]))
 
 
 def _read_index_state(directory: Path, name: str, mmap: bool) -> dict:
@@ -178,23 +213,17 @@ def _read_index_state(directory: Path, name: str, mmap: bool) -> dict:
 # ----------------------------------------------------------------------
 # interned candidate tables <-> files
 # ----------------------------------------------------------------------
-def _write_candidate_state(directory: Path, state: dict) -> list[Path]:
-    """Persist the interned candidate tables; returns the files written."""
-    written = []
-    meta_path = directory / "interned.meta.json"
-    meta_path.write_text(
+def _write_candidate_state(directory: Path, state: dict) -> None:
+    """Persist the interned candidate tables."""
+    (directory / "interned.meta.json").write_text(
         json.dumps(
             {name: list(state[name]) for name in _CANDIDATE_META_FIELDS},
             ensure_ascii=False,
         ),
         encoding="utf-8",
     )
-    written.append(meta_path)
     for field_name in _CANDIDATE_ARRAY_FIELDS:
-        array_path = directory / f"interned.{field_name}.npy"
-        np.save(array_path, np.asarray(state[field_name]))
-        written.append(array_path)
-    return written
+        np.save(directory / f"interned.{field_name}.npy", np.asarray(state[field_name]))
 
 
 def _read_candidate_state(directory: Path, mmap: bool) -> dict:
@@ -266,22 +295,13 @@ def build_bundle(
     (output / "model.json").write_text(model_payload, encoding="utf-8")
 
     engine = pipeline.annotator.candidate_engine
-    (output / "tfidf.json").write_text(
-        json.dumps(engine.lemma_tfidf.to_state(), ensure_ascii=False),
-        encoding="utf-8",
-    )
     header_state, context_state = index.text_index_states()
-    index_files: list[Path] = []
-    index_files += _write_index_state(
-        output / "indexes", "lemma", engine.lemma_index.to_state()
-    )
-    index_files += _write_index_state(output / "indexes", "header", header_state)
-    index_files += _write_index_state(output / "indexes", "context", context_state)
+    _write_index_state(output / "indexes", "lemma", engine.lemma_index.to_state())
+    _write_index_state(output / "indexes", "header", header_state)
+    _write_index_state(output / "indexes", "context", context_state)
     # the candidate engine's interned tables: reuse the pipeline's (it
     # annotated the whole corpus with them)
-    index_files += _write_candidate_state(
-        output / "candidates", engine.tables.to_state()
-    )
+    _write_candidate_state(output / "candidates", engine.tables.to_state())
 
     report = pipeline.last_report
     manifest = BundleManifest(
@@ -299,16 +319,8 @@ def build_bundle(
             ),
         },
     )
-    tracked = [
-        output / "catalog.json",
-        output / "model.json",
-        output / "tfidf.json",
-        tables_path,
-        annotations_path,
-        *index_files,
-    ]
-    for path in tracked:
-        manifest.files[path.relative_to(output).as_posix()] = _sha256_file(path)
+    for relative in BUNDLE_FILES:
+        manifest.files[relative] = _sha256_file(output / relative)
     manifest.identity = {
         # catalog.json's content hash doubles as the catalog fingerprint
         "catalog_sha256": manifest.files["catalog.json"],
@@ -334,7 +346,6 @@ class LoadedBundle:
     model: AnnotationModel
     table_index: AnnotatedTableIndex
     lemma_index: InvertedIndex
-    lemma_tfidf: TfidfWeights
     #: interned candidate tables (candidates/ arrays) for the candidate
     #: engine; restored via InternedCandidateTables.from_state
     candidate_state: dict | None = None
@@ -348,23 +359,29 @@ def read_manifest(path: str | Path) -> BundleManifest:
         raise BundleError(f"not a bundle: {path} has no {MANIFEST_NAME}")
     try:
         payload = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise BundleError(
             f"unreadable bundle manifest {manifest_path}: {error}"
         ) from error
-    manifest = BundleManifest.from_dict(payload)
-    if manifest.format_version != FORMAT_VERSION:
+    # an integer version is read before the rest of the shape: another
+    # version's manifest may be shaped differently
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if type(version) is int and version != FORMAT_VERSION:
         raise BundleVersionError(
-            f"bundle {path} has format version {manifest.format_version}; "
+            f"bundle {path} has format version {version}; "
             f"this build supports version {FORMAT_VERSION} — rebuild the "
             f"bundle with `repro bundle build`"
         )
-    return manifest
+    return BundleManifest.from_dict(payload)
 
 
 def verify_bundle(path: str | Path, manifest: BundleManifest) -> None:
-    """Check every manifest-listed file exists with the recorded hash."""
+    """Check the manifest hashes every file of :data:`BUNDLE_FILES`, and
+    every file it lists exists with the recorded hash."""
     path = Path(path)
+    for relative in BUNDLE_FILES:
+        if relative not in manifest.files:
+            raise BundleIntegrityError(f"bundle manifest lists no hash for {relative}")
     for relative, expected in manifest.files.items():
         file_path = path / relative
         if not file_path.is_file():
@@ -396,9 +413,6 @@ def load_bundle(
     )
     model = AnnotationModel.from_dict(
         json.loads((path / "model.json").read_text(encoding="utf-8"))
-    )
-    lemma_tfidf = TfidfWeights.from_state(
-        json.loads((path / "tfidf.json").read_text(encoding="utf-8"))
     )
     lemma_index = InvertedIndex.from_state(
         _read_index_state(path / "indexes", "lemma", mmap)
@@ -433,6 +447,5 @@ def load_bundle(
         model=model,
         table_index=table_index,
         lemma_index=lemma_index,
-        lemma_tfidf=lemma_tfidf,
         candidate_state=candidate_state,
     )

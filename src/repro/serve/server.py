@@ -99,6 +99,11 @@ class TableServer(HTTPServer):
     the next connection; one that finds no parked thread starts a new one.
     """
 
+    #: the listen backlog (the kernel caps it at its own limit).
+    #: ``socketserver``'s 5 drops the SYNs of a burst of clients, and each
+    #: dropped one waits out a retransmit, about a second on Linux
+    request_queue_size = socket.SOMAXCONN
+
     def __init__(
         self,
         address: tuple[str, int],

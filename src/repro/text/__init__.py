@@ -6,11 +6,11 @@ package provides pure-Python equivalents:
 
 * :mod:`repro.text.tokenize` — lower-cased alphanumeric tokenisation,
 * :mod:`repro.text.normalize` — cell/header normalisation helpers,
-* :mod:`repro.text.tfidf` — corpus document-frequency statistics,
 * :mod:`repro.text.similarity` — cosine/Jaccard/Dice/soft-TFIDF/Jaro-Winkler
   similarities, all in ``[0, 1]``,
 * :mod:`repro.text.index` — an inverted index with TF-IDF scoring used for
-  candidate entity retrieval and table search.
+  candidate entity retrieval and table search; the lemma index's IDF
+  values also weigh the f1/f2 similarities.
 """
 
 from repro.text.index import IndexHit, InvertedIndex
@@ -22,13 +22,11 @@ from repro.text.similarity import (
     jaro_winkler,
     soft_tfidf,
 )
-from repro.text.tfidf import TfidfWeights
 from repro.text.tokenize import tokenize
 
 __all__ = [
     "IndexHit",
     "InvertedIndex",
-    "TfidfWeights",
     "cosine_tfidf",
     "dice",
     "jaccard",

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.text.index import InvertedIndex
 from repro.text.similarity import jaro_winkler
-from repro.text.tfidf import TfidfWeights
 from repro.text.tokenize import tokenize
 
 #: |f1| == |f2| — keep in sync with repro.core.features.F1_FEATURE_NAMES
@@ -48,19 +48,17 @@ class TokenProfile:
     weights: dict[str, float]
     #: raw token counts, same order as ``weights``
     counts: dict[str, int]
-    #: per-token IDF under the profile's corpus statistics
+    #: per-token IDF under the profile's index
     idf: dict[str, float]
     token_set: frozenset[str]
     #: ``sqrt(Σ (count · idf)²)`` accumulated in token order
     norm: float
 
     @classmethod
-    def from_text(
-        cls, text: str, weights: TfidfWeights | None = None
-    ) -> "TokenProfile":
+    def from_text(cls, text: str, index: InvertedIndex | None = None) -> "TokenProfile":
         counts = Counter(tokenize(text))
         idf = {
-            token: (weights.idf(token) if weights is not None else 1.0)
+            token: (index.idf(token) if index is not None else 1.0)
             for token in counts
         }
         token_weights = {

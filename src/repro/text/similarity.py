@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from repro.text.tfidf import TfidfWeights
+from repro.text.index import InvertedIndex
 from repro.text.tokenize import token_set, tokenize
 
 
@@ -35,11 +35,12 @@ def dice(a: str, b: str) -> float:
     return 2.0 * len(set_a & set_b) / (len(set_a) + len(set_b))
 
 
-def cosine_tfidf(a: str, b: str, weights: TfidfWeights | None = None) -> float:
+def cosine_tfidf(a: str, b: str, index: InvertedIndex | None = None) -> float:
     """TF-IDF weighted cosine between the token bags of ``a`` and ``b``.
 
-    Without ``weights`` every token has IDF 1 (plain cosine) — convenient in
-    tests; the annotator always passes lemma-corpus statistics.
+    Token weights take their IDF from ``index``; without one every token has
+    IDF 1 (plain cosine) — convenient in tests.  The annotator passes its
+    lemma index, whose IDF is taken over the catalog's lemmas.
     """
     counts_a, counts_b = Counter(tokenize(a)), Counter(tokenize(b))
     if not counts_a and not counts_b:
@@ -48,7 +49,7 @@ def cosine_tfidf(a: str, b: str, weights: TfidfWeights | None = None) -> float:
         return 0.0
 
     def idf(token: str) -> float:
-        return weights.idf(token) if weights is not None else 1.0
+        return index.idf(token) if index is not None else 1.0
 
     dot = 0.0
     for token, count in counts_a.items():
@@ -116,7 +117,7 @@ def jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
 def soft_tfidf(
     a: str,
     b: str,
-    weights: TfidfWeights | None = None,
+    index: InvertedIndex | None = None,
     threshold: float = 0.9,
 ) -> float:
     """SoftTFIDF of Bilenko et al. [2]: TF-IDF cosine with fuzzy token matches.
@@ -134,7 +135,7 @@ def soft_tfidf(
         return 0.0
 
     def idf(token: str) -> float:
-        return weights.idf(token) if weights is not None else 1.0
+        return index.idf(token) if index is not None else 1.0
 
     counts_a, counts_b = Counter(tokens_a), Counter(tokens_b)
     dot = 0.0

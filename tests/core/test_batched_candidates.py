@@ -23,13 +23,10 @@ from repro.catalog.builder import CatalogBuilder
 from repro.catalog.errors import UnknownIdError
 from repro.catalog.relations import Cardinality
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
-from repro.core.candidates import (
-    CandidateEngine,
-    InternedCandidateTables,
-    build_lemma_index,
-)
+from repro.core.candidates import CandidateEngine, InternedCandidateTables
 from repro.core.features import TypeEntityFeatureMode, type_entity_features
 from repro.core.model import default_model
+from repro.core.problem import FeatureComputer
 from repro.pipeline.io import annotation_to_dict
 from repro.tables.model import Table
 from repro.text.index import InvertedIndex
@@ -155,8 +152,7 @@ def ghost_lemma_index(catalog):
             index.add(entity.entity_id, lemma)
     index.add("ent:ghost", "Ghost Lemma")
     index.freeze()
-    _index, tfidf = build_lemma_index(catalog)
-    return index, tfidf
+    return index
 
 
 class TestLemmaIndexCheck:
@@ -165,20 +161,47 @@ class TestLemmaIndexCheck:
     first request that retrieves the key."""
 
     def test_ghost_lemma_key_raises_at_engine_build(self, book_catalog):
-        index, tfidf = ghost_lemma_index(book_catalog)
+        index = ghost_lemma_index(book_catalog)
         with pytest.raises(UnknownIdError, match="ent:ghost"):
-            CandidateEngine(book_catalog, lemma_index=index, lemma_tfidf=tfidf)
+            CandidateEngine(book_catalog, lemma_index=index)
 
     def test_ghost_lemma_key_raises_at_session_open(self, tmp_path, tiny_world):
         from repro.serve.bundle import build_bundle, load_bundle
 
         build_bundle(tmp_path / "bundle", tiny_world.annotator_view, [])
         bundle = load_bundle(tmp_path / "bundle")
-        index, tfidf = ghost_lemma_index(bundle.catalog)
+        index = ghost_lemma_index(bundle.catalog)
         with pytest.raises(UnknownIdError, match="ent:ghost"):
-            ReproSession.from_bundle(
-                dataclasses.replace(bundle, lemma_index=index, lemma_tfidf=tfidf)
+            ReproSession.from_bundle(dataclasses.replace(bundle, lemma_index=index))
+
+
+class TestTokenlessLemma:
+    """f1/f2 weigh tokens with the lemma index's IDF, so a lemma with no
+    tokens, which the index never holds as a document, counts in no IDF."""
+
+    def test_tokenless_lemma_moves_no_index_document_and_no_block(self, book_catalog):
+        cells = ("Albert Einstein", "A. Einstein", "Uncle Albert", "Relativity")
+        headers = ("Author", "science book title", "writer of the book")
+        entity_ids = tuple(book_catalog.entities)
+        type_ids = tuple(book_catalog.types)
+
+        def blocks():
+            engine = CandidateEngine(book_catalog)
+            features = FeatureComputer(
+                book_catalog, TypeEntityFeatureMode.INV_SQRT_DIST, engine
             )
+            return engine.lemma_index.document_count, [
+                *(features.f1_block(cell, entity_ids) for cell in cells),
+                *(features.f2_block(header, type_ids) for header in headers),
+            ]
+
+        documents, before = blocks()
+        book_catalog.entities.add_lemmas("ent:stannard", ["—"])
+        assert "—" in book_catalog.entities.lemmas("ent:stannard")
+        documents_after, after = blocks()
+        assert documents_after == documents
+        for block_before, block_after in zip(before, after, strict=True):
+            assert block_after.tobytes() == block_before.tobytes()
 
 
 class TestHypothesisTables:
@@ -454,7 +477,6 @@ class TestInternedTables:
             world.annotator_view,
             top_k_entities=TOP_K,
             lemma_index=built.lemma_index,
-            lemma_tfidf=built.lemma_tfidf,
             tables=InternedCandidateTables.from_state(built.tables.to_state()),
         )
         table = wiki_tables[0].table

@@ -59,7 +59,6 @@ from repro.tables.generator import reversed_label
 from repro.tables.model import Table
 from repro.text.index import InvertedIndex
 from repro.text.normalize import is_numeric_text
-from repro.text.tfidf import TfidfWeights
 from tests.oracles.bp import FactorGraph, MaxProductBP
 from tests.oracles.retrieval import dense_search
 
@@ -84,9 +83,8 @@ class CandidateGenerator:
     """Per-cell ``Erc`` / ``Tc`` / ``Bcc'`` straight from the catalog.
 
     Takes the arguments of :class:`~repro.core.candidates.CandidateEngine`
-    except ``tables``; a ``lemma_index`` / ``lemma_tfidf`` pair shares a
-    production engine's frozen index (probed per cell here, never through
-    ``search_batch``).
+    except ``tables``; a ``lemma_index`` shares a production engine's frozen
+    index (probed per cell here, never through ``search_batch``).
     """
 
     def __init__(
@@ -95,7 +93,6 @@ class CandidateGenerator:
         top_k_entities: int = 8,
         max_type_candidates: int = 64,
         lemma_index: InvertedIndex | None = None,
-        lemma_tfidf: TfidfWeights | None = None,
     ) -> None:
         if top_k_entities < 1:
             raise ValueError("top_k_entities must be >= 1")
@@ -104,10 +101,9 @@ class CandidateGenerator:
         self.catalog = catalog
         self.top_k_entities = top_k_entities
         self.max_type_candidates = max_type_candidates
-        if lemma_index is None or lemma_tfidf is None:
-            lemma_index, lemma_tfidf = build_lemma_index(catalog)
-        self.lemma_index = lemma_index
-        self.lemma_tfidf = lemma_tfidf
+        self.lemma_index = (
+            lemma_index if lemma_index is not None else build_lemma_index(catalog)
+        )
 
     @classmethod
     def sharing(cls, engine: CandidateEngine) -> "CandidateGenerator":
@@ -117,7 +113,6 @@ class CandidateGenerator:
             top_k_entities=engine.top_k_entities,
             max_type_candidates=engine.max_type_candidates,
             lemma_index=engine.lemma_index,
-            lemma_tfidf=engine.lemma_tfidf,
         )
 
     def cell_candidates(self, cell_text: str) -> list[CandidateEntity]:
@@ -248,7 +243,7 @@ class ScalarFeatureComputer(FeatureComputer):
 
     f1 to f5 come from the :mod:`repro.core.features` functions one label
     at a time (f3, f4 and f5 memoised per element).  ``generator`` stands
-    in for the engine: only its ``lemma_tfidf`` is read.  No block reads
+    in for the engine: only its ``lemma_index`` is read, for IDF.  No block reads
     production's grid or memos, so every equivalence check compares two
     computations.
     """
@@ -270,13 +265,13 @@ class ScalarFeatureComputer(FeatureComputer):
 
     def f1(self, cell_text: str, entity_id: str) -> np.ndarray:
         lemmas = self.catalog.entities.lemmas(entity_id)
-        return text_lemma_features(cell_text, lemmas, self.engine.lemma_tfidf)
+        return text_lemma_features(cell_text, lemmas, self.engine.lemma_index)
 
     def f2(self, header_text: str | None, type_id: str) -> np.ndarray:
         if header_text is None or not header_text.strip():
             return header_absent_features()
         lemmas = self.catalog.types.lemmas(type_id)
-        return text_lemma_features(header_text, lemmas, self.engine.lemma_tfidf)
+        return text_lemma_features(header_text, lemmas, self.engine.lemma_index)
 
     def f3(self, type_id: str, entity_id: str) -> np.ndarray:
         key = (type_id, entity_id)

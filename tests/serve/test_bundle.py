@@ -8,13 +8,17 @@ error before the bundle is used.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.types import SearchResponse
+from repro.catalog.io import catalog_to_dict
 from repro.pipeline.io import (
     annotation_from_payload,
     annotation_to_dict,
@@ -25,7 +29,9 @@ from repro.search.annotated_search import AnnotatedSearcher
 from repro.search.query import RelationQuery
 from repro.search.table_index import AnnotatedTableIndex
 from repro.serve.bundle import (
+    BUNDLE_FILES,
     FORMAT_VERSION,
+    MANIFEST_NAME,
     load_bundle,
     read_manifest,
 )
@@ -62,7 +68,7 @@ class TestManifest:
             for path in bundle_dir.rglob("*")
             if path.is_file() and path.name != "manifest.json"
         }
-        assert tracked == on_disk
+        assert tracked == on_disk == set(BUNDLE_FILES)
 
     def test_model_fingerprint_matches(self, bundle_dir, loaded_bundle):
         manifest = read_manifest(bundle_dir)
@@ -169,8 +175,6 @@ class TestRejection:
 
     @pytest.fixture()
     def copied_bundle(self, bundle_dir, tmp_path):
-        import shutil
-
         target = tmp_path / "bundle"
         shutil.copytree(bundle_dir, target)
         return target
@@ -206,9 +210,50 @@ class TestRejection:
             path.write_bytes(original)
 
     def test_missing_file_rejected(self, copied_bundle):
-        (copied_bundle / "tfidf.json").unlink()
+        (copied_bundle / "model.json").unlink()
         with pytest.raises(BundleIntegrityError, match="missing"):
             load_bundle(copied_bundle)
+
+    @pytest.mark.parametrize(
+        ("manifest", "error", "message"),
+        [
+            ([], BundleError, "JSON list, not an object"),
+            ("x", BundleError, "JSON str, not an object"),
+            ({"format_version": FORMAT_VERSION, "files": [1]}, BundleError, "files"),
+            ({"format_version": str(FORMAT_VERSION)}, BundleError, "is a str"),
+            ({"format_version": True}, BundleError, "is a bool"),
+            (
+                {"format_version": FORMAT_VERSION, "created_unix": "now"},
+                BundleError,
+                "created_unix",
+            ),
+            ({"format_version": FORMAT_VERSION, "stats": []}, BundleError, "stats"),
+            (
+                {"format_version": FORMAT_VERSION, "files": {}},
+                BundleIntegrityError,
+                "lists no hash for catalog.json",
+            ),
+        ],
+        ids=[
+            "list",
+            "string",
+            "files-list",
+            "version-string",
+            "version-bool",
+            "created-string",
+            "stats-list",
+            "no-files",
+        ],
+    )
+    def test_mistyped_manifest_is_a_bundle_error(
+        self, copied_bundle, manifest, error, message
+    ):
+        """A manifest of the wrong shape fails as a bundle error, and one
+        that lists no file cannot vouch for the files a load reads."""
+        (copied_bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(error, match=message) as raised:
+            load_bundle(copied_bundle)
+        assert not isinstance(raised.value, BundleVersionError)
 
     def test_not_a_bundle_rejected(self, tmp_path):
         with pytest.raises(BundleError, match="manifest"):
@@ -257,3 +302,113 @@ def test_index_state_round_trip_property(documents, query):
     assert restored.document_count == index.document_count
     for token in ("abc", "xyz", "a"):
         assert restored.keys_with_token(token) == index.keys_with_token(token)
+
+
+# ----------------------------------------------------------------------
+# fuzz: a damaged bundle loads the same, or fails as a bundle error
+# ----------------------------------------------------------------------
+def restored_content(bundle) -> str:
+    """A digest of everything a load restores."""
+
+    def plain(state: dict) -> dict:
+        return {
+            name: (
+                [str(value.dtype), value.shape, hashlib.sha256(value).hexdigest()]
+                if isinstance(value, np.ndarray)
+                else value
+            )
+            for name, value in state.items()
+        }
+
+    index = bundle.table_index
+    header_state, context_state = index.text_index_states()
+    content = json.dumps(
+        {
+            "catalog": catalog_to_dict(bundle.catalog),
+            "model": bundle.model.to_dict(),
+            "tables": {key: table.to_dict() for key, table in index.tables.items()},
+            "annotations": {
+                key: annotation_to_payload(annotation)
+                for key, annotation in index.annotations.items()
+            },
+            "lemma": plain(bundle.lemma_index.to_state()),
+            "header": plain(header_state),
+            "context": plain(context_state),
+            "candidates": plain(bundle.candidate_state),
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(content.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle(bundle_dir, tmp_path_factory):
+    """A private copy of the session bundle, and what loading it restores."""
+    target = tmp_path_factory.mktemp("fuzz") / "bundle"
+    shutil.copytree(bundle_dir, target)
+    return target, restored_content(load_bundle(target))
+
+
+NPY_FILES = tuple(name for name in BUNDLE_FILES if name.endswith(".npy"))
+MANIFEST_FIELDS = ("format_version", "created_unix", "files", "identity", "stats")
+#: one value of each JSON kind, to put in place of a manifest field
+json_values = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.lists(st.integers(), max_size=2)
+    | st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2)
+)
+
+
+def flip_one_byte(data, original: bytes) -> bytes:
+    position = data.draw(st.integers(0, len(original) - 1))
+    mask = data.draw(st.integers(1, 255))
+    return (
+        original[:position]
+        + bytes([original[position] ^ mask])
+        + original[position + 1 :]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_damaged_bundle_loads_the_same_or_raises_a_bundle_error(fuzz_bundle, data):
+    """Truncated, byte-flipped and retyped manifests, and byte-flipped
+    arrays: every load restores the original bundle or raises a
+    :class:`BundleError` subclass, never another exception."""
+    path, expected = fuzz_bundle
+    damage = data.draw(st.sampled_from(("truncate", "flip", "retype", "flip array")))
+    relative = (
+        data.draw(st.sampled_from(NPY_FILES))
+        if damage == "flip array"
+        else MANIFEST_NAME
+    )
+    original = (path / relative).read_bytes()
+    if damage == "truncate":
+        damaged = original[: data.draw(st.integers(0, len(original) - 1))]
+    elif damage == "retype":
+        payload = json.loads(original)
+        value = data.draw(json_values)
+        target = data.draw(st.sampled_from((None, "a file's hash", *MANIFEST_FIELDS)))
+        if target is None:
+            payload = value
+        elif target == "a file's hash":
+            name = data.draw(st.sampled_from(sorted(payload["files"])))
+            payload["files"][name] = value
+        else:
+            payload[target] = value
+        damaged = json.dumps(payload).encode("utf-8")
+    else:
+        damaged = flip_one_byte(data, original)
+    (path / relative).write_bytes(damaged)
+    try:
+        try:
+            loaded = load_bundle(path)
+        except BundleError:
+            return
+        assert restored_content(loaded) == expected
+    finally:
+        (path / relative).write_bytes(original)

@@ -782,6 +782,36 @@ class TestHandlerThreads:
         assert live <= MAX_PARKED_THREADS
         assert parked <= MAX_PARKED_THREADS
 
+    def test_a_burst_of_connections_waits_out_no_syn_retransmit(self, own_server):
+        """64 clients connecting at once are all taken into the listen
+        backlog: none waits out a dropped SYN's retransmit (about a second
+        on Linux), and each gets its /healthz answer."""
+        host, port = own_server.server_address[:2]
+        clients = 64
+        start = threading.Barrier(clients, timeout=30)
+        connect_seconds: list[float] = []
+        statuses: list[bytes] = []
+
+        def client() -> None:
+            start.wait()
+            began = time.perf_counter()
+            with socket.create_connection((host, port), timeout=30) as sock:
+                connect_seconds.append(time.perf_counter() - began)
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                response = b""
+                while chunk := sock.recv(65536):
+                    response += chunk
+            statuses.append(response.split(b"\r\n", 1)[0])
+
+        threads = [threading.Thread(target=client) for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert len(connect_seconds) == clients
+        assert max(connect_seconds) < 0.9, sorted(connect_seconds)[-5:]
+        assert statuses == [b"HTTP/1.1 200 OK"] * clients
+
     def test_server_close_waits_for_the_response_in_flight(self):
         """``server_close`` returns only after a handler mid-request has
         written its response, which is what ``repro serve``'s SIGTERM drain

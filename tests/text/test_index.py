@@ -188,6 +188,34 @@ class TestStatistics:
         assert index.idf("zzz") == pytest.approx(1.0 + math.log(n_docs + 1))
 
 
+def index_of(*documents: str) -> InvertedIndex:
+    """A frozen index holding each document under its own key."""
+    idx = InvertedIndex()
+    for key, document in enumerate(documents):
+        idx.add(key, document)
+    idx.freeze()
+    return idx
+
+
+class TestIdf:
+    """The lemma index's IDF is the one IDF table: retrieval scores with it
+    and f1/f2 weigh tokens with it."""
+
+    def test_idf_decreases_with_frequency(self):
+        idx = index_of("a b", "a c", "a d")
+        assert idx.idf("a") < idx.idf("b")
+        assert idx.document_frequency("a") == 3
+        assert idx.document_count == 3
+
+    def test_unseen_token_gets_max_idf(self):
+        idx = index_of("a b", "a c")
+        assert idx.idf("zzz") >= idx.idf("b")
+
+    def test_duplicate_tokens_counted_once_per_doc(self):
+        idx = index_of("a a a")
+        assert idx.document_frequency("a") == 1
+
+
 class TestLifecycle:
     def test_add_after_freeze_rejected(self, index):
         with pytest.raises(RuntimeError):

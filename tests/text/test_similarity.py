@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.text.index import InvertedIndex
 from repro.text.similarity import (
     cosine_tfidf,
     dice,
@@ -12,7 +13,6 @@ from repro.text.similarity import (
     jaro_winkler,
     soft_tfidf,
 )
-from repro.text.tfidf import TfidfWeights
 
 texts = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd", "Zs")),
@@ -35,12 +35,15 @@ class TestExamples:
         assert cosine_tfidf("albert", "einstein") == 0.0
 
     def test_cosine_idf_downweights_common_tokens(self):
-        weights = TfidfWeights.from_documents(
+        index = InvertedIndex()
+        for key, lemma in enumerate(
             ["the clock", "the staircase", "the keys", "rare gem"]
-        )
+        ):
+            index.add(key, lemma)
+        index.freeze()
         # 'the' is common -> matching only on 'the' scores low
-        common_only = cosine_tfidf("the thing", "the other", weights)
-        rare_match = cosine_tfidf("rare gem", "rare gem", weights)
+        common_only = cosine_tfidf("the thing", "the other", index)
+        rare_match = cosine_tfidf("rare gem", "rare gem", index)
         assert rare_match == pytest.approx(1.0)
         assert common_only < 0.5
 
@@ -89,19 +92,3 @@ class TestProperties:
     @settings(max_examples=60)
     def test_jaro_winkler_range(self, a, b):
         assert 0.0 <= jaro_winkler(a, b) <= 1.0 + 1e-9
-
-
-class TestTfidfWeights:
-    def test_idf_decreases_with_frequency(self):
-        weights = TfidfWeights.from_documents(["a b", "a c", "a d"])
-        assert weights.idf("a") < weights.idf("b")
-        assert weights.document_frequency("a") == 3
-        assert weights.document_count == 3
-
-    def test_unseen_token_gets_max_idf(self):
-        weights = TfidfWeights.from_documents(["a b", "a c"])
-        assert weights.idf("zzz") >= weights.idf("b")
-
-    def test_duplicate_tokens_counted_once_per_doc(self):
-        weights = TfidfWeights.from_documents(["a a a"])
-        assert weights.document_frequency("a") == 1
