@@ -229,7 +229,7 @@ def test_fig7_candidate_engine_speedup(
     With inference batched (PR 2), candidate generation is ~90% of per-table
     time.  The production candidate engine moves that stage onto build-time
     array layouts — batch retrieval in compact id space, interned ancestor /
-    pair tables, profiled similarity batteries, dense f3 gathers — and must
+    pair tables, the array similarity battery, dense f3 gathers — and must
     run the *candidate stage* (``build_problem``: retrieval + candidate
     spaces + feature assembly) at least 2x faster than the scalar per-cell
     oracle while producing byte-identical annotations.

@@ -66,9 +66,10 @@ _NP_RANDOM_FNS = frozenset(
     }
 )
 
-#: the hot fused-execution modules (run planning included) held to
-#: content-ordering
+#: the hot fused-execution modules (run planning included) and the f1/f2
+#: battery, whose float sums follow token order, held to content-ordering
 _ORDER_SENSITIVE_MODULES = (
+    "src/repro/core/battery.py",
     "src/repro/core/fused.py",
     "src/repro/graph/fused.py",
 )

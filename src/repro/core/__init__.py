@@ -4,6 +4,8 @@ Implements the joint cell-entity / column-type / column-pair-relation
 annotation model of Section 4:
 
 * :mod:`repro.core.features` — the five feature families f1..f5,
+* :mod:`repro.core.battery` — f1/f2 as array passes over many (text,
+  lemma) pairs at once,
 * :mod:`repro.core.candidates` — candidate label spaces (``Erc``, ``Tc``,
   ``Bcc'``) built from the lemma index,
 * :mod:`repro.core.model` — the trainable weight container

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.errors import UnknownIdError
+from repro.core.battery import TokenVocabulary
 from repro.core.features import type_entity_feature_grid
 from repro.tables.generator import reversed_label
 from repro.text.index import InvertedIndex
@@ -439,6 +440,16 @@ class CandidateEngine:
         )
         # run for its UnknownIdError: every hit key must intern later
         self.tables.intern("entity", lemma_index.keys())
+        #: the token ids of f1/f2: the lemma index's tokens plus the
+        #: type-lemma tokens
+        self.vocabulary = TokenVocabulary.of(
+            lemma_index,
+            (
+                lemma
+                for type_id in self.tables.type_ids
+                for lemma in catalog.types.lemmas(type_id)
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Erc

@@ -20,8 +20,6 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.tables.generator import base_relation
-from repro.text.index import InvertedIndex
-from repro.text.similarity import cosine_tfidf, dice, jaccard, soft_tfidf
 
 #: Feature names, index-aligned with the vectors produced below.
 F1_FEATURE_NAMES = ("cosine", "soft_tfidf", "jaccard", "dice", "exact", "bias")
@@ -40,42 +38,8 @@ class TypeEntityFeatureMode(enum.Enum):
 
 
 # ----------------------------------------------------------------------
-# f1 / f2: text-vs-lemma similarity batteries
+# f1 / f2: text-vs-lemma similarity batteries (see repro.core.battery)
 # ----------------------------------------------------------------------
-def text_lemma_features(
-    text: str,
-    lemmas: tuple[str, ...],
-    index: InvertedIndex | None,
-) -> np.ndarray:
-    """Similarity battery between a text span and a lemma set.
-
-    Used both as f1 (cell text vs entity lemmas, Section 4.2.1) and f2
-    (header text vs type lemmas, Section 4.2.2).  Each similarity takes the
-    **max over lemmas**, the paper's ``max_{l in L(E)} sim(D_rc, l)``.
-    TF-IDF weights take their IDF from ``index``, the lemma index.
-    """
-    vector = np.zeros(len(F1_FEATURE_NAMES))
-    vector[-1] = 1.0  # bias for a concrete (non-na) label
-    if not text or not lemmas:
-        return vector
-    best_cosine = best_soft = best_jaccard = best_dice = 0.0
-    exact = 0.0
-    text_folded = text.strip().lower()
-    for lemma in lemmas:
-        best_cosine = max(best_cosine, cosine_tfidf(text, lemma, index))
-        best_soft = max(best_soft, soft_tfidf(text, lemma, index))
-        best_jaccard = max(best_jaccard, jaccard(text, lemma))
-        best_dice = max(best_dice, dice(text, lemma))
-        if text_folded == lemma.strip().lower():
-            exact = 1.0
-    vector[0] = best_cosine
-    vector[1] = best_soft
-    vector[2] = best_jaccard
-    vector[3] = best_dice
-    vector[4] = exact
-    return vector
-
-
 def header_absent_features() -> np.ndarray:
     """f2 when the column has no header: all-zero (the signal is silent).
 

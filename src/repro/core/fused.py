@@ -8,8 +8,9 @@ are cut, in arrival order, into fused runs under one cell budget
 1. **resolves candidates** for every distinct cell text of the bucket in
    one candidate-engine call
    (:meth:`~repro.core.annotator.TableAnnotator.resolve_candidates`) and
-   builds each table's :class:`~repro.core.problem.AnnotationProblem` from
-   them,
+   builds every table's :class:`~repro.core.problem.AnnotationProblem`
+   from them in one :func:`~repro.core.problem.build_problems` call (one
+   f1 and one f2 battery pass for the whole bucket),
 2. **compiles one fused graph** for the whole bucket directly from the
    per-table :class:`~repro.core.problem.AnnotationProblem` arrays — one
    matrix product per column (φ3), per column pair (φ4, φ5) and per bucket
@@ -49,7 +50,7 @@ from repro.core.model import AnnotationModel
 from repro.core.problem import (
     NA,
     AnnotationProblem,
-    build_problem,
+    build_problems,
     candidate_products,
 )
 from repro.core.simple_inference import annotate_simple
@@ -728,17 +729,13 @@ def annotate_fused_chunk(
     """
     config = annotator.config
     start = time.perf_counter()
-    erc = annotator.resolve_candidates(tables)
-    problems = [
-        build_problem(
-            table,
-            annotator.candidate_engine,
-            annotator.features,
-            erc,
-            max_column_pairs=config.max_column_pairs,
-        )
-        for table in tables
-    ]
+    problems = build_problems(
+        tables,
+        annotator.candidate_engine,
+        annotator.features,
+        annotator.resolve_candidates(tables),
+        max_column_pairs=config.max_column_pairs,
+    )
     after_candidates = time.perf_counter()
     if config.with_relations:
         bundle = build_fused_bundle(problems, annotator.model)

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.catalog.catalog import Catalog
+from repro.core.battery import JaroWinklerMemo, LemmaRows, battery_rows
 from repro.core.candidates import (
     CandidateEngine,
     NO_CANDIDATES,
@@ -41,11 +42,6 @@ from repro.core.features import (
 )
 from repro.tables.generator import base_relation
 from repro.tables.model import Table
-from repro.text.profile import (
-    JaroWinklerCache,
-    TokenProfile,
-    text_lemma_features_profiled,
-)
 
 #: The "no annotation" label; always domain position 0.
 NA = None
@@ -55,19 +51,19 @@ class FeatureComputer:
     """Feature assembly against one catalog, with cross-table memoisation.
 
     Blocks are assembled with array programs over the candidate engine's
-    interned tables: f1/f2 run the profiled similarity battery
-    (:mod:`repro.text.profile`), a column's f3 block is one gather from
-    the interned (type × entity) grid and a column pair's f5 block one
-    ``searchsorted`` per label of every row's packed pair keys, each over
-    all rows at once.  The element-loop reading of every family lives in
-    ``tests/oracles``; the equivalence tests pin the blocks bit for bit
-    against it.
+    interned tables: f1 and f2 run the similarity battery
+    (:mod:`repro.core.battery`) over many blocks per call, a column's f3
+    block is one gather from the interned (type × entity) grid and a
+    column pair's f5 block one ``searchsorted`` per label of every row's
+    packed pair keys, each over all rows at once.  The element-loop
+    reading of every family lives in ``tests/oracles``; the equivalence
+    tests pin the blocks bit for bit against it.
 
     f3 and f5 need no memo: the grid and the tuple keys hold every value,
     built once with the tables.  The per-(relation, type) f4 sides are
-    memoised per element, and so are the Jaro-Winkler scores and lemma
-    profiles behind f1/f2; a cell or header text's own profile is rebuilt
-    per block (a memo of those saved under 1% of a corpus crawl).
+    memoised per element, and so are the battery's lemma rows (one per
+    entity and per type, over the engine's token vocabulary) and its
+    Jaro-Winkler scores.
 
     ``block_cache``, when attached (the annotation pipeline does this),
     memoises the f1 block of a cell text and its candidate list, the one
@@ -97,74 +93,90 @@ class FeatureComputer:
         #: the same slice with one row per (type, entity) pair, for np.take
         self._f3_rows = self._f3_grid.reshape(-1, self._f3_grid.shape[-1])
         self._f4_side_cache: dict[tuple[str, str], tuple[float, float, float, float]] = {}
-        self._jw = JaroWinklerCache()
-        self._entity_profiles: dict[str, tuple[TokenProfile, ...]] = {}
-        self._type_profiles: dict[str, tuple[TokenProfile, ...]] = {}
-
-    # -- profiles ---------------------------------------------------------
-    def _lemma_profiles(
-        self,
-        cache: dict[str, tuple[TokenProfile, ...]],
-        lemmas: tuple[str, ...],
-        key: str,
-    ) -> tuple[TokenProfile, ...]:
-        profiles = cache.get(key)
-        if profiles is None:
-            index = self.engine.lemma_index
-            profiles = tuple(TokenProfile.from_text(lemma, index) for lemma in lemmas)
-            cache[key] = profiles
-        return profiles
+        tables, vocabulary = engine.tables, engine.vocabulary
+        self._entity_rows = LemmaRows(
+            lambda entity: catalog.entities.lemmas(tables.entity_ids[entity]),
+            vocabulary,
+            engine.lemma_index,
+        )
+        self._type_rows = LemmaRows(
+            lambda type_int: catalog.types.lemmas(tables.type_ids[type_int]),
+            vocabulary,
+            engine.lemma_index,
+        )
+        self._jaro_winkler = JaroWinklerMemo(vocabulary)
 
     # -- f1 / f2 ----------------------------------------------------------
-    def f1_block(
-        self, cell_text: str, entity_ids: tuple[str, ...]
-    ) -> np.ndarray:
-        """f1 rows for one cell's candidate list, shape (n_entities, |f1|),
-        read-only, through ``block_cache`` when one is attached."""
-        cache = self.block_cache
-        key = ("f1", cell_text, entity_ids)
-        block = cache.get(key) if cache is not None else None
-        if block is None:
-            profile = TokenProfile.from_text(cell_text, self.engine.lemma_index)
-            block = np.stack(
-                [
-                    text_lemma_features_profiled(
-                        profile,
-                        self._lemma_profiles(
-                            self._entity_profiles,
-                            self.catalog.entities.lemmas(entity_id),
-                            entity_id,
-                        ),
-                        self._jw,
-                    )
-                    for entity_id in entity_ids
-                ]
-            )
-            block.flags.writeable = False
-            if cache is not None:
-                cache.put(key, block)
-        return block
+    def f1_blocks(
+        self, cells: Sequence[tuple[str, np.ndarray]]
+    ) -> list[np.ndarray]:
+        """f1 of each (cell text, candidate entity ints), shape
+        (n_candidates, |f1|) each, read-only.
 
-    def f2_block(
-        self, header_text: str | None, type_ids: tuple[str, ...]
-    ) -> np.ndarray:
-        """f2 rows for one column's candidate types, shape (n_types, |f2|)."""
-        if header_text is None or not header_text.strip():
-            return np.stack([header_absent_features() for _ in type_ids])
-        profile = TokenProfile.from_text(header_text, self.engine.lemma_index)
-        rows = [
-            text_lemma_features_profiled(
-                profile,
-                self._lemma_profiles(
-                    self._type_profiles,
-                    self.catalog.types.lemmas(type_id),
-                    type_id,
-                ),
-                self._jw,
+        Each block is looked up in ``block_cache`` when one is attached;
+        cells sharing a pending miss share its block, and every miss is
+        computed in one battery pass and stored.
+        """
+        cache = self.block_cache
+        blocks: list[np.ndarray | None] = [None] * len(cells)
+        missing: dict[tuple, list[int]] = {}
+        for position, (text, entities) in enumerate(cells):
+            key = ("f1", text, entities.tobytes())
+            pending = missing.get(key)
+            if pending is not None:
+                pending.append(position)
+                continue
+            block = cache.get(key) if cache is not None else None
+            if block is None:
+                missing[key] = [position]
+            else:
+                blocks[position] = block
+        if missing:
+            firsts = [positions[0] for positions in missing.values()]
+            computed = battery_rows(
+                [cells[first][0] for first in firsts],
+                [cells[first][1] for first in firsts],
+                self._entity_rows,
+                self._jaro_winkler,
             )
-            for type_id in type_ids
+            stop = 0
+            for key, positions in missing.items():
+                start, stop = stop, stop + len(cells[positions[0]][1])
+                # a copy: a cached view would keep the whole call's array
+                block = computed[start:stop].copy()
+                block.flags.writeable = False
+                if cache is not None:
+                    cache.put(key, block)
+                for position in positions:
+                    blocks[position] = block
+        return blocks
+
+    def f2_blocks(
+        self, columns: Sequence[tuple[str | None, np.ndarray]]
+    ) -> list[np.ndarray]:
+        """f2 of each (header, candidate type ints), shape (n_types,
+        |f2|) each: one battery pass over every column with a header, and
+        all-zero rows for a missing or blank one."""
+        headed = [
+            position
+            for position, (header, _types) in enumerate(columns)
+            if header is not None and header.strip()
         ]
-        return np.stack(rows)
+        computed = battery_rows(
+            [columns[position][0] for position in headed],
+            [columns[position][1] for position in headed],
+            self._type_rows,
+            self._jaro_winkler,
+        )
+        blocks = [
+            np.tile(header_absent_features(), (len(types), 1))
+            for _header, types in columns
+        ]
+        stop = 0
+        for position in headed:
+            start, stop = stop, stop + len(columns[position][1])
+            blocks[position] = computed[start:stop]
+        return blocks
 
     # -- f3 ---------------------------------------------------------------
     def f3(self, type_id: str, entity_id: str) -> np.ndarray:
@@ -466,69 +478,52 @@ class AnnotationProblem:
         }
 
 
-def build_problem(
+class _ColumnDraft(NamedTuple):
+    """A column's candidate spaces before its f1 and f2 blocks exist."""
+
+    texts: list[str]
+    candidates: ColumnCandidates
+    #: retrieval scores of the candidates
+    scores: np.ndarray
+    #: rows with candidates, ascending
+    rows: np.ndarray
+    type_ints: np.ndarray
+    #: ``Tc`` as type ids
+    types: tuple[str, ...]
+    header: str | None
+
+
+def _draft_spaces(
     table: Table,
     engine: CandidateEngine,
     features: FeatureComputer,
     erc: Mapping[str, CellCandidates],
-    max_column_pairs: int = 12,
-) -> AnnotationProblem:
-    """Construct the candidate spaces and feature arrays for one table.
-
-    ``erc`` maps each cell text of the table to its resolved ``Erc``
-    (:meth:`~repro.core.annotator.TableAnnotator.resolve_candidates`
-    answers a whole bucket in one engine call); ``Tc`` and ``Bcc'`` come
-    from ``engine``, one whole-column array pass each over the interned
-    entity ints, and the f3 and f5 arrays of a column or column pair from
-    one gather or one ``searchsorted`` per label.  Cells without candidates
-    (numeric/blank/unmatched) get no variable — their label is forced to
-    na.  Column pairs are considered for every ordered pair of columns that
-    both carry a type variable; pairs with no candidate relation get no
-    variable.  ``max_column_pairs`` caps quadratic blow-up on very wide
-    tables (the widest pairs by candidate support are kept).
-    """
-    entity_ids = engine.tables.entity_ids
+    max_column_pairs: int,
+) -> tuple[list[_ColumnDraft], list[PairSpace]]:
+    """One table's ``Tc`` per column, and its relation variables with
+    their ``Bcc'``, f4 and f5 arrays."""
     type_ids = engine.tables.type_ids
-    columns: list[ColumnSpace] = []
-    column_candidates: list[ColumnCandidates] = []
+    columns: list[_ColumnDraft] = []
     for column in range(table.n_columns):
         texts = [table.cell(row, column) for row in range(table.n_rows)]
         found = [erc[text] for text in texts]
         candidates = ColumnCandidates.of(found)
-        rows = np.flatnonzero(candidates.counts)
-        entities = tuple(entity_ids[i] for i in candidates.entities.tolist())
-        offsets = candidates.offsets[np.concatenate((rows, [len(texts)]))]
-        starts = offsets.tolist()
-        f1 = [
-            features.f1_block(texts[row], entities[start:stop])
-            for row, start, stop in zip(rows.tolist(), starts, starts[1:])
-        ]
         type_ints = engine.column_type_candidates(candidates)
-        types = tuple(type_ids[t] for t in type_ints.tolist())
-        header = table.header(column)
         columns.append(
-            ColumnSpace(
-                column=column,
-                header=header,
-                rows=rows,
-                offsets=offsets,
-                entities=entities,
+            _ColumnDraft(
+                texts=texts,
+                candidates=candidates,
                 scores=np.concatenate(
                     [cell.scores for cell in found] or [NO_CANDIDATES.scores]
                 ),
-                f1=np.concatenate(f1) if f1 else np.zeros((0, len(F1_FEATURE_NAMES))),
-                types=(NA,) + types,
-                f2=(
-                    features.f2_block(header, types)
-                    if types
-                    else np.zeros((0, len(F2_FEATURE_NAMES)))
-                ),
-                f3=features.f3_block(type_ints, candidates),
+                rows=np.flatnonzero(candidates.counts),
+                type_ints=type_ints,
+                types=tuple(type_ids[t] for t in type_ints.tolist()),
+                header=table.header(column),
             )
         )
-        column_candidates.append(candidates)
 
-    typed = [space.column for space in columns if space.has_type]
+    typed = [column for column, draft in enumerate(columns) if draft.types]
     candidate_pairs: list[
         tuple[int, int, list[tuple[str, int, bool]], PairCandidates]
     ] = []
@@ -537,7 +532,9 @@ def build_problem(
             if left >= right:
                 continue
             row_pairs = PairCandidates.of(
-                column_candidates[left], column_candidates[right], len(entity_ids)
+                columns[left].candidates,
+                columns[right].candidates,
+                len(engine.tables.entity_ids),
             )
             relations = engine.relation_candidates(row_pairs)
             if relations:
@@ -552,9 +549,7 @@ def build_problem(
                 left=left,
                 right=right,
                 labels=(NA,) + labels,
-                f4=features.f4_block(
-                    labels, columns[left].types[1:], columns[right].types[1:]
-                ),
+                f4=features.f4_block(labels, columns[left].types, columns[right].types),
                 left_cells=np.searchsorted(columns[left].rows, rows),
                 right_cells=np.searchsorted(columns[right].rows, rows),
                 n_left=row_pairs.left_counts[rows],
@@ -562,8 +557,98 @@ def build_problem(
                 f5=features.f5_block(relations, row_pairs),
             )
         )
+    return columns, pairs
 
-    return AnnotationProblem(table=table, columns=tuple(columns), pairs=tuple(pairs))
+
+def build_problems(
+    tables: Sequence[Table],
+    engine: CandidateEngine,
+    features: FeatureComputer,
+    erc: Mapping[str, CellCandidates],
+    max_column_pairs: int = 12,
+) -> list[AnnotationProblem]:
+    """Construct the candidate spaces and feature arrays of a run of
+    tables.
+
+    ``erc`` maps each cell text of the tables to its resolved ``Erc``
+    (:meth:`~repro.core.annotator.TableAnnotator.resolve_candidates`
+    answers a whole run in one engine call); ``Tc`` and ``Bcc'`` come from
+    ``engine``, one whole-column array pass each over the interned entity
+    ints, and the f3 and f5 arrays of a column or column pair from one
+    gather or one ``searchsorted`` per label.  With every table's spaces
+    built, one battery call computes the f1 blocks of all the run's cells
+    and one the f2 blocks of all its columns
+    (:meth:`FeatureComputer.f1_blocks`, :meth:`FeatureComputer.f2_blocks`).
+    Cells without candidates (numeric/blank/unmatched) get no variable —
+    their label is forced to na.  Column pairs are considered for every
+    ordered pair of columns that both carry a type variable; pairs with no
+    candidate relation get no variable.  ``max_column_pairs`` caps
+    quadratic blow-up on very wide tables (the widest pairs by candidate
+    support are kept).
+    """
+    drafts = [
+        _draft_spaces(table, engine, features, erc, max_column_pairs)
+        for table in tables
+    ]
+    columns = [column for drafted, _pairs in drafts for column in drafted]
+    f1 = iter(
+        features.f1_blocks(
+            [
+                (draft.texts[row], draft.candidates.entities[start:stop])
+                for draft in columns
+                for row, start, stop in zip(
+                    draft.rows.tolist(),
+                    draft.candidates.offsets[draft.rows].tolist(),
+                    draft.candidates.offsets[draft.rows + 1].tolist(),
+                )
+            ]
+        )
+    )
+    f2 = iter(features.f2_blocks([(draft.header, draft.type_ints) for draft in columns]))
+    entity_ids = engine.tables.entity_ids
+    problems = []
+    for table, (drafted, pairs) in zip(tables, drafts):
+        spaces = []
+        for column, draft in enumerate(drafted):
+            f1_rows = [next(f1) for _row in range(len(draft.rows))]
+            spaces.append(
+                ColumnSpace(
+                    column=column,
+                    header=draft.header,
+                    rows=draft.rows,
+                    offsets=draft.candidates.offsets[
+                        np.concatenate((draft.rows, [len(draft.texts)]))
+                    ],
+                    entities=tuple(
+                        entity_ids[i] for i in draft.candidates.entities.tolist()
+                    ),
+                    scores=draft.scores,
+                    f1=(
+                        np.concatenate(f1_rows)
+                        if f1_rows
+                        else np.zeros((0, len(F1_FEATURE_NAMES)))
+                    ),
+                    types=(NA,) + draft.types,
+                    f2=next(f2),
+                    f3=features.f3_block(draft.type_ints, draft.candidates),
+                )
+            )
+        problems.append(
+            AnnotationProblem(table=table, columns=tuple(spaces), pairs=tuple(pairs))
+        )
+    return problems
+
+
+def build_problem(
+    table: Table,
+    engine: CandidateEngine,
+    features: FeatureComputer,
+    erc: Mapping[str, CellCandidates],
+    max_column_pairs: int = 12,
+) -> AnnotationProblem:
+    """:func:`build_problems` of a run of one table."""
+    (problem,) = build_problems([table], engine, features, erc, max_column_pairs)
+    return problem
 
 
 def candidate_products(

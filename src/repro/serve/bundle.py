@@ -137,7 +137,8 @@ class BundleManifest:
     @classmethod
     def from_dict(cls, payload: object) -> "BundleManifest":
         """Decode a manifest; :class:`BundleError` when it, or one of its
-        fields, is of the wrong JSON kind."""
+        fields, is of the wrong JSON kind, or its ``files`` name a file
+        outside :data:`BUNDLE_FILES`."""
         if not isinstance(payload, dict):
             raise BundleError(
                 f"bundle manifest is a JSON {type(payload).__name__}, not an object"
@@ -157,6 +158,11 @@ class BundleManifest:
                 )
         if not all(isinstance(digest, str) for digest in manifest.files.values()):
             raise BundleError("bundle manifest files must map names to sha256 strings")
+        # a name outside the layout (a "..", an absolute path) would make
+        # verification read a file beside the bundle
+        strays = sorted(set(manifest.files) - set(BUNDLE_FILES))
+        if strays:
+            raise BundleError(f"bundle manifest names no bundle file: {strays[0]!r}")
         return manifest
 
 

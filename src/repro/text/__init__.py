@@ -11,6 +11,9 @@ package provides pure-Python equivalents:
 * :mod:`repro.text.index` — an inverted index with TF-IDF scoring used for
   candidate entity retrieval and table search; the lemma index's IDF
   values also weigh the f1/f2 similarities.
+
+:mod:`repro.core.battery` computes f1/f2 as array passes over many (text,
+lemma) pairs at once; the functions here are the per-pair definitions.
 """
 
 from repro.text.index import IndexHit, InvertedIndex

@@ -200,6 +200,10 @@ class InvertedIndex:
         """Every distinct document key, in first-indexed order."""
         return list(dict.fromkeys(self._doc_key))
 
+    def tokens(self) -> list[str]:
+        """Every indexed token of the frozen index."""
+        return list(self._token_arrays)
+
     def document_frequency(self, token: str) -> int:
         if self._frozen:
             # array-backed source of truth: a from_state() index carries no

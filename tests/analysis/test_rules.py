@@ -80,6 +80,10 @@ def test_unordered_iter_scoped_to_hot_modules(lint_tree):
     hot = lint_tree({"src/repro/core/fused.py": source})
     assert rule_ids(hot) == ["det-unordered-iter"]
     assert hot.findings[0].line == 3  # the sorted() loop is clean
+    # the f1/f2 battery's float sums follow token order
+    battery = lint_tree({"src/repro/core/battery.py": source})
+    assert rule_ids(battery) == ["det-unordered-iter"]
+    assert battery.findings[0].line == 3
     cold = lint_tree({"src/repro/pipeline/other.py": source})
     assert cold.findings == []
 

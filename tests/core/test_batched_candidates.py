@@ -190,9 +190,11 @@ class TestTokenlessLemma:
             features = FeatureComputer(
                 book_catalog, TypeEntityFeatureMode.INV_SQRT_DIST, engine
             )
+            entities = engine.tables.intern("entity", entity_ids)
+            types = engine.tables.intern("type", type_ids)
             return engine.lemma_index.document_count, [
-                *(features.f1_block(cell, entity_ids) for cell in cells),
-                *(features.f2_block(header, type_ids) for header in headers),
+                *features.f1_blocks([(cell, entities) for cell in cells]),
+                *features.f2_blocks([(header, types) for header in headers]),
             ]
 
         documents, before = blocks()

@@ -15,9 +15,9 @@ from repro.core.features import (
     participation_fraction,
     relation_entities_features,
     relation_types_features,
-    text_lemma_features,
     type_entity_features,
 )
+from tests.oracles.scalar import text_lemma_features
 
 
 class TestF1F2:

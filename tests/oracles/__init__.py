@@ -14,7 +14,9 @@ byte-identity tests compare the two:
   :class:`CandidateEntity` lists and label lists (:class:`EngineQueries`
   puts the production engine behind the same signatures),
 * :class:`ScalarFeatureComputer` assembles f1 to f5 blocks one element at
-  a time,
+  a time, f1 and f2 through :func:`text_lemma_features`, the scalar
+  similarity battery that :mod:`repro.core.battery` must match bit for
+  bit,
 * :func:`scalar_build_problem` builds a table's problem from the two, row
   by row,
 * :func:`build_factor_graph` materialises a problem under a model as a
@@ -48,6 +50,7 @@ from tests.oracles.scalar import (
     scalar_annotate_problem,
     scalar_build_problem,
     scalar_decode,
+    text_lemma_features,
     wire,
 )
 
@@ -68,5 +71,6 @@ __all__ = [
     "scalar_annotate_problem",
     "scalar_build_problem",
     "scalar_decode",
+    "text_lemma_features",
     "wire",
 ]

@@ -39,7 +39,6 @@ from repro.core.features import (
     header_absent_features,
     relation_entities_features,
     relation_types_features,
-    text_lemma_features,
     type_entity_features,
 )
 from repro.core.fused import annotate_problem
@@ -59,6 +58,7 @@ from repro.tables.generator import reversed_label
 from repro.tables.model import Table
 from repro.text.index import InvertedIndex
 from repro.text.normalize import is_numeric_text
+from repro.text.similarity import cosine_tfidf, dice, jaccard, soft_tfidf
 from tests.oracles.bp import FactorGraph, MaxProductBP
 from tests.oracles.retrieval import dense_search
 
@@ -69,6 +69,41 @@ SCHEDULES = ("paper", "flooding")
 #: which implementation an :class:`OracleAnnotator` layer uses: "scalar"
 #: is the reference, "batched" the production counterpart
 LAYERS = ("scalar", "batched")
+
+
+def text_lemma_features(
+    text: str,
+    lemmas: tuple[str, ...],
+    index: InvertedIndex | None,
+) -> np.ndarray:
+    """The f1/f2 similarity battery between a text span and a lemma set.
+
+    Used both as f1 (cell text vs entity lemmas, Section 4.2.1) and f2
+    (header text vs type lemmas, Section 4.2.2).  Each similarity takes the
+    **max over lemmas**, the paper's ``max_{l in L(E)} sim(D_rc, l)``.
+    TF-IDF weights take their IDF from ``index``, the lemma index.  The
+    reference of :mod:`repro.core.battery`.
+    """
+    vector = np.zeros(len(F1_FEATURE_NAMES))
+    vector[-1] = 1.0  # bias for a concrete (non-na) label
+    if not text or not lemmas:
+        return vector
+    best_cosine = best_soft = best_jaccard = best_dice = 0.0
+    exact = 0.0
+    text_folded = text.strip().lower()
+    for lemma in lemmas:
+        best_cosine = max(best_cosine, cosine_tfidf(text, lemma, index))
+        best_soft = max(best_soft, soft_tfidf(text, lemma, index))
+        best_jaccard = max(best_jaccard, jaccard(text, lemma))
+        best_dice = max(best_dice, dice(text, lemma))
+        if text_folded == lemma.strip().lower():
+            exact = 1.0
+    vector[0] = best_cosine
+    vector[1] = best_soft
+    vector[2] = best_jaccard
+    vector[3] = best_dice
+    vector[4] = exact
+    return vector
 
 
 @dataclass(frozen=True)

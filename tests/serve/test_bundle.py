@@ -28,6 +28,7 @@ from repro.pipeline.pipeline import AnnotationPipeline
 from repro.search.annotated_search import AnnotatedSearcher
 from repro.search.query import RelationQuery
 from repro.search.table_index import AnnotatedTableIndex
+from repro.serve import bundle as bundle_module
 from repro.serve.bundle import (
     BUNDLE_FILES,
     FORMAT_VERSION,
@@ -233,6 +234,16 @@ class TestRejection:
                 BundleIntegrityError,
                 "lists no hash for catalog.json",
             ),
+            (
+                {"format_version": FORMAT_VERSION, "files": {"../outside.txt": "0"}},
+                BundleError,
+                "names no bundle file: '../outside.txt'",
+            ),
+            (
+                {"format_version": FORMAT_VERSION, "files": {"/etc/hostname": "0"}},
+                BundleError,
+                "names no bundle file: '/etc/hostname'",
+            ),
         ],
         ids=[
             "list",
@@ -243,17 +254,42 @@ class TestRejection:
             "created-string",
             "stats-list",
             "no-files",
+            "parent-path",
+            "absolute-path",
         ],
     )
     def test_mistyped_manifest_is_a_bundle_error(
-        self, copied_bundle, manifest, error, message
+        self, copied_bundle, manifest, error, message, monkeypatch
     ):
-        """A manifest of the wrong shape fails as a bundle error, and one
-        that lists no file cannot vouch for the files a load reads."""
+        """A manifest of the wrong shape fails as a bundle error, one that
+        lists no file cannot vouch for the files a load reads, and one that
+        names a file outside the bundle cannot make a load read it: each
+        fails before any file is hashed."""
+        hashed = []
+        monkeypatch.setattr(bundle_module, "_sha256_file", hashed.append)
         (copied_bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(error, match=message) as raised:
             load_bundle(copied_bundle)
         assert not isinstance(raised.value, BundleVersionError)
+        assert hashed == []
+
+    def test_stray_name_beside_every_hash_reads_nothing(
+        self, copied_bundle, monkeypatch
+    ):
+        """A manifest hashing every bundle file plus a file beside the
+        bundle fails before any file is hashed."""
+        (copied_bundle.parent / "outside.txt").write_text("not a bundle file")
+        manifest_path = copied_bundle / MANIFEST_NAME
+        payload = json.loads(manifest_path.read_text())
+        payload["files"]["../outside.txt"] = hashlib.sha256(
+            b"not a bundle file"
+        ).hexdigest()
+        manifest_path.write_text(json.dumps(payload))
+        hashed = []
+        monkeypatch.setattr(bundle_module, "_sha256_file", hashed.append)
+        with pytest.raises(BundleError, match="names no bundle file"):
+            load_bundle(copied_bundle)
+        assert hashed == []
 
     def test_not_a_bundle_rejected(self, tmp_path):
         with pytest.raises(BundleError, match="manifest"):

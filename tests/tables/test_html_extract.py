@@ -1,6 +1,12 @@
 """Tests for HTML table extraction."""
 
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.tables.html_extract import extract_tables_from_html
+from repro.tables.model import Table
 
 SIMPLE_PAGE = """
 <html><body>
@@ -112,3 +118,104 @@ class TestExtraction:
     def test_empty_page(self):
         assert extract_tables_from_html("") == []
         assert extract_tables_from_html("<p>no tables here</p>") == []
+
+
+#: markup fragments a messy page is drawn from: balanced and stray table
+#: tags, spanning cells, header-only rows, nested tables, character
+#: entities (good, unknown and out of range) and broken tags
+FRAGMENTS = (
+    "<table>",
+    "</table>",
+    "<tr>",
+    "</tr>",
+    "<td>",
+    "</td>",
+    "<th>",
+    "</th>",
+    "<thead>",
+    "</thead>",
+    "<tbody>",
+    '<td colspan="2">',
+    "<td rowspan=3>",
+    '<th colspan="1">',
+    "<td colspan=''>",
+    "<tr><th>Name</th><th>Place</th></tr>",
+    "<tr><td>Albert Einstein</td><td>Ulm</td></tr>",
+    "<table><tr><td>inner</td></tr></table>",
+    "<p>",
+    "</div>",
+    "<br/>",
+    "<!-- note",
+    "-->",
+    "<script>x < y</script>",
+    "&amp;",
+    "&lt;td&gt;",
+    "&#169;",
+    "&#x1F600;",
+    "&#99999999;",
+    "&nbsp;",
+    "&bogus;",
+    "&",
+    "<",
+    ">",
+    "<td",
+    "Marie Curie",
+    " Warsaw ",
+    "1867",
+    "\n",
+)
+
+
+cell_texts = st.one_of(
+    st.sampled_from(("Albert Einstein", "Ulm", "1879", "", "&amp; Co", "&#169;", "x &lt; y")),
+    st.text(alphabet="ab &;#1", max_size=6),
+)
+
+
+@st.composite
+def table_markup(draw):
+    """A table's markup with optional closing tags, spanning cells and
+    ``<th>``-only rows, so regular and irregular grids both come out."""
+    width = draw(st.integers(1, 3))
+    rows = []
+    for row in range(draw(st.integers(1, 4))):
+        tag = draw(st.sampled_from(("th", "td") if row == 0 else ("td",) * 3 + ("th",)))
+        cells = []
+        for _ in range(width + draw(st.sampled_from((0,) * 8 + (1, -1)))):
+            opening = draw(st.sampled_from((f"<{tag}>",) * 7 + (f'<{tag} colspan="2">',)))
+            closing = draw(st.sampled_from((f"</{tag}>",) * 3 + ("",)))
+            cells.append(opening + draw(cell_texts) + closing)
+        rows.append("<tr>" + "".join(cells) + draw(st.sampled_from(("</tr>",) * 3 + ("",))))
+    return "<table>" + "".join(rows) + draw(st.sampled_from(("</table>", "")))
+
+
+junk = st.one_of(
+    st.sampled_from(FRAGMENTS), st.text(alphabet="<>/&;#=\"' abtdhrx0", max_size=8)
+)
+#: a page of any fragments, or a few around one table
+pages = st.one_of(
+    st.lists(st.one_of(junk, table_markup()), max_size=30).map("".join),
+    st.tuples(
+        st.lists(junk, max_size=3).map("".join),
+        table_markup(),
+        st.lists(junk, max_size=3).map("".join),
+    ).map("".join),
+)
+
+
+class TestMessyMarkupFuzz:
+    """``extract_tables_from_html`` never raises, whatever the markup, and
+    every table it returns is a regular grid that survives the table
+    codec."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(page=pages, screen=st.booleans())
+    def test_messy_markup_yields_regular_tables(self, page, screen):
+        for table in extract_tables_from_html(page, screen_relational=screen):
+            assert table.n_rows >= 1
+            width = len(table.cells[0])
+            assert width >= 1
+            assert all(len(row) == width for row in table.cells)
+            assert table.headers is None or len(table.headers) == width
+            payload = json.loads(json.dumps(table.to_dict()))
+            assert Table.from_dict(payload).to_dict() == table.to_dict()
